@@ -14,25 +14,39 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, manifest_json, parse_config
-from .dyadic import (DyadicGrid, ScaleRangeError, Window, union_bound,
-                     pi_bad_estimate)
+from .dyadic import (DyadicGrid, ScaleRangeError, Window,
+                     WindowTruncationError, pi_bad_estimate)
 from .filters import FilterError
-from .operators import TestFunction, make_operator
+from .harness import (NoiseFloorError, audit_rows_csv, convergence_experiment,
+                      decay_audit, randomized_expansion)
+from .operators import CrossValidationError, TestFunction, make_operator
 from .shifts import NormalizationFinding, PowerIterationError
-from .wavelets import CascadeError, build_system
+from .wavelets import CascadeError, build_system, gram_defect
 
 EXIT_CONFIG = 2
 EXIT_FINDING = 3
 EXIT_RESOURCE = 4
 
+# exit code of each library failure; the most specific class listed wins
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    NormalizationFinding: EXIT_FINDING,
+    CascadeError: EXIT_RESOURCE,
+    CrossValidationError: EXIT_RESOURCE,
+    FilterError: EXIT_RESOURCE,
+    MemoryError: EXIT_RESOURCE,
+    NoiseFloorError: EXIT_RESOURCE,
+    OSError: EXIT_RESOURCE,
+    PowerIterationError: EXIT_RESOURCE,
+    ScaleRangeError: EXIT_RESOURCE,
+    WindowTruncationError: EXIT_RESOURCE,
+}
 
-def _outdir(cfg: RunConfig, args) -> str:
-    out = os.environ.get("DYADSHIFT_OUTDIR") or args.outdir or cfg.outdir
-    os.makedirs(out, exist_ok=True)
-    return out
+
+def _outdir(cfg: RunConfig) -> str:
+    os.makedirs(cfg.outdir, exist_ok=True)
+    return cfg.outdir
 
 
 def _write(path: str, text: str) -> None:
@@ -47,11 +61,11 @@ def _default_pair(cfg: RunConfig) -> tuple[TestFunction, TestFunction]:
             TestFunction(center=centre + 0.9, halfwidth=0.7))
 
 
-def cmd_grid_stats(cfg: RunConfig, args) -> int:
+def cmd_grid_stats(cfg: RunConfig) -> int:
     window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     report = pi_bad_estimate(window, r=cfg.r, theta=cfg.theta,
                              samples=cfg.mc_samples, seed=cfg.seed)
-    out = _outdir(cfg, args)
+    out = _outdir(cfg)
     _write(os.path.join(out, "goodness.csv"), report.to_csv())
     results = {
         "pi_bad_hat": report.pi_bad_hat,
@@ -67,9 +81,8 @@ def cmd_grid_stats(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_wavelet_check(cfg: RunConfig, args) -> int:
+def cmd_wavelet_check(cfg: RunConfig) -> int:
     system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
-    from .wavelets import gram_defect
     entries = [(k, l, "psi") for k in range(3) for l in range(2 ** k)]
     defect = gram_defect(system, entries, res=min(cfg.q, 16), span=(-8.0, 9.0))
     results = {
@@ -80,15 +93,14 @@ def cmd_wavelet_check(cfg: RunConfig, args) -> int:
         "gram_defect": defect,
         "moments": {a: system.moment(a) for a in range(system.v + 2)},
     }
-    out = _outdir(cfg, args)
+    out = _outdir(cfg)
     _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
     print(f"filter {cfg.filter}: m={system.m} u={system.u} v={system.v} "
           f"gram defect {defect:.3g}")
     return 0
 
 
-def cmd_decay_audit(cfg: RunConfig, args) -> int:
-    from .harness import audit_rows_csv, decay_audit
+def cmd_decay_audit(cfg: RunConfig) -> int:
     window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     grid = DyadicGrid.random(window, cfg.seed)
     system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
@@ -96,7 +108,7 @@ def cmd_decay_audit(cfg: RunConfig, args) -> int:
     rows, info = decay_audit(op, system, grid, s=cfg.s, eps=cfg.eps,
                              theta=cfg.theta, i_max=cfg.N_max,
                              j_max=cfg.N_max, q_loc=min(cfg.q, 10))
-    out = _outdir(cfg, args)
+    out = _outdir(cfg)
     _write(os.path.join(out, "audit.csv"), audit_rows_csv(rows))
     _write(os.path.join(out, "manifest.json"), manifest_json(cfg, info))
     bad = [r for r in rows if r.kind in ("equal", "near") and r.ratio > 1.0]
@@ -109,8 +121,7 @@ def cmd_decay_audit(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_represent(cfg: RunConfig, args) -> int:
-    from .harness import randomized_expansion
+def cmd_represent(cfg: RunConfig) -> int:
     window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
     op = make_operator(cfg.kernel)
@@ -118,7 +129,7 @@ def cmd_represent(cfg: RunConfig, args) -> int:
     res = randomized_expansion(op, system, window, f, g, r=cfg.r,
                                theta=cfg.theta, n_omega=cfg.n_omega,
                                seed=cfg.seed, q_loc=min(cfg.q, 10))
-    out = _outdir(cfg, args)
+    out = _outdir(cfg)
     results = {k: res[k] for k in ("estimate", "stderr", "truth", "n_omega",
                                    "pi_good")}
     _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
@@ -127,8 +138,7 @@ def cmd_represent(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_convergence(cfg: RunConfig, args) -> int:
-    from .harness import convergence_experiment
+def cmd_convergence(cfg: RunConfig) -> int:
     window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
     op = make_operator(cfg.kernel)
@@ -142,7 +152,7 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
                                    n_omega=cfg.n_omega, seed=cfg.seed,
                                    r=cfg.r, theta=cfg.theta,
                                    q_loc=min(cfg.q, 10))
-    out = _outdir(cfg, args)
+    out = _outdir(cfg)
     _write(os.path.join(out, "curve.csv"), curve.csv())
     results = {"slope": curve.slope, "fit_range": list(curve.fit_range),
                "truth": curve.truth, "pi_good": curve.pi_good,
@@ -173,34 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the output directory is --outdir, else
+    $DYADSHIFT_OUTDIR, else the config's outdir, and the manifest records
+    the one used."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.outdir is not None:
-            cfg.outdir = args.outdir
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NormalizationFinding as exc:
-        print(f"finding: {exc}", file=sys.stderr)
-        return EXIT_FINDING
-    except (CascadeError, PowerIterationError, ScaleRangeError,
-            FilterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except Exception as exc:
-        from .harness import NoiseFloorError
-        if isinstance(exc, NoiseFloorError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-        raise
+        cfg = parse_config(args.config, {
+            "seed": args.seed,
+            "outdir": args.outdir or os.environ.get("DYADSHIFT_OUTDIR")})
+        return _COMMANDS[args.command](cfg)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[c] for c in type(exc).__mro__
+                    if c in _EXIT_CODES)
+        label = "finding" if code == EXIT_FINDING else "error"
+        print(f"{label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

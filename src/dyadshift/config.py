@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .dyadic import union_bound
 from .filters import FilterError
@@ -33,6 +33,11 @@ from .filters import FilterError
 
 class ConfigError(ValueError):
     """Invalid or unsatisfiable run configuration."""
+
+
+# declared field type -> (accepted Python types, description)
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "str": (str, "a string")}
 
 
 @dataclass
@@ -56,7 +61,10 @@ class RunConfig:
 
     def resolved(self) -> "RunConfig":
         """Fill defaults and validate; returns self for chaining."""
-        if not isinstance(self.s, int) or self.s < 1:
+        self._check_types()
+        if self.d != 1:
+            raise ConfigError("invalid config: only d = 1 is supported")
+        if self.s < 1:
             raise ConfigError("invalid config: s must be an integer >= 1")
         if not self.eps > 0.0:
             raise ConfigError("invalid config: eps must be > 0")
@@ -83,10 +91,31 @@ class RunConfig:
         if self.L < -self.k_min:
             raise ConfigError("invalid config: need L >= -k_min so the "
                               "coarsest cubes fit in the window")
-        if self.d != 1:
-            raise ConfigError("invalid config: only d = 1 is supported")
+        if self.L + self.k_max + 1 > 62:
+            raise ConfigError("invalid config: need L + k_max + 1 <= 62 so "
+                              "positions fit 64-bit integer units")
+        for name, least in (("seed", 0), ("N_max", 0), ("n_omega", 1),
+                            ("mc_samples", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"invalid config: {name} must be >= {least}")
         self._check_filter()
         return self
+
+    def _check_types(self) -> None:
+        """Each key holds its declared type, or null where that is allowed;
+        numbers (never bools) must be finite with magnitude <= 2^53."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            types, what = _TYPES[kind]
+            if (isinstance(value, bool) or not isinstance(value, types)
+                    or kind != "str" and not abs(value) <= 2 ** 53):
+                raise ConfigError(
+                    f"invalid config: {f.name} must be {what}"
+                    + ("" if kind == "str" else " of magnitude <= 2^53")
+                    + f", got {value!r:.40}")
 
     def _check_filter(self) -> None:
         from .wavelets import build_system
@@ -117,8 +146,9 @@ def default_r(d: int, theta: float) -> int:
 _KEYS = set(RunConfig.__dataclass_fields__)
 
 
-def parse_config(source: str) -> RunConfig:
-    """Parse a config from a file path or inline JSON text."""
+def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
+    """Parse a config from a file path or inline JSON text; the non-null
+    entries of overrides replace the config's own values."""
     text = source
     if not source.lstrip().startswith("{"):
         if not os.path.exists(source):
@@ -131,6 +161,7 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError(f"invalid config: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("invalid config: top level must be an object")
+    raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     unknown = set(raw) - _KEYS
     if unknown:
         raise ConfigError(

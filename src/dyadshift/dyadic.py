@@ -177,24 +177,20 @@ def box_dist(lo_a, hi_a, lo_b, hi_b) -> int:
     return int(gaps.max())
 
 
+def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
+    """Distance from cubes of sidelength `side` with corners t (shape (n, d)
+    or (d,)) to the lattice of multiples of side_c, per cube."""
+    off = t % side_c
+    return np.minimum(off, side_c - off - side).min(axis=-1)
+
+
 def boundary_dist(grid: DyadicGrid, cube: Cube, k_coarse: int) -> int:
     """Distance from the shifted cube to the union of boundaries of all
     generation-k_coarse cubes of the same grid (the grid skeleton)."""
     w = grid.window
-    lo, hi = grid.cube_box(cube)
-    side_c = w.len_units(k_coarse)
-    off = (lo - grid.shift_units(k_coarse)) % side_c
-    side = hi[0] - lo[0]
-    per_axis = np.minimum(off, side_c - off - side)
-    return int(per_axis.min())
-
-
-def long_distance(grid: DyadicGrid, a: Cube, b: Cube) -> float:
-    """D(I, J) = len(I) + dist(I, J) + len(J)."""
-    lo_a, hi_a = grid.cube_box(a)
-    lo_b, hi_b = grid.cube_box(b)
-    units = box_dist(lo_a, hi_a, lo_b, hi_b) + (hi_a[0] - lo_a[0]) + (hi_b[0] - lo_b[0])
-    return units * 2.0 ** (-grid.window.unit_exp)
+    lo, _ = grid.cube_box(cube)
+    return int(_skeleton_gap(lo - grid.shift_units(k_coarse),
+                             w.len_units(cube.k), w.len_units(k_coarse)))
 
 
 def ancestor_join(grid: DyadicGrid, fine: Cube, coarse: Cube, m: int,
@@ -228,42 +224,41 @@ def ancestor_join(grid: DyadicGrid, fine: Cube, coarse: Cube, m: int,
     )
 
 
-def shifted_corner(window: Window, cube: Cube, omega: np.ndarray) -> tuple:
-    """Shifted corner of a cube as exact floats (a convenience wrapper that
-    builds a one-off grid)."""
-    grid = DyadicGrid(window, omega)
-    lo, _ = grid.cube_box(cube)
-    return tuple(float(v) * 2.0 ** (-window.unit_exp) for v in lo)
+def _bad_offsets(window: Window, k: int, r: int, theta: float,
+                t: np.ndarray) -> np.ndarray:
+    """Badness of generation-k cubes whose corners sit t integer units
+    (shape (n, d)) from the generation-k_min skeleton.
+
+    A cube is bad when some coarser generation k_c >= k_min, at least r
+    steps up, brings its skeleton within theta-relative reach of the cube.
+    Every translation bit of a generation <= k_c is a multiple of that
+    generation's sidelength, so one offset serves every k_c.
+    """
+    side = window.len_units(k)
+    bad = np.zeros(t.shape[0], dtype=bool)
+    for k_c in range(window.k_min, k - r + 1):
+        side_c = window.len_units(k_c)
+        thresh = (2.0 ** (k_c - k)) ** theta * side_c
+        bad |= _skeleton_gap(t, side, side_c) <= thresh
+    return bad
 
 
 def is_bad(grid: DyadicGrid, cube: Cube, r: int, theta: float) -> bool:
-    """A cube is bad when some coarser generation >= k_min, at least r steps
-    up, brings its skeleton within theta-relative reach of the cube."""
+    """Badness of one cube of the grid (see _bad_offsets)."""
     w = grid.window
     if cube.k - r < w.k_min:
         raise ScaleRangeError(
             f"badness of a generation-{cube.k} cube needs coarser generations "
             f"down to {cube.k - r}, below k_min={w.k_min}"
         )
-    for k_c in range(w.k_min, cube.k - r + 1):
-        thresh = (2.0 ** (k_c - cube.k)) ** theta * w.len_units(k_c)
-        if boundary_dist(grid, cube, k_c) <= thresh:
-            return True
-    return False
+    lo, _ = grid.cube_box(cube)
+    t = (lo - grid.shift_units(w.k_min))[None, :]
+    return bool(_bad_offsets(w, cube.k, r, theta, t)[0])
 
 
 def union_bound(d: int, r: int, theta: float) -> float:
     """Union-bound estimate for the bad-cube frequency."""
     return (8.0 * d / theta) * 2.0 ** (-r * theta)
-
-
-def smallest_admissible_r(d: int, theta: float, cap: float = 0.5) -> int:
-    r = 1
-    while union_bound(d, r, theta) > cap:
-        r += 1
-        if r > 10_000:
-            raise ScaleRangeError("no admissible r; theta too small")
-    return r
 
 
 @dataclass
@@ -292,56 +287,44 @@ def _badness_batch(window: Window, k_ref: int, r: int, theta: float,
     Only rows with j <= k_ref feed the offsets; coarser-generation offsets are
     nested truncations of one integer, so a single weighted sum suffices.
     """
-    usc = window.unit_exp
     n_rows = k_ref - window.k_min  # rows with k_min < j <= k_ref
     j = window.k_min + 1 + np.arange(n_rows)
-    weights = (1 << (usc - j)).astype(np.int64)
+    weights = (1 << (window.unit_exp - j)).astype(np.int64)
     t = np.einsum("sjd,j->sd", bits[:, :n_rows, :].astype(np.int64), weights)
     t += np.asarray(l_ref, dtype=np.int64) * window.len_units(k_ref)
-    side = window.len_units(k_ref)
-    bad = np.zeros(bits.shape[0], dtype=bool)
-    for k_c in range(window.k_min, k_ref - r + 1):
-        side_c = window.len_units(k_c)
-        off = t % side_c
-        per_axis = np.minimum(off, side_c - off - side)
-        thresh = (2.0 ** (k_c - k_ref)) ** theta * side_c
-        bad |= per_axis.min(axis=1) <= thresh
-    return bad
+    return _bad_offsets(window, k_ref, r, theta, t)
 
 
-def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
-                    seed, k_ref: int | None = None) -> GoodnessReport:
-    """Monte Carlo badness frequency for a generation-k_ref reference cube.
-
-    Verifies along the way that several reference positions give the same
-    frequency within 3 standard errors (they agree exactly in distribution;
-    the check guards the implementation, not the model).
-    """
+def _sample_badness(window: Window, r: int, theta: float, samples: int, seed,
+                    k_ref: int | None) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k_ref, bits, badness) of the centred reference cube over random
+    translation bits; k_ref defaults to mid-window, at least r generations
+    below k_min."""
     w = window
     if k_ref is None:
         k_ref = max((w.k_min + w.k_max) // 2, w.k_min + r)
     if k_ref - r < w.k_min:
         raise ScaleRangeError("window has no generation r steps above k_ref")
+    if k_ref > w.k_max:
+        raise ScaleRangeError(
+            f"reference generation {k_ref} lies beyond k_max={w.k_max}; "
+            f"badness with r={r} needs k_max - k_min >= r")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, w.n_shift_bits, w.d), dtype=np.int64)
     center = (1 << (w.L + k_ref)) // 2 if w.L + k_ref >= 1 else 0
     l_ref = np.full(w.d, center, dtype=np.int64)
-    bad = _badness_batch(w, k_ref, r, theta, bits, l_ref)
-    hits = int(bad.sum())
-    p = hits / samples
+    return k_ref, bits, _badness_batch(w, k_ref, r, theta, bits, l_ref)
+
+
+def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
+                    seed, k_ref: int | None = None) -> GoodnessReport:
+    """Monte Carlo badness frequency for a generation-k_ref reference cube."""
+    _, _, bad = _sample_badness(window, r, theta, samples, seed, k_ref)
+    p = int(bad.sum()) / samples
     se = float(np.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples))
-    # cross-check at shifted reference positions on a sub-sample
-    sub = bits[: min(samples, 20_000)]
-    p_sub = _badness_batch(w, k_ref, r, theta, sub, l_ref).mean()
-    se_sub = max(np.sqrt(p_sub * (1 - p_sub) / sub.shape[0]), 1.0 / sub.shape[0])
-    for delta in (1, 3):
-        alt = _badness_batch(w, k_ref, r, theta, sub, l_ref + delta).mean()
-        if abs(alt - p_sub) > 3.0 * np.sqrt(2.0) * se_sub + 1e-12:
-            raise AssertionError(
-                f"badness frequency not position-uniform: {p_sub} vs {alt}"
-            )
     return GoodnessReport(samples=samples, pi_bad_hat=p, stderr=se,
-                          bound=union_bound(w.d, r, theta), r=r, theta=theta, d=w.d)
+                          bound=union_bound(window.d, r, theta), r=r,
+                          theta=theta, d=window.d)
 
 
 def pi_bad_exact(window: Window, k_ref: int, r: int, theta: float) -> float:
@@ -359,14 +342,7 @@ def pi_bad_exact(window: Window, k_ref: int, r: int, theta: float) -> float:
     per_axis_vals = np.arange(1 << n_rows, dtype=np.int64) * side
     grids = np.meshgrid(*([per_axis_vals] * w.d), indexing="ij")
     t = np.stack([g.ravel() for g in grids], axis=1)
-    bad = np.zeros(t.shape[0], dtype=bool)
-    for k_c in range(w.k_min, k_ref - r + 1):
-        side_c = w.len_units(k_c)
-        off = t % side_c
-        per_axis = np.minimum(off, side_c - off - side)
-        thresh = (2.0 ** (k_c - k_ref)) ** theta * side_c
-        bad |= per_axis.min(axis=1) <= thresh
-    return float(bad.mean())
+    return float(_bad_offsets(w, k_ref, r, theta, t).mean())
 
 
 def independence_table(window: Window, r: int, theta: float, samples: int,
@@ -378,19 +354,12 @@ def independence_table(window: Window, r: int, theta: float, samples: int,
     (bits of generation > k_ref); badness reads only bits <= k_ref.
     """
     w = window
-    if k_ref is None:
-        k_ref = max((w.k_min + w.k_max) // 2, w.k_min + r)
+    k_ref, bits, bad = _sample_badness(w, r, theta, samples, seed, k_ref)
     if w.k_max - k_ref < int(np.log2(position_bins)):
         raise ScaleRangeError("not enough fine generations for the position bins")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(samples, w.n_shift_bits, w.d), dtype=np.int64)
-    center = (1 << (w.L + k_ref)) // 2 if w.L + k_ref >= 1 else 0
-    l_ref = np.full(w.d, center, dtype=np.int64)
-    bad = _badness_batch(w, k_ref, r, theta, bits, l_ref)
-    usc = w.unit_exp
     rows_fine = slice(k_ref - w.k_min, w.n_shift_bits)
     j = k_ref + 1 + np.arange(w.n_shift_bits - (k_ref - w.k_min))
-    weights = (1 << (usc - j)).astype(np.int64)
+    weights = (1 << (w.unit_exp - j)).astype(np.int64)
     pos = np.einsum("sjd,j->sd", bits[:, rows_fine, :], weights)
     side = w.len_units(k_ref)
     bins = (pos[:, 0] * position_bins) // side

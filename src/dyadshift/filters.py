@@ -9,6 +9,7 @@ exact decimal coefficient per line.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -110,20 +111,25 @@ def builtin_filter_names() -> list[str]:
 
 
 def get_filter(name: str) -> np.ndarray:
-    try:
+    """A built-in filter by name, else the filter in the file at that path."""
+    if name in _BANK:
         return _BANK[name].copy()
-    except KeyError:
-        raise FilterError(f"unknown filter {name!r}; known: {builtin_filter_names()}")
+    if os.path.isfile(name):
+        return load_filter_file(name)
+    raise FilterError(f"unknown filter {name!r}; known: {builtin_filter_names()}")
 
 
 def load_filter_file(path) -> np.ndarray:
     """One decimal coefficient per line; blank lines and # comments ignored."""
     coeffs = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                coeffs.append(float(line))
+        try:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    coeffs.append(float(line))
+        except ValueError as exc:  # also undecodable bytes
+            raise FilterError(f"filter file {path}: {exc}") from exc
     h = np.array(coeffs, dtype=float)
     validate_filter(h)
     return h

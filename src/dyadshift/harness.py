@@ -17,8 +17,9 @@ import numpy as np
 
 from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                      WindowTruncationError, is_bad, union_bound, pi_bad_exact)
-from .operators import KernelOp, PairingEngine, apply_multiplier
-from .shifts import PairClass, classify_pair, smaller_of
+from .operators import (KernelOp, PairingEngine, apply_multiplier,
+                        sample_wavelet, support_interval)
+from .shifts import classify_pair, smaller_of
 from .wavelets import WaveletSystem
 
 
@@ -51,7 +52,6 @@ def localized_coefficient(grid: DyadicGrid, system: WaveletSystem,
                           cube: Cube, func, q_loc: int) -> float:
     """<psi_cube, func> on a mesh fine enough for both the wavelet and the
     function (func must expose .support)."""
-    from .operators import support_interval
     a_w, b_w = support_interval(grid, system, cube)
     a_f, b_f = func.support
     a, b = max(a_w, a_f), min(b_w, b_f)
@@ -66,9 +66,7 @@ def localized_coefficient(grid: DyadicGrid, system: WaveletSystem,
     x0 = math.floor(a / h) * h
     n = int(math.ceil((b - x0) / h))
     x = x0 + (np.arange(n) + 0.5) * h
-    shift_scaled = grid.shift_units(cube.k)[0] / grid.window.len_units(cube.k)
-    t = x * 2.0 ** cube.k - cube.l[0] - shift_scaled
-    vals = 2.0 ** (cube.k / 2.0) * system.mother(t, "psi")
+    vals = sample_wavelet(grid, system, cube, x)
     return float(np.sum(vals * func(x)) * h)
 
 
@@ -210,7 +208,6 @@ def safe_is_good(grid: DyadicGrid, cube: Cube, r: int, theta: float) -> bool:
 
 
 def _overlaps(grid, system, a: Cube, b: Cube) -> bool:
-    from .operators import support_interval
     lo_a, hi_a = support_interval(grid, system, a)
     lo_b, hi_b = support_interval(grid, system, b)
     return max(lo_a, lo_b) < min(hi_a, hi_b)

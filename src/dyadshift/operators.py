@@ -143,24 +143,24 @@ class TestFunction:
         return self.center - self.halfwidth, self.center + self.halfwidth
 
 
-def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
-                     pad_factor: int = 8, corrections: bool = True,
-                     out_x: np.ndarray | None = None, transpose: bool = False,
-                     ) -> np.ndarray:
-    """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h.
+def _moments(samples: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """First four moments Int x^a f of midpoint samples f at nodes x."""
+    return np.array([np.sum(samples * x ** a) * h for a in range(4)])
 
-    The signal is zero-padded to pad_factor times its length before the FFT.
+
+def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
+                    mu: np.ndarray | None, transpose: bool,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(mesh, values) of T (or T^t) applied to the zero-padded buffer on the
+    periodic mesh x0 + (n+1/2)h.
+
     For tail_order == 1 kernels the difference between the line kernel and
     the period-P conjugate kernel,
         1/(pi u) - cot(pi u / P)/P = pi u/(3 P^2) + pi^3 u^3/(45 P^4) + ...,
-    is added back through the first four moments of the input.  out_x, when
-    given, asks for values at those points (linear interpolation on the
-    oversized mesh; pass points inside the padded domain).
+    is added back through mu, the first four moments of the signal; mu=None
+    leaves the periodic result uncorrected.
     """
-    n = samples.size
-    N = next_fast_len(pad_factor * n)
-    buf = np.zeros(N)
-    buf[:n] = samples
+    N = buf.size
     xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
     m = np.asarray(op.transpose_multiplier(xi) if transpose
                    else op.multiplier(xi), dtype=complex)
@@ -168,10 +168,8 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
         m[N // 2] = m[N // 2].real  # keep the Nyquist bin hermitian
     out = np.fft.ifft(np.fft.fft(buf) * m).real
     mesh_x = x0 + (np.arange(N) + 0.5) * h
-    if corrections and op.tail_order == 1:
+    if mu is not None and op.tail_order == 1:
         P = N * h
-        x = x0 + (np.arange(n) + 0.5) * h
-        mu = np.array([np.sum(samples * x ** a) * h for a in range(4)])
         sgn = -1.0 if transpose else 1.0
         z = mesh_x
         c1 = math.pi / (3.0 * P * P)
@@ -179,6 +177,28 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
         out += sgn * (c1 * (mu[0] * z - mu[1])
                       + c3 * (mu[0] * z ** 3 - 3 * mu[1] * z ** 2
                               + 3 * mu[2] * z - mu[3]))
+    return mesh_x, out
+
+
+def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
+                     pad_factor: int = 8, corrections: bool = True,
+                     out_x: np.ndarray | None = None, transpose: bool = False,
+                     ) -> np.ndarray:
+    """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h.
+
+    The signal is zero-padded to pad_factor times its length before the FFT;
+    corrections adds back the periodization error of tail_order == 1
+    kernels.  out_x, when given, asks for values at those points (linear
+    interpolation on the oversized mesh; pass points inside the padded
+    domain).
+    """
+    n = samples.size
+    buf = np.zeros(next_fast_len(pad_factor * n))
+    buf[:n] = samples
+    mu = None
+    if corrections and op.tail_order == 1:
+        mu = _moments(samples, x0 + (np.arange(n) + 0.5) * h, h)
+    mesh_x, out = _periodic_apply(op, buf, h, x0, mu, transpose)
     if out_x is None:
         return out[:n]
     return np.interp(out_x, mesh_x, out)
@@ -207,16 +227,25 @@ def operator_norm_estimate(op: KernelOp, n: int = 4096, h: float = 1.0 / 256,
 # pairing engine
 
 
+def _cube_offset(grid: DyadicGrid, cube: Cube) -> float:
+    """Left corner of the shifted cube in units of its own sidelength."""
+    return (cube.l[0]
+            + grid.shift_units(cube.k)[0] / grid.window.len_units(cube.k))
+
+
 def wavelet_nodes(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
                   q_loc: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Midpoint nodes over supp psi_I at spacing len(I) 2^-q_loc, with the
     wavelet values there.  Returns (x, values, node spacing)."""
-    k = cube.k
-    t = system.lo + (np.arange(system.m << q_loc) + 0.5) * 0.5 ** q_loc
-    vals = 2.0 ** (k / 2.0) * system.mother(t, "psi")
-    shift_scaled = grid.shift_units(k)[0] / grid.window.len_units(k)
-    x = (t + cube.l[0] + shift_scaled) * 2.0 ** (-k)
-    return x, vals, 2.0 ** (-k - q_loc)
+    t, vals, h = system.scaled_nodes(q_loc, cube.k)
+    return (t + _cube_offset(grid, cube)) * 2.0 ** (-cube.k), vals, h
+
+
+def sample_wavelet(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
+                   x: np.ndarray) -> np.ndarray:
+    """psi_I at absolute points x: 2^(k/2) psi(2^k x - l - shift/len(I))."""
+    t = x * 2.0 ** cube.k - _cube_offset(grid, cube)
+    return 2.0 ** (cube.k / 2.0) * system.mother(t, "psi")
 
 
 def wavelet_coefficient(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
@@ -254,43 +283,36 @@ def support_interval(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
     return float(lo[0]) * unit, float(hi[0]) * unit
 
 
+# the field mesh is 2^2 times finer than the quadrature nodes, which keeps
+# the interpolation error a couple of orders below the quadrature error
+FIELD_OVERSAMPLE_EXP = 2
+
+
 class PairingEngine:
     """Batched multiplier-route pairings over a list of cube pairs.
 
     For each pair the operator (or its transpose) is applied to the coarser
     wavelet on a local oversampled mesh at that wavelet's scale, and the
     quadrature runs over the finer wavelet's midpoint nodes with the field
-    linearly interpolated.  Oversampling keeps the interpolation error a
-    couple of orders below the quadrature error.
+    linearly interpolated.
     """
 
     def __init__(self, op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
-                 q_loc: int = 10, oversample: int = 4, pad_factor: int = 8,
-                 corrections: bool = True):
+                 q_loc: int = 10, pad_factor: int = 8):
         self.op = op
         self.grid = grid
         self.system = system
         self.q_loc = q_loc
-        self.oversample = oversample
         self.pad_factor = pad_factor
-        self.corrections = corrections
-
-    def _relative_wavelet(self, k: int):
-        """Oversampled wavelet at scale k in coordinates relative to the
-        attached cube's left endpoint (u = x - cube_lo)."""
-        sysm = self.system
-        step_m = 0.5 ** self.q_loc / self.oversample
-        n = sysm.m * (1 << self.q_loc) * self.oversample
-        t = sysm.lo + (np.arange(n) + 0.5) * step_m
-        vals = 2.0 ** (k / 2.0) * sysm.mother(t, "psi")
-        return t * 2.0 ** (-k), vals, step_m * 2.0 ** (-k)
 
     def _field(self, k: int, hull: tuple[float, float], transpose: bool):
         """(u, values) of T psi (or T^t psi) for the scale-k wavelet, in
         coordinates relative to its cube's left endpoint, on a periodized
         mesh whose interior covers both the support and the hull.  The
         operators are convolutions, so one field serves every scale-k cube."""
-        xw, vw, h = self._relative_wavelet(k)
+        t, vw, h = self.system.scaled_nodes(self.q_loc + FIELD_OVERSAMPLE_EXP,
+                                            k)
+        xw = t * 2.0 ** (-k)
         supp_len = xw[-1] - xw[0] + h
         core_lo = min(hull[0], xw[0]) - supp_len
         core_hi = max(hull[1], xw[-1]) + supp_len
@@ -302,32 +324,13 @@ class PairingEngine:
         x0 = xw[0] - (n_left + 0.5) * h  # mesh is x0 + (n+1/2) h
         buf = np.zeros(N)
         buf[n_left:n_left + vw.size] = vw
-        xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
-        mult = np.asarray(self.op.transpose_multiplier(xi) if transpose
-                          else self.op.multiplier(xi), dtype=complex)
-        if N % 2 == 0:
-            mult[N // 2] = mult[N // 2].real
-        out = np.fft.ifft(np.fft.fft(buf) * mult).real
-        mesh_x = x0 + (np.arange(N) + 0.5) * h
-        if self.corrections and self.op.tail_order == 1:
-            P = N * h
-            mu = np.array([np.sum(vw * xw ** a) * h for a in range(4)])
-            sgn = -1.0 if transpose else 1.0
-            c1 = math.pi / (3.0 * P * P)
-            c3 = math.pi ** 3 / (45.0 * P ** 4)
-            out += sgn * (c1 * (mu[0] * mesh_x - mu[1])
-                          + c3 * (mu[0] * mesh_x ** 3 - 3 * mu[1] * mesh_x ** 2
-                                  + 3 * mu[2] * mesh_x - mu[3]))
-        return mesh_x, out
+        return _periodic_apply(self.op, buf, h, x0, _moments(vw, xw, h),
+                               transpose)
 
-    def _plain_inner(self, I: Cube, J: Cube) -> float:
+    def _plain_inner(self, fine: Cube, coarse: Cube) -> float:
         """<psi_J, psi_I> on the finer cube's nodes (identity calibration)."""
-        fine, coarse = (I, J) if I.k >= J.k else (J, I)
         x, vf, h = wavelet_nodes(self.grid, self.system, fine, self.q_loc)
-        k = coarse.k
-        shift_scaled = self.grid.shift_units(k)[0] / self.grid.window.len_units(k)
-        t = x * 2.0 ** k - coarse.l[0] - shift_scaled
-        vc = 2.0 ** (k / 2.0) * self.system.mother(t, "psi")
+        vc = sample_wavelet(self.grid, self.system, coarse, x)
         return float(np.sum(vf * vc) * h)
 
     def pairings(self, pairs) -> np.ndarray:
@@ -348,7 +351,7 @@ class PairingEngine:
                             - self.grid.cube_box(coarse)[0][0])
                 key = (fine.k, coarse.k, delta)
                 if key not in memo:
-                    memo[key] = self._plain_inner(I, J)
+                    memo[key] = self._plain_inner(fine, coarse)
                 out[idx] = memo[key]
             return out
         buckets: dict = {}
@@ -375,19 +378,12 @@ class PairingEngine:
                 _, delta = supp_f[idx]
                 key = (fine.k, delta)
                 if key not in memo:
-                    uf, vf, hf = self._fine_nodes(fine.k)
+                    t, vf, hf = self.system.scaled_nodes(self.q_loc, fine.k)
+                    uf = t * 2.0 ** (-fine.k)
                     vals = np.interp(uf + delta * unit, mesh_u, fld)
                     memo[key] = float(np.sum(vf * vals) * hf)
                 out[idx] = memo[key]
         return out
-
-    def _fine_nodes(self, k: int):
-        """Quadrature nodes of the scale-k wavelet relative to its cube."""
-        sysm = self.system
-        t = sysm.lo + (np.arange(sysm.m << self.q_loc) + 0.5) \
-            * 0.5 ** self.q_loc
-        vals = 2.0 ** (k / 2.0) * sysm.mother(t, "psi")
-        return t * 2.0 ** (-k), vals, 2.0 ** (-k - self.q_loc)
 
     def pairing(self, I: Cube, J: Cube) -> float:
         return float(self.pairings([(I, J)])[0])

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (Cube, DyadicGrid, WindowTruncationError, ancestor_join,
-                     box_dist)
+from .dyadic import Cube, DyadicGrid, ancestor_join, box_dist
+from .operators import sample_wavelet
 
 CLASSES = ("far", "between", "contained", "equal", "near")
 
@@ -265,14 +265,6 @@ class Mesh1D:
         return cls(x0=x0, h=h, n_pts=n)
 
 
-def _sample_wavelet(grid: DyadicGrid, system, cube: Cube, x: np.ndarray,
-                    ) -> np.ndarray:
-    k = cube.k
-    shift_scaled = grid.shift_units(k)[0] / grid.window.len_units(k)
-    t = x * 2.0 ** k - cube.l[0] - shift_scaled
-    return 2.0 ** (k / 2.0) * system.mother(t, "psi")
-
-
 def apply_averaging(grid: DyadicGrid, system, entries, f: np.ndarray,
                     mesh: Mesh1D) -> np.ndarray:
     """A_K f = sum a <f, psi_I> psi_J on the mesh."""
@@ -281,8 +273,8 @@ def apply_averaging(grid: DyadicGrid, system, entries, f: np.ndarray,
     for I, J, a in entries:
         if a == 0.0:
             continue
-        ci = float(np.sum(_sample_wavelet(grid, system, I, x) * f) * mesh.h)
-        out += a * ci * _sample_wavelet(grid, system, J, x)
+        ci = float(np.sum(sample_wavelet(grid, system, I, x) * f) * mesh.h)
+        out += a * ci * sample_wavelet(grid, system, J, x)
     return out
 
 
@@ -311,8 +303,8 @@ def shift_norm_estimate(grid: DyadicGrid, system, S: ShiftOperator,
     if not entries:
         return 0.0
     x = mesh.centers
-    U = np.stack([_sample_wavelet(grid, system, I, x) for I, _, _ in entries])
-    V = np.stack([_sample_wavelet(grid, system, J, x) for _, J, _ in entries])
+    U = np.stack([sample_wavelet(grid, system, I, x) for I, _, _ in entries])
+    V = np.stack([sample_wavelet(grid, system, J, x) for _, J, _ in entries])
     a = np.array([e[2] for e in entries])
 
     def apply(fv):

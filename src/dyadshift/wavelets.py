@@ -132,12 +132,23 @@ class WaveletSystem:
                         table.size)
         return np.interp(t, x, table, left=0.0, right=0.0)
 
-    def quad_nodes(self) -> tuple[np.ndarray, float]:
-        """Midpoint nodes at spacing 2^-q over the mother support."""
-        hq = 0.5 ** self.q
-        n = self.m * (1 << self.q)
-        t = self.lo + (np.arange(n) + 0.5) * hq
+    def quad_nodes(self, res: int | None = None) -> tuple[np.ndarray, float]:
+        """Midpoint nodes at spacing 2^-res (default 2^-q) over the mother
+        support."""
+        res = self.q if res is None else res
+        hq = 0.5 ** res
+        t = self.lo + (np.arange(self.m << res) + 0.5) * hq
         return t, hq
+
+    def scaled_nodes(self, res: int, k: int,
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+        """The generation-k wavelet on the mother nodes at spacing 2^-res.
+
+        Returns (t, 2^(k/2) psi(t), 2^-(res+k)): mother coordinates, the
+        wavelet values, and the spacing of the scaled nodes t 2^-k.
+        """
+        t, hq = self.quad_nodes(res)
+        return t, 2.0 ** (k / 2.0) * self.mother(t, "psi"), hq * 2.0 ** (-k)
 
     def moment(self, alpha: int, kind: str = "psi") -> float:
         """Midpoint quadrature of the alpha-th mother moment."""

@@ -1,10 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dyadshift import cli
 from dyadshift.cli import main
-from dyadshift.config import (ConfigError, default_r, manifest_json,
-                              parse_config)
+from dyadshift.config import (ConfigError, RunConfig, default_r,
+                              manifest_json, parse_config)
+from dyadshift.dyadic import ScaleRangeError, WindowTruncationError
+from dyadshift.harness import NoiseFloorError
+from dyadshift.operators import CrossValidationError
+from dyadshift.shifts import NormalizationFinding
 
 
 def test_defaults_resolve():
@@ -112,3 +118,134 @@ def test_cli_seed_override(tmp_path, monkeypatch):
     assert main(["grid-stats", "--config", cfg, "--seed", "123"]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 123
+
+
+def _exit_and_stderr(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err.strip()
+    return code, err
+
+
+@pytest.mark.parametrize("cfg", ['{"kernel": "hilbert", "L": "3"}',
+                                 '{"kernel": "hilbert", "theta": "x"}',
+                                 '{"kernel": "hilbert", "n_omega": 0}',
+                                 '{"kernel": "hilbert", "eps": 1e999}',
+                                 '{"kernel": "hilbert", "eps": ' + "9" * 400
+                                 + '}',
+                                 '{"kernel": "hilbert", "L": 60}'])
+def test_cli_bad_types_and_ranges_exit_2(tmp_path, capsys, cfg):
+    code, err = _exit_and_stderr(
+        capsys, ["represent", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: invalid config") and "\n" not in err
+
+
+def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
+    code, err = _exit_and_stderr(
+        capsys, ["grid-stats", "--config", '{"kernel": "hilbert"}',
+                 "--seed", "-1", "--outdir", str(tmp_path)])
+    assert code == 2 and "seed" in err
+
+
+def test_cli_outdir_that_is_a_file_exits_4(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, err = _exit_and_stderr(
+        capsys, ["wavelet-check", "--config", '{"kernel": "hilbert"}',
+                 "--outdir", str(target)])
+    assert code == 4 and err.startswith("error: ")
+
+
+def test_cli_default_window_too_shallow_for_r_exits_4(tmp_path, capsys):
+    # theta = 0.25 gives r = 24, so the default reference generation
+    # k_min + r = 24 would be finer than k_max = 5
+    code, err = _exit_and_stderr(
+        capsys, ["grid-stats", "--config", '{"kernel": "hilbert"}',
+                 "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: ") and "k_max" in err and "\n" not in err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (WindowTruncationError("no window cube"), 4),
+    (CrossValidationError("routes disagree"), 4),
+    (MemoryError(), 4),
+    (NoiseFloorError("curve dominated by noise"), 4),
+    (ScaleRangeError("outside the window"), 4),
+    (NormalizationFinding("normalization violated"), 3),
+])
+def test_cli_maps_library_failures_to_exit_codes(tmp_path, capsys,
+                                                  monkeypatch, exc, code):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "grid-stats", fail)
+    got, err = _exit_and_stderr(
+        capsys, ["grid-stats", "--config", '{"kernel": "hilbert"}',
+                 "--outdir", str(tmp_path)])
+    assert got == code
+    assert err.split(": ", 1)[0] in ("error", "finding") and "\n" not in err
+
+
+def test_cli_grid_stats_seed_64009_passes(tmp_path):
+    # a former 3-sigma position self-check on the first 20,000 samples
+    # failed this correct run
+    cfg = ('{"kernel": "hilbert", "L": 3, "k_min": -2, "k_max": 10, "r": 5, '
+           '"theta": 1.0, "mc_samples": 20000}')
+    assert main(["grid-stats", "--config", cfg, "--seed", "64009",
+                 "--outdir", str(tmp_path)]) == 0
+
+
+def test_cli_outdir_flag_beats_environment(tmp_path, monkeypatch):
+    flag, env = tmp_path / "flag", tmp_path / "env"
+    monkeypatch.setenv("DYADSHIFT_OUTDIR", str(env))
+    cfg = ('{"kernel": "hilbert", "L": 3, "k_min": -2, "k_max": 5, "r": 5, '
+           '"theta": 1.0, "mc_samples": 2000, "outdir": "unused"}')
+    assert main(["grid-stats", "--config", cfg, "--outdir", str(flag)]) == 0
+    assert not env.exists()
+    manifest = json.loads((flag / "manifest.json").read_text())
+    assert manifest["config"]["outdir"] == str(flag)
+    # without the flag the environment wins over the config
+    assert main(["grid-stats", "--config", cfg]) == 0
+    manifest = json.loads((env / "manifest.json").read_text())
+    assert manifest["config"]["outdir"] == str(env)
+
+
+def test_cli_wavelet_check_filter_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("DYADSHIFT_OUTDIR", str(tmp_path))
+    path = tmp_path / "haar.flt"
+    path.write_text("0.70710678118654752\n0.70710678118654752\n")
+    cfg = json.dumps({"kernel": "hilbert", "filter": str(path)})
+    assert main(["wavelet-check", "--config", cfg]) == 0
+    res = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert (res["m"], res["u"], res["v"]) == (1, 0, 0)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4))
+_JSON = (_SCALARS | st.lists(_SCALARS, max_size=2)
+         | st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+# values a config would plausibly hold, so that many objects resolve
+_PLAUSIBLE = {"theta": st.floats(0.05, 1.0), "r": st.integers(1, 8),
+              "L": st.integers(0, 6), "k_min": st.integers(-3, 0),
+              "k_max": st.integers(0, 8), "s": st.integers(1, 2),
+              "eps": st.floats(0.1, 2.0), "n_omega": st.integers(1, 5),
+              "filter": st.sampled_from(["haar", "db3"])}
+
+
+_KEYS = st.sampled_from(sorted(RunConfig.__dataclass_fields__) + ["bogus"])
+_BASE = st.fixed_dictionaries({"kernel": st.just("hilbert")},
+                              optional=_PLAUSIBLE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_KEYS, _JSON, max_size=6)
+       | _BASE
+       | st.builds(lambda base, extra: {**base, **extra}, _BASE,
+                   st.dictionaries(_KEYS, _JSON, max_size=1)))
+def test_any_json_object_resolves_or_raises_config_error(obj):
+    try:
+        cfg = parse_config(json.dumps(obj))
+    except ConfigError:
+        return
+    assert isinstance(cfg.r, int) and 0.0 < cfg.theta <= 1.0
+    assert cfg.q >= cfg.k_max + 6

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from dyadshift.config import default_r
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              WindowTruncationError, ancestor_join, box_dist,
+                              WindowTruncationError, _badness_batch,
+                              ancestor_join, box_dist,
                               boundary_dist, independence_table, is_bad,
-                              union_bound, pi_bad_estimate, pi_bad_exact,
-                              shifted_corner, smallest_admissible_r)
+                              union_bound, pi_bad_estimate, pi_bad_exact)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -30,7 +31,8 @@ def test_shifted_corner_quarter():
     w = Window(d=1, L=1, k_min=0, k_max=3)
     omega = np.zeros((w.n_shift_bits, 1), dtype=int)
     omega[1, 0] = 1  # bit for generation k_min+1+1 = 2
-    assert shifted_corner(w, Cube(1, (0,)), omega) == (0.25,)
+    lo, _ = DyadicGrid(w, omega).cube_box(Cube(1, (0,)))
+    assert lo[0] * 2.0 ** (-w.unit_exp) == 0.25
 
 
 def test_shift_is_sum_of_finer_bits():
@@ -117,7 +119,7 @@ def test_union_bound_arithmetic():
     assert union_bound(1, 8, 1.0) == 0.03125
     # default-resolution example: d=1, theta=0.25 -> smallest r with
     # 32 * 2^(-r/4) <= 1/2 is 24
-    assert smallest_admissible_r(1, 0.25) == 24
+    assert default_r(1, 0.25) == 24
 
 
 def test_pi_bad_exact_oracles():
@@ -174,3 +176,58 @@ def test_cubes_touching_exact_range():
     got = list(grid.cubes_touching(1, np.array([8]), np.array([24])))
     # units are 2^-5; [8,24] units = [0.25, 0.75] touches [0,0.5) and [0.5,1)
     assert got == [Cube(1, (0,)), Cube(1, (1,))]
+
+
+def _scalar_is_bad(grid, cube, r, theta):
+    """The per-generation badness loop through boundary_dist, kept as the
+    reference for the vectorized kernel."""
+    w = grid.window
+    for k_c in range(w.k_min, cube.k - r + 1):
+        thresh = (2.0 ** (k_c - cube.k)) ** theta * w.len_units(k_c)
+        if boundary_dist(grid, cube, k_c) <= thresh:
+            return True
+    return False
+
+
+def test_badness_kernel_matches_scalar_loop():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(40):
+        k_min = int(rng.integers(-4, 1))
+        w = Window(d=1, L=-k_min + int(rng.integers(0, 3)), k_min=k_min,
+                   k_max=k_min + int(rng.integers(2, 8)))
+        grid = DyadicGrid.random(w, rng.integers(1 << 30))
+        theta = float(rng.choice([0.25, 0.5, 0.7, 1.0]))
+        r = int(rng.integers(1, 5))
+        for k in range(w.k_min + r, w.k_max + 1):
+            for c in grid.cubes_at_scale(k):
+                assert is_bad(grid, c, r, theta) == \
+                    _scalar_is_bad(grid, c, r, theta)
+                checked += 1
+    assert checked > 1000
+
+
+def test_badness_batch_matches_exact_enumeration():
+    # every bit string once: the batch over all strings is the exact
+    # probability, and it is the same at shifted reference positions
+    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    for k_ref in (4, 6, 8):
+        n_rows = k_ref - w.k_min
+        strings = np.arange(1 << n_rows)
+        bits = np.zeros((strings.size, w.n_shift_bits, 1), dtype=np.int64)
+        bits[:, :n_rows, 0] = (strings[:, None] >> np.arange(n_rows)) & 1
+        l_ref = np.array([(1 << (w.L + k_ref)) // 2])
+        freqs = [_badness_batch(w, k_ref, 3, 0.5, bits, l_ref + delta).mean()
+                 for delta in (0, 1, 3)]
+        assert freqs[0] == freqs[1] == freqs[2] == \
+            pi_bad_exact(w, k_ref, r=3, theta=0.5)
+
+
+def test_reference_generation_beyond_window_raises():
+    # the default reference cube sits r generations below k_min, here
+    # below k_max: no cube of the window can be tested
+    w = Window(d=1, L=4, k_min=0, k_max=5)
+    with pytest.raises(ScaleRangeError, match="k_max"):
+        pi_bad_estimate(w, r=24, theta=0.25, samples=10, seed=0)
+    with pytest.raises(ScaleRangeError, match="k_max"):
+        independence_table(w, r=24, theta=0.25, samples=10, seed=0)

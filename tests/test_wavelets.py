@@ -100,3 +100,11 @@ def test_quad_nodes_land_on_mesh(db3):
     # midpoint nodes at spacing 2^-q are mesh points of the 2^-(q+1) table
     offs = (t - db3.lo) / db3.mesh_step
     assert np.allclose(offs, np.round(offs))
+
+
+def test_filter_file_path_builds_same_system(tmp_path, haar):
+    path = tmp_path / "haar.flt"
+    path.write_text("".join(f"{c:.17g}\n" for c in get_filter("haar")))
+    loaded = build_system(str(path), q=10, strict=False)
+    assert (loaded.m, loaded.u, loaded.v) == (haar.m, haar.u, haar.v)
+    assert np.array_equal(loaded.psi, haar.psi)
