@@ -101,8 +101,14 @@ class DyadicGrid:
         self.omega = omega
         # weight of bit row jr (generation j = k_min+1+jr) in integer units
         j = window.k_min + 1 + np.arange(n)
-        self._bit_units = (1 << (window.unit_exp - j)).astype(np.int64)
-        self._weighted = self._bit_units[:, None] * self.omega
+        weighted = (1 << (window.unit_exp - j)).astype(np.int64)[:, None] \
+            * omega
+        # shift of generation k in row k - k_min: the sum of the weighted
+        # bits of every finer generation, zero for k_max
+        shifts = np.zeros((n + 1, window.d), dtype=np.int64)
+        shifts[:n] = np.cumsum(weighted[::-1], axis=0)[::-1]
+        shifts.setflags(write=False)
+        self._shifts = shifts
 
     @classmethod
     def random(cls, window: Window, seed) -> "DyadicGrid":
@@ -115,14 +121,29 @@ class DyadicGrid:
         w = self.window
         if not (w.k_min <= k <= w.k_max):
             raise ScaleRangeError(f"generation {k} outside window scale range")
-        jr0 = k - w.k_min  # rows with j > k
-        return self._weighted[jr0:].sum(axis=0)
+        return self._shifts[k - w.k_min]
 
     def cube_box(self, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
         """Shifted cube as (lo, hi) integer-unit corners."""
         w = self.window
         side = w.len_units(cube.k)
         lo = np.asarray(cube.l, dtype=np.int64) * side + self.shift_units(cube.k)
+        return lo, lo + side
+
+    def boxes(self, k: np.ndarray, l: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """cube_box of many one-dimensional cubes at once: (lo, hi) int64
+        arrays for generations k and indices l (int64 arrays)."""
+        w = self.window
+        if w.d != 1:
+            raise ValueError("batched cube geometry is one-dimensional")
+        k = np.asarray(k, dtype=np.int64)
+        if k.size and (k.min() < w.k_min or k.max() > w.k_max):
+            raise ScaleRangeError(
+                f"generations outside [{w.k_min}, {w.k_max}]")
+        side = np.left_shift(np.int64(1), w.unit_exp - k)
+        lo = (np.asarray(l, dtype=np.int64) * side
+              + self._shifts[k - w.k_min, 0])
         return lo, lo + side
 
     def in_window(self, cube: Cube) -> bool:
@@ -193,6 +214,68 @@ def boundary_dist(grid: DyadicGrid, cube: Cube, k_coarse: int) -> int:
                              w.len_units(cube.k), w.len_units(k_coarse)))
 
 
+def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays of the generations and indices of one-dimensional
+    cubes."""
+    return (np.array([c.k for c in cubes], dtype=np.int64),
+            np.array([c.l[0] for c in cubes], dtype=np.int64))
+
+
+def _join_truncation(window: Window, k: int) -> WindowTruncationError:
+    """The error for a pair whose join ended at generation k: the
+    containing cube's, or below k_min when there is none."""
+    if k < window.k_min:
+        return WindowTruncationError(
+            "no generation in the window contains both dilates")
+    return WindowTruncationError(
+        f"containing cube for the pair leaves the window at generation {k}")
+
+
+def ancestor_join_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
+                        m: int) -> tuple[np.ndarray, ...]:
+    """ancestor_join for the pairs (fine, coarse) of one-dimensional cubes
+    given as int64 arrays, vectorized over the pairs.
+
+    Returns int64 arrays (K_k, K_l, i, j) and the boolean mask truncated,
+    set where no window generation contains both dilates (K_k = k_min - 1)
+    or the containing cube leaves the window (K_k its generation).  K_l, i
+    and j carry no meaning on truncated pairs.
+    """
+    fine_k = np.asarray(fine_k, dtype=np.int64)
+    coarse_k = np.asarray(coarse_k, dtype=np.int64)
+    if np.any(fine_k < coarse_k):
+        raise ValueError("first cube must be the finer one")
+    w = grid.window
+    lo_f, hi_f = grid.boxes(fine_k, fine_l)
+    lo_c, hi_c = grid.boxes(coarse_k, coarse_l)
+    grow_f = (m - 1) * (hi_f - lo_f) // 2
+    grow_c = (m - 1) * (hi_c - lo_c) // 2
+    lo = np.minimum(lo_f - grow_f, lo_c - grow_c)
+    hi = np.maximum(hi_f + grow_f, hi_c + grow_c)
+    # the first candidate generation: the coarse cube's own for m = 1, its
+    # parent's otherwise (an m-dilate never fits in the cube itself)
+    start = coarse_k - (1 if m > 1 else 0)
+    n = fine_k.size
+    K_k = np.full(n, w.k_min - 1, dtype=np.int64)
+    K_l = np.zeros(n, dtype=np.int64)
+    outside = np.zeros(n, dtype=bool)
+    open_ = np.ones(n, dtype=bool)
+    top = int(start.max()) if n else w.k_min - 1
+    for k in range(top, w.k_min - 1, -1):
+        side = w.len_units(k)
+        shift = int(grid.shift_units(k)[0])
+        cand = (lo_f - shift) // side  # the generation-k ancestor's index
+        c_lo = cand * side + shift
+        hit = open_ & (start >= k) & (c_lo <= lo) & (hi <= c_lo + side)
+        K_k[hit] = k
+        K_l[hit] = cand[hit]
+        outside[hit] = ((c_lo < 0) | (c_lo + side > w.extent_units))[hit]
+        open_ &= ~hit
+        if not open_.any():
+            break
+    return K_k, K_l, fine_k - K_k, coarse_k - K_k, open_ | outside
+
+
 def ancestor_join(grid: DyadicGrid, fine: Cube, coarse: Cube, m: int,
                   ) -> tuple[Cube, int, int]:
     """Smallest grid cube K containing both concentric m-dilates.
@@ -201,27 +284,11 @@ def ancestor_join(grid: DyadicGrid, fine: Cube, coarse: Cube, m: int,
     i = k_fine - k_K and j = k_coarse - k_K.  Raises WindowTruncationError
     when no window cube works.
     """
-    if fine.k < coarse.k:
-        raise ValueError("first cube must be the finer one")
-    w = grid.window
-    lo_a, hi_a = grid.dilate_box(fine, m)
-    lo_b, hi_b = grid.dilate_box(coarse, m)
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
-    start = coarse.k if m == 1 else coarse.k - 1
-    for k in range(min(start, fine.k), w.k_min - 1, -1):
-        cand = grid.ancestor(fine, k)
-        c_lo, c_hi = grid.cube_box(cand)
-        if (c_lo <= lo).all() and (hi <= c_hi).all():
-            if not grid.in_window(cand):
-                raise WindowTruncationError(
-                    f"containing cube for the pair leaves the window at "
-                    f"generation {k}"
-                )
-            return cand, fine.k - k, coarse.k - k
-    raise WindowTruncationError(
-        "no generation in the window contains both dilates"
-    )
+    K_k, K_l, i, j, truncated = ancestor_join_batch(
+        grid, *cube_arrays([fine]), *cube_arrays([coarse]), m)
+    if truncated[0]:
+        raise _join_truncation(grid.window, int(K_k[0]))
+    return Cube(int(K_k[0]), (int(K_l[0]),)), int(i[0]), int(j[0])
 
 
 def _bad_offsets(window: Window, k: int, r: int, theta: float,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                     WindowTruncationError, is_bad, union_bound, pi_bad_exact)
+from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window, cube_arrays,
+                     is_bad, union_bound, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, apply_multiplier,
                         sample_wavelet, support_interval)
-from .shifts import classify_pair, smaller_of
+from .shifts import CLASSES, classify_batch, smaller_of
 from .wavelets import WaveletSystem
 
 
@@ -141,30 +141,34 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         cubes = localized_cubes(grid, system, span)
     czs = op.czs_seminorm(s)
     op_norm = op.l2_norm
-    selected = []   # (I, J, PairClass)
     info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
-    for I in cubes:
-        for J in cubes:
-            if I.k < J.k:
-                continue
-            info["pairs_seen"] += 1
-            try:
-                pc = classify_pair(grid, I, J, theta, system.m)
-            except WindowTruncationError:
-                info["window_truncated"] += 1
-                continue
-            if pc.i > i_max or pc.j > j_max:
-                continue
-            if r is not None and not safe_is_good(grid, smaller_of(I, J), r,
-                                                  theta):
-                info["badness_excluded"] += 1
-                continue
-            selected.append((I, J, pc))
+    cube_k, cube_l = cube_arrays(cubes)
+    selected = []   # ((I, J), (kind, i, j))
+    # Pairs (I, J) with I.k >= J.k, classified one fine generation at a
+    # time; the cubes come coarse to fine, so the pairs keep the I-major
+    # order of the cube list.  The smaller cube of each pair is I.
+    for k in np.unique(cube_k):
+        fine = np.flatnonzero(cube_k == k)
+        coarse = np.flatnonzero(cube_k <= k)
+        I = np.repeat(fine, coarse.size)
+        J = np.tile(coarse, fine.size)
+        kind, _, _, i, j, truncated = classify_batch(
+            grid, cube_k[I], cube_l[I], cube_k[J], cube_l[J], theta, system.m)
+        info["pairs_seen"] += I.size
+        info["window_truncated"] += int(truncated.sum())
+        keep = ~truncated & (i <= i_max) & (j <= j_max)
+        if r is not None:
+            good = np.repeat([safe_is_good(grid, cubes[a], r, theta)
+                              for a in fine], coarse.size)
+            info["badness_excluded"] += int((keep & ~good).sum())
+            keep &= good
+        for a, b, c, ii, jj in zip(*(x[keep].tolist()
+                                     for x in (I, J, kind, i, j))):
+            selected.append(((cubes[a], cubes[b]), (CLASSES[c], ii, jj)))
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings([(I, J) for I, J, _ in selected])
+    values = engine.pairings([pair for pair, _ in selected])
     cells: dict = {}
-    for (I, J, pc), v in zip(selected, values):
-        key = (pc.kind, pc.i, pc.j)
+    for (_, key), v in zip(selected, values):
         cur = cells.setdefault(key, [0, 0.0])
         cur[0] += 1
         cur[1] = max(cur[1], abs(float(v)))
@@ -278,20 +282,23 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed_tuple,
     values = engine.pairings(pairs)
     weighted = np.zeros(len(pairs))
     levels = np.full(len(pairs), -1, dtype=int)
-    excluded = 0
+    kept = []
     for idx, (I, J) in enumerate(pairs):
         sm = smaller_of(I, J)
         if not good[sm]:
             continue
         x = cf[I] * float(values[idx]) * cg[J]
         weighted[idx] = x / pi_good[sm.k]
-        if classify:
-            fine, coarse = (I, J) if I.k >= J.k else (J, I)
-            try:
-                pc = classify_pair(grid, fine, coarse, theta, system.m)
-                levels[idx] = max(pc.i, pc.j)
-            except WindowTruncationError:
-                excluded += 1
+        kept.append(idx)
+    excluded = 0
+    if classify and kept:
+        fine, coarse = zip(*((I, J) if I.k >= J.k else (J, I)
+                             for I, J in (pairs[idx] for idx in kept)))
+        _, _, _, i, j, truncated = classify_batch(
+            grid, *cube_arrays(fine), *cube_arrays(coarse), theta, system.m)
+        kept = np.asarray(kept)
+        levels[kept[~truncated]] = np.maximum(i, j)[~truncated]
+        excluded = int(truncated.sum())
     return OmegaSample(weighted=weighted, levels=levels,
                        excluded_window=excluded)
 

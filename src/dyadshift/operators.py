@@ -361,6 +361,7 @@ class PairingEngine:
             else:
                 buckets.setdefault((I.k, False), []).append((idx, I, J))
         half = (self.system.m + 1) / 2.0
+        nodes: dict = {}  # fine generation -> (nodes, values, spacing)
         for (kc, transpose), members in buckets.items():
             supp_f = {}
             rel_lo, rel_hi = math.inf, -math.inf
@@ -378,8 +379,11 @@ class PairingEngine:
                 _, delta = supp_f[idx]
                 key = (fine.k, delta)
                 if key not in memo:
-                    t, vf, hf = self.system.scaled_nodes(self.q_loc, fine.k)
-                    uf = t * 2.0 ** (-fine.k)
+                    if fine.k not in nodes:
+                        t, vf, hf = self.system.scaled_nodes(self.q_loc,
+                                                             fine.k)
+                        nodes[fine.k] = (t * 2.0 ** (-fine.k), vf, hf)
+                    uf, vf, hf = nodes[fine.k]
                     vals = np.interp(uf + delta * unit, mesh_u, fld)
                     memo[key] = float(np.sum(vf * vals) * hf)
                 out[idx] = memo[key]

@@ -4,7 +4,8 @@ block averaging operators A_K, and assembled wavelet shifts S^{ij}.
 Classification predicates are evaluated in exact integer-unit arithmetic so
 class membership never depends on floating-point rounding (the only float is
 the threshold len(J) * (len(I)/len(J))^theta, which is exactly representable
-whenever theta = 1).
+whenever theta = 1).  classify_batch evaluates them for whole arrays of
+pairs; classify_kind and classify_pair are its one-pair forms.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, DyadicGrid, ancestor_join, box_dist
+from .dyadic import (Cube, DyadicGrid, _join_truncation, ancestor_join_batch,
+                     cube_arrays)
 from .operators import sample_wavelet
 
 CLASSES = ("far", "between", "contained", "equal", "near")
+FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
 
 
 class NormalizationFinding(RuntimeError):
@@ -37,6 +40,60 @@ def smaller_of(I: Cube, J: Cube) -> Cube:
     return I if I.k >= J.k else J
 
 
+def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
+                theta: float, m: int) -> np.ndarray:
+    """Class codes (indices into CLASSES) of the pairs (I, J) = (fine,
+    coarse) of one-dimensional cubes given as int64 arrays; see
+    classify_kind."""
+    fine_k = np.asarray(fine_k, dtype=np.int64)
+    coarse_k = np.asarray(coarse_k, dtype=np.int64)
+    if np.any(fine_k < coarse_k):
+        raise ValueError("classification expects len(I) <= len(J)")
+    lo_i, hi_i = grid.boxes(fine_k, fine_l)
+    lo_j, hi_j = grid.boxes(coarse_k, coarse_l)
+    side_i = hi_i - lo_i
+    side_j = hi_j - lo_j
+    dist = np.maximum(np.maximum(lo_j - hi_i, lo_i - hi_j), 0)
+    # threshold len(J) (len(I)/len(J))^theta, with the factor computed in
+    # Python floats per generation gap; an integer distance is at most a
+    # float exactly when it is at most the float's floor
+    gap_factor = np.array([(2.0 ** -n) ** theta
+                           for n in range(grid.window.n_shift_bits + 1)])
+    thresh = gap_factor[fine_k - coarse_k] * side_j
+    near = dist <= np.floor(thresh).astype(np.int64)
+    grow_i = (m - 1) * side_i // 2
+    grow_j = (m - 1) * side_j // 2
+    dil_dist = np.maximum(np.maximum((lo_j - grow_j) - (hi_i + grow_i),
+                                     (lo_i - grow_i) - (hi_j + grow_j)), 0)
+    # far: the dilates are more than half of D(I,J) = len I + dist + len J
+    # apart
+    far = 2 * dil_dist > side_i + dist + side_j
+    equal = (fine_k == coarse_k) & (np.asarray(fine_l) == np.asarray(coarse_l))
+    contained = (lo_j <= lo_i) & (hi_i <= hi_j)
+    return np.select([equal, contained, near, far],
+                     [EQUAL, CONTAINED, NEAR, FAR], BETWEEN)
+
+
+def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
+                   theta: float, m: int) -> tuple[np.ndarray, ...]:
+    """classify_pair for the pairs (I, J) = (fine, coarse) of
+    one-dimensional cubes given as int64 arrays, vectorized over the pairs.
+
+    Returns (kind, K_k, K_l, i, j, truncated): kind indexes CLASSES and
+    the rest is ancestor_join_batch's output.  An equal pair joins with
+    its right neighbour when that lies in the window and with its left
+    neighbour otherwise.
+    """
+    kind = _kind_codes(grid, fine_k, fine_l, coarse_k, coarse_l, theta, m)
+    coarse_l = np.asarray(coarse_l, dtype=np.int64)
+    lo, hi = grid.boxes(coarse_k, coarse_l + 1)
+    right_in = (lo >= 0) & (hi <= grid.window.extent_units)
+    partner_l = np.where(kind == EQUAL, np.where(right_in, coarse_l + 1,
+                                                 coarse_l - 1), coarse_l)
+    return (kind,) + ancestor_join_batch(grid, fine_k, fine_l, coarse_k,
+                                         partner_l, m)
+
+
 def classify_kind(grid: DyadicGrid, I: Cube, J: Cube, theta: float, m: int,
                   ) -> str:
     """Class name of an ordered pair with len(I) <= len(J), predicates only.
@@ -47,40 +104,20 @@ def classify_kind(grid: DyadicGrid, I: Cube, J: Cube, theta: float, m: int,
     equal:     I = J
     near:      disjoint but within the theta-threshold
     """
-    if I.k < J.k:
-        raise ValueError("classification expects len(I) <= len(J)")
-    w = grid.window
-    if I == J:
-        return "equal"
-    lo_i, hi_i = grid.cube_box(I)
-    lo_j, hi_j = grid.cube_box(J)
-    if (lo_j <= lo_i).all() and (hi_i <= hi_j).all():
-        return "contained"
-    dist = box_dist(lo_i, hi_i, lo_j, hi_j)
-    side_j = w.len_units(J.k)
-    thresh = (2.0 ** (J.k - I.k)) ** theta * side_j
-    if dist <= thresh:
-        return "near"
-    dlo_i, dhi_i = grid.dilate_box(I, m)
-    dlo_j, dhi_j = grid.dilate_box(J, m)
-    dil_dist = box_dist(dlo_i, dhi_i, dlo_j, dhi_j)
-    side_i = w.len_units(I.k)
-    long_dist = side_i + dist + side_j  # D(I,J) in units
-    return "far" if 2 * dil_dist > long_dist else "between"
+    code = _kind_codes(grid, *cube_arrays([I]), *cube_arrays([J]), theta, m)
+    return CLASSES[code[0]]
 
 
 def classify_pair(grid: DyadicGrid, I: Cube, J: Cube, theta: float, m: int,
                   ) -> PairClass:
     """Classify an ordered pair with len(I) <= len(J) and assign the
     containing ancestor (equal pairs borrow a deterministic adjacent cube)."""
-    kind = classify_kind(grid, I, J, theta, m)
-    if kind == "equal":
-        right = Cube(J.k, (J.l[0] + 1,) + J.l[1:])
-        adj = right if grid.in_window(right) else Cube(J.k, (J.l[0] - 1,) + J.l[1:])
-        K, i, j = ancestor_join(grid, I, adj, m)
-    else:
-        K, i, j = ancestor_join(grid, I, J, m)
-    return PairClass(kind, K, i, j)
+    kind, K_k, K_l, i, j, truncated = classify_batch(
+        grid, *cube_arrays([I]), *cube_arrays([J]), theta, m)
+    if truncated[0]:
+        raise _join_truncation(grid.window, int(K_k[0]))
+    return PairClass(CLASSES[kind[0]], Cube(int(K_k[0]), (int(K_l[0]),)),
+                     int(i[0]), int(j[0]))
 
 
 def coefficient_scale(i: int, j: int, d: int) -> float:

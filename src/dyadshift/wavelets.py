@@ -21,6 +21,9 @@ import numpy as np
 from .filters import get_filter, highpass_from_lowpass, validate_filter
 
 CASCADE_TOL = 1e-10
+# largest cascade mesh, in points: each of the cascade's float64 and int64
+# tables then takes at most 256 MiB
+CASCADE_MAX_POINTS = 1 << 25
 CASCADE_MAX_ITER = 80
 MOMENT_TOL = 1e-10
 FD_STABLE_RATIO = 1.2
@@ -48,6 +51,10 @@ def cascade(h: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     L = h.size
     step = 1 << q
     n_pts = (L - 1) * step + 1
+    if n_pts > CASCADE_MAX_POINTS:
+        raise CascadeError(
+            f"cascade mesh of {n_pts} points (filter length {L}, spacing "
+            f"2^-{q}) exceeds the budget of {CASCADE_MAX_POINTS}; lower q")
     v = np.zeros(n_pts)
     v[: step] = 1.0  # box function on [0, 1)
     root2 = math.sqrt(2.0)

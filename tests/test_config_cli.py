@@ -166,6 +166,15 @@ def test_cli_default_window_too_shallow_for_r_exits_4(tmp_path, capsys):
     assert err.startswith("error: ") and "k_max" in err and "\n" not in err
 
 
+def test_cli_cascade_over_memory_budget_exits_4(tmp_path, capsys):
+    # q = 40 asks for a 2^41-point cascade mesh: refused before allocating
+    code, err = _exit_and_stderr(
+        capsys, ["wavelet-check", "--config", '{"kernel": "hilbert", "q": 40}',
+                 "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: cascade") and "\n" not in err
+
+
 @pytest.mark.parametrize("exc, code", [
     (WindowTruncationError("no window cube"), 4),
     (CrossValidationError("routes disagree"), 4),

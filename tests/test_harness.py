@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              union_bound)
+                              WindowTruncationError, union_bound)
 from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                convergence_experiment, decay_audit,
                                expansion_identity, ground_truth,
                                localized_coefficient, localized_cubes,
                                plain_inner_product, psi_refinement,
-                               randomized_expansion, _pi_good_by_scale)
-from dyadshift.operators import TestFunction, make_operator
+                               randomized_expansion, safe_is_good,
+                               _pi_good_by_scale)
+from dyadshift.operators import PairingEngine, TestFunction, make_operator
+from dyadshift.shifts import classify_pair
 from dyadshift.wavelets import build_system
 
 
@@ -106,6 +108,49 @@ def test_decay_audit_csv_schema(audit_small):
     assert header == ("class,i,j,pair_count,max_pairing,bound,ratio,"
                       "psi_bound,psi_ratio")
     assert len(text.splitlines()) == len(rows) + 1
+
+
+def test_decay_audit_badness_filter_matches_pair_loop():
+    # the counters and rows of an audit with r against a per-pair loop
+    # through classify_pair and safe_is_good, in the same pair order
+    w = Window(d=1, L=3, k_min=-3, k_max=3)
+    grid = DyadicGrid.random(w, 4)
+    system = build_system("db2", q=9, strict=False)
+    op = make_operator("hilbert")
+    r, theta, i_max, j_max = 3, 1.0, 4, 2
+    rows, info = decay_audit(op, system, grid, s=1, eps=0.5, theta=theta,
+                             i_max=i_max, j_max=j_max, q_loc=9, r=r)
+    assert rows
+    cubes = [c for k in range(w.k_min, w.k_max + 1)
+             for c in grid.cubes_at_scale(k)]
+    ref = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
+    selected = []
+    for I in cubes:
+        for J in cubes:
+            if I.k < J.k:
+                continue
+            ref["pairs_seen"] += 1
+            try:
+                pc = classify_pair(grid, I, J, theta, system.m)
+            except WindowTruncationError:
+                ref["window_truncated"] += 1
+                continue
+            if pc.i > i_max or pc.j > j_max:
+                continue
+            if not safe_is_good(grid, I, r, theta):
+                ref["badness_excluded"] += 1
+                continue
+            selected.append((I, J, pc))
+    assert info == ref
+    assert min(ref.values()) > 0
+    values = PairingEngine(op, grid, system, q_loc=9).pairings(
+        [(I, J) for I, J, _ in selected])
+    cells = {}
+    for (_, _, pc), v in zip(selected, values):
+        count, mx = cells.get((pc.kind, pc.i, pc.j), (0, 0.0))
+        cells[(pc.kind, pc.i, pc.j)] = (count + 1, max(mx, abs(float(v))))
+    assert [(r.kind, r.i, r.j, r.pair_count, r.max_pairing) for r in rows] \
+        == [key + val for key, val in sorted(cells.items())]
 
 
 def test_expansion_identity_small_defect():

@@ -1,14 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError)
+from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError,
+                              ancestor_join, box_dist, cube_arrays)
 from dyadshift.operators import PairingEngine, make_operator
 from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
-                              ShiftOperator, apply_averaging, apply_shift,
-                              assemble_shift, calibrate_c_emp,
-                              calibration_shift, classify_kind, classify_pair,
+                              PairClass, ShiftOperator, apply_averaging,
+                              apply_shift, assemble_shift, calibrate_c_emp,
+                              calibration_shift, classify_batch,
+                              classify_kind, classify_pair,
                               coefficient_scale, descendants,
                               shift_coefficient, shift_norm_estimate,
                               smaller_of)
@@ -88,6 +92,160 @@ def test_equal_near_ancestor_stays_comparable():
             if pc.kind in ("equal", "near"):
                 worst = max(worst, 2.0 ** (I.k - pc.K.k))
     assert worst <= 16.0
+
+
+def _scalar_ancestor_join(grid, fine, coarse, m):
+    """The join loop over per-cube geometry, kept as the reference for
+    ancestor_join_batch."""
+    if fine.k < coarse.k:
+        raise ValueError("first cube must be the finer one")
+    w = grid.window
+    lo_a, hi_a = grid.dilate_box(fine, m)
+    lo_b, hi_b = grid.dilate_box(coarse, m)
+    lo = np.minimum(lo_a, lo_b)
+    hi = np.maximum(hi_a, hi_b)
+    start = coarse.k if m == 1 else coarse.k - 1
+    for k in range(min(start, fine.k), w.k_min - 1, -1):
+        cand = grid.ancestor(fine, k)
+        c_lo, c_hi = grid.cube_box(cand)
+        if (c_lo <= lo).all() and (hi <= c_hi).all():
+            if not grid.in_window(cand):
+                raise WindowTruncationError(
+                    f"containing cube for the pair leaves the window at "
+                    f"generation {k}"
+                )
+            return cand, fine.k - k, coarse.k - k
+    raise WindowTruncationError(
+        "no generation in the window contains both dilates"
+    )
+
+
+def _scalar_classify_kind(grid, I, J, theta, m):
+    """The per-pair class predicates, kept as the reference for the batched
+    classifier."""
+    if I.k < J.k:
+        raise ValueError("classification expects len(I) <= len(J)")
+    w = grid.window
+    if I == J:
+        return "equal"
+    lo_i, hi_i = grid.cube_box(I)
+    lo_j, hi_j = grid.cube_box(J)
+    if (lo_j <= lo_i).all() and (hi_i <= hi_j).all():
+        return "contained"
+    dist = box_dist(lo_i, hi_i, lo_j, hi_j)
+    side_j = w.len_units(J.k)
+    thresh = (2.0 ** (J.k - I.k)) ** theta * side_j
+    if dist <= thresh:
+        return "near"
+    dlo_i, dhi_i = grid.dilate_box(I, m)
+    dlo_j, dhi_j = grid.dilate_box(J, m)
+    dil_dist = box_dist(dlo_i, dhi_i, dlo_j, dhi_j)
+    side_i = w.len_units(I.k)
+    long_dist = side_i + dist + side_j  # D(I,J) in units
+    return "far" if 2 * dil_dist > long_dist else "between"
+
+
+def _scalar_classify_pair(grid, I, J, theta, m):
+    """classify_pair as a per-pair loop, the reference for classify_batch."""
+    kind = _scalar_classify_kind(grid, I, J, theta, m)
+    if kind == "equal":
+        right = Cube(J.k, (J.l[0] + 1,) + J.l[1:])
+        adj = right if grid.in_window(right) else Cube(J.k, (J.l[0] - 1,)
+                                                       + J.l[1:])
+        K, i, j = _scalar_ancestor_join(grid, I, adj, m)
+    else:
+        K, i, j = _scalar_ancestor_join(grid, I, J, m)
+    return kind, K, i, j
+
+
+def _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=False):
+    """classify_batch over all pairs equals the scalar reference pair by
+    pair: the class, and (K, i, j) or a truncation exactly where the
+    reference truncates.  With wrappers, the n = 1 public functions are
+    checked against the reference too."""
+    fine, coarse = zip(*pairs)
+    kind, K_k, K_l, i, j, truncated = classify_batch(
+        grid, *cube_arrays(fine), *cube_arrays(coarse), theta, m)
+    for n, (I, J) in enumerate(pairs):
+        ref_kind = _scalar_classify_kind(grid, I, J, theta, m)
+        assert CLASSES[kind[n]] == ref_kind
+        try:
+            _, K, ii, jj = _scalar_classify_pair(grid, I, J, theta, m)
+        except WindowTruncationError as exc:
+            assert truncated[n]
+            if wrappers:
+                with pytest.raises(WindowTruncationError,
+                                   match=re.escape(str(exc))):
+                    classify_pair(grid, I, J, theta, m)
+                if ref_kind != "equal":
+                    with pytest.raises(WindowTruncationError,
+                                       match=re.escape(str(exc))):
+                        ancestor_join(grid, I, J, m)
+            continue
+        assert not truncated[n]
+        assert (K_k[n], (K_l[n],), i[n], j[n]) == (K.k, K.l, ii, jj)
+        if wrappers:
+            assert classify_kind(grid, I, J, theta, m) == ref_kind
+            assert classify_pair(grid, I, J, theta, m) == PairClass(
+                ref_kind, K, ii, jj)
+            if ref_kind != "equal":
+                assert ancestor_join(grid, I, J, m) == (K, ii, jj)
+    return truncated
+
+
+def _window_pairs(grid):
+    """Every ordered pair (I, J) of window cubes with len(I) <= len(J)."""
+    w = grid.window
+    cubes = [c for k in range(w.k_min, w.k_max + 1)
+             for c in grid.cubes_at_scale(k)]
+    return [(I, J) for I in cubes for J in cubes if I.k >= J.k]
+
+
+@st.composite
+def _grids(draw):
+    k_min = draw(st.integers(-5, 0))
+    depth = draw(st.integers(2, 7))
+    w = Window(d=1, L=draw(st.integers(-k_min, -k_min + 2)), k_min=k_min,
+               k_max=k_min + depth)
+    omega = draw(st.lists(st.integers(0, 1), min_size=depth,
+                          max_size=depth))
+    return (DyadicGrid(w, np.array(omega)[:, None]),
+            draw(st.sampled_from([0.25, 0.5, 0.7, 1.0])),
+            draw(st.sampled_from([1, 3, 5, 7, 15])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grids())
+def test_classify_batch_matches_scalar_reference(case):
+    # up to 300 random pairs of the window plus every equal pair at the
+    # ends of each generation, where the right neighbour may leave the
+    # window; truncated pairs included
+    grid, theta, m, seed = case
+    pairs = _window_pairs(grid)
+    rng = np.random.default_rng(seed)
+    if len(pairs) > 300:
+        pairs = [pairs[n] for n in rng.choice(len(pairs), 300, replace=False)]
+    w = grid.window
+    for k in range(w.k_min, w.k_max + 1):
+        gen = list(grid.cubes_at_scale(k))
+        pairs += [(c, c) for c in gen[:1] + gen[-1:]]
+    _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=True)
+
+
+def test_classify_batch_matches_scalar_on_audit_pair_set():
+    # the full pair set of decay-audit with db3 (m = 5), L = 4,
+    # k = -4..2, theta = eps/(d+s) = 0.25, grid seed 0
+    w = Window(d=1, L=4, k_min=-4, k_max=2)
+    grid = DyadicGrid.random(w, 0)
+    pairs = _window_pairs(grid)
+    assert len(pairs) == 10_413
+    edge_equal = [I for I, J in pairs if I == J
+                  and not grid.in_window(Cube(J.k, (J.l[0] + 1,)))]
+    # the last cube of every populated generation
+    assert len(edge_equal) == len({I.k for I, _ in pairs})
+    truncated = _assert_batch_matches_scalar(grid, pairs, 0.25, 5)
+    assert int(truncated.sum()) == 8_740
 
 
 def test_shift_coefficient_zero_and_finding():
