@@ -131,7 +131,7 @@ def cmd_represent(cfg: RunConfig) -> int:
                                seed=cfg.seed, q_loc=min(cfg.q, 10))
     out = _outdir(cfg)
     results = {k: res[k] for k in ("estimate", "stderr", "truth", "n_omega",
-                                   "pi_good")}
+                                   "pi_good", "pairings")}
     _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
     print(f"estimate {res['estimate']:.6f} +- {res['stderr']:.2g} "
           f"(reference {res['truth']:.6f})")
@@ -156,7 +156,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
     _write(os.path.join(out, "curve.csv"), curve.csv())
     results = {"slope": curve.slope, "fit_range": list(curve.fit_range),
                "truth": curve.truth, "pi_good": curve.pi_good,
-               "excluded_window": curve.excluded_window}
+               "excluded_window": curve.excluded_window,
+               "pairings": curve.pairings}
     _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
     print(f"slope {curve.slope:.3f} over N in {curve.fit_range}")
     return 0

@@ -124,6 +124,16 @@ class RunConfig:
                                  strict=False)
         except (FilterError, OSError) as exc:
             raise ConfigError(f"invalid config: filter: {exc}") from exc
+        # the widest m-dilate of a window cube reaches (m-1)/2 coarsest
+        # sidelengths past the window, and the geometry forms (m-1) times
+        # that sidelength in int64: keep both within 2^62 units
+        extent = 1 << (self.L + self.k_max + 1)
+        side = 1 << (self.k_max + 1 - self.k_min)
+        if extent + (probe.m - 1) * side > 1 << 62:
+            raise ConfigError(
+                f"invalid config: filter {self.filter!r} (m={probe.m}) needs "
+                f"2^(L+k_max+1) + (m-1) 2^(k_max+1-k_min) <= 2^62 so its "
+                f"dilates fit 64-bit integer units")
         if probe.v < self.s - 1:
             raise ConfigError(
                 f"unsatisfiable (u,v): insufficient moments "

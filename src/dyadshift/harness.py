@@ -11,6 +11,7 @@ window's worth.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window, cube_arrays,
                      is_bad, union_bound, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, apply_multiplier,
                         sample_wavelet, support_interval)
-from .shifts import CLASSES, classify_batch, smaller_of
+from .shifts import CLASSES, classify_batch
 from .wavelets import WaveletSystem
 
 
@@ -131,7 +132,8 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     With r given, pairs whose smaller cube is bad are dropped (cubes too
     coarse to be classified count as good).  With a span, only cubes whose
     m-dilate meets it enter, which keeps wide-filter audits tractable.
-    Returns (rows, info) where info holds excluded-pair counters.
+    Returns (rows, info) where info holds excluded-pair counters and,
+    under "pairings", the pairing engine's counts.
     """
     w = grid.window
     if span is None:
@@ -167,6 +169,7 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
             selected.append(((cubes[a], cubes[b]), (CLASSES[c], ii, jj)))
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
     values = engine.pairings([pair for pair, _ in selected])
+    info["pairings"] = dict(engine.counts)
     cells: dict = {}
     for (_, key), v in zip(selected, values):
         cur = cells.setdefault(key, [0, 0.0])
@@ -266,6 +269,7 @@ class OmegaSample:
     weighted: np.ndarray        # goodness-filtered, pi-divided X values
     levels: np.ndarray          # max(i,j) per pair; -1 when unclassifiable
     excluded_window: int
+    pairing_counts: dict        # PairingEngine.counts of the sample's grid
 
 
 def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed_tuple,
@@ -273,34 +277,43 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed_tuple,
     grid = DyadicGrid.random(window, seed_tuple)
     cubes_f = localized_cubes(grid, system, f.support)
     cubes_g = localized_cubes(grid, system, g.support)
-    cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
-    cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
+    cf = np.array([localized_coefficient(grid, system, c, f, q_loc)
+                   for c in cubes_f])
+    cg = np.array([localized_coefficient(grid, system, c, g, q_loc)
+                   for c in cubes_g])
     good = {c: safe_is_good(grid, c, r, theta)
             for c in set(cubes_f) | set(cubes_g)}
     pairs = [(I, J) for I in cubes_f for J in cubes_g]
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
     values = engine.pairings(pairs)
+    # the pairs as indices into the two cube lists, in I-major order; the
+    # smaller cube of a pair is I on ties
+    I = np.repeat(np.arange(len(cubes_f)), len(cubes_g))
+    J = np.tile(np.arange(len(cubes_g)), len(cubes_f))
+    k_f, l_f = cube_arrays(cubes_f)
+    k_g, l_g = cube_arrays(cubes_g)
+    good_f = np.array([good[c] for c in cubes_f], dtype=bool)
+    good_g = np.array([good[c] for c in cubes_g], dtype=bool)
+    i_smaller = k_f[I] >= k_g[J]
+    kept = np.flatnonzero(np.where(i_smaller, good_f[I], good_g[J]))
+    I, J, i_smaller = I[kept], J[kept], i_smaller[kept]
+    fine_k = np.where(i_smaller, k_f[I], k_g[J])
+    pi = np.array([pi_good[k] for k in range(window.k_min, window.k_max + 1)])
     weighted = np.zeros(len(pairs))
+    weighted[kept] = (cf[I] * values[kept] * cg[J]
+                      / pi[fine_k - window.k_min])
     levels = np.full(len(pairs), -1, dtype=int)
-    kept = []
-    for idx, (I, J) in enumerate(pairs):
-        sm = smaller_of(I, J)
-        if not good[sm]:
-            continue
-        x = cf[I] * float(values[idx]) * cg[J]
-        weighted[idx] = x / pi_good[sm.k]
-        kept.append(idx)
     excluded = 0
-    if classify and kept:
-        fine, coarse = zip(*((I, J) if I.k >= J.k else (J, I)
-                             for I, J in (pairs[idx] for idx in kept)))
+    if classify and kept.size:
         _, _, _, i, j, truncated = classify_batch(
-            grid, *cube_arrays(fine), *cube_arrays(coarse), theta, system.m)
-        kept = np.asarray(kept)
+            grid, fine_k, np.where(i_smaller, l_f[I], l_g[J]),
+            np.where(i_smaller, k_g[J], k_f[I]),
+            np.where(i_smaller, l_g[J], l_f[I]), theta, system.m)
         levels[kept[~truncated]] = np.maximum(i, j)[~truncated]
         excluded = int(truncated.sum())
     return OmegaSample(weighted=weighted, levels=levels,
-                       excluded_window=excluded)
+                       excluded_window=excluded,
+                       pairing_counts=dict(engine.counts))
 
 
 def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
@@ -316,16 +329,18 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
             f"at r={r}, theta={theta}")
     pi_good = _pi_good_by_scale(window, r, theta)
     sums = np.empty(n_omega)
+    counts = Counter()
     for w_idx in range(n_omega):
         sample = _sample_pairs(op, system, window, f, g, r, theta, q_loc,
                                (seed, w_idx), classify=False, pi_good=pi_good)
         sums[w_idx] = float(sample.weighted.sum())
+        counts.update(sample.pairing_counts)
     estimate = float(sums.mean())
     stderr = float(sums.std(ddof=1) / math.sqrt(n_omega)) if n_omega > 1 else 0.0
     truth = ground_truth(op, f, g, res=q_loc + 2)
     return {"estimate": estimate, "stderr": stderr, "truth": truth,
             "n_omega": n_omega, "pi_good": pi_good,
-            "per_sample": sums.tolist()}
+            "per_sample": sums.tolist(), "pairings": dict(counts)}
 
 
 @dataclass
@@ -337,6 +352,7 @@ class ConvergenceCurve:
     truth: float = 0.0
     fit_range: tuple = ()
     excluded_window: int = 0
+    pairings: dict = field(default_factory=dict)  # summed engine counts
 
     def csv(self) -> str:
         lines = ["N,e_N,stderr"]
@@ -366,16 +382,18 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
     pi_good = _pi_good_by_scale(window, r, theta)
     partials = np.zeros((n_omega, N_max + 1))
     excluded = 0
+    counts = Counter()
     for w_idx in range(n_omega):
         smp = _sample_pairs(op, system, window, f, g, r, theta, q_loc,
                             (seed, w_idx), classify=True, pi_good=pi_good)
         excluded += smp.excluded_window
+        counts.update(smp.pairing_counts)
         for N in range(N_max + 1):
             sel = (smp.levels >= 0) & (smp.levels <= N)
             partials[w_idx, N] = float(smp.weighted[sel].sum())
     truth = ground_truth(op, f, g, res=q_loc + 2)
     curve = ConvergenceCurve(n_omega=n_omega, pi_good=pi_good, truth=truth,
-                             excluded_window=excluded)
+                             excluded_window=excluded, pairings=dict(counts))
     means = partials.mean(axis=0)
     if n_omega > 1:
         ses = partials.std(axis=0, ddof=1) / math.sqrt(n_omega)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dyadic import Cube, DyadicGrid
+from .dyadic import Cube, DyadicGrid, cube_arrays
 from .wavelets import WaveletSystem
 
 
@@ -286,6 +286,23 @@ def support_interval(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps
 # the interpolation error a couple of orders below the quadrature error
 FIELD_OVERSAMPLE_EXP = 2
+# most nodes one lookup block hands to np.interp; larger blocks go in row
+# chunks, which bounds the temporaries at a few times 8 MB
+PAIRING_MAX_NODES = 1 << 20
+
+
+def _runs(keys: np.ndarray):
+    """(start, end) of each run of equal rows in the sorted 2-D array."""
+    change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    bounds = [0] + change.tolist() + [len(keys)]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _row_chunks(start: int, stop: int, n_nodes: int):
+    """Slices covering rows start..stop-1, each of at most
+    PAIRING_MAX_NODES // n_nodes rows (at least one)."""
+    step = max(1, PAIRING_MAX_NODES // n_nodes)
+    return (slice(a, min(a + step, stop)) for a in range(start, stop, step))
 
 
 class PairingEngine:
@@ -294,7 +311,12 @@ class PairingEngine:
     For each pair the operator (or its transpose) is applied to the coarser
     wavelet on a local oversampled mesh at that wavelet's scale, and the
     quadrature runs over the finer wavelet's midpoint nodes with the field
-    linearly interpolated.
+    linearly interpolated.  The pairs are handled as int64 arrays of
+    generations and lattice offsets, with one interpolation per block of
+    distinct offsets that share a field and a fine generation.
+
+    counts accumulates over calls: the pairs given, the distinct keys
+    evaluated (memo misses) and the fields built.
     """
 
     def __init__(self, op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
@@ -304,6 +326,7 @@ class PairingEngine:
         self.system = system
         self.q_loc = q_loc
         self.pad_factor = pad_factor
+        self.counts = {"pairs": 0, "keys": 0, "fields": 0}
 
     def _field(self, k: int, hull: tuple[float, float], transpose: bool):
         """(u, values) of T psi (or T^t psi) for the scale-k wavelet, in
@@ -327,67 +350,78 @@ class PairingEngine:
         return _periodic_apply(self.op, buf, h, x0, _moments(vw, xw, h),
                                transpose)
 
+    def pairings(self, pairs) -> np.ndarray:
+        """pairs: sequence of (I, J) cubes; returns <psi_J, T psi_I>.
+
+        Convolution kernels make pairings invariant under joint translation,
+        so values are computed once per distinct (coarse scale, transpose,
+        fine scale, offset of the fine cube from the coarse one in lattice
+        units) and the multiplier field once per (coarse scale, transpose),
+        in cube-relative coordinates.
+        """
+        n = len(pairs)
+        self.counts["pairs"] += n
+        if n == 0:
+            return np.empty(0)
+        k_i, l_i = cube_arrays([I for I, _ in pairs])
+        k_j, l_j = cube_arrays([J for _, J in pairs])
+        lo_i, _ = self.grid.boxes(k_i, l_i)
+        lo_j, _ = self.grid.boxes(k_j, l_j)
+        # the finer cube is I on ties; T^t then acts on the coarser psi_J
+        i_fine = k_i >= k_j
+        fine_k = np.where(i_fine, k_i, k_j)
+        coarse_k = np.where(i_fine, k_j, k_i)
+        delta = np.where(i_fine, lo_i - lo_j, lo_j - lo_i)
+        if self.op.singular:
+            keys, inverse = np.unique(
+                np.stack([coarse_k, i_fine, fine_k, delta], axis=1), axis=0,
+                return_inverse=True)
+            values = self._lookups(keys)
+        else:
+            # the identity route samples both wavelets at absolute points,
+            # so each key takes the cubes of its first pair
+            keys, first, inverse = np.unique(
+                np.stack([fine_k, coarse_k, delta], axis=1), axis=0,
+                return_index=True, return_inverse=True)
+            values = np.empty(len(keys))
+            for row, idx in enumerate(first.tolist()):
+                I, J = pairs[idx]
+                values[row] = (self._plain_inner(I, J) if i_fine[idx]
+                             else self._plain_inner(J, I))
+        self.counts["keys"] += len(keys)
+        return values[inverse]
+
+    def _lookups(self, keys: np.ndarray) -> np.ndarray:
+        """Pairings of the sorted distinct rows (coarse k, transpose,
+        fine k, delta)."""
+        unit = 2.0 ** (-self.grid.window.unit_exp)
+        half = (self.system.m + 1) / 2.0
+        fine_k, du = keys[:, 2], keys[:, 3] * unit
+        side_f = np.ldexp(1.0, -fine_k)
+        values = np.empty(len(keys))
+        nodes: dict = {}  # fine generation -> (nodes, values, spacing)
+        for a, b in _runs(keys[:, :2]):
+            hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
+                    float(np.max(du[a:b] + half * side_f[a:b])))
+            mesh_u, fld = self._field(int(keys[a, 0]), hull,
+                                      bool(keys[a, 1]))
+            self.counts["fields"] += 1
+            for c, d in _runs(keys[a:b, 2:3]):
+                k = int(fine_k[a + c])
+                if k not in nodes:
+                    t, vf, hf = self.system.scaled_nodes(self.q_loc, k)
+                    nodes[k] = (t * 2.0 ** (-k), vf, hf)
+                uf, vf, hf = nodes[k]
+                for rows in _row_chunks(a + c, a + d, uf.size):
+                    vals = np.interp(uf[None, :] + du[rows, None], mesh_u, fld)
+                    values[rows] = np.sum(vf * vals, axis=1) * hf
+        return values
+
     def _plain_inner(self, fine: Cube, coarse: Cube) -> float:
         """<psi_J, psi_I> on the finer cube's nodes (identity calibration)."""
         x, vf, h = wavelet_nodes(self.grid, self.system, fine, self.q_loc)
         vc = sample_wavelet(self.grid, self.system, coarse, x)
         return float(np.sum(vf * vc) * h)
-
-    def pairings(self, pairs) -> np.ndarray:
-        """pairs: sequence of (I, J) cubes; returns <psi_J, T psi_I>.
-
-        Convolution kernels make pairings invariant under joint translation,
-        so values are memoized by (fine scale, coarse scale, relative offset
-        in lattice units) and the multiplier field is computed once per
-        (coarse scale, transpose) in cube-relative coordinates.
-        """
-        out = np.empty(len(pairs))
-        unit = 2.0 ** (-self.grid.window.unit_exp)
-        if not self.op.singular:
-            memo: dict = {}
-            for idx, (I, J) in enumerate(pairs):
-                fine, coarse = (I, J) if I.k >= J.k else (J, I)
-                delta = int(self.grid.cube_box(fine)[0][0]
-                            - self.grid.cube_box(coarse)[0][0])
-                key = (fine.k, coarse.k, delta)
-                if key not in memo:
-                    memo[key] = self._plain_inner(fine, coarse)
-                out[idx] = memo[key]
-            return out
-        buckets: dict = {}
-        for idx, (I, J) in enumerate(pairs):
-            if I.k >= J.k:
-                buckets.setdefault((J.k, True), []).append((idx, J, I))
-            else:
-                buckets.setdefault((I.k, False), []).append((idx, I, J))
-        half = (self.system.m + 1) / 2.0
-        nodes: dict = {}  # fine generation -> (nodes, values, spacing)
-        for (kc, transpose), members in buckets.items():
-            supp_f = {}
-            rel_lo, rel_hi = math.inf, -math.inf
-            for idx, coarse, fine in members:
-                delta = int(self.grid.cube_box(fine)[0][0]
-                            - self.grid.cube_box(coarse)[0][0])
-                supp_f[idx] = (fine, delta)
-                du = delta * unit
-                side_f = 2.0 ** (-fine.k)
-                rel_lo = min(rel_lo, du - (half - 1.0) * side_f)
-                rel_hi = max(rel_hi, du + half * side_f)
-            mesh_u, fld = self._field(kc, (rel_lo, rel_hi), transpose)
-            memo = {}
-            for idx, coarse, fine in members:
-                _, delta = supp_f[idx]
-                key = (fine.k, delta)
-                if key not in memo:
-                    if fine.k not in nodes:
-                        t, vf, hf = self.system.scaled_nodes(self.q_loc,
-                                                             fine.k)
-                        nodes[fine.k] = (t * 2.0 ** (-fine.k), vf, hf)
-                    uf, vf, hf = nodes[fine.k]
-                    vals = np.interp(uf + delta * unit, mesh_u, fld)
-                    memo[key] = float(np.sum(vf * vals) * hf)
-                out[idx] = memo[key]
-        return out
 
     def pairing(self, I: Cube, J: Cube) -> float:
         return float(self.pairings([(I, J)])[0])

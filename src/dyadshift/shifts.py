@@ -86,8 +86,10 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     """
     kind = _kind_codes(grid, fine_k, fine_l, coarse_k, coarse_l, theta, m)
     coarse_l = np.asarray(coarse_l, dtype=np.int64)
-    lo, hi = grid.boxes(coarse_k, coarse_l + 1)
-    right_in = (lo >= 0) & (hi <= grid.window.extent_units)
+    # the right neighbour spans [hi, hi + side]; its far corner is not
+    # formed, since it can pass 2^63 units when the window reaches 2^62
+    lo, hi = grid.boxes(coarse_k, coarse_l)
+    right_in = (hi >= 0) & (hi <= grid.window.extent_units - (hi - lo))
     partner_l = np.where(kind == EQUAL, np.where(right_in, coarse_l + 1,
                                                  coarse_l - 1), coarse_l)
     return (kind,) + ancestor_join_batch(grid, fine_k, fine_l, coarse_k,

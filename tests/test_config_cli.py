@@ -175,6 +175,27 @@ def test_cli_cascade_over_memory_budget_exits_4(tmp_path, capsys):
     assert err.startswith("error: cascade") and "\n" not in err
 
 
+# a window reaching 2^62 units (L + k_max + 1 = 62) whose coarsest
+# generation is as wide as the window
+_WIDE = '{"kernel": "hilbert", "L": 40, "k_min": -40, "k_max": 21'
+
+
+def test_cli_wide_filter_dilates_past_int64_exit_2(tmp_path, capsys):
+    # db8 (m = 15) dilates the coarsest cube 7 sidelengths past the window
+    code, err = _exit_and_stderr(
+        capsys, ["decay-audit", "--config", _WIDE + ', "filter": "db8"}',
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: invalid config") and "m=15" in err
+    assert "\n" not in err
+
+
+def test_haar_keeps_the_position_limit():
+    assert parse_config(_WIDE + ', "filter": "haar"}').L == 40
+    with pytest.raises(ConfigError, match="64-bit"):
+        parse_config(_WIDE + ', "filter": "haar", "L": 41}')
+
+
 @pytest.mark.parametrize("exc, code", [
     (WindowTruncationError("no window cube"), 4),
     (CrossValidationError("routes disagree"), 4),

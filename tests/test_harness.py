@@ -11,9 +11,9 @@ from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                localized_coefficient, localized_cubes,
                                plain_inner_product, psi_refinement,
                                randomized_expansion, safe_is_good,
-                               _pi_good_by_scale)
+                               _pi_good_by_scale, _sample_pairs)
 from dyadshift.operators import PairingEngine, TestFunction, make_operator
-from dyadshift.shifts import classify_pair
+from dyadshift.shifts import classify_pair, smaller_of
 from dyadshift.wavelets import build_system
 
 
@@ -141,10 +141,11 @@ def test_decay_audit_badness_filter_matches_pair_loop():
                 ref["badness_excluded"] += 1
                 continue
             selected.append((I, J, pc))
-    assert info == ref
     assert min(ref.values()) > 0
-    values = PairingEngine(op, grid, system, q_loc=9).pairings(
-        [(I, J) for I, J, _ in selected])
+    engine = PairingEngine(op, grid, system, q_loc=9)
+    values = engine.pairings([(I, J) for I, J, _ in selected])
+    ref["pairings"] = engine.counts
+    assert info == ref
     cells = {}
     for (_, _, pc), v in zip(selected, values):
         count, mx = cells.get((pc.kind, pc.i, pc.j), (0, 0.0))
@@ -224,3 +225,46 @@ def test_convergence_small_window_slope():
     assert curve.slope < -0.5
     assert es[0] > es[-1]
     assert "N,e_N,stderr" in curve.csv()
+
+
+@pytest.mark.parametrize("name, r", [("haar", 3), ("db2", 2)])
+def test_sample_pairs_matches_pair_loop(name, r):
+    # the weighting and classification of one grid sample against the
+    # per-pair loop it replaced, value for value; goodness excludes pairs
+    # and some joins leave the window
+    w = Window(d=1, L=4, k_min=-4, k_max=3)
+    system = build_system(name, q=9, strict=False)
+    op = make_operator("hilbert")
+    f = TestFunction(center=7.9, halfwidth=0.8, tilt=1)
+    g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
+    theta, q_loc, seed = 1.0, 7, (5, 1)
+    pi_good = _pi_good_by_scale(w, r, theta)
+    smp = _sample_pairs(op, system, w, f, g, r, theta, q_loc, seed,
+                        classify=True, pi_good=pi_good)
+    grid = DyadicGrid.random(w, seed)
+    cubes_f = localized_cubes(grid, system, f.support)
+    cubes_g = localized_cubes(grid, system, g.support)
+    cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
+    cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
+    pairs = [(I, J) for I in cubes_f for J in cubes_g]
+    values = PairingEngine(op, grid, system, q_loc=q_loc).pairings(pairs)
+    weighted = np.zeros(len(pairs))
+    levels = np.full(len(pairs), -1, dtype=int)
+    excluded = 0
+    for idx, (I, J) in enumerate(pairs):
+        sm = smaller_of(I, J)
+        if not safe_is_good(grid, sm, r, theta):
+            continue
+        weighted[idx] = cf[I] * float(values[idx]) * cg[J] / pi_good[sm.k]
+        fine, coarse = (I, J) if I.k >= J.k else (J, I)
+        try:
+            pc = classify_pair(grid, fine, coarse, theta, system.m)
+        except WindowTruncationError:
+            excluded += 1
+            continue
+        levels[idx] = max(pc.i, pc.j)
+    assert np.array_equal(smp.weighted, weighted)
+    assert np.array_equal(smp.levels, levels)
+    assert smp.excluded_window == excluded > 0
+    assert 0 < np.count_nonzero(weighted) < len(pairs)
+    assert smp.pairing_counts["pairs"] == len(pairs)

@@ -1,13 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dyadshift import operators
+from dyadshift.cli import main
 from dyadshift.dyadic import Cube, DyadicGrid, Window
 from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator, operator_norm_estimate,
-                                 pair_quadrature, support_interval,
-                                 wavelet_coefficient)
+                                 pair_quadrature, sample_wavelet,
+                                 support_interval, wavelet_coefficient,
+                                 wavelet_nodes)
 from dyadshift.operators import TestFunction as Bump
 from dyadshift.wavelets import build_system
 
@@ -197,3 +202,195 @@ def test_transpose_multiplier_negates_hilbert():
     H = make_operator("hilbert")
     xi = np.array([1.0, -2.0])
     assert np.allclose(H.transpose_multiplier(xi), -H.multiplier(xi))
+
+
+# ---------------------------------------------------------------------------
+# batched pairings against the per-pair loop they replaced
+
+
+def _scalar_pairings(engine: PairingEngine, pairs) -> np.ndarray:
+    """Reference: the per-pair loop with dict memos that PairingEngine
+    .pairings used before it worked on integer offset arrays."""
+    out = np.empty(len(pairs))
+    grid, system, q_loc = engine.grid, engine.system, engine.q_loc
+    unit = 2.0 ** (-grid.window.unit_exp)
+    if not engine.op.singular:
+        memo: dict = {}
+        for idx, (I, J) in enumerate(pairs):
+            fine, coarse = (I, J) if I.k >= J.k else (J, I)
+            delta = int(grid.cube_box(fine)[0][0]
+                        - grid.cube_box(coarse)[0][0])
+            key = (fine.k, coarse.k, delta)
+            if key not in memo:
+                x, vf, h = wavelet_nodes(grid, system, fine, q_loc)
+                vc = sample_wavelet(grid, system, coarse, x)
+                memo[key] = float(np.sum(vf * vc) * h)
+            out[idx] = memo[key]
+        return out
+    buckets: dict = {}
+    for idx, (I, J) in enumerate(pairs):
+        if I.k >= J.k:
+            buckets.setdefault((J.k, True), []).append((idx, J, I))
+        else:
+            buckets.setdefault((I.k, False), []).append((idx, I, J))
+    half = (system.m + 1) / 2.0
+    nodes: dict = {}
+    for (kc, transpose), members in buckets.items():
+        supp_f = {}
+        rel_lo, rel_hi = math.inf, -math.inf
+        for idx, coarse, fine in members:
+            delta = int(grid.cube_box(fine)[0][0]
+                        - grid.cube_box(coarse)[0][0])
+            supp_f[idx] = (fine, delta)
+            du = delta * unit
+            side_f = 2.0 ** (-fine.k)
+            rel_lo = min(rel_lo, du - (half - 1.0) * side_f)
+            rel_hi = max(rel_hi, du + half * side_f)
+        mesh_u, fld = engine._field(kc, (rel_lo, rel_hi), transpose)
+        memo = {}
+        for idx, coarse, fine in members:
+            _, delta = supp_f[idx]
+            key = (fine.k, delta)
+            if key not in memo:
+                if fine.k not in nodes:
+                    t, vf, hf = system.scaled_nodes(q_loc, fine.k)
+                    nodes[fine.k] = (t * 2.0 ** (-fine.k), vf, hf)
+                uf, vf, hf = nodes[fine.k]
+                vals = np.interp(uf + delta * unit, mesh_u, fld)
+                memo[key] = float(np.sum(vf * vals) * hf)
+            out[idx] = memo[key]
+    return out
+
+
+def _assert_matches_scalar(engine, pairs):
+    for batch in (pairs, [(J, I) for I, J in pairs]):
+        got = engine.pairings(batch)
+        assert got.shape == (len(batch),)
+        assert np.array_equal(got, _scalar_pairings(engine, batch))
+
+
+def _captured_pairings(monkeypatch, tmp_path, argv):
+    """(engine, pairs) of every pairings call a CLI run makes."""
+    calls = []
+    batched = PairingEngine.pairings
+
+    def capture(self, pairs):
+        calls.append((self, list(pairs)))
+        return batched(self, pairs)
+
+    monkeypatch.setattr(PairingEngine, "pairings", capture)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    monkeypatch.setattr(PairingEngine, "pairings", batched)
+    return calls
+
+
+def test_pairings_match_scalar_on_audit_pair_set(monkeypatch, tmp_path):
+    # the benchmark's audit workload: decay-audit db3, L=4, k=-4..2, seed 0
+    cfg = ('{"filter": "db3", "kernel": "hilbert", "L": 4, "k_min": -4, '
+           '"k_max": 2, "s": 1}')
+    calls = _captured_pairings(
+        monkeypatch, tmp_path, ["decay-audit", "--config", cfg, "--seed", "0"])
+    assert len(calls) == 1
+    engine, pairs = calls[0]
+    assert len(pairs) > 1000
+    _assert_matches_scalar(engine, pairs)
+
+
+def test_pairings_match_scalar_on_represent_grids(monkeypatch, tmp_path):
+    # the benchmark's represent workload: haar, L=8, k=-8..5, two grids
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 8, "k_min": -8, '
+           '"k_max": 5, "r": 4, "theta": 1.0, "n_omega": 2}')
+    calls = _captured_pairings(
+        monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "0"])
+    assert len(calls) == 2
+    for engine, pairs in calls:
+        assert len(pairs) > 10000
+        _assert_matches_scalar(engine, pairs)
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert results["pairings"]["pairs"] == sum(len(p) for _, p in calls)
+
+
+def _localized_pairs(grid, system, k_lo, k_hi, span):
+    cubes = [c for k in range(k_lo, k_hi + 1)
+             for c in grid.cubes_touching(k, [span[0]], [span[1]])]
+    return [(I, J) for I in cubes for J in cubes]
+
+
+@pytest.mark.parametrize("name", ["haar", "db3"])
+def test_pairings_match_scalar_identity_branch(name):
+    # many pairs repeat a key at another absolute position
+    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 7)
+    system = build_system(name, q=11, strict=False)
+    engine = PairingEngine(make_operator("identity"), grid, system, q_loc=9)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    assert len(pairs) > 1000
+    _assert_matches_scalar(engine, pairs)
+
+
+def test_pairings_of_no_pairs(haar_setup):
+    grid, system, engine = haar_setup
+    for op in ("hilbert", "identity"):
+        engine = PairingEngine(make_operator(op), grid, system, q_loc=10)
+        got = engine.pairings([])
+        assert got.shape == (0,) and got.dtype == float
+        assert engine.counts == {"pairs": 0, "keys": 0, "fields": 0}
+
+
+def test_pairing_chunks_do_not_change_values(monkeypatch):
+    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 3)
+    system = build_system("db2", q=11, strict=False)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    for op in ("hilbert", "identity"):
+        whole = PairingEngine(make_operator(op), grid, system,
+                              q_loc=9).pairings(pairs)
+        # 5000 nodes: one to a few rows per interpolation, ragged last chunk
+        monkeypatch.setattr(operators, "PAIRING_MAX_NODES", 5000)
+        chunked = PairingEngine(make_operator(op), grid, system,
+                                q_loc=9).pairings(pairs)
+        monkeypatch.undo()
+        assert np.array_equal(whole, chunked)
+
+
+def test_pairing_counts():
+    w = Window(d=1, L=3, k_min=-3, k_max=4)
+    grid = DyadicGrid.random(w, 1)
+    system = build_system("haar", q=10, strict=False)
+    engine = PairingEngine(make_operator("hilbert"), grid, system, q_loc=8)
+    I, J, K = Cube(2, (5,)), Cube(2, (9,)), Cube(0, (1,))
+    # (I, J) and (J, I) share the field of a generation-2 cube under T^t
+    # at opposite offsets; (I, K) and (K, I) need K's field under T^t and T
+    engine.pairings([(I, J), (J, I), (I, J), (I, K), (K, I)])
+    assert engine.counts == {"pairs": 5, "keys": 4, "fields": 3}
+    engine.pairings([(I, J)])
+    assert engine.counts == {"pairs": 6, "keys": 5, "fields": 4}
+
+
+_SYSTEMS = {}
+
+
+def _system(name):
+    if name not in _SYSTEMS:
+        _SYSTEMS[name] = build_system(name, q=10, strict=False)
+    return _SYSTEMS[name]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k_min=st.integers(-3, 0), depth=st.integers(2, 5),
+       extra_L=st.integers(0, 2), name=st.sampled_from(["haar", "db2", "db3"]),
+       op=st.sampled_from(["hilbert", "identity"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pairings_match_scalar_reference(k_min, depth, extra_L, name, op,
+                                         seed):
+    w = Window(d=1, L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
+    rng = np.random.default_rng(seed)
+    grid = DyadicGrid.random(w, rng.integers(2 ** 32))
+    cubes = [c for k in range(w.k_min, w.k_max + 1)
+             for c in grid.cubes_at_scale(k)]
+    n = int(rng.integers(1, 120))
+    pairs = [(cubes[a], cubes[b])
+             for a, b in rng.integers(len(cubes), size=(n, 2))]
+    engine = PairingEngine(make_operator(op), grid, _system(name), q_loc=6)
+    assert np.array_equal(engine.pairings(pairs),
+                          _scalar_pairings(engine, pairs))

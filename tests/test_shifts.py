@@ -233,6 +233,18 @@ def test_classify_batch_matches_scalar_reference(case):
     _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=True)
 
 
+def test_equal_pair_neighbour_at_the_position_limit():
+    # the window spans 2^62 units and its one coarsest cube is as wide, so
+    # the right neighbour's far corner would be 2^63 units: it is out of
+    # the window, and so is the left one
+    w = Window(d=1, L=40, k_min=-40, k_max=21)
+    grid = zero_grid(w)
+    with pytest.raises(WindowTruncationError):
+        classify_pair(grid, Cube(-40, (0,)), Cube(-40, (0,)), 1.0, 1)
+    pc = classify_pair(grid, Cube(-39, (1,)), Cube(-39, (1,)), 1.0, 1)
+    assert (pc.kind, pc.K, pc.i, pc.j) == ("equal", Cube(-40, (0,)), 1, 1)
+
+
 def test_classify_batch_matches_scalar_on_audit_pair_set():
     # the full pair set of decay-audit with db3 (m = 5), L = 4,
     # k = -4..2, theta = eps/(d+s) = 0.25, grid seed 0
