@@ -323,6 +323,25 @@ def is_bad(grid: DyadicGrid, cube: Cube, r: int, theta: float) -> bool:
     return bool(_bad_offsets(w, cube.k, r, theta, t)[0])
 
 
+def is_bad_batch(grid: DyadicGrid, k: np.ndarray, l: np.ndarray, r: int,
+                 theta: float) -> np.ndarray:
+    """is_bad of many one-dimensional cubes, given as int64 arrays of
+    generations and indices, with one _bad_offsets call per generation.
+
+    Cubes with k - r < k_min, for which is_bad raises ScaleRangeError,
+    come out not bad: they have no admissible coarser generation.
+    """
+    w = grid.window
+    k = np.asarray(k, dtype=np.int64)
+    lo, _ = grid.boxes(k, l)
+    t = (lo - grid.shift_units(w.k_min)[0])[:, None]
+    bad = np.zeros(k.size, dtype=bool)
+    for gen in np.unique(k[k - r >= w.k_min]).tolist():
+        sel = k == gen
+        bad[sel] = _bad_offsets(w, gen, r, theta, t[sel])
+    return bad
+
+
 def union_bound(d: int, r: int, theta: float) -> float:
     """Union-bound estimate for the bad-cube frequency."""
     return (8.0 * d / theta) * 2.0 ** (-r * theta)

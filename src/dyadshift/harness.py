@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window, cube_arrays,
-                     is_bad, union_bound, pi_bad_exact)
-from .operators import (KernelOp, PairingEngine, apply_multiplier,
-                        sample_wavelet, support_interval)
+                     is_bad, is_bad_batch, union_bound, pi_bad_exact)
+from .operators import (KernelOp, PairingEngine, PairingTable,
+                        apply_multiplier, pairing_keys, sample_wavelet,
+                        support_interval, support_intervals)
 from .shifts import CLASSES, classify_batch
 from .wavelets import WaveletSystem
 
@@ -130,8 +131,9 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     window pair with len(I) <= len(J) whose assigned (i,j) fits the caps.
 
     With r given, pairs whose smaller cube is bad are dropped (cubes too
-    coarse to be classified count as good).  With a span, only cubes whose
-    m-dilate meets it enter, which keeps wide-filter audits tractable.
+    coarse to be classified count as good, as in safe_is_good).  With a
+    span, only cubes whose m-dilate meets it enter, which keeps
+    wide-filter audits tractable.
     Returns (rows, info) where info holds excluded-pair counters and,
     under "pairings", the pairing engine's counts.
     """
@@ -160,8 +162,8 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         info["window_truncated"] += int(truncated.sum())
         keep = ~truncated & (i <= i_max) & (j <= j_max)
         if r is not None:
-            good = np.repeat([safe_is_good(grid, cubes[a], r, theta)
-                              for a in fine], coarse.size)
+            good = np.repeat(~is_bad_batch(grid, cube_k[fine], cube_l[fine],
+                                           r, theta), coarse.size)
             info["badness_excluded"] += int((keep & ~good).sum())
             keep &= good
         for a, b, c, ii, jj in zip(*(x[keep].tolist()
@@ -214,12 +216,6 @@ def safe_is_good(grid: DyadicGrid, cube: Cube, r: int, theta: float) -> bool:
 # expansion identity and randomized expansion
 
 
-def _overlaps(grid, system, a: Cube, b: Cube) -> bool:
-    lo_a, hi_a = support_interval(grid, system, a)
-    lo_b, hi_b = support_interval(grid, system, b)
-    return max(lo_a, lo_b) < min(hi_a, hi_b)
-
-
 def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                        f, g, q_loc: int = 10, truth: float | None = None,
                        ) -> dict:
@@ -234,8 +230,12 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
     cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
     if not op.singular:
-        pairs = [(I, J) for I in cubes_f for J in cubes_g
-                 if _overlaps(grid, system, I, J)]
+        lo_f, hi_f = support_intervals(grid, system, *cube_arrays(cubes_f))
+        lo_g, hi_g = support_intervals(grid, system, *cube_arrays(cubes_g))
+        overlap = (np.maximum(lo_f[:, None], lo_g[None, :])
+                   < np.minimum(hi_f[:, None], hi_g[None, :]))
+        pairs = [(cubes_f[a], cubes_g[b])
+                 for a, b in zip(*(x.tolist() for x in np.nonzero(overlap)))]
         truth_val = plain_inner_product(f, g) if truth is None else truth
     else:
         pairs = [(I, J) for I in cubes_f for J in cubes_g]
@@ -272,8 +272,59 @@ class OmegaSample:
     pairing_counts: dict        # PairingEngine.counts of the sample's grid
 
 
-def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed_tuple,
-                  classify: bool, pi_good: dict) -> OmegaSample:
+@dataclass
+class _Draw:
+    """One omega sample before its pairings: the grid, the localized cubes
+    of f and g as lists and as int64 (k, l) arrays, their coefficients and
+    their goodness."""
+
+    grid: DyadicGrid
+    cubes_f: list
+    cubes_g: list
+    kl_f: tuple
+    kl_g: tuple
+    cf: np.ndarray
+    cg: np.ndarray
+    good_f: np.ndarray
+    good_g: np.ndarray
+
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (I, J) as indices into the two cube lists, I-major."""
+        nf, ng = len(self.cubes_f), len(self.cubes_g)
+        return np.repeat(np.arange(nf), ng), np.tile(np.arange(ng), nf)
+
+    def weigh(self, values, pi_good: dict, theta: float, m: int,
+              classify: bool, pairing_counts: dict) -> OmegaSample:
+        """The goodness-filtered, pi-divided terms of the pairs with the
+        given pairings and, with classify, each pair's level."""
+        I, J = self.pair_index()
+        (k_f, l_f), (k_g, l_g) = self.kl_f, self.kl_g
+        # the smaller cube of a pair is I on ties
+        i_smaller = k_f[I] >= k_g[J]
+        kept = np.flatnonzero(np.where(i_smaller, self.good_f[I],
+                                       self.good_g[J]))
+        I, J, i_smaller = I[kept], J[kept], i_smaller[kept]
+        fine_k = np.where(i_smaller, k_f[I], k_g[J])
+        w = self.grid.window
+        pi = np.array([pi_good[k] for k in range(w.k_min, w.k_max + 1)])
+        weighted = np.zeros(len(values))
+        weighted[kept] = (self.cf[I] * values[kept] * self.cg[J]
+                          / pi[fine_k - w.k_min])
+        levels = np.full(len(values), -1, dtype=int)
+        excluded = 0
+        if classify and kept.size:
+            _, _, _, i, j, truncated = classify_batch(
+                self.grid, fine_k, np.where(i_smaller, l_f[I], l_g[J]),
+                np.where(i_smaller, k_g[J], k_f[I]),
+                np.where(i_smaller, l_g[J], l_f[I]), theta, m)
+            levels[kept[~truncated]] = np.maximum(i, j)[~truncated]
+            excluded = int(truncated.sum())
+        return OmegaSample(weighted=weighted, levels=levels,
+                           excluded_window=excluded,
+                           pairing_counts=dict(pairing_counts))
+
+
+def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
     grid = DyadicGrid.random(window, seed_tuple)
     cubes_f = localized_cubes(grid, system, f.support)
     cubes_g = localized_cubes(grid, system, g.support)
@@ -281,39 +332,47 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed_tuple,
                    for c in cubes_f])
     cg = np.array([localized_coefficient(grid, system, c, g, q_loc)
                    for c in cubes_g])
-    good = {c: safe_is_good(grid, c, r, theta)
-            for c in set(cubes_f) | set(cubes_g)}
-    pairs = [(I, J) for I in cubes_f for J in cubes_g]
-    engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings(pairs)
-    # the pairs as indices into the two cube lists, in I-major order; the
-    # smaller cube of a pair is I on ties
-    I = np.repeat(np.arange(len(cubes_f)), len(cubes_g))
-    J = np.tile(np.arange(len(cubes_g)), len(cubes_f))
-    k_f, l_f = cube_arrays(cubes_f)
-    k_g, l_g = cube_arrays(cubes_g)
-    good_f = np.array([good[c] for c in cubes_f], dtype=bool)
-    good_g = np.array([good[c] for c in cubes_g], dtype=bool)
-    i_smaller = k_f[I] >= k_g[J]
-    kept = np.flatnonzero(np.where(i_smaller, good_f[I], good_g[J]))
-    I, J, i_smaller = I[kept], J[kept], i_smaller[kept]
-    fine_k = np.where(i_smaller, k_f[I], k_g[J])
-    pi = np.array([pi_good[k] for k in range(window.k_min, window.k_max + 1)])
-    weighted = np.zeros(len(pairs))
-    weighted[kept] = (cf[I] * values[kept] * cg[J]
-                      / pi[fine_k - window.k_min])
-    levels = np.full(len(pairs), -1, dtype=int)
-    excluded = 0
-    if classify and kept.size:
-        _, _, _, i, j, truncated = classify_batch(
-            grid, fine_k, np.where(i_smaller, l_f[I], l_g[J]),
-            np.where(i_smaller, k_g[J], k_f[I]),
-            np.where(i_smaller, l_g[J], l_f[I]), theta, system.m)
-        levels[kept[~truncated]] = np.maximum(i, j)[~truncated]
-        excluded = int(truncated.sum())
-    return OmegaSample(weighted=weighted, levels=levels,
-                       excluded_window=excluded,
-                       pairing_counts=dict(engine.counts))
+    kl_f, kl_g = cube_arrays(cubes_f), cube_arrays(cubes_g)
+    good = ~is_bad_batch(grid, np.concatenate([kl_f[0], kl_g[0]]),
+                         np.concatenate([kl_f[1], kl_g[1]]), r, theta)
+    return _Draw(grid, cubes_f, cubes_g, kl_f, kl_g, cf, cg,
+                 good[:len(cubes_f)], good[len(cubes_f):])
+
+
+def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
+                  classify: bool, pi_good: dict,
+                  ) -> tuple[list[OmegaSample], dict]:
+    """The OmegaSample of each seed tuple, and the run's pairing counts.
+
+    Every grid is drawn first.  For singular operators one PairingTable
+    then evaluates the distinct pairing keys of all grids, one field per
+    (coarse generation, transpose) for the whole run, and each grid's
+    engine reads its values from it; the identity calibration stays per
+    grid.  The list of cube pairs lives for one grid at a time.
+    """
+    draws = [_draw(system, window, f, g, r, theta, q_loc, seed)
+             for seed in seeds]
+    table = None
+    counts = Counter()
+    if op.singular:
+        keys = []
+        for d in draws:
+            I, J = d.pair_index()
+            keys.append(np.unique(pairing_keys(
+                d.grid, d.kl_f[0][I], d.kl_f[1][I], d.kl_g[0][J],
+                d.kl_g[1][J]), axis=0))
+        table = PairingTable.build(op, system, window, np.concatenate(keys),
+                                   q_loc)
+        counts.update(table.counts)
+    samples = []
+    for d in draws:
+        engine = PairingEngine(op, d.grid, system, q_loc=q_loc, table=table)
+        values = engine.pairings([(I, J) for I in d.cubes_f
+                                  for J in d.cubes_g])
+        counts.update(engine.counts)
+        samples.append(d.weigh(values, pi_good, theta, system.m, classify,
+                               engine.counts))
+    return samples, dict(counts)
 
 
 def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
@@ -328,19 +387,17 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
             "pi_good too small: the union bound cannot certify positivity "
             f"at r={r}, theta={theta}")
     pi_good = _pi_good_by_scale(window, r, theta)
-    sums = np.empty(n_omega)
-    counts = Counter()
-    for w_idx in range(n_omega):
-        sample = _sample_pairs(op, system, window, f, g, r, theta, q_loc,
-                               (seed, w_idx), classify=False, pi_good=pi_good)
-        sums[w_idx] = float(sample.weighted.sum())
-        counts.update(sample.pairing_counts)
+    samples, counts = _sample_pairs(
+        op, system, window, f, g, r, theta, q_loc,
+        [(seed, w_idx) for w_idx in range(n_omega)], classify=False,
+        pi_good=pi_good)
+    sums = np.array([float(smp.weighted.sum()) for smp in samples])
     estimate = float(sums.mean())
     stderr = float(sums.std(ddof=1) / math.sqrt(n_omega)) if n_omega > 1 else 0.0
     truth = ground_truth(op, f, g, res=q_loc + 2)
     return {"estimate": estimate, "stderr": stderr, "truth": truth,
             "n_omega": n_omega, "pi_good": pi_good,
-            "per_sample": sums.tolist(), "pairings": dict(counts)}
+            "per_sample": sums.tolist(), "pairings": counts}
 
 
 @dataclass
@@ -352,7 +409,7 @@ class ConvergenceCurve:
     truth: float = 0.0
     fit_range: tuple = ()
     excluded_window: int = 0
-    pairings: dict = field(default_factory=dict)  # summed engine counts
+    pairings: dict = field(default_factory=dict)  # the run's pairing counts
 
     def csv(self) -> str:
         lines = ["N,e_N,stderr"]
@@ -380,20 +437,20 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
     if r is None:
         r = window.k_max - window.k_min + 1  # vacuous: nothing classifiable
     pi_good = _pi_good_by_scale(window, r, theta)
+    samples, counts = _sample_pairs(
+        op, system, window, f, g, r, theta, q_loc,
+        [(seed, w_idx) for w_idx in range(n_omega)], classify=True,
+        pi_good=pi_good)
     partials = np.zeros((n_omega, N_max + 1))
     excluded = 0
-    counts = Counter()
-    for w_idx in range(n_omega):
-        smp = _sample_pairs(op, system, window, f, g, r, theta, q_loc,
-                            (seed, w_idx), classify=True, pi_good=pi_good)
+    for w_idx, smp in enumerate(samples):
         excluded += smp.excluded_window
-        counts.update(smp.pairing_counts)
         for N in range(N_max + 1):
             sel = (smp.levels >= 0) & (smp.levels <= N)
             partials[w_idx, N] = float(smp.weighted[sel].sum())
     truth = ground_truth(op, f, g, res=q_loc + 2)
     curve = ConvergenceCurve(n_omega=n_omega, pi_good=pi_good, truth=truth,
-                             excluded_window=excluded, pairings=dict(counts))
+                             excluded_window=excluded, pairings=counts)
     means = partials.mean(axis=0)
     if n_omega > 1:
         ses = partials.std(axis=0, ddof=1) / math.sqrt(n_omega)

@@ -150,9 +150,16 @@ def _moments(samples: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 
 def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
                     mu: np.ndarray | None, transpose: bool,
+                    stop: int | None = None,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(mesh, values) of T (or T^t) applied to the zero-padded buffer on the
-    periodic mesh x0 + (n+1/2)h.
+    periodic mesh x0 + (n+1/2)h, for the first `stop` mesh points (default
+    all): the interior a caller reads, not the padding.
+
+    The contract is a real kernel: its symbol is Hermitian,
+    m(-xi) = conj(m(xi)), so T maps the real buffer to a real signal and a
+    real FFT carries the whole product (irfft keeps the real part of the
+    zero-frequency and Nyquist bins).
 
     For tail_order == 1 kernels the difference between the line kernel and
     the period-P conjugate kernel,
@@ -161,22 +168,20 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     leaves the periodic result uncorrected.
     """
     N = buf.size
-    xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
-    m = np.asarray(op.transpose_multiplier(xi) if transpose
-                   else op.multiplier(xi), dtype=complex)
-    if N % 2 == 0:
-        m[N // 2] = m[N // 2].real  # keep the Nyquist bin hermitian
-    out = np.fft.ifft(np.fft.fft(buf) * m).real
-    mesh_x = x0 + (np.arange(N) + 0.5) * h
+    xi = 2.0 * math.pi * np.fft.rfftfreq(N, d=h)
+    m = op.transpose_multiplier(xi) if transpose else op.multiplier(xi)
+    out = np.fft.irfft(np.fft.rfft(buf) * m, n=N)[:stop]
+    mesh_x = x0 + (np.arange(out.size) + 0.5) * h
     if mu is not None and op.tail_order == 1:
         P = N * h
         sgn = -1.0 if transpose else 1.0
         z = mesh_x
         c1 = math.pi / (3.0 * P * P)
         c3 = math.pi ** 3 / (45.0 * P ** 4)
+        # the cubic in Horner form: z ** 3 would cost a pow() per point
         out += sgn * (c1 * (mu[0] * z - mu[1])
-                      + c3 * (mu[0] * z ** 3 - 3 * mu[1] * z ** 2
-                              + 3 * mu[2] * z - mu[3]))
+                      + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z
+                              - mu[3]))
     return mesh_x, out
 
 
@@ -198,9 +203,9 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
     mu = None
     if corrections and op.tail_order == 1:
         mu = _moments(samples, x0 + (np.arange(n) + 0.5) * h, h)
-    mesh_x, out = _periodic_apply(op, buf, h, x0, mu, transpose)
     if out_x is None:
-        return out[:n]
+        return _periodic_apply(op, buf, h, x0, mu, transpose, stop=n)[1]
+    mesh_x, out = _periodic_apply(op, buf, h, x0, mu, transpose)
     return np.interp(out_x, mesh_x, out)
 
 
@@ -276,11 +281,21 @@ def pair_quadrature(op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
     return acc * hi * hj
 
 
+def support_intervals(grid: DyadicGrid, system: WaveletSystem,
+                      k: np.ndarray, l: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the m-dilates of many one-dimensional cubes, given as
+    int64 arrays of generations and indices, in absolute coordinates."""
+    lo, hi = grid.boxes(k, l)
+    grow = (system.m - 1) * (hi - lo) // 2
+    unit = 2.0 ** (-grid.window.unit_exp)
+    return (lo - grow).astype(float) * unit, (hi + grow).astype(float) * unit
+
+
 def support_interval(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
                      ) -> tuple[float, float]:
-    lo, hi = grid.dilate_box(cube, system.m)
-    unit = 2.0 ** (-grid.window.unit_exp)
-    return float(lo[0]) * unit, float(hi[0]) * unit
+    lo, hi = support_intervals(grid, system, *cube_arrays([cube]))
+    return float(lo[0]), float(hi[0])
 
 
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps
@@ -293,6 +308,8 @@ PAIRING_MAX_NODES = 1 << 20
 
 def _runs(keys: np.ndarray):
     """(start, end) of each run of equal rows in the sorted 2-D array."""
+    if not len(keys):
+        return zip((), ())
     change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
     bounds = [0] + change.tolist() + [len(keys)]
     return zip(bounds[:-1], bounds[1:])
@@ -305,50 +322,146 @@ def _row_chunks(start: int, stop: int, n_nodes: int):
     return (slice(a, min(a + step, stop)) for a in range(start, stop, step))
 
 
-class PairingEngine:
-    """Batched multiplier-route pairings over a list of cube pairs.
+def pairing_keys(grid: DyadicGrid, k_i: np.ndarray, l_i: np.ndarray,
+                 k_j: np.ndarray, l_j: np.ndarray) -> np.ndarray:
+    """Rows (coarse k, transpose, fine k, delta) of the pairs (I, J) given
+    as int64 arrays of generations and indices.
 
-    For each pair the operator (or its transpose) is applied to the coarser
+    The finer cube is I on ties; transpose is 1 when it is, since T^t then
+    acts on the coarser psi_J.  delta is the lattice offset of the fine
+    cube's corner from the coarse one's, in integer units.  Convolution
+    kernels make <psi_J, T psi_I> a function of the row alone, whatever
+    the grid.
+    """
+    lo_i, _ = grid.boxes(k_i, l_i)
+    lo_j, _ = grid.boxes(k_j, l_j)
+    i_fine = k_i >= k_j
+    return np.stack([np.where(i_fine, k_j, k_i), i_fine,
+                     np.where(i_fine, k_i, k_j),
+                     np.where(i_fine, lo_i - lo_j, lo_j - lo_i)], axis=1)
+
+
+def _records(keys: np.ndarray) -> np.ndarray:
+    """The rows of an int64 key array as one structured scalar each, which
+    compare in the row order of np.unique(axis=0)."""
+    dtype = np.dtype([(f"f{c}", np.int64) for c in range(keys.shape[1])])
+    return np.ascontiguousarray(keys, dtype=np.int64).view(dtype).ravel()
+
+
+def _field(op: KernelOp, system: WaveletSystem, q_loc: int, pad_factor: int,
+           k: int, hull: tuple[float, float], transpose: bool):
+    """(u, values) of T psi (or T^t psi) for the scale-k wavelet, in
+    coordinates relative to its cube's left endpoint, on a periodized mesh
+    whose interior covers both the support and the hull; only the interior
+    is returned.  The operators are convolutions, so one field serves every
+    scale-k cube."""
+    t, vw, h = system.scaled_nodes(q_loc + FIELD_OVERSAMPLE_EXP, k)
+    xw = t * 2.0 ** (-k)
+    supp_len = xw[-1] - xw[0] + h
+    core_lo = min(hull[0], xw[0]) - supp_len
+    core_hi = max(hull[1], xw[-1]) + supp_len
+    P_target = (core_hi - core_lo) + pad_factor * supp_len
+    N = next_fast_len(int(math.ceil(P_target / h)))
+    # keep the wavelet samples on-mesh: buffer start a whole number of
+    # steps left of the first sample, at or left of core_lo
+    n_left = int(math.ceil((xw[0] - core_lo) / h))
+    x0 = xw[0] - (n_left + 0.5) * h  # mesh is x0 + (n+1/2) h
+    buf = np.zeros(N)
+    buf[n_left:n_left + vw.size] = vw
+    stop = min(N, int(math.ceil((core_hi - x0) / h)) + 1)
+    return _periodic_apply(op, buf, h, x0, _moments(vw, xw, h), transpose,
+                           stop)
+
+
+@dataclass(eq=False)
+class PairingTable:
+    """Multiplier-route pairings of every distinct row of a key array
+    (see pairing_keys); PairingTable.build evaluates them.
+
+    For each row the operator (or its transpose) is applied to the coarser
     wavelet on a local oversampled mesh at that wavelet's scale, and the
     quadrature runs over the finer wavelet's midpoint nodes with the field
-    linearly interpolated.  The pairs are handled as int64 arrays of
-    generations and lattice offsets, with one interpolation per block of
-    distinct offsets that share a field and a fine generation.
+    linearly interpolated.  One field serves each (coarse k, transpose),
+    over the hull of the fine supports of all its rows, and one
+    interpolation each block of rows that share a field and a fine
+    generation.  A field's values depend on its hull through the
+    periodization residual, so the table's values depend on its set of
+    rows: a run over many grids builds one table from the keys of all of
+    them, and a lone PairingEngine one per pairings call.
+    """
 
-    counts accumulates over calls: the pairs given, the distinct keys
-    evaluated (memo misses) and the fields built.
+    keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
+    values: np.ndarray  # the pairing of each row
+    counts: dict        # distinct keys evaluated and fields built
+
+    @classmethod
+    def build(cls, op: KernelOp, system: WaveletSystem, window,
+              keys: np.ndarray, q_loc: int = 10,
+              pad_factor: int = 8) -> "PairingTable":
+        """The table of the distinct rows of keys for op, on the system's
+        wavelets; the window sets the integer unit of the offsets."""
+        if not op.singular:
+            raise ValueError("pairing tables serve singular operators only")
+        keys = np.unique(keys, axis=0)
+        values = np.empty(len(keys))
+        fields = 0
+        unit = 2.0 ** (-window.unit_exp)
+        half = (system.m + 1) / 2.0
+        fine_k, du = keys[:, 2], keys[:, 3] * unit
+        side_f = np.ldexp(1.0, -fine_k)
+        nodes: dict = {}  # fine generation -> (nodes, values, spacing)
+        for a, b in _runs(keys[:, :2]):
+            hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
+                    float(np.max(du[a:b] + half * side_f[a:b])))
+            mesh_u, fld = _field(op, system, q_loc, pad_factor,
+                                 int(keys[a, 0]), hull, bool(keys[a, 1]))
+            fields += 1
+            for c, d in _runs(keys[a:b, 2:3]):
+                k = int(fine_k[a + c])
+                if k not in nodes:
+                    t, vf, hf = system.scaled_nodes(q_loc, k)
+                    nodes[k] = (t * 2.0 ** (-k), vf, hf)
+                uf, vf, hf = nodes[k]
+                for rows in _row_chunks(a + c, a + d, uf.size):
+                    vals = np.interp(uf[None, :] + du[rows, None], mesh_u, fld)
+                    values[rows] = np.sum(vf * vals, axis=1) * hf
+        return cls(keys, values, {"keys": len(keys), "fields": fields})
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Values of the rows of keys; every row must be in the table."""
+        table = _records(self.keys)
+        query = _records(keys)
+        pos = np.minimum(np.searchsorted(table, query), len(table) - 1)
+        if query.size and (table.size == 0
+                           or np.any(table[pos] != query)):
+            raise KeyError("pairing keys missing from the table")
+        return self.values[pos]
+
+
+class PairingEngine:
+    """Pairings <psi_J, T psi_I> of cube pairs of one grid.
+
+    The pairs are handled as int64 arrays of generations and lattice
+    offsets.  For singular operators the values come from a PairingTable:
+    the run's shared table when one is given, otherwise one built from the
+    keys of each pairings call.  The identity calibration samples both
+    wavelets at absolute points, one distinct key at a time.
+
+    counts accumulates over calls: the pairs given, and the distinct keys
+    evaluated and fields built by the engine's own tables (none when it
+    reads a shared one).
     """
 
     def __init__(self, op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
-                 q_loc: int = 10, pad_factor: int = 8):
+                 q_loc: int = 10, pad_factor: int = 8,
+                 table: PairingTable | None = None):
         self.op = op
         self.grid = grid
         self.system = system
         self.q_loc = q_loc
         self.pad_factor = pad_factor
+        self.table = table
         self.counts = {"pairs": 0, "keys": 0, "fields": 0}
-
-    def _field(self, k: int, hull: tuple[float, float], transpose: bool):
-        """(u, values) of T psi (or T^t psi) for the scale-k wavelet, in
-        coordinates relative to its cube's left endpoint, on a periodized
-        mesh whose interior covers both the support and the hull.  The
-        operators are convolutions, so one field serves every scale-k cube."""
-        t, vw, h = self.system.scaled_nodes(self.q_loc + FIELD_OVERSAMPLE_EXP,
-                                            k)
-        xw = t * 2.0 ** (-k)
-        supp_len = xw[-1] - xw[0] + h
-        core_lo = min(hull[0], xw[0]) - supp_len
-        core_hi = max(hull[1], xw[-1]) + supp_len
-        P_target = (core_hi - core_lo) + self.pad_factor * supp_len
-        N = next_fast_len(int(math.ceil(P_target / h)))
-        # keep the wavelet samples on-mesh: buffer start a whole number of
-        # steps left of the first sample
-        n_left = int(math.ceil((xw[0] - core_lo) / h))
-        x0 = xw[0] - (n_left + 0.5) * h  # mesh is x0 + (n+1/2) h
-        buf = np.zeros(N)
-        buf[n_left:n_left + vw.size] = vw
-        return _periodic_apply(self.op, buf, h, x0, _moments(vw, xw, h),
-                               transpose)
 
     def pairings(self, pairs) -> np.ndarray:
         """pairs: sequence of (I, J) cubes; returns <psi_J, T psi_I>.
@@ -363,59 +476,30 @@ class PairingEngine:
         self.counts["pairs"] += n
         if n == 0:
             return np.empty(0)
-        k_i, l_i = cube_arrays([I for I, _ in pairs])
-        k_j, l_j = cube_arrays([J for _, J in pairs])
-        lo_i, _ = self.grid.boxes(k_i, l_i)
-        lo_j, _ = self.grid.boxes(k_j, l_j)
-        # the finer cube is I on ties; T^t then acts on the coarser psi_J
-        i_fine = k_i >= k_j
-        fine_k = np.where(i_fine, k_i, k_j)
-        coarse_k = np.where(i_fine, k_j, k_i)
-        delta = np.where(i_fine, lo_i - lo_j, lo_j - lo_i)
+        keys = pairing_keys(self.grid, *cube_arrays([I for I, _ in pairs]),
+                            *cube_arrays([J for _, J in pairs]))
         if self.op.singular:
-            keys, inverse = np.unique(
-                np.stack([coarse_k, i_fine, fine_k, delta], axis=1), axis=0,
-                return_inverse=True)
-            values = self._lookups(keys)
-        else:
-            # the identity route samples both wavelets at absolute points,
-            # so each key takes the cubes of its first pair
-            keys, first, inverse = np.unique(
-                np.stack([fine_k, coarse_k, delta], axis=1), axis=0,
-                return_index=True, return_inverse=True)
-            values = np.empty(len(keys))
-            for row, idx in enumerate(first.tolist()):
-                I, J = pairs[idx]
-                values[row] = (self._plain_inner(I, J) if i_fine[idx]
-                             else self._plain_inner(J, I))
-        self.counts["keys"] += len(keys)
+            table = self.table
+            if table is None:
+                table = PairingTable.build(self.op, self.system,
+                                           self.grid.window, keys, self.q_loc,
+                                           self.pad_factor)
+                self.counts["keys"] += table.counts["keys"]
+                self.counts["fields"] += table.counts["fields"]
+            return table.lookup(keys)
+        # the identity route samples both wavelets at absolute points, so
+        # each distinct (fine k, coarse k, delta) takes the cubes of its
+        # first pair
+        distinct, first, inverse = np.unique(
+            keys[:, [2, 0, 3]], axis=0, return_index=True,
+            return_inverse=True)
+        values = np.empty(len(distinct))
+        for row, idx in enumerate(first.tolist()):
+            I, J = pairs[idx]
+            values[row] = (self._plain_inner(I, J) if keys[idx, 1]
+                           else self._plain_inner(J, I))
+        self.counts["keys"] += len(distinct)
         return values[inverse]
-
-    def _lookups(self, keys: np.ndarray) -> np.ndarray:
-        """Pairings of the sorted distinct rows (coarse k, transpose,
-        fine k, delta)."""
-        unit = 2.0 ** (-self.grid.window.unit_exp)
-        half = (self.system.m + 1) / 2.0
-        fine_k, du = keys[:, 2], keys[:, 3] * unit
-        side_f = np.ldexp(1.0, -fine_k)
-        values = np.empty(len(keys))
-        nodes: dict = {}  # fine generation -> (nodes, values, spacing)
-        for a, b in _runs(keys[:, :2]):
-            hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
-                    float(np.max(du[a:b] + half * side_f[a:b])))
-            mesh_u, fld = self._field(int(keys[a, 0]), hull,
-                                      bool(keys[a, 1]))
-            self.counts["fields"] += 1
-            for c, d in _runs(keys[a:b, 2:3]):
-                k = int(fine_k[a + c])
-                if k not in nodes:
-                    t, vf, hf = self.system.scaled_nodes(self.q_loc, k)
-                    nodes[k] = (t * 2.0 ** (-k), vf, hf)
-                uf, vf, hf = nodes[k]
-                for rows in _row_chunks(a + c, a + d, uf.size):
-                    vals = np.interp(uf[None, :] + du[rows, None], mesh_u, fld)
-                    values[rows] = np.sum(vf * vals, axis=1) * hf
-        return values
 
     def _plain_inner(self, fine: Cube, coarse: Cube) -> float:
         """<psi_J, psi_I> on the finer cube's nodes (identity calibration)."""

@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
     ("decay-audit", "harness.decay_audit",
      {"filter": "db2", "kernel": "hilbert", "L": 2, "k_min": -2, "k_max": 1,
       "s": 1}),
+    ("convergence", "harness.convergence_experiment",
+     {"filter": "haar", "kernel": "hilbert", "L": 5, "k_min": -5, "k_max": 3,
+      "s": 1, "N_max": 6, "n_omega": 2}),
 ])
 def test_traced_child_runs(tmp_path, command, experiment, config):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),

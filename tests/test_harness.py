@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              WindowTruncationError, union_bound)
+                              WindowTruncationError, cube_arrays,
+                              is_bad_batch, union_bound)
 from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                convergence_experiment, decay_audit,
                                expansion_identity, ground_truth,
@@ -239,15 +241,16 @@ def test_sample_pairs_matches_pair_loop(name, r):
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
     theta, q_loc, seed = 1.0, 7, (5, 1)
     pi_good = _pi_good_by_scale(w, r, theta)
-    smp = _sample_pairs(op, system, w, f, g, r, theta, q_loc, seed,
-                        classify=True, pi_good=pi_good)
+    (smp,), counts = _sample_pairs(op, system, w, f, g, r, theta, q_loc,
+                                   [seed], classify=True, pi_good=pi_good)
     grid = DyadicGrid.random(w, seed)
     cubes_f = localized_cubes(grid, system, f.support)
     cubes_g = localized_cubes(grid, system, g.support)
     cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
     cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
     pairs = [(I, J) for I in cubes_f for J in cubes_g]
-    values = PairingEngine(op, grid, system, q_loc=q_loc).pairings(pairs)
+    engine = PairingEngine(op, grid, system, q_loc=q_loc)
+    values = engine.pairings(pairs)
     weighted = np.zeros(len(pairs))
     levels = np.full(len(pairs), -1, dtype=int)
     excluded = 0
@@ -268,3 +271,68 @@ def test_sample_pairs_matches_pair_loop(name, r):
     assert smp.excluded_window == excluded > 0
     assert 0 < np.count_nonzero(weighted) < len(pairs)
     assert smp.pairing_counts["pairs"] == len(pairs)
+    # one grid: the run's table holds exactly the lone engine's keys
+    assert counts == engine.counts
+
+
+def _loop_overlap_pairs(grid, system, cubes_f, cubes_g):
+    """Reference: the per-pair support test expansion_identity made
+    before it compared all dilates at once, on the scalar dilate_box."""
+    unit = 2.0 ** (-grid.window.unit_exp)
+
+    def support(cube):
+        lo, hi = grid.dilate_box(cube, system.m)
+        return float(lo[0]) * unit, float(hi[0]) * unit
+
+    def overlaps(a, b):
+        lo_a, hi_a = support(a)
+        lo_b, hi_b = support(b)
+        return max(lo_a, lo_b) < min(hi_a, hi_b)
+    return [(I, J) for I in cubes_f for J in cubes_g if overlaps(I, J)]
+
+
+@pytest.mark.parametrize("name, seed", [("haar", 0), ("db3", 1), ("db2", 2)])
+def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
+                                                          name, seed):
+    w = Window(d=1, L=6, k_min=-6, k_max=4)
+    grid = DyadicGrid.random(w, seed)
+    system = build_system(name, q=9, strict=False)
+    f = TestFunction(center=31.9, halfwidth=0.8)
+    g = TestFunction(center=32.6, halfwidth=0.7)
+    calls = []
+    batched = PairingEngine.pairings
+
+    def capture(self, pairs):
+        calls.append(list(pairs))
+        return batched(self, pairs)
+
+    monkeypatch.setattr(PairingEngine, "pairings", capture)
+    res = expansion_identity(make_operator("identity"), system, grid, f, g,
+                             q_loc=7)
+    ref = _loop_overlap_pairs(grid, system,
+                              localized_cubes(grid, system, f.support),
+                              localized_cubes(grid, system, g.support))
+    assert calls == [ref]
+    assert res["pair_count"] == len(ref)
+    n_f = len(localized_cubes(grid, system, f.support))
+    n_g = len(localized_cubes(grid, system, g.support))
+    assert 0 < len(ref) < n_f * n_g
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_min=st.integers(-6, 0), depth=st.integers(1, 8),
+       extra_L=st.integers(0, 2), r=st.integers(1, 6),
+       theta=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_is_bad_batch_matches_safe_is_good(k_min, depth, extra_L, r, theta,
+                                          seed):
+    w = Window(d=1, L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
+    rng = np.random.default_rng(seed)
+    grid = DyadicGrid.random(w, rng.integers(2 ** 32))
+    cubes = [c for k in range(w.k_min, w.k_max + 1)
+             for c in grid.cubes_at_scale(k)]
+    # a random selection in random order, repeats included
+    picked = [cubes[a] for a in rng.integers(len(cubes),
+                                             size=min(300, 2 * len(cubes)))]
+    good = ~is_bad_batch(grid, *cube_arrays(picked), r, theta)
+    assert good.tolist() == [safe_is_good(grid, c, r, theta) for c in picked]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyadshift import operators
 from dyadshift.cli import main
-from dyadshift.dyadic import Cube, DyadicGrid, Window
+from dyadshift.dyadic import Cube, DyadicGrid, Window, cube_arrays
 from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator, operator_norm_estimate,
                                  pair_quadrature, sample_wavelet,
@@ -204,13 +204,131 @@ def test_transpose_multiplier_negates_hilbert():
     assert np.allclose(H.transpose_multiplier(xi), -H.multiplier(xi))
 
 
+@pytest.mark.parametrize("name", ["hilbert", "smoothed_hilbert", "identity"])
+def test_symbols_are_hermitian(name):
+    # the real FFT in _periodic_apply is exact only for real kernels
+    op = make_operator(name)
+    xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
+    for symbol in (op.multiplier, op.transpose_multiplier):
+        assert np.array_equal(np.asarray(symbol(-xi)),
+                              np.conj(np.asarray(symbol(xi))))
+
+
+def _complex_periodic_apply(op, buf, h, x0, mu, transpose):
+    """Reference: the complex fft/ifft body _periodic_apply had before it
+    took a real FFT over the interior only."""
+    N = buf.size
+    xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
+    m = np.asarray(op.transpose_multiplier(xi) if transpose
+                   else op.multiplier(xi), dtype=complex)
+    if N % 2 == 0:
+        m[N // 2] = m[N // 2].real  # keep the Nyquist bin hermitian
+    out = np.fft.ifft(np.fft.fft(buf) * m).real
+    mesh_x = x0 + (np.arange(N) + 0.5) * h
+    if mu is not None and op.tail_order == 1:
+        P = N * h
+        sgn = -1.0 if transpose else 1.0
+        z = mesh_x
+        c1 = math.pi / (3.0 * P * P)
+        c3 = math.pi ** 3 / (45.0 * P ** 4)
+        out += sgn * (c1 * (mu[0] * z - mu[1])
+                      + c3 * (mu[0] * z ** 3 - 3 * mu[1] * z ** 2
+                              + 3 * mu[2] * z - mu[3]))
+    return mesh_x, out
+
+
+def _assert_close_to(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["hilbert", "smoothed_hilbert", "identity"])
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_apply_multiplier_matches_complex_fft(name, n):
+    op = make_operator(name)
+    h, x0 = 1.0 / 128, -3.0
+    x = x0 + (np.arange(n) + 0.5) * h
+    samples = x * Bump(center=0.6, halfwidth=2.0)(x)
+    mu = operators._moments(samples, x, h) if op.tail_order == 1 else None
+    for pad_factor in (3, 8):
+        for transpose in (False, True):
+            buf = np.zeros(operators.next_fast_len(pad_factor * n))
+            buf[:n] = samples
+            mesh, ref = _complex_periodic_apply(op, buf, h, x0, mu, transpose)
+            got = apply_multiplier(op, samples, h, x0, pad_factor=pad_factor,
+                                   transpose=transpose)
+            _assert_close_to(got, ref[:n])
+            out_x = x0 + np.linspace(0.0, buf.size * h, 777)
+            got = apply_multiplier(op, samples, h, x0, pad_factor=pad_factor,
+                                   out_x=out_x, transpose=transpose)
+            _assert_close_to(got, np.interp(out_x, mesh, ref))
+
+
+@pytest.mark.parametrize("name, op", [("haar", "hilbert"),
+                                      ("db3", "hilbert"),
+                                      ("db2", "smoothed_hilbert")])
+def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
+    # every field a pairings call builds, against the complex formula on
+    # the whole padded mesh: the interior agrees, bit for bit on the mesh
+    real_apply = operators._periodic_apply
+    checked = []
+
+    def both(op, buf, h, x0, mu, transpose, stop=None):
+        mesh, out = real_apply(op, buf, h, x0, mu, transpose, stop)
+        ref_mesh, ref = _complex_periodic_apply(op, buf, h, x0, mu, transpose)
+        assert stop is not None and mesh.size == stop < buf.size
+        assert np.array_equal(mesh, ref_mesh[:stop])
+        _assert_close_to(out, ref[:stop])
+        checked.append(transpose)
+        return mesh, out
+
+    monkeypatch.setattr(operators, "_periodic_apply", both)
+    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 5)
+    system = build_system(name, q=11, strict=False)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    PairingEngine(make_operator(op), grid, system, q_loc=8).pairings(pairs)
+    assert set(checked) == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # batched pairings against the per-pair loop they replaced
 
 
-def _scalar_pairings(engine: PairingEngine, pairs) -> np.ndarray:
+def _scalar_keys(engine: PairingEngine, pairs) -> list:
+    """(coarse k, transpose, fine k, delta) of each pair, from the scalar
+    cube_box."""
+    grid = engine.grid
+    keys = []
+    for I, J in pairs:
+        fine, coarse = (I, J) if I.k >= J.k else (J, I)
+        delta = int(grid.cube_box(fine)[0][0] - grid.cube_box(coarse)[0][0])
+        keys.append((coarse.k, I.k >= J.k, fine.k, delta))
+    return keys
+
+
+def _scalar_hulls(engine: PairingEngine, pairs) -> dict:
+    """The hull of the fine supports of each (coarse k, transpose) bucket
+    of the pairs, relative to the coarse cube, as the per-pair loop
+    computed it."""
+    unit = 2.0 ** (-engine.grid.window.unit_exp)
+    half = (engine.system.m + 1) / 2.0
+    hulls: dict = {}
+    for kc, transpose, kf, delta in _scalar_keys(engine, pairs):
+        du = delta * unit
+        side_f = 2.0 ** (-kf)
+        lo, hi = hulls.get((kc, transpose), (math.inf, -math.inf))
+        hulls[(kc, transpose)] = (min(lo, du - (half - 1.0) * side_f),
+                                  max(hi, du + half * side_f))
+    return hulls
+
+
+def _scalar_pairings(engine: PairingEngine, pairs,
+                     hulls: dict | None = None) -> np.ndarray:
     """Reference: the per-pair loop with dict memos that PairingEngine
-    .pairings used before it worked on integer offset arrays."""
+    .pairings used before it worked on integer offset arrays.  hulls maps
+    (coarse k, transpose) to the hull its field covers, by default the
+    hull of the given pairs (_scalar_hulls)."""
     out = np.empty(len(pairs))
     grid, system, q_loc = engine.grid, engine.system, engine.q_loc
     unit = 2.0 ** (-grid.window.unit_exp)
@@ -227,29 +345,23 @@ def _scalar_pairings(engine: PairingEngine, pairs) -> np.ndarray:
                 memo[key] = float(np.sum(vf * vc) * h)
             out[idx] = memo[key]
         return out
+    if hulls is None:
+        hulls = _scalar_hulls(engine, pairs)
     buckets: dict = {}
     for idx, (I, J) in enumerate(pairs):
         if I.k >= J.k:
             buckets.setdefault((J.k, True), []).append((idx, J, I))
         else:
             buckets.setdefault((I.k, False), []).append((idx, I, J))
-    half = (system.m + 1) / 2.0
     nodes: dict = {}
     for (kc, transpose), members in buckets.items():
-        supp_f = {}
-        rel_lo, rel_hi = math.inf, -math.inf
+        mesh_u, fld = operators._field(engine.op, system, q_loc,
+                                       engine.pad_factor, kc,
+                                       hulls[(kc, transpose)], transpose)
+        memo = {}
         for idx, coarse, fine in members:
             delta = int(grid.cube_box(fine)[0][0]
                         - grid.cube_box(coarse)[0][0])
-            supp_f[idx] = (fine, delta)
-            du = delta * unit
-            side_f = 2.0 ** (-fine.k)
-            rel_lo = min(rel_lo, du - (half - 1.0) * side_f)
-            rel_hi = max(rel_hi, du + half * side_f)
-        mesh_u, fld = engine._field(kc, (rel_lo, rel_hi), transpose)
-        memo = {}
-        for idx, coarse, fine in members:
-            _, delta = supp_f[idx]
             key = (fine.k, delta)
             if key not in memo:
                 if fine.k not in nodes:
@@ -270,13 +382,14 @@ def _assert_matches_scalar(engine, pairs):
 
 
 def _captured_pairings(monkeypatch, tmp_path, argv):
-    """(engine, pairs) of every pairings call a CLI run makes."""
+    """(engine, pairs, values) of every pairings call a CLI run makes."""
     calls = []
     batched = PairingEngine.pairings
 
     def capture(self, pairs):
-        calls.append((self, list(pairs)))
-        return batched(self, pairs)
+        values = batched(self, pairs)
+        calls.append((self, list(pairs), values))
+        return values
 
     monkeypatch.setattr(PairingEngine, "pairings", capture)
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
@@ -291,23 +404,80 @@ def test_pairings_match_scalar_on_audit_pair_set(monkeypatch, tmp_path):
     calls = _captured_pairings(
         monkeypatch, tmp_path, ["decay-audit", "--config", cfg, "--seed", "0"])
     assert len(calls) == 1
-    engine, pairs = calls[0]
+    engine, pairs, _ = calls[0]
+    assert engine.table is None
     assert len(pairs) > 1000
     _assert_matches_scalar(engine, pairs)
 
 
+def _lone_engine(engine):
+    return PairingEngine(engine.op, engine.grid, engine.system,
+                         q_loc=engine.q_loc, pad_factor=engine.pad_factor)
+
+
 def test_pairings_match_scalar_on_represent_grids(monkeypatch, tmp_path):
-    # the benchmark's represent workload: haar, L=8, k=-8..5, two grids
+    # the benchmark's represent workload: haar, L=8, k=-8..5, two grids,
+    # whose engines read one table built over the keys of both
     cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 8, "k_min": -8, '
            '"k_max": 5, "r": 4, "theta": 1.0, "n_omega": 2}')
     calls = _captured_pairings(
         monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "0"])
     assert len(calls) == 2
-    for engine, pairs in calls:
+    table = calls[0][0].table
+    assert table is not None and calls[1][0].table is table
+    assert calls[0][0].grid is not calls[1][0].grid
+    union: dict = {}
+    for engine, pairs, _ in calls:
+        for key, (lo, hi) in _scalar_hulls(engine, pairs).items():
+            u_lo, u_hi = union.get(key, (math.inf, -math.inf))
+            union[key] = (min(u_lo, lo), max(u_hi, hi))
+    for engine, pairs, values in calls:
         assert len(pairs) > 10000
-        _assert_matches_scalar(engine, pairs)
+        assert np.array_equal(values,
+                              _scalar_pairings(engine, pairs, hulls=union))
+        # a lone engine on the same grid keeps the per-call hull
+        _assert_matches_scalar(_lone_engine(engine), pairs)
+    keys = {key for engine, pairs, _ in calls
+            for key in _scalar_keys(engine, pairs)}
     results = json.loads((tmp_path / "manifest.json").read_text())["results"]
-    assert results["pairings"]["pairs"] == sum(len(p) for _, p in calls)
+    assert results["pairings"] == {
+        "pairs": sum(len(p) for _, p, _ in calls), "keys": len(keys),
+        "fields": len(union)}
+    assert (len(union), len(keys)) == (25, 5274)
+
+
+def test_run_table_of_one_grid_matches_lone_engine(monkeypatch, tmp_path):
+    # n_omega = 1: the run's table holds the keys of one grid, so its
+    # values are the lone engine's, bit for bit
+    cfg = ('{"filter": "db2", "kernel": "hilbert", "L": 5, "k_min": -5, '
+           '"k_max": 3, "r": 4, "theta": 1.0, "n_omega": 1}')
+    calls = _captured_pairings(
+        monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "3"])
+    assert len(calls) == 1
+    engine, pairs, values = calls[0]
+    assert engine.table is not None and len(pairs) > 1000
+    lone = _lone_engine(engine)
+    assert np.array_equal(values, lone.pairings(pairs))
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert results["pairings"] == lone.counts
+
+
+def test_table_lookup_rejects_missing_keys():
+    w = Window(d=1, L=3, k_min=-3, k_max=4)
+    grid = DyadicGrid.random(w, 2)
+    system = build_system("haar", q=10, strict=False)
+    H = make_operator("hilbert")
+    I, J, K = Cube(2, (5,)), Cube(2, (9,)), Cube(0, (1,))
+    keys = operators.pairing_keys(grid, *cube_arrays([I, I]),
+                                  *cube_arrays([J, K]))
+    table = operators.PairingTable.build(H, system, w, keys, q_loc=8)
+    engine = PairingEngine(H, grid, system, q_loc=8, table=table)
+    lone = PairingEngine(H, grid, system, q_loc=8)
+    assert np.array_equal(engine.pairings([(I, K), (I, J), (I, K)]),
+                          lone.pairings([(I, K), (I, J), (I, K)]))
+    assert engine.counts == {"pairs": 3, "keys": 0, "fields": 0}
+    with pytest.raises(KeyError):
+        engine.pairings([(K, I)])
 
 
 def _localized_pairs(grid, system, k_lo, k_hi, span):
