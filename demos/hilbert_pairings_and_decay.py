@@ -38,7 +38,7 @@ def haar_pair_exact(I_lo, I_len, J_lo, J_len):
 
 
 window = Window(d=1, L=3, k_min=-3, k_max=4)
-grid = DyadicGrid(window, omega=np.zeros((window.n_shift_bits, 1), dtype=int))
+grid = DyadicGrid(window, omega=np.zeros(window.n_shift_bits, dtype=int))
 system = build_system("haar", q=10, strict=False)
 op = make_operator("hilbert")
 engine = PairingEngine(op, grid, system, q_loc=10)

@@ -4,8 +4,11 @@ All geometry is exact: positions are integers in units of 2^-(k_max+1), so a
 cube of generation k has sidelength 2^(k_max+1-k) units (always even, which
 keeps the corners of odd concentric dilates on the integer lattice).
 
+The geometry is one-dimensional: windows, cubes and shifts live on the
+line, and batched functions take int64 arrays of generations and indices.
+
 The grid model truncates the random shift to the window's scale range: a
-translation parameter omega assigns one bit vector per generation j in
+translation parameter omega assigns one bit per generation j in
 (k_min, k_max], and a cube of generation k is translated by
 sum_{j>k} 2^-j omega_j.  Badness of a cube is measured against the full grid
 skeleton of every admissible coarser generation >= k_min; the spatial window
@@ -17,7 +20,6 @@ exactly independent (they are driven by disjoint bits of omega).
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +35,11 @@ class WindowTruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cube:
-    """Dyadic cube of generation k with integer index l (one entry per axis).
+    """Dyadic cube of generation k with integer index l = (l_0,).
 
-    The unshifted cube is prod_i [l_i 2^-k, (l_i+1) 2^-k)."""
+    The unshifted cube is [l_0 2^-k, (l_0+1) 2^-k).  l stays a 1-tuple, as
+    cube_box's corners and shift_units stay length-1 arrays: bench/tracer.py
+    reads them from outside the library."""
 
     k: int
     l: tuple
@@ -47,7 +51,8 @@ class Cube:
 
 @dataclass(frozen=True)
 class Window:
-    """Spatial box [0, 2^L)^d with generations k_min..k_max."""
+    """Spatial interval [0, 2^L) with generations k_min..k_max; the
+    dimension d must be 1."""
 
     d: int
     L: int
@@ -55,8 +60,9 @@ class Window:
     k_max: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ScaleRangeError("dimension must be >= 1")
+        if self.d != 1:
+            raise ScaleRangeError(
+                "the geometry is one-dimensional: d must be 1")
         if self.k_max < self.k_min:
             raise ScaleRangeError("k_max < k_min")
         if -self.k_min > self.L:
@@ -86,42 +92,43 @@ class Window:
 class DyadicGrid:
     """A dyadic grid determined by a window and a translation parameter.
 
-    omega has shape (k_max - k_min, d); row jr holds the bits of generation
-    j = k_min + 1 + jr.
+    omega is a 0/1 vector of length k_max - k_min; entry jr is the bit of
+    generation j = k_min + 1 + jr.
     """
 
     def __init__(self, window: Window, omega: np.ndarray | None = None):
         self.window = window
         n = window.n_shift_bits
         if omega is None:
-            omega = np.zeros((n, window.d), dtype=np.int64)
+            omega = np.zeros(n, dtype=np.int64)
         omega = np.asarray(omega, dtype=np.int64)
-        if omega.shape != (n, window.d) or not np.isin(omega, (0, 1)).all():
-            raise ValueError(f"omega must be a 0/1 array of shape {(n, window.d)}")
+        if omega.shape != (n,) or not np.isin(omega, (0, 1)).all():
+            raise ValueError(f"omega must be a 0/1 vector of length {n}")
         self.omega = omega
-        # weight of bit row jr (generation j = k_min+1+jr) in integer units
+        # weight of bit jr (generation j = k_min+1+jr) in integer units
         j = window.k_min + 1 + np.arange(n)
-        weighted = (1 << (window.unit_exp - j)).astype(np.int64)[:, None] \
-            * omega
-        # shift of generation k in row k - k_min: the sum of the weighted
+        weighted = (1 << (window.unit_exp - j)).astype(np.int64) * omega
+        # shift of generation k in entry k - k_min: the sum of the weighted
         # bits of every finer generation, zero for k_max
-        shifts = np.zeros((n + 1, window.d), dtype=np.int64)
-        shifts[:n] = np.cumsum(weighted[::-1], axis=0)[::-1]
+        shifts = np.zeros(n + 1, dtype=np.int64)
+        shifts[:n] = np.cumsum(weighted[::-1])[::-1]
         shifts.setflags(write=False)
         self._shifts = shifts
 
     @classmethod
     def random(cls, window: Window, seed) -> "DyadicGrid":
         rng = np.random.default_rng(seed)
-        omega = rng.integers(0, 2, size=(window.n_shift_bits, window.d))
+        omega = rng.integers(0, 2, size=window.n_shift_bits)
         return cls(window, omega)
 
     def shift_units(self, k: int) -> np.ndarray:
-        """Translation applied to generation-k cubes, in integer units."""
+        """Translation applied to generation-k cubes, in integer units (a
+        length-1 int64 array)."""
         w = self.window
         if not (w.k_min <= k <= w.k_max):
             raise ScaleRangeError(f"generation {k} outside window scale range")
-        return self._shifts[k - w.k_min]
+        row = k - w.k_min
+        return self._shifts[row:row + 1]
 
     def cube_box(self, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
         """Shifted cube as (lo, hi) integer-unit corners."""
@@ -132,58 +139,36 @@ class DyadicGrid:
 
     def boxes(self, k: np.ndarray, l: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
-        """cube_box of many one-dimensional cubes at once: (lo, hi) int64
-        arrays for generations k and indices l (int64 arrays)."""
+        """cube_box of many cubes at once: (lo, hi) int64 arrays for
+        generations k and indices l (int64 arrays)."""
         w = self.window
-        if w.d != 1:
-            raise ValueError("batched cube geometry is one-dimensional")
         k = np.asarray(k, dtype=np.int64)
         if k.size and (k.min() < w.k_min or k.max() > w.k_max):
             raise ScaleRangeError(
                 f"generations outside [{w.k_min}, {w.k_max}]")
         side = np.left_shift(np.int64(1), w.unit_exp - k)
         lo = (np.asarray(l, dtype=np.int64) * side
-              + self._shifts[k - w.k_min, 0])
+              + self._shifts[k - w.k_min])
         return lo, lo + side
 
-    def in_window(self, cube: Cube) -> bool:
-        lo, hi = self.cube_box(cube)
-        return bool((lo >= 0).all() and (hi <= self.window.extent_units).all())
-
     def cubes_touching(self, k: int, lo_units, hi_units):
-        """All generation-k cubes of the grid whose closed shifted box meets
-        the given integer-unit box, clipped to the window."""
+        """All generation-k cubes of the grid whose closed shifted interval
+        meets [lo_units[0], hi_units[0]] (integer units, length-1 arrays
+        as cube_box gives), clipped to the window."""
         w = self.window
         side = w.len_units(k)
-        shift = self.shift_units(k)
-        lo_units = np.asarray(lo_units, dtype=np.int64)
-        hi_units = np.asarray(hi_units, dtype=np.int64)
-        ranges = []
-        for i in range(w.d):
-            # overlap: l*side + shift + side > lo  and  l*side + shift < hi
-            l_lo = (int(lo_units[i]) - int(shift[i]) - side) // side + 1
-            l_hi = -((-(int(hi_units[i]) - int(shift[i]))) // side) - 1  # inclusive
-            # window: corner >= 0 and far corner <= extent
-            l_lo = max(l_lo, -(int(shift[i]) // side))
-            l_hi = min(l_hi, (w.extent_units - int(shift[i]) - side) // side)
-            ranges.append(range(l_lo, l_hi + 1))
-        for tup in itertools.product(*ranges):
-            yield Cube(k, tuple(tup))
+        shift = int(self.shift_units(k)[0])
+        # overlap: l*side + shift + side > lo  and  l*side + shift < hi
+        l_lo = (int(lo_units[0]) - shift - side) // side + 1
+        l_hi = -((shift - int(hi_units[0])) // side) - 1  # inclusive
+        # window: corner >= 0 and far corner <= extent
+        l_lo = max(l_lo, -(shift // side))
+        l_hi = min(l_hi, (w.extent_units - shift - side) // side)
+        for l in range(l_lo, l_hi + 1):
+            yield Cube(k, (l,))
 
     def cubes_at_scale(self, k: int):
-        return self.cubes_touching(k, np.zeros(self.window.d, dtype=np.int64),
-                                   np.full(self.window.d, self.window.extent_units,
-                                           dtype=np.int64))
-
-    def ancestor(self, cube: Cube, k: int) -> Cube:
-        """Generation-k cube of this grid containing the given cube (k <= cube.k)."""
-        if k > cube.k:
-            raise ValueError("ancestor generation must be coarser")
-        lo, _ = self.cube_box(cube)
-        side = self.window.len_units(k)
-        shift = self.shift_units(k)
-        l = tuple(int(v) for v in (lo - shift) // side)
-        return Cube(k, l)
+        return self.cubes_touching(k, (0,), (self.window.extent_units,))
 
     def dilate_box(self, cube: Cube, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Concentric m-fold dilate mI in integer units (m odd)."""
@@ -192,31 +177,15 @@ class DyadicGrid:
         return lo - half_growth, hi + half_growth
 
 
-def box_dist(lo_a, hi_a, lo_b, hi_b) -> int:
-    """sup-norm distance between two closed boxes, in integer units."""
-    gaps = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0)
-    return int(gaps.max())
-
-
 def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
-    """Distance from cubes of sidelength `side` with corners t (shape (n, d)
-    or (d,)) to the lattice of multiples of side_c, per cube."""
+    """Distance from cubes of sidelength `side` with corners t to the
+    lattice of multiples of side_c, per cube."""
     off = t % side_c
-    return np.minimum(off, side_c - off - side).min(axis=-1)
-
-
-def boundary_dist(grid: DyadicGrid, cube: Cube, k_coarse: int) -> int:
-    """Distance from the shifted cube to the union of boundaries of all
-    generation-k_coarse cubes of the same grid (the grid skeleton)."""
-    w = grid.window
-    lo, _ = grid.cube_box(cube)
-    return int(_skeleton_gap(lo - grid.shift_units(k_coarse),
-                             w.len_units(cube.k), w.len_units(k_coarse)))
+    return np.minimum(off, side_c - off - side)
 
 
 def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays of the generations and indices of one-dimensional
-    cubes."""
+    """int64 arrays of the generations and indices of cubes."""
     return (np.array([c.k for c in cubes], dtype=np.int64),
             np.array([c.l[0] for c in cubes], dtype=np.int64))
 
@@ -233,10 +202,12 @@ def _join_truncation(window: Window, k: int) -> WindowTruncationError:
 
 def ancestor_join_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                         m: int) -> tuple[np.ndarray, ...]:
-    """ancestor_join for the pairs (fine, coarse) of one-dimensional cubes
-    given as int64 arrays, vectorized over the pairs.
+    """Smallest grid cube K containing both concentric m-dilates of each
+    pair (fine, coarse), with len(fine) <= len(coarse), of cubes given as
+    int64 arrays, vectorized over the pairs.
 
-    Returns int64 arrays (K_k, K_l, i, j) and the boolean mask truncated,
+    Returns int64 arrays (K_k, K_l, i, j), with i = fine_k - K_k and
+    j = coarse_k - K_k, and the boolean mask truncated,
     set where no window generation contains both dilates (K_k = k_min - 1)
     or the containing cube leaves the window (K_k its generation).  K_l, i
     and j carry no meaning on truncated pairs.
@@ -276,25 +247,10 @@ def ancestor_join_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     return K_k, K_l, fine_k - K_k, coarse_k - K_k, open_ | outside
 
 
-def ancestor_join(grid: DyadicGrid, fine: Cube, coarse: Cube, m: int,
-                  ) -> tuple[Cube, int, int]:
-    """Smallest grid cube K containing both concentric m-dilates.
-
-    Requires len(fine) <= len(coarse).  Returns (K, i, j) with
-    i = k_fine - k_K and j = k_coarse - k_K.  Raises WindowTruncationError
-    when no window cube works.
-    """
-    K_k, K_l, i, j, truncated = ancestor_join_batch(
-        grid, *cube_arrays([fine]), *cube_arrays([coarse]), m)
-    if truncated[0]:
-        raise _join_truncation(grid.window, int(K_k[0]))
-    return Cube(int(K_k[0]), (int(K_l[0]),)), int(i[0]), int(j[0])
-
-
 def _bad_offsets(window: Window, k: int, r: int, theta: float,
                 t: np.ndarray) -> np.ndarray:
     """Badness of generation-k cubes whose corners sit t integer units
-    (shape (n, d)) from the generation-k_min skeleton.
+    (an int64 array) from the generation-k_min skeleton.
 
     A cube is bad when some coarser generation k_c >= k_min, at least r
     steps up, brings its skeleton within theta-relative reach of the cube.
@@ -302,7 +258,7 @@ def _bad_offsets(window: Window, k: int, r: int, theta: float,
     generation's sidelength, so one offset serves every k_c.
     """
     side = window.len_units(k)
-    bad = np.zeros(t.shape[0], dtype=bool)
+    bad = np.zeros(t.size, dtype=bool)
     for k_c in range(window.k_min, k - r + 1):
         side_c = window.len_units(k_c)
         thresh = (2.0 ** (k_c - k)) ** theta * side_c
@@ -310,31 +266,19 @@ def _bad_offsets(window: Window, k: int, r: int, theta: float,
     return bad
 
 
-def is_bad(grid: DyadicGrid, cube: Cube, r: int, theta: float) -> bool:
-    """Badness of one cube of the grid (see _bad_offsets)."""
-    w = grid.window
-    if cube.k - r < w.k_min:
-        raise ScaleRangeError(
-            f"badness of a generation-{cube.k} cube needs coarser generations "
-            f"down to {cube.k - r}, below k_min={w.k_min}"
-        )
-    lo, _ = grid.cube_box(cube)
-    t = (lo - grid.shift_units(w.k_min))[None, :]
-    return bool(_bad_offsets(w, cube.k, r, theta, t)[0])
-
-
 def is_bad_batch(grid: DyadicGrid, k: np.ndarray, l: np.ndarray, r: int,
                  theta: float) -> np.ndarray:
-    """is_bad of many one-dimensional cubes, given as int64 arrays of
-    generations and indices, with one _bad_offsets call per generation.
+    """Badness of many cubes of the grid (see _bad_offsets), given as int64
+    arrays of generations and indices, with one _bad_offsets call per
+    generation.
 
-    Cubes with k - r < k_min, for which is_bad raises ScaleRangeError,
-    come out not bad: they have no admissible coarser generation.
+    Cubes with k - r < k_min come out not bad: they have no admissible
+    coarser generation.
     """
     w = grid.window
     k = np.asarray(k, dtype=np.int64)
     lo, _ = grid.boxes(k, l)
-    t = (lo - grid.shift_units(w.k_min)[0])[:, None]
+    t = lo - grid.shift_units(w.k_min)[0]
     bad = np.zeros(k.size, dtype=bool)
     for gen in np.unique(k[k - r >= w.k_min]).tolist():
         sel = k == gen
@@ -366,18 +310,19 @@ class GoodnessReport:
 
 
 def _badness_batch(window: Window, k_ref: int, r: int, theta: float,
-                   bits: np.ndarray, l_ref: np.ndarray) -> np.ndarray:
-    """Vectorized badness of a generation-k_ref cube for many omega draws.
+                   bits: np.ndarray, l_ref: int) -> np.ndarray:
+    """Vectorized badness of the generation-k_ref cube with index l_ref for
+    many omega draws.
 
-    bits: (n_samples, n_bits, d) with bit row jr for generation k_min+1+jr.
-    Only rows with j <= k_ref feed the offsets; coarser-generation offsets are
-    nested truncations of one integer, so a single weighted sum suffices.
+    bits: (n_samples, n_bits) int64, column jr the bit of generation
+    k_min+1+jr.  Only columns with j <= k_ref feed the offsets;
+    coarser-generation offsets are nested truncations of one integer, so a
+    single weighted sum suffices.
     """
-    n_rows = k_ref - window.k_min  # rows with k_min < j <= k_ref
+    n_rows = k_ref - window.k_min  # columns with k_min < j <= k_ref
     j = window.k_min + 1 + np.arange(n_rows)
     weights = (1 << (window.unit_exp - j)).astype(np.int64)
-    t = np.einsum("sjd,j->sd", bits[:, :n_rows, :].astype(np.int64), weights)
-    t += np.asarray(l_ref, dtype=np.int64) * window.len_units(k_ref)
+    t = bits[:, :n_rows] @ weights + l_ref * window.len_units(k_ref)
     return _bad_offsets(window, k_ref, r, theta, t)
 
 
@@ -396,10 +341,9 @@ def _sample_badness(window: Window, r: int, theta: float, samples: int, seed,
             f"reference generation {k_ref} lies beyond k_max={w.k_max}; "
             f"badness with r={r} needs k_max - k_min >= r")
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(samples, w.n_shift_bits, w.d), dtype=np.int64)
+    bits = rng.integers(0, 2, size=(samples, w.n_shift_bits), dtype=np.int64)
     center = (1 << (w.L + k_ref)) // 2 if w.L + k_ref >= 1 else 0
-    l_ref = np.full(w.d, center, dtype=np.int64)
-    return k_ref, bits, _badness_batch(w, k_ref, r, theta, bits, l_ref)
+    return k_ref, bits, _badness_batch(w, k_ref, r, theta, bits, center)
 
 
 def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
@@ -415,19 +359,17 @@ def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
 
 def pi_bad_exact(window: Window, k_ref: int, r: int, theta: float) -> float:
     """Exact badness probability by enumerating all translation bits that can
-    influence badness (generations k_min < j <= k_ref).  Cost 2^((k_ref-k_min)d).
+    influence badness (generations k_min < j <= k_ref).  Cost 2^(k_ref-k_min).
     """
     w = window
     if k_ref - r < w.k_min:
         raise ScaleRangeError("window has no generation r steps above k_ref")
     n_rows = k_ref - w.k_min
-    if n_rows * w.d > 24:
+    if n_rows > 24:
         raise ScaleRangeError("exact enumeration too large for this window")
-    side = w.len_units(k_ref)
-    # offsets T mod side_c run over all multiples of `side`; enumerate T directly
-    per_axis_vals = np.arange(1 << n_rows, dtype=np.int64) * side
-    grids = np.meshgrid(*([per_axis_vals] * w.d), indexing="ij")
-    t = np.stack([g.ravel() for g in grids], axis=1)
+    # offsets T mod side_c run over all multiples of the cube's side;
+    # enumerate T directly
+    t = np.arange(1 << n_rows, dtype=np.int64) * w.len_units(k_ref)
     return float(_bad_offsets(w, k_ref, r, theta, t).mean())
 
 
@@ -443,12 +385,10 @@ def independence_table(window: Window, r: int, theta: float, samples: int,
     k_ref, bits, bad = _sample_badness(w, r, theta, samples, seed, k_ref)
     if w.k_max - k_ref < int(np.log2(position_bins)):
         raise ScaleRangeError("not enough fine generations for the position bins")
-    rows_fine = slice(k_ref - w.k_min, w.n_shift_bits)
-    j = k_ref + 1 + np.arange(w.n_shift_bits - (k_ref - w.k_min))
+    j = k_ref + 1 + np.arange(w.k_max - k_ref)
     weights = (1 << (w.unit_exp - j)).astype(np.int64)
-    pos = np.einsum("sjd,j->sd", bits[:, rows_fine, :], weights)
-    side = w.len_units(k_ref)
-    bins = (pos[:, 0] * position_bins) // side
+    pos = bits[:, k_ref - w.k_min:] @ weights
+    bins = (pos * position_bins) // w.len_units(k_ref)
     table = np.zeros((2, position_bins), dtype=np.int64)
     for b in range(position_bins):
         sel = bins == b

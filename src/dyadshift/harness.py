@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window, cube_arrays,
-                     is_bad, is_bad_batch, union_bound, pi_bad_exact)
+                     is_bad_batch, union_bound, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, PairingTable,
                         apply_multiplier, pairing_keys, sample_wavelet,
                         support_interval, support_intervals)
@@ -131,9 +131,9 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     window pair with len(I) <= len(J) whose assigned (i,j) fits the caps.
 
     With r given, pairs whose smaller cube is bad are dropped (cubes too
-    coarse to be classified count as good, as in safe_is_good).  With a
-    span, only cubes whose m-dilate meets it enter, which keeps
-    wide-filter audits tractable.
+    coarse to have an admissible ancestor r generations up count as good,
+    as in is_bad_batch).  With a span, only cubes whose m-dilate meets it
+    enter, which keeps wide-filter audits tractable.
     Returns (rows, info) where info holds excluded-pair counters and,
     under "pairings", the pairing engine's counts.
     """
@@ -201,15 +201,6 @@ def audit_rows_csv(rows) -> str:
                      f"{r.max_pairing:.10g},{r.bound:.10g},{r.ratio:.10g},"
                      f"{pb},{pr}")
     return "\n".join(lines) + "\n"
-
-
-def safe_is_good(grid: DyadicGrid, cube: Cube, r: int, theta: float) -> bool:
-    """Goodness with the window convention: cubes too coarse to have an
-    admissible ancestor r generations up are vacuously good."""
-    try:
-        return not is_bad(grid, cube, r, theta)
-    except ScaleRangeError:
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -149,12 +149,11 @@ def _moments(samples: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
-                    mu: np.ndarray | None, transpose: bool,
-                    stop: int | None = None,
+                    mu: np.ndarray | None, transpose: bool, stop: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(mesh, values) of T (or T^t) applied to the zero-padded buffer on the
-    periodic mesh x0 + (n+1/2)h, for the first `stop` mesh points (default
-    all): the interior a caller reads, not the padding.
+    periodic mesh x0 + (n+1/2)h, for the first `stop` mesh points: the
+    interior a caller reads, not the padding.
 
     The contract is a real kernel: its symbol is Hermitian,
     m(-xi) = conj(m(xi)), so T maps the real buffer to a real signal and a
@@ -187,15 +186,12 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
 
 def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
                      pad_factor: int = 8, corrections: bool = True,
-                     out_x: np.ndarray | None = None, transpose: bool = False,
-                     ) -> np.ndarray:
+                     transpose: bool = False) -> np.ndarray:
     """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h.
 
     The signal is zero-padded to pad_factor times its length before the FFT;
     corrections adds back the periodization error of tail_order == 1
-    kernels.  out_x, when given, asks for values at those points (linear
-    interpolation on the oversized mesh; pass points inside the padded
-    domain).
+    kernels.
     """
     n = samples.size
     buf = np.zeros(next_fast_len(pad_factor * n))
@@ -203,10 +199,7 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
     mu = None
     if corrections and op.tail_order == 1:
         mu = _moments(samples, x0 + (np.arange(n) + 0.5) * h, h)
-    if out_x is None:
-        return _periodic_apply(op, buf, h, x0, mu, transpose, stop=n)[1]
-    mesh_x, out = _periodic_apply(op, buf, h, x0, mu, transpose)
-    return np.interp(out_x, mesh_x, out)
+    return _periodic_apply(op, buf, h, x0, mu, transpose, n)[1]
 
 
 def operator_norm_estimate(op: KernelOp, n: int = 4096, h: float = 1.0 / 256,
@@ -251,12 +244,6 @@ def sample_wavelet(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
     """psi_I at absolute points x: 2^(k/2) psi(2^k x - l - shift/len(I))."""
     t = x * 2.0 ** cube.k - _cube_offset(grid, cube)
     return 2.0 ** (cube.k / 2.0) * system.mother(t, "psi")
-
-
-def wavelet_coefficient(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
-                        func, q_loc: int) -> float:
-    x, vals, h = wavelet_nodes(grid, system, cube, q_loc)
-    return float(np.sum(vals * func(x)) * h)
 
 
 def pair_quadrature(op: KernelOp, grid: DyadicGrid, system: WaveletSystem,

@@ -5,7 +5,8 @@ Classification predicates are evaluated in exact integer-unit arithmetic so
 class membership never depends on floating-point rounding (the only float is
 the threshold len(J) * (len(I)/len(J))^theta, which is exactly representable
 whenever theta = 1).  classify_batch evaluates them for whole arrays of
-pairs; classify_kind and classify_pair are its one-pair forms.
+pairs; classify_pair is its one-pair form and gives the PairClass entries
+that assemble_shift takes.
 """
 
 from __future__ import annotations
@@ -35,16 +36,17 @@ class PairClass:
     j: int
 
 
-def smaller_of(I: Cube, J: Cube) -> Cube:
-    """The smaller cube; ties go to the first argument."""
-    return I if I.k >= J.k else J
-
-
 def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                 theta: float, m: int) -> np.ndarray:
     """Class codes (indices into CLASSES) of the pairs (I, J) = (fine,
-    coarse) of one-dimensional cubes given as int64 arrays; see
-    classify_kind."""
+    coarse), len(I) <= len(J), of cubes given as int64 arrays:
+
+    far:       dist(I,J) > len(J) (len(I)/len(J))^theta and dist(mI,mJ) > D/2
+    between:   first condition holds, second fails
+    contained: I strictly inside J
+    equal:     I = J
+    near:      disjoint but within the theta-threshold
+    """
     fine_k = np.asarray(fine_k, dtype=np.int64)
     coarse_k = np.asarray(coarse_k, dtype=np.int64)
     if np.any(fine_k < coarse_k):
@@ -76,13 +78,13 @@ def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
 
 def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                    theta: float, m: int) -> tuple[np.ndarray, ...]:
-    """classify_pair for the pairs (I, J) = (fine, coarse) of
-    one-dimensional cubes given as int64 arrays, vectorized over the pairs.
+    """Class and containing cube of the pairs (I, J) = (fine, coarse) of
+    cubes given as int64 arrays, vectorized over the pairs.
 
-    Returns (kind, K_k, K_l, i, j, truncated): kind indexes CLASSES and
-    the rest is ancestor_join_batch's output.  An equal pair joins with
-    its right neighbour when that lies in the window and with its left
-    neighbour otherwise.
+    Returns (kind, K_k, K_l, i, j, truncated): kind indexes CLASSES (see
+    _kind_codes) and the rest is ancestor_join_batch's output.  An equal
+    pair joins with its right neighbour when that lies in the window and
+    with its left neighbour otherwise.
     """
     kind = _kind_codes(grid, fine_k, fine_l, coarse_k, coarse_l, theta, m)
     coarse_l = np.asarray(coarse_l, dtype=np.int64)
@@ -96,24 +98,11 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                                          partner_l, m)
 
 
-def classify_kind(grid: DyadicGrid, I: Cube, J: Cube, theta: float, m: int,
-                  ) -> str:
-    """Class name of an ordered pair with len(I) <= len(J), predicates only.
-
-    far:       dist(I,J) > len(J) (len(I)/len(J))^theta and dist(mI,mJ) > D/2
-    between:   first condition holds, second fails
-    contained: I strictly inside J
-    equal:     I = J
-    near:      disjoint but within the theta-threshold
-    """
-    code = _kind_codes(grid, *cube_arrays([I]), *cube_arrays([J]), theta, m)
-    return CLASSES[code[0]]
-
-
 def classify_pair(grid: DyadicGrid, I: Cube, J: Cube, theta: float, m: int,
                   ) -> PairClass:
-    """Classify an ordered pair with len(I) <= len(J) and assign the
-    containing ancestor (equal pairs borrow a deterministic adjacent cube)."""
+    """classify_batch of one ordered pair with len(I) <= len(J): its class
+    and containing ancestor (equal pairs borrow a deterministic adjacent
+    cube).  Raises WindowTruncationError where the batch truncates."""
     kind, K_k, K_l, i, j, truncated = classify_batch(
         grid, *cube_arrays([I]), *cube_arrays([J]), theta, m)
     if truncated[0]:

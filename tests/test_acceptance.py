@@ -15,7 +15,8 @@ import pytest
 from scipy import stats
 
 from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError,
-                              independence_table, union_bound, pi_bad_estimate)
+                              cube_arrays, independence_table, union_bound,
+                              pi_bad_estimate)
 from dyadshift.filters import builtin_filter_names
 from dyadshift.harness import (convergence_experiment, decay_audit,
                                expansion_identity, randomized_expansion)
@@ -24,8 +25,8 @@ from dyadshift.operators import (PairingEngine, TestFunction as Bump,
                                  support_interval)
 from dyadshift.shifts import (CLASSES, Mesh1D, apply_averaging,
                               assemble_shift, calibrate_c_emp,
-                              calibration_shift, classify_kind, classify_pair,
-                              shift_norm_estimate)
+                              calibration_shift, classify_batch,
+                              classify_pair, shift_norm_estimate)
 from dyadshift.wavelets import build_system, gram_defect
 
 
@@ -36,7 +37,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 
 def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros((w.n_shift_bits, w.d), dtype=int))
+    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
 
 
 def test_criterion_1_badness_probability():
@@ -122,19 +123,15 @@ def test_criterion_5_partition_completeness():
     grid = DyadicGrid.random(w, 0)
     cubes = [c for k in range(w.k_min, w.k_max + 1)
              for c in grid.cubes_at_scale(k)]
-    counts = dict.fromkeys(CLASSES, 0)
-    unclassified = 0
-    total = 0
-    for I in cubes:
-        for J in cubes:
-            if I.k < J.k:
-                continue
-            total += 1
-            kind = classify_kind(grid, I, J, 1.0, 3)
-            if kind in counts:
-                counts[kind] += 1
-            else:
-                unclassified += 1
+    fine, coarse = zip(*[(I, J) for I in cubes for J in cubes
+                         if I.k >= J.k])
+    kind = classify_batch(grid, *cube_arrays(fine), *cube_arrays(coarse),
+                          1.0, 3)[0]
+    total = len(fine)
+    known = (kind >= 0) & (kind < len(CLASSES))
+    unclassified = int((~known).sum())
+    counts = dict(zip(CLASSES, np.bincount(kind[known],
+                                           minlength=len(CLASSES)).tolist()))
     ok = unclassified == 0 and sum(counts.values()) == total
     _report(5, ok, f"{total} ordered pairs in a depth-5 window, "
             f"{unclassified} unclassified, counts {counts}")

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from dyadshift.config import default_r
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               WindowTruncationError, _badness_batch,
-                              ancestor_join, box_dist,
-                              boundary_dist, independence_table, is_bad,
-                              union_bound, pi_bad_estimate, pi_bad_exact)
+                              _skeleton_gap, ancestor_join_batch, cube_arrays,
+                              independence_table, is_bad_batch, union_bound,
+                              pi_bad_estimate, pi_bad_exact)
+from dyadshift.shifts import classify_pair
 
 
 def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros((w.n_shift_bits, w.d), dtype=int))
+    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+
+
+def _is_bad(grid, cube, r, theta):
+    return bool(is_bad_batch(grid, *cube_arrays([cube]), r, theta)[0])
 
 
 def test_cube_sidelength():
@@ -26,11 +32,18 @@ def test_window_rejects_too_coarse():
         Window(d=1, L=2, k_min=-3, k_max=4)
 
 
+def test_window_rejects_other_dimensions():
+    # the geometry is one-dimensional, as the run config is
+    for d in (0, 2, 3):
+        with pytest.raises(ScaleRangeError, match="d must be 1"):
+            Window(d=d, L=3, k_min=-2, k_max=4)
+
+
 def test_shifted_corner_quarter():
     # only the generation-2 bit set: shift of a generation-1 cube is 2^-2
     w = Window(d=1, L=1, k_min=0, k_max=3)
-    omega = np.zeros((w.n_shift_bits, 1), dtype=int)
-    omega[1, 0] = 1  # bit for generation k_min+1+1 = 2
+    omega = np.zeros(w.n_shift_bits, dtype=int)
+    omega[1] = 1  # bit for generation k_min+1+1 = 2
     lo, _ = DyadicGrid(w, omega).cube_box(Cube(1, (0,)))
     assert lo[0] * 2.0 ** (-w.unit_exp) == 0.25
 
@@ -38,10 +51,10 @@ def test_shifted_corner_quarter():
 def test_shift_is_sum_of_finer_bits():
     w = Window(d=1, L=2, k_min=0, k_max=5)
     rng = np.random.default_rng(0)
-    omega = rng.integers(0, 2, size=(w.n_shift_bits, 1))
+    omega = rng.integers(0, 2, size=w.n_shift_bits)
     grid = DyadicGrid(w, omega)
     for k in range(w.k_min, w.k_max):
-        expected = sum(int(omega[j - (w.k_min + 1), 0]) * 2.0 ** -j
+        expected = sum(int(omega[j - (w.k_min + 1)]) * 2.0 ** -j
                        for j in range(k + 1, w.k_max + 1))
         got = grid.shift_units(k)[0] * 2.0 ** -w.unit_exp
         assert math.isclose(got, expected, abs_tol=1e-15)
@@ -50,47 +63,56 @@ def test_shift_is_sum_of_finer_bits():
 def test_nestedness_and_disjointness():
     w = Window(d=1, L=2, k_min=0, k_max=4)
     grid = DyadicGrid.random(w, 5)
-    cubes = list(grid.cubes_at_scale(2))
-    parent_boxes = [grid.cube_box(c) for c in grid.cubes_at_scale(1)]
-    for c in cubes:
-        lo, hi = grid.cube_box(c)
-        inside = sum(1 for plo, phi in parent_boxes
-                     if (plo <= lo).all() and (hi <= phi).all())
-        overlap = sum(1 for plo, phi in parent_boxes
-                      if box_dist(lo, hi, plo, phi) == 0
-                      and not ((plo <= lo).all() and (hi <= phi).all()))
-        # a cube is nested in at most one in-window parent and never
-        # partially overlaps one
-        assert inside <= 1
-        for plo, phi in parent_boxes:
-            if box_dist(lo, hi, plo, phi) == 0:
-                strad = (plo > lo).any() or (hi > phi).any()
-                if strad:
-                    # touching at the boundary only
-                    assert (phi <= lo).any() or (plo >= hi).any()
+    lo, hi = grid.boxes(*cube_arrays(list(grid.cubes_at_scale(2))))
+    plo, phi = grid.boxes(*cube_arrays(list(grid.cubes_at_scale(1))))
+    lo, hi = lo[:, None], hi[:, None]
+    inside = (plo <= lo) & (hi <= phi)
+    # a cube is nested in at most one in-window parent; a parent whose
+    # closed interval it meets without holding it only touches its ends
+    assert inside.sum(axis=1).max() <= 1
+    meets = (lo <= phi) & (plo <= hi)
+    assert ((phi == lo) | (plo == hi))[meets & ~inside].all()
+
+
+def _join(grid, fine, coarse, m):
+    K_k, K_l, i, j, truncated = ancestor_join_batch(
+        grid, *cube_arrays([fine]), *cube_arrays([coarse]), m)
+    return int(K_k[0]), int(K_l[0]), int(i[0]), int(j[0]), bool(truncated[0])
 
 
 def test_ancestor_chain():
     w = Window(d=1, L=3, k_min=-3, k_max=5)
     grid = zero_grid(w)
-    c = Cube(3, (17,))
-    a = grid.ancestor(c, 0)
-    assert a == Cube(0, (2,))  # [17/8, 18/8) sits inside [2, 3)
+    # with m = 1 a cube joins its generation-0 ancestor in that ancestor:
+    # [17/8, 18/8) sits inside [2, 3)
+    assert _join(grid, Cube(3, (17,)), Cube(0, (2,)), 1) == (0, 2, 3, 0,
+                                                            False)
 
 
 def test_ancestor_join_identity_dilate():
     w = Window(d=1, L=3, k_min=-3, k_max=5)
     grid = zero_grid(w)
-    K, i, j = ancestor_join(grid, Cube(3, (9,)), Cube(1, (2,)), m=3)
-    assert (K.k, i, j) == (-1, 4, 2)
+    K_k, _, i, j, truncated = _join(grid, Cube(3, (9,)), Cube(1, (2,)), 3)
+    assert (K_k, i, j, truncated) == (-1, 4, 2, False)
 
 
 def test_ancestor_join_raises_outside_window():
     w = Window(d=1, L=3, k_min=-3, k_max=5)
     grid = zero_grid(w)
     # 3-dilate of [0, 1/8) reaches below 0; no window cube contains it
+    fine, coarse = Cube(3, (0,)), Cube(1, (4,))
+    assert _join(grid, fine, coarse, 3)[4]
     with pytest.raises(WindowTruncationError):
-        ancestor_join(grid, Cube(3, (0,)), Cube(1, (4,)), m=3)
+        classify_pair(grid, fine, coarse, 1.0, 3)
+
+
+def boundary_dist(grid: DyadicGrid, cube: Cube, k_coarse: int) -> int:
+    """Distance from the shifted cube to the union of boundaries of all
+    generation-k_coarse cubes of the same grid (the grid skeleton)."""
+    w = grid.window
+    lo, _ = grid.cube_box(cube)
+    return int(_skeleton_gap(lo - grid.shift_units(k_coarse),
+                             w.len_units(cube.k), w.len_units(k_coarse))[0])
 
 
 def test_boundary_dist_face_sharing():
@@ -103,15 +125,8 @@ def test_boundary_dist_face_sharing():
 def test_is_bad_face_sharing_ancestor():
     w = Window(d=1, L=3, k_min=0, k_max=8)
     grid = zero_grid(w)
-    assert is_bad(grid, Cube(8, (256,)), r=4, theta=1.0)       # at x=1
-    assert not is_bad(grid, Cube(8, (128 + 3,)), r=4, theta=1.0)
-
-
-def test_is_bad_raises_when_too_coarse():
-    w = Window(d=1, L=3, k_min=0, k_max=8)
-    grid = zero_grid(w)
-    with pytest.raises(ScaleRangeError):
-        is_bad(grid, Cube(2, (1,)), r=4, theta=1.0)
+    assert _is_bad(grid, Cube(8, (256,)), r=4, theta=1.0)       # at x=1
+    assert not _is_bad(grid, Cube(8, (128 + 3,)), r=4, theta=1.0)
 
 
 def test_union_bound_arithmetic():
@@ -160,13 +175,13 @@ def test_badness_independent_of_position_exactly():
     w = Window(d=1, L=2, k_min=0, k_max=6)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        omega = rng.integers(0, 2, size=(w.n_shift_bits, 1))
+        omega = rng.integers(0, 2, size=w.n_shift_bits)
         grid = DyadicGrid(w, omega)
         c = Cube(3, (rng.integers(0, 8),))
-        before = is_bad(grid, c, r=3, theta=1.0)
+        before = _is_bad(grid, c, r=3, theta=1.0)
         omega2 = omega.copy()
-        omega2[3:, 0] ^= 1  # generations > 3
-        after = is_bad(DyadicGrid(w, omega2), c, r=3, theta=1.0)
+        omega2[3:] ^= 1  # generations > 3
+        after = _is_bad(DyadicGrid(w, omega2), c, r=3, theta=1.0)
         assert before == after
 
 
@@ -180,7 +195,8 @@ def test_cubes_touching_exact_range():
 
 def _scalar_is_bad(grid, cube, r, theta):
     """The per-generation badness loop through boundary_dist, kept as the
-    reference for the vectorized kernel."""
+    reference for the vectorized kernel; cubes too coarse to have an
+    admissible ancestor r generations up are not bad."""
     w = grid.window
     for k_c in range(w.k_min, cube.k - r + 1):
         thresh = (2.0 ** (k_c - cube.k)) ** theta * w.len_units(k_c)
@@ -200,11 +216,33 @@ def test_badness_kernel_matches_scalar_loop():
         theta = float(rng.choice([0.25, 0.5, 0.7, 1.0]))
         r = int(rng.integers(1, 5))
         for k in range(w.k_min + r, w.k_max + 1):
-            for c in grid.cubes_at_scale(k):
-                assert is_bad(grid, c, r, theta) == \
-                    _scalar_is_bad(grid, c, r, theta)
-                checked += 1
+            cubes = list(grid.cubes_at_scale(k))
+            bad = is_bad_batch(grid, *cube_arrays(cubes), r, theta)
+            assert bad.tolist() == [_scalar_is_bad(grid, c, r, theta)
+                                    for c in cubes]
+            checked += len(cubes)
     assert checked > 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_min=st.integers(-6, 0), depth=st.integers(1, 8),
+       extra_L=st.integers(0, 2), r=st.integers(1, 6),
+       theta=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_is_bad_batch_matches_scalar_reference(k_min, depth, extra_L, r,
+                                               theta, seed):
+    # a random selection of every generation in random order, repeats and
+    # cubes too coarse to be tested included
+    w = Window(d=1, L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
+    rng = np.random.default_rng(seed)
+    grid = DyadicGrid.random(w, rng.integers(2 ** 32))
+    cubes = [c for k in range(w.k_min, w.k_max + 1)
+             for c in grid.cubes_at_scale(k)]
+    picked = [cubes[a] for a in rng.integers(len(cubes),
+                                             size=min(300, 2 * len(cubes)))]
+    bad = is_bad_batch(grid, *cube_arrays(picked), r, theta)
+    assert bad.tolist() == [_scalar_is_bad(grid, c, r, theta)
+                            for c in picked]
 
 
 def test_badness_batch_matches_exact_enumeration():
@@ -214,9 +252,9 @@ def test_badness_batch_matches_exact_enumeration():
     for k_ref in (4, 6, 8):
         n_rows = k_ref - w.k_min
         strings = np.arange(1 << n_rows)
-        bits = np.zeros((strings.size, w.n_shift_bits, 1), dtype=np.int64)
-        bits[:, :n_rows, 0] = (strings[:, None] >> np.arange(n_rows)) & 1
-        l_ref = np.array([(1 << (w.L + k_ref)) // 2])
+        bits = np.zeros((strings.size, w.n_shift_bits), dtype=np.int64)
+        bits[:, :n_rows] = (strings[:, None] >> np.arange(n_rows)) & 1
+        l_ref = (1 << (w.L + k_ref)) // 2
         freqs = [_badness_batch(w, k_ref, 3, 0.5, bits, l_ref + delta).mean()
                  for delta in (0, 1, 3)]
         assert freqs[0] == freqs[1] == freqs[2] == \
@@ -231,3 +269,24 @@ def test_reference_generation_beyond_window_raises():
         pi_bad_estimate(w, r=24, theta=0.25, samples=10, seed=0)
     with pytest.raises(ScaleRangeError, match="k_max"):
         independence_table(w, r=24, theta=0.25, samples=10, seed=0)
+
+
+def test_badness_draws_pinned():
+    # values recorded when the translation bits were drawn as an
+    # (samples, bits, 1) array; the one-dimensional draw is the same stream
+    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    assert pi_bad_estimate(w, r=5, theta=1.0, samples=2000, seed=1,
+                           k_ref=6).pi_bad_hat == 0.1175
+    assert pi_bad_estimate(w, r=4, theta=1.0, samples=3000,
+                           seed=7).pi_bad_hat == 748 / 3000
+    assert pi_bad_estimate(w, r=6, theta=0.7, samples=3000, seed=3,
+                           k_ref=7).pi_bad_hat == 469 / 3000
+    assert pi_bad_estimate(Window(d=1, L=4, k_min=-4, k_max=6), r=5,
+                           theta=1.0, samples=5000, seed=0).pi_bad_hat \
+        == 0.1202
+    assert independence_table(w, r=5, theta=1.0, samples=2000, seed=2,
+                              k_ref=5).tolist() == [[55, 71, 65, 68],
+                                                    [504, 390, 430, 417]]
+    assert independence_table(w, r=3, theta=0.7, samples=1000, seed=9,
+                              k_ref=4, position_bins=8).tolist() == [
+        [68, 77, 97, 81, 66, 83, 75, 87], [51, 46, 47, 51, 38, 48, 30, 55]]

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               WindowTruncationError, cube_arrays,
@@ -12,15 +11,21 @@ from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                expansion_identity, ground_truth,
                                localized_coefficient, localized_cubes,
                                plain_inner_product, psi_refinement,
-                               randomized_expansion, safe_is_good,
+                               randomized_expansion,
                                _pi_good_by_scale, _sample_pairs)
 from dyadshift.operators import PairingEngine, TestFunction, make_operator
-from dyadshift.shifts import classify_pair, smaller_of
+from dyadshift.shifts import classify_pair
 from dyadshift.wavelets import build_system
 
 
 def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros((w.n_shift_bits, w.d), dtype=int))
+    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+
+
+def _goodness(grid, cubes, r, theta):
+    """Cube -> goodness, cubes too coarse to be tested counting as good."""
+    bad = is_bad_batch(grid, *cube_arrays(cubes), r, theta)
+    return dict(zip(cubes, (~bad).tolist()))
 
 
 def test_psi_refinement_properties():
@@ -114,7 +119,7 @@ def test_decay_audit_csv_schema(audit_small):
 
 def test_decay_audit_badness_filter_matches_pair_loop():
     # the counters and rows of an audit with r against a per-pair loop
-    # through classify_pair and safe_is_good, in the same pair order
+    # through classify_pair and per-cube goodness, in the same pair order
     w = Window(d=1, L=3, k_min=-3, k_max=3)
     grid = DyadicGrid.random(w, 4)
     system = build_system("db2", q=9, strict=False)
@@ -125,6 +130,7 @@ def test_decay_audit_badness_filter_matches_pair_loop():
     assert rows
     cubes = [c for k in range(w.k_min, w.k_max + 1)
              for c in grid.cubes_at_scale(k)]
+    good = _goodness(grid, cubes, r, theta)
     ref = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
     selected = []
     for I in cubes:
@@ -139,7 +145,7 @@ def test_decay_audit_badness_filter_matches_pair_loop():
                 continue
             if pc.i > i_max or pc.j > j_max:
                 continue
-            if not safe_is_good(grid, I, r, theta):
+            if not good[I]:
                 ref["badness_excluded"] += 1
                 continue
             selected.append((I, J, pc))
@@ -249,14 +255,15 @@ def test_sample_pairs_matches_pair_loop(name, r):
     cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
     cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
     pairs = [(I, J) for I in cubes_f for J in cubes_g]
+    good = _goodness(grid, cubes_f + cubes_g, r, theta)
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
     values = engine.pairings(pairs)
     weighted = np.zeros(len(pairs))
     levels = np.full(len(pairs), -1, dtype=int)
     excluded = 0
     for idx, (I, J) in enumerate(pairs):
-        sm = smaller_of(I, J)
-        if not safe_is_good(grid, sm, r, theta):
+        sm = I if I.k >= J.k else J
+        if not good[sm]:
             continue
         weighted[idx] = cf[I] * float(values[idx]) * cg[J] / pi_good[sm.k]
         fine, coarse = (I, J) if I.k >= J.k else (J, I)
@@ -317,22 +324,3 @@ def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
     n_f = len(localized_cubes(grid, system, f.support))
     n_g = len(localized_cubes(grid, system, g.support))
     assert 0 < len(ref) < n_f * n_g
-
-
-@settings(max_examples=40, deadline=None)
-@given(k_min=st.integers(-6, 0), depth=st.integers(1, 8),
-       extra_L=st.integers(0, 2), r=st.integers(1, 6),
-       theta=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_is_bad_batch_matches_safe_is_good(k_min, depth, extra_L, r, theta,
-                                          seed):
-    w = Window(d=1, L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
-    rng = np.random.default_rng(seed)
-    grid = DyadicGrid.random(w, rng.integers(2 ** 32))
-    cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
-    # a random selection in random order, repeats included
-    picked = [cubes[a] for a in rng.integers(len(cubes),
-                                             size=min(300, 2 * len(cubes)))]
-    good = ~is_bad_batch(grid, *cube_arrays(picked), r, theta)
-    assert good.tolist() == [safe_is_good(grid, c, r, theta) for c in picked]

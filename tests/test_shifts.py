@@ -6,33 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError,
-                              ancestor_join, box_dist, cube_arrays)
+                              cube_arrays)
 from dyadshift.operators import PairingEngine, make_operator
 from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
                               PairClass, ShiftOperator, apply_averaging,
                               apply_shift, assemble_shift, calibrate_c_emp,
                               calibration_shift, classify_batch,
-                              classify_kind, classify_pair,
-                              coefficient_scale, descendants,
-                              shift_coefficient, shift_norm_estimate,
-                              smaller_of)
+                              classify_pair, coefficient_scale, descendants,
+                              shift_coefficient, shift_norm_estimate)
 from dyadshift.wavelets import build_system
 
 
 def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros((w.n_shift_bits, w.d), dtype=int))
+    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
 
 
 @pytest.fixture(scope="module")
 def grid36():
     return zero_grid(Window(d=1, L=3, k_min=-3, k_max=6))
-
-
-def test_smaller_of_tie_goes_first(grid36):
-    I, J = Cube(2, (1,)), Cube(2, (5,))
-    assert smaller_of(I, J) is I
-    assert smaller_of(Cube(3, (0,)), Cube(1, (0,))) == Cube(3, (0,))
-    assert smaller_of(Cube(1, (0,)), Cube(3, (0,))) == Cube(3, (0,))
 
 
 def test_classify_frozen_examples(grid36):
@@ -60,14 +51,10 @@ def test_partition_completeness_depth5():
     # counts frozen for one seed as a regression anchor
     w = Window(d=1, L=5, k_min=-5, k_max=0)
     g = DyadicGrid.random(w, 0)
-    cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in g.cubes_at_scale(k)]
-    counts = dict.fromkeys(CLASSES, 0)
-    for I in cubes:
-        for J in cubes:
-            if I.k < J.k:
-                continue
-            counts[classify_kind(g, I, J, 1.0, 3)] += 1
+    fine, coarse = zip(*_window_pairs(g))
+    kind = classify_batch(g, *cube_arrays(fine), *cube_arrays(coarse),
+                          1.0, 3)[0]
+    counts = dict(zip(CLASSES, np.bincount(kind).tolist()))
     assert sum(counts.values()) == 2477
     assert counts == {"far": 952, "between": 939, "contained": 152,
                       "equal": 60, "near": 374}
@@ -94,6 +81,23 @@ def test_equal_near_ancestor_stays_comparable():
     assert worst <= 16.0
 
 
+def _box_dist(lo_a, hi_a, lo_b, hi_b) -> int:
+    """Distance between two closed intervals, in integer units."""
+    return int(max(lo_b[0] - hi_a[0], lo_a[0] - hi_b[0], 0))
+
+
+def _ancestor(grid, cube, k):
+    """Generation-k cube of the grid containing the given cube."""
+    lo, _ = grid.cube_box(cube)
+    side = grid.window.len_units(k)
+    return Cube(k, (int(lo[0] - grid.shift_units(k)[0]) // side,))
+
+
+def _in_window(grid, cube):
+    lo, hi = grid.cube_box(cube)
+    return bool(lo[0] >= 0 and hi[0] <= grid.window.extent_units)
+
+
 def _scalar_ancestor_join(grid, fine, coarse, m):
     """The join loop over per-cube geometry, kept as the reference for
     ancestor_join_batch."""
@@ -106,10 +110,10 @@ def _scalar_ancestor_join(grid, fine, coarse, m):
     hi = np.maximum(hi_a, hi_b)
     start = coarse.k if m == 1 else coarse.k - 1
     for k in range(min(start, fine.k), w.k_min - 1, -1):
-        cand = grid.ancestor(fine, k)
+        cand = _ancestor(grid, fine, k)
         c_lo, c_hi = grid.cube_box(cand)
         if (c_lo <= lo).all() and (hi <= c_hi).all():
-            if not grid.in_window(cand):
+            if not _in_window(grid, cand):
                 raise WindowTruncationError(
                     f"containing cube for the pair leaves the window at "
                     f"generation {k}"
@@ -132,14 +136,14 @@ def _scalar_classify_kind(grid, I, J, theta, m):
     lo_j, hi_j = grid.cube_box(J)
     if (lo_j <= lo_i).all() and (hi_i <= hi_j).all():
         return "contained"
-    dist = box_dist(lo_i, hi_i, lo_j, hi_j)
+    dist = _box_dist(lo_i, hi_i, lo_j, hi_j)
     side_j = w.len_units(J.k)
     thresh = (2.0 ** (J.k - I.k)) ** theta * side_j
     if dist <= thresh:
         return "near"
     dlo_i, dhi_i = grid.dilate_box(I, m)
     dlo_j, dhi_j = grid.dilate_box(J, m)
-    dil_dist = box_dist(dlo_i, dhi_i, dlo_j, dhi_j)
+    dil_dist = _box_dist(dlo_i, dhi_i, dlo_j, dhi_j)
     side_i = w.len_units(I.k)
     long_dist = side_i + dist + side_j  # D(I,J) in units
     return "far" if 2 * dil_dist > long_dist else "between"
@@ -149,9 +153,8 @@ def _scalar_classify_pair(grid, I, J, theta, m):
     """classify_pair as a per-pair loop, the reference for classify_batch."""
     kind = _scalar_classify_kind(grid, I, J, theta, m)
     if kind == "equal":
-        right = Cube(J.k, (J.l[0] + 1,) + J.l[1:])
-        adj = right if grid.in_window(right) else Cube(J.k, (J.l[0] - 1,)
-                                                       + J.l[1:])
+        right = Cube(J.k, (J.l[0] + 1,))
+        adj = right if _in_window(grid, right) else Cube(J.k, (J.l[0] - 1,))
         K, i, j = _scalar_ancestor_join(grid, I, adj, m)
     else:
         K, i, j = _scalar_ancestor_join(grid, I, J, m)
@@ -161,7 +164,7 @@ def _scalar_classify_pair(grid, I, J, theta, m):
 def _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=False):
     """classify_batch over all pairs equals the scalar reference pair by
     pair: the class, and (K, i, j) or a truncation exactly where the
-    reference truncates.  With wrappers, the n = 1 public functions are
+    reference truncates.  With wrappers, the one-pair classify_pair is
     checked against the reference too."""
     fine, coarse = zip(*pairs)
     kind, K_k, K_l, i, j, truncated = classify_batch(
@@ -177,19 +180,12 @@ def _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=False):
                 with pytest.raises(WindowTruncationError,
                                    match=re.escape(str(exc))):
                     classify_pair(grid, I, J, theta, m)
-                if ref_kind != "equal":
-                    with pytest.raises(WindowTruncationError,
-                                       match=re.escape(str(exc))):
-                        ancestor_join(grid, I, J, m)
             continue
         assert not truncated[n]
         assert (K_k[n], (K_l[n],), i[n], j[n]) == (K.k, K.l, ii, jj)
         if wrappers:
-            assert classify_kind(grid, I, J, theta, m) == ref_kind
             assert classify_pair(grid, I, J, theta, m) == PairClass(
                 ref_kind, K, ii, jj)
-            if ref_kind != "equal":
-                assert ancestor_join(grid, I, J, m) == (K, ii, jj)
     return truncated
 
 
@@ -209,7 +205,7 @@ def _grids(draw):
                k_max=k_min + depth)
     omega = draw(st.lists(st.integers(0, 1), min_size=depth,
                           max_size=depth))
-    return (DyadicGrid(w, np.array(omega)[:, None]),
+    return (DyadicGrid(w, np.array(omega)),
             draw(st.sampled_from([0.25, 0.5, 0.7, 1.0])),
             draw(st.sampled_from([1, 3, 5, 7, 15])),
             draw(st.integers(0, 2 ** 32 - 1)))
@@ -253,7 +249,7 @@ def test_classify_batch_matches_scalar_on_audit_pair_set():
     pairs = _window_pairs(grid)
     assert len(pairs) == 10_413
     edge_equal = [I for I, J in pairs if I == J
-                  and not grid.in_window(Cube(J.k, (J.l[0] + 1,)))]
+                  and not _in_window(grid, Cube(J.k, (J.l[0] + 1,)))]
     # the last cube of every populated generation
     assert len(edge_equal) == len({I.k for I, _ in pairs})
     truncated = _assert_batch_matches_scalar(grid, pairs, 0.25, 5)
