@@ -20,7 +20,7 @@ from .dyadic import (DyadicGrid, ScaleRangeError, Window,
 from .filters import FilterError
 from .harness import (NoiseFloorError, audit_rows_csv, convergence_experiment,
                       decay_audit, randomized_expansion)
-from .operators import CrossValidationError, TestFunction, make_operator
+from .operators import TestFunction, make_operator
 from .shifts import NormalizationFinding, PowerIterationError
 from .wavelets import CascadeError, build_system, gram_defect
 
@@ -33,7 +33,6 @@ _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     NormalizationFinding: EXIT_FINDING,
     CascadeError: EXIT_RESOURCE,
-    CrossValidationError: EXIT_RESOURCE,
     FilterError: EXIT_RESOURCE,
     MemoryError: EXIT_RESOURCE,
     NoiseFloorError: EXIT_RESOURCE,
@@ -103,8 +102,11 @@ def cmd_wavelet_check(cfg: RunConfig) -> int:
 def cmd_decay_audit(cfg: RunConfig) -> int:
     window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     grid = DyadicGrid.random(window, cfg.seed)
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
     op = make_operator(cfg.kernel)
+    if op.czs_seminorm is None:
+        raise ConfigError("decay-audit needs a singular kernel: "
+                          f"{cfg.kernel!r} has no Calderon-Zygmund bound")
+    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
     rows, info = decay_audit(op, system, grid, s=cfg.s, eps=cfg.eps,
                              theta=cfg.theta, i_max=cfg.N_max,
                              j_max=cfg.N_max, q_loc=min(cfg.q, 10))

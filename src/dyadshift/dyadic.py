@@ -185,7 +185,9 @@ def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
 
 
 def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays of the generations and indices of cubes."""
+    """int64 arrays of the generations and indices of cubes (any iterable,
+    read once)."""
+    cubes = list(cubes)
     return (np.array([c.k for c in cubes], dtype=np.int64),
             np.array([c.l[0] for c in cubes], dtype=np.int64))
 

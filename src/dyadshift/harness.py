@@ -33,20 +33,18 @@ def psi_refinement(t: float, s: int) -> float:
 
 
 def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
-                    span: tuple[float, float], k_range=None) -> list[Cube]:
+                    span: tuple[float, float]) -> list[Cube]:
     """Window cubes whose m-dilate overlaps the span, all generations."""
     w = grid.window
     unit = 2.0 ** w.unit_exp
     lo_u = math.floor(span[0] * unit)
     hi_u = math.ceil(span[1] * unit)
     half = (system.m - 1) // 2
-    ks = range(w.k_min, w.k_max + 1) if k_range is None else k_range
     out = []
-    for k in ks:
+    for k in range(w.k_min, w.k_max + 1):
         grow = half * w.len_units(k)
-        for c in grid.cubes_touching(k, np.array([lo_u - grow]),
-                                     np.array([hi_u + grow])):
-            out.append(c)
+        out.extend(grid.cubes_touching(k, np.array([lo_u - grow]),
+                                       np.array([hi_u + grow])))
     return out
 
 
@@ -214,33 +212,26 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
 
     For the identity calibration the cross terms vanish with the supports, so
     only overlapping-support pairs are evaluated; for singular operators all
-    localized pairs enter.
+    localized pairs enter.  The terms are summed one by one in pair order.
     """
-    cubes_f = localized_cubes(grid, system, f.support)
-    cubes_g = localized_cubes(grid, system, g.support)
-    cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
-    cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
+    loc = _localize(grid, system, f, g, q_loc)
+    I, J = loc.pair_index()
     if not op.singular:
-        lo_f, hi_f = support_intervals(grid, system, *cube_arrays(cubes_f))
-        lo_g, hi_g = support_intervals(grid, system, *cube_arrays(cubes_g))
-        overlap = (np.maximum(lo_f[:, None], lo_g[None, :])
-                   < np.minimum(hi_f[:, None], hi_g[None, :]))
-        pairs = [(cubes_f[a], cubes_g[b])
-                 for a, b in zip(*(x.tolist() for x in np.nonzero(overlap)))]
-        truth_val = plain_inner_product(f, g) if truth is None else truth
-    else:
-        pairs = [(I, J) for I in cubes_f for J in cubes_g]
-        truth_val = ground_truth(op, f, g, res=q_loc + 2) if truth is None \
-            else truth
+        lo_f, hi_f = support_intervals(grid, system, *loc.kl_f)
+        lo_g, hi_g = support_intervals(grid, system, *loc.kl_g)
+        overlap = (np.maximum(lo_f[I], lo_g[J])
+                   < np.minimum(hi_f[I], hi_g[J]))
+        I, J = I[overlap], J[overlap]
+    if truth is None:
+        truth = (ground_truth(op, f, g, res=q_loc + 2) if op.singular
+                 else plain_inner_product(f, g))
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings(pairs)
-    total = 0.0
-    for (I, J), v in sorted(zip(pairs, values),
-                            key=lambda t: (t[0][0].k, t[0][0].l,
-                                           t[0][1].k, t[0][1].l)):
-        total += cf[I] * float(v) * cg[J]
-    return {"defect": abs(truth_val - total), "sum": total,
-            "truth": truth_val, "pair_count": len(pairs)}
+    values = engine.pairings([(loc.cubes_f[a], loc.cubes_g[b])
+                              for a, b in zip(I.tolist(), J.tolist())])
+    terms = loc.cf[I] * values * loc.cg[J]
+    total = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    return {"defect": abs(truth - total), "sum": total, "truth": truth,
+            "pair_count": len(values)}
 
 
 def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
@@ -265,9 +256,9 @@ class OmegaSample:
 
 @dataclass
 class _Draw:
-    """One omega sample before its pairings: the grid, the localized cubes
-    of f and g as lists and as int64 (k, l) arrays, their coefficients and
-    their goodness."""
+    """One grid before its pairings: the localized cubes of f and g as
+    lists and as int64 (k, l) arrays and their coefficients, and for an
+    omega sample their goodness."""
 
     grid: DyadicGrid
     cubes_f: list
@@ -276,8 +267,8 @@ class _Draw:
     kl_g: tuple
     cf: np.ndarray
     cg: np.ndarray
-    good_f: np.ndarray
-    good_g: np.ndarray
+    good_f: np.ndarray | None = None
+    good_g: np.ndarray | None = None
 
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (I, J) as indices into the two cube lists, I-major."""
@@ -315,19 +306,26 @@ class _Draw:
                            pairing_counts=dict(pairing_counts))
 
 
-def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
-    grid = DyadicGrid.random(window, seed_tuple)
+def _localize(grid, system, f, g, q_loc) -> _Draw:
+    """The localized cubes of f and g on the grid, with their
+    coefficients."""
     cubes_f = localized_cubes(grid, system, f.support)
     cubes_g = localized_cubes(grid, system, g.support)
     cf = np.array([localized_coefficient(grid, system, c, f, q_loc)
                    for c in cubes_f])
     cg = np.array([localized_coefficient(grid, system, c, g, q_loc)
                    for c in cubes_g])
-    kl_f, kl_g = cube_arrays(cubes_f), cube_arrays(cubes_g)
-    good = ~is_bad_batch(grid, np.concatenate([kl_f[0], kl_g[0]]),
-                         np.concatenate([kl_f[1], kl_g[1]]), r, theta)
-    return _Draw(grid, cubes_f, cubes_g, kl_f, kl_g, cf, cg,
-                 good[:len(cubes_f)], good[len(cubes_f):])
+    return _Draw(grid, cubes_f, cubes_g, cube_arrays(cubes_f),
+                 cube_arrays(cubes_g), cf, cg)
+
+
+def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
+    """A random grid's localization and the goodness of its cubes."""
+    d = _localize(DyadicGrid.random(window, seed_tuple), system, f, g, q_loc)
+    good = ~is_bad_batch(d.grid, np.concatenate([d.kl_f[0], d.kl_g[0]]),
+                         np.concatenate([d.kl_f[1], d.kl_g[1]]), r, theta)
+    d.good_f, d.good_g = good[:len(d.cubes_f)], good[len(d.cubes_f):]
+    return d
 
 
 def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
@@ -335,26 +333,22 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
                   ) -> tuple[list[OmegaSample], dict]:
     """The OmegaSample of each seed tuple, and the run's pairing counts.
 
-    Every grid is drawn first.  For singular operators one PairingTable
-    then evaluates the distinct pairing keys of all grids, one field per
-    (coarse generation, transpose) for the whole run, and each grid's
-    engine reads its values from it; the identity calibration stays per
-    grid.  The list of cube pairs lives for one grid at a time.
+    Every grid is drawn first.  One PairingTable then evaluates the
+    distinct pairing keys of all grids, with one field per (coarse
+    generation, transpose) for the whole run, and each grid's engine reads
+    its values from it.  The list of cube pairs lives for one grid at a
+    time.
     """
     draws = [_draw(system, window, f, g, r, theta, q_loc, seed)
              for seed in seeds]
-    table = None
-    counts = Counter()
-    if op.singular:
-        keys = []
-        for d in draws:
-            I, J = d.pair_index()
-            keys.append(np.unique(pairing_keys(
-                d.grid, d.kl_f[0][I], d.kl_f[1][I], d.kl_g[0][J],
-                d.kl_g[1][J]), axis=0))
-        table = PairingTable.build(op, system, window, np.concatenate(keys),
-                                   q_loc)
-        counts.update(table.counts)
+    keys = []
+    for d in draws:
+        I, J = d.pair_index()
+        keys.append(np.unique(pairing_keys(
+            d.grid, d.kl_f[0][I], d.kl_f[1][I], d.kl_g[0][J], d.kl_g[1][J]),
+            axis=0))
+    table = PairingTable.build(op, system, window, np.concatenate(keys), q_loc)
+    counts = Counter(table.counts)
     samples = []
     for d in draws:
         engine = PairingEngine(op, d.grid, system, q_loc=q_loc, table=table)

@@ -2,7 +2,8 @@
 engine that evaluates wavelet-pair matrix entries <psi_J, T psi_I>.
 
 Primary route: FFT multiplier on a zero-padded mesh, with analytic
-periodization corrections for kernels with a 1/u tail.  Secondary route (for
+periodization corrections for kernels with a 1/u tail; the identity
+calibration samples the coarser wavelet directly.  Secondary route (for
 cross-validation on pairs with separated supports): direct double quadrature
 of the kernel.
 """
@@ -19,26 +20,22 @@ from .dyadic import Cube, DyadicGrid, cube_arrays
 from .wavelets import WaveletSystem
 
 
-class CrossValidationError(RuntimeError):
-    """The two independent pairing routes disagree beyond tolerance."""
-
-
 @dataclass
 class KernelOp:
     """d=1 convolution operator Tf(x) = pv Int k(x-y) f(y) dy.
 
     multiplier: symbol m(xi) so that (Tf)^(xi) = m(xi) f^(xi), radian
-    frequency.  kernel_fn: k(u) away from 0.  kernel_deriv: closed-form
-    d^(p+q)/dx^p dy^q of K(x, y) = k(x-y).  tail_order: exponent c such that
+    frequency.  kernel_fn: k(u) away from 0.  czs_seminorm: the
+    Calderon-Zygmund constant of order s.  tail_order: exponent c such that
     k(u) ~ a / u^c for large u; tail_order == 1 activates the moment-based
-    periodization corrections in apply_multiplier.
+    periodization corrections in apply_multiplier.  The identity has
+    neither kernel nor seminorm and is not singular.
     """
 
     name: str
     multiplier: callable
     l2_norm: float
     kernel_fn: callable = None
-    kernel_deriv: callable = None
     czs_seminorm: callable = None
     tail_order: int = 0
     singular: bool = True
@@ -55,11 +52,6 @@ def _hilbert_kernel(u):
     return 1.0 / (math.pi * u)
 
 
-def _hilbert_deriv(x, y, p: int, q: int):
-    n = p + q
-    return (-1.0) ** p * math.factorial(n) / (math.pi * (x - y) ** (n + 1))
-
-
 def _hilbert_czs(s: int) -> float:
     # |d^a_y K| |x-y|^{1+a} = a!/pi, increasing in a
     return math.factorial(s) / math.pi
@@ -73,19 +65,11 @@ def _smoothed_kernel(u):
     return 1.0 / (math.pi * u * (u * u + 1.0))
 
 
-def _smoothed_deriv(x, y, p: int, q: int):
-    # partial fractions: pi k(u) = 1/u - (1/2)/(u-i) - (1/2)/(u+i)
-    u = x - y
-    n = p + q
-    c = (-1.0) ** p * math.factorial(n) / math.pi
-    val = u ** (-(n + 1)) - 0.5 * ((u - 1j) ** (-(n + 1)) + (u + 1j) ** (-(n + 1)))
-    return c * float(np.real(val))
-
-
 def _smoothed_czs(s: int) -> float:
-    # sup_u |k^(a)(u)| |u|^(1+a) over a <= s, by dense log-grid search
+    # sup_u |k^(a)(u)| |u|^(1+a) over a <= s, by dense log-grid search on
+    # the partial fractions pi k(u) = 1/u - (1/2)/(u-i) - (1/2)/(u+i)
     best = 0.0
-    u = np.concatenate([np.geomspace(1e-6, 1e6, 400_001)])
+    u = np.geomspace(1e-6, 1e6, 400_001)
     for a in range(s + 1):
         c = math.factorial(a) / math.pi
         vals = np.abs(u ** (-(a + 1))
@@ -98,13 +82,11 @@ def make_operator(name: str) -> KernelOp:
     if name == "hilbert":
         return KernelOp(name="hilbert", multiplier=_hilbert_multiplier,
                         l2_norm=1.0, kernel_fn=_hilbert_kernel,
-                        kernel_deriv=_hilbert_deriv, czs_seminorm=_hilbert_czs,
-                        tail_order=1)
+                        czs_seminorm=_hilbert_czs, tail_order=1)
     if name == "smoothed_hilbert":
         return KernelOp(name="smoothed_hilbert", multiplier=_smoothed_multiplier,
                         l2_norm=1.0, kernel_fn=_smoothed_kernel,
-                        kernel_deriv=_smoothed_deriv, czs_seminorm=_smoothed_czs,
-                        tail_order=3)
+                        czs_seminorm=_smoothed_czs, tail_order=3)
     if name == "identity":
         return KernelOp(name="identity", multiplier=lambda xi: np.ones_like(xi),
                         l2_norm=1.0, singular=False)
@@ -362,19 +344,21 @@ def _field(op: KernelOp, system: WaveletSystem, q_loc: int, pad_factor: int,
 
 @dataclass(eq=False)
 class PairingTable:
-    """Multiplier-route pairings of every distinct row of a key array
-    (see pairing_keys); PairingTable.build evaluates them.
+    """Pairings of every distinct row of a key array (see pairing_keys);
+    PairingTable.build evaluates them.
 
-    For each row the operator (or its transpose) is applied to the coarser
-    wavelet on a local oversampled mesh at that wavelet's scale, and the
-    quadrature runs over the finer wavelet's midpoint nodes with the field
-    linearly interpolated.  One field serves each (coarse k, transpose),
-    over the hull of the fine supports of all its rows, and one
-    interpolation each block of rows that share a field and a fine
-    generation.  A field's values depend on its hull through the
-    periodization residual, so the table's values depend on its set of
-    rows: a run over many grids builds one table from the keys of all of
-    them, and a lone PairingEngine one per pairings call.
+    For each row the quadrature runs over the finer wavelet's midpoint
+    nodes, in coordinates relative to the coarser cube.  A singular
+    operator (or its transpose) is applied to the coarser wavelet on a
+    local oversampled mesh at that wavelet's scale, and the field is
+    linearly interpolated there; for the identity the coarser wavelet is
+    sampled itself.  One field serves each (coarse k, transpose), over the
+    hull of the fine supports of all its rows, and one interpolation each
+    block of rows that share a field and a fine generation.  A field's
+    values depend on its hull through the periodization residual, so the
+    table's values depend on its set of rows: a run over many grids builds
+    one table from the keys of all of them, and a lone PairingEngine one
+    per pairings call.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
@@ -387,8 +371,6 @@ class PairingTable:
               pad_factor: int = 8) -> "PairingTable":
         """The table of the distinct rows of keys for op, on the system's
         wavelets; the window sets the integer unit of the offsets."""
-        if not op.singular:
-            raise ValueError("pairing tables serve singular operators only")
         keys = np.unique(keys, axis=0)
         values = np.empty(len(keys))
         fields = 0
@@ -398,11 +380,13 @@ class PairingTable:
         side_f = np.ldexp(1.0, -fine_k)
         nodes: dict = {}  # fine generation -> (nodes, values, spacing)
         for a, b in _runs(keys[:, :2]):
-            hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
-                    float(np.max(du[a:b] + half * side_f[a:b])))
-            mesh_u, fld = _field(op, system, q_loc, pad_factor,
-                                 int(keys[a, 0]), hull, bool(keys[a, 1]))
-            fields += 1
+            kc = int(keys[a, 0])
+            if op.singular:
+                hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
+                        float(np.max(du[a:b] + half * side_f[a:b])))
+                mesh_u, fld = _field(op, system, q_loc, pad_factor, kc, hull,
+                                     bool(keys[a, 1]))
+                fields += 1
             for c, d in _runs(keys[a:b, 2:3]):
                 k = int(fine_k[a + c])
                 if k not in nodes:
@@ -410,7 +394,12 @@ class PairingTable:
                     nodes[k] = (t * 2.0 ** (-k), vf, hf)
                 uf, vf, hf = nodes[k]
                 for rows in _row_chunks(a + c, a + d, uf.size):
-                    vals = np.interp(uf[None, :] + du[rows, None], mesh_u, fld)
+                    u = uf[None, :] + du[rows, None]
+                    if op.singular:
+                        vals = np.interp(u, mesh_u, fld)
+                    else:
+                        vals = 2.0 ** (kc / 2.0) * system.mother(u * 2.0 ** kc)
+                    del u  # at most two node blocks alive at a time
                     values[rows] = np.sum(vf * vals, axis=1) * hf
         return cls(keys, values, {"keys": len(keys), "fields": fields})
 
@@ -429,10 +418,9 @@ class PairingEngine:
     """Pairings <psi_J, T psi_I> of cube pairs of one grid.
 
     The pairs are handled as int64 arrays of generations and lattice
-    offsets.  For singular operators the values come from a PairingTable:
-    the run's shared table when one is given, otherwise one built from the
-    keys of each pairings call.  The identity calibration samples both
-    wavelets at absolute points, one distinct key at a time.
+    offsets, and the values come from a PairingTable: the run's shared
+    table when one is given, otherwise one built from the keys of each
+    pairings call.
 
     counts accumulates over calls: the pairs given, and the distinct keys
     evaluated and fields built by the engine's own tables (none when it
@@ -465,34 +453,13 @@ class PairingEngine:
             return np.empty(0)
         keys = pairing_keys(self.grid, *cube_arrays([I for I, _ in pairs]),
                             *cube_arrays([J for _, J in pairs]))
-        if self.op.singular:
-            table = self.table
-            if table is None:
-                table = PairingTable.build(self.op, self.system,
-                                           self.grid.window, keys, self.q_loc,
-                                           self.pad_factor)
-                self.counts["keys"] += table.counts["keys"]
-                self.counts["fields"] += table.counts["fields"]
-            return table.lookup(keys)
-        # the identity route samples both wavelets at absolute points, so
-        # each distinct (fine k, coarse k, delta) takes the cubes of its
-        # first pair
-        distinct, first, inverse = np.unique(
-            keys[:, [2, 0, 3]], axis=0, return_index=True,
-            return_inverse=True)
-        values = np.empty(len(distinct))
-        for row, idx in enumerate(first.tolist()):
-            I, J = pairs[idx]
-            values[row] = (self._plain_inner(I, J) if keys[idx, 1]
-                           else self._plain_inner(J, I))
-        self.counts["keys"] += len(distinct)
-        return values[inverse]
-
-    def _plain_inner(self, fine: Cube, coarse: Cube) -> float:
-        """<psi_J, psi_I> on the finer cube's nodes (identity calibration)."""
-        x, vf, h = wavelet_nodes(self.grid, self.system, fine, self.q_loc)
-        vc = sample_wavelet(self.grid, self.system, coarse, x)
-        return float(np.sum(vf * vc) * h)
+        table = self.table
+        if table is None:
+            table = PairingTable.build(self.op, self.system, self.grid.window,
+                                       keys, self.q_loc, self.pad_factor)
+            self.counts["keys"] += table.counts["keys"]
+            self.counts["fields"] += table.counts["fields"]
+        return table.lookup(keys)
 
     def pairing(self, I: Cube, J: Cube) -> float:
         return float(self.pairings([(I, J)])[0])

@@ -41,6 +41,20 @@ class MomentError(ValueError):
     """Requested vanishing moments exceed what the filter delivers."""
 
 
+def _two_scale(taps: np.ndarray, v: np.ndarray, step: int) -> np.ndarray:
+    """sqrt(2) sum_n taps_n v(2x - n) on the mesh of v, spacing 1/step,
+    with v taken as 0 off the mesh."""
+    n_pts = v.size
+    out = np.zeros(n_pts)
+    idx = 2 * np.arange(n_pts)
+    root2 = math.sqrt(2.0)
+    for n in range(taps.size):
+        src = idx - n * step
+        ok = (src >= 0) & (src < n_pts)
+        out[ok] += root2 * taps[n] * v[src[ok]]
+    return out
+
+
 def cascade(h: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     """Iterate the two-scale map on the mesh x_n = n 2^-q, n = 0..(L-1) 2^q.
 
@@ -57,15 +71,9 @@ def cascade(h: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
             f"2^-{q}) exceeds the budget of {CASCADE_MAX_POINTS}; lower q")
     v = np.zeros(n_pts)
     v[: step] = 1.0  # box function on [0, 1)
-    root2 = math.sqrt(2.0)
-    idx = 2 * np.arange(n_pts)
     res = math.inf
     for it in range(1, CASCADE_MAX_ITER + 1):
-        new = np.zeros(n_pts)
-        for k in range(L):
-            src = idx - k * step
-            ok = (src >= 0) & (src < n_pts)
-            new[ok] += root2 * h[k] * v[src[ok]]
+        new = _two_scale(h, v, step)
         res = float(np.max(np.abs(new - v)))
         v = new
         if res < CASCADE_TOL:
@@ -74,21 +82,6 @@ def cascade(h: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
         f"cascade failed to reach sup residual {CASCADE_TOL:g} in "
         f"{CASCADE_MAX_ITER} iterations (residual {res:.3g})"
     )
-
-
-def _wavelet_from_scaling(phi: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    """psi(x) = sqrt(2) sum_n g_n phi(2x - n) on the same mesh."""
-    L = g.size
-    step = 1 << q
-    n_pts = phi.size
-    psi = np.zeros(n_pts)
-    idx = 2 * np.arange(n_pts)
-    root2 = math.sqrt(2.0)
-    for n in range(L):
-        src = idx - n * step
-        ok = (src >= 0) & (src < n_pts)
-        psi[ok] += root2 * g[n] * phi[src[ok]]
-    return psi
 
 
 @dataclass
@@ -228,7 +221,7 @@ def build_system(filter_spec, q: int, s_target: int = 1,
     # Tabulate at spacing 2^-(q+1) so that midpoint nodes of the 2^-q
     # quadrature are themselves mesh points.
     phi, iters, res = cascade(h, q + 1)
-    psi = _wavelet_from_scaling(phi, g, q + 1)
+    psi = _two_scale(g, phi, 1 << (q + 1))  # sqrt(2) sum_n g_n phi(2x - n)
     lo = (1 - m) / 2.0  # natural support [0, m] recentered into the m-dilate
     sys = WaveletSystem(
         name=name, h=h, g=g, q=q, m=m, u=0, v=0, s_target=s_target, lo=lo,

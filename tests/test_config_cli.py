@@ -9,8 +9,7 @@ from dyadshift.config import (ConfigError, RunConfig, default_r,
                               manifest_json, parse_config)
 from dyadshift.dyadic import ScaleRangeError, WindowTruncationError
 from dyadshift.harness import NoiseFloorError
-from dyadshift.operators import CrossValidationError
-from dyadshift.shifts import NormalizationFinding
+from dyadshift.shifts import NormalizationFinding, PowerIterationError
 
 
 def test_defaults_resolve():
@@ -198,7 +197,7 @@ def test_haar_keeps_the_position_limit():
 
 @pytest.mark.parametrize("exc, code", [
     (WindowTruncationError("no window cube"), 4),
-    (CrossValidationError("routes disagree"), 4),
+    (PowerIterationError("no convergence"), 4),
     (MemoryError(), 4),
     (NoiseFloorError("curve dominated by noise"), 4),
     (ScaleRangeError("outside the window"), 4),
@@ -214,6 +213,29 @@ def test_cli_maps_library_failures_to_exit_codes(tmp_path, capsys,
                  "--outdir", str(tmp_path)])
     assert got == code
     assert err.split(": ", 1)[0] in ("error", "finding") and "\n" not in err
+
+
+_TINY = {
+    "decay-audit": '"filter": "db2", "L": 2, "k_min": -2, "k_max": 1, "s": 1',
+    "represent": '"filter": "haar", "L": 3, "k_min": -3, "k_max": 2, "r": 4, '
+                 '"theta": 1.0, "n_omega": 2',
+    "convergence": '"filter": "haar", "L": 3, "k_min": -3, "k_max": 2, '
+                   '"s": 1, "N_max": 3, "n_omega": 2',
+}
+
+
+@pytest.mark.parametrize("kernel", ["hilbert", "smoothed_hilbert", "identity"])
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_cli_every_kernel_exits_with_a_documented_code(tmp_path, capsys,
+                                                       command, kernel):
+    cfg = '{"kernel": "%s", %s}' % (kernel, _TINY[command])
+    code, err = _exit_and_stderr(
+        capsys, [command, "--config", cfg, "--outdir", str(tmp_path)])
+    assert code in (0, 2, 3, 4)
+    assert "\n" not in err
+    if (command, kernel) == ("decay-audit", "identity"):
+        # the identity has no Calderon-Zygmund seminorm to audit against
+        assert code == 2 and err.startswith("error: decay-audit needs")
 
 
 def test_cli_grid_stats_seed_64009_passes(tmp_path):

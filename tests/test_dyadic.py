@@ -60,6 +60,16 @@ def test_shift_is_sum_of_finer_bits():
         assert math.isclose(got, expected, abs_tol=1e-15)
 
 
+def test_cube_arrays_reads_a_generator_once():
+    grid = DyadicGrid.random(Window(d=1, L=2, k_min=0, k_max=4), 5)
+    k, l = cube_arrays(grid.cubes_at_scale(2))
+    assert k.size == l.size == len(list(grid.cubes_at_scale(2))) > 0
+    assert np.array_equal(np.stack([k, l]),
+                          cube_arrays(list(grid.cubes_at_scale(2))))
+    lo, hi = grid.boxes(k, l)
+    assert np.all(hi > lo)
+
+
 def test_nestedness_and_disjointness():
     w = Window(d=1, L=2, k_min=0, k_max=4)
     grid = DyadicGrid.random(w, 5)

@@ -46,7 +46,7 @@ def test_localized_cubes_haar_exact():
     w = Window(d=1, L=3, k_min=0, k_max=3)
     g = zero_grid(w)
     system = build_system("haar", q=9, strict=False)
-    got = localized_cubes(g, system, (2.1, 2.9), k_range=[1])
+    got = [c for c in localized_cubes(g, system, (2.1, 2.9)) if c.k == 1]
     # side 1/2 cubes touching [2.1, 2.9]: [2, 2.5) and [2.5, 3)
     assert got == [Cube(1, (4,)), Cube(1, (5,))]
 
@@ -310,17 +310,26 @@ def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
     batched = PairingEngine.pairings
 
     def capture(self, pairs):
-        calls.append(list(pairs))
-        return batched(self, pairs)
+        values = batched(self, pairs)
+        calls.append((list(pairs), values))
+        return values
 
     monkeypatch.setattr(PairingEngine, "pairings", capture)
     res = expansion_identity(make_operator("identity"), system, grid, f, g,
                              q_loc=7)
-    ref = _loop_overlap_pairs(grid, system,
-                              localized_cubes(grid, system, f.support),
-                              localized_cubes(grid, system, g.support))
-    assert calls == [ref]
+    cubes_f = localized_cubes(grid, system, f.support)
+    cubes_g = localized_cubes(grid, system, g.support)
+    ref = _loop_overlap_pairs(grid, system, cubes_f, cubes_g)
+    assert [pairs for pairs, _ in calls] == [ref]
     assert res["pair_count"] == len(ref)
-    n_f = len(localized_cubes(grid, system, f.support))
-    n_g = len(localized_cubes(grid, system, g.support))
-    assert 0 < len(ref) < n_f * n_g
+    assert 0 < len(ref) < len(cubes_f) * len(cubes_g)
+    # the sum, bit for bit, as the per-pair loop over the sorted pairs
+    # with Cube-keyed coefficients made it
+    cf = {c: localized_coefficient(grid, system, c, f, 7) for c in cubes_f}
+    cg = {c: localized_coefficient(grid, system, c, g, 7) for c in cubes_g}
+    total = 0.0
+    for (I, J), v in sorted(zip(ref, calls[0][1]),
+                            key=lambda t: (t[0][0].k, t[0][0].l,
+                                           t[0][1].k, t[0][1].l)):
+        total += cf[I] * float(v) * cg[J]
+    assert res["sum"] == total

@@ -74,14 +74,6 @@ def test_hilbert_czs_values():
     assert math.isclose(H.czs_seminorm(2), 2.0 / math.pi)
 
 
-def test_hilbert_kernel_derivative_closed_form():
-    H = make_operator("hilbert")
-    # d/dx of 1/(pi(x-y)) at x-y=2 is -1/(4 pi)
-    assert math.isclose(H.kernel_deriv(3.0, 1.0, 1, 0), -1.0 / (4.0 * math.pi))
-    # d/dy flips the sign
-    assert math.isclose(H.kernel_deriv(3.0, 1.0, 0, 1), 1.0 / (4.0 * math.pi))
-
-
 def test_smoothed_hilbert_symbol_and_czs():
     S = make_operator("smoothed_hilbert")
     xi = np.array([3.0, -3.0])
@@ -444,6 +436,28 @@ def test_pairings_match_scalar_on_represent_grids(monkeypatch, tmp_path):
         "pairs": sum(len(p) for _, p, _ in calls), "keys": len(keys),
         "fields": len(union)}
     assert (len(union), len(keys)) == (25, 5274)
+
+
+def test_identity_pairings_match_scalar_on_represent_grids(monkeypatch,
+                                                          tmp_path):
+    # the identity calibration takes the same route: both grids read one
+    # run table, which builds no field
+    cfg = ('{"filter": "db2", "kernel": "identity", "L": 6, "k_min": -6, '
+           '"k_max": 4, "r": 4, "theta": 1.0, "n_omega": 2}')
+    calls = _captured_pairings(
+        monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "0"])
+    assert len(calls) == 2
+    table = calls[0][0].table
+    assert table is not None and calls[1][0].table is table
+    for engine, pairs, values in calls:
+        assert len(pairs) > 1000
+        assert np.array_equal(values, _scalar_pairings(engine, pairs))
+    keys = {key for engine, pairs, _ in calls
+            for key in _scalar_keys(engine, pairs)}
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert results["pairings"] == {
+        "pairs": sum(len(p) for _, p, _ in calls), "keys": len(keys),
+        "fields": 0}
 
 
 def test_run_table_of_one_grid_matches_lone_engine(monkeypatch, tmp_path):
