@@ -19,8 +19,8 @@ import numpy as np
 from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window, cube_arrays,
                      is_bad_batch, union_bound, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, PairingTable,
-                        apply_multiplier, pairing_keys, sample_wavelet,
-                        support_interval, support_intervals)
+                        apply_multiplier, distinct_keys, pairing_keys,
+                        sample_wavelets, support_intervals)
 from .shifts import CLASSES, classify_batch
 from .wavelets import WaveletSystem
 
@@ -48,26 +48,48 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
     return out
 
 
-def localized_coefficient(grid: DyadicGrid, system: WaveletSystem,
-                          cube: Cube, func, q_loc: int) -> float:
-    """<psi_cube, func> on a mesh fine enough for both the wavelet and the
-    function (func must expose .support)."""
-    a_w, b_w = support_interval(grid, system, cube)
+# most nodes localized_coefficients evaluates at once; larger blocks of
+# cubes go in row chunks, which bounds the temporaries at a few times 8 MB
+COEFF_MAX_NODES = 1 << 20
+
+
+def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
+                           k: np.ndarray, l: np.ndarray, func,
+                           q_loc: int) -> np.ndarray:
+    """<psi_I, func> of the cubes given as int64 arrays of generations and
+    indices, each on a mesh fine enough for both the wavelet and the
+    function (func must expose .support).
+
+    A cube's mesh covers the overlap of its m-dilate with the support of
+    func; a cube without overlap gets 0.0.  The mesh is anchored on the
+    absolute h-lattice so wavelet jump points (all dyadic rationals) fall
+    on cell boundaries; both factors vanish outside the overlap, so the
+    overhang cells contribute nothing.  Cubes of one generation share h,
+    and those that also share the node count are evaluated as one 2-D
+    node array, one row per cube, summed along the rows: each row sums as
+    the one-cube array would.
+    """
+    lo, hi = support_intervals(grid, system, k, l)
     a_f, b_f = func.support
-    a, b = max(a_w, a_f), min(b_w, b_f)
-    if a >= b:
-        return 0.0
+    a, b = np.maximum(lo, a_f), np.minimum(hi, b_f)
     k_func = max(0, math.ceil(-math.log2(b_f - a_f)) + 1)
-    res = q_loc + max(cube.k, k_func)
-    h = 0.5 ** res
-    # Anchor the mesh on the absolute h-lattice so wavelet jump points (all
-    # dyadic rationals) fall on cell boundaries; both factors vanish outside
-    # [a, b], so the overhang cells contribute nothing.
-    x0 = math.floor(a / h) * h
-    n = int(math.ceil((b - x0) / h))
-    x = x0 + (np.arange(n) + 0.5) * h
-    vals = sample_wavelet(grid, system, cube, x)
-    return float(np.sum(vals * func(x)) * h)
+    out = np.zeros(k.size)
+    live = a < b
+    for gen in np.unique(k[live]).tolist():
+        h = 0.5 ** (q_loc + max(gen, k_func))
+        cubes = np.flatnonzero(live & (k == gen))
+        x0 = np.floor(a[cubes] / h) * h
+        n_nodes = np.ceil((b[cubes] - x0) / h).astype(np.int64)
+        for n in np.unique(n_nodes).tolist():
+            same = np.flatnonzero(n_nodes == n)
+            rel = (np.arange(n) + 0.5) * h  # the nodes, from x0
+            step = max(1, COEFF_MAX_NODES // n)
+            for c in range(0, same.size, step):
+                rows = same[c:c + step]
+                x = x0[rows, None] + rel[None, :]
+                vals = sample_wavelets(grid, system, gen, l[cubes[rows]], x)
+                out[cubes[rows]] = np.sum(vals * func(x), axis=1) * h
+    return out
 
 
 def ground_truth(op: KernelOp, f, g, res: int, pad_factor: int = 8) -> float:
@@ -135,6 +157,9 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     Returns (rows, info) where info holds excluded-pair counters and,
     under "pairings", the pairing engine's counts.
     """
+    if op.czs_seminorm is None:
+        raise ValueError(f"operator {op.name!r} has no Calderon-Zygmund "
+                         "seminorm for the decay bounds")
     w = grid.window
     if span is None:
         cubes = [c for k in range(w.k_min, w.k_max + 1)
@@ -307,16 +332,15 @@ class _Draw:
 
 
 def _localize(grid, system, f, g, q_loc) -> _Draw:
-    """The localized cubes of f and g on the grid, with their
-    coefficients."""
+    """The localized cubes of f and g on the grid, as lists and int64
+    (k, l) arrays, with their coefficients: one localized_coefficients
+    call per function, so no cube takes a quadrature of its own."""
     cubes_f = localized_cubes(grid, system, f.support)
     cubes_g = localized_cubes(grid, system, g.support)
-    cf = np.array([localized_coefficient(grid, system, c, f, q_loc)
-                   for c in cubes_f])
-    cg = np.array([localized_coefficient(grid, system, c, g, q_loc)
-                   for c in cubes_g])
-    return _Draw(grid, cubes_f, cubes_g, cube_arrays(cubes_f),
-                 cube_arrays(cubes_g), cf, cg)
+    kl_f, kl_g = cube_arrays(cubes_f), cube_arrays(cubes_g)
+    return _Draw(grid, cubes_f, cubes_g, kl_f, kl_g,
+                 localized_coefficients(grid, system, *kl_f, f, q_loc),
+                 localized_coefficients(grid, system, *kl_g, g, q_loc))
 
 
 def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
@@ -344,9 +368,8 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     keys = []
     for d in draws:
         I, J = d.pair_index()
-        keys.append(np.unique(pairing_keys(
-            d.grid, d.kl_f[0][I], d.kl_f[1][I], d.kl_g[0][J], d.kl_g[1][J]),
-            axis=0))
+        keys.append(distinct_keys(pairing_keys(
+            d.grid, d.kl_f[0][I], d.kl_f[1][I], d.kl_g[0][J], d.kl_g[1][J])))
     table = PairingTable.build(op, system, window, np.concatenate(keys), q_loc)
     counts = Counter(table.counts)
     samples = []

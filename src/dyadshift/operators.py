@@ -11,7 +11,7 @@ of the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -207,10 +207,10 @@ def operator_norm_estimate(op: KernelOp, n: int = 4096, h: float = 1.0 / 256,
 # pairing engine
 
 
-def _cube_offset(grid: DyadicGrid, cube: Cube) -> float:
-    """Left corner of the shifted cube in units of its own sidelength."""
-    return (cube.l[0]
-            + grid.shift_units(cube.k)[0] / grid.window.len_units(cube.k))
+def _cube_offset(grid: DyadicGrid, k: int, l):
+    """Left corners of the shifted generation-k cubes with indices l (an
+    int or an int64 array), in units of their sidelength."""
+    return l + grid.shift_units(k)[0] / grid.window.len_units(k)
 
 
 def wavelet_nodes(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
@@ -218,14 +218,23 @@ def wavelet_nodes(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
     """Midpoint nodes over supp psi_I at spacing len(I) 2^-q_loc, with the
     wavelet values there.  Returns (x, values, node spacing)."""
     t, vals, h = system.scaled_nodes(q_loc, cube.k)
-    return (t + _cube_offset(grid, cube)) * 2.0 ** (-cube.k), vals, h
+    return ((t + _cube_offset(grid, cube.k, cube.l[0])) * 2.0 ** (-cube.k),
+            vals, h)
+
+
+def sample_wavelets(grid: DyadicGrid, system: WaveletSystem, k: int,
+                    l: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The wavelets of the generation-k cubes with int64 indices l, each at
+    its row of the absolute points x: 2^(k/2) psi(2^k x - l - shift/len)."""
+    t = x * 2.0 ** k - _cube_offset(grid, k, l)[:, None]
+    return 2.0 ** (k / 2.0) * system.mother(t, "psi")
 
 
 def sample_wavelet(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
                    x: np.ndarray) -> np.ndarray:
-    """psi_I at absolute points x: 2^(k/2) psi(2^k x - l - shift/len(I))."""
-    t = x * 2.0 ** cube.k - _cube_offset(grid, cube)
-    return 2.0 ** (cube.k / 2.0) * system.mother(t, "psi")
+    """psi_I at absolute points x (sample_wavelets of one cube)."""
+    return sample_wavelets(grid, system, cube.k, np.array(cube.l),
+                           np.asarray(x)[None, :])[0]
 
 
 def pair_quadrature(op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
@@ -261,12 +270,6 @@ def support_intervals(grid: DyadicGrid, system: WaveletSystem,
     return (lo - grow).astype(float) * unit, (hi + grow).astype(float) * unit
 
 
-def support_interval(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
-                     ) -> tuple[float, float]:
-    lo, hi = support_intervals(grid, system, *cube_arrays([cube]))
-    return float(lo[0]), float(hi[0])
-
-
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps
 # the interpolation error a couple of orders below the quadrature error
 FIELD_OVERSAMPLE_EXP = 2
@@ -275,12 +278,12 @@ FIELD_OVERSAMPLE_EXP = 2
 PAIRING_MAX_NODES = 1 << 20
 
 
-def _runs(keys: np.ndarray):
-    """(start, end) of each run of equal rows in the sorted 2-D array."""
-    if not len(keys):
+def _runs(ids: np.ndarray):
+    """(start, end) of each run of equal values in the sorted 1-D array."""
+    if not len(ids):
         return zip((), ())
-    change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    bounds = [0] + change.tolist() + [len(keys)]
+    change = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    bounds = [0] + change.tolist() + [len(ids)]
     return zip(bounds[:-1], bounds[1:])
 
 
@@ -310,11 +313,47 @@ def pairing_keys(grid: DyadicGrid, k_i: np.ndarray, l_i: np.ndarray,
                      np.where(i_fine, lo_i - lo_j, lo_j - lo_i)], axis=1)
 
 
-def _records(keys: np.ndarray) -> np.ndarray:
-    """The rows of an int64 key array as one structured scalar each, which
-    compare in the row order of np.unique(axis=0)."""
-    dtype = np.dtype([(f"f{c}", np.int64) for c in range(keys.shape[1])])
-    return np.ascontiguousarray(keys, dtype=np.int64).view(dtype).ravel()
+@dataclass(frozen=True)
+class _KeyPacking:
+    """One int64 per key row (see pairing_keys), ordered as the rows are
+    by np.unique(axis=0): block * R + rank.
+
+    block = ((coarse k - k0) * 2 + transpose) * nk + (fine k - k0) numbers
+    the (coarse k, transpose, fine k) of a row, where k0 is the least
+    generation of the packed rows and nk the number of generations from k0
+    to the greatest; rank is the position of the row's offset among the R
+    distinct offsets of the rows.  The packed values stay below
+    2 nk^2 R however far the offsets spread: bit fields on the offsets
+    would need more than 64 bits on the deepest windows a config accepts.
+    """
+
+    k0: int
+    nk: int
+    offsets: np.ndarray  # the distinct offsets, sorted
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "_KeyPacking":
+        if not len(keys):
+            return cls(0, 1, np.empty(0, dtype=np.int64))
+        gens = keys[:, [0, 2]]
+        k0 = int(gens.min())
+        return cls(k0, int(gens.max()) - k0 + 1, np.unique(keys[:, 3]))
+
+    def blocks(self, keys: np.ndarray) -> np.ndarray:
+        return (((keys[:, 0] - self.k0) * 2 + keys[:, 1]) * self.nk
+                + (keys[:, 2] - self.k0))
+
+    def pack(self, keys: np.ndarray) -> np.ndarray:
+        """The packed rows; a row whose offset or generations lie outside
+        the packing's may collide with another row."""
+        return (self.blocks(keys) * self.offsets.size
+                + np.searchsorted(self.offsets, keys[:, 3]))
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of a key array, in np.unique(axis=0) order."""
+    _, first = np.unique(_KeyPacking.of(keys).pack(keys), return_index=True)
+    return keys[first]
 
 
 def _field(op: KernelOp, system: WaveletSystem, q_loc: int, pad_factor: int,
@@ -359,11 +398,20 @@ class PairingTable:
     table's values depend on its set of rows: a run over many grids builds
     one table from the keys of all of them, and a lone PairingEngine one
     per pairings call.
+
+    Rows are sorted, deduplicated and looked up as one int64 each (see
+    _KeyPacking), not as records of four.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
     values: np.ndarray  # the pairing of each row
     counts: dict        # distinct keys evaluated and fields built
+    _packing: _KeyPacking = field(init=False, repr=False)
+    _packed: np.ndarray = field(init=False, repr=False)  # sorted
+
+    def __post_init__(self):
+        self._packing = _KeyPacking.of(self.keys)
+        self._packed = self._packing.pack(self.keys)
 
     @classmethod
     def build(cls, op: KernelOp, system: WaveletSystem, window,
@@ -371,7 +419,9 @@ class PairingTable:
               pad_factor: int = 8) -> "PairingTable":
         """The table of the distinct rows of keys for op, on the system's
         wavelets; the window sets the integer unit of the offsets."""
-        keys = np.unique(keys, axis=0)
+        keys = distinct_keys(keys)
+        packing = _KeyPacking.of(keys)
+        blocks = packing.blocks(keys)
         values = np.empty(len(keys))
         fields = 0
         unit = 2.0 ** (-window.unit_exp)
@@ -379,7 +429,8 @@ class PairingTable:
         fine_k, du = keys[:, 2], keys[:, 3] * unit
         side_f = np.ldexp(1.0, -fine_k)
         nodes: dict = {}  # fine generation -> (nodes, values, spacing)
-        for a, b in _runs(keys[:, :2]):
+        # runs of (coarse k, transpose), then of fine k within each
+        for a, b in _runs(blocks // packing.nk):
             kc = int(keys[a, 0])
             if op.singular:
                 hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
@@ -387,7 +438,7 @@ class PairingTable:
                 mesh_u, fld = _field(op, system, q_loc, pad_factor, kc, hull,
                                      bool(keys[a, 1]))
                 fields += 1
-            for c, d in _runs(keys[a:b, 2:3]):
+            for c, d in _runs(blocks[a:b]):
                 k = int(fine_k[a + c])
                 if k not in nodes:
                     t, vf, hf = system.scaled_nodes(q_loc, k)
@@ -404,12 +455,17 @@ class PairingTable:
         return cls(keys, values, {"keys": len(keys), "fields": fields})
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Values of the rows of keys; every row must be in the table."""
-        table = _records(self.keys)
-        query = _records(keys)
-        pos = np.minimum(np.searchsorted(table, query), len(table) - 1)
-        if query.size and (table.size == 0
-                           or np.any(table[pos] != query)):
+        """Values of the rows of keys; every row must be in the table.
+
+        The query rows are packed and searched as the table's rows are, and
+        each hit is compared with the table's row: a row whose offset is
+        not among the table's, or whose packed value is not in the table,
+        raises KeyError."""
+        if not len(keys):
+            return self.values[:0]
+        pos = np.searchsorted(self._packed, self._packing.pack(keys))
+        pos = np.minimum(pos, len(self.keys) - 1)
+        if not len(self.keys) or not np.array_equal(self.keys[pos], keys):
             raise KeyError("pairing keys missing from the table")
         return self.values[pos]
 

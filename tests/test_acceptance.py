@@ -21,13 +21,13 @@ from dyadshift.filters import builtin_filter_names
 from dyadshift.harness import (convergence_experiment, decay_audit,
                                expansion_identity, randomized_expansion)
 from dyadshift.operators import (PairingEngine, TestFunction as Bump,
-                                 make_operator, pair_quadrature,
-                                 support_interval)
+                                 make_operator, pair_quadrature)
 from dyadshift.shifts import (CLASSES, Mesh1D, apply_averaging,
                               assemble_shift, calibrate_c_emp,
                               calibration_shift, classify_batch,
                               classify_pair, shift_norm_estimate)
 from dyadshift.wavelets import build_system, gram_defect
+from references import support_interval
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

@@ -6,16 +6,19 @@ import pytest
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               WindowTruncationError, cube_arrays,
                               is_bad_batch, union_bound)
+from dyadshift import harness
 from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                convergence_experiment, decay_audit,
                                expansion_identity, ground_truth,
-                               localized_coefficient, localized_cubes,
+                               localized_coefficients, localized_cubes,
                                plain_inner_product, psi_refinement,
                                randomized_expansion,
                                _pi_good_by_scale, _sample_pairs)
-from dyadshift.operators import PairingEngine, TestFunction, make_operator
+from dyadshift.operators import (PairingEngine, TestFunction, make_operator,
+                                 support_intervals)
 from dyadshift.shifts import classify_pair
 from dyadshift.wavelets import build_system
+from references import localized_coefficient
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -56,10 +59,52 @@ def test_localized_coefficient_mesh_stable():
     g = zero_grid(w)
     system = build_system("db3", q=12)
     f = TestFunction(center=4.0, halfwidth=0.9)
-    c = Cube(2, (15,))
-    a = localized_coefficient(g, system, c, f, 9)
-    b = localized_coefficient(g, system, c, f, 11)
+    kl = cube_arrays([Cube(2, (15,))])
+    (a,) = localized_coefficients(g, system, *kl, f, 9)
+    (b,) = localized_coefficients(g, system, *kl, f, 11)
     assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db3"])
+def test_localized_coefficients_match_one_cube_reference(name, monkeypatch):
+    # every cube whose m-dilate meets a span wider than the function's
+    # support: cubes inside the support, cubes clipped by it and cubes
+    # that miss it, which must give exactly 0.0
+    system = build_system(name, q=10, strict=False)
+    for w, center in ((Window(d=1, L=4, k_min=-4, k_max=3), 7.9),
+                      (Window(d=1, L=6, k_min=-3, k_max=5), 20.3)):
+        for seed in (1, 2):
+            grid = DyadicGrid.random(w, seed)
+            for tilt in (0, 1):
+                f = TestFunction(center=center, halfwidth=0.8, tilt=tilt)
+                span = (f.support[0] - 1.5, f.support[1] + 1.5)
+                cubes = localized_cubes(grid, system, span)
+                k, l = cube_arrays(cubes)
+                got = localized_coefficients(grid, system, k, l, f, 7)
+                ref = [localized_coefficient(grid, system, c, f, 7)
+                       for c in cubes]
+                assert np.array_equal(got, ref)
+                lo, hi = support_intervals(grid, system, k, l)
+                miss = (hi <= f.support[0]) | (lo >= f.support[1])
+                clipped = ~miss & ((lo < f.support[0])
+                                   | (hi > f.support[1]))
+                inside = ~miss & ~clipped
+                assert miss.any() and clipped.any() and inside.any()
+                assert np.all(got[miss] == 0.0)
+                assert np.count_nonzero(got[~miss]) > 0
+                # a few cubes per 2-D block, with a ragged last chunk
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "COEFF_MAX_NODES", 3000)
+                    assert np.array_equal(localized_coefficients(
+                        grid, system, k, l, f, 7), got)
+
+
+def test_decay_audit_needs_seminorm():
+    w = Window(d=1, L=2, k_min=-2, k_max=1)
+    system = build_system("haar", q=9, strict=False)
+    with pytest.raises(ValueError, match="'identity'"):
+        decay_audit(make_operator("identity"), system, zero_grid(w), s=1,
+                    eps=0.5, theta=1.0, i_max=3, j_max=3)
 
 
 def test_ground_truth_identity_matches_plain_product():

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from dyadshift import operators
 from dyadshift.cli import main
 from dyadshift.dyadic import Cube, DyadicGrid, Window, cube_arrays
-from dyadshift.harness import localized_coefficient
+from dyadshift.harness import localized_coefficients
 from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator, operator_norm_estimate,
                                  pair_quadrature, sample_wavelet,
-                                 support_interval, wavelet_nodes)
+                                 wavelet_nodes)
 from dyadshift.operators import TestFunction as Bump
 from dyadshift.wavelets import build_system
+from references import localized_coefficient, support_interval
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -190,7 +191,8 @@ def test_wavelet_coefficient_haar_closed_form(haar_setup):
     def line(x):
         return x
     line.support = (-1.0, 3.0)
-    val = localized_coefficient(grid, system, Cube(-1, (0,)), line, 12)
+    (val,) = localized_coefficients(grid, system,
+                                    *cube_arrays([Cube(-1, (0,))]), line, 12)
     assert abs(val - (-1.0 / math.sqrt(2.0))) < 1e-9
 
 
@@ -490,8 +492,55 @@ def test_table_lookup_rejects_missing_keys():
     assert np.array_equal(engine.pairings([(I, K), (I, J), (I, K)]),
                           lone.pairings([(I, K), (I, J), (I, K)]))
     assert engine.counts == {"pairs": 3, "keys": 0, "fields": 0}
+    # (K, I) has the offset of (I, K) in another (coarse k, transpose,
+    # fine k) block
+    other_block = operators.pairing_keys(grid, *cube_arrays([K]),
+                                         *cube_arrays([I]))
+    assert other_block[0, 3] in table.keys[:, 3]
     with pytest.raises(KeyError):
         engine.pairings([(K, I)])
+    # an offset no row of the table has
+    L = Cube(2, (10,))
+    absent = operators.pairing_keys(grid, *cube_arrays([I]),
+                                    *cube_arrays([L]))
+    assert absent[0, 3] not in table.keys[:, 3]
+    with pytest.raises(KeyError):
+        engine.pairings([(I, L)])
+    with pytest.raises(KeyError):
+        table.lookup(np.concatenate([keys, absent]))
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+def test_table_keys_injective_on_deepest_window(seed):
+    # the deepest window a config accepts (L + k_max + 1 = 61): offsets
+    # between generation -51 cubes and generation 8 cubes near both of
+    # their ends span about 2^60 fine sides, so (coarse k, transpose,
+    # fine k, offset / fine side) fits no 64-bit layout of biased bit fields
+    w = Window(d=1, L=52, k_min=-52, k_max=8)
+    grid = zero_grid(w) if seed is None else DyadicGrid.random(w, seed)
+    system = build_system("haar", q=10, strict=False)
+    ident = make_operator("identity")
+    side = w.len_units(8)
+    coarse = list(grid.cubes_at_scale(-51))
+    fine = []
+    for c in coarse:
+        lo, hi = grid.cube_box(c)
+        a, b = int(lo[0]) // side, int(hi[0]) // side
+        fine += [Cube(8, (l,)) for l in (a, a + 1, b - 2, b - 1)]
+    cubes = coarse + fine
+    I = [a for a in cubes for _ in cubes]
+    J = [b for _ in cubes for b in cubes]
+    keys = operators.pairing_keys(grid, *cube_arrays(I), *cube_arrays(J))
+    n = keys[:, 3] // side
+    assert n.max() - n.min() >= 2 ** 60 - 2
+    table = operators.PairingTable.build(ident, system, w, keys, q_loc=6)
+    assert np.array_equal(table.keys, np.unique(keys, axis=0))
+    got = table.lookup(keys)
+    for row, value in zip(keys, got):
+        one = operators.PairingTable.build(ident, system, w, row[None, :],
+                                           q_loc=6)
+        assert one.values[0] == value
+    assert np.count_nonzero(got) > 0
 
 
 def _localized_pairs(grid, system, k_lo, k_hi, span):
