@@ -11,12 +11,13 @@ of the kernel.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dyadic import Cube, DyadicGrid, cube_arrays
+from .dyadic import Cube, DyadicGrid, ScaleRangeError, cube_arrays
 from .wavelets import WaveletSystem
 
 
@@ -149,20 +150,47 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     leaves the periodic result uncorrected.
     """
     N = buf.size
-    xi = 2.0 * math.pi * np.fft.rfftfreq(N, d=h)
-    m = op.transpose_multiplier(xi) if transpose else op.multiplier(xi)
-    out = np.fft.irfft(np.fft.rfft(buf) * m, n=N)[:stop]
-    mesh_x = x0 + (np.arange(out.size) + 0.5) * h
+    # in place where the order of operations allows, and each temporary
+    # dropped as soon as it is spent: two fields may be built at once
+    X = np.fft.rfft(buf)
+    xi = np.fft.rfftfreq(N, d=h)
+    xi *= 2.0 * math.pi
+    if transpose:
+        # op.multiplier(-xi) is op.transpose_multiplier(xi); the public
+        # method stays off this path, which field workers run
+        np.negative(xi, out=xi)
+    X *= op.multiplier(xi)
+    del xi
+    out = np.fft.irfft(X, n=N)[:stop]
+    del X
+    mesh_x = np.arange(out.size, dtype=float)
+    mesh_x += 0.5
+    mesh_x *= h
+    mesh_x += x0
     if mu is not None and op.tail_order == 1:
         P = N * h
-        sgn = -1.0 if transpose else 1.0
-        z = mesh_x
         c1 = math.pi / (3.0 * P * P)
         c3 = math.pi ** 3 / (45.0 * P ** 4)
-        # the cubic in Horner form: z ** 3 would cost a pow() per point
-        out += sgn * (c1 * (mu[0] * z - mu[1])
-                      + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z
-                              - mu[3]))
+        # out += sgn * (c1 * (mu[0] * z - mu[1])
+        #               + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z
+        #                       - mu[3]))
+        # with sgn = -1 for T^t, step by step in place: the cubic in Horner
+        # form, since z ** 3 would cost a pow() per point
+        lin = mu[0] * mesh_x
+        cub = lin - 3 * mu[1]
+        lin -= mu[1]
+        lin *= c1
+        cub *= mesh_x
+        cub += 3 * mu[2]
+        cub *= mesh_x
+        cub -= mu[3]
+        cub *= c3
+        lin += cub
+        del cub
+        if transpose:
+            out -= lin
+        else:
+            out += lin
     return mesh_x, out
 
 
@@ -273,9 +301,23 @@ def support_intervals(grid: DyadicGrid, system: WaveletSystem,
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps
 # the interpolation error a couple of orders below the quadrature error
 FIELD_OVERSAMPLE_EXP = 2
+# most mesh points of one field.  A field of N points holds about 40 N
+# bytes at its peak (the padded buffer, its spectrum, the multiplier, the
+# periodic result, the mesh and the tail correction), so the bound allows
+# about 2.5 GiB per field and 5 GiB with two fields in flight.  That is
+# about 47 times the largest field of the tests and README configs (1.4 M
+# points, at q_loc = 12); a hull on a deep window can ask for more than
+# 2^63 points, which no FFT length holds.
+FIELD_MAX_POINTS = 1 << 26
 # most nodes one lookup block hands to np.interp; larger blocks go in row
-# chunks, which bounds the temporaries at a few times 8 MB
+# chunks, which bounds the temporaries at a few times 8 MB per field worker
 PAIRING_MAX_NODES = 1 << 20
+# threads that build the fields of one table.  Each holds one field with
+# its FFT temporaries and interpolation blocks, so the cap is set by peak
+# memory, not by speed; it is not configurable and never reaches a manifest
+FIELD_WORKERS = min(2, len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
 
 
 def _runs(ids: np.ndarray):
@@ -356,6 +398,58 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+@dataclass(frozen=True)
+class _FieldMesh:
+    """Where the field of one scale-k wavelet is built: the periodized mesh
+    x0 + (n+1/2) h, n < size, with the wavelet's samples vw at the nodes xw
+    (relative to its cube's left endpoint) from mesh point n_left on, and
+    the first stop points as the interior the lookups read."""
+
+    transpose: bool
+    xw: np.ndarray
+    vw: np.ndarray
+    h: float
+    size: int
+    n_left: int
+    x0: float
+    stop: int
+
+
+def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
+                hull: tuple[float, float], transpose: bool) -> _FieldMesh:
+    """The mesh of the scale-k field whose interior covers both the
+    wavelet's support and the hull; raises ScaleRangeError, before
+    sizing it, for a mesh of more than FIELD_MAX_POINTS points."""
+    t, vw, h = system.scaled_nodes(q_loc + FIELD_OVERSAMPLE_EXP, k)
+    xw = t * 2.0 ** (-k)
+    supp_len = xw[-1] - xw[0] + h
+    core_lo = min(hull[0], xw[0]) - supp_len
+    core_hi = max(hull[1], xw[-1]) + supp_len
+    P_target = (core_hi - core_lo) + pad_factor * supp_len
+    points = P_target / h
+    if not points <= FIELD_MAX_POINTS:
+        raise ScaleRangeError(
+            f"pairing field of generation {k} needs {points:.3g} mesh "
+            f"points, more than FIELD_MAX_POINTS = {FIELD_MAX_POINTS}")
+    N = next_fast_len(int(math.ceil(points)))
+    # keep the wavelet samples on-mesh: buffer start a whole number of
+    # steps left of the first sample, at or left of core_lo
+    n_left = int(math.ceil((xw[0] - core_lo) / h))
+    x0 = xw[0] - (n_left + 0.5) * h
+    stop = min(N, int(math.ceil((core_hi - x0) / h)) + 1)
+    return _FieldMesh(transpose, xw, vw, h, N, n_left, x0, stop)
+
+
+def _field_values(op: KernelOp, mesh: _FieldMesh):
+    """(u, values) of T psi (or T^t psi) over the interior of the mesh.
+    Calls only numpy and private helpers, so field workers may run it."""
+    buf = np.zeros(mesh.size)
+    buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
+    return _periodic_apply(op, buf, mesh.h, mesh.x0,
+                           _moments(mesh.vw, mesh.xw, mesh.h), mesh.transpose,
+                           mesh.stop)
+
+
 def _field(op: KernelOp, system: WaveletSystem, q_loc: int, pad_factor: int,
            k: int, hull: tuple[float, float], transpose: bool):
     """(u, values) of T psi (or T^t psi) for the scale-k wavelet, in
@@ -363,22 +457,46 @@ def _field(op: KernelOp, system: WaveletSystem, q_loc: int, pad_factor: int,
     whose interior covers both the support and the hull; only the interior
     is returned.  The operators are convolutions, so one field serves every
     scale-k cube."""
-    t, vw, h = system.scaled_nodes(q_loc + FIELD_OVERSAMPLE_EXP, k)
-    xw = t * 2.0 ** (-k)
-    supp_len = xw[-1] - xw[0] + h
-    core_lo = min(hull[0], xw[0]) - supp_len
-    core_hi = max(hull[1], xw[-1]) + supp_len
-    P_target = (core_hi - core_lo) + pad_factor * supp_len
-    N = next_fast_len(int(math.ceil(P_target / h)))
-    # keep the wavelet samples on-mesh: buffer start a whole number of
-    # steps left of the first sample, at or left of core_lo
-    n_left = int(math.ceil((xw[0] - core_lo) / h))
-    x0 = xw[0] - (n_left + 0.5) * h  # mesh is x0 + (n+1/2) h
-    buf = np.zeros(N)
-    buf[n_left:n_left + vw.size] = vw
-    stop = min(N, int(math.ceil((core_hi - x0) / h)) + 1)
-    return _periodic_apply(op, buf, h, x0, _moments(vw, xw, h), transpose,
-                           stop)
+    return _field_values(op, _field_mesh(system, q_loc, pad_factor, k, hull,
+                                         transpose))
+
+
+def _fill_rows(values: np.ndarray, du: np.ndarray, row_blocks, image):
+    """Write into values the pairing of each block of rows, given with
+    the fine nodes (relative nodes, wavelet values, spacing) it reads;
+    image(u) is T psi (or the coarser psi itself) at the offset nodes u."""
+    for rows, (uf, vf, hf) in row_blocks:
+        u = uf[None, :] + du[rows, None]
+        vals = image(u)
+        del u  # at most two node blocks alive at a time
+        vals *= vf
+        values[rows] = np.sum(vals, axis=1) * hf
+
+
+def _field_task(op: KernelOp, mesh: _FieldMesh, row_blocks,
+                values: np.ndarray, du: np.ndarray) -> None:
+    """Build one field and fill its rows; the field dies with the task."""
+    mesh_u, fld = _field_values(op, mesh)
+    _fill_rows(values, du, row_blocks, lambda u: np.interp(u, mesh_u, fld))
+
+
+def _run_field_tasks(op: KernelOp, tasks, values: np.ndarray,
+                     du: np.ndarray) -> None:
+    """Run each (mesh, row blocks) task on a pool of FIELD_WORKERS threads,
+    in the given order.  The first failure cancels the tasks not yet
+    started and is raised once the running ones have ended."""
+    if not tasks:
+        return
+    # imported here: importing the package should not load the thread pool
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+    pool = ThreadPoolExecutor(max_workers=min(FIELD_WORKERS, len(tasks)))
+    try:
+        for done in as_completed([
+                pool.submit(_field_task, op, mesh, row_blocks, values, du)
+                for mesh, row_blocks in tasks]):
+            done.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(eq=False)
@@ -401,6 +519,21 @@ class PairingTable:
 
     Rows are sorted, deduplicated and looked up as one int64 each (see
     _KeyPacking), not as records of four.
+
+    PairingTable.build works in two stages.  The calling thread does
+    everything that reads the wavelet system: the keys, the hulls, the
+    nodes of each field and of each fine generation, and the size of each
+    field's mesh, refusing a mesh over FIELD_MAX_POINTS before any is
+    allocated.  A pool of FIELD_WORKERS threads then builds the fields,
+    largest mesh first; each task builds one field, fills that field's
+    rows of values and drops it.  Workers call only numpy and private
+    helpers of this module, never a public function of another module, so
+    a tracer that wraps those sees one thread.  The fields' FFT
+    temporaries and the PAIRING_MAX_NODES interpolation blocks exist once
+    per worker.  Tables without fields (the identity) fill their rows on
+    the calling thread.  The values are those of a serial build, bit for
+    bit: every row is computed by the same operations whichever thread
+    runs it.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
@@ -423,36 +556,36 @@ class PairingTable:
         packing = _KeyPacking.of(keys)
         blocks = packing.blocks(keys)
         values = np.empty(len(keys))
-        fields = 0
         unit = 2.0 ** (-window.unit_exp)
         half = (system.m + 1) / 2.0
         fine_k, du = keys[:, 2], keys[:, 3] * unit
         side_f = np.ldexp(1.0, -fine_k)
         nodes: dict = {}  # fine generation -> (nodes, values, spacing)
+        tasks = []  # (field mesh, row blocks) of each singular field
         # runs of (coarse k, transpose), then of fine k within each
         for a, b in _runs(blocks // packing.nk):
             kc = int(keys[a, 0])
-            if op.singular:
-                hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
-                        float(np.max(du[a:b] + half * side_f[a:b])))
-                mesh_u, fld = _field(op, system, q_loc, pad_factor, kc, hull,
-                                     bool(keys[a, 1]))
-                fields += 1
+            row_blocks = []
             for c, d in _runs(blocks[a:b]):
                 k = int(fine_k[a + c])
                 if k not in nodes:
                     t, vf, hf = system.scaled_nodes(q_loc, k)
                     nodes[k] = (t * 2.0 ** (-k), vf, hf)
-                uf, vf, hf = nodes[k]
-                for rows in _row_chunks(a + c, a + d, uf.size):
-                    u = uf[None, :] + du[rows, None]
-                    if op.singular:
-                        vals = np.interp(u, mesh_u, fld)
-                    else:
-                        vals = 2.0 ** (kc / 2.0) * system.mother(u * 2.0 ** kc)
-                    del u  # at most two node blocks alive at a time
-                    values[rows] = np.sum(vf * vals, axis=1) * hf
-        return cls(keys, values, {"keys": len(keys), "fields": fields})
+                row_blocks += [(rows, nodes[k]) for rows in
+                               _row_chunks(a + c, a + d, nodes[k][0].size)]
+            if op.singular:
+                hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
+                        float(np.max(du[a:b] + half * side_f[a:b])))
+                tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull,
+                                          bool(keys[a, 1])), row_blocks))
+            else:
+                _fill_rows(values, du, row_blocks,
+                           lambda u: 2.0 ** (kc / 2.0)
+                           * system.mother(u * 2.0 ** kc))
+        # largest mesh first, so that the last task to end is a small one
+        tasks.sort(key=lambda task: -task[0].size)
+        _run_field_tasks(op, tasks, values, du)
+        return cls(keys, values, {"keys": len(keys), "fields": len(tasks)})
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Values of the rows of keys; every row must be in the table.

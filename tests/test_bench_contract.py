@@ -4,10 +4,12 @@ bench/child.py runs the CLI under bench/tracer.py, which wraps the
 library from outside and reads some of its names directly:
 `PairingEngine.pairings(pairs)` with `.grid`, tuple `Cube.l`,
 `DyadicGrid.shift_units` and `Window.len_units`.  A refactor that breaks
-one of them fails here rather than only in the benchmark.  The test reads
-bench/ and writes only under tmp_path.
+one of them fails here rather than only in the benchmark.  The traced
+represent workload must also pass bench/run.py's self-test.  The tests
+read bench/ and write only under tmp_path.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -48,3 +50,33 @@ def test_traced_child_runs(tmp_path, command, experiment, config):
     trace = out["trace"]
     assert trace["work"]["operators.pairs"] > 0
     assert trace["distinct_pairs"] > 0
+
+
+def _bench_run():
+    """bench/run.py as a module."""
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_represent_passes_self_test(tmp_path, monkeypatch):
+    # the benchmark's traced represent repetitions, as bench/run.py runs
+    # them: counts repeat and the layers' self times add up to the wall
+    # time, which holds only while field workers stay off the tracer's
+    # frame stack
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    run = _bench_run()
+    refs = json.loads(run.REFERENCE_PATH.read_text())
+    seed = run.cli_seed(0, 0)
+    traced = []
+    for _ in range(run.TRACED_REPS):
+        res, rep_dir, err = run.run_rep(run.WORKLOADS["represent"], seed,
+                                        tmp_path, True,
+                                        time.perf_counter() + 300)
+        assert err is None, err
+        assert run.check_outputs("represent", rep_dir / "out", seed,
+                                 refs) is None
+        traced.append(res)
+    assert run.self_test(traced) is None

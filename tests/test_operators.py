@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from dyadshift import operators
 from dyadshift.cli import main
-from dyadshift.dyadic import Cube, DyadicGrid, Window, cube_arrays
+from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
+                              cube_arrays)
 from dyadshift.harness import localized_coefficients
 from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator, operator_norm_estimate,
@@ -627,3 +630,91 @@ def test_pairings_match_scalar_reference(k_min, depth, extra_L, name, op,
     engine = PairingEngine(make_operator(op), grid, _system(name), q_loc=6)
     assert np.array_equal(engine.pairings(pairs),
                           _scalar_pairings(engine, pairs))
+
+
+# ---------------------------------------------------------------------------
+# the field pool
+
+
+def test_oversized_field_is_refused(monkeypatch):
+    # two generation-8 cubes 2^51 apart on the deepest window: the field's
+    # hull spans about 1.5e20 mesh points, more than any FFT length holds
+    def no_sizing(n):
+        raise AssertionError("an oversized mesh was sized")
+
+    monkeypatch.setattr(operators, "next_fast_len", no_sizing)
+    engine = PairingEngine(make_operator("hilbert"),
+                           DyadicGrid(Window(1, 52, -52, 8)),
+                           build_system("haar", q=10, strict=False), q_loc=6)
+    with pytest.raises(ScaleRangeError, match="FIELD_MAX_POINTS") as info:
+        engine.pairings([(Cube(8, (0,)), Cube(8, (2 ** 59 - 1,)))])
+    assert "\n" not in str(info.value)
+
+
+def _run_table_build(monkeypatch, tmp_path, cfg):
+    """(arguments, table) of the PairingTable.build call of a represent
+    run at cfg, seed 0."""
+    calls = []
+    build = operators.PairingTable.build
+
+    def capture(*args, **kwargs):
+        table = build(*args, **kwargs)
+        calls.append((args, kwargs, table))
+        return table
+
+    monkeypatch.setattr(operators.PairingTable, "build", capture)
+    assert main(["represent", "--config", json.dumps(cfg), "--seed", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("name, op", [("haar", "hilbert"),
+                                      ("db2", "smoothed_hilbert")])
+def test_field_pool_does_not_change_values(monkeypatch, tmp_path, name, op):
+    # the benchmark's represent config; its run table is built with the
+    # default pool, with one worker, and with more workers than cores
+    # switching threads often, where a lost row write would show
+    cfg = {"filter": name, "kernel": op, "L": 8, "k_min": -8, "k_max": 5,
+           "r": 4, "theta": 1.0, "n_omega": 2}
+    args, kwargs, pooled = _run_table_build(monkeypatch, tmp_path, cfg)
+    assert pooled.counts["fields"] > 10
+    interval = sys.getswitchinterval()
+    for workers, switch in ((1, interval), (4, 1e-5)):
+        monkeypatch.setattr(operators, "FIELD_WORKERS", workers)
+        sys.setswitchinterval(switch)
+        try:
+            other = operators.PairingTable.build(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(other.keys, pooled.keys)
+        assert np.array_equal(other.values, pooled.values)
+        assert other.counts == pooled.counts
+
+
+def test_failing_field_fails_the_build_cleanly(monkeypatch):
+    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 5)
+    system = build_system("db2", q=11, strict=False)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    keys = operators.pairing_keys(grid, *cube_arrays([I for I, _ in pairs]),
+                                  *cube_arrays([J for _, J in pairs]))
+    real_apply = operators._periodic_apply
+    applied, lock = [], threading.Lock()
+
+    def fail_one(op, buf, h, x0, mu, transpose, stop):
+        with lock:  # the first transposed field fails, whichever worker
+            fail = transpose and True not in applied
+            applied.append(fail)
+        if fail:
+            raise MemoryError("field too large")
+        return real_apply(op, buf, h, x0, mu, transpose, stop)
+
+    monkeypatch.setattr(operators, "_periodic_apply", fail_one)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="field too large"):
+        operators.PairingTable.build(make_operator("hilbert"), system, w,
+                                     keys, q_loc=8)
+    assert threading.active_count() == threads
+    assert applied.count(True) == 1
