@@ -92,15 +92,14 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
     return out
 
 
-def ground_truth(op: KernelOp, f, g, res: int, pad_factor: int = 8) -> float:
+def ground_truth(op: KernelOp, f, g, res: int) -> float:
     """<g, T f> by the multiplier path on a fine mesh, frozen per run."""
     lo = min(f.support[0], g.support[0]) - 0.5
     hi = max(f.support[1], g.support[1]) + 0.5
     h = 0.5 ** res
     n = int(math.ceil((hi - lo) / h))
     x = lo + (np.arange(n) + 0.5) * h
-    tf = apply_multiplier(op, f(x), h, lo, pad_factor=pad_factor,
-                          corrections=True)
+    tf = apply_multiplier(op, f(x), h, lo, pad_factor=8, corrections=True)
     return float(np.sum(g(x) * tf) * h)
 
 
@@ -142,6 +141,30 @@ def class_bound(kind: str, i: int, j: int, d: int, s: int, eps: float,
     return op_norm  # equal / near
 
 
+# most (I, J) pairs decay_audit classifies in one block, the pairs of one
+# fine generation.  A block peaks at about 213 bytes per pair (its index
+# arrays, their int64 gathers and the classification temporaries, measured
+# with tracemalloc), so the bound allows about 0.9 GB per block.  That is
+# about 24 times the largest block of the tests, README configs and bench
+# (171,180 pairs, criterion 8's span audit with db8); the bench represent
+# window (haar, L=8, k=-8..5) would need 134 M pairs.
+AUDIT_MAX_PAIRS = 1 << 22
+
+
+def _check_audit_blocks(sizes) -> None:
+    """Raise ScaleRangeError when a fine-generation block of decay_audit
+    would hold more than AUDIT_MAX_PAIRS pairs; sizes are the cube counts
+    of the generations, coarse to fine."""
+    total = 0
+    for k, n in sizes:
+        total += n
+        if n * total > AUDIT_MAX_PAIRS:
+            raise ScaleRangeError(
+                f"decay audit of generation {k} would classify {n * total} "
+                f"pairs at once, more than AUDIT_MAX_PAIRS = "
+                f"{AUDIT_MAX_PAIRS}; narrow the window")
+
+
 def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                 s: int, eps: float, theta: float, i_max: int, j_max: int,
                 q_loc: int = 10, r: int | None = None,
@@ -153,7 +176,10 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     With r given, pairs whose smaller cube is bad are dropped (cubes too
     coarse to have an admissible ancestor r generations up count as good,
     as in is_bad_batch).  With a span, only cubes whose m-dilate meets it
-    enter, which keeps wide-filter audits tractable.
+    enter, which keeps wide-filter audits tractable.  A fine generation
+    with more than AUDIT_MAX_PAIRS pairs raises ScaleRangeError before any
+    pair array is allocated, and without a span before any cube is
+    enumerated.
     Returns (rows, info) where info holds excluded-pair counters and,
     under "pairings", the pairing engine's counts.
     """
@@ -162,10 +188,14 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                          "seminorm for the decay bounds")
     w = grid.window
     if span is None:
+        # the window holds at most 2^(L+k) cubes of generation k
+        _check_audit_blocks((k, 1 << (w.L + k))
+                            for k in range(w.k_min, w.k_max + 1))
         cubes = [c for k in range(w.k_min, w.k_max + 1)
                  for c in grid.cubes_at_scale(k)]
     else:
         cubes = localized_cubes(grid, system, span)
+        _check_audit_blocks(Counter(c.k for c in cubes).items())
     czs = op.czs_seminorm(s)
     op_norm = op.l2_norm
     info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
@@ -276,7 +306,6 @@ class OmegaSample:
     weighted: np.ndarray        # goodness-filtered, pi-divided X values
     levels: np.ndarray          # max(i,j) per pair; -1 when unclassifiable
     excluded_window: int
-    pairing_counts: dict        # PairingEngine.counts of the sample's grid
 
 
 @dataclass
@@ -301,7 +330,7 @@ class _Draw:
         return np.repeat(np.arange(nf), ng), np.tile(np.arange(ng), nf)
 
     def weigh(self, values, pi_good: dict, theta: float, m: int,
-              classify: bool, pairing_counts: dict) -> OmegaSample:
+              classify: bool) -> OmegaSample:
         """The goodness-filtered, pi-divided terms of the pairs with the
         given pairings and, with classify, each pair's level."""
         I, J = self.pair_index()
@@ -327,8 +356,7 @@ class _Draw:
             levels[kept[~truncated]] = np.maximum(i, j)[~truncated]
             excluded = int(truncated.sum())
         return OmegaSample(weighted=weighted, levels=levels,
-                           excluded_window=excluded,
-                           pairing_counts=dict(pairing_counts))
+                           excluded_window=excluded)
 
 
 def _localize(grid, system, f, g, q_loc) -> _Draw:
@@ -378,8 +406,7 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
         values = engine.pairings([(I, J) for I in d.cubes_f
                                   for J in d.cubes_g])
         counts.update(engine.counts)
-        samples.append(d.weigh(values, pi_good, theta, system.m, classify,
-                               engine.counts))
+        samples.append(d.weigh(values, pi_good, theta, system.m, classify))
     return samples, dict(counts)
 
 
@@ -440,6 +467,10 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
     The default r is large enough that goodness is vacuous on the window
     (zero Monte Carlo variance); pass a finite r for the filtered regime.
     """
+    if N_max < 3:
+        raise NoiseFloorError(
+            f"N_max = {N_max} gives fewer than the 3 points a slope fit "
+            "needs; increase N_max")
     if theta is None:
         theta = eps / (window.d + s)
     if r is None:

@@ -161,8 +161,10 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
         np.negative(xi, out=xi)
     X *= op.multiplier(xi)
     del xi
-    out = np.fft.irfft(X, n=N)[:stop]
+    out = np.fft.irfft(X, n=N)
     del X
+    # a copy, not a view: the padding is freed while the field is read
+    out = out[:stop].copy()
     mesh_x = np.arange(out.size, dtype=float)
     mesh_x += 0.5
     mesh_x *= h
@@ -381,14 +383,12 @@ class _KeyPacking:
         k0 = int(gens.min())
         return cls(k0, int(gens.max()) - k0 + 1, np.unique(keys[:, 3]))
 
-    def blocks(self, keys: np.ndarray) -> np.ndarray:
-        return (((keys[:, 0] - self.k0) * 2 + keys[:, 1]) * self.nk
-                + (keys[:, 2] - self.k0))
-
     def pack(self, keys: np.ndarray) -> np.ndarray:
         """The packed rows; a row whose offset or generations lie outside
         the packing's may collide with another row."""
-        return (self.blocks(keys) * self.offsets.size
+        blocks = (((keys[:, 0] - self.k0) * 2 + keys[:, 1]) * self.nk
+                  + (keys[:, 2] - self.k0))
+        return (blocks * self.offsets.size
                 + np.searchsorted(self.offsets, keys[:, 3]))
 
 
@@ -450,17 +450,6 @@ def _field_values(op: KernelOp, mesh: _FieldMesh):
                            mesh.stop)
 
 
-def _field(op: KernelOp, system: WaveletSystem, q_loc: int, pad_factor: int,
-           k: int, hull: tuple[float, float], transpose: bool):
-    """(u, values) of T psi (or T^t psi) for the scale-k wavelet, in
-    coordinates relative to its cube's left endpoint, on a periodized mesh
-    whose interior covers both the support and the hull; only the interior
-    is returned.  The operators are convolutions, so one field serves every
-    scale-k cube."""
-    return _field_values(op, _field_mesh(system, q_loc, pad_factor, k, hull,
-                                         transpose))
-
-
 def _fill_rows(values: np.ndarray, du: np.ndarray, row_blocks, image):
     """Write into values the pairing of each block of rows, given with
     the fine nodes (relative nodes, wavelet values, spacing) it reads;
@@ -478,25 +467,6 @@ def _field_task(op: KernelOp, mesh: _FieldMesh, row_blocks,
     """Build one field and fill its rows; the field dies with the task."""
     mesh_u, fld = _field_values(op, mesh)
     _fill_rows(values, du, row_blocks, lambda u: np.interp(u, mesh_u, fld))
-
-
-def _run_field_tasks(op: KernelOp, tasks, values: np.ndarray,
-                     du: np.ndarray) -> None:
-    """Run each (mesh, row blocks) task on a pool of FIELD_WORKERS threads,
-    in the given order.  The first failure cancels the tasks not yet
-    started and is raised once the running ones have ended."""
-    if not tasks:
-        return
-    # imported here: importing the package should not load the thread pool
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-    pool = ThreadPoolExecutor(max_workers=min(FIELD_WORKERS, len(tasks)))
-    try:
-        for done in as_completed([
-                pool.submit(_field_task, op, mesh, row_blocks, values, du)
-                for mesh, row_blocks in tasks]):
-            done.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(eq=False)
@@ -518,33 +488,23 @@ class PairingTable:
     per pairings call.
 
     Rows are sorted, deduplicated and looked up as one int64 each (see
-    _KeyPacking), not as records of four.
+    _KeyPacking), packed once per table.
 
-    PairingTable.build works in two stages.  The calling thread does
-    everything that reads the wavelet system: the keys, the hulls, the
-    nodes of each field and of each fine generation, and the size of each
-    field's mesh, refusing a mesh over FIELD_MAX_POINTS before any is
-    allocated.  A pool of FIELD_WORKERS threads then builds the fields,
-    largest mesh first; each task builds one field, fills that field's
-    rows of values and drops it.  Workers call only numpy and private
-    helpers of this module, never a public function of another module, so
-    a tracer that wraps those sees one thread.  The fields' FFT
-    temporaries and the PAIRING_MAX_NODES interpolation blocks exist once
-    per worker.  Tables without fields (the identity) fill their rows on
-    the calling thread.  The values are those of a serial build, bit for
-    bit: every row is computed by the same operations whichever thread
-    runs it.
+    build does everything that reads the wavelet system on the calling
+    thread, refusing a mesh over FIELD_MAX_POINTS before any is allocated.
+    Up to FIELD_WORKERS threads then build the fields, largest mesh first,
+    each task filling its field's rows of values; workers call only numpy
+    and private helpers of this module, so a tracer that wraps the public
+    functions sees one thread.  Every row is computed by the same
+    operations whichever thread runs it, so the values are those of a
+    serial build, bit for bit.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
     values: np.ndarray  # the pairing of each row
     counts: dict        # distinct keys evaluated and fields built
-    _packing: _KeyPacking = field(init=False, repr=False)
-    _packed: np.ndarray = field(init=False, repr=False)  # sorted
-
-    def __post_init__(self):
-        self._packing = _KeyPacking.of(self.keys)
-        self._packed = self._packing.pack(self.keys)
+    _packing: _KeyPacking = field(repr=False)
+    _packed: np.ndarray = field(repr=False)  # the packed keys, sorted
 
     @classmethod
     def build(cls, op: KernelOp, system: WaveletSystem, window,
@@ -552,9 +512,12 @@ class PairingTable:
               pad_factor: int = 8) -> "PairingTable":
         """The table of the distinct rows of keys for op, on the system's
         wavelets; the window sets the integer unit of the offsets."""
-        keys = distinct_keys(keys)
+        # the distinct rows pack as all rows do: same generations, same
+        # offsets
         packing = _KeyPacking.of(keys)
-        blocks = packing.blocks(keys)
+        packed, first = np.unique(packing.pack(keys), return_index=True)
+        keys = keys[first]
+        blocks = packed // packing.offsets.size
         values = np.empty(len(keys))
         unit = 2.0 ** (-window.unit_exp)
         half = (system.m + 1) / 2.0
@@ -582,10 +545,18 @@ class PairingTable:
                 _fill_rows(values, du, row_blocks,
                            lambda u: 2.0 ** (kc / 2.0)
                            * system.mother(u * 2.0 ** kc))
-        # largest mesh first, so that the last task to end is a small one
-        tasks.sort(key=lambda task: -task[0].size)
-        _run_field_tasks(op, tasks, values, du)
-        return cls(keys, values, {"keys": len(keys), "fields": len(tasks)})
+        if tasks:
+            # largest mesh first, so that the last task to end is a small
+            # one.  map submits in order, and a failure cancels the tasks
+            # not yet started; leaving the with block waits for the rest
+            tasks.sort(key=lambda task: -task[0].size)
+            # imported here: importing the package should not load the pool
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(min(FIELD_WORKERS, len(tasks))) as pool:
+                list(pool.map(lambda task: _field_task(op, *task, values, du),
+                              tasks))
+        return cls(keys, values, {"keys": len(keys), "fields": len(tasks)},
+                   packing, packed)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Values of the rows of keys; every row must be in the table.

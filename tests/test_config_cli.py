@@ -3,11 +3,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadshift import cli
+from dyadshift import cli, harness
 from dyadshift.cli import main
 from dyadshift.config import (ConfigError, RunConfig, default_r,
                               manifest_json, parse_config)
-from dyadshift.dyadic import ScaleRangeError, WindowTruncationError
+from dyadshift.dyadic import (DyadicGrid, ScaleRangeError,
+                              WindowTruncationError)
 from dyadshift.harness import NoiseFloorError
 from dyadshift.shifts import NormalizationFinding, PowerIterationError
 
@@ -301,3 +302,38 @@ def test_any_json_object_resolves_or_raises_config_error(obj):
         return
     assert isinstance(cfg.r, int) and 0.0 < cfg.theta <= 1.0
     assert cfg.q >= cfg.k_max + 6
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_cli_convergence_too_few_levels_exit_4(tmp_path, capsys, monkeypatch,
+                                               n_max):
+    # fewer than 3 truncation levels can never give a slope fit; the run
+    # stops before it draws a grid
+    def no_draw(*args):
+        raise AssertionError("a grid was drawn")
+
+    monkeypatch.setattr(harness, "_draw", no_draw)
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 5, "k_min": -5, '
+           '"k_max": 3, "s": 1, "N_max": %d, "n_omega": 2}' % n_max)
+    code, err = _exit_and_stderr(
+        capsys, ["convergence", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: N_max = %d" % n_max) and "\n" not in err
+
+
+@pytest.mark.parametrize("window", [
+    '"filter": "haar", "L": 8, "k_min": -8, "k_max": 5',   # 134 M pairs
+    '"filter": "haar", "L": 30, "k_min": 0, "k_max": 5',   # 2^35 cubes
+])
+def test_cli_oversized_decay_audit_exit_4(tmp_path, capsys, monkeypatch,
+                                          window):
+    # refused from the window alone: no cube is enumerated
+    def no_cubes(self, k):
+        raise AssertionError("cubes were enumerated")
+
+    monkeypatch.setattr(DyadicGrid, "cubes_at_scale", no_cubes)
+    cfg = '{"kernel": "hilbert", "s": 1, %s}' % window
+    code, err = _exit_and_stderr(
+        capsys, ["decay-audit", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert "AUDIT_MAX_PAIRS" in err and "\n" not in err

@@ -107,6 +107,23 @@ def test_decay_audit_needs_seminorm():
                     eps=0.5, theta=1.0, i_max=3, j_max=3)
 
 
+def test_decay_audit_refuses_oversized_span_block(monkeypatch):
+    # a span bounds the cubes, so their counts are checked once they are
+    # localized, before any pair array is built
+    w = Window(d=1, L=4, k_min=-4, k_max=4)
+    system = build_system("db2", q=9, strict=False)
+
+    def no_pairs(*args):
+        raise AssertionError("pairs were classified")
+
+    monkeypatch.setattr(harness, "AUDIT_MAX_PAIRS", 100)
+    monkeypatch.setattr(harness, "classify_batch", no_pairs)
+    with pytest.raises(ScaleRangeError, match="AUDIT_MAX_PAIRS"):
+        decay_audit(make_operator("hilbert"), system,
+                    DyadicGrid.random(w, 0), s=1, eps=0.5, theta=1.0,
+                    i_max=3, j_max=3, span=(7.0, 9.0))
+
+
 def test_ground_truth_identity_matches_plain_product():
     f = TestFunction(center=3.9, halfwidth=0.8)
     g = TestFunction(center=4.2, halfwidth=0.7)
@@ -322,7 +339,6 @@ def test_sample_pairs_matches_pair_loop(name, r):
     assert np.array_equal(smp.levels, levels)
     assert smp.excluded_window == excluded > 0
     assert 0 < np.count_nonzero(weighted) < len(pairs)
-    assert smp.pairing_counts["pairs"] == len(pairs)
     # one grid: the run's table holds exactly the lone engine's keys
     assert counts == engine.counts
 

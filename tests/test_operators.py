@@ -352,9 +352,9 @@ def _scalar_pairings(engine: PairingEngine, pairs,
             buckets.setdefault((I.k, False), []).append((idx, I, J))
     nodes: dict = {}
     for (kc, transpose), members in buckets.items():
-        mesh_u, fld = operators._field(engine.op, system, q_loc,
-                                       engine.pad_factor, kc,
-                                       hulls[(kc, transpose)], transpose)
+        mesh_u, fld = operators._field_values(engine.op, operators._field_mesh(
+            system, q_loc, engine.pad_factor, kc, hulls[(kc, transpose)],
+            transpose))
         memo = {}
         for idx, coarse, fine in members:
             delta = int(grid.cube_box(fine)[0][0]
@@ -718,3 +718,39 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
                                      keys, q_loc=8)
     assert threading.active_count() == threads
     assert applied.count(True) == 1
+
+
+def test_fields_start_largest_first(monkeypatch):
+    # with one worker the fields are built in the order map submits them
+    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 5)
+    system = build_system("db2", q=11, strict=False)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    keys = operators.pairing_keys(grid, *cube_arrays([I for I, _ in pairs]),
+                                  *cube_arrays([J for _, J in pairs]))
+    real_apply = operators._periodic_apply
+    sizes = []
+
+    def record(op, buf, h, x0, mu, transpose, stop):
+        sizes.append(buf.size)
+        return real_apply(op, buf, h, x0, mu, transpose, stop)
+
+    monkeypatch.setattr(operators, "FIELD_WORKERS", 1)
+    monkeypatch.setattr(operators, "_periodic_apply", record)
+    table = operators.PairingTable.build(make_operator("hilbert"), system, w,
+                                         keys, q_loc=8)
+    assert len(sizes) == table.counts["fields"] > 3
+    assert len(set(sizes)) > 1
+    assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("op", ["hilbert", "identity"])
+def test_table_of_no_keys(op):
+    w = Window(d=1, L=3, k_min=-3, k_max=4)
+    table = operators.PairingTable.build(
+        make_operator(op), build_system("haar", q=10, strict=False), w,
+        np.empty((0, 4), dtype=np.int64), q_loc=8)
+    assert table.keys.shape == (0, 4) and table.values.shape == (0,)
+    assert table.counts == {"keys": 0, "fields": 0}
+    got = table.lookup(np.empty((0, 4), dtype=np.int64))
+    assert got.shape == (0,) and got.dtype == float
