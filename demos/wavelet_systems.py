@@ -2,8 +2,11 @@
 Compactly supported wavelet systems from conjugate mirror filters
 =================================================================
 
-The cascade algorithm turns a finite orthonormal filter into tabulated
-scaling and wavelet functions.  Each system is summarized by a triple:
+A finite orthonormal filter determines its scaling function through the
+two-scale relation: the values at the integers are an eigenvector of the
+filter's two-scale matrix, and one two-scale pass per halving of the
+spacing fills in the dyadic points, so the tables are exact up to rounding
+(the printed residual).  Each system is summarized by a triple:
 support diameter m, empirical differentiability order u, and the number of
 extra vanishing moments v.  Smoother filters buy faster coefficient decay
 against smooth kernels; Haar sits at the bottom with (1, 0, 0).
@@ -17,7 +20,7 @@ for name in ("haar", "db2", "db3", "db8"):
     system = build_system(name, q=10, strict=False)
     moments = [system.moment(a) for a in range(system.v + 2)]
     print(f"{name:5s} m={system.m:3d} u={system.u} v={system.v} "
-          f"cascade residual {system.cascade_residual:.2e}")
+          f"two-scale residual {system.cascade_residual:.2e}")
     print(f"      moments 0..{system.v + 1}: "
           + " ".join(f"{mo:+.2e}" for mo in moments))
 

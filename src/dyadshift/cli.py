@@ -86,7 +86,6 @@ def cmd_wavelet_check(cfg: RunConfig) -> int:
     defect = gram_defect(system, entries, res=min(cfg.q, 16), span=(-8.0, 9.0))
     results = {
         "m": system.m, "u": system.u, "v": system.v,
-        "cascade_iterations": system.cascade_iterations,
         "cascade_residual": system.cascade_residual,
         "fd_ratios": system.fd_ratios,
         "gram_defect": defect,

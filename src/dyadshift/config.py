@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 
 from .dyadic import union_bound
@@ -161,10 +160,12 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
     entries of overrides replace the config's own values."""
     text = source
     if not source.lstrip().startswith("{"):
-        if not os.path.exists(source):
-            raise ConfigError(f"invalid config: no such file {source!r}")
-        with open(source) as fh:
-            text = fh.read()
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # also undecodable bytes
+            raise ConfigError(
+                f"invalid config: cannot read {source!r} ({exc})") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

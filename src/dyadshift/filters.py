@@ -21,10 +21,12 @@ class FilterError(ValueError):
 
 
 def validate_filter(h: np.ndarray, tol: float = QMF_TOL) -> None:
-    """Check Sum h = sqrt(2) and orthonormality of even shifts."""
+    """Check finite taps, Sum h = sqrt(2) and even-shift orthonormality."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size < 2 or h.size % 2 != 0:
         raise FilterError("filter invalid: need an even number (>= 2) of taps")
+    if not np.all(np.isfinite(h)):
+        raise FilterError("filter invalid: taps must be finite numbers")
     if abs(h.sum() - math.sqrt(2.0)) > tol:
         raise FilterError(
             f"filter invalid: sum of taps is {h.sum():.15g}, expected sqrt(2)"

@@ -1,4 +1,4 @@
-"""Compactly supported wavelet systems built by the cascade algorithm.
+"""Compactly supported wavelet systems built from the two-scale relation.
 
 A system is characterized by the triple (m, u, v): support radius parameter m
 (the mother wavelet for the unit cube is supported in the m-fold concentric
@@ -6,9 +6,11 @@ dilate), empirically probed differentiability order u, and the number of
 vanishing moments v (all moments up to order v vanish).
 
 Mother functions are tabulated on a dyadic mesh of spacing 2^-(q+1); the
-two-scale relation closes on that mesh, so the tabulated values are fixed
-points of the cascade iteration rather than generic approximations.  Midpoint
-quadrature nodes at spacing 2^-q land exactly on mesh points.
+two-scale relation closes on that mesh, and the scaling table is its fixed
+point up to rounding (Daubechies and Lagarias): the values at the integers
+are an eigenvector of the two-scale matrix, and each halving of the spacing
+is one two-scale pass.  Midpoint quadrature nodes at spacing 2^-q land
+exactly on mesh points.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import get_filter, highpass_from_lowpass, validate_filter
+from .filters import (QMF_TOL, get_filter, highpass_from_lowpass,
+                      validate_filter)
 
-CASCADE_TOL = 1e-10
-# largest cascade mesh, in points: each of the cascade's float64 and int64
-# tables then takes at most 256 MiB
+# largest scaling-function mesh, in points: each float64 table of a
+# two-scale pass then takes at most 256 MiB
 CASCADE_MAX_POINTS = 1 << 25
-CASCADE_MAX_ITER = 80
 MOMENT_TOL = 1e-10
 FD_STABLE_RATIO = 1.2
 
@@ -46,42 +47,44 @@ def _two_scale(taps: np.ndarray, v: np.ndarray, step: int) -> np.ndarray:
     with v taken as 0 off the mesh."""
     n_pts = v.size
     out = np.zeros(n_pts)
-    idx = 2 * np.arange(n_pts)
     root2 = math.sqrt(2.0)
     for n in range(taps.size):
-        src = idx - n * step
-        ok = (src >= 0) & (src < n_pts)
-        out[ok] += root2 * taps[n] * v[src[ok]]
+        # the points i whose source 2i - n step lies on the mesh
+        lo, hi = -(-n * step // 2), min(n_pts, (n_pts - 1 + n * step) // 2 + 1)
+        if lo < hi:
+            out[lo:hi] += root2 * taps[n] * v[2 * lo - n * step::2][:hi - lo]
     return out
 
 
-def cascade(h: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
-    """Iterate the two-scale map on the mesh x_n = n 2^-q, n = 0..(L-1) 2^q.
-
-    Returns (samples of the scaling function on [0, L-1], iterations, final
-    sup-norm residual).  L = len(h).
-    """
-    h = np.asarray(h, dtype=float)
+def scaling_table(h: np.ndarray, q: int) -> tuple[np.ndarray, float]:
+    """The scaling function phi on the mesh n 2^-q, n = 0..(L-1) 2^q, and its
+    sup-norm two-scale residual; L = len(h).  phi(0..L-2) is the eigenvector
+    for eigenvalue 1 of sqrt(2) h_{2i-j}, i, j < L-1, summing to 1, and
+    phi(L-1) = 0 (the L x L matrix only adds the eigenvalue sqrt(2) h_{L-1},
+    a second 1 for the right-continuous Haar).  One two-scale pass per
+    halving of the spacing reads the coarser values at the even points."""
     L = h.size
-    step = 1 << q
-    n_pts = (L - 1) * step + 1
+    n_pts = ((L - 1) << q) + 1
     if n_pts > CASCADE_MAX_POINTS:
         raise CascadeError(
             f"cascade mesh of {n_pts} points (filter length {L}, spacing "
             f"2^-{q}) exceeds the budget of {CASCADE_MAX_POINTS}; lower q")
-    v = np.zeros(n_pts)
-    v[: step] = 1.0  # box function on [0, 1)
-    res = math.inf
-    for it in range(1, CASCADE_MAX_ITER + 1):
-        new = _two_scale(h, v, step)
-        res = float(np.max(np.abs(new - v)))
-        v = new
-        if res < CASCADE_TOL:
-            return v, it, res
-    raise CascadeError(
-        f"cascade failed to reach sup residual {CASCADE_TOL:g} in "
-        f"{CASCADE_MAX_ITER} iterations (residual {res:.3g})"
-    )
+    n = 2 * np.arange(L - 1)[:, None] - np.arange(L - 1)
+    matrix = np.where((n >= 0) & (n < L), math.sqrt(2.0) * h[n % L], 0.0)
+    lam, vec = np.linalg.eig(matrix)
+    # a filter QMF_TOL from a double eigenvalue 1 splits it by ~sqrt(QMF_TOL)
+    ones = np.flatnonzero(np.abs(lam - 1.0) <= math.sqrt(QMF_TOL))
+    if ones.size != 1:
+        raise CascadeError(
+            f"the filter's two-scale matrix has eigenvalue 1 {ones.size} "
+            f"times, not once, so it defines no unique scaling function")
+    v = np.append(vec[:, ones[0]].real, 0.0)
+    v /= v.sum()
+    for j in range(1, q + 1):
+        fine = np.zeros(2 * v.size - 1)
+        fine[::2] = v
+        v = _two_scale(h, fine, 1 << j)
+    return v, float(np.max(np.abs(_two_scale(h, v, 1 << q) - v)))
 
 
 @dataclass
@@ -103,7 +106,6 @@ class WaveletSystem:
     lo: float
     phi: np.ndarray
     psi: np.ndarray
-    cascade_iterations: int
     cascade_residual: float
     fd_ratios: dict = field(default_factory=dict)
 
@@ -151,9 +153,11 @@ class WaveletSystem:
         return t, 2.0 ** (k / 2.0) * self.mother(t, "psi"), hq * 2.0 ** (-k)
 
     def moment(self, alpha: int, kind: str = "psi") -> float:
-        """Midpoint quadrature of the alpha-th mother moment."""
+        """Midpoint quadrature of the alpha-th mother moment, whose nodes
+        are the odd points of the table mesh."""
         t, hq = self.quad_nodes()
-        return float(np.sum(t ** alpha * self.mother(t, kind)) * hq)
+        table = self.psi if kind == "psi" else self.phi
+        return float(np.sum(t ** alpha * table[1::2]) * hq)
 
 
 def _fd_ratio(table: np.ndarray, step: float, order: int) -> float:
@@ -220,22 +224,20 @@ def build_system(filter_spec, q: int, s_target: int = 1,
     m = h.size - 1  # support diameter of the mother functions
     # Tabulate at spacing 2^-(q+1) so that midpoint nodes of the 2^-q
     # quadrature are themselves mesh points.
-    phi, iters, res = cascade(h, q + 1)
+    phi, res = scaling_table(h, q + 1)
     psi = _two_scale(g, phi, 1 << (q + 1))  # sqrt(2) sum_n g_n phi(2x - n)
     lo = (1 - m) / 2.0  # natural support [0, m] recentered into the m-dilate
     sys = WaveletSystem(
         name=name, h=h, g=g, q=q, m=m, u=0, v=0, s_target=s_target, lo=lo,
-        phi=phi, psi=psi, cascade_iterations=iters, cascade_residual=res,
+        phi=phi, psi=psi, cascade_residual=res,
     )
-    step = sys.mesh_step
-    u, ratios = probe_differentiability(psi, step, max(s_target, 1))
-    sys.u = u
-    sys.fd_ratios = ratios
+    sys.u, sys.fd_ratios = probe_differentiability(psi, sys.mesh_step,
+                                                   max(s_target, 1))
     sys.v = count_vanishing_moments(sys, cap=max(2 * s_target, s_target + 2, 8))
     if strict and sys.u < s_target:
         raise SmoothnessError(
             f"filter {name!r} gives u={sys.u} < s_target={s_target} "
-            f"(finite-difference ratios {ratios})"
+            f"(finite-difference ratios {sys.fd_ratios})"
         )
     if strict and sys.v < s_target - 1:
         raise MomentError(
@@ -244,9 +246,10 @@ def build_system(filter_spec, q: int, s_target: int = 1,
     return sys
 
 
-def gram_matrix(system: WaveletSystem, entries, res: int,
-                span: tuple[float, float]) -> np.ndarray:
-    """Midpoint-quadrature Gram matrix of the listed wavelets.
+def gram_defect(system: WaveletSystem, entries, res: int,
+                span: tuple[float, float]) -> float:
+    """Largest entry of |G - I|, G the midpoint-quadrature Gram matrix of
+    the listed wavelets.
 
     entries: list of (k, l, kind) with kind 'psi' or 'phi'; functions are
     2^{k/2} mother(2^k x - l).  res: mesh exponent of the common quadrature
@@ -259,10 +262,5 @@ def gram_matrix(system: WaveletSystem, entries, res: int,
     rows = np.empty((len(entries), n))
     for i, (k, l, kind) in enumerate(entries):
         rows[i] = 2.0 ** (k / 2.0) * system.mother(2.0 ** k * x - l, kind)
-    return rows @ rows.T * h
-
-
-def gram_defect(system: WaveletSystem, entries, res: int,
-                span: tuple[float, float]) -> float:
-    G = gram_matrix(system, entries, res, span)
+    G = rows @ rows.T * h
     return float(np.max(np.abs(G - np.eye(len(entries)))))

@@ -1,6 +1,7 @@
-"""One-cube reference routes that the library batches: the tests compare
-the batched functions with these, bit for bit where the batching keeps
-the arithmetic."""
+"""Reference routes the library replaced: one-cube forms of what it
+batches, which the tests compare bit for bit where the batching keeps the
+arithmetic, and the cascade iteration the exact scaling tables are checked
+against."""
 
 import math
 
@@ -8,6 +9,24 @@ import numpy as np
 
 from dyadshift.dyadic import cube_arrays
 from dyadshift.operators import sample_wavelet, support_intervals
+from dyadshift.wavelets import _two_scale
+
+
+def cascade(h, q: int, tol: float = 1e-10, max_iter: int = 80):
+    """Iterate the two-scale map from the box on [0, 1), on the mesh
+    x_n = n 2^-q, n = 0..(L-1) 2^q, until the sup-norm change falls below
+    tol.  Returns (table, iterations, final change); L = len(h)."""
+    h = np.asarray(h, dtype=float)
+    step = 1 << q
+    v = np.zeros((h.size - 1) * step + 1)
+    v[:step] = 1.0
+    for it in range(1, max_iter + 1):
+        new = _two_scale(h, v, step)
+        res = float(np.max(np.abs(new - v)))
+        v = new
+        if res < tol:
+            return v, it, res
+    raise RuntimeError(f"cascade: change {res:.3g} after {max_iter} passes")
 
 
 def support_interval(grid, system, cube) -> tuple[float, float]:

@@ -175,6 +175,48 @@ def test_cli_cascade_over_memory_budget_exits_4(tmp_path, capsys):
     assert err.startswith("error: cascade") and "\n" not in err
 
 
+def test_cli_repeated_eigenvalue_filter_exits_4(tmp_path, capsys):
+    # a valid QMF whose two-scale matrix has eigenvalue 1 more than once:
+    # no unique scaling function (the cascade iteration converged to a comb)
+    path = tmp_path / "comb.flt"
+    path.write_text("0.7071067811865476\n0\n0\n0.7071067811865476\n")
+    cfg = json.dumps({"kernel": "hilbert", "filter": str(path)})
+    code, err = _exit_and_stderr(
+        capsys, ["wavelet-check", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: ") and "eigenvalue 1" in err
+    assert "\n" not in err
+
+
+def test_cli_non_finite_filter_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.flt"
+    path.write_text("nan\nnan\n")
+    cfg = json.dumps({"kernel": "hilbert", "filter": str(path)})
+    code, err = _exit_and_stderr(
+        capsys, ["wavelet-check", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: invalid config") and "finite" in err
+    assert "\n" not in err
+
+
+def test_cli_undecodable_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, err = _exit_and_stderr(
+        capsys, ["grid-stats", "--config", str(path), "--outdir",
+                 str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: invalid config") and "\n" not in err
+
+
+def test_cli_directory_as_config_exits_2(tmp_path, capsys):
+    code, err = _exit_and_stderr(
+        capsys, ["grid-stats", "--config", str(tmp_path), "--outdir",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert err.startswith("error: invalid config") and "\n" not in err
+
+
 # a window reaching 2^62 units (L + k_max + 1 = 62) whose coarsest
 # generation is as wide as the window
 _WIDE = '{"kernel": "hilbert", "L": 40, "k_min": -40, "k_max": 21'

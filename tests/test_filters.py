@@ -65,6 +65,15 @@ def test_validate_rejects_non_orthonormal():
         validate_filter(h)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_taps(bad):
+    # NaN fails no comparison, so each later check would let it pass
+    with pytest.raises(FilterError, match="finite"):
+        validate_filter(np.array([bad, bad]))
+    with pytest.raises(FilterError, match="finite"):
+        validate_filter(np.append(get_filter("db2")[:3], bad))
+
+
 def test_validate_rejects_odd_length():
     with pytest.raises(FilterError):
         validate_filter(np.array([1.0, 0.0, 0.0]))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dyadshift.wavelets import (SmoothnessError, WaveletSystem, build_system,
-                                cascade, count_vanishing_moments, gram_defect)
-from dyadshift.filters import get_filter
+from dyadshift.wavelets import (SmoothnessError, WaveletSystem, _two_scale,
+                                build_system, count_vanishing_moments,
+                                gram_defect, scaling_table)
+from dyadshift.filters import builtin_filter_names, get_filter
+from references import cascade
 
 
 @pytest.fixture(scope="module")
@@ -18,13 +20,44 @@ def db3():
     return build_system("db3", q=10)
 
 
-def test_cascade_converges_for_all_builtins():
-    for name in ("haar", "db2", "db3", "db8"):
-        phi, iters, res = cascade(get_filter(name), q=8)
-        assert res < 1e-10
-        assert iters <= 80
-        # scaling function integrates to 1
-        assert abs(np.sum(phi[:-1]) * 2.0 ** -8 - 1.0) < 1e-8
+@pytest.mark.parametrize("name", builtin_filter_names())
+def test_scaling_tables_are_fixed_points_near_the_cascade(name):
+    h = get_filter(name)
+    for q in (6, 8, 10, 14):
+        phi, res = scaling_table(h, q)
+        assert res == np.max(np.abs(_two_scale(h, phi, 1 << q) - phi))
+        assert res <= 1e-14
+        # the scaling function integrates to 1
+        assert abs(np.sum(phi) * 2.0 ** -q - 1.0) <= 1e-14
+        if name == "haar":  # the cascade's box is its own fixed point
+            assert np.array_equal(phi, cascade(h, q)[0])
+        elif q <= 10:
+            assert np.max(np.abs(phi - cascade(h, q)[0])) <= 2e-10
+
+
+def test_db2_table_matches_closed_form():
+    # phi(x) of db2 at x = 0, 1/2, ..., 3 in closed form; the cascade
+    # iteration's table was 1.6e-10 off
+    s3 = math.sqrt(3.0)
+    want = [0.0, (2 + s3) / 4, (1 + s3) / 2, 0.0, (1 - s3) / 2,
+            (2 - s3) / 4, 0.0]
+    phi, _ = scaling_table(get_filter("db2"), 1)
+    assert np.max(np.abs(phi - want)) <= 1e-15
+
+
+# (m, u, v) of each built-in with u probed up to order 2, the same at every
+# q = 6..14
+_TRIPLES = {"haar": (1, 0, 0), "db2": (3, 0, 1), "db3": (5, 1, 2),
+            "db4": (7, 1, 3), "db5": (9, 2, 4), "db6": (11, 2, 5),
+            "db7": (13, 2, 6), "db8": (15, 2, 7)}
+
+
+@pytest.mark.parametrize("q", range(6, 15))
+def test_builtin_triples_do_not_depend_on_q(q):
+    assert sorted(_TRIPLES) == builtin_filter_names()
+    for name, triple in _TRIPLES.items():
+        sysw = build_system(name, q=q, s_target=2, strict=False)
+        assert (sysw.m, sysw.u, sysw.v) == triple, name
 
 
 def test_haar_triple_exact(haar):
