@@ -10,7 +10,8 @@ A config is a flat JSON object.  Recognized keys and defaults:
                 whose union bound (8 d / theta) 2^(-r theta) is <= 1/2
     L           window level: the window is [0, 2^L)^d
     k_min, k_max  generation range of the window
-    q           mesh exponent for wavelet tabulation; must be >= k_max + 6
+    q           mesh exponent for wavelet tabulation; must be
+                >= max(k_max, 0) + 6, its default
     filter      built-in filter name or path to a filter file
     kernel      operator name: hilbert, smoothed_hilbert, identity
     seed        base RNG seed
@@ -75,12 +76,14 @@ class RunConfig:
             self.r = default_r(self.d, self.theta)
         if self.r < 1:
             raise ConfigError("invalid config: r must be >= 1")
+        # 6 is the q the probe system of _check_filter is built at
+        least_q = max(self.k_max, 0) + 6
         if self.q is None:
-            self.q = self.k_max + 6
-        if self.q < self.k_max + 6:
+            self.q = least_q
+        if self.q < least_q:
             raise ConfigError(
-                f"invalid config: q={self.q} must be >= k_max + 6 "
-                f"= {self.k_max + 6}")
+                f"invalid config: q={self.q} must be >= max(k_max, 0) + 6 "
+                f"= {least_q}")
         if not self.kernel:
             raise ConfigError("invalid config: missing kernel")
         if self.kernel not in ("hilbert", "smoothed_hilbert", "identity"):

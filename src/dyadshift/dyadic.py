@@ -38,8 +38,9 @@ class Cube:
     """Dyadic cube of generation k with integer index l = (l_0,).
 
     The unshifted cube is [l_0 2^-k, (l_0+1) 2^-k).  l stays a 1-tuple, as
-    cube_box's corners and shift_units stay length-1 arrays: bench/tracer.py
-    reads them from outside the library."""
+    shift_units stays a length-1 array: bench/tracer.py reads them from
+    outside the library, and the library itself works on int64 arrays of
+    generations and indices (see cube_arrays)."""
 
     k: int
     l: tuple
@@ -130,17 +131,10 @@ class DyadicGrid:
         row = k - w.k_min
         return self._shifts[row:row + 1]
 
-    def cube_box(self, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
-        """Shifted cube as (lo, hi) integer-unit corners."""
-        w = self.window
-        side = w.len_units(cube.k)
-        lo = np.asarray(cube.l, dtype=np.int64) * side + self.shift_units(cube.k)
-        return lo, lo + side
-
     def boxes(self, k: np.ndarray, l: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
-        """cube_box of many cubes at once: (lo, hi) int64 arrays for
-        generations k and indices l (int64 arrays)."""
+        """Shifted cubes as (lo, hi) integer-unit corners: int64 arrays
+        for generations k and indices l (int64 arrays)."""
         w = self.window
         k = np.asarray(k, dtype=np.int64)
         if k.size and (k.min() < w.k_min or k.max() > w.k_max):
@@ -151,16 +145,16 @@ class DyadicGrid:
               + self._shifts[k - w.k_min])
         return lo, lo + side
 
-    def cubes_touching(self, k: int, lo_units, hi_units):
+    def cubes_touching(self, k: int, lo_units: int, hi_units: int):
         """All generation-k cubes of the grid whose closed shifted interval
-        meets [lo_units[0], hi_units[0]] (integer units, length-1 arrays
-        as cube_box gives), clipped to the window."""
+        meets [lo_units, hi_units] (integer units), clipped to the
+        window."""
         w = self.window
         side = w.len_units(k)
         shift = int(self.shift_units(k)[0])
         # overlap: l*side + shift + side > lo  and  l*side + shift < hi
-        l_lo = (int(lo_units[0]) - shift - side) // side + 1
-        l_hi = -((shift - int(hi_units[0])) // side) - 1  # inclusive
+        l_lo = (lo_units - shift - side) // side + 1
+        l_hi = -((shift - hi_units) // side) - 1  # inclusive
         # window: corner >= 0 and far corner <= extent
         l_lo = max(l_lo, -(shift // side))
         l_hi = min(l_hi, (w.extent_units - shift - side) // side)
@@ -168,13 +162,7 @@ class DyadicGrid:
             yield Cube(k, (l,))
 
     def cubes_at_scale(self, k: int):
-        return self.cubes_touching(k, (0,), (self.window.extent_units,))
-
-    def dilate_box(self, cube: Cube, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Concentric m-fold dilate mI in integer units (m odd)."""
-        lo, hi = self.cube_box(cube)
-        half_growth = (m - 1) * (hi[0] - lo[0]) // 2
-        return lo - half_growth, hi + half_growth
+        return self.cubes_touching(k, 0, self.window.extent_units)
 
 
 def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
@@ -190,16 +178,6 @@ def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
     cubes = list(cubes)
     return (np.array([c.k for c in cubes], dtype=np.int64),
             np.array([c.l[0] for c in cubes], dtype=np.int64))
-
-
-def _join_truncation(window: Window, k: int) -> WindowTruncationError:
-    """The error for a pair whose join ended at generation k: the
-    containing cube's, or below k_min when there is none."""
-    if k < window.k_min:
-        return WindowTruncationError(
-            "no generation in the window contains both dilates")
-    return WindowTruncationError(
-        f"containing cube for the pair leaves the window at generation {k}")
 
 
 def ancestor_join_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,

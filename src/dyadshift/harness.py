@@ -43,8 +43,7 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
     out = []
     for k in range(w.k_min, w.k_max + 1):
         grow = half * w.len_units(k)
-        out.extend(grid.cubes_touching(k, np.array([lo_u - grow]),
-                                       np.array([hi_u + grow])))
+        out.extend(grid.cubes_touching(k, lo_u - grow, hi_u + grow))
     return out
 
 

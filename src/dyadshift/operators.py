@@ -214,25 +214,6 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
     return _periodic_apply(op, buf, h, x0, mu, transpose, n)[1]
 
 
-def operator_norm_estimate(op: KernelOp, n: int = 4096, h: float = 1.0 / 256,
-                           iters: int = 30, seed: int = 0) -> float:
-    """Power iteration for the discrete l2 -> l2 norm on a sample mesh."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = apply_multiplier(op, x, h, 0.0, pad_factor=4, corrections=False)
-        y = apply_multiplier(op, y, h, 0.0, pad_factor=4, corrections=False,
-                             transpose=True)
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        est = math.sqrt(nrm)
-    return est
-
-
 # ---------------------------------------------------------------------------
 # pairing engine
 
@@ -258,13 +239,6 @@ def sample_wavelets(grid: DyadicGrid, system: WaveletSystem, k: int,
     its row of the absolute points x: 2^(k/2) psi(2^k x - l - shift/len)."""
     t = x * 2.0 ** k - _cube_offset(grid, k, l)[:, None]
     return 2.0 ** (k / 2.0) * system.mother(t, "psi")
-
-
-def sample_wavelet(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
-                   x: np.ndarray) -> np.ndarray:
-    """psi_I at absolute points x (sample_wavelets of one cube)."""
-    return sample_wavelets(grid, system, cube.k, np.array(cube.l),
-                           np.asarray(x)[None, :])[0]
 
 
 def pair_quadrature(op: KernelOp, grid: DyadicGrid, system: WaveletSystem,

@@ -1,24 +1,25 @@
 """Five-way classification of cube pairs, normalized shift coefficients,
-block averaging operators A_K, and assembled wavelet shifts S^{ij}.
+and assembled wavelet shifts S^{ij} with their averaging blocks A_K.
 
 Classification predicates are evaluated in exact integer-unit arithmetic so
 class membership never depends on floating-point rounding (the only float is
 the threshold len(J) * (len(I)/len(J))^theta, which is exactly representable
-whenever theta = 1).  classify_batch evaluates them for whole arrays of
-pairs; classify_pair is its one-pair form and gives the PairClass entries
-that assemble_shift takes.
+whenever theta = 1).  Cubes are int64 arrays of generations and indices
+throughout: classify_batch classifies arrays of pairs, assemble_shift takes
+them with classify_batch's output, a ShiftOperator holds its entries as
+arrays, and apply_shift and shift_norm_estimate sample each distinct cube
+of a shift once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import (Cube, DyadicGrid, _join_truncation, ancestor_join_batch,
-                     cube_arrays)
-from .operators import sample_wavelet
+from .dyadic import DyadicGrid, ancestor_join_batch
+from .operators import sample_wavelets
 
 CLASSES = ("far", "between", "contained", "equal", "near")
 FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
@@ -26,14 +27,6 @@ FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
 
 class NormalizationFinding(RuntimeError):
     """A normalized coefficient exceeded the admissible-shift bound."""
-
-
-@dataclass(frozen=True)
-class PairClass:
-    kind: str
-    K: Cube
-    i: int
-    j: int
 
 
 def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
@@ -98,49 +91,54 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                                          partner_l, m)
 
 
-def classify_pair(grid: DyadicGrid, I: Cube, J: Cube, theta: float, m: int,
-                  ) -> PairClass:
-    """classify_batch of one ordered pair with len(I) <= len(J): its class
-    and containing ancestor (equal pairs borrow a deterministic adjacent
-    cube).  Raises WindowTruncationError where the batch truncates."""
-    kind, K_k, K_l, i, j, truncated = classify_batch(
-        grid, *cube_arrays([I]), *cube_arrays([J]), theta, m)
-    if truncated[0]:
-        raise _join_truncation(grid.window, int(K_k[0]))
-    return PairClass(CLASSES[kind[0]], Cube(int(K_k[0]), (int(K_l[0]),)),
-                     int(i[0]), int(j[0]))
-
-
 def coefficient_scale(i: int, j: int, d: int) -> float:
     """sqrt(|I||J|)/|K| for the (i,j) block geometry."""
     return 2.0 ** (-(i + j) * d / 2.0)
 
 
-def shift_coefficient(pairing_value: float, i: int, j: int, d: int, s: int,
-                      eps: float, bound_const: float, c_emp: float,
-                      context: str = "") -> float:
-    """a_IJK = pairing / (c_emp (|K|_CZs + |T|) 2^{-max(i,j)(s - 2 eps)}).
+def shift_coefficient(pairing, i: int, j: int, d: int, s: int, eps: float,
+                      bound_const: float, c_emp: float, names=None):
+    """a_IJK = pairing / (c_emp (|K|_CZs + |T|) 2^{-max(i,j)(s - 2 eps)}),
+    elementwise over a pairing value or an array of them.
 
-    Raises NormalizationFinding when the admissible-shift bound
-    |a| <= sqrt(|I||J|)/|K| fails; that is a reportable finding, not a value
-    to clip.
+    Raises NormalizationFinding at the first entry whose |a| exceeds the
+    admissible-shift bound sqrt(|I||J|)/|K|, named in the message by
+    names(n) for entry n when names is given; that is a reportable
+    finding, not a value to clip.
     """
     decay = 2.0 ** (-max(i, j) * (s - 2.0 * eps))
-    a = pairing_value / (c_emp * bound_const * decay)
+    a = np.asarray(pairing, dtype=float) / (c_emp * bound_const * decay)
     cap = coefficient_scale(i, j, d)
-    if abs(a) > cap * (1.0 + 1e-12):
+    over = np.flatnonzero(np.abs(a) > cap * (1.0 + 1e-12))
+    if over.size:
+        n = int(over[0])
         raise NormalizationFinding(
-            f"normalization violated: |a|={abs(a):.6g} > {cap:.6g} "
-            f"at (i,j)=({i},{j}) {context}"
-        )
+            f"normalization violated: |a|={abs(a.flat[n]):.6g} > {cap:.6g} "
+            f"at (i,j)=({i},{j})" + (f" {names(n)}" if names else ""))
     return a
 
 
-@dataclass
+def _no_entries() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class ShiftOperator:
+    """S^{ij} f = sum_K A_K f with A_K f = sum a_IJK <f, psi_I> psi_J.
+
+    Entry n pairs I = (K_k[n] + i, I_l[n]) with J = (K_k[n] + j, J_l[n])
+    in the block K = (K_k[n], K_l[n]), with coefficient a[n]: the
+    generations and indices are int64 arrays and a a float array, one item
+    per entry.  ShiftOperator(i, j) is the zero shift.
+    """
+
     i: int
     j: int
-    blocks: dict = field(default_factory=dict)  # K -> list[(I, J, a)]
+    K_k: np.ndarray = field(default_factory=_no_entries)
+    K_l: np.ndarray = field(default_factory=_no_entries)
+    I_l: np.ndarray = field(default_factory=_no_entries)
+    J_l: np.ndarray = field(default_factory=_no_entries)
+    a: np.ndarray = field(default_factory=lambda: np.empty(0))
     good: bool = True
     class_filter: tuple = CLASSES
     excluded_badness: int = 0
@@ -149,23 +147,15 @@ class ShiftOperator:
 
     @property
     def coefficient_count(self) -> int:
-        return sum(len(v) for v in self.blocks.values())
+        return self.a.size
 
     def max_normalized_coefficient(self) -> float:
-        cap = coefficient_scale(self.i, self.j, 1)
-        worst = 0.0
-        for entries in self.blocks.values():
-            for _, _, a in entries:
-                worst = max(worst, abs(a) / cap)
-        return worst
+        return (float(np.max(np.abs(self.a), initial=0.0))
+                / coefficient_scale(self.i, self.j, 1))
 
     def transpose(self) -> "ShiftOperator":
         """The dual shift: type (j,i) with every block transposed."""
-        out = ShiftOperator(i=self.j, j=self.i, good=self.good,
-                            class_filter=self.class_filter, c_emp=self.c_emp)
-        for K, entries in self.blocks.items():
-            out.blocks[K] = [(J, I, a) for (I, J, a) in entries]
-        return out
+        return replace(self, i=self.j, j=self.i, I_l=self.J_l, J_l=self.I_l)
 
     def manifest(self, seed=None) -> dict:
         return {
@@ -182,76 +172,108 @@ class ShiftOperator:
         }
 
 
-def assemble_shift(grid: DyadicGrid, system, i: int, j: int,
-                   classified, pairings, s: int, eps: float,
-                   bound_const: float, c_emp: float,
-                   class_filter=CLASSES, good_mask=None,
-                   excluded_window: int = 0) -> ShiftOperator:
-    """Build S^{ij} from classified pairs and their pairing values.
+def assemble_shift(grid: DyadicGrid, system, i: int, j: int, pairs, classes,
+                   pairings, s: int, eps: float, bound_const: float,
+                   c_emp: float, class_filter=CLASSES,
+                   good_mask=None) -> ShiftOperator:
+    """Build S^{ij} from the pairs (I, J), len(I) <= len(J), given as the
+    int64 arrays (I_k, I_l, J_k, J_l), with their classify_batch output
+    and their pairings <psi_J, T psi_I>.
 
-    classified: list of (I, J, PairClass) with len(I) <= len(J); pairings:
-    matching list of <psi_J, T psi_I> values; good_mask: optional badness
-    filter per pair (False entries are dropped and counted).
+    The pairs the window truncates are dropped and counted in
+    excluded_window; pairs of type (i, j) in class_filter whose good_mask
+    entry is False are dropped and counted in excluded_badness.  Raises
+    NormalizationFinding (see shift_coefficient) naming the first pair,
+    in input order, whose coefficient exceeds the cap.  The shift is good
+    when the block of every nonzero entry contains the m-dilates of its I
+    and J.
     """
-    S = ShiftOperator(i=i, j=j, class_filter=tuple(class_filter),
-                      excluded_window=excluded_window, c_emp=c_emp)
-    m = system.m
-    w = grid.window
-    d = w.d
-    for idx, (I, J, pc) in enumerate(classified):
-        if pc.kind not in class_filter or pc.i != i or pc.j != j:
-            continue
-        if good_mask is not None and not good_mask[idx]:
-            S.excluded_badness += 1
-            continue
-        a = shift_coefficient(pairings[idx], i, j, d, s, eps, bound_const,
-                              c_emp, context=f"I={I} J={J}")
-        S.blocks.setdefault(pc.K, []).append((I, J, a))
-    good = True
-    for K, entries in S.blocks.items():
-        k_lo, k_hi = grid.cube_box(K)
-        for I, J, a in entries:
-            if a == 0.0:
-                continue
-            for c in (I, J):
-                d_lo, d_hi = grid.dilate_box(c, m)
-                if not ((k_lo <= d_lo).all() and (d_hi <= k_hi).all()):
-                    good = False
-    S.good = good
-    return S
+    I_k, I_l, J_k, J_l = pairs
+    kind, K_k, K_l, ii, jj, truncated = classes
+    codes = [n for n, name in enumerate(CLASSES) if name in class_filter]
+    pick = ~truncated & (ii == i) & (jj == j) & np.isin(kind, codes)
+    excluded_badness = 0
+    if good_mask is not None:
+        good_mask = np.asarray(good_mask, dtype=bool)
+        excluded_badness = int(np.count_nonzero(pick & ~good_mask))
+        pick &= good_mask
+    sel = np.flatnonzero(pick)
+    a = shift_coefficient(
+        np.asarray(pairings)[sel], i, j, grid.window.d, s, eps, bound_const,
+        c_emp, names=lambda n: (f"I=(k={I_k[sel[n]]}, l={I_l[sel[n]]}) "
+                                f"J=(k={J_k[sel[n]]}, l={J_l[sel[n]]})"))
+    k_lo, k_hi = grid.boxes(K_k[sel], K_l[sel])
+    inside = np.ones(sel.size, dtype=bool)
+    for k, l in ((I_k[sel], I_l[sel]), (J_k[sel], J_l[sel])):
+        lo, hi = grid.boxes(k, l)
+        grow = (system.m - 1) * (hi - lo) // 2
+        inside &= (k_lo <= lo - grow) & (hi + grow <= k_hi)
+    return ShiftOperator(
+        i, j, K_k[sel], K_l[sel], I_l[sel], J_l[sel], a,
+        good=bool(np.all(inside | (a == 0.0))),
+        class_filter=tuple(class_filter),
+        excluded_badness=excluded_badness,
+        excluded_window=int(np.count_nonzero(truncated)), c_emp=c_emp)
 
 
-def descendants(grid: DyadicGrid, K: Cube, depth: int) -> list[Cube]:
-    """In-window cubes `depth` generations below K and contained in it."""
-    k_lo, k_hi = grid.cube_box(K)
-    out = []
-    for c in grid.cubes_touching(K.k + depth, k_lo, k_hi):
-        lo, hi = grid.cube_box(c)
-        if (k_lo <= lo).all() and (hi <= k_hi).all():
-            out.append(c)
-    return out
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, p) over consecutive runs of counts[n] items: the run of each
+    item and its position in the run."""
+    n = np.repeat(np.arange(counts.size), counts)
+    return n, np.arange(n.size) - (np.cumsum(counts) - counts)[n]
 
 
-def calibrate_c_emp(classified, pairings, s: int, eps: float,
+def descendants(grid: DyadicGrid, K_k, K_l, depth: int,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """In-window cubes `depth` generations below the cubes K, given as
+    int64 arrays, and contained in them: (n, l) int64 arrays, where n
+    indexes the containing K, in order of n and then of l.
+
+    The grid is nested, so they are the 2^depth children of K from its
+    corner on, clipped to the window.
+    """
+    K_k = np.asarray(K_k, dtype=np.int64)
+    lo, _ = grid.boxes(K_k, K_l)
+    # the corner and side of the cube of index 0 of each child generation
+    shift, side = grid.boxes(K_k + depth, np.zeros_like(K_k))
+    side -= shift
+    first = (lo - shift) // side
+    last = np.minimum(first + (1 << depth) - 1,
+                      (grid.window.extent_units - shift - side) // side)
+    first = np.maximum(first, -(shift // side))
+    n, p = _ragged(np.maximum(last - first + 1, 0))
+    return n, first[n] + p
+
+
+def calibrate_c_emp(classes, pairings, s: int, eps: float,
                     bound_const: float, d: int) -> float:
     """Smallest normalization constant >= 1 for which every normalized
-    coefficient from the sweep obeys the admissible-shift cap.
+    coefficient of the pairs with classify_batch output classes and the
+    given pairings obeys the admissible-shift cap; truncated pairs are
+    left out.
 
     Frozen into the run manifest so downstream assemblies with the same
     (operator, system, s, eps) never raise a normalization finding on the
     calibration data.
     """
+    _, _, _, i, j, truncated = classes
+    size = np.abs(np.asarray(pairings, dtype=float))
     worst = 0.0
-    for (I, J, pc), v in zip(classified, pairings):
-        decay = 2.0 ** (-max(pc.i, pc.j) * (s - 2.0 * eps))
-        cap = coefficient_scale(pc.i, pc.j, d)
-        worst = max(worst, abs(float(v)) / (bound_const * decay * cap))
+    # one type at a time, so that the cap and decay are the Python floats
+    # shift_coefficient divides by
+    for ti, tj in np.unique(np.stack([i, j], axis=1)[~truncated],
+                            axis=0).tolist():
+        decay = 2.0 ** (-max(ti, tj) * (s - 2.0 * eps))
+        cap = coefficient_scale(ti, tj, d)
+        top = float(size[~truncated & (i == ti) & (j == tj)].max())
+        worst = max(worst, top / (bound_const * decay * cap))
     return max(1.0, worst)
 
 
-def calibration_shift(grid: DyadicGrid, i: int, j: int, Ks,
+def calibration_shift(grid: DyadicGrid, i: int, j: int, K_k, K_l,
                       pattern: str = "full") -> ShiftOperator:
-    """A synthetic shift with every coefficient at the admissible cap.
+    """A synthetic shift with every coefficient at the admissible cap, on
+    the blocks K given as int64 arrays.
 
     pattern "full" pairs every depth-i cube with every depth-j cube inside
     each block; "diagonal" (requires i == j) keeps only I = J, the identity
@@ -259,18 +281,22 @@ def calibration_shift(grid: DyadicGrid, i: int, j: int, Ks,
     """
     if pattern == "diagonal" and i != j:
         raise ValueError("diagonal pattern needs i == j")
-    S = ShiftOperator(i=i, j=j, class_filter=("calibration",))
-    d = grid.window.d
-    cap = coefficient_scale(i, j, d)
-    for K in Ks:
-        eye = descendants(grid, K, i)
-        jay = eye if i == j else descendants(grid, K, j)
-        if pattern == "diagonal":
-            entries = [(I, I, cap) for I in eye]
-        else:
-            entries = [(I, J, cap) for I in eye for J in jay]
-        S.blocks[K] = entries
-    return S
+    K_k = np.asarray(K_k, dtype=np.int64)
+    K_l = np.asarray(K_l, dtype=np.int64)
+    n_i, I_l = descendants(grid, K_k, K_l, i)
+    if pattern == "diagonal":
+        n, J_l = n_i, I_l
+    else:
+        # each I once per J of its block, alongside the block's run of J
+        n_j, J_l = descendants(grid, K_k, K_l, j)
+        per_block = np.bincount(n_j, minlength=K_k.size)
+        rows, p = _ragged(per_block[n_i])
+        n = n_i[rows]
+        I_l = I_l[rows]
+        J_l = J_l[(np.cumsum(per_block) - per_block)[n] + p]
+    a = np.full(n.size, coefficient_scale(i, j, grid.window.d))
+    return ShiftOperator(i, j, K_k[n], K_l[n], I_l, J_l, a,
+                         class_filter=("calibration",))
 
 
 @dataclass
@@ -293,25 +319,35 @@ class Mesh1D:
         return cls(x0=x0, h=h, n_pts=n)
 
 
-def apply_averaging(grid: DyadicGrid, system, entries, f: np.ndarray,
-                    mesh: Mesh1D) -> np.ndarray:
-    """A_K f = sum a <f, psi_I> psi_J on the mesh."""
-    x = mesh.centers
-    out = np.zeros_like(f, dtype=float)
-    for I, J, a in entries:
-        if a == 0.0:
-            continue
-        ci = float(np.sum(sample_wavelet(grid, system, I, x) * f) * mesh.h)
-        out += a * ci * sample_wavelet(grid, system, J, x)
-    return out
+def _shift_samples(grid: DyadicGrid, system, S: ShiftOperator,
+                   x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(U, A, V) with S f = V^T A U f h for samples f at the points x, h
+    apart: the rows of U and V are the wavelets of the distinct I and the
+    distinct J cubes of S at x, each sampled once through one
+    sample_wavelets call per generation, and A (distinct J by distinct I)
+    holds the coefficients, summed over the blocks an (I, J) recurs in."""
+    sides = []
+    for k, l in ((S.K_k + S.i, S.I_l), (S.K_k + S.j, S.J_l)):
+        cubes, inverse = np.unique(np.stack([k, l], axis=1), axis=0,
+                                   return_inverse=True)
+        rows = np.empty((len(cubes), x.size))
+        for gen in np.unique(cubes[:, 0]).tolist():
+            sel = cubes[:, 0] == gen
+            rows[sel] = sample_wavelets(grid, system, gen, cubes[sel, 1],
+                                        x[None, :])
+        sides.append((rows, inverse.reshape(-1)))
+    (U, to_i), (V, to_j) = sides
+    A = np.zeros((len(V), len(U)))
+    np.add.at(A, (to_j, to_i), S.a)
+    return U, A, V
 
 
 def apply_shift(grid: DyadicGrid, system, S: ShiftOperator, f: np.ndarray,
                 mesh: Mesh1D) -> np.ndarray:
-    out = np.zeros_like(f, dtype=float)
-    for K in sorted(S.blocks, key=lambda c: (c.k, c.l)):
-        out += apply_averaging(grid, system, S.blocks[K], f, mesh)
-    return out
+    """S f on the mesh, for samples f at its centers; on a shift of one
+    block this is the averaging operator A_K."""
+    U, A, V = _shift_samples(grid, system, S, mesh.centers)
+    return V.T @ (A @ (U @ f * mesh.h))
 
 
 class PowerIterationError(RuntimeError):
@@ -323,23 +359,18 @@ def shift_norm_estimate(grid: DyadicGrid, system, S: ShiftOperator,
                         seed: int = 0) -> float:
     """L2 operator norm of S on the mesh by power iteration on S^t S.
 
-    The analysis/synthesis sample matrices are precomputed once, so each
-    iteration is two small matrix-vector products.
+    The wavelet samples are taken once (see _shift_samples), so each
+    iteration is a few small matrix-vector products.
     """
-    entries = [e for K in sorted(S.blocks, key=lambda c: (c.k, c.l))
-               for e in S.blocks[K]]
-    if not entries:
+    if not S.a.size:
         return 0.0
-    x = mesh.centers
-    U = np.stack([sample_wavelet(grid, system, I, x) for I, _, _ in entries])
-    V = np.stack([sample_wavelet(grid, system, J, x) for _, J, _ in entries])
-    a = np.array([e[2] for e in entries])
+    U, A, V = _shift_samples(grid, system, S, mesh.centers)
 
     def apply(fv):
-        return V.T @ (a * (U @ fv * mesh.h))
+        return V.T @ (A @ (U @ fv * mesh.h))
 
     def apply_t(fv):
-        return U.T @ (a * (V @ fv * mesh.h))
+        return U.T @ (A.T @ (V @ fv * mesh.h))
 
     rng = np.random.default_rng(seed)
     fv = rng.standard_normal(mesh.n_pts)

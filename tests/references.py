@@ -1,14 +1,18 @@
-"""Reference routes the library replaced: one-cube forms of what it
-batches, which the tests compare bit for bit where the batching keeps the
-arithmetic, and the cascade iteration the exact scaling tables are checked
-against."""
+"""Reference routes the library replaced, which the tests compare it with:
+one-cube forms of what it batches (a cube's box and dilate, one wavelet's
+samples, the per-pair classification and join), the per-entry loops over
+Cube lists that assembled, applied and measured shifts before shifts were
+held as int64 arrays, and the cascade iteration the exact scaling tables
+are checked against.  Where the batching keeps the arithmetic the tests
+compare bit for bit."""
 
 import math
 
 import numpy as np
 
-from dyadshift.dyadic import cube_arrays
-from dyadshift.operators import sample_wavelet, support_intervals
+from dyadshift.dyadic import Cube, WindowTruncationError, cube_arrays
+from dyadshift.operators import sample_wavelets, support_intervals
+from dyadshift.shifts import PowerIterationError, coefficient_scale
 from dyadshift.wavelets import _two_scale
 
 
@@ -27,6 +31,36 @@ def cascade(h, q: int, tol: float = 1e-10, max_iter: int = 80):
         if res < tol:
             return v, it, res
     raise RuntimeError(f"cascade: change {res:.3g} after {max_iter} passes")
+
+
+# ---------------------------------------------------------------------------
+# one cube at a time
+
+
+def cube_box(grid, cube: Cube) -> tuple[np.ndarray, np.ndarray]:
+    """The shifted cube as (lo, hi) integer-unit corners, length-1 int64
+    arrays."""
+    side = grid.window.len_units(cube.k)
+    lo = np.asarray(cube.l, dtype=np.int64) * side + grid.shift_units(cube.k)
+    return lo, lo + side
+
+
+def dilate_box(grid, cube: Cube, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The concentric m-fold dilate of the cube in integer units (m odd)."""
+    lo, hi = cube_box(grid, cube)
+    half_growth = (m - 1) * (hi[0] - lo[0]) // 2
+    return lo - half_growth, hi + half_growth
+
+
+def in_window(grid, cube: Cube) -> bool:
+    lo, hi = cube_box(grid, cube)
+    return bool(lo[0] >= 0 and hi[0] <= grid.window.extent_units)
+
+
+def sample_wavelet(grid, system, cube: Cube, x: np.ndarray) -> np.ndarray:
+    """psi_I at absolute points x (sample_wavelets of one cube)."""
+    return sample_wavelets(grid, system, cube.k, np.array(cube.l),
+                           np.asarray(x)[None, :])[0]
 
 
 def support_interval(grid, system, cube) -> tuple[float, float]:
@@ -52,3 +86,222 @@ def localized_coefficient(grid, system, cube, func, q_loc: int) -> float:
     x = x0 + (np.arange(n) + 0.5) * h
     vals = sample_wavelet(grid, system, cube, x)
     return float(np.sum(vals * func(x)) * h)
+
+
+# ---------------------------------------------------------------------------
+# classification, one pair at a time
+
+
+def _box_dist(lo_a, hi_a, lo_b, hi_b) -> int:
+    """Distance between two closed intervals, in integer units."""
+    return int(max(lo_b[0] - hi_a[0], lo_a[0] - hi_b[0], 0))
+
+
+def _ancestor(grid, cube, k):
+    """Generation-k cube of the grid containing the given cube."""
+    lo, _ = cube_box(grid, cube)
+    side = grid.window.len_units(k)
+    return Cube(k, (int(lo[0] - grid.shift_units(k)[0]) // side,))
+
+
+def scalar_ancestor_join(grid, fine, coarse, m):
+    """The join loop over per-cube geometry, the reference for
+    ancestor_join_batch: (K, i, j), or WindowTruncationError."""
+    if fine.k < coarse.k:
+        raise ValueError("first cube must be the finer one")
+    w = grid.window
+    lo_a, hi_a = dilate_box(grid, fine, m)
+    lo_b, hi_b = dilate_box(grid, coarse, m)
+    lo = np.minimum(lo_a, lo_b)
+    hi = np.maximum(hi_a, hi_b)
+    start = coarse.k if m == 1 else coarse.k - 1
+    for k in range(min(start, fine.k), w.k_min - 1, -1):
+        cand = _ancestor(grid, fine, k)
+        c_lo, c_hi = cube_box(grid, cand)
+        if (c_lo <= lo).all() and (hi <= c_hi).all():
+            if not in_window(grid, cand):
+                raise WindowTruncationError(
+                    f"containing cube for the pair leaves the window at "
+                    f"generation {k}"
+                )
+            return cand, fine.k - k, coarse.k - k
+    raise WindowTruncationError(
+        "no generation in the window contains both dilates"
+    )
+
+
+def scalar_classify_kind(grid, I, J, theta, m):
+    """The per-pair class predicates, the reference for the batched
+    classifier."""
+    if I.k < J.k:
+        raise ValueError("classification expects len(I) <= len(J)")
+    w = grid.window
+    if I == J:
+        return "equal"
+    lo_i, hi_i = cube_box(grid, I)
+    lo_j, hi_j = cube_box(grid, J)
+    if (lo_j <= lo_i).all() and (hi_i <= hi_j).all():
+        return "contained"
+    dist = _box_dist(lo_i, hi_i, lo_j, hi_j)
+    side_j = w.len_units(J.k)
+    thresh = (2.0 ** (J.k - I.k)) ** theta * side_j
+    if dist <= thresh:
+        return "near"
+    dlo_i, dhi_i = dilate_box(grid, I, m)
+    dlo_j, dhi_j = dilate_box(grid, J, m)
+    dil_dist = _box_dist(dlo_i, dhi_i, dlo_j, dhi_j)
+    side_i = w.len_units(I.k)
+    long_dist = side_i + dist + side_j  # D(I,J) in units
+    return "far" if 2 * dil_dist > long_dist else "between"
+
+
+def scalar_classify_pair(grid, I, J, theta, m):
+    """(kind, K, i, j) of one pair, len(I) <= len(J): the reference for
+    classify_batch.  An equal pair joins with its right neighbour when that
+    lies in the window and with its left one otherwise; raises
+    WindowTruncationError where no window cube contains the join."""
+    kind = scalar_classify_kind(grid, I, J, theta, m)
+    if kind == "equal":
+        right = Cube(J.k, (J.l[0] + 1,))
+        adj = right if in_window(grid, right) else Cube(J.k, (J.l[0] - 1,))
+        K, i, j = scalar_ancestor_join(grid, I, adj, m)
+    else:
+        K, i, j = scalar_ancestor_join(grid, I, J, m)
+    return kind, K, i, j
+
+
+# ---------------------------------------------------------------------------
+# shifts as dicts of Cube entries: {K: [(I, J, a), ...]}
+
+
+def blocks_of(S) -> dict:
+    """A ShiftOperator's entries as {K: [(I, J, a), ...]}, in entry
+    order."""
+    blocks: dict = {}
+    for kk, kl, il, jl, a in zip(S.K_k.tolist(), S.K_l.tolist(),
+                                 S.I_l.tolist(), S.J_l.tolist(),
+                                 S.a.tolist()):
+        blocks.setdefault(Cube(kk, (kl,)), []).append(
+            (Cube(kk + S.i, (il,)), Cube(kk + S.j, (jl,)), a))
+    return blocks
+
+
+def descendants_loop(grid, K: Cube, depth: int) -> list:
+    """In-window cubes `depth` generations below K and contained in it,
+    from the cubes touching K's box."""
+    k_lo, k_hi = cube_box(grid, K)
+    out = []
+    for c in grid.cubes_touching(K.k + depth, int(k_lo[0]), int(k_hi[0])):
+        lo, hi = cube_box(grid, c)
+        if (k_lo <= lo).all() and (hi <= k_hi).all():
+            out.append(c)
+    return out
+
+
+def calibration_blocks(grid, i: int, j: int, Ks, pattern: str = "full"):
+    """calibration_shift's blocks, one K at a time."""
+    cap = coefficient_scale(i, j, grid.window.d)
+    blocks = {}
+    for K in Ks:
+        eye = descendants_loop(grid, K, i)
+        jay = eye if i == j else descendants_loop(grid, K, j)
+        if pattern == "diagonal":
+            blocks[K] = [(I, I, cap) for I in eye]
+        else:
+            blocks[K] = [(I, J, cap) for I in eye for J in jay]
+    return blocks
+
+
+def classified_pairs(pairs, classes) -> list:
+    """(I, J, (kind index, K, i, j)) of the pairs classify_batch did not
+    truncate, in input order."""
+    kind, K_k, K_l, i, j, truncated = classes
+    return [(I, J, (int(kind[n]), Cube(int(K_k[n]), (int(K_l[n]),)),
+                    int(i[n]), int(j[n])))
+            for n, (I, J) in enumerate(pairs) if not truncated[n]]
+
+
+def calibrate_loop(classified, pairings, s, eps, bound_const, d) -> float:
+    """calibrate_c_emp, one pair at a time."""
+    worst = 0.0
+    for (_, _, (_, _, i, j)), v in zip(classified, pairings):
+        decay = 2.0 ** (-max(i, j) * (s - 2.0 * eps))
+        cap = coefficient_scale(i, j, d)
+        worst = max(worst, abs(float(v)) / (bound_const * decay * cap))
+    return max(1.0, worst)
+
+
+def assemble_loop(grid, system, i, j, classified, pairings, s, eps,
+                  bound_const, c_emp, class_codes, good_mask=None):
+    """assemble_shift, one pair at a time: (blocks, good,
+    excluded_badness).  classified and pairings hold the untruncated
+    pairs only, and good_mask, when given, one flag per pair of them."""
+    blocks: dict = {}
+    excluded = 0
+    decay = 2.0 ** (-max(i, j) * (s - 2.0 * eps))
+    for idx, (I, J, (kind, K, ii, jj)) in enumerate(classified):
+        if kind not in class_codes or (ii, jj) != (i, j):
+            continue
+        if good_mask is not None and not good_mask[idx]:
+            excluded += 1
+            continue
+        a = float(pairings[idx] / (c_emp * bound_const * decay))
+        blocks.setdefault(K, []).append((I, J, a))
+    good = True
+    for K, entries in blocks.items():
+        k_lo, k_hi = cube_box(grid, K)
+        for I, J, a in entries:
+            if a == 0.0:
+                continue
+            for c in (I, J):
+                d_lo, d_hi = dilate_box(grid, c, system.m)
+                if not ((k_lo <= d_lo).all() and (d_hi <= k_hi).all()):
+                    good = False
+    return blocks, good, excluded
+
+
+def apply_averaging(grid, system, entries, f, mesh) -> np.ndarray:
+    """A_K f = sum a <f, psi_I> psi_J on the mesh, entry by entry."""
+    x = mesh.centers
+    out = np.zeros_like(f, dtype=float)
+    for I, J, a in entries:
+        if a == 0.0:
+            continue
+        ci = float(np.sum(sample_wavelet(grid, system, I, x) * f) * mesh.h)
+        out += a * ci * sample_wavelet(grid, system, J, x)
+    return out
+
+
+def shift_norm_loop(grid, system, blocks, mesh, tol: float = 1e-4,
+                    max_iter: int = 500, seed: int = 0) -> float:
+    """shift_norm_estimate with one sampled row per entry."""
+    entries = [e for K in sorted(blocks, key=lambda c: (c.k, c.l))
+               for e in blocks[K]]
+    if not entries:
+        return 0.0
+    x = mesh.centers
+    U = np.stack([sample_wavelet(grid, system, I, x) for I, _, _ in entries])
+    V = np.stack([sample_wavelet(grid, system, J, x) for _, J, _ in entries])
+    a = np.array([e[2] for e in entries])
+
+    def apply(fv):
+        return V.T @ (a * (U @ fv * mesh.h))
+
+    def apply_t(fv):
+        return U.T @ (a * (V @ fv * mesh.h))
+
+    rng = np.random.default_rng(seed)
+    fv = rng.standard_normal(mesh.n_pts)
+    fv /= np.linalg.norm(fv)
+    prev = 0.0
+    for _ in range(max_iter):
+        gv = apply_t(apply(fv))
+        nrm = float(np.linalg.norm(gv))
+        if nrm == 0.0:
+            return 0.0
+        est = math.sqrt(nrm)
+        fv = gv / nrm
+        if prev > 0.0 and abs(est - prev) <= tol * prev:
+            return est
+        prev = est
+    raise PowerIterationError("power iteration did not converge")

@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError,
-                              cube_arrays, independence_table, union_bound,
+from dyadshift.dyadic import (Cube, DyadicGrid, Window, cube_arrays,
+                              independence_table, union_bound,
                               pi_bad_estimate)
 from dyadshift.filters import builtin_filter_names
 from dyadshift.harness import (convergence_experiment, decay_audit,
                                expansion_identity, randomized_expansion)
 from dyadshift.operators import (PairingEngine, TestFunction as Bump,
-                                 make_operator, pair_quadrature)
-from dyadshift.shifts import (CLASSES, Mesh1D, apply_averaging,
-                              assemble_shift, calibrate_c_emp,
-                              calibration_shift, classify_batch,
-                              classify_pair, shift_norm_estimate)
+                                 make_operator, pair_quadrature,
+                                 sample_wavelets)
+from dyadshift.shifts import (CLASSES, Mesh1D, apply_shift, assemble_shift,
+                              calibrate_c_emp, calibration_shift,
+                              classify_batch, shift_norm_estimate)
 from dyadshift.wavelets import build_system, gram_defect
 from references import support_interval
 
@@ -145,33 +145,31 @@ def classified_hilbert():
     system = build_system("haar", q=10, strict=False)
     cubes = [c for k in range(w.k_min, w.k_max + 1)
              for c in grid.cubes_at_scale(k)]
-    classified = []
-    for I in cubes:
-        for J in cubes:
-            if I.k < J.k:
-                continue
-            try:
-                classified.append((I, J, classify_pair(grid, I, J, 1.0, 3)))
-            except WindowTruncationError:
-                continue
+    fine, coarse = zip(*[(I, J) for I in cubes for J in cubes
+                         if I.k >= J.k])
+    pairs = (*cube_arrays(fine), *cube_arrays(coarse))
+    classes = classify_batch(grid, *pairs, 1.0, 3)
+    keep = ~classes[-1]
     op = make_operator("hilbert")
     engine = PairingEngine(op, grid, system, q_loc=8)
-    pairings = engine.pairings([(I, J) for I, J, _ in classified])
+    pairings = engine.pairings([(I, J) for I, J, k in zip(fine, coarse, keep)
+                                if k])
     bound_const = op.czs_seminorm(2) + op.l2_norm
-    return grid, system, classified, pairings, bound_const
+    return (grid, system, tuple(a[keep] for a in pairs),
+            tuple(c[keep] for c in classes), pairings, bound_const)
 
 
 def test_criterion_6_good_shift_and_coefficient_bounds(classified_hilbert):
-    grid, system, classified, pairings, bound_const = classified_hilbert
-    c_emp = calibrate_c_emp(classified, pairings, 2, 0.5, bound_const, 1)
-    seen = sorted({(pc.i, pc.j) for _, _, pc in classified})
+    grid, system, pairs, classes, pairings, bound_const = classified_hilbert
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    seen = sorted(set(zip(classes[3].tolist(), classes[4].tolist())))
     worst = 0.0
     all_good = True
     has_c_emp = True
     n_shifts = 0
     for i, j in seen:
-        S = assemble_shift(grid, system, i, j, classified, pairings, 2, 0.5,
-                           bound_const, c_emp)
+        S = assemble_shift(grid, system, i, j, pairs, classes, pairings, 2,
+                           0.5, bound_const, c_emp)
         if S.coefficient_count == 0:
             continue
         n_shifts += 1
@@ -194,14 +192,12 @@ def test_criterion_7_averaging_and_shift_boundedness():
     consts = []
     blocks = [Cube(k, (l,)) for k in (0, 1, 2) for l in range(2 ** (k + 3))]
     for K in blocks:
-        entries = calibration_shift(grid, 2, 2, [K]).blocks[K]
-        prof = np.zeros_like(x)
-        for I, _, _ in entries:
-            t = x * 2.0 ** I.k - I.l[0]
-            prof += 2.0 ** (I.k / 2.0) * system.mother(t, "psi")
-        f = np.sign(prof)
-        out = apply_averaging(grid, system, entries, f, mesh)
-        klo, khi = grid.cube_box(K)
+        K_k, K_l = cube_arrays([K])
+        S = calibration_shift(grid, 2, 2, K_k, K_l)
+        prof = sample_wavelets(grid, system, K.k + 2, S.I_l, x[None, :])
+        f = np.sign(prof.sum(axis=0))
+        out = apply_shift(grid, system, S, f, mesh)
+        klo, khi = grid.boxes(K_k, K_l)
         unit = 2.0 ** -w.unit_exp
         inside = (x >= klo[0] * unit) & (x < khi[0] * unit)
         mean_abs = float(np.sum(np.abs(f[inside])) * mesh.h
@@ -210,9 +206,9 @@ def test_criterion_7_averaging_and_shift_boundedness():
     avg_flat = max(consts) <= 2.0 * min(consts)
     # norm estimates of saturating shifts across all types in [1,6]^2
     mesh = Mesh1D.cover(0.0, 8.0, 8)
-    Ks = [Cube(0, (2,)), Cube(0, (5,))]
-    norms = [shift_norm_estimate(grid, system, calibration_shift(grid, i, j, Ks),
-                                 mesh)
+    Ks = cube_arrays([Cube(0, (2,)), Cube(0, (5,))])
+    norms = [shift_norm_estimate(grid, system,
+                                 calibration_shift(grid, i, j, *Ks), mesh)
              for i in range(1, 7) for j in range(1, 7)]
     norm_flat = max(norms) <= 2.0 * min(norms)
     _report(7, avg_flat and norm_flat,

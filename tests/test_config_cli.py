@@ -140,6 +140,19 @@ def test_cli_bad_types_and_ranges_exit_2(tmp_path, capsys, cfg):
     assert err.startswith("error: invalid config") and "\n" not in err
 
 
+@pytest.mark.parametrize("q, k", [(-1, -7), (-3, -9), (0, -7)])
+def test_cli_q_below_six_exits_2(tmp_path, capsys, q, k):
+    # a window with negative k_max used to accept q <= 0, and the wavelet
+    # tables then failed with a traceback or a meaningless system
+    cfg = json.dumps({"kernel": "hilbert", "q": q, "k_max": k, "k_min": k,
+                      "L": -k})
+    code, err = _exit_and_stderr(
+        capsys, ["wavelet-check", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert err == (f"error: invalid config: q={q} must be >= "
+                   f"max(k_max, 0) + 6 = 6")
+
+
 def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
     code, err = _exit_and_stderr(
         capsys, ["grid-stats", "--config", '{"kernel": "hilbert"}',
@@ -343,7 +356,7 @@ def test_any_json_object_resolves_or_raises_config_error(obj):
     except ConfigError:
         return
     assert isinstance(cfg.r, int) and 0.0 < cfg.theta <= 1.0
-    assert cfg.q >= cfg.k_max + 6
+    assert cfg.q >= cfg.k_max + 6 and cfg.q >= 6
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2])

@@ -7,11 +7,11 @@ from scipy.stats import chi2
 
 from dyadshift.config import default_r
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              WindowTruncationError, _badness_batch,
-                              _skeleton_gap, ancestor_join_batch, cube_arrays,
+                              _badness_batch, _skeleton_gap,
+                              ancestor_join_batch, cube_arrays,
                               independence_table, is_bad_batch, union_bound,
                               pi_bad_estimate, pi_bad_exact)
-from dyadshift.shifts import classify_pair
+from dyadshift.shifts import classify_batch
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -44,7 +44,7 @@ def test_shifted_corner_quarter():
     w = Window(d=1, L=1, k_min=0, k_max=3)
     omega = np.zeros(w.n_shift_bits, dtype=int)
     omega[1] = 1  # bit for generation k_min+1+1 = 2
-    lo, _ = DyadicGrid(w, omega).cube_box(Cube(1, (0,)))
+    lo, _ = DyadicGrid(w, omega).boxes([1], [0])
     assert lo[0] * 2.0 ** (-w.unit_exp) == 0.25
 
 
@@ -112,15 +112,15 @@ def test_ancestor_join_raises_outside_window():
     # 3-dilate of [0, 1/8) reaches below 0; no window cube contains it
     fine, coarse = Cube(3, (0,)), Cube(1, (4,))
     assert _join(grid, fine, coarse, 3)[4]
-    with pytest.raises(WindowTruncationError):
-        classify_pair(grid, fine, coarse, 1.0, 3)
+    assert classify_batch(grid, *cube_arrays([fine]), *cube_arrays([coarse]),
+                          1.0, 3)[-1].tolist() == [True]
 
 
 def boundary_dist(grid: DyadicGrid, cube: Cube, k_coarse: int) -> int:
     """Distance from the shifted cube to the union of boundaries of all
     generation-k_coarse cubes of the same grid (the grid skeleton)."""
     w = grid.window
-    lo, _ = grid.cube_box(cube)
+    lo, _ = grid.boxes(*cube_arrays([cube]))
     return int(_skeleton_gap(lo - grid.shift_units(k_coarse),
                              w.len_units(cube.k), w.len_units(k_coarse))[0])
 
@@ -198,7 +198,7 @@ def test_badness_independent_of_position_exactly():
 def test_cubes_touching_exact_range():
     w = Window(d=1, L=2, k_min=0, k_max=4)
     grid = zero_grid(w)
-    got = list(grid.cubes_touching(1, np.array([8]), np.array([24])))
+    got = list(grid.cubes_touching(1, 8, 24))
     # units are 2^-5; [8,24] units = [0.25, 0.75] touches [0,0.5) and [0.5,1)
     assert got == [Cube(1, (0,)), Cube(1, (1,))]
 

@@ -16,9 +16,9 @@ from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                _pi_good_by_scale, _sample_pairs)
 from dyadshift.operators import (PairingEngine, TestFunction, make_operator,
                                  support_intervals)
-from dyadshift.shifts import classify_pair
 from dyadshift.wavelets import build_system
-from references import localized_coefficient
+from references import (dilate_box, localized_coefficient,
+                        scalar_classify_pair)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -181,7 +181,8 @@ def test_decay_audit_csv_schema(audit_small):
 
 def test_decay_audit_badness_filter_matches_pair_loop():
     # the counters and rows of an audit with r against a per-pair loop
-    # through classify_pair and per-cube goodness, in the same pair order
+    # through the one-pair classification and per-cube goodness, in the
+    # same pair order
     w = Window(d=1, L=3, k_min=-3, k_max=3)
     grid = DyadicGrid.random(w, 4)
     system = build_system("db2", q=9, strict=False)
@@ -201,25 +202,26 @@ def test_decay_audit_badness_filter_matches_pair_loop():
                 continue
             ref["pairs_seen"] += 1
             try:
-                pc = classify_pair(grid, I, J, theta, system.m)
+                kind, _, i, j = scalar_classify_pair(grid, I, J, theta,
+                                                     system.m)
             except WindowTruncationError:
                 ref["window_truncated"] += 1
                 continue
-            if pc.i > i_max or pc.j > j_max:
+            if i > i_max or j > j_max:
                 continue
             if not good[I]:
                 ref["badness_excluded"] += 1
                 continue
-            selected.append((I, J, pc))
+            selected.append((I, J, (kind, i, j)))
     assert min(ref.values()) > 0
     engine = PairingEngine(op, grid, system, q_loc=9)
     values = engine.pairings([(I, J) for I, J, _ in selected])
     ref["pairings"] = engine.counts
     assert info == ref
     cells = {}
-    for (_, _, pc), v in zip(selected, values):
-        count, mx = cells.get((pc.kind, pc.i, pc.j), (0, 0.0))
-        cells[(pc.kind, pc.i, pc.j)] = (count + 1, max(mx, abs(float(v))))
+    for (_, _, cell), v in zip(selected, values):
+        count, mx = cells.get(cell, (0, 0.0))
+        cells[cell] = (count + 1, max(mx, abs(float(v))))
     assert [(r.kind, r.i, r.j, r.pair_count, r.max_pairing) for r in rows] \
         == [key + val for key, val in sorted(cells.items())]
 
@@ -330,11 +332,12 @@ def test_sample_pairs_matches_pair_loop(name, r):
         weighted[idx] = cf[I] * float(values[idx]) * cg[J] / pi_good[sm.k]
         fine, coarse = (I, J) if I.k >= J.k else (J, I)
         try:
-            pc = classify_pair(grid, fine, coarse, theta, system.m)
+            _, _, i, j = scalar_classify_pair(grid, fine, coarse, theta,
+                                              system.m)
         except WindowTruncationError:
             excluded += 1
             continue
-        levels[idx] = max(pc.i, pc.j)
+        levels[idx] = max(i, j)
     assert np.array_equal(smp.weighted, weighted)
     assert np.array_equal(smp.levels, levels)
     assert smp.excluded_window == excluded > 0
@@ -345,11 +348,11 @@ def test_sample_pairs_matches_pair_loop(name, r):
 
 def _loop_overlap_pairs(grid, system, cubes_f, cubes_g):
     """Reference: the per-pair support test expansion_identity made
-    before it compared all dilates at once, on the scalar dilate_box."""
+    before it compared all dilates at once, on the one-cube dilate_box."""
     unit = 2.0 ** (-grid.window.unit_exp)
 
     def support(cube):
-        lo, hi = grid.dilate_box(cube, system.m)
+        lo, hi = dilate_box(grid, cube, system.m)
         return float(lo[0]) * unit, float(hi[0]) * unit
 
     def overlaps(a, b):

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -7,18 +6,29 @@ from hypothesis import given, settings, strategies as st
 
 from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError,
                               cube_arrays)
-from dyadshift.operators import PairingEngine, make_operator
+from dyadshift.operators import PairingEngine, make_operator, sample_wavelets
 from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
-                              PairClass, ShiftOperator, apply_averaging,
-                              apply_shift, assemble_shift, calibrate_c_emp,
-                              calibration_shift, classify_batch,
-                              classify_pair, coefficient_scale, descendants,
+                              ShiftOperator, apply_shift, assemble_shift,
+                              calibrate_c_emp, calibration_shift,
+                              classify_batch, coefficient_scale, descendants,
                               shift_coefficient, shift_norm_estimate)
 from dyadshift.wavelets import build_system
+from references import (apply_averaging, assemble_loop, blocks_of,
+                        calibrate_loop, calibration_blocks, classified_pairs,
+                        cube_box, descendants_loop, dilate_box, in_window,
+                        scalar_classify_kind, scalar_classify_pair,
+                        shift_norm_loop)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
     return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+
+
+def _classify(grid, pairs, theta, m):
+    """classify_batch of a list of (I, J) Cube pairs."""
+    fine, coarse = zip(*pairs)
+    return classify_batch(grid, *cube_arrays(fine), *cube_arrays(coarse),
+                          theta, m)
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +46,19 @@ def test_classify_frozen_examples(grid36):
         ((3, 40), (1, 2), "far", (-3, 0), 6, 4),
         ((2, 17), (2, 17), "equal", (0, 4), 2, 2),
     ]
-    for (ik, il), (jk, jl), kind, (kk, kl), i, j in cases:
-        pc = classify_pair(grid36, Cube(ik, (il,)), Cube(jk, (jl,)), 1.0, 3)
-        assert (pc.kind, pc.K, pc.i, pc.j) == (kind, Cube(kk, (kl,)), i, j)
+    pairs = [(Cube(ik, (il,)), Cube(jk, (jl,)))
+             for (ik, il), (jk, jl), *_ in cases]
+    kind, K_k, K_l, i, j, truncated = _classify(grid36, pairs, 1.0, 3)
+    assert not truncated.any()
+    got = list(zip([CLASSES[c] for c in kind], zip(K_k.tolist(),
+                                                   K_l.tolist()),
+                   i.tolist(), j.tolist()))
+    assert got == [case[2:] for case in cases]
 
 
 def test_classify_rejects_wrong_order(grid36):
     with pytest.raises(ValueError):
-        classify_pair(grid36, Cube(1, (0,)), Cube(2, (0,)), 1.0, 3)
+        _classify(grid36, [(Cube(1, (0,)), Cube(2, (0,)))], 1.0, 3)
 
 
 def test_partition_completeness_depth5():
@@ -51,9 +66,7 @@ def test_partition_completeness_depth5():
     # counts frozen for one seed as a regression anchor
     w = Window(d=1, L=5, k_min=-5, k_max=0)
     g = DyadicGrid.random(w, 0)
-    fine, coarse = zip(*_window_pairs(g))
-    kind = classify_batch(g, *cube_arrays(fine), *cube_arrays(coarse),
-                          1.0, 3)[0]
+    kind = _classify(g, _window_pairs(g), 1.0, 3)[0]
     counts = dict(zip(CLASSES, np.bincount(kind).tolist()))
     assert sum(counts.values()) == 2477
     assert counts == {"far": 952, "between": 939, "contained": 152,
@@ -65,127 +78,27 @@ def test_equal_near_ancestor_stays_comparable():
     # than I; the window-verified constant here is len(K) <= 16 len(I)
     w = Window(d=1, L=5, k_min=-5, k_max=0)
     g = DyadicGrid.random(w, 0)
-    cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in g.cubes_at_scale(k)]
-    worst = 0.0
-    for I in cubes:
-        for J in cubes:
-            if I.k < J.k:
-                continue
-            try:
-                pc = classify_pair(g, I, J, 1.0, 3)
-            except WindowTruncationError:
-                continue
-            if pc.kind in ("equal", "near"):
-                worst = max(worst, 2.0 ** (I.k - pc.K.k))
-    assert worst <= 16.0
+    kind, _, _, i, _, truncated = _classify(g, _window_pairs(g), 1.0, 3)
+    close = ~truncated & np.isin(kind, [CLASSES.index("equal"),
+                                        CLASSES.index("near")])
+    assert close.any()
+    assert 2.0 ** int(i[close].max()) <= 16.0
 
 
-def _box_dist(lo_a, hi_a, lo_b, hi_b) -> int:
-    """Distance between two closed intervals, in integer units."""
-    return int(max(lo_b[0] - hi_a[0], lo_a[0] - hi_b[0], 0))
-
-
-def _ancestor(grid, cube, k):
-    """Generation-k cube of the grid containing the given cube."""
-    lo, _ = grid.cube_box(cube)
-    side = grid.window.len_units(k)
-    return Cube(k, (int(lo[0] - grid.shift_units(k)[0]) // side,))
-
-
-def _in_window(grid, cube):
-    lo, hi = grid.cube_box(cube)
-    return bool(lo[0] >= 0 and hi[0] <= grid.window.extent_units)
-
-
-def _scalar_ancestor_join(grid, fine, coarse, m):
-    """The join loop over per-cube geometry, kept as the reference for
-    ancestor_join_batch."""
-    if fine.k < coarse.k:
-        raise ValueError("first cube must be the finer one")
-    w = grid.window
-    lo_a, hi_a = grid.dilate_box(fine, m)
-    lo_b, hi_b = grid.dilate_box(coarse, m)
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
-    start = coarse.k if m == 1 else coarse.k - 1
-    for k in range(min(start, fine.k), w.k_min - 1, -1):
-        cand = _ancestor(grid, fine, k)
-        c_lo, c_hi = grid.cube_box(cand)
-        if (c_lo <= lo).all() and (hi <= c_hi).all():
-            if not _in_window(grid, cand):
-                raise WindowTruncationError(
-                    f"containing cube for the pair leaves the window at "
-                    f"generation {k}"
-                )
-            return cand, fine.k - k, coarse.k - k
-    raise WindowTruncationError(
-        "no generation in the window contains both dilates"
-    )
-
-
-def _scalar_classify_kind(grid, I, J, theta, m):
-    """The per-pair class predicates, kept as the reference for the batched
-    classifier."""
-    if I.k < J.k:
-        raise ValueError("classification expects len(I) <= len(J)")
-    w = grid.window
-    if I == J:
-        return "equal"
-    lo_i, hi_i = grid.cube_box(I)
-    lo_j, hi_j = grid.cube_box(J)
-    if (lo_j <= lo_i).all() and (hi_i <= hi_j).all():
-        return "contained"
-    dist = _box_dist(lo_i, hi_i, lo_j, hi_j)
-    side_j = w.len_units(J.k)
-    thresh = (2.0 ** (J.k - I.k)) ** theta * side_j
-    if dist <= thresh:
-        return "near"
-    dlo_i, dhi_i = grid.dilate_box(I, m)
-    dlo_j, dhi_j = grid.dilate_box(J, m)
-    dil_dist = _box_dist(dlo_i, dhi_i, dlo_j, dhi_j)
-    side_i = w.len_units(I.k)
-    long_dist = side_i + dist + side_j  # D(I,J) in units
-    return "far" if 2 * dil_dist > long_dist else "between"
-
-
-def _scalar_classify_pair(grid, I, J, theta, m):
-    """classify_pair as a per-pair loop, the reference for classify_batch."""
-    kind = _scalar_classify_kind(grid, I, J, theta, m)
-    if kind == "equal":
-        right = Cube(J.k, (J.l[0] + 1,))
-        adj = right if _in_window(grid, right) else Cube(J.k, (J.l[0] - 1,))
-        K, i, j = _scalar_ancestor_join(grid, I, adj, m)
-    else:
-        K, i, j = _scalar_ancestor_join(grid, I, J, m)
-    return kind, K, i, j
-
-
-def _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=False):
+def _assert_batch_matches_scalar(grid, pairs, theta, m):
     """classify_batch over all pairs equals the scalar reference pair by
     pair: the class, and (K, i, j) or a truncation exactly where the
-    reference truncates.  With wrappers, the one-pair classify_pair is
-    checked against the reference too."""
-    fine, coarse = zip(*pairs)
-    kind, K_k, K_l, i, j, truncated = classify_batch(
-        grid, *cube_arrays(fine), *cube_arrays(coarse), theta, m)
+    reference truncates."""
+    kind, K_k, K_l, i, j, truncated = _classify(grid, pairs, theta, m)
     for n, (I, J) in enumerate(pairs):
-        ref_kind = _scalar_classify_kind(grid, I, J, theta, m)
-        assert CLASSES[kind[n]] == ref_kind
+        assert CLASSES[kind[n]] == scalar_classify_kind(grid, I, J, theta, m)
         try:
-            _, K, ii, jj = _scalar_classify_pair(grid, I, J, theta, m)
-        except WindowTruncationError as exc:
+            _, K, ii, jj = scalar_classify_pair(grid, I, J, theta, m)
+        except WindowTruncationError:
             assert truncated[n]
-            if wrappers:
-                with pytest.raises(WindowTruncationError,
-                                   match=re.escape(str(exc))):
-                    classify_pair(grid, I, J, theta, m)
             continue
         assert not truncated[n]
         assert (K_k[n], (K_l[n],), i[n], j[n]) == (K.k, K.l, ii, jj)
-        if wrappers:
-            assert classify_pair(grid, I, J, theta, m) == PairClass(
-                ref_kind, K, ii, jj)
     return truncated
 
 
@@ -226,7 +139,7 @@ def test_classify_batch_matches_scalar_reference(case):
     for k in range(w.k_min, w.k_max + 1):
         gen = list(grid.cubes_at_scale(k))
         pairs += [(c, c) for c in gen[:1] + gen[-1:]]
-    _assert_batch_matches_scalar(grid, pairs, theta, m, wrappers=True)
+    _assert_batch_matches_scalar(grid, pairs, theta, m)
 
 
 def test_equal_pair_neighbour_at_the_position_limit():
@@ -235,10 +148,12 @@ def test_equal_pair_neighbour_at_the_position_limit():
     # the window, and so is the left one
     w = Window(d=1, L=40, k_min=-40, k_max=21)
     grid = zero_grid(w)
-    with pytest.raises(WindowTruncationError):
-        classify_pair(grid, Cube(-40, (0,)), Cube(-40, (0,)), 1.0, 1)
-    pc = classify_pair(grid, Cube(-39, (1,)), Cube(-39, (1,)), 1.0, 1)
-    assert (pc.kind, pc.K, pc.i, pc.j) == ("equal", Cube(-40, (0,)), 1, 1)
+    kind, K_k, K_l, i, j, truncated = _classify(
+        grid, [(Cube(-40, (0,)), Cube(-40, (0,))),
+               (Cube(-39, (1,)), Cube(-39, (1,)))], 1.0, 1)
+    assert truncated.tolist() == [True, False]
+    assert (CLASSES[kind[1]], K_k[1], K_l[1], i[1], j[1]) == (
+        "equal", -40, 0, 1, 1)
 
 
 def test_classify_batch_matches_scalar_on_audit_pair_set():
@@ -249,7 +164,7 @@ def test_classify_batch_matches_scalar_on_audit_pair_set():
     pairs = _window_pairs(grid)
     assert len(pairs) == 10_413
     edge_equal = [I for I, J in pairs if I == J
-                  and not _in_window(grid, Cube(J.k, (J.l[0] + 1,)))]
+                  and not in_window(grid, Cube(J.k, (J.l[0] + 1,)))]
     # the last cube of every populated generation
     assert len(edge_equal) == len({I.k for I, _ in pairs})
     truncated = _assert_batch_matches_scalar(grid, pairs, 0.25, 5)
@@ -267,116 +182,288 @@ def test_coefficient_scale():
     assert coefficient_scale(0, 0, 2) == 1.0
 
 
+def _classified_window(grid, system, q_loc):
+    """The window pairs classify_batch does not truncate at theta = 1 and
+    m = 3, as (pairs, classes, Cube pairs) with their Hilbert pairings and
+    bound constant."""
+    pairs = _window_pairs(grid)
+    classes = _classify(grid, pairs, 1.0, 3)
+    keep = ~classes[-1]
+    kept = [p for p, k in zip(pairs, keep) if k]
+    op = make_operator("hilbert")
+    pairings = PairingEngine(op, grid, system, q_loc=q_loc).pairings(kept)
+    fine, coarse = zip(*kept)
+    return ((*cube_arrays(fine), *cube_arrays(coarse)),
+            tuple(c[keep] for c in classes), kept, pairings,
+            op.czs_seminorm(2) + op.l2_norm)
+
+
 @pytest.fixture(scope="module")
 def classified_haar():
     """All classifiable Hilbert pairs on a small window, with pairings."""
-    w = Window(d=1, L=3, k_min=-3, k_max=2)
-    grid = zero_grid(w)
+    grid = zero_grid(Window(d=1, L=3, k_min=-3, k_max=2))
     system = build_system("haar", q=10, strict=False)
-    cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
-    classified = []
-    for I in cubes:
-        for J in cubes:
-            if I.k < J.k:
-                continue
-            try:
-                classified.append((I, J, classify_pair(grid, I, J, 1.0, 3)))
-            except WindowTruncationError:
-                continue
-    op = make_operator("hilbert")
-    engine = PairingEngine(op, grid, system, q_loc=8)
-    pairings = engine.pairings([(I, J) for I, J, _ in classified])
-    bound_const = op.czs_seminorm(2) + op.l2_norm
-    return grid, system, classified, pairings, bound_const
+    return (grid, system) + _classified_window(grid, system, 8)
+
+
+def _types(classes):
+    """The (i, j) types of the classified pairs, sorted."""
+    return sorted(set(zip(classes[3].tolist(), classes[4].tolist())))
 
 
 def test_calibrated_assembly_good_and_bounded(classified_haar):
-    grid, system, classified, pairings, bound_const = classified_haar
-    c_emp = calibrate_c_emp(classified, pairings, 2, 0.5, bound_const, 1)
+    grid, system, pairs, classes, _, pairings, bound_const = classified_haar
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
     assert c_emp >= 1.0
-    seen = set((pc.i, pc.j) for _, _, pc in classified)
-    for i, j in sorted(seen):
-        S = assemble_shift(grid, system, i, j, classified, pairings, 2, 0.5,
-                           bound_const, c_emp)
+    for i, j in _types(classes):
+        S = assemble_shift(grid, system, i, j, pairs, classes, pairings, 2,
+                           0.5, bound_const, c_emp)
         # joins contain both dilates by construction, so every shift is good
         assert S.good
         assert S.max_normalized_coefficient() <= 1.0 + 1e-12
 
 
+def test_assembly_matches_reference_loop(classified_haar):
+    # the classified set of criterion 6: c_emp, the entries of every type
+    # with their coefficients, goodness and exclusions as the per-pair
+    # loop over Cube lists gives them
+    grid, system, pairs, classes, kept, pairings, bound_const = \
+        classified_haar
+    classified = classified_pairs(kept, classes)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    assert c_emp == calibrate_loop(classified, pairings, 2, 0.5,
+                                   bound_const, 1)
+    rng = np.random.default_rng(5)
+    mask = rng.random(len(kept)) < 0.8
+    codes = [CLASSES.index(c) for c in ("near", "far", "between")]
+    shifts = 0
+    for i, j in _types(classes):
+        for class_filter, good_mask in ((CLASSES, None),
+                                        (("near", "far", "between"), mask)):
+            S = assemble_shift(grid, system, i, j, pairs, classes, pairings,
+                               2, 0.5, bound_const, c_emp,
+                               class_filter=class_filter,
+                               good_mask=good_mask)
+            blocks, good, excluded = assemble_loop(
+                grid, system, i, j, classified, pairings, 2, 0.5,
+                bound_const, c_emp,
+                range(len(CLASSES)) if good_mask is None else codes,
+                good_mask)
+            assert blocks_of(S) == blocks
+            assert (S.good, S.excluded_badness, S.excluded_window) == (
+                good, excluded, 0)
+            worst = max((abs(a) for b in blocks.values() for *_, a in b),
+                        default=0.0) / coefficient_scale(i, j, 1)
+            assert math.isclose(S.max_normalized_coefficient(), worst,
+                                rel_tol=1e-12)
+            shifts += S.coefficient_count > 0
+    assert shifts > 10
+
+
+def _all_window_pairs(grid, system, pairings):
+    """Every window pair, truncated ones included, as (pairs, classes,
+    pairings), the truncated pairs' pairings NaN."""
+    pairs = _window_pairs(grid)
+    classes = _classify(grid, pairs, 1.0, 3)
+    values = np.full(len(pairs), np.nan)
+    values[~classes[-1]] = pairings
+    fine, coarse = zip(*pairs)
+    return (*cube_arrays(fine), *cube_arrays(coarse)), classes, values
+
+
+def test_assemble_counts_truncated_pairs(classified_haar):
+    # every window pair goes in; the truncated ones are dropped and
+    # counted, whatever pairing value they carry
+    grid, system, pairs, classes, _, pairings, bound_const = classified_haar
+    ref = assemble_shift(grid, system, 5, 4, pairs, classes, pairings, 2,
+                         0.5, bound_const, 1e6)
+    every, all_classes, values = _all_window_pairs(grid, system, pairings)
+    S = assemble_shift(grid, system, 5, 4, every, all_classes, values, 2,
+                       0.5, bound_const, 1e6)
+    truncated = int(all_classes[-1].sum())
+    assert 0 < S.excluded_window == truncated < every[0].size
+    assert blocks_of(S) == blocks_of(ref) and S.coefficient_count > 0
+
+
+def test_assemble_names_first_offending_pair(classified_haar):
+    # at half the calibrated constant the coefficients of the type that
+    # sets it pass the cap: the finding names the first of them in input
+    # order
+    grid, system, pairs, classes, kept, pairings, bound_const = \
+        classified_haar
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    i, j = max(_types(classes), key=lambda t: assemble_shift(
+        grid, system, *t, pairs, classes, pairings, 2, 0.5, bound_const,
+        c_emp).max_normalized_coefficient())
+    blocks, _, _ = assemble_loop(grid, system, i, j,
+                                 classified_pairs(kept, classes), pairings, 2,
+                                 0.5, bound_const, 0.5 * c_emp,
+                                 range(len(CLASSES)))
+    cap = coefficient_scale(i, j, 1) * (1.0 + 1e-12)
+    over = [(I, J) for b in blocks.values() for I, J, a in b if abs(a) > cap]
+    assert len(over) > 1
+    I, J = min(over, key=kept.index)
+    with pytest.raises(NormalizationFinding,
+                       match=rf"\(i,j\)=\({i},{j}\) I=\(k={I.k}, l={I.l[0]}\) "
+                             rf"J=\(k={J.k}, l={J.l[0]}\)$"):
+        assemble_shift(grid, system, i, j, pairs, classes, pairings, 2,
+                       0.5, bound_const, 0.5 * c_emp)
+
+
 def test_assemble_empty_filter_vacuous(classified_haar):
-    grid, system, classified, pairings, bound_const = classified_haar
-    S = assemble_shift(grid, system, 1, 1, classified, pairings, 2, 0.5,
+    grid, system, pairs, classes, _, pairings, bound_const = classified_haar
+    S = assemble_shift(grid, system, 1, 1, pairs, classes, pairings, 2, 0.5,
                        bound_const, 1e6, class_filter=())
     assert S.coefficient_count == 0
     assert S.good
 
 
 def test_assemble_respects_good_mask(classified_haar):
-    grid, system, classified, pairings, bound_const = classified_haar
-    mask = [False] * len(classified)
-    S = assemble_shift(grid, system, 2, 2, classified, pairings, 2, 0.5,
+    grid, system, pairs, classes, _, pairings, bound_const = classified_haar
+    mask = [False] * len(pairings)
+    S = assemble_shift(grid, system, 2, 2, pairs, classes, pairings, 2, 0.5,
                        bound_const, 1e6, good_mask=mask)
     assert S.coefficient_count == 0
-    assert S.excluded_badness == sum(1 for _, _, pc in classified
-                                     if (pc.i, pc.j) == (2, 2))
+    assert S.excluded_badness == int(np.count_nonzero(
+        (classes[3] == 2) & (classes[4] == 2)))
+
+
+def test_transpose_keeps_every_other_field(classified_haar):
+    # the dual shift's manifest is the shift's with i and j swapped: the
+    # class filter, c_emp, goodness and both exclusion counts carry over
+    grid, system, _, _, _, pairings, bound_const = classified_haar
+    pairs, classes, values = _all_window_pairs(grid, system, pairings)
+    S = assemble_shift(grid, system, 5, 4, pairs, classes, values, 2, 0.5,
+                       bound_const, 1e6, class_filter=("near", "far"),
+                       good_mask=np.arange(values.size) % 3 > 0)
+    assert S.excluded_badness > 0 and S.excluded_window > 0
+    T = S.transpose()
+    assert T.manifest(seed=3) == {**S.manifest(seed=3), "i": 4, "j": 5}
+    assert np.array_equal(T.I_l, S.J_l) and np.array_equal(T.J_l, S.I_l)
+    assert T.transpose().manifest() == S.manifest()
 
 
 def test_descendants_counts():
     w = Window(d=1, L=3, k_min=0, k_max=6)
     g = zero_grid(w)
-    K = Cube(0, (3,))
-    kids = descendants(g, K, 2)
-    assert len(kids) == 4
-    for c in kids:
-        lo, hi = g.cube_box(c)
-        klo, khi = g.cube_box(K)
-        assert (klo <= lo).all() and (hi <= khi).all()
+    K_k, K_l = cube_arrays([Cube(0, (3,))])
+    n, l = descendants(g, K_k, K_l, 2)
+    assert n.tolist() == [0] * 4
+    lo, hi = g.boxes(np.full(4, 2), l)
+    klo, khi = g.boxes(K_k, K_l)
+    assert np.all((klo <= lo) & (hi <= khi))
+
+
+def _blocks_in_and_around(grid):
+    """Every cube of the window's coarsest three generations, and the
+    neighbours just past its ends, which the window clips."""
+    w = grid.window
+    Ks = []
+    for k in range(w.k_min, min(w.k_min + 3, w.k_max + 1)):
+        gen = list(grid.cubes_at_scale(k))
+        Ks += ([Cube(k, (gen[0].l[0] - 1,))] + gen
+               + [Cube(k, (gen[-1].l[0] + 1,))]) if gen else []
+    return Ks
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grids())
+def test_descendants_and_calibration_match_loop_on_random_grids(case):
+    # random translations, blocks the window clips and blocks outside it
+    grid, _, _, seed = case
+    w = grid.window
+    Ks = _blocks_in_and_around(grid)
+    rng = np.random.default_rng(seed)
+    K_k, K_l = cube_arrays(Ks)
+    for depth in range(0, w.k_max - w.k_min + 1):
+        fits = K_k + depth <= w.k_max
+        if not fits.any():
+            break
+        n, l = descendants(grid, K_k[fits], K_l[fits], depth)
+        picked = [K for K, f in zip(Ks, fits) if f]
+        ref = [(m, c.l[0]) for m, K in enumerate(picked)
+               for c in descendants_loop(grid, K, depth)]
+        assert list(zip(n.tolist(), l.tolist())) == ref
+    i, j = (int(v) for v in rng.integers(0, w.k_max - w.k_min + 1, size=2))
+    pick = [K for K in Ks if K.k + max(i, j) <= w.k_max]
+    S = calibration_shift(grid, i, j, *cube_arrays(pick))
+    assert blocks_of(S) == {K: b for K, b in
+                            calibration_blocks(grid, i, j, pick).items() if b}
+    D = calibration_shift(grid, i, i, *cube_arrays(pick), pattern="diagonal")
+    assert blocks_of(D) == {K: b for K, b in calibration_blocks(
+        grid, i, i, pick, pattern="diagonal").items() if b}
+
+
+def test_calibration_covers_clipped_blocks():
+    # on a translated grid over [0, 4): blocks reaching past either end of
+    # the window and one wholly outside it keep only their in-window
+    # children
+    w = Window(d=1, L=2, k_min=-2, k_max=3)
+    grid = DyadicGrid(w, np.array([1, 0, 1, 1, 0]))
+    Ks = [Cube(-2, (-1,)), Cube(-1, (1,)), Cube(-1, (2,)), Cube(0, (-1,))]
+    assert not any(in_window(grid, K) for K in Ks)
+    S = calibration_shift(grid, 2, 1, *cube_arrays(Ks))
+    ref = {K: b for K, b in calibration_blocks(grid, 2, 1, Ks).items() if b}
+    assert blocks_of(S) == ref
+    # each block keeps fewer than its 4 x 2 entries, and three keep some
+    assert len(ref) == 3 and all(0 < len(b) < 8 for b in ref.values())
+
+
+def _profile_sign(grid, system, S, x):
+    """sign of sum_entries psi_I at x: the worst-case input of a block."""
+    k = int(S.K_k[0]) + S.i
+    return np.sign(sample_wavelets(grid, system, k, S.I_l,
+                                   x[None, :]).sum(axis=0))
 
 
 def test_averaging_zero_inputs():
     w = Window(d=1, L=3, k_min=0, k_max=6)
     g = zero_grid(w)
     system = build_system("haar", q=10, strict=False)
-    S = calibration_shift(g, 2, 2, [Cube(0, (1,))])
+    S = calibration_shift(g, 2, 2, [0], [1])
     mesh = Mesh1D.cover(0.0, 8.0, 8)
-    out = apply_averaging(g, system, S.blocks[Cube(0, (1,))],
-                          np.zeros(mesh.n_pts), mesh)
+    out = apply_shift(g, system, S, np.zeros(mesh.n_pts), mesh)
     assert not out.any()
     # f supported away from the block (and its wavelets) contributes nothing
     f = np.where(mesh.centers > 5.0, 1.0, 0.0)
-    out = apply_averaging(g, system, S.blocks[Cube(0, (1,))], f, mesh)
+    out = apply_shift(g, system, S, f, mesh)
     assert np.max(np.abs(out)) < 1e-12
+
+
+def _averaging_constants(grid, system, mesh):
+    """max |A_K f| / mean_K |f| for the worst-case f of each saturating
+    (2, 2) block of generations 0..2, by apply_shift and by the per-entry
+    loop."""
+    x = mesh.centers
+    unit = 2.0 ** -grid.window.unit_exp
+    got, ref = [], []
+    blocks = [Cube(k, (l,)) for k in (0, 1, 2) for l in range(2 ** (k + 3))]
+    for K in blocks:
+        S = calibration_shift(grid, 2, 2, *cube_arrays([K]))
+        f = _profile_sign(grid, system, S, x)
+        klo, khi = cube_box(grid, K)
+        inside = (x >= klo[0] * unit) & (x < khi[0] * unit)
+        mean_abs = float(np.sum(np.abs(f[inside])) * mesh.h
+                         / (khi[0] - klo[0]) / unit)
+        out = apply_shift(grid, system, S, f, mesh)
+        got.append(float(np.max(np.abs(out))) / mean_abs)
+        out = apply_averaging(grid, system, blocks_of(S)[K], f, mesh)
+        ref.append(float(np.max(np.abs(out))) / mean_abs)
+    return got, ref
 
 
 def test_averaging_pointwise_bound_uniform_across_blocks():
     # saturating coefficients; worst-case f = sign of the analysis profile;
-    # the mean-value bound constant must be uniform across >= 50 blocks
+    # the mean-value bound constant must be uniform across >= 50 blocks,
+    # and agree with the per-entry loop
     w = Window(d=1, L=3, k_min=0, k_max=7)
     g = zero_grid(w)
     system = build_system("haar", q=10, strict=False)
-    mesh = Mesh1D.cover(0.0, 8.0, 9)
-    x = mesh.centers
-    consts = []
-    blocks = [Cube(k, (l,)) for k in (0, 1, 2) for l in range(2 ** (k + 3))]
-    assert len(blocks) >= 50
-    for K in blocks:
-        S = calibration_shift(g, 2, 2, [K])
-        entries = S.blocks[K]
-        prof = np.zeros_like(x)
-        for I, _, _ in entries:
-            kk = I.k
-            t = x * 2.0 ** kk - I.l[0]
-            prof += 2.0 ** (kk / 2.0) * system.mother(t, "psi")
-        f = np.sign(prof)
-        out = apply_averaging(g, system, entries, f, mesh)
-        klo, khi = g.cube_box(K)
-        unit = 2.0 ** -w.unit_exp
-        inside = (x >= klo[0] * unit) & (x < khi[0] * unit)
-        mean_abs = float(np.sum(np.abs(f[inside])) * mesh.h
-                         / (khi[0] - klo[0]) / unit)
-        consts.append(float(np.max(np.abs(out))) / mean_abs)
+    consts, ref = _averaging_constants(g, system, Mesh1D.cover(0.0, 8.0, 9))
+    assert len(consts) >= 50
     assert max(consts) <= 2.0 * min(consts)
+    for c, r in zip(consts, ref):
+        assert math.isclose(c, r, rel_tol=1e-12)
 
 
 def test_shift_norm_zero_operator():
@@ -393,23 +480,26 @@ def test_shift_norm_diagonal_vs_dense_svd():
     w = Window(d=1, L=3, k_min=0, k_max=7)
     g = zero_grid(w)
     system = build_system("haar", q=10, strict=False)
-    S = calibration_shift(g, 3, 3, [Cube(0, (2,))], pattern="diagonal")
+    S = calibration_shift(g, 3, 3, [0], [2], pattern="diagonal")
     mesh = Mesh1D.cover(0.0, 8.0, 8)
     est = shift_norm_estimate(g, system, S, mesh)
-    entries = S.blocks[Cube(0, (2,))]
     x = mesh.centers
 
-    def wv(c):
-        t = x * 2.0 ** c.k - c.l[0]
-        return 2.0 ** (c.k / 2.0) * system.mother(t, "psi")
+    def wv(l):
+        return 2.0 ** (3 / 2.0) * system.mother(x * 2.0 ** 3 - l, "psi")
 
-    U = np.stack([wv(I) for I, _, _ in entries])
-    V = np.stack([wv(J) for _, J, _ in entries])
-    a = np.array([e[2] for e in entries])
-    M = V.T @ (a[:, None] * U) * mesh.h
+    U = np.stack([wv(l) for l in S.I_l.tolist()])
+    V = np.stack([wv(l) for l in S.J_l.tolist()])
+    M = V.T @ (S.a[:, None] * U) * mesh.h
     dense = float(np.linalg.svd(M, compute_uv=False)[0])
     assert abs(est - dense) < 1e-3
     assert abs(est - 0.125) < 1e-3
+
+
+def _calibration_norms(grid, system, mesh, Ks):
+    return [shift_norm_estimate(grid, system,
+                                calibration_shift(grid, i, j, *Ks), mesh)
+            for i in range(1, 7) for j in range(1, 7)]
 
 
 def test_shift_norm_flat_across_types():
@@ -418,33 +508,68 @@ def test_shift_norm_flat_across_types():
     w = Window(d=1, L=3, k_min=0, k_max=7)
     g = zero_grid(w)
     system = build_system("haar", q=10, strict=False)
-    mesh = Mesh1D.cover(0.0, 8.0, 8)
-    Ks = [Cube(0, (2,)), Cube(0, (5,))]
-    norms = []
-    for i in range(1, 7):
-        for j in range(1, 7):
-            S = calibration_shift(g, i, j, Ks)
-            norms.append(shift_norm_estimate(g, system, S, mesh))
+    norms = _calibration_norms(g, system, Mesh1D.cover(0.0, 8.0, 8),
+                               ([0, 0], [2, 5]))
     assert max(norms) <= 2.0 * min(norms)
 
 
-def test_transpose_is_adjoint(classified_haar):
-    grid, system, classified, pairings, bound_const = classified_haar
-    c_emp = calibrate_c_emp(classified, pairings, 2, 0.5, bound_const, 1)
-    seen = sorted({(pc.i, pc.j) for _, _, pc in classified if pc.i != pc.j})
-    i, j = seen[0]
-    S = assemble_shift(grid, system, i, j, classified, pairings, 2, 0.5,
-                       bound_const, c_emp)
-    assert S.coefficient_count > 0
+def test_calibration_norms_match_reference_loop():
+    # criterion 7's 36 calibration shifts: the estimates from distinct-cube
+    # samples against the power iteration over one sampled row per entry
+    w = Window(d=1, L=3, k_min=0, k_max=7)
+    g = zero_grid(w)
+    system = build_system("haar", q=10, strict=False)
+    mesh = Mesh1D.cover(0.0, 8.0, 8)
+    Ks = [Cube(0, (2,)), Cube(0, (5,))]
+    norms = _calibration_norms(g, system, mesh, cube_arrays(Ks))
+    ref = [shift_norm_loop(g, system, calibration_blocks(g, i, j, Ks), mesh)
+           for i in range(1, 7) for j in range(1, 7)]
+    for got, want in zip(norms, ref):
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def _assert_adjoint(grid, system, S, mesh):
     T = S.transpose()
-    assert (T.i, T.j) == (j, i)
-    mesh = Mesh1D.cover(0.0, 8.0, 9)
+    assert (T.i, T.j) == (S.j, S.i)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(mesh.n_pts)
     gfun = rng.standard_normal(mesh.n_pts)
     lhs = float(np.sum(apply_shift(grid, system, S, f, mesh) * gfun) * mesh.h)
     rhs = float(np.sum(f * apply_shift(grid, system, T, gfun, mesh)) * mesh.h)
+    assert lhs != 0.0
     assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
+
+
+def test_transpose_is_adjoint(classified_haar):
+    grid, system, pairs, classes, _, pairings, bound_const = classified_haar
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    i, j = [t for t in _types(classes) if t[0] != t[1]][0]
+    S = assemble_shift(grid, system, i, j, pairs, classes, pairings, 2, 0.5,
+                       bound_const, c_emp)
+    assert S.coefficient_count > 0
+    _assert_adjoint(grid, system, S, Mesh1D.cover(0.0, 8.0, 9))
+
+
+def test_transpose_is_adjoint_db2_random_grid():
+    # db2 (m = 3) on a translated grid: the wavelets overlap their
+    # neighbours and sit off the unshifted lattice
+    grid = DyadicGrid.random(Window(d=1, L=3, k_min=-3, k_max=2), 4)
+    system = build_system("db2", q=10, strict=False)
+    assert system.m == 3 and grid.omega.any()
+    pairs, classes, _, pairings, bound_const = _classified_window(
+        grid, system, 8)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    mesh = Mesh1D.cover(0.0, 8.0, 9)
+    checked = 0
+    for i, j in _types(classes):
+        if i == j:
+            continue
+        S = assemble_shift(grid, system, i, j, pairs, classes, pairings, 2,
+                           0.5, bound_const, c_emp)
+        if np.count_nonzero(S.a) > 1:
+            _assert_adjoint(grid, system, S, mesh)
+            checked += 1
+    assert checked >= 3
 
 
 def test_bounded_overlap_of_dilates():
@@ -452,8 +577,8 @@ def test_bounded_overlap_of_dilates():
     w = Window(d=1, L=3, k_min=0, k_max=7)
     g = zero_grid(w)
     for depth in (1, 2, 3):
-        Js = descendants(g, Cube(0, (3,)), depth)
-        lo_all = [g.dilate_box(J, 3) for J in Js]
+        _, l = descendants(g, [0], [3], depth)
+        lo_all = [dilate_box(g, Cube(depth, (c,)), 3) for c in l.tolist()]
         for u in range(int(w.extent_units)):
             cover = sum(1 for lo, hi in lo_all if lo[0] <= u < hi[0])
             assert cover <= 3
