@@ -20,6 +20,8 @@ exactly independent (they are driven by disjoint bits of omega).
 from __future__ import annotations
 
 import io
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +41,10 @@ class Cube:
 
     The unshifted cube is [l_0 2^-k, (l_0+1) 2^-k).  l stays a 1-tuple, as
     shift_units stays a length-1 array: bench/tracer.py reads them from
-    outside the library, and the library itself works on int64 arrays of
-    generations and indices (see cube_arrays)."""
+    outside the library.  The run paths never build a Cube: they hold
+    cubes and pairs as int64 arrays of generations and indices (see
+    DyadicGrid.touching_range and CubePairs).  Cubes are for the demos, the
+    tests, PairingEngine.pairing and whoever iterates a CubePairs."""
 
     k: int
     l: tuple
@@ -145,10 +149,12 @@ class DyadicGrid:
               + self._shifts[k - w.k_min])
         return lo, lo + side
 
-    def cubes_touching(self, k: int, lo_units: int, hi_units: int):
-        """All generation-k cubes of the grid whose closed shifted interval
-        meets [lo_units, hi_units] (integer units), clipped to the
-        window."""
+    def touching_range(self, k: int, lo_units: int,
+                       hi_units: int) -> tuple[int, int]:
+        """(start, stop): the indices l, start <= l < stop, of the
+        generation-k cubes of the grid whose closed shifted interval meets
+        [lo_units, hi_units] (integer units), clipped to the window; stop
+        may lie below start when none does."""
         w = self.window
         side = w.len_units(k)
         shift = int(self.shift_units(k)[0])
@@ -158,7 +164,11 @@ class DyadicGrid:
         # window: corner >= 0 and far corner <= extent
         l_lo = max(l_lo, -(shift // side))
         l_hi = min(l_hi, (w.extent_units - shift - side) // side)
-        for l in range(l_lo, l_hi + 1):
+        return l_lo, l_hi + 1
+
+    def cubes_touching(self, k: int, lo_units: int, hi_units: int):
+        """The Cubes of touching_range, in index order."""
+        for l in range(*self.touching_range(k, lo_units, hi_units)):
             yield Cube(k, (l,))
 
     def cubes_at_scale(self, k: int):
@@ -178,6 +188,44 @@ def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
     cubes = list(cubes)
     return (np.array([c.k for c in cubes], dtype=np.int64),
             np.array([c.l[0] for c in cubes], dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class CubePairs(Sequence):
+    """Read-only sequence of cube pairs (I, J) held as four int64 arrays:
+    the generations and indices of the I cubes and of the J cubes, one item
+    per pair.
+
+    The library reads the arrays.  Indexing (negative indices included) or
+    iterating yields (Cube, Cube) tuples, built on demand, for callers that
+    want Cubes."""
+
+    I_k: np.ndarray
+    I_l: np.ndarray
+    J_k: np.ndarray
+    J_l: np.ndarray
+
+    @classmethod
+    def of(cls, pairs) -> "CubePairs":
+        """The pairs of a sequence of (Cube, Cube) tuples; a CubePairs is
+        returned as it is."""
+        if isinstance(pairs, cls):
+            return pairs
+        return cls(*cube_arrays(I for I, _ in pairs),
+                   *cube_arrays(J for _, J in pairs))
+
+    def __len__(self) -> int:
+        return self.I_k.size
+
+    def __getitem__(self, n: int) -> tuple[Cube, Cube]:
+        n = operator.index(n)  # no slices
+        return (Cube(int(self.I_k[n]), (int(self.I_l[n]),)),
+                Cube(int(self.J_k[n]), (int(self.J_l[n]),)))
+
+    def __iter__(self):
+        for ik, il, jk, jl in zip(self.I_k.tolist(), self.I_l.tolist(),
+                                  self.J_k.tolist(), self.J_l.tolist()):
+            yield Cube(ik, (il,)), Cube(jk, (jl,))
 
 
 def ancestor_join_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (Cube, DyadicGrid, ScaleRangeError, Window, cube_arrays,
+from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
                      is_bad_batch, union_bound, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, PairingTable,
                         apply_multiplier, distinct_keys, pairing_keys,
@@ -32,19 +32,31 @@ def psi_refinement(t: float, s: int) -> float:
     return t ** s * (math.log(1.0 / t) + 1.0)
 
 
+def _touching_cubes(grid: DyadicGrid, bounds) -> tuple[np.ndarray,
+                                                       np.ndarray]:
+    """int64 arrays (k, l) of the grid cubes of each generation k whose
+    closed shifted interval meets the integer-unit interval bounds(k),
+    clipped to the window: coarse to fine, by index within a generation."""
+    w = grid.window
+    gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
+    ranges = [grid.touching_range(k, *bounds(k)) for k in gens.tolist()]
+    return (np.repeat(gens, [max(b - a, 0) for a, b in ranges]),
+            np.concatenate([np.arange(a, b, dtype=np.int64)
+                            for a, b in ranges]))
+
+
 def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
-                    span: tuple[float, float]) -> list[Cube]:
-    """Window cubes whose m-dilate overlaps the span, all generations."""
+                    span: tuple[float, float]) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Window cubes whose m-dilate overlaps the span, all generations, as
+    int64 arrays (k, l): coarse to fine, by index within a generation."""
     w = grid.window
     unit = 2.0 ** w.unit_exp
     lo_u = math.floor(span[0] * unit)
     hi_u = math.ceil(span[1] * unit)
     half = (system.m - 1) // 2
-    out = []
-    for k in range(w.k_min, w.k_max + 1):
-        grow = half * w.len_units(k)
-        out.extend(grid.cubes_touching(k, lo_u - grow, hi_u + grow))
-    return out
+    return _touching_cubes(grid, lambda k: (lo_u - half * w.len_units(k),
+                                            hi_u + half * w.len_units(k)))
 
 
 # most nodes localized_coefficients evaluates at once; larger blocks of
@@ -164,6 +176,22 @@ def _check_audit_blocks(sizes) -> None:
                 f"{AUDIT_MAX_PAIRS}; narrow the window")
 
 
+def _audit_cells(kind: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 values: np.ndarray) -> list[tuple]:
+    """(class name, i, j, pair count, max |pairing|) of each distinct
+    (kind, i, j) of the pairs, sorted by (class name, i, j).  A max is
+    exact in any order, so the pairs' order does not matter."""
+    name_rank = np.array([sorted(CLASSES).index(c) for c in CLASSES])
+    order = np.lexsort((j, i, name_rank[kind]))
+    cells = np.stack([kind, i, j])[:, order]
+    # a cell starts where (kind, i, j) changes; codes and levels are >= 0
+    starts = np.flatnonzero(np.diff(cells, axis=1, prepend=-1).any(axis=0))
+    counts = np.diff(starts, append=kind.size)
+    maxima = np.maximum.reduceat(np.abs(values[order]), starts)
+    return [(CLASSES[c], ii, jj, n, mx) for (c, ii, jj), n, mx in zip(
+        cells[:, starts].T.tolist(), counts.tolist(), maxima.tolist())]
+
+
 def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                 s: int, eps: float, theta: float, i_max: int, j_max: int,
                 q_loc: int = 10, r: int | None = None,
@@ -190,19 +218,20 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         # the window holds at most 2^(L+k) cubes of generation k
         _check_audit_blocks((k, 1 << (w.L + k))
                             for k in range(w.k_min, w.k_max + 1))
-        cubes = [c for k in range(w.k_min, w.k_max + 1)
-                 for c in grid.cubes_at_scale(k)]
+        cube_k, cube_l = _touching_cubes(grid,
+                                         lambda k: (0, w.extent_units))
     else:
-        cubes = localized_cubes(grid, system, span)
-        _check_audit_blocks(Counter(c.k for c in cubes).items())
+        cube_k, cube_l = localized_cubes(grid, system, span)
+        _check_audit_blocks(Counter(cube_k.tolist()).items())
     czs = op.czs_seminorm(s)
     op_norm = op.l2_norm
     info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
-    cube_k, cube_l = cube_arrays(cubes)
-    selected = []   # ((I, J), (kind, i, j))
+    # the kept I, J, kind, i and j of each fine generation, after an empty
+    # row that keeps the concatenation defined when no cube enters
+    selected = [[np.empty(0, dtype=np.int64)] * 5]
     # Pairs (I, J) with I.k >= J.k, classified one fine generation at a
     # time; the cubes come coarse to fine, so the pairs keep the I-major
-    # order of the cube list.  The smaller cube of each pair is I.
+    # order of the cube arrays.  The smaller cube of each pair is I.
     for k in np.unique(cube_k):
         fine = np.flatnonzero(cube_k == k)
         coarse = np.flatnonzero(cube_k <= k)
@@ -218,19 +247,14 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                                            r, theta), coarse.size)
             info["badness_excluded"] += int((keep & ~good).sum())
             keep &= good
-        for a, b, c, ii, jj in zip(*(x[keep].tolist()
-                                     for x in (I, J, kind, i, j))):
-            selected.append(((cubes[a], cubes[b]), (CLASSES[c], ii, jj)))
+        selected.append([x[keep] for x in (I, J, kind, i, j)])
+    I, J, kind, i, j = map(np.concatenate, zip(*selected))
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings([pair for pair, _ in selected])
+    values = engine.pairings(CubePairs(cube_k[I], cube_l[I], cube_k[J],
+                                       cube_l[J]))
     info["pairings"] = dict(engine.counts)
-    cells: dict = {}
-    for (_, key), v in zip(selected, values):
-        cur = cells.setdefault(key, [0, 0.0])
-        cur[0] += 1
-        cur[1] = max(cur[1], abs(float(v)))
     rows = []
-    for (kind, i, j), (count, mx) in sorted(cells.items()):
+    for kind, i, j, count, mx in _audit_cells(kind, i, j, values):
         bound = class_bound(kind, i, j, w.d, s, eps, theta, czs, op_norm)
         row = DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
                             max_pairing=mx, bound=bound, ratio=mx / bound)
@@ -280,8 +304,7 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         truth = (ground_truth(op, f, g, res=q_loc + 2) if op.singular
                  else plain_inner_product(f, g))
     engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings([(loc.cubes_f[a], loc.cubes_g[b])
-                              for a, b in zip(I.tolist(), J.tolist())])
+    values = engine.pairings(loc.pairs(I, J))
     terms = loc.cf[I] * values * loc.cg[J]
     total = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
     return {"defect": abs(truth - total), "sum": total, "truth": truth,
@@ -310,12 +333,10 @@ class OmegaSample:
 @dataclass
 class _Draw:
     """One grid before its pairings: the localized cubes of f and g as
-    lists and as int64 (k, l) arrays and their coefficients, and for an
-    omega sample their goodness."""
+    int64 (k, l) arrays and their coefficients, and for an omega sample
+    their goodness."""
 
     grid: DyadicGrid
-    cubes_f: list
-    cubes_g: list
     kl_f: tuple
     kl_g: tuple
     cf: np.ndarray
@@ -324,9 +345,19 @@ class _Draw:
     good_g: np.ndarray | None = None
 
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs (I, J) as indices into the two cube lists, I-major."""
-        nf, ng = len(self.cubes_f), len(self.cubes_g)
+        """The pairs (I, J) as indices into the two cube arrays, I-major."""
+        nf, ng = self.cf.size, self.cg.size
         return np.repeat(np.arange(nf), ng), np.tile(np.arange(ng), nf)
+
+    def pairs(self, I: np.ndarray, J: np.ndarray) -> CubePairs:
+        """The pairs of cubes I of f and J of g, given as indices."""
+        (k_f, l_f), (k_g, l_g) = self.kl_f, self.kl_g
+        return CubePairs(k_f[I], l_f[I], k_g[J], l_g[J])
+
+    def pair_keys(self) -> np.ndarray:
+        """The pairing key rows (see pairing_keys) of all the pairs."""
+        p = self.pairs(*self.pair_index())
+        return pairing_keys(self.grid, p.I_k, p.I_l, p.J_k, p.J_l)
 
     def weigh(self, values, pi_good: dict, theta: float, m: int,
               classify: bool) -> OmegaSample:
@@ -359,13 +390,12 @@ class _Draw:
 
 
 def _localize(grid, system, f, g, q_loc) -> _Draw:
-    """The localized cubes of f and g on the grid, as lists and int64
-    (k, l) arrays, with their coefficients: one localized_coefficients
-    call per function, so no cube takes a quadrature of its own."""
-    cubes_f = localized_cubes(grid, system, f.support)
-    cubes_g = localized_cubes(grid, system, g.support)
-    kl_f, kl_g = cube_arrays(cubes_f), cube_arrays(cubes_g)
-    return _Draw(grid, cubes_f, cubes_g, kl_f, kl_g,
+    """The localized cubes of f and g on the grid, as int64 (k, l) arrays,
+    with their coefficients: one localized_coefficients call per function,
+    so no cube takes a quadrature of its own."""
+    kl_f = localized_cubes(grid, system, f.support)
+    kl_g = localized_cubes(grid, system, g.support)
+    return _Draw(grid, kl_f, kl_g,
                  localized_coefficients(grid, system, *kl_f, f, q_loc),
                  localized_coefficients(grid, system, *kl_g, g, q_loc))
 
@@ -375,7 +405,7 @@ def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
     d = _localize(DyadicGrid.random(window, seed_tuple), system, f, g, q_loc)
     good = ~is_bad_batch(d.grid, np.concatenate([d.kl_f[0], d.kl_g[0]]),
                          np.concatenate([d.kl_f[1], d.kl_g[1]]), r, theta)
-    d.good_f, d.good_g = good[:len(d.cubes_f)], good[len(d.cubes_f):]
+    d.good_f, d.good_g = good[:d.cf.size], good[d.cf.size:]
     return d
 
 
@@ -387,23 +417,20 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     Every grid is drawn first.  One PairingTable then evaluates the
     distinct pairing keys of all grids, with one field per (coarse
     generation, transpose) for the whole run, and each grid's engine reads
-    its values from it.  The list of cube pairs lives for one grid at a
-    time.
+    its values from it.  The pairs of a grid, every localized cube of f
+    with every one of g, are int64 arrays (a CubePairs) that live for one
+    grid at a time: only the distinct keys of each grid are held across
+    the table's build, and each grid's engine packs its pairs' keys again.
     """
     draws = [_draw(system, window, f, g, r, theta, q_loc, seed)
              for seed in seeds]
-    keys = []
-    for d in draws:
-        I, J = d.pair_index()
-        keys.append(distinct_keys(pairing_keys(
-            d.grid, d.kl_f[0][I], d.kl_f[1][I], d.kl_g[0][J], d.kl_g[1][J])))
+    keys = [distinct_keys(d.pair_keys()) for d in draws]
     table = PairingTable.build(op, system, window, np.concatenate(keys), q_loc)
     counts = Counter(table.counts)
     samples = []
     for d in draws:
         engine = PairingEngine(op, d.grid, system, q_loc=q_loc, table=table)
-        values = engine.pairings([(I, J) for I in d.cubes_f
-                                  for J in d.cubes_g])
+        values = engine.pairings(d.pairs(*d.pair_index()))
         counts.update(engine.counts)
         samples.append(d.weigh(values, pi_good, theta, system.m, classify))
     return samples, dict(counts)
@@ -465,11 +492,21 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
 
     The default r is large enough that goodness is vacuous on the window
     (zero Monte Carlo variance); pass a finite r for the filtered regime.
+    N_max must lie between 3 and the window's depth k_max - k_min; outside
+    that range the run raises before it draws a grid.
     """
     if N_max < 3:
         raise NoiseFloorError(
             f"N_max = {N_max} gives fewer than the 3 points a slope fit "
             "needs; increase N_max")
+    # a classified pair's level max(i, j) is its fine generation minus its
+    # containing cube's, so at most k_max - k_min: a larger N repeats the
+    # full sum
+    depth = window.k_max - window.k_min
+    if N_max > depth:
+        raise ScaleRangeError(
+            f"N_max = {N_max} exceeds the window's depth k_max - k_min = "
+            f"{depth}, the largest level a pair can have; lower N_max")
     if theta is None:
         theta = eps / (window.d + s)
     if r is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dyadic import Cube, DyadicGrid, ScaleRangeError, cube_arrays
+from .dyadic import Cube, CubePairs, DyadicGrid, ScaleRangeError
 from .wavelets import WaveletSystem
 
 
@@ -573,7 +573,8 @@ class PairingEngine:
         self.counts = {"pairs": 0, "keys": 0, "fields": 0}
 
     def pairings(self, pairs) -> np.ndarray:
-        """pairs: sequence of (I, J) cubes; returns <psi_J, T psi_I>.
+        """pairs: a CubePairs, or a sequence of (I, J) cubes, which is
+        turned into one; returns <psi_J, T psi_I>.
 
         Convolution kernels make pairings invariant under joint translation,
         so values are computed once per distinct (coarse scale, transpose,
@@ -585,8 +586,9 @@ class PairingEngine:
         self.counts["pairs"] += n
         if n == 0:
             return np.empty(0)
-        keys = pairing_keys(self.grid, *cube_arrays([I for I, _ in pairs]),
-                            *cube_arrays([J for _, J in pairs]))
+        pairs = CubePairs.of(pairs)
+        keys = pairing_keys(self.grid, pairs.I_k, pairs.I_l, pairs.J_k,
+                            pairs.J_l)
         table = self.table
         if table is None:
             table = PairingTable.build(self.op, self.system, self.grid.window,

@@ -2,17 +2,22 @@
 one-cube forms of what it batches (a cube's box and dilate, one wavelet's
 samples, the per-pair classification and join), the per-entry loops over
 Cube lists that assembled, applied and measured shifts before shifts were
-held as int64 arrays, and the cascade iteration the exact scaling tables
-are checked against.  Where the batching keeps the arithmetic the tests
-compare bit for bit."""
+held as int64 arrays, the Cube-list cube enumeration and decay audit that
+preceded the int64 pair arrays, and the cascade iteration the exact
+scaling tables are checked against.  Where the batching keeps the
+arithmetic the tests compare bit for bit."""
 
 import math
 
 import numpy as np
 
-from dyadshift.dyadic import Cube, WindowTruncationError, cube_arrays
-from dyadshift.operators import sample_wavelets, support_intervals
-from dyadshift.shifts import PowerIterationError, coefficient_scale
+from dyadshift.dyadic import (Cube, WindowTruncationError, cube_arrays,
+                              is_bad_batch)
+from dyadshift.harness import DecayAuditRow, class_bound, psi_refinement
+from dyadshift.operators import (PairingEngine, sample_wavelets,
+                                 support_intervals)
+from dyadshift.shifts import (CLASSES, PowerIterationError, classify_batch,
+                              coefficient_scale)
 from dyadshift.wavelets import _two_scale
 
 
@@ -305,3 +310,78 @@ def shift_norm_loop(grid, system, blocks, mesh, tol: float = 1e-4,
             return est
         prev = est
     raise PowerIterationError("power iteration did not converge")
+
+
+# ---------------------------------------------------------------------------
+# cube lists and the decay audit over them
+
+
+def localized_cube_list(grid, system, span) -> list:
+    """Window cubes whose m-dilate overlaps the span, all generations, as
+    a Cube list (what localized_cubes returns as arrays)."""
+    w = grid.window
+    unit = 2.0 ** w.unit_exp
+    lo_u = math.floor(span[0] * unit)
+    hi_u = math.ceil(span[1] * unit)
+    half = (system.m - 1) // 2
+    out = []
+    for k in range(w.k_min, w.k_max + 1):
+        grow = half * w.len_units(k)
+        out.extend(grid.cubes_touching(k, lo_u - grow, hi_u + grow))
+    return out
+
+
+def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
+                     q_loc=10, r=None, span=None):
+    """decay_audit over a Cube list, with a list of selected Cube pairs
+    and a dict of cells, without the AUDIT_MAX_PAIRS check."""
+    w = grid.window
+    if span is None:
+        cubes = [c for k in range(w.k_min, w.k_max + 1)
+                 for c in grid.cubes_at_scale(k)]
+    else:
+        cubes = localized_cube_list(grid, system, span)
+    czs = op.czs_seminorm(s)
+    op_norm = op.l2_norm
+    info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
+    cube_k, cube_l = cube_arrays(cubes)
+    selected = []   # ((I, J), (kind, i, j))
+    for k in np.unique(cube_k):
+        fine = np.flatnonzero(cube_k == k)
+        coarse = np.flatnonzero(cube_k <= k)
+        I = np.repeat(fine, coarse.size)
+        J = np.tile(coarse, fine.size)
+        kind, _, _, i, j, truncated = classify_batch(
+            grid, cube_k[I], cube_l[I], cube_k[J], cube_l[J], theta, system.m)
+        info["pairs_seen"] += I.size
+        info["window_truncated"] += int(truncated.sum())
+        keep = ~truncated & (i <= i_max) & (j <= j_max)
+        if r is not None:
+            good = np.repeat(~is_bad_batch(grid, cube_k[fine], cube_l[fine],
+                                           r, theta), coarse.size)
+            info["badness_excluded"] += int((keep & ~good).sum())
+            keep &= good
+        for a, b, c, ii, jj in zip(*(x[keep].tolist()
+                                     for x in (I, J, kind, i, j))):
+            selected.append(((cubes[a], cubes[b]), (CLASSES[c], ii, jj)))
+    engine = PairingEngine(op, grid, system, q_loc=q_loc)
+    values = engine.pairings([pair for pair, _ in selected])
+    info["pairings"] = dict(engine.counts)
+    cells: dict = {}
+    for (_, key), v in zip(selected, values):
+        cur = cells.setdefault(key, [0, 0.0])
+        cur[0] += 1
+        cur[1] = max(cur[1], abs(float(v)))
+    rows = []
+    for (kind, i, j), (count, mx) in sorted(cells.items()):
+        bound = class_bound(kind, i, j, w.d, s, eps, theta, czs, op_norm)
+        row = DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
+                            max_pairing=mx, bound=bound, ratio=mx / bound)
+        if kind in ("between", "contained") and i > j:
+            t = 2.0 ** (-(i - j))
+            pb = (czs + op_norm) * 2.0 ** (-(i - j) * w.d / 2.0) \
+                * psi_refinement(t, s)
+            row.psi_bound = pb
+            row.psi_ratio = mx / pb
+        rows.append(row)
+    return rows, info

@@ -376,6 +376,29 @@ def test_cli_convergence_too_few_levels_exit_4(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: N_max = %d" % n_max) and "\n" not in err
 
 
+@pytest.mark.parametrize("n_max", [9, 10, 200_000, 10 ** 12])
+def test_cli_convergence_levels_beyond_depth_exit_4(tmp_path, capsys,
+                                                    monkeypatch, n_max):
+    # no pair of the window k = -5..3 has a level max(i, j) above 8, so a
+    # larger N_max only repeats the full sum; the run stops before it
+    # draws a grid
+    def no_draw(*args):
+        raise AssertionError("a grid was drawn")
+
+    monkeypatch.setattr(harness, "_draw", no_draw)
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 5, "k_min": -5, '
+           '"k_max": 3, "s": 1, "N_max": %d, "n_omega": 2}' % n_max)
+    code, err = _exit_and_stderr(
+        capsys, ["convergence", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: N_max = %d exceeds" % n_max)
+    assert "k_max - k_min = 8" in err and "\n" not in err
+    # at the depth itself the run goes on to draw its grids
+    cfg = cfg.replace('"N_max": %d' % n_max, '"N_max": 8')
+    with pytest.raises(AssertionError, match="a grid was drawn"):
+        main(["convergence", "--config", cfg, "--outdir", str(tmp_path)])
+
+
 @pytest.mark.parametrize("window", [
     '"filter": "haar", "L": 8, "k_min": -8, "k_max": 5',   # 134 M pairs
     '"filter": "haar", "L": 30, "k_min": 0, "k_max": 5',   # 2^35 cubes
@@ -383,9 +406,10 @@ def test_cli_convergence_too_few_levels_exit_4(tmp_path, capsys, monkeypatch,
 def test_cli_oversized_decay_audit_exit_4(tmp_path, capsys, monkeypatch,
                                           window):
     # refused from the window alone: no cube is enumerated
-    def no_cubes(self, k):
+    def no_cubes(self, *args):
         raise AssertionError("cubes were enumerated")
 
+    monkeypatch.setattr(DyadicGrid, "touching_range", no_cubes)
     monkeypatch.setattr(DyadicGrid, "cubes_at_scale", no_cubes)
     cfg = '{"kernel": "hilbert", "s": 1, %s}' % window
     code, err = _exit_and_stderr(

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from dyadshift.config import default_r
-from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              _badness_batch, _skeleton_gap,
+from dyadshift.dyadic import (Cube, CubePairs, DyadicGrid, ScaleRangeError,
+                              Window, _badness_batch, _skeleton_gap,
                               ancestor_join_batch, cube_arrays,
                               independence_table, is_bad_batch, union_bound,
                               pi_bad_estimate, pi_bad_exact)
@@ -201,6 +201,51 @@ def test_cubes_touching_exact_range():
     got = list(grid.cubes_touching(1, 8, 24))
     # units are 2^-5; [8,24] units = [0.25, 0.75] touches [0,0.5) and [0.5,1)
     assert got == [Cube(1, (0,)), Cube(1, (1,))]
+    assert grid.touching_range(1, 8, 24) == (0, 2)
+
+
+def test_touching_range_matches_cube_geometry():
+    # every generation and clip of a shifted grid: the range holds exactly
+    # the in-window cubes whose closed box meets [lo, hi], and is empty
+    # (stop <= start) when none does
+    w = Window(d=1, L=2, k_min=-2, k_max=3)
+    grid = DyadicGrid.random(w, 7)
+    rng = np.random.default_rng(0)
+    for k in range(w.k_min, w.k_max + 1):
+        side = w.len_units(k)
+        for _ in range(40):
+            lo = int(rng.integers(-2 * side, w.extent_units + side))
+            hi = lo + int(rng.integers(0, 3 * side))
+            start, stop = grid.touching_range(k, lo, hi)
+            l = np.arange(-8 * (1 << (w.L + k)), 8 * (1 << (w.L + k)) + 8)
+            b_lo, b_hi = grid.boxes(np.full(l.size, k), l)
+            meets = ((b_hi > lo) & (b_lo < hi) & (b_lo >= 0)
+                     & (b_hi <= w.extent_units))
+            assert l[meets].tolist() == list(range(start, stop))
+            assert [c.l[0] for c in grid.cubes_touching(k, lo, hi)] \
+                == list(range(start, stop))
+
+
+def test_cube_pairs_sequence():
+    pairs = [(Cube(2, (5,)), Cube(0, (1,))), (Cube(1, (3,)), Cube(1, (3,))),
+             (Cube(-1, (0,)), Cube(3, (-7,)))]
+    view = CubePairs.of(pairs)
+    assert all(a.dtype == np.int64 for a in (view.I_k, view.I_l, view.J_k,
+                                             view.J_l))
+    assert len(view) == 3
+    assert list(view) == pairs
+    assert [view[n] for n in range(3)] == pairs
+    assert view[-1] == pairs[-1] and view[-3] == pairs[0]
+    for n in (3, -4):
+        with pytest.raises(IndexError):
+            view[n]
+    with pytest.raises(TypeError):
+        view[0:1]
+    I, J = view[1]
+    assert type(I) is Cube and I.l == (3,) and type(I.l[0]) is int
+    assert CubePairs.of(view) is view
+    empty = CubePairs.of([])
+    assert len(empty) == 0 and list(empty) == []
 
 
 def _scalar_is_bad(grid, cube, r, theta):

@@ -16,9 +16,10 @@ from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                _pi_good_by_scale, _sample_pairs)
 from dyadshift.operators import (PairingEngine, TestFunction, make_operator,
                                  support_intervals)
+from dyadshift.shifts import classify_batch
 from dyadshift.wavelets import build_system
-from references import (dilate_box, localized_coefficient,
-                        scalar_classify_pair)
+from references import (decay_audit_loop, dilate_box, localized_coefficient,
+                        localized_cube_list, scalar_classify_pair)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -49,9 +50,10 @@ def test_localized_cubes_haar_exact():
     w = Window(d=1, L=3, k_min=0, k_max=3)
     g = zero_grid(w)
     system = build_system("haar", q=9, strict=False)
-    got = [c for c in localized_cubes(g, system, (2.1, 2.9)) if c.k == 1]
+    k, l = localized_cubes(g, system, (2.1, 2.9))
+    assert k.dtype == l.dtype == np.int64
     # side 1/2 cubes touching [2.1, 2.9]: [2, 2.5) and [2.5, 3)
-    assert got == [Cube(1, (4,)), Cube(1, (5,))]
+    assert l[k == 1].tolist() == [4, 5]
 
 
 def test_localized_coefficient_mesh_stable():
@@ -78,8 +80,10 @@ def test_localized_coefficients_match_one_cube_reference(name, monkeypatch):
             for tilt in (0, 1):
                 f = TestFunction(center=center, halfwidth=0.8, tilt=tilt)
                 span = (f.support[0] - 1.5, f.support[1] + 1.5)
-                cubes = localized_cubes(grid, system, span)
-                k, l = cube_arrays(cubes)
+                cubes = localized_cube_list(grid, system, span)
+                k, l = localized_cubes(grid, system, span)
+                assert all(np.array_equal(a, b) for a, b in
+                           zip((k, l), cube_arrays(cubes)))
                 got = localized_coefficients(grid, system, k, l, f, 7)
                 ref = [localized_coefficient(grid, system, c, f, 7)
                        for c in cubes]
@@ -299,6 +303,26 @@ def test_convergence_small_window_slope():
     assert "N,e_N,stderr" in curve.csv()
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_pair_levels_reach_but_never_pass_the_depth(m):
+    # convergence refuses N_max > k_max - k_min: no classified pair of the
+    # window has a level max(i, j) above it, and on the unshifted grid
+    # some pair has exactly that level
+    w = Window(d=1, L=3, k_min=-3, k_max=3)
+    for seed in (None, 0, 1, 2):
+        grid = zero_grid(w) if seed is None else DyadicGrid.random(w, seed)
+        k, l = localized_cubes(grid, build_system("haar", q=9, strict=False),
+                               (0.0, 8.0))
+        I, J = np.nonzero(k[:, None] >= k[None, :])
+        _, _, _, i, j, truncated = classify_batch(grid, k[I], l[I], k[J],
+                                                  l[J], 1.0, m)
+        levels = np.maximum(i, j)[~truncated]
+        assert levels.max() <= w.k_max - w.k_min
+        if seed is None:
+            assert k.size == 2 ** 7 - 1
+            assert levels.max() == w.k_max - w.k_min
+
+
 @pytest.mark.parametrize("name, r", [("haar", 3), ("db2", 2)])
 def test_sample_pairs_matches_pair_loop(name, r):
     # the weighting and classification of one grid sample against the
@@ -314,8 +338,8 @@ def test_sample_pairs_matches_pair_loop(name, r):
     (smp,), counts = _sample_pairs(op, system, w, f, g, r, theta, q_loc,
                                    [seed], classify=True, pi_good=pi_good)
     grid = DyadicGrid.random(w, seed)
-    cubes_f = localized_cubes(grid, system, f.support)
-    cubes_g = localized_cubes(grid, system, g.support)
+    cubes_f = localized_cube_list(grid, system, f.support)
+    cubes_g = localized_cube_list(grid, system, g.support)
     cf = {c: localized_coefficient(grid, system, c, f, q_loc) for c in cubes_f}
     cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
     pairs = [(I, J) for I in cubes_f for J in cubes_g]
@@ -381,8 +405,8 @@ def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
     monkeypatch.setattr(PairingEngine, "pairings", capture)
     res = expansion_identity(make_operator("identity"), system, grid, f, g,
                              q_loc=7)
-    cubes_f = localized_cubes(grid, system, f.support)
-    cubes_g = localized_cubes(grid, system, g.support)
+    cubes_f = localized_cube_list(grid, system, f.support)
+    cubes_g = localized_cube_list(grid, system, g.support)
     ref = _loop_overlap_pairs(grid, system, cubes_f, cubes_g)
     assert [pairs for pairs, _ in calls] == [ref]
     assert res["pair_count"] == len(ref)
@@ -397,3 +421,67 @@ def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
                                            t[0][1].k, t[0][1].l)):
         total += cf[I] * float(v) * cg[J]
     assert res["sum"] == total
+
+
+@pytest.mark.parametrize("name", ["haar", "db3"])
+@pytest.mark.parametrize("r", [None, 3])
+@pytest.mark.parametrize("span", [None, (6.3, 9.4)])
+def test_decay_audit_matches_cube_list_loop(name, r, span):
+    # the rows and info, exactly, of the audit over int64 pair arrays
+    # against the loop over a Cube list with a dict of cells it replaced
+    w = Window(d=1, L=4, k_min=-4, k_max=2)
+    grid = DyadicGrid.random(w, 2)
+    system = build_system(name, q=9, strict=False)
+    op = make_operator("hilbert")
+    args = (op, system, grid, 1, 0.5, 1.0, 5, 5)
+    rows, info = decay_audit(*args, q_loc=8, r=r, span=span)
+    ref_rows, ref_info = decay_audit_loop(*args, q_loc=8, r=r, span=span)
+    assert len(rows) > 5
+    assert rows == ref_rows
+    assert info == ref_info
+    assert (info["badness_excluded"] > 0) == (r is not None)
+
+
+def test_decay_audit_empty_span():
+    # a span that meets no window cube gives no rows and no pairings
+    w = Window(d=1, L=3, k_min=-3, k_max=3)
+    system = build_system("haar", q=9, strict=False)
+    rows, info = decay_audit(make_operator("hilbert"), system, zero_grid(w),
+                             s=1, eps=0.5, theta=1.0, i_max=3, j_max=3,
+                             span=(20.0, 21.0))
+    assert rows == []
+    assert info["pairs_seen"] == 0 and info["pairings"]["pairs"] == 0
+
+
+def test_run_paths_build_no_cube(monkeypatch):
+    # the experiments hold cubes and pairs as int64 arrays: none of them
+    # constructs a Cube
+    built = []
+    init = Cube.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cube, "__init__", counting_init)
+    hilbert, identity = make_operator("hilbert"), make_operator("identity")
+    haar = build_system("haar", q=9, strict=False)
+    db2 = build_system("db2", q=9, strict=False)
+    w = Window(d=1, L=6, k_min=-6, k_max=5)
+    f = TestFunction(center=31.9, halfwidth=0.8, tilt=1)
+    g = TestFunction(center=32.2, halfwidth=0.7, tilt=1)
+    randomized_expansion(hilbert, db2, w, f, g, r=4, theta=1.0, n_omega=2,
+                         seed=1, q_loc=7)
+    convergence_experiment(hilbert, haar, w, f, g, s=2, eps=0.5, N_max=7,
+                           n_omega=4, seed=7, q_loc=8)
+    grid = DyadicGrid.random(w, 3)
+    for op in (hilbert, identity):
+        expansion_identity(op, db2, grid, f, g, q_loc=7)
+    small = DyadicGrid.random(Window(d=1, L=3, k_min=-3, k_max=3), 3)
+    decay_audit(hilbert, db2, small, s=1, eps=0.5, theta=1.0, i_max=4,
+                j_max=4, q_loc=8, r=3)
+    decay_audit(hilbert, db2, grid, s=1, eps=0.5, theta=1.0, i_max=4,
+                j_max=4, q_loc=8, span=(31.0, 33.0))
+    assert built == []
+    Cube(0, (1,))
+    assert built == [(0, (1,))]

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from dyadshift import operators
 from dyadshift.cli import main
-from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              cube_arrays)
+from dyadshift.dyadic import (Cube, CubePairs, DyadicGrid, ScaleRangeError,
+                              Window, cube_arrays)
 from dyadshift.harness import localized_coefficients
 from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator, pair_quadrature,
@@ -425,6 +425,33 @@ def test_pairings_match_scalar_on_audit_pair_set(monkeypatch, tmp_path):
     assert engine.table is None
     assert len(pairs) > 1000
     _assert_matches_scalar(engine, pairs)
+
+
+def test_pairings_of_view_match_cube_list_on_audit_pair_set(monkeypatch,
+                                                            tmp_path):
+    # the benchmark's audit workload hands pairings a CubePairs; the same
+    # pairs as a list of Cube tuples give the same values, bit for bit
+    cfg = ('{"filter": "db3", "kernel": "hilbert", "L": 4, "k_min": -4, '
+           '"k_max": 2, "s": 1}')
+    given = []
+    batched = PairingEngine.pairings
+
+    def capture(self, pairs):
+        given.append((self, pairs))
+        return batched(self, pairs)
+
+    monkeypatch.setattr(PairingEngine, "pairings", capture)
+    assert main(["decay-audit", "--config", cfg, "--seed", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    (engine, view), = given
+    assert isinstance(view, CubePairs) and len(view) > 1000
+    as_list = list(view)
+    assert all(type(I) is Cube and type(J) is Cube for I, J in as_list)
+    from_view, from_list = _lone_engine(engine), _lone_engine(engine)
+    got, ref = from_view.pairings(view), from_list.pairings(as_list)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert from_view.counts == from_list.counts
 
 
 def _lone_engine(engine):
