@@ -15,8 +15,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, manifest_json, parse_config
-from .dyadic import (DyadicGrid, ScaleRangeError, Window,
-                     WindowTruncationError, pi_bad_estimate)
+from .dyadic import DyadicGrid, ScaleRangeError, Window, pi_bad_estimate
 from .filters import FilterError
 from .harness import (NoiseFloorError, audit_rows_csv, convergence_experiment,
                       decay_audit, randomized_expansion)
@@ -39,7 +38,6 @@ _EXIT_CODES = {
     OSError: EXIT_RESOURCE,
     PowerIterationError: EXIT_RESOURCE,
     ScaleRangeError: EXIT_RESOURCE,
-    WindowTruncationError: EXIT_RESOURCE,
 }
 
 

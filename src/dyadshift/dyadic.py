@@ -31,10 +31,6 @@ class ScaleRangeError(ValueError):
     """An operation needed generations outside the window's scale range."""
 
 
-class WindowTruncationError(RuntimeError):
-    """A required containing cube does not exist inside the window."""
-
-
 @dataclass(frozen=True)
 class Cube:
     """Dyadic cube of generation k with integer index l = (l_0,).
@@ -354,11 +350,21 @@ def _badness_batch(window: Window, k_ref: int, r: int, theta: float,
     return _bad_offsets(window, k_ref, r, theta, t)
 
 
+# most translation bits (samples x n_shift_bits) one Monte Carlo badness
+# call draws.  A call peaks at 8 bytes per bit plus 33 per sample (the
+# int64 bit array, the offsets and the badness temporaries, measured with
+# tracemalloc), so at most 42 bytes per bit, on a one-bit window: the bound
+# allows about 1.05 GB.  The largest draw of the tests, demos and README
+# configs is 1.2 M bits; the bench badness config draws 24 M.
+MC_MAX_BITS = 25_000_000
+
+
 def _sample_badness(window: Window, r: int, theta: float, samples: int, seed,
                     k_ref: int | None) -> tuple[int, np.ndarray, np.ndarray]:
     """(k_ref, bits, badness) of the centred reference cube over random
     translation bits; k_ref defaults to mid-window, at least r generations
-    below k_min."""
+    below k_min.  More than MC_MAX_BITS bits raise ScaleRangeError before
+    any is drawn."""
     w = window
     if k_ref is None:
         k_ref = max((w.k_min + w.k_max) // 2, w.k_min + r)
@@ -368,6 +374,11 @@ def _sample_badness(window: Window, r: int, theta: float, samples: int, seed,
         raise ScaleRangeError(
             f"reference generation {k_ref} lies beyond k_max={w.k_max}; "
             f"badness with r={r} needs k_max - k_min >= r")
+    if samples * w.n_shift_bits > MC_MAX_BITS:
+        raise ScaleRangeError(
+            f"{samples} Monte Carlo samples of {w.n_shift_bits} translation "
+            f"bits would draw {samples * w.n_shift_bits} bits, more than "
+            f"MC_MAX_BITS = {MC_MAX_BITS}; lower mc_samples")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, w.n_shift_bits), dtype=np.int64)
     center = (1 << (w.L + k_ref)) // 2 if w.L + k_ref >= 1 else 0

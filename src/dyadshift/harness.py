@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
                      is_bad_batch, union_bound, pi_bad_exact)
-from .operators import (KernelOp, PairingEngine, PairingTable,
+from .operators import (KernelOp, PairingEngine, PairingTable, _row_chunks,
                         apply_multiplier, distinct_keys, pairing_keys,
                         sample_wavelets, support_intervals)
 from .shifts import CLASSES, classify_batch
@@ -59,11 +59,6 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
                                             hi_u + half * w.len_units(k)))
 
 
-# most nodes localized_coefficients evaluates at once; larger blocks of
-# cubes go in row chunks, which bounds the temporaries at a few times 8 MB
-COEFF_MAX_NODES = 1 << 20
-
-
 def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
                            k: np.ndarray, l: np.ndarray, func,
                            q_loc: int) -> np.ndarray:
@@ -78,7 +73,8 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
     overhang cells contribute nothing.  Cubes of one generation share h,
     and those that also share the node count are evaluated as one 2-D
     node array, one row per cube, summed along the rows: each row sums as
-    the one-cube array would.
+    the one-cube array would.  Blocks of more than operators.PAIRING_MAX_NODES
+    nodes go in row chunks.
     """
     lo, hi = support_intervals(grid, system, k, l)
     a_f, b_f = func.support
@@ -94,9 +90,8 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
         for n in np.unique(n_nodes).tolist():
             same = np.flatnonzero(n_nodes == n)
             rel = (np.arange(n) + 0.5) * h  # the nodes, from x0
-            step = max(1, COEFF_MAX_NODES // n)
-            for c in range(0, same.size, step):
-                rows = same[c:c + step]
+            for chunk in _row_chunks(0, same.size, n):
+                rows = same[chunk]
                 x = x0[rows, None] + rel[None, :]
                 vals = sample_wavelets(grid, system, gen, l[cubes[rows]], x)
                 out[cubes[rows]] = np.sum(vals * func(x), axis=1) * h

@@ -1,11 +1,9 @@
 """Convolution-type singular integral operators on the line and the pairing
 engine that evaluates wavelet-pair matrix entries <psi_J, T psi_I>.
 
-Primary route: FFT multiplier on a zero-padded mesh, with analytic
-periodization corrections for kernels with a 1/u tail; the identity
-calibration samples the coarser wavelet directly.  Secondary route (for
-cross-validation on pairs with separated supports): direct double quadrature
-of the kernel.
+Every operator is evaluated through its symbol: an FFT multiplier on a
+zero-padded mesh, with analytic periodization corrections for kernels with
+a 1/u tail; the identity calibration samples the coarser wavelet directly.
 """
 
 from __future__ import annotations
@@ -26,31 +24,23 @@ class KernelOp:
     """d=1 convolution operator Tf(x) = pv Int k(x-y) f(y) dy.
 
     multiplier: symbol m(xi) so that (Tf)^(xi) = m(xi) f^(xi), radian
-    frequency.  kernel_fn: k(u) away from 0.  czs_seminorm: the
+    frequency; the transpose T^t has symbol m(-xi).  czs_seminorm: the
     Calderon-Zygmund constant of order s.  tail_order: exponent c such that
-    k(u) ~ a / u^c for large u; tail_order == 1 activates the moment-based
-    periodization corrections in apply_multiplier.  The identity has
-    neither kernel nor seminorm and is not singular.
+    the kernel k(u) ~ a / u^c for large u; tail_order == 1 activates the
+    moment-based periodization corrections in apply_multiplier.  The
+    identity has no seminorm and is not singular.
     """
 
     name: str
     multiplier: callable
     l2_norm: float
-    kernel_fn: callable = None
     czs_seminorm: callable = None
     tail_order: int = 0
     singular: bool = True
 
-    def transpose_multiplier(self, xi):
-        return self.multiplier(-xi)
-
 
 def _hilbert_multiplier(xi):
     return -1j * np.sign(xi)
-
-
-def _hilbert_kernel(u):
-    return 1.0 / (math.pi * u)
 
 
 def _hilbert_czs(s: int) -> float:
@@ -60,10 +50,6 @@ def _hilbert_czs(s: int) -> float:
 
 def _smoothed_multiplier(xi):
     return -1j * np.sign(xi) * (1.0 - np.exp(-np.abs(xi)))
-
-
-def _smoothed_kernel(u):
-    return 1.0 / (math.pi * u * (u * u + 1.0))
 
 
 def _smoothed_czs(s: int) -> float:
@@ -82,12 +68,10 @@ def _smoothed_czs(s: int) -> float:
 def make_operator(name: str) -> KernelOp:
     if name == "hilbert":
         return KernelOp(name="hilbert", multiplier=_hilbert_multiplier,
-                        l2_norm=1.0, kernel_fn=_hilbert_kernel,
-                        czs_seminorm=_hilbert_czs, tail_order=1)
+                        l2_norm=1.0, czs_seminorm=_hilbert_czs, tail_order=1)
     if name == "smoothed_hilbert":
         return KernelOp(name="smoothed_hilbert", multiplier=_smoothed_multiplier,
-                        l2_norm=1.0, kernel_fn=_smoothed_kernel,
-                        czs_seminorm=_smoothed_czs, tail_order=3)
+                        l2_norm=1.0, czs_seminorm=_smoothed_czs, tail_order=3)
     if name == "identity":
         return KernelOp(name="identity", multiplier=lambda xi: np.ones_like(xi),
                         l2_norm=1.0, singular=False)
@@ -156,8 +140,6 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     xi = np.fft.rfftfreq(N, d=h)
     xi *= 2.0 * math.pi
     if transpose:
-        # op.multiplier(-xi) is op.transpose_multiplier(xi); the public
-        # method stays off this path, which field workers run
         np.negative(xi, out=xi)
     X *= op.multiplier(xi)
     del xi
@@ -218,49 +200,13 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
 # pairing engine
 
 
-def _cube_offset(grid: DyadicGrid, k: int, l):
-    """Left corners of the shifted generation-k cubes with indices l (an
-    int or an int64 array), in units of their sidelength."""
-    return l + grid.shift_units(k)[0] / grid.window.len_units(k)
-
-
-def wavelet_nodes(grid: DyadicGrid, system: WaveletSystem, cube: Cube,
-                  q_loc: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Midpoint nodes over supp psi_I at spacing len(I) 2^-q_loc, with the
-    wavelet values there.  Returns (x, values, node spacing)."""
-    t, vals, h = system.scaled_nodes(q_loc, cube.k)
-    return ((t + _cube_offset(grid, cube.k, cube.l[0])) * 2.0 ** (-cube.k),
-            vals, h)
-
-
 def sample_wavelets(grid: DyadicGrid, system: WaveletSystem, k: int,
                     l: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The wavelets of the generation-k cubes with int64 indices l, each at
     its row of the absolute points x: 2^(k/2) psi(2^k x - l - shift/len)."""
-    t = x * 2.0 ** k - _cube_offset(grid, k, l)[:, None]
+    offset = l + grid.shift_units(k)[0] / grid.window.len_units(k)
+    t = x * 2.0 ** k - offset[:, None]
     return 2.0 ** (k / 2.0) * system.mother(t, "psi")
-
-
-def pair_quadrature(op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
-                    fine: Cube, coarse: Cube, q_loc: int) -> float:
-    """Double-quadrature route for <psi_J, T psi_I> = Int psi_J(x) k(x-y)
-    psi_I(y).  Requires separated supports (fine=I, coarse=J in either order
-    of generations; arguments are positional: value integrates T psi(fine)
-    against psi(coarse))."""
-    xi, vi, hi = wavelet_nodes(grid, system, fine, q_loc)
-    xj, vj, hj = wavelet_nodes(grid, system, coarse, q_loc)
-    if op.kernel_fn is None:
-        raise ValueError(f"operator {op.name!r} has no kernel for quadrature")
-    gap = max(xi[0] - xj[-1], xj[0] - xi[-1])
-    if op.singular and gap <= 0.0:
-        raise ValueError("double quadrature needs separated supports")
-    # row-chunked so the kernel matrix never exceeds ~32 MB
-    chunk = max(1, (1 << 22) // max(xi.size, 1))
-    acc = 0.0
-    for a in range(0, xj.size, chunk):
-        K = op.kernel_fn(xj[a:a + chunk, None] - xi[None, :])
-        acc += float(vj[a:a + chunk] @ K @ vi)
-    return acc * hi * hj
 
 
 def support_intervals(grid: DyadicGrid, system: WaveletSystem,
@@ -285,8 +231,10 @@ FIELD_OVERSAMPLE_EXP = 2
 # points, at q_loc = 12); a hull on a deep window can ask for more than
 # 2^63 points, which no FFT length holds.
 FIELD_MAX_POINTS = 1 << 26
-# most nodes one lookup block hands to np.interp; larger blocks go in row
-# chunks, which bounds the temporaries at a few times 8 MB per field worker
+# most nodes one block of rows evaluates at once, a lookup block handed to
+# np.interp or a block of harness.localized_coefficients; larger blocks go
+# in row chunks (_row_chunks), which bounds the temporaries at a few times
+# 8 MB per field worker
 PAIRING_MAX_NODES = 1 << 20
 # threads that build the fields of one table.  Each holds one field with
 # its FFT temporaries and interpolation blocks, so the cap is set by peak

@@ -1,24 +1,34 @@
-"""Reference routes the library replaced, which the tests compare it with:
-one-cube forms of what it batches (a cube's box and dilate, one wavelet's
-samples, the per-pair classification and join), the per-entry loops over
-Cube lists that assembled, applied and measured shifts before shifts were
-held as int64 arrays, the Cube-list cube enumeration and decay audit that
-preceded the int64 pair arrays, and the cascade iteration the exact
-scaling tables are checked against.  Where the batching keeps the
-arithmetic the tests compare bit for bit."""
+"""Reference routes the library replaced or never had, which the tests
+compare it with:
+- the kernel-space oracle for pairings <psi_J, T psi_I> on separated
+  supports: the dense double quadrature over both wavelets' midpoint nodes
+  (pair_quadrature) and the same double sum as one lattice correlation
+  (pair_correlation), from a table of the operators' kernels, while the
+  library evaluates every operator through its symbol;
+- one-cube forms of what the library batches (a cube's box and dilate, one
+  wavelet's samples and coefficient, the per-pair classification and join,
+  with the WindowTruncationError they raise);
+- the per-entry loops over Cube lists that assembled, applied and measured
+  shifts before shifts were held as int64 arrays, and the Cube-list cube
+  enumeration and decay audit that preceded the int64 pair arrays;
+- the cascade iteration the exact scaling tables are checked against.
+Where the batching keeps the arithmetic the tests compare bit for bit."""
 
 import math
 
 import numpy as np
 
-from dyadshift.dyadic import (Cube, WindowTruncationError, cube_arrays,
-                              is_bad_batch)
+from dyadshift.dyadic import Cube, CubePairs, cube_arrays, is_bad_batch
 from dyadshift.harness import DecayAuditRow, class_bound, psi_refinement
 from dyadshift.operators import (PairingEngine, sample_wavelets,
                                  support_intervals)
 from dyadshift.shifts import (CLASSES, PowerIterationError, classify_batch,
                               coefficient_scale)
 from dyadshift.wavelets import _two_scale
+
+
+class WindowTruncationError(RuntimeError):
+    """A required containing cube does not exist inside the window."""
 
 
 def cascade(h, q: int, tol: float = 1e-10, max_iter: int = 80):
@@ -36,6 +46,108 @@ def cascade(h, q: int, tol: float = 1e-10, max_iter: int = 80):
         if res < tol:
             return v, it, res
     raise RuntimeError(f"cascade: change {res:.3g} after {max_iter} passes")
+
+
+# ---------------------------------------------------------------------------
+# kernel-space pairings
+
+
+def _hilbert_kernel(u):
+    return 1.0 / (math.pi * u)
+
+
+def _smoothed_kernel(u):
+    return 1.0 / (math.pi * u * (u * u + 1.0))
+
+
+# the kernel k(u), u != 0, of each operator make_operator builds from a
+# symbol; the identity has none
+KERNELS = {"hilbert": _hilbert_kernel, "smoothed_hilbert": _smoothed_kernel}
+
+
+def wavelet_nodes(grid, system, cube: Cube,
+                  q_loc: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Midpoint nodes over supp psi_I at spacing len(I) 2^-q_loc, with the
+    wavelet values there.  Returns (x, values, node spacing)."""
+    k = cube.k
+    t, vals, h = system.scaled_nodes(q_loc, k)
+    offset = cube.l[0] + grid.shift_units(k)[0] / grid.window.len_units(k)
+    return (t + offset) * 2.0 ** (-k), vals, h
+
+
+def _oracle_nodes(op, grid, system, fine: Cube, coarse: Cube, q_loc: int):
+    """(kernel, nodes of fine, nodes of coarse) for the kernel-space
+    oracles, each node set as wavelet_nodes gives it; raises ValueError
+    for an operator without a kernel and for a singular operator on
+    supports whose nodes do not separate."""
+    xi, vi, hi = wavelet_nodes(grid, system, fine, q_loc)
+    xj, vj, hj = wavelet_nodes(grid, system, coarse, q_loc)
+    kernel = KERNELS.get(op.name)
+    if kernel is None:
+        raise ValueError(f"operator {op.name!r} has no kernel for quadrature")
+    gap = max(xi[0] - xj[-1], xj[0] - xi[-1])
+    if op.singular and gap <= 0.0:
+        raise ValueError("double quadrature needs separated supports")
+    return kernel, (xi, vi, hi), (xj, vj, hj)
+
+
+def disjoint_pairs(grid, system) -> CubePairs:
+    """Every pair (I, J) of window cubes whose supports are disjoint, the
+    pairs the oracles accept, I-major: one support_intervals call and a
+    broadcast mask."""
+    w = grid.window
+    k, l = cube_arrays([c for gen in range(w.k_min, w.k_max + 1)
+                        for c in grid.cubes_at_scale(gen)])
+    lo, hi = support_intervals(grid, system, k, l)
+    a, b = np.nonzero(np.maximum(lo[:, None] - hi[None, :],
+                                 lo[None, :] - hi[:, None]) > 0.0)
+    return CubePairs(k[a], l[a], k[b], l[b])
+
+
+def pair_quadrature(op, grid, system, fine: Cube, coarse: Cube,
+                    q_loc: int) -> float:
+    """Double-quadrature route for <psi_J, T psi_I> = Int psi_J(x) k(x-y)
+    psi_I(y).  Requires separated supports (fine=I, coarse=J in either order
+    of generations; arguments are positional: value integrates T psi(fine)
+    against psi(coarse))."""
+    kernel, (xi, vi, hi), (xj, vj, hj) = _oracle_nodes(
+        op, grid, system, fine, coarse, q_loc)
+    # row-chunked so the kernel matrix never exceeds ~32 MB
+    chunk = max(1, (1 << 22) // max(xi.size, 1))
+    acc = 0.0
+    for a in range(0, xj.size, chunk):
+        K = kernel(xj[a:a + chunk, None] - xi[None, :])
+        acc += float(vj[a:a + chunk] @ K @ vi)
+    return acc * hi * hj
+
+
+def pair_correlation(op, grid, system, fine: Cube, coarse: Cube,
+                     q_loc: int) -> float:
+    """pair_quadrature's double sum as one lattice correlation, with its
+    arguments and refusals.
+
+    Both node sets are midpoint lattices whose steps are powers of two
+    apart, so every difference x_J[a] - x_I[b] lies on D + n h, with
+    h = min(h_I, h_J) and D = x_J[0] - x_I[-1].  The sum is then
+    sum_n k(D + n h) C[n] h_I h_J, where C is the cross-correlation of the
+    two value arrays, each zero-upsampled to step h; one real FFT at a
+    power-of-two length computes C.  Each pair is evaluated on its own,
+    with no use of translation invariance.
+    """
+    kernel, (xi, vi, hi), (xj, vj, hj) = _oracle_nodes(
+        op, grid, system, fine, coarse, q_loc)
+    h = min(hi, hj)
+    ri, rj = round(hi / h), round(hj / h)
+    span_i, span_j = (xi.size - 1) * ri + 1, (xj.size - 1) * rj + 1
+    n = span_i + span_j - 1
+    size = 1 << (n - 1).bit_length()
+    uj = np.zeros(size)
+    uj[:span_j:rj] = vj
+    ui = np.zeros(size)
+    ui[:span_i:ri] = vi[::-1]  # index (n_I - 1 - b) r_I holds v_I[b]
+    corr = np.fft.irfft(np.fft.rfft(uj) * np.fft.rfft(ui), n=size)[:n]
+    d = xj[0] - xi[-1] + np.arange(n) * h
+    return float(np.sum(kernel(d) * corr)) * hi * hj
 
 
 # ---------------------------------------------------------------------------

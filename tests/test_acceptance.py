@@ -21,13 +21,12 @@ from dyadshift.filters import builtin_filter_names
 from dyadshift.harness import (convergence_experiment, decay_audit,
                                expansion_identity, randomized_expansion)
 from dyadshift.operators import (PairingEngine, TestFunction as Bump,
-                                 make_operator, pair_quadrature,
-                                 sample_wavelets)
+                                 make_operator, sample_wavelets)
 from dyadshift.shifts import (CLASSES, Mesh1D, apply_shift, assemble_shift,
                               calibrate_c_emp, calibration_shift,
                               classify_batch, shift_norm_estimate)
 from dyadshift.wavelets import build_system, gram_defect
-from references import support_interval
+from references import disjoint_pairs, pair_correlation
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -98,19 +97,13 @@ def test_criterion_4_pairing_cross_validation():
     grid = DyadicGrid.random(w, 3)
     system = build_system("haar", q=12, strict=False)
     op = make_operator("hilbert")
-    cubes = [c for k in range(0, 5) for c in grid.cubes_at_scale(k)]
-    pairs = []
-    for I in cubes:
-        for J in cubes:
-            a_lo, a_hi = support_interval(grid, system, I)
-            b_lo, b_hi = support_interval(grid, system, J)
-            if max(a_lo - b_hi, b_lo - a_hi) > 0.0:
-                pairs.append((I, J))
+    pairs = disjoint_pairs(grid, system)
+    assert len(pairs) == 13670
     engine = PairingEngine(op, grid, system, q_loc=10, pad_factor=32)
     mult = engine.pairings(pairs)
     worst = 0.0
     for (I, J), vm in zip(pairs, mult):
-        vq = pair_quadrature(op, grid, system, I, J, q_loc=10)
+        vq = pair_correlation(op, grid, system, I, J, q_loc=10)
         tol = max(1e-6, 1e-4 * abs(vq))
         worst = max(worst, abs(vm - vq) / tol)
     _report(4, worst <= 1.0,

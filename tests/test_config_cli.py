@@ -7,8 +7,7 @@ from dyadshift import cli, harness
 from dyadshift.cli import main
 from dyadshift.config import (ConfigError, RunConfig, default_r,
                               manifest_json, parse_config)
-from dyadshift.dyadic import (DyadicGrid, ScaleRangeError,
-                              WindowTruncationError)
+from dyadshift.dyadic import DyadicGrid, ScaleRangeError
 from dyadshift.harness import NoiseFloorError
 from dyadshift.shifts import NormalizationFinding, PowerIterationError
 
@@ -252,7 +251,6 @@ def test_haar_keeps_the_position_limit():
 
 
 @pytest.mark.parametrize("exc, code", [
-    (WindowTruncationError("no window cube"), 4),
     (PowerIterationError("no convergence"), 4),
     (MemoryError(), 4),
     (NoiseFloorError("curve dominated by noise"), 4),
@@ -301,6 +299,15 @@ def test_cli_grid_stats_seed_64009_passes(tmp_path):
            '"theta": 1.0, "mc_samples": 20000}')
     assert main(["grid-stats", "--config", cfg, "--seed", "64009",
                  "--outdir", str(tmp_path)]) == 0
+
+
+def test_cli_grid_stats_refuses_huge_monte_carlo(tmp_path, capsys):
+    cfg = ('{"kernel": "hilbert", "L": 3, "k_min": -2, "k_max": 10, "r": 5, '
+           '"theta": 1.0, "mc_samples": ' + str(2 ** 40) + '}')
+    code, err = _exit_and_stderr(capsys, ["grid-stats", "--config", cfg,
+                                          "--outdir", str(tmp_path)])
+    assert code == 4
+    assert "MC_MAX_BITS" in err and "\n" not in err
 
 
 def test_cli_outdir_flag_beats_environment(tmp_path, monkeypatch):

@@ -326,6 +326,17 @@ def test_reference_generation_beyond_window_raises():
         independence_table(w, r=24, theta=0.25, samples=10, seed=0)
 
 
+def test_monte_carlo_bit_bound_refuses_before_drawing(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("drew translation bits")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    w = Window(d=1, L=3, k_min=-2, k_max=10)
+    with pytest.raises(ScaleRangeError, match="MC_MAX_BITS"):
+        pi_bad_estimate(w, r=5, theta=1.0, samples=2 ** 40, seed=0)
+    with pytest.raises(ScaleRangeError, match="MC_MAX_BITS"):
+        independence_table(w, r=5, theta=1.0, samples=2 ** 40, seed=0)
+
+
 def test_badness_draws_pinned():
     # values recorded when the translation bits were drawn as an
     # (samples, bits, 1) array; the one-dimensional draw is the same stream

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              WindowTruncationError, cube_arrays,
-                              is_bad_batch, union_bound)
-from dyadshift import harness
+                              cube_arrays, is_bad_batch, union_bound)
+from dyadshift import harness, operators
 from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                convergence_experiment, decay_audit,
                                expansion_identity, ground_truth,
@@ -18,8 +17,9 @@ from dyadshift.operators import (PairingEngine, TestFunction, make_operator,
                                  support_intervals)
 from dyadshift.shifts import classify_batch
 from dyadshift.wavelets import build_system
-from references import (decay_audit_loop, dilate_box, localized_coefficient,
-                        localized_cube_list, scalar_classify_pair)
+from references import (WindowTruncationError, decay_audit_loop, dilate_box,
+                        localized_coefficient, localized_cube_list,
+                        scalar_classify_pair)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -98,7 +98,7 @@ def test_localized_coefficients_match_one_cube_reference(name, monkeypatch):
                 assert np.count_nonzero(got[~miss]) > 0
                 # a few cubes per 2-D block, with a ragged last chunk
                 with monkeypatch.context() as m:
-                    m.setattr(harness, "COEFF_MAX_NODES", 3000)
+                    m.setattr(operators, "PAIRING_MAX_NODES", 3000)
                     assert np.array_equal(localized_coefficients(
                         grid, system, k, l, f, 7), got)
 

@@ -13,12 +13,12 @@ from dyadshift.dyadic import (Cube, CubePairs, DyadicGrid, ScaleRangeError,
                               Window, cube_arrays)
 from dyadshift.harness import localized_coefficients
 from dyadshift.operators import (PairingEngine, apply_multiplier,
-                                 make_operator, pair_quadrature,
-                                 wavelet_nodes)
+                                 make_operator)
 from dyadshift.operators import TestFunction as Bump
 from dyadshift.wavelets import build_system
-from references import (cube_box, localized_coefficient, sample_wavelet,
-                        support_interval)
+from references import (cube_box, disjoint_pairs, localized_coefficient,
+                        pair_correlation, pair_quadrature, sample_wavelet,
+                        support_interval, wavelet_nodes)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -153,8 +153,9 @@ def test_far_haar_pair_against_closed_form(haar_setup):
     I, J = Cube(0, (1,)), Cube(0, (5,))
     exact = haar_pair_exact(1.0, 1.0, 5.0, 1.0)
     assert abs(engine.pairing(I, J) - exact) < 2e-5
-    quad = pair_quadrature(make_operator("hilbert"), grid, system, I, J, 12)
-    assert abs(quad - exact) < 1e-8
+    for oracle in (pair_quadrature, pair_correlation):
+        quad = oracle(make_operator("hilbert"), grid, system, I, J, 12)
+        assert abs(quad - exact) < 1e-8
 
 
 def test_contained_haar_pair_against_closed_form(haar_setup):
@@ -176,29 +177,98 @@ def test_pairing_translation_memo_consistency(haar_setup):
     assert a == b  # translation invariance is exact by construction
 
 
-def test_multiplier_vs_double_quadrature_db3():
-    w = Window(d=1, L=3, k_min=-2, k_max=6)
-    grid = zero_grid(w)
-    system = build_system("db3", q=12)
-    H = make_operator("hilbert")
-    engine = PairingEngine(H, grid, system, q_loc=12)
+@pytest.fixture(scope="module")
+def db3_setup():
+    """A db3 system on a zero grid, with three pairs of separated cubes."""
+    grid = zero_grid(Window(d=1, L=3, k_min=-2, k_max=6))
     pairs = [(Cube(3, (8,)), Cube(3, (40,))),
              (Cube(3, (8,)), Cube(1, (10,))),
              (Cube(2, (4,)), Cube(2, (26,)))]
+    return grid, build_system("db3", q=12), pairs
+
+
+def test_multiplier_vs_double_quadrature_db3(db3_setup):
+    grid, system, pairs = db3_setup
+    H = make_operator("hilbert")
+    engine = PairingEngine(H, grid, system, q_loc=12)
     for I, J in pairs:
         lo_i, hi_i = support_interval(grid, system, I)
         lo_j, hi_j = support_interval(grid, system, J)
         assert max(lo_i, lo_j) >= min(hi_i, hi_j)  # separated supports
         fast = engine.pairing(I, J)
-        slow = pair_quadrature(H, grid, system, I, J, 12)
+        slow = pair_correlation(H, grid, system, I, J, 12)
         assert abs(fast - slow) <= max(1e-6, 1e-4 * abs(slow))
 
 
 def test_pair_quadrature_rejects_overlap(haar_setup):
     grid, system, _ = haar_setup
-    with pytest.raises(ValueError):
-        pair_quadrature(make_operator("hilbert"), grid, system,
-                        Cube(2, (4,)), Cube(0, (1,)), 10)
+    for oracle in (pair_quadrature, pair_correlation):
+        with pytest.raises(ValueError, match="needs separated supports"):
+            oracle(make_operator("hilbert"), grid, system,
+                   Cube(2, (4,)), Cube(0, (1,)), 10)
+        with pytest.raises(ValueError, match="has no kernel for quadrature"):
+            oracle(make_operator("identity"), grid, system,
+                   Cube(0, (1,)), Cube(0, (5,)), 10)
+
+
+def _per_gap_sample(pairs: CubePairs, size: int, seed: int) -> CubePairs:
+    """At most size pairs of each scale gap |k_I - k_J|, drawn with the
+    seed, by gap."""
+    gap = np.abs(pairs.I_k - pairs.J_k)
+    rng = np.random.default_rng(seed)
+    pick = np.concatenate([rng.permutation(np.flatnonzero(gap == g))[:size]
+                           for g in np.unique(gap).tolist()])
+    return CubePairs(pairs.I_k[pick], pairs.I_l[pick], pairs.J_k[pick],
+                     pairs.J_l[pick])
+
+
+def test_pair_correlation_matches_dense_quadrature(db3_setup):
+    # the dense sum is the reference; criterion 4's tolerance at the
+    # reference value, scaled down by 1e-9
+    def check(op, grid, system, pairs, q_loc):
+        for I, J in pairs:
+            dense = pair_quadrature(op, grid, system, I, J, q_loc)
+            corr = pair_correlation(op, grid, system, I, J, q_loc)
+            assert abs(corr - dense) <= 1e-9 * max(1e-6, 1e-4 * abs(dense))
+
+    H = make_operator("hilbert")
+    # criterion 4's grid, 20 pairs of each scale gap 0..4, in both orders
+    grid = DyadicGrid.random(Window(d=1, L=2, k_min=0, k_max=4), 3)
+    system = build_system("haar", q=12, strict=False)
+    sample = _per_gap_sample(disjoint_pairs(grid, system), 20, 0)
+    assert len(sample) == 100
+    check(H, grid, system, [p for I, J in sample for p in ((I, J), (J, I))],
+          10)
+    grid, system, pairs = db3_setup
+    check(H, grid, system, pairs, 12)
+
+
+def test_engine_beyond_criterion_4_gaps_against_closed_form():
+    # criterion 4's engine settings on a window with scale gaps up to 7
+    # (criterion 4's reach 4), at most 60 pairs of each gap.  The Haar
+    # closed form is the reference: the q_loc = 10 oracle's own midpoint
+    # error reaches 3x the tolerance at gap 7, on near-adjacent supports,
+    # while it stays well within it at criterion 4's gaps
+    grid = DyadicGrid.random(Window(d=1, L=2, k_min=-2, k_max=6), 3)
+    system = build_system("haar", q=12, strict=False)
+    H = make_operator("hilbert")
+    pairs = disjoint_pairs(grid, system)
+    assert len(pairs) == 244_514
+    sample = _per_gap_sample(pairs, 60, 0)
+    engine = PairingEngine(H, grid, system, q_loc=10, pad_factor=32)
+    worst = {}
+    for (I, J), fast in zip(sample, engine.pairings(sample)):
+        (a_lo, a_hi), (b_lo, b_hi) = (support_interval(grid, system, I),
+                                      support_interval(grid, system, J))
+        exact = haar_pair_exact(a_lo, a_hi - a_lo, b_lo, b_hi - b_lo)
+        tol = max(1e-6, 1e-4 * abs(exact))
+        gap = abs(I.k - J.k)
+        worst[gap] = max(worst.get(gap, 0.0), abs(fast - exact) / tol)
+        if gap <= 4:
+            oracle = pair_correlation(H, grid, system, I, J, 10)
+            assert abs(oracle - exact) <= tol
+    assert sorted(worst) == list(range(8))
+    assert max(worst.values()) <= 1.0, worst
 
 
 def test_plain_inner_orthonormality(haar_setup):
@@ -220,9 +290,10 @@ def test_wavelet_coefficient_haar_closed_form(haar_setup):
 
 
 def test_transpose_multiplier_negates_hilbert():
+    # the transpose's symbol is m(-xi)
     H = make_operator("hilbert")
     xi = np.array([1.0, -2.0])
-    assert np.allclose(H.transpose_multiplier(xi), -H.multiplier(xi))
+    assert np.allclose(H.multiplier(-xi), -H.multiplier(xi))
 
 
 @pytest.mark.parametrize("name", ["hilbert", "smoothed_hilbert", "identity"])
@@ -230,7 +301,7 @@ def test_symbols_are_hermitian(name):
     # the real FFT in _periodic_apply is exact only for real kernels
     op = make_operator(name)
     xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
-    for symbol in (op.multiplier, op.transpose_multiplier):
+    for symbol in (op.multiplier, lambda xi: op.multiplier(-xi)):
         assert np.array_equal(np.asarray(symbol(-xi)),
                               np.conj(np.asarray(symbol(xi))))
 
@@ -240,8 +311,8 @@ def _complex_periodic_apply(op, buf, h, x0, mu, transpose):
     took a real FFT over the interior only."""
     N = buf.size
     xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
-    m = np.asarray(op.transpose_multiplier(xi) if transpose
-                   else op.multiplier(xi), dtype=complex)
+    m = np.asarray(op.multiplier(-xi) if transpose else op.multiplier(xi),
+                   dtype=complex)
     if N % 2 == 0:
         m[N // 2] = m[N // 2].real  # keep the Nyquist bin hermitian
     out = np.fft.ifft(np.fft.fft(buf) * m).real

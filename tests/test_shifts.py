@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadshift.dyadic import (Cube, DyadicGrid, Window, WindowTruncationError,
-                              cube_arrays)
+from dyadshift.dyadic import Cube, DyadicGrid, Window, cube_arrays
 from dyadshift.operators import PairingEngine, make_operator, sample_wavelets
 from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
                               ShiftOperator, apply_shift, assemble_shift,
@@ -13,9 +12,10 @@ from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
                               classify_batch, coefficient_scale, descendants,
                               shift_coefficient, shift_norm_estimate)
 from dyadshift.wavelets import build_system
-from references import (apply_averaging, assemble_loop, blocks_of,
-                        calibrate_loop, calibration_blocks, classified_pairs,
-                        cube_box, descendants_loop, dilate_box, in_window,
+from references import (WindowTruncationError, apply_averaging,
+                        assemble_loop, blocks_of, calibrate_loop,
+                        calibration_blocks, classified_pairs, cube_box,
+                        descendants_loop, dilate_box, in_window,
                         scalar_classify_kind, scalar_classify_pair,
                         shift_norm_loop)
 
