@@ -24,7 +24,6 @@ A config is a flat JSON object.  Recognized keys and defaults:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .dyadic import union_bound
@@ -199,6 +198,4 @@ def manifest_json(cfg: RunConfig, extra: dict | None = None) -> str:
 def _json_fallback(obj):
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
     return str(obj)

@@ -238,7 +238,9 @@ FIELD_MAX_POINTS = 1 << 26
 PAIRING_MAX_NODES = 1 << 20
 # threads that build the fields of one table.  Each holds one field with
 # its FFT temporaries and interpolation blocks, so the cap is set by peak
-# memory, not by speed; it is not configurable and never reaches a manifest
+# memory, not by speed; the first worker builds the largest fields and the
+# others the smallest, so the peak is the largest field beside a small one.
+# It is not configurable and never reaches a manifest
 FIELD_WORKERS = min(2, len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
@@ -414,12 +416,13 @@ class PairingTable:
 
     build does everything that reads the wavelet system on the calling
     thread, refusing a mesh over FIELD_MAX_POINTS before any is allocated.
-    Up to FIELD_WORKERS threads then build the fields, largest mesh first,
-    each task filling its field's rows of values; workers call only numpy
-    and private helpers of this module, so a tracer that wraps the public
-    functions sees one thread.  Every row is computed by the same
-    operations whichever thread runs it, so the values are those of a
-    serial build, bit for bit.
+    Up to FIELD_WORKERS threads then build the fields from the two ends of
+    one list sorted by mesh size, the first worker taking the largest mesh
+    left and any other the smallest, each task filling its field's rows of
+    values; workers call only numpy and private helpers of this module, so
+    a tracer that wraps the public functions sees one thread.  Every row is
+    computed by the same operations whichever thread runs it, so the
+    values are those of a serial build, bit for bit.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
@@ -468,15 +471,36 @@ class PairingTable:
                            lambda u: 2.0 ** (kc / 2.0)
                            * system.mother(u * 2.0 ** kc))
         if tasks:
-            # largest mesh first, so that the last task to end is a small
-            # one.  map submits in order, and a failure cancels the tasks
-            # not yet started; leaving the with block waits for the rest
+            # the workers drain one size-sorted deque from opposite ends:
+            # the first takes the largest field left, any other the
+            # smallest, so the pool's peak is the largest field beside a
+            # small one, not the two largest.  A failing task empties the
+            # deque, so no worker starts another field; its error leaves
+            # the with block once the running fields have ended
             tasks.sort(key=lambda task: -task[0].size)
             # imported here: importing the package should not load the pool
+            import threading
+            from collections import deque
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(min(FIELD_WORKERS, len(tasks))) as pool:
-                list(pool.map(lambda task: _field_task(op, *task, values, du),
-                              tasks))
+            queue, lock = deque(tasks), threading.Lock()
+
+            def drain(take):
+                while True:
+                    with lock:
+                        if not queue:
+                            return
+                        mesh, row_blocks = take()
+                    try:
+                        _field_task(op, mesh, row_blocks, values, du)
+                    except BaseException:
+                        with lock:
+                            queue.clear()
+                        raise
+
+            workers = min(FIELD_WORKERS, len(tasks))
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(drain,
+                              [queue.popleft] + [queue.pop] * (workers - 1)))
         return cls(keys, values, {"keys": len(keys), "fields": len(tasks)},
                    packing, packed)
 

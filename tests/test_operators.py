@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -860,6 +861,95 @@ def test_fields_start_largest_first(monkeypatch):
     assert len(sizes) == table.counts["fields"] > 3
     assert len(set(sizes)) > 1
     assert sizes == sorted(sizes, reverse=True)
+
+
+def _pool_table_args():
+    """(op, system, window, keys) of the db2 Hilbert table of the field-pool
+    tests above: more than three fields of several sizes, at q_loc = 8."""
+    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 5)
+    system = build_system("db2", q=11, strict=False)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    keys = operators.pairing_keys(grid, *cube_arrays([I for I, _ in pairs]),
+                                  *cube_arrays([J for _, J in pairs]))
+    return make_operator("hilbert"), system, w, keys
+
+
+def test_field_pool_works_from_both_ends(monkeypatch):
+    # two workers: the one that starts with the largest field goes on with
+    # the largest left, the other starts with the smallest and goes on
+    # with the smallest left.  Each waits at its first field until the
+    # other has taken one, so both take part however the threads run
+    real_apply = operators._periodic_apply
+    built, lock = [], threading.Lock()
+    both_started = threading.Barrier(2, timeout=20)
+
+    def record(op, buf, h, x0, mu, transpose, stop):
+        me = threading.get_ident()
+        with lock:
+            first = all(thread != me for thread, *_ in built)
+            built.append((me, buf.size, h, transpose))
+        if first:
+            both_started.wait()
+        return real_apply(op, buf, h, x0, mu, transpose, stop)
+
+    monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
+    monkeypatch.setattr(operators, "_periodic_apply", record)
+    table = operators.PairingTable.build(*_pool_table_args(), q_loc=8)
+    # every field once: the spacing h tells the coarse generations apart
+    fields = {(h, transpose) for _, _, h, transpose in built}
+    assert len(built) == len(fields) == table.counts["fields"] > 3
+    sizes = [size for _, size, _, _ in built]
+    by_thread = {}
+    for thread, size, _, _ in built:
+        by_thread.setdefault(thread, []).append(size)
+    assert len(by_thread) == 2
+    for mine in by_thread.values():
+        if mine[0] == max(sizes):
+            assert mine == sorted(mine, reverse=True)
+        else:
+            assert mine[0] == min(sizes)
+            assert mine == sorted(mine)
+
+
+def test_failing_field_starts_no_other(monkeypatch):
+    # one worker, whose first field fails: it starts no other field
+    calls = []
+
+    def fail(op, buf, h, x0, mu, transpose, stop):
+        calls.append(buf.size)
+        raise MemoryError("field too large")
+
+    monkeypatch.setattr(operators, "FIELD_WORKERS", 1)
+    monkeypatch.setattr(operators, "_periodic_apply", fail)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="field too large"):
+        operators.PairingTable.build(*_pool_table_args(), q_loc=8)
+    assert threading.active_count() == threads
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, op", [("haar", "hilbert"),
+                                      ("db2", "hilbert"),
+                                      ("db3", "smoothed_hilbert")])
+def test_transposed_field_is_the_negated_field(name, op):
+    # both kernels are odd, T^t = -T: flipping transpose on one mesh keeps
+    # the mesh and negates every field value, bit for bit
+    system = build_system(name, q=11, strict=False)
+    op = make_operator(op)
+    for k in (-3, 0, 2):
+        side = 2.0 ** (-k)
+        for hull in ((-2.0 * side, 3.0 * side), (0.5 * side, 9.0 * side)):
+            mesh = operators._field_mesh(system, 8, 8, k, hull, False)
+            twin = operators._field_mesh(system, 8, 8, k, hull, True)
+            assert all(np.array_equal(getattr(mesh, f.name),
+                                      getattr(twin, f.name))
+                       for f in dataclasses.fields(mesh)
+                       if f.name != "transpose")
+            u0, f0 = operators._field_values(op, mesh)
+            u1, f1 = operators._field_values(op, twin)
+            assert np.array_equal(u1, u0)
+            assert np.array_equal(f1, -f0)
 
 
 @pytest.mark.parametrize("op", ["hilbert", "identity"])
