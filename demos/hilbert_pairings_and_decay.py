@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from dyadshift.dyadic import Cube, DyadicGrid, Window
+from dyadshift.dyadic import CubePairs, DyadicGrid, Window
 from dyadshift.harness import audit_rows_csv, decay_audit
-from dyadshift.operators import PairingEngine, make_operator
+from dyadshift.operators import (PairingEngine, PairingTable, make_operator,
+                                 pairing_keys)
 from dyadshift.wavelets import build_system
 
 
@@ -41,12 +42,19 @@ window = Window(d=1, L=3, k_min=-3, k_max=4)
 grid = DyadicGrid(window, omega=np.zeros(window.n_shift_bits, dtype=int))
 system = build_system("haar", q=10, strict=False)
 op = make_operator("hilbert")
-engine = PairingEngine(op, grid, system, q_loc=10)
 
-for I, J in [(Cube(0, (1,)), Cube(0, (5,))),
-             (Cube(2, (4,)), Cube(0, (1,))),
-             (Cube(1, (3,)), Cube(1, (3,)))]:
-    got = engine.pairing(I, J)
+# three pairs (I, J) as int64 arrays of generations and indices: a far
+# pair, a cube inside a coarser one, and a cube with itself
+pairs = CubePairs(I_k=np.array([0, 2, 1]), I_l=np.array([1, 4, 3]),
+                  J_k=np.array([0, 0, 1]), J_l=np.array([5, 1, 3]))
+# a pairing depends on its key row alone (coarse generation, transpose,
+# fine generation, lattice offset), so one table evaluates each distinct
+# row once and the engine reads the pairs' values from it
+table = PairingTable.build(op, system, window,
+                           pairing_keys(grid, pairs.I_k, pairs.I_l,
+                                        pairs.J_k, pairs.J_l), q_loc=10)
+values = PairingEngine(grid, table).pairings(pairs)
+for (I, J), got in zip(pairs, values):
     ref = haar_pair_exact(I.l[0] * I.sidelength, I.sidelength,
                           J.l[0] * J.sidelength, J.sidelength)
     print(f"<psi_J, H psi_I>  I={I} J={J}: {got:+.8f} (exact {ref:+.8f})")

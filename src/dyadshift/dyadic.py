@@ -20,8 +20,6 @@ exactly independent (they are driven by disjoint bits of omega).
 from __future__ import annotations
 
 import io
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +35,10 @@ class Cube:
 
     The unshifted cube is [l_0 2^-k, (l_0+1) 2^-k).  l stays a 1-tuple, as
     shift_units stays a length-1 array: bench/tracer.py reads them from
-    outside the library.  The run paths never build a Cube: they hold
-    cubes and pairs as int64 arrays of generations and indices (see
-    DyadicGrid.touching_range and CubePairs).  Cubes are for the demos, the
-    tests, PairingEngine.pairing and whoever iterates a CubePairs."""
+    outside the library.  The library never builds a Cube: it holds cubes
+    and pairs as int64 arrays of generations and indices (see
+    DyadicGrid.touching_range and CubePairs).  Cubes are for whoever
+    iterates a CubePairs."""
 
     k: int
     l: tuple
@@ -162,14 +160,6 @@ class DyadicGrid:
         l_hi = min(l_hi, (w.extent_units - shift - side) // side)
         return l_lo, l_hi + 1
 
-    def cubes_touching(self, k: int, lo_units: int, hi_units: int):
-        """The Cubes of touching_range, in index order."""
-        for l in range(*self.touching_range(k, lo_units, hi_units)):
-            yield Cube(k, (l,))
-
-    def cubes_at_scale(self, k: int):
-        return self.cubes_touching(k, 0, self.window.extent_units)
-
 
 def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
     """Distance from cubes of sidelength `side` with corners t to the
@@ -178,45 +168,21 @@ def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
     return np.minimum(off, side_c - off - side)
 
 
-def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays of the generations and indices of cubes (any iterable,
-    read once)."""
-    cubes = list(cubes)
-    return (np.array([c.k for c in cubes], dtype=np.int64),
-            np.array([c.l[0] for c in cubes], dtype=np.int64))
-
-
 @dataclass(frozen=True, eq=False)
-class CubePairs(Sequence):
-    """Read-only sequence of cube pairs (I, J) held as four int64 arrays:
-    the generations and indices of the I cubes and of the J cubes, one item
-    per pair.
+class CubePairs:
+    """Cube pairs (I, J) held as four int64 arrays: the generations and
+    indices of the I cubes and of the J cubes, one item per pair.
 
-    The library reads the arrays.  Indexing (negative indices included) or
-    iterating yields (Cube, Cube) tuples, built on demand, for callers that
-    want Cubes."""
+    The library reads the arrays.  Iterating yields (Cube, Cube) tuples,
+    built on demand, as bench/tracer.py reads the pairs."""
 
     I_k: np.ndarray
     I_l: np.ndarray
     J_k: np.ndarray
     J_l: np.ndarray
 
-    @classmethod
-    def of(cls, pairs) -> "CubePairs":
-        """The pairs of a sequence of (Cube, Cube) tuples; a CubePairs is
-        returned as it is."""
-        if isinstance(pairs, cls):
-            return pairs
-        return cls(*cube_arrays(I for I, _ in pairs),
-                   *cube_arrays(J for _, J in pairs))
-
     def __len__(self) -> int:
         return self.I_k.size
-
-    def __getitem__(self, n: int) -> tuple[Cube, Cube]:
-        n = operator.index(n)  # no slices
-        return (Cube(int(self.I_k[n]), (int(self.I_l[n]),)),
-                Cube(int(self.J_k[n]), (int(self.J_l[n]),)))
 
     def __iter__(self):
         for ik, il, jk, jl in zip(self.I_k.tolist(), self.I_l.tolist(),

@@ -109,6 +109,22 @@ def ground_truth(op: KernelOp, f, g, res: int) -> float:
     return float(np.sum(g(x) * tf) * h)
 
 
+def _pair_keys(grid: DyadicGrid, pairs: CubePairs) -> np.ndarray:
+    """The pairing key rows (see pairing_keys) of the pairs."""
+    return pairing_keys(grid, pairs.I_k, pairs.I_l, pairs.J_k, pairs.J_l)
+
+
+def _pairings(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
+              pairs: CubePairs, q_loc: int) -> tuple[np.ndarray, dict]:
+    """The pairings of one grid's pairs, from one table built over their
+    keys, and the pairing counts: the pairs, and the table's distinct keys
+    and fields."""
+    table = PairingTable.build(op, system, grid.window,
+                               _pair_keys(grid, pairs), q_loc)
+    values = PairingEngine(grid, table).pairings(pairs)
+    return values, {"pairs": len(pairs), **table.counts}
+
+
 def plain_inner_product(f, g, res: int = 14) -> float:
     lo = min(f.support[0], g.support[0])
     hi = max(f.support[1], g.support[1])
@@ -203,7 +219,7 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     pair array is allocated, and without a span before any cube is
     enumerated.
     Returns (rows, info) where info holds excluded-pair counters and,
-    under "pairings", the pairing engine's counts.
+    under "pairings", the pairing counts of _pairings.
     """
     if op.czs_seminorm is None:
         raise ValueError(f"operator {op.name!r} has no Calderon-Zygmund "
@@ -244,10 +260,8 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
             keep &= good
         selected.append([x[keep] for x in (I, J, kind, i, j)])
     I, J, kind, i, j = map(np.concatenate, zip(*selected))
-    engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings(CubePairs(cube_k[I], cube_l[I], cube_k[J],
-                                       cube_l[J]))
-    info["pairings"] = dict(engine.counts)
+    pairs = CubePairs(cube_k[I], cube_l[I], cube_k[J], cube_l[J])
+    values, info["pairings"] = _pairings(op, system, grid, pairs, q_loc)
     rows = []
     for kind, i, j, count, mx in _audit_cells(kind, i, j, values):
         bound = class_bound(kind, i, j, w.d, s, eps, theta, czs, op_norm)
@@ -298,8 +312,7 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     if truth is None:
         truth = (ground_truth(op, f, g, res=q_loc + 2) if op.singular
                  else plain_inner_product(f, g))
-    engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings(loc.pairs(I, J))
+    values, _ = _pairings(op, system, grid, loc.pairs(I, J), q_loc)
     terms = loc.cf[I] * values * loc.cg[J]
     total = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
     return {"defect": abs(truth - total), "sum": total, "truth": truth,
@@ -307,13 +320,16 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
 
 
 def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
+    """The exact goodness probability of each generation, in ascending k.
+    The deepest generation, the costliest to enumerate, goes first, so a
+    window too deep for pi_bad_exact is refused before any enumeration."""
     out = {}
-    for k in range(window.k_min, window.k_max + 1):
+    for k in range(window.k_max, window.k_min - 1, -1):
         if k - r < window.k_min:
             out[k] = 1.0  # no admissible coarser generation: vacuously good
         else:
             out[k] = 1.0 - pi_bad_exact(window, k, r, theta)
-    return out
+    return {k: out[k] for k in range(window.k_min, window.k_max + 1)}
 
 
 @dataclass
@@ -348,11 +364,6 @@ class _Draw:
         """The pairs of cubes I of f and J of g, given as indices."""
         (k_f, l_f), (k_g, l_g) = self.kl_f, self.kl_g
         return CubePairs(k_f[I], l_f[I], k_g[J], l_g[J])
-
-    def pair_keys(self) -> np.ndarray:
-        """The pairing key rows (see pairing_keys) of all the pairs."""
-        p = self.pairs(*self.pair_index())
-        return pairing_keys(self.grid, p.I_k, p.I_l, p.J_k, p.J_l)
 
     def weigh(self, values, pi_good: dict, theta: float, m: int,
               classify: bool) -> OmegaSample:
@@ -405,30 +416,41 @@ def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
 
 
 def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
-                  classify: bool, pi_good: dict,
-                  ) -> tuple[list[OmegaSample], dict]:
-    """The OmegaSample of each seed tuple, and the run's pairing counts.
+                  classify: bool, pi_good: dict, reduce,
+                  ) -> tuple[list, dict]:
+    """reduce(OmegaSample) of each seed tuple, and the run's pairing counts:
+    the table's distinct keys and fields, and the pairs.
 
-    Every grid is drawn first.  One PairingTable then evaluates the
-    distinct pairing keys of all grids, with one field per (coarse
-    generation, transpose) for the whole run, and each grid's engine reads
-    its values from it.  The pairs of a grid, every localized cube of f
-    with every one of g, are int64 arrays (a CubePairs) that live for one
-    grid at a time: only the distinct keys of each grid are held across
-    the table's build, and each grid's engine packs its pairs' keys again.
+    Every grid is drawn first, and the distinct pairing keys of each are
+    merged into the run's distinct rows as it is drawn, whenever the
+    pending rows outnumber the merged ones and after the last grid: the
+    held keys stay within a small multiple of the run's distinct rows,
+    however many grids there are.  One PairingTable then evaluates those
+    rows, with one field per (coarse generation, transpose) for the whole
+    run, and each grid's engine reads its values from it.  The pairs of a
+    grid, every localized cube of f with every one of g, are int64 arrays
+    (a CubePairs) that live for one grid at a time, and so do its
+    OmegaSample's per-pair arrays: each is reduced right after its lookup.
     """
-    draws = [_draw(system, window, f, g, r, theta, q_loc, seed)
-             for seed in seeds]
-    keys = [distinct_keys(d.pair_keys()) for d in draws]
-    table = PairingTable.build(op, system, window, np.concatenate(keys), q_loc)
-    counts = Counter(table.counts)
-    samples = []
+    draws, merged, pending = [], np.empty((0, 4), np.int64), []
+    for seed in seeds:
+        d = _draw(system, window, f, g, r, theta, q_loc, seed)
+        draws.append(d)
+        pending.append(distinct_keys(_pair_keys(d.grid,
+                                               d.pairs(*d.pair_index()))))
+        if (len(draws) == len(seeds)
+                or sum(map(len, pending)) > len(merged)):
+            merged = distinct_keys(np.concatenate([merged, *pending]))
+            pending = []
+    table = PairingTable.build(op, system, window, merged, q_loc)
+    reduced, n_pairs = [], 0
     for d in draws:
-        engine = PairingEngine(op, d.grid, system, q_loc=q_loc, table=table)
-        values = engine.pairings(d.pairs(*d.pair_index()))
-        counts.update(engine.counts)
-        samples.append(d.weigh(values, pi_good, theta, system.m, classify))
-    return samples, dict(counts)
+        pairs = d.pairs(*d.pair_index())
+        values = PairingEngine(d.grid, table).pairings(pairs)
+        n_pairs += len(pairs)
+        reduced.append(reduce(d.weigh(values, pi_good, theta, system.m,
+                                      classify)))
+    return reduced, {**table.counts, "pairs": n_pairs}
 
 
 def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
@@ -443,11 +465,11 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
             "pi_good too small: the union bound cannot certify positivity "
             f"at r={r}, theta={theta}")
     pi_good = _pi_good_by_scale(window, r, theta)
-    samples, counts = _sample_pairs(
+    sums, counts = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=False,
-        pi_good=pi_good)
-    sums = np.array([float(smp.weighted.sum()) for smp in samples])
+        pi_good=pi_good, reduce=lambda smp: float(smp.weighted.sum()))
+    sums = np.array(sums)
     estimate = float(sums.mean())
     stderr = float(sums.std(ddof=1) / math.sqrt(n_omega)) if n_omega > 1 else 0.0
     truth = ground_truth(op, f, g, res=q_loc + 2)
@@ -507,17 +529,20 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
     if r is None:
         r = window.k_max - window.k_min + 1  # vacuous: nothing classifiable
     pi_good = _pi_good_by_scale(window, r, theta)
-    samples, counts = _sample_pairs(
+
+    def partial_sums(smp: OmegaSample) -> tuple[list, int]:
+        """The sample's sums over max(i, j) <= N, N = 0..N_max, and its
+        window-excluded pairs."""
+        return ([float(smp.weighted[(smp.levels >= 0)
+                                    & (smp.levels <= N)].sum())
+                 for N in range(N_max + 1)], smp.excluded_window)
+
+    reduced, counts = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=True,
-        pi_good=pi_good)
-    partials = np.zeros((n_omega, N_max + 1))
-    excluded = 0
-    for w_idx, smp in enumerate(samples):
-        excluded += smp.excluded_window
-        for N in range(N_max + 1):
-            sel = (smp.levels >= 0) & (smp.levels <= N)
-            partials[w_idx, N] = float(smp.weighted[sel].sum())
+        pi_good=pi_good, reduce=partial_sums)
+    partials = np.array([sums for sums, _ in reduced])
+    excluded = sum(n for _, n in reduced)
     truth = ground_truth(op, f, g, res=q_loc + 2)
     curve = ConvergenceCurve(n_omega=n_omega, pi_good=pi_good, truth=truth,
                              excluded_window=excluded, pairings=counts)

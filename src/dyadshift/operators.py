@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dyadic import Cube, CubePairs, DyadicGrid, ScaleRangeError
+from .dyadic import CubePairs, DyadicGrid, ScaleRangeError
 from .wavelets import WaveletSystem
 
 
@@ -407,9 +407,8 @@ class PairingTable:
     hull of the fine supports of all its rows, and one interpolation each
     block of rows that share a field and a fine generation.  A field's
     values depend on its hull through the periodization residual, so the
-    table's values depend on its set of rows: a run over many grids builds
-    one table from the keys of all of them, and a lone PairingEngine one
-    per pairings call.
+    table's values depend on its set of rows: each experiment builds one
+    table from the keys of all its pairs, over all its grids.
 
     Rows are sorted, deduplicated and looked up as one int64 each (see
     _KeyPacking), packed once per table.
@@ -521,53 +520,18 @@ class PairingTable:
 
 
 class PairingEngine:
-    """Pairings <psi_J, T psi_I> of cube pairs of one grid.
+    """Pairings <psi_J, T psi_I> of cube pairs of one grid, read from a
+    table that holds the keys of the pairs (see pairing_keys).
 
-    The pairs are handled as int64 arrays of generations and lattice
-    offsets, and the values come from a PairingTable: the run's shared
-    table when one is given, otherwise one built from the keys of each
-    pairings call.
+    The lookup stays behind a class because bench/tracer.py wraps
+    pairings(pairs), reads the engine's grid and iterates the pairs."""
 
-    counts accumulates over calls: the pairs given, and the distinct keys
-    evaluated and fields built by the engine's own tables (none when it
-    reads a shared one).
-    """
-
-    def __init__(self, op: KernelOp, grid: DyadicGrid, system: WaveletSystem,
-                 q_loc: int = 10, pad_factor: int = 8,
-                 table: PairingTable | None = None):
-        self.op = op
+    def __init__(self, grid: DyadicGrid, table: PairingTable):
         self.grid = grid
-        self.system = system
-        self.q_loc = q_loc
-        self.pad_factor = pad_factor
         self.table = table
-        self.counts = {"pairs": 0, "keys": 0, "fields": 0}
 
-    def pairings(self, pairs) -> np.ndarray:
-        """pairs: a CubePairs, or a sequence of (I, J) cubes, which is
-        turned into one; returns <psi_J, T psi_I>.
-
-        Convolution kernels make pairings invariant under joint translation,
-        so values are computed once per distinct (coarse scale, transpose,
-        fine scale, offset of the fine cube from the coarse one in lattice
-        units) and the multiplier field once per (coarse scale, transpose),
-        in cube-relative coordinates.
-        """
-        n = len(pairs)
-        self.counts["pairs"] += n
-        if n == 0:
-            return np.empty(0)
-        pairs = CubePairs.of(pairs)
-        keys = pairing_keys(self.grid, pairs.I_k, pairs.I_l, pairs.J_k,
-                            pairs.J_l)
-        table = self.table
-        if table is None:
-            table = PairingTable.build(self.op, self.system, self.grid.window,
-                                       keys, self.q_loc, self.pad_factor)
-            self.counts["keys"] += table.counts["keys"]
-            self.counts["fields"] += table.counts["fields"]
-        return table.lookup(keys)
-
-    def pairing(self, I: Cube, J: Cube) -> float:
-        return float(self.pairings([(I, J)])[0])
+    def pairings(self, pairs: CubePairs) -> np.ndarray:
+        """<psi_J, T psi_I> of the pairs; a pair whose key the table lacks
+        raises KeyError."""
+        return self.table.lookup(pairing_keys(self.grid, pairs.I_k, pairs.I_l,
+                                              pairs.J_k, pairs.J_l))

@@ -5,6 +5,10 @@ compare it with:
   (pair_quadrature) and the same double sum as one lattice correlation
   (pair_correlation), from a table of the operators' kernels, while the
   library evaluates every operator through its symbol;
+- the Cube front end the library dropped (cube lists from a grid and their
+  int64 arrays, Cube tuples into a CubePairs) and the per-call pairing
+  table a PairingEngine once built for itself, with pairing counts taken
+  from Python sets of the key rows;
 - one-cube forms of what the library batches (a cube's box and dilate, one
   wavelet's samples and coefficient, the per-pair classification and join,
   with the WindowTruncationError they raise);
@@ -18,10 +22,10 @@ import math
 
 import numpy as np
 
-from dyadshift.dyadic import Cube, CubePairs, cube_arrays, is_bad_batch
+from dyadshift.dyadic import Cube, CubePairs, is_bad_batch
 from dyadshift.harness import DecayAuditRow, class_bound, psi_refinement
-from dyadshift.operators import (PairingEngine, sample_wavelets,
-                                 support_intervals)
+from dyadshift.operators import (PairingEngine, PairingTable, pairing_keys,
+                                 sample_wavelets, support_intervals)
 from dyadshift.shifts import (CLASSES, PowerIterationError, classify_batch,
                               coefficient_scale)
 from dyadshift.wavelets import _two_scale
@@ -46,6 +50,64 @@ def cascade(h, q: int, tol: float = 1e-10, max_iter: int = 80):
         if res < tol:
             return v, it, res
     raise RuntimeError(f"cascade: change {res:.3g} after {max_iter} passes")
+
+
+# ---------------------------------------------------------------------------
+# Cubes, Cube pairs and per-call pairing tables
+
+
+def cubes_touching(grid, k: int, lo_units: int, hi_units: int):
+    """The Cubes of grid.touching_range, in index order (a generator)."""
+    for l in range(*grid.touching_range(k, lo_units, hi_units)):
+        yield Cube(k, (l,))
+
+
+def cubes_at_scale(grid, k: int):
+    """Every window Cube of generation k, in index order."""
+    return cubes_touching(grid, k, 0, grid.window.extent_units)
+
+
+def cube_arrays(cubes) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays of the generations and indices of cubes (any iterable,
+    read once)."""
+    cubes = list(cubes)
+    return (np.array([c.k for c in cubes], dtype=np.int64),
+            np.array([c.l[0] for c in cubes], dtype=np.int64))
+
+
+def cube_pairs(pairs) -> CubePairs:
+    """The CubePairs of a sequence of (Cube, Cube) tuples; a CubePairs is
+    returned as it is."""
+    if isinstance(pairs, CubePairs):
+        return pairs
+    return CubePairs(*cube_arrays(I for I, _ in pairs),
+                     *cube_arrays(J for _, J in pairs))
+
+
+def cube_pair_keys(grid, pairs) -> np.ndarray:
+    """pairing_keys of the pairs (a CubePairs or (Cube, Cube) tuples)."""
+    p = cube_pairs(pairs)
+    return pairing_keys(grid, p.I_k, p.I_l, p.J_k, p.J_l)
+
+
+def lone_pairings(op, grid, system, pairs, q_loc: int = 10,
+                  pad_factor: int = 8) -> np.ndarray:
+    """<psi_J, T psi_I> of the pairs (a CubePairs or (Cube, Cube) tuples)
+    from a table built over their own keys alone, as a PairingEngine did
+    when it was given no table."""
+    pairs = cube_pairs(pairs)
+    table = PairingTable.build(op, system, grid.window,
+                               cube_pair_keys(grid, pairs), q_loc, pad_factor)
+    return PairingEngine(grid, table).pairings(pairs)
+
+
+def pairing_counts(op, keys) -> dict:
+    """The pairing counts a table over the key rows reports, with the
+    rows: the pairs, the distinct rows, and the distinct (coarse k,
+    transpose) of a singular operator, one field each."""
+    rows = {tuple(row) for row in keys.tolist()}
+    fields = {row[:2] for row in rows} if op.singular else set()
+    return {"pairs": len(keys), "keys": len(rows), "fields": len(fields)}
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +159,7 @@ def disjoint_pairs(grid, system) -> CubePairs:
     broadcast mask."""
     w = grid.window
     k, l = cube_arrays([c for gen in range(w.k_min, w.k_max + 1)
-                        for c in grid.cubes_at_scale(gen)])
+                        for c in cubes_at_scale(grid, gen)])
     lo, hi = support_intervals(grid, system, k, l)
     a, b = np.nonzero(np.maximum(lo[:, None] - hi[None, :],
                                  lo[None, :] - hi[:, None]) > 0.0)
@@ -308,7 +370,7 @@ def descendants_loop(grid, K: Cube, depth: int) -> list:
     from the cubes touching K's box."""
     k_lo, k_hi = cube_box(grid, K)
     out = []
-    for c in grid.cubes_touching(K.k + depth, int(k_lo[0]), int(k_hi[0])):
+    for c in cubes_touching(grid, K.k + depth, int(k_lo[0]), int(k_hi[0])):
         lo, hi = cube_box(grid, c)
         if (k_lo <= lo).all() and (hi <= k_hi).all():
             out.append(c)
@@ -439,7 +501,7 @@ def localized_cube_list(grid, system, span) -> list:
     out = []
     for k in range(w.k_min, w.k_max + 1):
         grow = half * w.len_units(k)
-        out.extend(grid.cubes_touching(k, lo_u - grow, hi_u + grow))
+        out.extend(cubes_touching(grid, k, lo_u - grow, hi_u + grow))
     return out
 
 
@@ -450,7 +512,7 @@ def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
     w = grid.window
     if span is None:
         cubes = [c for k in range(w.k_min, w.k_max + 1)
-                 for c in grid.cubes_at_scale(k)]
+                 for c in cubes_at_scale(grid, k)]
     else:
         cubes = localized_cube_list(grid, system, span)
     czs = op.czs_seminorm(s)
@@ -476,9 +538,9 @@ def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
         for a, b, c, ii, jj in zip(*(x[keep].tolist()
                                      for x in (I, J, kind, i, j))):
             selected.append(((cubes[a], cubes[b]), (CLASSES[c], ii, jj)))
-    engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings([pair for pair, _ in selected])
-    info["pairings"] = dict(engine.counts)
+    pairs = [pair for pair, _ in selected]
+    values = lone_pairings(op, grid, system, pairs, q_loc)
+    info["pairings"] = pairing_counts(op, cube_pair_keys(grid, pairs))
     cells: dict = {}
     for (_, key), v in zip(selected, values):
         cur = cells.setdefault(key, [0, 0.0])

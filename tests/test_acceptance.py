@@ -14,19 +14,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dyadshift.dyadic import (Cube, DyadicGrid, Window, cube_arrays,
-                              independence_table, union_bound,
-                              pi_bad_estimate)
+from dyadshift.dyadic import (Cube, DyadicGrid, Window, independence_table,
+                              union_bound, pi_bad_estimate)
 from dyadshift.filters import builtin_filter_names
 from dyadshift.harness import (convergence_experiment, decay_audit,
                                expansion_identity, randomized_expansion)
-from dyadshift.operators import (PairingEngine, TestFunction as Bump,
-                                 make_operator, sample_wavelets)
+from dyadshift.operators import (TestFunction as Bump, make_operator,
+                                 sample_wavelets)
 from dyadshift.shifts import (CLASSES, Mesh1D, apply_shift, assemble_shift,
                               calibrate_c_emp, calibration_shift,
                               classify_batch, shift_norm_estimate)
 from dyadshift.wavelets import build_system, gram_defect
-from references import disjoint_pairs, pair_correlation
+from references import (cube_arrays, cubes_at_scale, disjoint_pairs,
+                        lone_pairings, pair_correlation)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -99,8 +99,7 @@ def test_criterion_4_pairing_cross_validation():
     op = make_operator("hilbert")
     pairs = disjoint_pairs(grid, system)
     assert len(pairs) == 13670
-    engine = PairingEngine(op, grid, system, q_loc=10, pad_factor=32)
-    mult = engine.pairings(pairs)
+    mult = lone_pairings(op, grid, system, pairs, q_loc=10, pad_factor=32)
     worst = 0.0
     for (I, J), vm in zip(pairs, mult):
         vq = pair_correlation(op, grid, system, I, J, q_loc=10)
@@ -115,7 +114,7 @@ def test_criterion_5_partition_completeness():
     w = Window(d=1, L=5, k_min=-5, k_max=0)
     grid = DyadicGrid.random(w, 0)
     cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
+             for c in cubes_at_scale(grid, k)]
     fine, coarse = zip(*[(I, J) for I in cubes for J in cubes
                          if I.k >= J.k])
     kind = classify_batch(grid, *cube_arrays(fine), *cube_arrays(coarse),
@@ -137,16 +136,16 @@ def classified_hilbert():
     grid = zero_grid(w)
     system = build_system("haar", q=10, strict=False)
     cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
+             for c in cubes_at_scale(grid, k)]
     fine, coarse = zip(*[(I, J) for I in cubes for J in cubes
                          if I.k >= J.k])
     pairs = (*cube_arrays(fine), *cube_arrays(coarse))
     classes = classify_batch(grid, *pairs, 1.0, 3)
     keep = ~classes[-1]
     op = make_operator("hilbert")
-    engine = PairingEngine(op, grid, system, q_loc=8)
-    pairings = engine.pairings([(I, J) for I, J, k in zip(fine, coarse, keep)
-                                if k])
+    pairings = lone_pairings(op, grid, system,
+                             [(I, J) for I, J, k in zip(fine, coarse, keep)
+                              if k], q_loc=8)
     bound_const = op.czs_seminorm(2) + op.l2_norm
     return (grid, system, tuple(a[keep] for a in pairs),
             tuple(c[keep] for c in classes), pairings, bound_const)

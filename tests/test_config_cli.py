@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadshift import cli, harness
+from dyadshift import cli, dyadic, harness
 from dyadshift.cli import main
 from dyadshift.config import (ConfigError, RunConfig, default_r,
                               manifest_json, parse_config)
@@ -417,9 +417,30 @@ def test_cli_oversized_decay_audit_exit_4(tmp_path, capsys, monkeypatch,
         raise AssertionError("cubes were enumerated")
 
     monkeypatch.setattr(DyadicGrid, "touching_range", no_cubes)
-    monkeypatch.setattr(DyadicGrid, "cubes_at_scale", no_cubes)
     cfg = '{"kernel": "hilbert", "s": 1, %s}' % window
     code, err = _exit_and_stderr(
         capsys, ["decay-audit", "--config", cfg, "--outdir", str(tmp_path)])
     assert code == 4
     assert "AUDIT_MAX_PAIRS" in err and "\n" not in err
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("represent", '"n_omega": 2'),
+    ("convergence", '"s": 1, "N_max": 6, "n_omega": 2'),
+])
+def test_cli_window_too_deep_for_exact_goodness_exit_4(tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       keys):
+    # generation 5 of the window k = -20..5 is 25 generations deep, past
+    # the 24 pi_bad_exact enumerates: the deepest generation is tried
+    # first, so the run is refused before any badness is evaluated
+    def no_badness(*args):
+        raise AssertionError("badness was evaluated")
+
+    monkeypatch.setattr(dyadic, "_bad_offsets", no_badness)
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 20, "k_min": -20, '
+           '"k_max": 5, "r": 4, "theta": 1.0, %s}' % keys)
+    code, err = _exit_and_stderr(
+        capsys, [command, "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err == "error: exact enumeration too large for this window"

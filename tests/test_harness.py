@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              cube_arrays, is_bad_batch, union_bound)
+                              is_bad_batch, union_bound)
 from dyadshift import harness, operators
 from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                convergence_experiment, decay_audit,
@@ -13,13 +14,14 @@ from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
                                plain_inner_product, psi_refinement,
                                randomized_expansion,
                                _pi_good_by_scale, _sample_pairs)
-from dyadshift.operators import (PairingEngine, TestFunction, make_operator,
-                                 support_intervals)
+from dyadshift.operators import (PairingEngine, PairingTable, TestFunction,
+                                 make_operator, support_intervals)
 from dyadshift.shifts import classify_batch
 from dyadshift.wavelets import build_system
-from references import (WindowTruncationError, decay_audit_loop, dilate_box,
+from references import (WindowTruncationError, cube_arrays, cube_pair_keys,
+                        cubes_at_scale, decay_audit_loop, dilate_box,
                         localized_coefficient, localized_cube_list,
-                        scalar_classify_pair)
+                        lone_pairings, pairing_counts, scalar_classify_pair)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -196,7 +198,7 @@ def test_decay_audit_badness_filter_matches_pair_loop():
                              i_max=i_max, j_max=j_max, q_loc=9, r=r)
     assert rows
     cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
+             for c in cubes_at_scale(grid, k)]
     good = _goodness(grid, cubes, r, theta)
     ref = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
     selected = []
@@ -218,9 +220,9 @@ def test_decay_audit_badness_filter_matches_pair_loop():
                 continue
             selected.append((I, J, (kind, i, j)))
     assert min(ref.values()) > 0
-    engine = PairingEngine(op, grid, system, q_loc=9)
-    values = engine.pairings([(I, J) for I, J, _ in selected])
-    ref["pairings"] = engine.counts
+    pairs = [(I, J) for I, J, _ in selected]
+    values = lone_pairings(op, grid, system, pairs, q_loc=9)
+    ref["pairings"] = pairing_counts(op, cube_pair_keys(grid, pairs))
     assert info == ref
     cells = {}
     for (_, _, cell), v in zip(selected, values):
@@ -336,7 +338,8 @@ def test_sample_pairs_matches_pair_loop(name, r):
     theta, q_loc, seed = 1.0, 7, (5, 1)
     pi_good = _pi_good_by_scale(w, r, theta)
     (smp,), counts = _sample_pairs(op, system, w, f, g, r, theta, q_loc,
-                                   [seed], classify=True, pi_good=pi_good)
+                                   [seed], classify=True, pi_good=pi_good,
+                                   reduce=lambda smp: smp)
     grid = DyadicGrid.random(w, seed)
     cubes_f = localized_cube_list(grid, system, f.support)
     cubes_g = localized_cube_list(grid, system, g.support)
@@ -344,8 +347,7 @@ def test_sample_pairs_matches_pair_loop(name, r):
     cg = {c: localized_coefficient(grid, system, c, g, q_loc) for c in cubes_g}
     pairs = [(I, J) for I in cubes_f for J in cubes_g]
     good = _goodness(grid, cubes_f + cubes_g, r, theta)
-    engine = PairingEngine(op, grid, system, q_loc=q_loc)
-    values = engine.pairings(pairs)
+    values = lone_pairings(op, grid, system, pairs, q_loc=q_loc)
     weighted = np.zeros(len(pairs))
     levels = np.full(len(pairs), -1, dtype=int)
     excluded = 0
@@ -366,8 +368,8 @@ def test_sample_pairs_matches_pair_loop(name, r):
     assert np.array_equal(smp.levels, levels)
     assert smp.excluded_window == excluded > 0
     assert 0 < np.count_nonzero(weighted) < len(pairs)
-    # one grid: the run's table holds exactly the lone engine's keys
-    assert counts == engine.counts
+    # one grid: the run's table holds exactly the keys of its pairs
+    assert counts == pairing_counts(op, cube_pair_keys(grid, pairs))
 
 
 def _loop_overlap_pairs(grid, system, cubes_f, cubes_g):
@@ -485,3 +487,117 @@ def test_run_paths_build_no_cube(monkeypatch):
     assert built == []
     Cube(0, (1,))
     assert built == [(0, (1,))]
+
+
+def _experiments():
+    """Each experiment of the module on a small window, as a callable."""
+    hilbert = make_operator("hilbert")
+    haar = build_system("haar", q=9, strict=False)
+    db2 = build_system("db2", q=9, strict=False)
+    w = Window(d=1, L=6, k_min=-6, k_max=5)
+    f = TestFunction(center=31.9, halfwidth=0.8, tilt=1)
+    g = TestFunction(center=32.2, halfwidth=0.7, tilt=1)
+    small = Window(d=1, L=3, k_min=-3, k_max=3)
+    return {
+        "decay_audit": lambda: decay_audit(
+            hilbert, db2, DyadicGrid.random(small, 3), s=1, eps=0.5,
+            theta=1.0, i_max=4, j_max=4, q_loc=8, r=3),
+        "expansion_identity": lambda: expansion_identity(
+            hilbert, db2, DyadicGrid.random(w, 3), f, g, q_loc=7),
+        "randomized_expansion": lambda: randomized_expansion(
+            hilbert, db2, w, f, g, r=4, theta=1.0, n_omega=3, seed=1,
+            q_loc=7),
+        "convergence_experiment": lambda: convergence_experiment(
+            hilbert, haar, w, f, g, s=2, eps=0.5, N_max=7, n_omega=4,
+            seed=7, q_loc=8),
+    }
+
+
+@pytest.mark.parametrize("experiment", ["decay_audit", "expansion_identity",
+                                        "randomized_expansion",
+                                        "convergence_experiment"])
+def test_experiments_build_one_table(monkeypatch, experiment):
+    # every experiment builds one table from the keys of all its pairs,
+    # and each grid's engine reads its values from it: on one grid they
+    # are those of a table over the grid's own pairs, on many those of a
+    # table over every grid's pairs at once, bit for bit
+    builds, calls = [], []
+    build, pairings = PairingTable.build, PairingEngine.pairings
+
+    def count_build(op, system, window, keys, q_loc):
+        builds.append((op, system, window, q_loc))
+        return build(op, system, window, keys, q_loc)
+
+    def capture(self, pairs):
+        values = pairings(self, pairs)
+        calls.append((self.grid, pairs, values))
+        return values
+
+    run = _experiments()[experiment]
+    with monkeypatch.context() as m:
+        m.setattr(PairingTable, "build", count_build)
+        m.setattr(PairingEngine, "pairings", capture)
+        run()
+    (op, system, window, q_loc), = builds
+    one_grid = experiment in ("decay_audit", "expansion_identity")
+    assert (len(calls) == 1) == one_grid
+    if one_grid:
+        (grid, pairs, values), = calls
+        assert np.array_equal(values,
+                              lone_pairings(op, grid, system, pairs, q_loc))
+    else:
+        ref = PairingTable.build(op, system, window, np.concatenate(
+            [cube_pair_keys(grid, pairs) for grid, pairs, _ in calls]), q_loc)
+        for grid, pairs, values in calls:
+            assert np.array_equal(values,
+                                  ref.lookup(cube_pair_keys(grid, pairs)))
+    assert sum(len(pairs) for _, pairs, _ in calls) > 500
+
+
+def _held_memory(monkeypatch, n_omega: int) -> dict:
+    """The memory a README-window represent run over n_omega grids holds,
+    by tracemalloc, when its table build starts ("build") and once every
+    grid's pairings are reduced ("reduced", at the ground truth), and the
+    bytes of the table's distinct key rows ("keys")."""
+    held = {}
+    build, truth = PairingTable.build, harness.ground_truth
+
+    def at_build(*args):
+        held["build"] = tracemalloc.get_traced_memory()[0] - start
+        table = build(*args)
+        held["keys"] = table.keys.nbytes
+        return table
+
+    def at_truth(*args, **kwargs):
+        held["reduced"] = tracemalloc.get_traced_memory()[0] - start
+        return truth(*args, **kwargs)
+
+    w = Window(d=1, L=8, k_min=-8, k_max=5)
+    f = TestFunction(center=127.3, halfwidth=0.8)
+    g = TestFunction(center=128.9, halfwidth=0.7)
+    system = build_system("haar", q=11, strict=False)
+    with monkeypatch.context() as m:
+        m.setattr(PairingTable, "build", at_build)
+        m.setattr(harness, "ground_truth", at_truth)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            randomized_expansion(make_operator("hilbert"), system, w, f, g,
+                                 r=4, theta=1.0, n_omega=n_omega, seed=0,
+                                 q_loc=10)
+        finally:
+            tracemalloc.stop()
+    return held
+
+
+def test_randomized_run_memory_does_not_grow_with_n_omega(monkeypatch):
+    # each grid's distinct pairing keys are merged into the run's distinct
+    # rows as the grid is drawn, and each grid's per-pair terms are reduced
+    # right after its lookup.  Beside the run's distinct keys, the run
+    # holds only each grid's cubes, coefficients and goodness, a few kB;
+    # one grid's own distinct keys take about 0.2 MB
+    few, many = _held_memory(monkeypatch, 4), _held_memory(monkeypatch, 16)
+    assert many["keys"] > few["keys"]
+    grown = (many["build"] - many["keys"]) - (few["build"] - few["keys"])
+    assert grown < 12 * 20_000, (few, many)
+    assert many["reduced"] <= few["reduced"] + 20_000, (few, many)

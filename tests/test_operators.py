@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from hypothesis import given, settings, strategies as st
 from dyadshift import operators
 from dyadshift.cli import main
 from dyadshift.dyadic import (Cube, CubePairs, DyadicGrid, ScaleRangeError,
-                              Window, cube_arrays)
+                              Window)
 from dyadshift.harness import localized_coefficients
 from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator)
 from dyadshift.operators import TestFunction as Bump
-from dyadshift.wavelets import build_system
-from references import (cube_box, disjoint_pairs, localized_coefficient,
-                        pair_correlation, pair_quadrature, sample_wavelet,
-                        support_interval, wavelet_nodes)
+from dyadshift.wavelets import WaveletSystem, build_system
+from references import (cube_arrays, cube_box, cube_pair_keys, cube_pairs,
+                        cubes_at_scale, cubes_touching, disjoint_pairs,
+                        lone_pairings, pair_correlation, pair_quadrature,
+                        pairing_counts, sample_wavelet, support_interval,
+                        wavelet_nodes)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -140,13 +143,30 @@ def haar_pair_exact(I_lo, I_len, J_lo, J_len):
     return tot
 
 
+class Setting(NamedTuple):
+    """What a pairing table is built from, beside the keys of the pairs."""
+
+    op: operators.KernelOp
+    grid: DyadicGrid
+    system: WaveletSystem
+    q_loc: int
+    pad_factor: int = 8
+
+    def pairings(self, pairs) -> np.ndarray:
+        """The pairs' values from a table over their own keys."""
+        return lone_pairings(self.op, self.grid, self.system, pairs,
+                             self.q_loc, self.pad_factor)
+
+    def pairing(self, I: Cube, J: Cube) -> float:
+        return float(self.pairings([(I, J)])[0])
+
+
 @pytest.fixture(scope="module")
 def haar_setup():
     w = Window(d=1, L=3, k_min=-3, k_max=6)
     grid = zero_grid(w)
     system = build_system("haar", q=12, strict=False)
-    engine = PairingEngine(make_operator("hilbert"), grid, system, q_loc=12)
-    return grid, system, engine
+    return grid, system, Setting(make_operator("hilbert"), grid, system, 12)
 
 
 def test_far_haar_pair_against_closed_form(haar_setup):
@@ -191,7 +211,7 @@ def db3_setup():
 def test_multiplier_vs_double_quadrature_db3(db3_setup):
     grid, system, pairs = db3_setup
     H = make_operator("hilbert")
-    engine = PairingEngine(H, grid, system, q_loc=12)
+    engine = Setting(H, grid, system, 12)
     for I, J in pairs:
         lo_i, hi_i = support_interval(grid, system, I)
         lo_j, hi_j = support_interval(grid, system, J)
@@ -256,7 +276,7 @@ def test_engine_beyond_criterion_4_gaps_against_closed_form():
     pairs = disjoint_pairs(grid, system)
     assert len(pairs) == 244_514
     sample = _per_gap_sample(pairs, 60, 0)
-    engine = PairingEngine(H, grid, system, q_loc=10, pad_factor=32)
+    engine = Setting(H, grid, system, 10, pad_factor=32)
     worst = {}
     for (I, J), fast in zip(sample, engine.pairings(sample)):
         (a_lo, a_hi), (b_lo, b_hi) = (support_interval(grid, system, I),
@@ -274,7 +294,7 @@ def test_engine_beyond_criterion_4_gaps_against_closed_form():
 
 def test_plain_inner_orthonormality(haar_setup):
     grid, system, _ = haar_setup
-    engine = PairingEngine(make_operator("identity"), grid, system, q_loc=12)
+    engine = Setting(make_operator("identity"), grid, system, 12)
     assert abs(engine.pairing(Cube(2, (5,)), Cube(2, (5,))) - 1.0) < 1e-12
     assert abs(engine.pairing(Cube(2, (5,)), Cube(1, (1,)))) < 1e-12
 
@@ -376,7 +396,7 @@ def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
     grid = DyadicGrid.random(w, 5)
     system = build_system(name, q=11, strict=False)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
-    PairingEngine(make_operator(op), grid, system, q_loc=8).pairings(pairs)
+    Setting(make_operator(op), grid, system, 8).pairings(pairs)
     assert set(checked) == {False, True}
 
 
@@ -384,7 +404,7 @@ def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
 # batched pairings against the per-pair loop they replaced
 
 
-def _scalar_keys(engine: PairingEngine, pairs) -> list:
+def _scalar_keys(engine: Setting, pairs) -> list:
     """(coarse k, transpose, fine k, delta) of each pair, from the
     one-cube cube_box."""
     grid = engine.grid
@@ -396,7 +416,7 @@ def _scalar_keys(engine: PairingEngine, pairs) -> list:
     return keys
 
 
-def _scalar_hulls(engine: PairingEngine, pairs) -> dict:
+def _scalar_hulls(engine: Setting, pairs) -> dict:
     """The hull of the fine supports of each (coarse k, transpose) bucket
     of the pairs, relative to the coarse cube, as the per-pair loop
     computed it."""
@@ -412,7 +432,7 @@ def _scalar_hulls(engine: PairingEngine, pairs) -> dict:
     return hulls
 
 
-def _scalar_pairings(engine: PairingEngine, pairs,
+def _scalar_pairings(engine: Setting, pairs,
                      hulls: dict | None = None) -> np.ndarray:
     """Reference: the per-pair loop with dict memos that PairingEngine
     .pairings used before it worked on integer offset arrays.  hulls maps
@@ -471,64 +491,58 @@ def _assert_matches_scalar(engine, pairs):
 
 
 def _captured_pairings(monkeypatch, tmp_path, argv):
-    """(engine, pairs, values) of every pairings call a CLI run makes."""
-    calls = []
-    batched = PairingEngine.pairings
+    """(engine, pairs, values, setting) of every pairings call a CLI run
+    makes, where setting holds the operator, system and q_loc of the run's
+    one table build and the engine's grid."""
+    calls, builds = [], []
+    batched, build = PairingEngine.pairings, operators.PairingTable.build
 
     def capture(self, pairs):
         values = batched(self, pairs)
-        calls.append((self, list(pairs), values))
+        calls.append((self, pairs, values))
         return values
 
-    monkeypatch.setattr(PairingEngine, "pairings", capture)
-    assert main(argv + ["--outdir", str(tmp_path)]) == 0
-    monkeypatch.setattr(PairingEngine, "pairings", batched)
-    return calls
+    def capture_build(op, system, window, keys, q_loc):
+        builds.append((op, system, q_loc))
+        return build(op, system, window, keys, q_loc)
+
+    with monkeypatch.context() as m:
+        m.setattr(PairingEngine, "pairings", capture)
+        m.setattr(operators.PairingTable, "build", capture_build)
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    (op, system, q_loc), = builds
+    return [(engine, pairs, values, Setting(op, engine.grid, system, q_loc))
+            for engine, pairs, values in calls]
+
+
+_AUDIT = ["decay-audit", "--config",
+          '{"filter": "db3", "kernel": "hilbert", "L": 4, "k_min": -4, '
+          '"k_max": 2, "s": 1}', "--seed", "0"]
 
 
 def test_pairings_match_scalar_on_audit_pair_set(monkeypatch, tmp_path):
-    # the benchmark's audit workload: decay-audit db3, L=4, k=-4..2, seed 0
-    cfg = ('{"filter": "db3", "kernel": "hilbert", "L": 4, "k_min": -4, '
-           '"k_max": 2, "s": 1}')
-    calls = _captured_pairings(
-        monkeypatch, tmp_path, ["decay-audit", "--config", cfg, "--seed", "0"])
+    # the benchmark's audit workload: decay-audit db3, L=4, k=-4..2, seed 0,
+    # whose table holds the keys of its pairs alone
+    calls = _captured_pairings(monkeypatch, tmp_path, _AUDIT)
     assert len(calls) == 1
-    engine, pairs, _ = calls[0]
-    assert engine.table is None
+    _, pairs, values, setting = calls[0]
     assert len(pairs) > 1000
-    _assert_matches_scalar(engine, pairs)
+    assert np.array_equal(values, _scalar_pairings(setting, pairs))
+    _assert_matches_scalar(setting, pairs)
 
 
 def test_pairings_of_view_match_cube_list_on_audit_pair_set(monkeypatch,
                                                             tmp_path):
     # the benchmark's audit workload hands pairings a CubePairs; the same
     # pairs as a list of Cube tuples give the same values, bit for bit
-    cfg = ('{"filter": "db3", "kernel": "hilbert", "L": 4, "k_min": -4, '
-           '"k_max": 2, "s": 1}')
-    given = []
-    batched = PairingEngine.pairings
-
-    def capture(self, pairs):
-        given.append((self, pairs))
-        return batched(self, pairs)
-
-    monkeypatch.setattr(PairingEngine, "pairings", capture)
-    assert main(["decay-audit", "--config", cfg, "--seed", "0",
-                 "--outdir", str(tmp_path)]) == 0
-    monkeypatch.undo()
-    (engine, view), = given
+    (_, view, values, setting), = _captured_pairings(monkeypatch, tmp_path,
+                                                     _AUDIT)
     assert isinstance(view, CubePairs) and len(view) > 1000
     as_list = list(view)
     assert all(type(I) is Cube and type(J) is Cube for I, J in as_list)
-    from_view, from_list = _lone_engine(engine), _lone_engine(engine)
-    got, ref = from_view.pairings(view), from_list.pairings(as_list)
+    got, ref = setting.pairings(view), setting.pairings(as_list)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    assert from_view.counts == from_list.counts
-
-
-def _lone_engine(engine):
-    return PairingEngine(engine.op, engine.grid, engine.system,
-                         q_loc=engine.q_loc, pad_factor=engine.pad_factor)
+    assert np.array_equal(values.view(np.int64), ref.view(np.int64))
 
 
 def test_pairings_match_scalar_on_represent_grids(monkeypatch, tmp_path):
@@ -540,24 +554,24 @@ def test_pairings_match_scalar_on_represent_grids(monkeypatch, tmp_path):
         monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "0"])
     assert len(calls) == 2
     table = calls[0][0].table
-    assert table is not None and calls[1][0].table is table
+    assert calls[1][0].table is table
     assert calls[0][0].grid is not calls[1][0].grid
     union: dict = {}
-    for engine, pairs, _ in calls:
-        for key, (lo, hi) in _scalar_hulls(engine, pairs).items():
+    for _, pairs, _, setting in calls:
+        for key, (lo, hi) in _scalar_hulls(setting, pairs).items():
             u_lo, u_hi = union.get(key, (math.inf, -math.inf))
             union[key] = (min(u_lo, lo), max(u_hi, hi))
-    for engine, pairs, values in calls:
+    for _, pairs, values, setting in calls:
         assert len(pairs) > 10000
         assert np.array_equal(values,
-                              _scalar_pairings(engine, pairs, hulls=union))
-        # a lone engine on the same grid keeps the per-call hull
-        _assert_matches_scalar(_lone_engine(engine), pairs)
-    keys = {key for engine, pairs, _ in calls
-            for key in _scalar_keys(engine, pairs)}
+                              _scalar_pairings(setting, pairs, hulls=union))
+        # a table over one grid's keys alone keeps that grid's hull
+        _assert_matches_scalar(setting, pairs)
+    keys = {key for _, pairs, _, setting in calls
+            for key in _scalar_keys(setting, pairs)}
     results = json.loads((tmp_path / "manifest.json").read_text())["results"]
     assert results["pairings"] == {
-        "pairs": sum(len(p) for _, p, _ in calls), "keys": len(keys),
+        "pairs": sum(len(p) for _, p, _, _ in calls), "keys": len(keys),
         "fields": len(union)}
     assert (len(union), len(keys)) == (25, 5274)
 
@@ -571,33 +585,32 @@ def test_identity_pairings_match_scalar_on_represent_grids(monkeypatch,
     calls = _captured_pairings(
         monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "0"])
     assert len(calls) == 2
-    table = calls[0][0].table
-    assert table is not None and calls[1][0].table is table
-    for engine, pairs, values in calls:
+    assert calls[1][0].table is calls[0][0].table
+    for _, pairs, values, setting in calls:
         assert len(pairs) > 1000
-        assert np.array_equal(values, _scalar_pairings(engine, pairs))
-    keys = {key for engine, pairs, _ in calls
-            for key in _scalar_keys(engine, pairs)}
+        assert np.array_equal(values, _scalar_pairings(setting, pairs))
+    keys = {key for _, pairs, _, setting in calls
+            for key in _scalar_keys(setting, pairs)}
     results = json.loads((tmp_path / "manifest.json").read_text())["results"]
     assert results["pairings"] == {
-        "pairs": sum(len(p) for _, p, _ in calls), "keys": len(keys),
+        "pairs": sum(len(p) for _, p, _, _ in calls), "keys": len(keys),
         "fields": 0}
 
 
 def test_run_table_of_one_grid_matches_lone_engine(monkeypatch, tmp_path):
     # n_omega = 1: the run's table holds the keys of one grid, so its
-    # values are the lone engine's, bit for bit
+    # values are those of a table over that grid's pairs, bit for bit
     cfg = ('{"filter": "db2", "kernel": "hilbert", "L": 5, "k_min": -5, '
            '"k_max": 3, "r": 4, "theta": 1.0, "n_omega": 1}')
     calls = _captured_pairings(
         monkeypatch, tmp_path, ["represent", "--config", cfg, "--seed", "3"])
     assert len(calls) == 1
-    engine, pairs, values = calls[0]
-    assert engine.table is not None and len(pairs) > 1000
-    lone = _lone_engine(engine)
-    assert np.array_equal(values, lone.pairings(pairs))
+    engine, pairs, values, setting = calls[0]
+    assert len(pairs) > 1000
+    assert np.array_equal(values, setting.pairings(pairs))
     results = json.loads((tmp_path / "manifest.json").read_text())["results"]
-    assert results["pairings"] == lone.counts
+    assert results["pairings"] == pairing_counts(
+        setting.op, cube_pair_keys(engine.grid, pairs))
 
 
 def test_table_lookup_rejects_missing_keys():
@@ -609,25 +622,24 @@ def test_table_lookup_rejects_missing_keys():
     keys = operators.pairing_keys(grid, *cube_arrays([I, I]),
                                   *cube_arrays([J, K]))
     table = operators.PairingTable.build(H, system, w, keys, q_loc=8)
-    engine = PairingEngine(H, grid, system, q_loc=8, table=table)
-    lone = PairingEngine(H, grid, system, q_loc=8)
-    assert np.array_equal(engine.pairings([(I, K), (I, J), (I, K)]),
-                          lone.pairings([(I, K), (I, J), (I, K)]))
-    assert engine.counts == {"pairs": 3, "keys": 0, "fields": 0}
+    engine = PairingEngine(grid, table)
+    pairs = [(I, K), (I, J), (I, K)]
+    assert np.array_equal(engine.pairings(cube_pairs(pairs)),
+                          Setting(H, grid, system, 8).pairings(pairs))
     # (K, I) has the offset of (I, K) in another (coarse k, transpose,
     # fine k) block
     other_block = operators.pairing_keys(grid, *cube_arrays([K]),
                                          *cube_arrays([I]))
     assert other_block[0, 3] in table.keys[:, 3]
     with pytest.raises(KeyError):
-        engine.pairings([(K, I)])
+        engine.pairings(cube_pairs([(K, I)]))
     # an offset no row of the table has
     L = Cube(2, (10,))
     absent = operators.pairing_keys(grid, *cube_arrays([I]),
                                     *cube_arrays([L]))
     assert absent[0, 3] not in table.keys[:, 3]
     with pytest.raises(KeyError):
-        engine.pairings([(I, L)])
+        engine.pairings(cube_pairs([(I, L)]))
     with pytest.raises(KeyError):
         table.lookup(np.concatenate([keys, absent]))
 
@@ -643,7 +655,7 @@ def test_table_keys_injective_on_deepest_window(seed):
     system = build_system("haar", q=10, strict=False)
     ident = make_operator("identity")
     side = w.len_units(8)
-    coarse = list(grid.cubes_at_scale(-51))
+    coarse = list(cubes_at_scale(grid, -51))
     fine = []
     for c in coarse:
         lo, hi = cube_box(grid, c)
@@ -667,7 +679,7 @@ def test_table_keys_injective_on_deepest_window(seed):
 
 def _localized_pairs(grid, system, k_lo, k_hi, span):
     cubes = [c for k in range(k_lo, k_hi + 1)
-             for c in grid.cubes_touching(k, *span)]
+             for c in cubes_touching(grid, k, *span)]
     return [(I, J) for I in cubes for J in cubes]
 
 
@@ -677,19 +689,17 @@ def test_pairings_match_scalar_identity_branch(name):
     w = Window(d=1, L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 7)
     system = build_system(name, q=11, strict=False)
-    engine = PairingEngine(make_operator("identity"), grid, system, q_loc=9)
+    engine = Setting(make_operator("identity"), grid, system, 9)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     assert len(pairs) > 1000
     _assert_matches_scalar(engine, pairs)
 
 
 def test_pairings_of_no_pairs(haar_setup):
-    grid, system, engine = haar_setup
+    grid, system, _ = haar_setup
     for op in ("hilbert", "identity"):
-        engine = PairingEngine(make_operator(op), grid, system, q_loc=10)
-        got = engine.pairings([])
+        got = Setting(make_operator(op), grid, system, 10).pairings([])
         assert got.shape == (0,) and got.dtype == float
-        assert engine.counts == {"pairs": 0, "keys": 0, "fields": 0}
 
 
 def test_pairing_chunks_do_not_change_values(monkeypatch):
@@ -698,28 +708,33 @@ def test_pairing_chunks_do_not_change_values(monkeypatch):
     system = build_system("db2", q=11, strict=False)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     for op in ("hilbert", "identity"):
-        whole = PairingEngine(make_operator(op), grid, system,
-                              q_loc=9).pairings(pairs)
+        whole = Setting(make_operator(op), grid, system, 9).pairings(pairs)
         # 5000 nodes: one to a few rows per interpolation, ragged last chunk
         monkeypatch.setattr(operators, "PAIRING_MAX_NODES", 5000)
-        chunked = PairingEngine(make_operator(op), grid, system,
-                                q_loc=9).pairings(pairs)
+        chunked = Setting(make_operator(op), grid, system, 9).pairings(pairs)
         monkeypatch.undo()
         assert np.array_equal(whole, chunked)
 
 
-def test_pairing_counts():
+def test_pairing_counts(monkeypatch, tmp_path):
     w = Window(d=1, L=3, k_min=-3, k_max=4)
     grid = DyadicGrid.random(w, 1)
     system = build_system("haar", q=10, strict=False)
-    engine = PairingEngine(make_operator("hilbert"), grid, system, q_loc=8)
+    H = make_operator("hilbert")
     I, J, K = Cube(2, (5,)), Cube(2, (9,)), Cube(0, (1,))
     # (I, J) and (J, I) share the field of a generation-2 cube under T^t
     # at opposite offsets; (I, K) and (K, I) need K's field under T^t and T
-    engine.pairings([(I, J), (J, I), (I, J), (I, K), (K, I)])
-    assert engine.counts == {"pairs": 5, "keys": 4, "fields": 3}
-    engine.pairings([(I, J)])
-    assert engine.counts == {"pairs": 6, "keys": 5, "fields": 4}
+    keys = cube_pair_keys(grid, [(I, J), (J, I), (I, J), (I, K), (K, I)])
+    table = operators.PairingTable.build(H, system, w, keys, q_loc=8)
+    assert table.counts == {"keys": 4, "fields": 3}
+    assert pairing_counts(H, keys) == {"pairs": 5, "keys": 4, "fields": 3}
+    # the decay-audit manifest reports the pairs its engine was given and
+    # the distinct keys and fields of its one table
+    (engine, pairs, _, _), = _captured_pairings(monkeypatch, tmp_path,
+                                                _AUDIT)
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert results["pairings"] == pairing_counts(
+        H, cube_pair_keys(engine.grid, pairs))
 
 
 _SYSTEMS = {}
@@ -742,11 +757,11 @@ def test_pairings_match_scalar_reference(k_min, depth, extra_L, name, op,
     rng = np.random.default_rng(seed)
     grid = DyadicGrid.random(w, rng.integers(2 ** 32))
     cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
+             for c in cubes_at_scale(grid, k)]
     n = int(rng.integers(1, 120))
     pairs = [(cubes[a], cubes[b])
              for a, b in rng.integers(len(cubes), size=(n, 2))]
-    engine = PairingEngine(make_operator(op), grid, _system(name), q_loc=6)
+    engine = Setting(make_operator(op), grid, _system(name), 6)
     assert np.array_equal(engine.pairings(pairs),
                           _scalar_pairings(engine, pairs))
 
@@ -762,9 +777,9 @@ def test_oversized_field_is_refused(monkeypatch):
         raise AssertionError("an oversized mesh was sized")
 
     monkeypatch.setattr(operators, "next_fast_len", no_sizing)
-    engine = PairingEngine(make_operator("hilbert"),
-                           DyadicGrid(Window(1, 52, -52, 8)),
-                           build_system("haar", q=10, strict=False), q_loc=6)
+    grid = DyadicGrid(Window(1, 52, -52, 8))
+    engine = Setting(make_operator("hilbert"), grid,
+                     build_system("haar", q=10, strict=False), 6)
     with pytest.raises(ScaleRangeError, match="FIELD_MAX_POINTS") as info:
         engine.pairings([(Cube(8, (0,)), Cube(8, (2 ** 59 - 1,)))])
     assert "\n" not in str(info.value)
@@ -817,8 +832,7 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
     grid = DyadicGrid.random(w, 5)
     system = build_system("db2", q=11, strict=False)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
-    keys = operators.pairing_keys(grid, *cube_arrays([I for I, _ in pairs]),
-                                  *cube_arrays([J for _, J in pairs]))
+    keys = cube_pair_keys(grid, pairs)
     real_apply = operators._periodic_apply
     applied, lock = [], threading.Lock()
 
@@ -845,8 +859,7 @@ def test_fields_start_largest_first(monkeypatch):
     grid = DyadicGrid.random(w, 5)
     system = build_system("db2", q=11, strict=False)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
-    keys = operators.pairing_keys(grid, *cube_arrays([I for I, _ in pairs]),
-                                  *cube_arrays([J for _, J in pairs]))
+    keys = cube_pair_keys(grid, pairs)
     real_apply = operators._periodic_apply
     sizes = []
 
@@ -870,8 +883,7 @@ def _pool_table_args():
     grid = DyadicGrid.random(w, 5)
     system = build_system("db2", q=11, strict=False)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
-    keys = operators.pairing_keys(grid, *cube_arrays([I for I, _ in pairs]),
-                                  *cube_arrays([J for _, J in pairs]))
+    keys = cube_pair_keys(grid, pairs)
     return make_operator("hilbert"), system, w, keys
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadshift.dyadic import Cube, DyadicGrid, Window, cube_arrays
-from dyadshift.operators import PairingEngine, make_operator, sample_wavelets
+from dyadshift.dyadic import Cube, DyadicGrid, Window
+from dyadshift.operators import make_operator, sample_wavelets
 from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
                               ShiftOperator, apply_shift, assemble_shift,
                               calibrate_c_emp, calibration_shift,
@@ -14,8 +14,9 @@ from dyadshift.shifts import (CLASSES, Mesh1D, NormalizationFinding,
 from dyadshift.wavelets import build_system
 from references import (WindowTruncationError, apply_averaging,
                         assemble_loop, blocks_of, calibrate_loop,
-                        calibration_blocks, classified_pairs, cube_box,
-                        descendants_loop, dilate_box, in_window,
+                        calibration_blocks, classified_pairs, cube_arrays,
+                        cube_box, cubes_at_scale, descendants_loop,
+                        dilate_box, in_window, lone_pairings,
                         scalar_classify_kind, scalar_classify_pair,
                         shift_norm_loop)
 
@@ -106,7 +107,7 @@ def _window_pairs(grid):
     """Every ordered pair (I, J) of window cubes with len(I) <= len(J)."""
     w = grid.window
     cubes = [c for k in range(w.k_min, w.k_max + 1)
-             for c in grid.cubes_at_scale(k)]
+             for c in cubes_at_scale(grid, k)]
     return [(I, J) for I in cubes for J in cubes if I.k >= J.k]
 
 
@@ -137,7 +138,7 @@ def test_classify_batch_matches_scalar_reference(case):
         pairs = [pairs[n] for n in rng.choice(len(pairs), 300, replace=False)]
     w = grid.window
     for k in range(w.k_min, w.k_max + 1):
-        gen = list(grid.cubes_at_scale(k))
+        gen = list(cubes_at_scale(grid, k))
         pairs += [(c, c) for c in gen[:1] + gen[-1:]]
     _assert_batch_matches_scalar(grid, pairs, theta, m)
 
@@ -191,7 +192,7 @@ def _classified_window(grid, system, q_loc):
     keep = ~classes[-1]
     kept = [p for p, k in zip(pairs, keep) if k]
     op = make_operator("hilbert")
-    pairings = PairingEngine(op, grid, system, q_loc=q_loc).pairings(kept)
+    pairings = lone_pairings(op, grid, system, kept, q_loc)
     fine, coarse = zip(*kept)
     return ((*cube_arrays(fine), *cube_arrays(coarse)),
             tuple(c[keep] for c in classes), kept, pairings,
@@ -360,7 +361,7 @@ def _blocks_in_and_around(grid):
     w = grid.window
     Ks = []
     for k in range(w.k_min, min(w.k_min + 3, w.k_max + 1)):
-        gen = list(grid.cubes_at_scale(k))
+        gen = list(cubes_at_scale(grid, k))
         Ks += ([Cube(k, (gen[0].l[0] - 1,))] + gen
                + [Cube(k, (gen[-1].l[0] + 1,))]) if gen else []
     return Ks
