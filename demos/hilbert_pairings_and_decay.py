@@ -38,9 +38,9 @@ def haar_pair_exact(I_lo, I_len, J_lo, J_len):
     return tot
 
 
-window = Window(d=1, L=3, k_min=-3, k_max=4)
+window = Window(L=3, k_min=-3, k_max=4)
 grid = DyadicGrid(window, omega=np.zeros(window.n_shift_bits, dtype=int))
-system = build_system("haar", q=10, strict=False)
+system = build_system("haar", q=10)
 op = make_operator("hilbert")
 
 # three pairs (I, J) as int64 arrays of generations and indices: a far

@@ -15,11 +15,11 @@ import numpy as np
 from dyadshift.dyadic import (Window, independence_table, union_bound,
                               pi_bad_estimate, pi_bad_exact)
 
-window = Window(d=1, L=3, k_min=-2, k_max=8)
+window = Window(L=3, k_min=-2, k_max=8)
 r, theta = 5, 1.0
 
 # the union bound certifies pi_bad <= (8 d / theta) 2^{-r theta}
-print(f"union bound at r={r}, theta={theta}: {union_bound(1, r, theta)}")
+print(f"union bound at r={r}, theta={theta}: {union_bound(r, theta)}")
 
 # exact bad probability for a reference generation, by enumerating every
 # relevant shift bit

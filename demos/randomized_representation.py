@@ -20,8 +20,8 @@ op = make_operator("hilbert")
 # --- randomized good-cube expansion ----------------------------------
 # the window is deep so the expansion itself is nearly complete and the
 # remaining error is the Monte Carlo spread of the goodness filter
-window = Window(d=1, L=10, k_min=-10, k_max=5)
-system = build_system("haar", q=11, strict=False)
+window = Window(L=10, k_min=-10, k_max=5)
+system = build_system("haar", q=11)
 f = TestFunction(center=511.1, halfwidth=0.8)
 g = TestFunction(center=511.9, halfwidth=0.7)
 res = randomized_expansion(op, system, window, f, g, r=4, theta=1.0,
@@ -31,7 +31,7 @@ print(f"good-cube estimate {res['estimate']:+.5f} +- {res['stderr']:.5f} "
 
 # --- truncation convergence on a deep window --------------------------
 # mean-zero bumps keep the mass classifiable inside a finite window
-window = Window(d=1, L=10, k_min=-10, k_max=5)
+window = Window(L=10, k_min=-10, k_max=5)
 f = TestFunction(center=511.9, halfwidth=0.8, tilt=1)
 g = TestFunction(center=512.2, halfwidth=0.7, tilt=1)
 curve = convergence_experiment(op, system, window, f, g, s=1, eps=0.5,

@@ -17,7 +17,7 @@ import numpy as np
 from dyadshift.wavelets import build_system, gram_defect
 
 for name in ("haar", "db2", "db3", "db8"):
-    system = build_system(name, q=10, strict=False)
+    system = build_system(name, q=10)
     moments = [system.moment(a) for a in range(system.v + 2)]
     print(f"{name:5s} m={system.m:3d} u={system.u} v={system.v} "
           f"two-scale residual {system.cascade_residual:.2e}")

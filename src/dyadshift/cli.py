@@ -59,7 +59,7 @@ def _default_pair(cfg: RunConfig) -> tuple[TestFunction, TestFunction]:
 
 
 def cmd_grid_stats(cfg: RunConfig) -> int:
-    window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
+    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     report = pi_bad_estimate(window, r=cfg.r, theta=cfg.theta,
                              samples=cfg.mc_samples, seed=cfg.seed)
     out = _outdir(cfg)
@@ -79,7 +79,7 @@ def cmd_grid_stats(cfg: RunConfig) -> int:
 
 
 def cmd_wavelet_check(cfg: RunConfig) -> int:
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
+    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
     entries = [(k, l, "psi") for k in range(3) for l in range(2 ** k)]
     defect = gram_defect(system, entries, res=min(cfg.q, 16), span=(-8.0, 9.0))
     results = {
@@ -97,13 +97,13 @@ def cmd_wavelet_check(cfg: RunConfig) -> int:
 
 
 def cmd_decay_audit(cfg: RunConfig) -> int:
-    window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
+    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     grid = DyadicGrid.random(window, cfg.seed)
     op = make_operator(cfg.kernel)
     if op.czs_seminorm is None:
         raise ConfigError("decay-audit needs a singular kernel: "
                           f"{cfg.kernel!r} has no Calderon-Zygmund bound")
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
+    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
     rows, info = decay_audit(op, system, grid, s=cfg.s, eps=cfg.eps,
                              theta=cfg.theta, i_max=cfg.N_max,
                              j_max=cfg.N_max, q_loc=min(cfg.q, 10))
@@ -121,8 +121,8 @@ def cmd_decay_audit(cfg: RunConfig) -> int:
 
 
 def cmd_represent(cfg: RunConfig) -> int:
-    window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
+    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
+    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
     op = make_operator(cfg.kernel)
     f, g = _default_pair(cfg)
     res = randomized_expansion(op, system, window, f, g, r=cfg.r,
@@ -138,8 +138,8 @@ def cmd_represent(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    window = Window(d=cfg.d, L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s, strict=False)
+    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
+    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
     op = make_operator(cfg.kernel)
     # mean-zero bumps: a nonzero mean leaves coarse-pair mass whose joins
     # fall outside the window, a plateau no truncation level can remove

@@ -2,13 +2,13 @@
 
 A config is a flat JSON object.  Recognized keys and defaults:
 
-    d           spatial dimension (only 1 is supported by the operators)
+    d           spatial dimension; only 1 is accepted (echoed in the manifest)
     s           target smoothness order, integer >= 1
     eps         the epsilon in the coefficient decay exponent, > 0
-    theta       boundary-proximity exponent in (0, 1]; default eps / (d + s)
+    theta       boundary-proximity exponent in (0, 1]; default eps / (1 + s)
     r           goodness scale separation; default is the smallest integer
-                whose union bound (8 d / theta) 2^(-r theta) is <= 1/2
-    L           window level: the window is [0, 2^L)^d
+                whose union bound (8 / theta) 2^(-r theta) is <= 1/2
+    L           window level: the window is [0, 2^L)
     k_min, k_max  generation range of the window
     q           mesh exponent for wavelet tabulation; must be
                 >= max(k_max, 0) + 6, its default
@@ -68,11 +68,11 @@ class RunConfig:
         if not self.eps > 0.0:
             raise ConfigError("invalid config: eps must be > 0")
         if self.theta is None:
-            self.theta = self.eps / (self.d + self.s)
+            self.theta = self.eps / (1 + self.s)
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("invalid config: theta must lie in (0, 1]")
         if self.r is None:
-            self.r = default_r(self.d, self.theta)
+            self.r = default_r(self.theta)
         if self.r < 1:
             raise ConfigError("invalid config: r must be >= 1")
         # 6 is the q the probe system of _check_filter is built at
@@ -121,8 +121,7 @@ class RunConfig:
     def _check_filter(self) -> None:
         from .wavelets import build_system
         try:
-            probe = build_system(self.filter, q=6, s_target=self.s,
-                                 strict=False)
+            probe = build_system(self.filter, q=6, s_target=self.s)
         except (FilterError, OSError) as exc:
             raise ConfigError(f"invalid config: filter: {exc}") from exc
         # the widest m-dilate of a window cube reaches (m-1)/2 coarsest
@@ -144,10 +143,10 @@ class RunConfig:
         return asdict(self)
 
 
-def default_r(d: int, theta: float) -> int:
-    """Smallest r with (8 d / theta) 2^(-r theta) <= 1/2."""
+def default_r(theta: float) -> int:
+    """Smallest r with (8 / theta) 2^(-r theta) <= 1/2."""
     r = 1
-    while union_bound(d, r, theta) > 0.5:
+    while union_bound(r, theta) > 0.5:
         r += 1
         if r > 10000:
             raise ConfigError("invalid config: no admissible r below 10000")
@@ -187,7 +186,7 @@ def manifest_json(cfg: RunConfig, extra: dict | None = None) -> str:
     """Deterministic manifest text: config echo plus derived quantities."""
     payload = {"config": cfg.manifest_dict()}
     payload["derived"] = {
-        "union_bound": union_bound(cfg.d, cfg.r, cfg.theta),
+        "union_bound": union_bound(cfg.r, cfg.theta),
     }
     if extra:
         payload["results"] = extra

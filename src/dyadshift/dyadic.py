@@ -50,18 +50,13 @@ class Cube:
 
 @dataclass(frozen=True)
 class Window:
-    """Spatial interval [0, 2^L) with generations k_min..k_max; the
-    dimension d must be 1."""
+    """Spatial interval [0, 2^L) with generations k_min..k_max."""
 
-    d: int
     L: int
     k_min: int
     k_max: int
 
     def __post_init__(self):
-        if self.d != 1:
-            raise ScaleRangeError(
-                "the geometry is one-dimensional: d must be 1")
         if self.k_max < self.k_min:
             raise ScaleRangeError("k_max < k_min")
         if -self.k_min > self.L:
@@ -276,9 +271,9 @@ def is_bad_batch(grid: DyadicGrid, k: np.ndarray, l: np.ndarray, r: int,
     return bad
 
 
-def union_bound(d: int, r: int, theta: float) -> float:
+def union_bound(r: int, theta: float) -> float:
     """Union-bound estimate for the bad-cube frequency."""
-    return (8.0 * d / theta) * 2.0 ** (-r * theta)
+    return (8.0 / theta) * 2.0 ** (-r * theta)
 
 
 @dataclass
@@ -289,13 +284,13 @@ class GoodnessReport:
     bound: float
     r: int
     theta: float
-    d: int
 
     def to_csv(self) -> str:
+        """One header line and one row; the d column is the dimension, 1."""
         buf = io.StringIO()
         buf.write("samples,pi_bad_hat,stderr,bound,r,theta,d\n")
         buf.write(f"{self.samples},{self.pi_bad_hat:.10g},{self.stderr:.10g},"
-                  f"{self.bound:.10g},{self.r},{self.theta:.10g},{self.d}\n")
+                  f"{self.bound:.10g},{self.r},{self.theta:.10g},1\n")
         return buf.getvalue()
 
 
@@ -358,8 +353,7 @@ def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
     p = int(bad.sum()) / samples
     se = float(np.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples))
     return GoodnessReport(samples=samples, pi_bad_hat=p, stderr=se,
-                          bound=union_bound(window.d, r, theta), r=r,
-                          theta=theta, d=window.d)
+                          bound=union_bound(r, theta), r=r, theta=theta)
 
 
 def pi_bad_exact(window: Window, k_ref: int, r: int, theta: float) -> float:

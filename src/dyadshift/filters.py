@@ -20,25 +20,26 @@ class FilterError(ValueError):
     """Raised when a refinement filter fails the QMF admissibility checks."""
 
 
-def validate_filter(h: np.ndarray, tol: float = QMF_TOL) -> None:
-    """Check finite taps, Sum h = sqrt(2) and even-shift orthonormality."""
+def validate_filter(h: np.ndarray) -> None:
+    """Check finite taps, Sum h = sqrt(2) and even-shift orthonormality,
+    each to QMF_TOL."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size < 2 or h.size % 2 != 0:
         raise FilterError("filter invalid: need an even number (>= 2) of taps")
     if not np.all(np.isfinite(h)):
         raise FilterError("filter invalid: taps must be finite numbers")
-    if abs(h.sum() - math.sqrt(2.0)) > tol:
+    if abs(h.sum() - math.sqrt(2.0)) > QMF_TOL:
         raise FilterError(
             f"filter invalid: sum of taps is {h.sum():.15g}, expected sqrt(2)"
         )
     n = h.size
     for k in range(1, n // 2):
         dot = float(np.dot(h[2 * k:], h[: n - 2 * k]))
-        if abs(dot) > tol:
+        if abs(dot) > QMF_TOL:
             raise FilterError(
                 f"filter invalid: even-shift orthonormality fails at shift {2 * k}"
             )
-    if abs(float(np.dot(h, h)) - 1.0) > tol:
+    if abs(float(np.dot(h, h)) - 1.0) > QMF_TOL:
         raise FilterError("filter invalid: taps are not l2-normalized")
 
 

@@ -151,14 +151,14 @@ class DecayAuditRow:
     psi_ratio: float | None = None
 
 
-def class_bound(kind: str, i: int, j: int, d: int, s: int, eps: float,
+def class_bound(kind: str, i: int, j: int, s: int, eps: float,
                 theta: float, czs: float, op_norm: float) -> float:
     if kind == "far":
-        return (czs * 2.0 ** (-(i + j) * d / 2.0)
-                * (2.0 ** (-i * theta)) ** (-(d + s)) * 2.0 ** (-i * s))
+        return (czs * 2.0 ** (-(i + j) / 2.0)
+                * (2.0 ** (-i * theta)) ** (-(1 + s)) * 2.0 ** (-i * s))
     if kind in ("between", "contained"):
         gap = i - j
-        return ((czs + op_norm) * 2.0 ** (-gap * d / 2.0)
+        return ((czs + op_norm) * 2.0 ** (-gap / 2.0)
                 * 2.0 ** (-gap * (s - eps)))
     return op_norm  # equal / near
 
@@ -264,12 +264,12 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     values, info["pairings"] = _pairings(op, system, grid, pairs, q_loc)
     rows = []
     for kind, i, j, count, mx in _audit_cells(kind, i, j, values):
-        bound = class_bound(kind, i, j, w.d, s, eps, theta, czs, op_norm)
+        bound = class_bound(kind, i, j, s, eps, theta, czs, op_norm)
         row = DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
                             max_pairing=mx, bound=bound, ratio=mx / bound)
         if kind in ("between", "contained") and i > j:
             t = 2.0 ** (-(i - j))
-            pb = (czs + op_norm) * 2.0 ** (-(i - j) * w.d / 2.0) \
+            pb = (czs + op_norm) * 2.0 ** (-(i - j) / 2.0) \
                 * psi_refinement(t, s)
             row.psi_bound = pb
             row.psi_ratio = mx / pb
@@ -460,7 +460,7 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
     goodness probabilities divide each retained pair)."""
     if n_omega < 1:
         raise ValueError("n_omega must be >= 1")
-    if 1.0 - union_bound(window.d, r, theta) <= 0.0:
+    if 1.0 - union_bound(r, theta) <= 0.0:
         raise ScaleRangeError(
             "pi_good too small: the union bound cannot certify positivity "
             f"at r={r}, theta={theta}")
@@ -525,7 +525,7 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
             f"N_max = {N_max} exceeds the window's depth k_max - k_min = "
             f"{depth}, the largest level a pair can have; lower N_max")
     if theta is None:
-        theta = eps / (window.d + s)
+        theta = eps / (1 + s)
     if r is None:
         r = window.k_max - window.k_min + 1  # vacuous: nothing classifiable
     pi_good = _pi_good_by_scale(window, r, theta)

@@ -21,14 +21,14 @@ from .wavelets import WaveletSystem
 
 @dataclass
 class KernelOp:
-    """d=1 convolution operator Tf(x) = pv Int k(x-y) f(y) dy.
+    """Convolution operator Tf(x) = pv Int k(x-y) f(y) dy on the line.
 
     multiplier: symbol m(xi) so that (Tf)^(xi) = m(xi) f^(xi), radian
     frequency; the transpose T^t has symbol m(-xi).  czs_seminorm: the
     Calderon-Zygmund constant of order s.  tail_order: exponent c such that
     the kernel k(u) ~ a / u^c for large u; tail_order == 1 activates the
-    moment-based periodization corrections in apply_multiplier.  The
-    identity has no seminorm and is not singular.
+    moment-based periodization corrections in apply_multiplier.  An
+    operator is singular when it has a seminorm; the identity has none.
     """
 
     name: str
@@ -36,7 +36,10 @@ class KernelOp:
     l2_norm: float
     czs_seminorm: callable = None
     tail_order: int = 0
-    singular: bool = True
+
+    @property
+    def singular(self) -> bool:
+        return self.czs_seminorm is not None
 
 
 def _hilbert_multiplier(xi):
@@ -74,35 +77,32 @@ def make_operator(name: str) -> KernelOp:
                         l2_norm=1.0, czs_seminorm=_smoothed_czs, tail_order=3)
     if name == "identity":
         return KernelOp(name="identity", multiplier=lambda xi: np.ones_like(xi),
-                        l2_norm=1.0, singular=False)
+                        l2_norm=1.0)
     raise ValueError(f"unknown operator {name!r}")
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Compactly supported bump c * t^tilt (1 - t^2)^power on |t| < 1,
+    """Compactly supported bump t^tilt (1 - t^2)^4 on |t| < 1,
     t = (x-c)/w.
 
-    power >= 2 gives a C^1 function; the default power 4 is C^3, which keeps
-    fine-generation wavelet coefficients decaying fast.  An odd tilt makes
-    the function mean zero, which suppresses the coarse-generation wavelet
-    coefficients that a finite window cannot classify.
+    The power 4 makes it C^3, which keeps fine-generation wavelet
+    coefficients decaying fast.  An odd tilt makes the function mean zero,
+    which suppresses the coarse-generation wavelet coefficients that a
+    finite window cannot classify.
     """
 
     __test__ = False  # keep test collectors away despite the name
 
     center: float = 0.0
     halfwidth: float = 1.0
-    power: int = 4
-    amplitude: float = 1.0
     tilt: int = 0
 
     def __call__(self, x):
         t = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
         inside = np.abs(t) < 1.0
         out = np.zeros_like(t)
-        out[inside] = (self.amplitude * t[inside] ** self.tilt
-                       * (1.0 - t[inside] ** 2) ** self.power)
+        out[inside] = t[inside] ** self.tilt * (1.0 - t[inside] ** 2) ** 4
         return out
 
     @property

@@ -91,12 +91,12 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                                          partner_l, m)
 
 
-def coefficient_scale(i: int, j: int, d: int) -> float:
+def coefficient_scale(i: int, j: int) -> float:
     """sqrt(|I||J|)/|K| for the (i,j) block geometry."""
-    return 2.0 ** (-(i + j) * d / 2.0)
+    return 2.0 ** (-(i + j) / 2.0)
 
 
-def shift_coefficient(pairing, i: int, j: int, d: int, s: int, eps: float,
+def shift_coefficient(pairing, i: int, j: int, s: int, eps: float,
                       bound_const: float, c_emp: float, names=None):
     """a_IJK = pairing / (c_emp (|K|_CZs + |T|) 2^{-max(i,j)(s - 2 eps)}),
     elementwise over a pairing value or an array of them.
@@ -108,7 +108,7 @@ def shift_coefficient(pairing, i: int, j: int, d: int, s: int, eps: float,
     """
     decay = 2.0 ** (-max(i, j) * (s - 2.0 * eps))
     a = np.asarray(pairing, dtype=float) / (c_emp * bound_const * decay)
-    cap = coefficient_scale(i, j, d)
+    cap = coefficient_scale(i, j)
     over = np.flatnonzero(np.abs(a) > cap * (1.0 + 1e-12))
     if over.size:
         n = int(over[0])
@@ -151,7 +151,7 @@ class ShiftOperator:
 
     def max_normalized_coefficient(self) -> float:
         return (float(np.max(np.abs(self.a), initial=0.0))
-                / coefficient_scale(self.i, self.j, 1))
+                / coefficient_scale(self.i, self.j))
 
     def transpose(self) -> "ShiftOperator":
         """The dual shift: type (j,i) with every block transposed."""
@@ -199,9 +199,9 @@ def assemble_shift(grid: DyadicGrid, system, i: int, j: int, pairs, classes,
         pick &= good_mask
     sel = np.flatnonzero(pick)
     a = shift_coefficient(
-        np.asarray(pairings)[sel], i, j, grid.window.d, s, eps, bound_const,
-        c_emp, names=lambda n: (f"I=(k={I_k[sel[n]]}, l={I_l[sel[n]]}) "
-                                f"J=(k={J_k[sel[n]]}, l={J_l[sel[n]]})"))
+        np.asarray(pairings)[sel], i, j, s, eps, bound_const, c_emp,
+        names=lambda n: (f"I=(k={I_k[sel[n]]}, l={I_l[sel[n]]}) "
+                         f"J=(k={J_k[sel[n]]}, l={J_l[sel[n]]})"))
     k_lo, k_hi = grid.boxes(K_k[sel], K_l[sel])
     inside = np.ones(sel.size, dtype=bool)
     for k, l in ((I_k[sel], I_l[sel]), (J_k[sel], J_l[sel])):
@@ -246,7 +246,7 @@ def descendants(grid: DyadicGrid, K_k, K_l, depth: int,
 
 
 def calibrate_c_emp(classes, pairings, s: int, eps: float,
-                    bound_const: float, d: int) -> float:
+                    bound_const: float) -> float:
     """Smallest normalization constant >= 1 for which every normalized
     coefficient of the pairs with classify_batch output classes and the
     given pairings obeys the admissible-shift cap; truncated pairs are
@@ -264,7 +264,7 @@ def calibrate_c_emp(classes, pairings, s: int, eps: float,
     for ti, tj in np.unique(np.stack([i, j], axis=1)[~truncated],
                             axis=0).tolist():
         decay = 2.0 ** (-max(ti, tj) * (s - 2.0 * eps))
-        cap = coefficient_scale(ti, tj, d)
+        cap = coefficient_scale(ti, tj)
         top = float(size[~truncated & (i == ti) & (j == tj)].max())
         worst = max(worst, top / (bound_const * decay * cap))
     return max(1.0, worst)
@@ -294,7 +294,7 @@ def calibration_shift(grid: DyadicGrid, i: int, j: int, K_k, K_l,
         n = n_i[rows]
         I_l = I_l[rows]
         J_l = J_l[(np.cumsum(per_block) - per_block)[n] + p]
-    a = np.full(n.size, coefficient_scale(i, j, grid.window.d))
+    a = np.full(n.size, coefficient_scale(i, j))
     return ShiftOperator(i, j, K_k[n], K_l[n], I_l, J_l, a,
                          class_filter=("calibration",))
 

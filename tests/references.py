@@ -4,7 +4,8 @@ compare it with:
   supports: the dense double quadrature over both wavelets' midpoint nodes
   (pair_quadrature) and the same double sum as one lattice correlation
   (pair_correlation), from a table of the operators' kernels, while the
-  library evaluates every operator through its symbol;
+  library evaluates every operator through its symbol, and the closed form
+  of Haar pairings under the Hilbert transform (haar_pair_exact);
 - the Cube front end the library dropped (cube lists from a grid and their
   int64 arrays, Cube tuples into a CubePairs) and the per-call pairing
   table a PairingEngine once built for itself, with pairing counts taken
@@ -212,6 +213,25 @@ def pair_correlation(op, grid, system, fine: Cube, coarse: Cube,
     return float(np.sum(kernel(d) * corr)) * hi * hj
 
 
+def _haar_box_pair(a, b, c, d):
+    """Exact int_{[c,d]} int_{[a,b]} 1/(pi(x-y)) dy dx."""
+    def L(u):
+        return 0.0 if u == 0.0 else u * math.log(abs(u))
+    return (L(d - a) - L(c - a) - L(d - b) + L(c - b)) / math.pi
+
+
+def haar_pair_exact(I_lo, I_len, J_lo, J_len):
+    """<psi_J, H psi_I> for unit-normalized Haar wavelets, closed form."""
+    si, sj = 1.0 / math.sqrt(I_len), 1.0 / math.sqrt(J_len)
+    tot = 0.0
+    for a, b, wi in ((I_lo, I_lo + I_len / 2, si),
+                     (I_lo + I_len / 2, I_lo + I_len, -si)):
+        for c, d, wj in ((J_lo, J_lo + J_len / 2, sj),
+                         (J_lo + J_len / 2, J_lo + J_len, -sj)):
+            tot += wi * wj * _haar_box_pair(a, b, c, d)
+    return tot
+
+
 # ---------------------------------------------------------------------------
 # one cube at a time
 
@@ -379,7 +399,7 @@ def descendants_loop(grid, K: Cube, depth: int) -> list:
 
 def calibration_blocks(grid, i: int, j: int, Ks, pattern: str = "full"):
     """calibration_shift's blocks, one K at a time."""
-    cap = coefficient_scale(i, j, grid.window.d)
+    cap = coefficient_scale(i, j)
     blocks = {}
     for K in Ks:
         eye = descendants_loop(grid, K, i)
@@ -400,12 +420,12 @@ def classified_pairs(pairs, classes) -> list:
             for n, (I, J) in enumerate(pairs) if not truncated[n]]
 
 
-def calibrate_loop(classified, pairings, s, eps, bound_const, d) -> float:
+def calibrate_loop(classified, pairings, s, eps, bound_const) -> float:
     """calibrate_c_emp, one pair at a time."""
     worst = 0.0
     for (_, _, (_, _, i, j)), v in zip(classified, pairings):
         decay = 2.0 ** (-max(i, j) * (s - 2.0 * eps))
-        cap = coefficient_scale(i, j, d)
+        cap = coefficient_scale(i, j)
         worst = max(worst, abs(float(v)) / (bound_const * decay * cap))
     return max(1.0, worst)
 
@@ -548,12 +568,12 @@ def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
         cur[1] = max(cur[1], abs(float(v)))
     rows = []
     for (kind, i, j), (count, mx) in sorted(cells.items()):
-        bound = class_bound(kind, i, j, w.d, s, eps, theta, czs, op_norm)
+        bound = class_bound(kind, i, j, s, eps, theta, czs, op_norm)
         row = DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
                             max_pairing=mx, bound=bound, ratio=mx / bound)
         if kind in ("between", "contained") and i > j:
             t = 2.0 ** (-(i - j))
-            pb = (czs + op_norm) * 2.0 ** (-(i - j) * w.d / 2.0) \
+            pb = (czs + op_norm) * 2.0 ** (-(i - j) / 2.0) \
                 * psi_refinement(t, s)
             row.psi_bound = pb
             row.psi_ratio = mx / pb

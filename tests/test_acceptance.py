@@ -40,12 +40,12 @@ def zero_grid(w: Window) -> DyadicGrid:
 
 
 def test_criterion_1_badness_probability():
-    w = Window(d=1, L=3, k_min=-2, k_max=10)
+    w = Window(L=3, k_min=-2, k_max=10)
     t0 = time.perf_counter()
     checks = []
     for r in (5, 8):
         rep = pi_bad_estimate(w, r=r, theta=1.0, samples=100_000, seed=42)
-        bound = union_bound(1, r, 1.0)
+        bound = union_bound(r, 1.0)
         checks.append((r, rep.pi_bad_hat, bound, rep.stderr,
                        rep.pi_bad_hat <= bound + 3.0 * rep.stderr))
     elapsed = time.perf_counter() - t0
@@ -56,7 +56,7 @@ def test_criterion_1_badness_probability():
 
 
 def test_criterion_2_position_badness_independence():
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     table = independence_table(w, r=5, theta=1.0, samples=10_000, seed=1,
                                k_ref=5)
     row = table.sum(axis=1, keepdims=True)
@@ -73,7 +73,7 @@ def test_criterion_3_wavelet_system_properties():
     t0 = time.perf_counter()
     failures = []
     for name in builtin_filter_names():
-        system = build_system(name, q=14, strict=False)
+        system = build_system(name, q=14)
         entries = [(k, l, "psi") for k in range(3) for l in range(-2, 2 ** k + 3)]
         span = (system.lo - 3.0, system.lo + system.m + 4.0)
         gd = gram_defect(system, entries, res=14, span=span)
@@ -93,9 +93,9 @@ def test_criterion_3_wavelet_system_properties():
 
 
 def test_criterion_4_pairing_cross_validation():
-    w = Window(d=1, L=2, k_min=0, k_max=4)
+    w = Window(L=2, k_min=0, k_max=4)
     grid = DyadicGrid.random(w, 3)
-    system = build_system("haar", q=12, strict=False)
+    system = build_system("haar", q=12)
     op = make_operator("hilbert")
     pairs = disjoint_pairs(grid, system)
     assert len(pairs) == 13670
@@ -111,7 +111,7 @@ def test_criterion_4_pairing_cross_validation():
 
 
 def test_criterion_5_partition_completeness():
-    w = Window(d=1, L=5, k_min=-5, k_max=0)
+    w = Window(L=5, k_min=-5, k_max=0)
     grid = DyadicGrid.random(w, 0)
     cubes = [c for k in range(w.k_min, w.k_max + 1)
              for c in cubes_at_scale(grid, k)]
@@ -132,9 +132,9 @@ def test_criterion_5_partition_completeness():
 @pytest.fixture(scope="module")
 def classified_hilbert():
     """All classifiable Hilbert pairs on a small window, with pairings."""
-    w = Window(d=1, L=3, k_min=-3, k_max=2)
+    w = Window(L=3, k_min=-3, k_max=2)
     grid = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     cubes = [c for k in range(w.k_min, w.k_max + 1)
              for c in cubes_at_scale(grid, k)]
     fine, coarse = zip(*[(I, J) for I in cubes for J in cubes
@@ -153,7 +153,7 @@ def classified_hilbert():
 
 def test_criterion_6_good_shift_and_coefficient_bounds(classified_hilbert):
     grid, system, pairs, classes, pairings, bound_const = classified_hilbert
-    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const)
     seen = sorted(set(zip(classes[3].tolist(), classes[4].tolist())))
     worst = 0.0
     all_good = True
@@ -175,9 +175,9 @@ def test_criterion_6_good_shift_and_coefficient_bounds(classified_hilbert):
 
 
 def test_criterion_7_averaging_and_shift_boundedness():
-    w = Window(d=1, L=3, k_min=0, k_max=7)
+    w = Window(L=3, k_min=0, k_max=7)
     grid = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     # pointwise averaging bound across blocks, worst-case input per block
     mesh = Mesh1D.cover(0.0, 8.0, 9)
     x = mesh.centers
@@ -220,7 +220,7 @@ def _level_maxima(rows):
 
 
 def test_criterion_8_decay_audit_smooth_vs_haar():
-    w = Window(d=1, L=5, k_min=-5, k_max=6)
+    w = Window(L=5, k_min=-5, k_max=6)
     grid = DyadicGrid.random(w, 11)
     op = make_operator("hilbert")
     span = (14.0, 18.0)
@@ -238,7 +238,7 @@ def test_criterion_8_decay_audit_smooth_vs_haar():
                 worst_growth = max(worst_growth, lv[b] / lv[a])
                 growth_ok = growth_ok and lv[b] < 2.0 * lv[a]
     # the Haar filter asked for the same smoothness order blows up
-    haar = build_system("haar", q=10, strict=False)
+    haar = build_system("haar", q=10)
     rowsh, _ = decay_audit(op, haar, grid, s=2, eps=0.5, theta=0.5,
                            i_max=6, j_max=6, q_loc=9, span=span)
     cont = _level_maxima(rowsh).get("contained", {})
@@ -254,9 +254,9 @@ def test_criterion_8_decay_audit_smooth_vs_haar():
 
 
 def test_criterion_9_expansion_identity():
-    haar = build_system("haar", q=12, strict=False)
+    haar = build_system("haar", q=12)
     # identity calibration on a deep window: the double expansion of <g, f>
-    w = Window(d=1, L=26, k_min=-26, k_max=8)
+    w = Window(L=26, k_min=-26, k_max=8)
     grid = zero_grid(w)
     ident = make_operator("identity")
     f = Bump(center=3.1, halfwidth=0.8)
@@ -266,7 +266,7 @@ def test_criterion_9_expansion_identity():
     op = make_operator("hilbert")
     defects = []
     for k_min, k_max in ((-2, 5), (-3, 6)):
-        w2 = Window(d=1, L=-k_min, k_min=k_min, k_max=k_max)
+        w2 = Window(L=-k_min, k_min=k_min, k_max=k_max)
         res = expansion_identity(op, haar, zero_grid(w2), f, g, q_loc=10)
         defects.append(res["defect"])
     ok = res_id["defect"] < 1e-6 and defects[1] < defects[0]
@@ -275,8 +275,8 @@ def test_criterion_9_expansion_identity():
 
 
 def test_criterion_10_randomized_representation():
-    w = Window(d=1, L=5, k_min=0, k_max=5)
-    system = build_system("haar", q=11, strict=False)
+    w = Window(L=5, k_min=0, k_max=5)
+    system = build_system("haar", q=11)
     op = make_operator("hilbert")
     f = Bump(center=15.1, halfwidth=0.8)
     g = Bump(center=15.9, halfwidth=0.7)
@@ -302,13 +302,13 @@ def test_criterion_11_convergence_rate():
     # one configuration, two filters: overlapping mean-zero bumps on a deep
     # window so the whole pairing mass is classifiable and the goodness
     # filter is vacuous (no Monte Carlo variance from the filter itself)
-    w = Window(d=1, L=12, k_min=-12, k_max=6)
+    w = Window(L=12, k_min=-12, k_max=6)
     op = make_operator("hilbert")
     f = Bump(center=2047.9, halfwidth=0.8, tilt=1)
     g = Bump(center=2048.2, halfwidth=0.7, tilt=1)
     slopes = {}
     for name in ("db3", "haar"):
-        system = build_system(name, q=10, strict=False, s_target=1)
+        system = build_system(name, q=10, s_target=1)
         curve = convergence_experiment(op, system, w, f, g, s=2, eps=0.5,
                                        N_max=8, n_omega=4, seed=7, q_loc=8)
         slopes[name] = curve.slope

@@ -21,8 +21,8 @@ def test_defaults_resolve():
 
 def test_default_r_ladder():
     # (8d/theta) 2^{-r theta} <= 1/2 at theta=1 needs r=4
-    assert default_r(1, 1.0) == 4
-    assert default_r(1, 0.25) == 24
+    assert default_r(1.0) == 4
+    assert default_r(0.25) == 24
 
 
 def test_haar_rejected_for_s2():
@@ -131,7 +131,8 @@ def _exit_and_stderr(capsys, argv):
                                  '{"kernel": "hilbert", "eps": 1e999}',
                                  '{"kernel": "hilbert", "eps": ' + "9" * 400
                                  + '}',
-                                 '{"kernel": "hilbert", "L": 60}'])
+                                 '{"kernel": "hilbert", "L": 60}',
+                                 '{"kernel": "hilbert", "d": 2}'])
 def test_cli_bad_types_and_ranges_exit_2(tmp_path, capsys, cfg):
     code, err = _exit_and_stderr(
         capsys, ["represent", "--config", cfg, "--outdir", str(tmp_path)])
@@ -179,12 +180,16 @@ def test_cli_default_window_too_shallow_for_r_exits_4(tmp_path, capsys):
 
 
 def test_cli_cascade_over_memory_budget_exits_4(tmp_path, capsys):
-    # q = 40 asks for a 2^41-point cascade mesh: refused before allocating
-    code, err = _exit_and_stderr(
-        capsys, ["wavelet-check", "--config", '{"kernel": "hilbert", "q": 40}',
-                 "--outdir", str(tmp_path)])
-    assert code == 4
-    assert err.startswith("error: cascade") and "\n" not in err
+    # q = 40 asks for a 2^41-point cascade mesh: refused before allocating.
+    # q = 2^53, the largest the config accepts, is refused before the mesh
+    # size is formed: that integer alone would exhaust memory
+    for q in (40, 2 ** 53):
+        cfg = json.dumps({"kernel": "hilbert", "q": q})
+        code, err = _exit_and_stderr(
+            capsys, ["wavelet-check", "--config", cfg,
+                     "--outdir", str(tmp_path)])
+        assert code == 4
+        assert err.startswith("error: cascade") and "\n" not in err
 
 
 def test_cli_repeated_eigenvalue_filter_exits_4(tmp_path, capsys):

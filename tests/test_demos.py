@@ -1,7 +1,8 @@
 """Every walkthrough in demos/ runs to completion against this checkout.
 
 Each demo runs in its own process with the package imported from src/,
-and must exit 0.  The demos write nothing; they run in tmp_path anyway.
+under `-W error` as the suite itself runs, and must exit 0.  The demos
+write nothing; they run in tmp_path anyway.
 """
 
 import os
@@ -23,6 +24,7 @@ def test_demos_exist():
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -30,19 +30,12 @@ def test_cube_sidelength():
 
 def test_window_rejects_too_coarse():
     with pytest.raises(ScaleRangeError):
-        Window(d=1, L=2, k_min=-3, k_max=4)
-
-
-def test_window_rejects_other_dimensions():
-    # the geometry is one-dimensional, as the run config is
-    for d in (0, 2, 3):
-        with pytest.raises(ScaleRangeError, match="d must be 1"):
-            Window(d=d, L=3, k_min=-2, k_max=4)
+        Window(L=2, k_min=-3, k_max=4)
 
 
 def test_shifted_corner_quarter():
     # only the generation-2 bit set: shift of a generation-1 cube is 2^-2
-    w = Window(d=1, L=1, k_min=0, k_max=3)
+    w = Window(L=1, k_min=0, k_max=3)
     omega = np.zeros(w.n_shift_bits, dtype=int)
     omega[1] = 1  # bit for generation k_min+1+1 = 2
     lo, _ = DyadicGrid(w, omega).boxes([1], [0])
@@ -50,7 +43,7 @@ def test_shifted_corner_quarter():
 
 
 def test_shift_is_sum_of_finer_bits():
-    w = Window(d=1, L=2, k_min=0, k_max=5)
+    w = Window(L=2, k_min=0, k_max=5)
     rng = np.random.default_rng(0)
     omega = rng.integers(0, 2, size=w.n_shift_bits)
     grid = DyadicGrid(w, omega)
@@ -62,7 +55,7 @@ def test_shift_is_sum_of_finer_bits():
 
 
 def test_cube_arrays_reads_a_generator_once():
-    grid = DyadicGrid.random(Window(d=1, L=2, k_min=0, k_max=4), 5)
+    grid = DyadicGrid.random(Window(L=2, k_min=0, k_max=4), 5)
     k, l = cube_arrays(cubes_at_scale(grid, 2))
     assert k.size == l.size == len(list(cubes_at_scale(grid, 2))) > 0
     assert np.array_equal(np.stack([k, l]),
@@ -72,7 +65,7 @@ def test_cube_arrays_reads_a_generator_once():
 
 
 def test_nestedness_and_disjointness():
-    w = Window(d=1, L=2, k_min=0, k_max=4)
+    w = Window(L=2, k_min=0, k_max=4)
     grid = DyadicGrid.random(w, 5)
     lo, hi = grid.boxes(*cube_arrays(list(cubes_at_scale(grid, 2))))
     plo, phi = grid.boxes(*cube_arrays(list(cubes_at_scale(grid, 1))))
@@ -92,7 +85,7 @@ def _join(grid, fine, coarse, m):
 
 
 def test_ancestor_chain():
-    w = Window(d=1, L=3, k_min=-3, k_max=5)
+    w = Window(L=3, k_min=-3, k_max=5)
     grid = zero_grid(w)
     # with m = 1 a cube joins its generation-0 ancestor in that ancestor:
     # [17/8, 18/8) sits inside [2, 3)
@@ -101,14 +94,14 @@ def test_ancestor_chain():
 
 
 def test_ancestor_join_identity_dilate():
-    w = Window(d=1, L=3, k_min=-3, k_max=5)
+    w = Window(L=3, k_min=-3, k_max=5)
     grid = zero_grid(w)
     K_k, _, i, j, truncated = _join(grid, Cube(3, (9,)), Cube(1, (2,)), 3)
     assert (K_k, i, j, truncated) == (-1, 4, 2, False)
 
 
 def test_ancestor_join_raises_outside_window():
-    w = Window(d=1, L=3, k_min=-3, k_max=5)
+    w = Window(L=3, k_min=-3, k_max=5)
     grid = zero_grid(w)
     # 3-dilate of [0, 1/8) reaches below 0; no window cube contains it
     fine, coarse = Cube(3, (0,)), Cube(1, (4,))
@@ -127,38 +120,38 @@ def boundary_dist(grid: DyadicGrid, cube: Cube, k_coarse: int) -> int:
 
 
 def test_boundary_dist_face_sharing():
-    w = Window(d=1, L=3, k_min=0, k_max=6)
+    w = Window(L=3, k_min=0, k_max=6)
     grid = zero_grid(w)
     # [1, 1+1/64) touches the generation-0 skeleton line at x=1
     assert boundary_dist(grid, Cube(6, (64,)), 0) == 0
 
 
 def test_is_bad_face_sharing_ancestor():
-    w = Window(d=1, L=3, k_min=0, k_max=8)
+    w = Window(L=3, k_min=0, k_max=8)
     grid = zero_grid(w)
     assert _is_bad(grid, Cube(8, (256,)), r=4, theta=1.0)       # at x=1
     assert not _is_bad(grid, Cube(8, (128 + 3,)), r=4, theta=1.0)
 
 
 def test_union_bound_arithmetic():
-    assert union_bound(1, 5, 1.0) == 0.25
-    assert union_bound(1, 8, 1.0) == 0.03125
-    # default-resolution example: d=1, theta=0.25 -> smallest r with
+    assert union_bound(5, 1.0) == 0.25
+    assert union_bound(8, 1.0) == 0.03125
+    # default-resolution example: theta=0.25 -> smallest r with
     # 32 * 2^(-r/4) <= 1/2 is 24
-    assert default_r(1, 0.25) == 24
+    assert default_r(0.25) == 24
 
 
 def test_pi_bad_exact_oracles():
     # ladder of fully-enumerable windows; frozen values from the geometric
     # structure: bad fraction at theta=1 doubles the one-sided reach 2^-r
     # per contributing generation
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     assert pi_bad_exact(w, 6, r=5, theta=1.0) == 0.125
     assert pi_bad_exact(w, 6, r=8, theta=1.0) == 0.015625
 
 
 def test_pi_bad_estimate_matches_exact():
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     rep = pi_bad_estimate(w, r=5, theta=1.0, samples=100_000, seed=1, k_ref=6)
     exact = pi_bad_exact(w, 6, r=5, theta=1.0)
     assert abs(rep.pi_bad_hat - exact) <= 4.0 * rep.stderr
@@ -167,7 +160,7 @@ def test_pi_bad_estimate_matches_exact():
 
 
 def test_independence_chi_square():
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     table = independence_table(w, r=5, theta=1.0, samples=10_000, seed=2,
                                k_ref=5)
     assert table.sum() == 10_000
@@ -183,7 +176,7 @@ def test_independence_chi_square():
 def test_badness_independent_of_position_exactly():
     # badness reads bits of generations <= k_ref, position reads finer bits;
     # flipping fine bits never changes badness
-    w = Window(d=1, L=2, k_min=0, k_max=6)
+    w = Window(L=2, k_min=0, k_max=6)
     rng = np.random.default_rng(3)
     for _ in range(50):
         omega = rng.integers(0, 2, size=w.n_shift_bits)
@@ -197,7 +190,7 @@ def test_badness_independent_of_position_exactly():
 
 
 def test_cubes_touching_exact_range():
-    w = Window(d=1, L=2, k_min=0, k_max=4)
+    w = Window(L=2, k_min=0, k_max=4)
     grid = zero_grid(w)
     got = list(cubes_touching(grid, 1, 8, 24))
     # units are 2^-5; [8,24] units = [0.25, 0.75] touches [0,0.5) and [0.5,1)
@@ -209,7 +202,7 @@ def test_touching_range_matches_cube_geometry():
     # every generation and clip of a shifted grid: the range holds exactly
     # the in-window cubes whose closed box meets [lo, hi], and is empty
     # (stop <= start) when none does
-    w = Window(d=1, L=2, k_min=-2, k_max=3)
+    w = Window(L=2, k_min=-2, k_max=3)
     grid = DyadicGrid.random(w, 7)
     rng = np.random.default_rng(0)
     for k in range(w.k_min, w.k_max + 1):
@@ -260,7 +253,7 @@ def test_badness_kernel_matches_scalar_loop():
     checked = 0
     for _ in range(40):
         k_min = int(rng.integers(-4, 1))
-        w = Window(d=1, L=-k_min + int(rng.integers(0, 3)), k_min=k_min,
+        w = Window(L=-k_min + int(rng.integers(0, 3)), k_min=k_min,
                    k_max=k_min + int(rng.integers(2, 8)))
         grid = DyadicGrid.random(w, rng.integers(1 << 30))
         theta = float(rng.choice([0.25, 0.5, 0.7, 1.0]))
@@ -283,7 +276,7 @@ def test_is_bad_batch_matches_scalar_reference(k_min, depth, extra_L, r,
                                                theta, seed):
     # a random selection of every generation in random order, repeats and
     # cubes too coarse to be tested included
-    w = Window(d=1, L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
+    w = Window(L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
     rng = np.random.default_rng(seed)
     grid = DyadicGrid.random(w, rng.integers(2 ** 32))
     cubes = [c for k in range(w.k_min, w.k_max + 1)
@@ -298,7 +291,7 @@ def test_is_bad_batch_matches_scalar_reference(k_min, depth, extra_L, r,
 def test_badness_batch_matches_exact_enumeration():
     # every bit string once: the batch over all strings is the exact
     # probability, and it is the same at shifted reference positions
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     for k_ref in (4, 6, 8):
         n_rows = k_ref - w.k_min
         strings = np.arange(1 << n_rows)
@@ -314,7 +307,7 @@ def test_badness_batch_matches_exact_enumeration():
 def test_reference_generation_beyond_window_raises():
     # the default reference cube sits r generations below k_min, here
     # below k_max: no cube of the window can be tested
-    w = Window(d=1, L=4, k_min=0, k_max=5)
+    w = Window(L=4, k_min=0, k_max=5)
     with pytest.raises(ScaleRangeError, match="k_max"):
         pi_bad_estimate(w, r=24, theta=0.25, samples=10, seed=0)
     with pytest.raises(ScaleRangeError, match="k_max"):
@@ -325,7 +318,7 @@ def test_monte_carlo_bit_bound_refuses_before_drawing(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("drew translation bits")
     monkeypatch.setattr(np.random, "default_rng", no_rng)
-    w = Window(d=1, L=3, k_min=-2, k_max=10)
+    w = Window(L=3, k_min=-2, k_max=10)
     with pytest.raises(ScaleRangeError, match="MC_MAX_BITS"):
         pi_bad_estimate(w, r=5, theta=1.0, samples=2 ** 40, seed=0)
     with pytest.raises(ScaleRangeError, match="MC_MAX_BITS"):
@@ -335,14 +328,14 @@ def test_monte_carlo_bit_bound_refuses_before_drawing(monkeypatch):
 def test_badness_draws_pinned():
     # values recorded when the translation bits were drawn as an
     # (samples, bits, 1) array; the one-dimensional draw is the same stream
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     assert pi_bad_estimate(w, r=5, theta=1.0, samples=2000, seed=1,
                            k_ref=6).pi_bad_hat == 0.1175
     assert pi_bad_estimate(w, r=4, theta=1.0, samples=3000,
                            seed=7).pi_bad_hat == 748 / 3000
     assert pi_bad_estimate(w, r=6, theta=0.7, samples=3000, seed=3,
                            k_ref=7).pi_bad_hat == 469 / 3000
-    assert pi_bad_estimate(Window(d=1, L=4, k_min=-4, k_max=6), r=5,
+    assert pi_bad_estimate(Window(L=4, k_min=-4, k_max=6), r=5,
                            theta=1.0, samples=5000, seed=0).pi_bad_hat \
         == 0.1202
     assert independence_table(w, r=5, theta=1.0, samples=2000, seed=2,

@@ -49,9 +49,9 @@ def test_psi_refinement_properties():
 
 
 def test_localized_cubes_haar_exact():
-    w = Window(d=1, L=3, k_min=0, k_max=3)
+    w = Window(L=3, k_min=0, k_max=3)
     g = zero_grid(w)
-    system = build_system("haar", q=9, strict=False)
+    system = build_system("haar", q=9)
     k, l = localized_cubes(g, system, (2.1, 2.9))
     assert k.dtype == l.dtype == np.int64
     # side 1/2 cubes touching [2.1, 2.9]: [2, 2.5) and [2.5, 3)
@@ -59,7 +59,7 @@ def test_localized_cubes_haar_exact():
 
 
 def test_localized_coefficient_mesh_stable():
-    w = Window(d=1, L=3, k_min=0, k_max=5)
+    w = Window(L=3, k_min=0, k_max=5)
     g = zero_grid(w)
     system = build_system("db3", q=12)
     f = TestFunction(center=4.0, halfwidth=0.9)
@@ -74,9 +74,9 @@ def test_localized_coefficients_match_one_cube_reference(name, monkeypatch):
     # every cube whose m-dilate meets a span wider than the function's
     # support: cubes inside the support, cubes clipped by it and cubes
     # that miss it, which must give exactly 0.0
-    system = build_system(name, q=10, strict=False)
-    for w, center in ((Window(d=1, L=4, k_min=-4, k_max=3), 7.9),
-                      (Window(d=1, L=6, k_min=-3, k_max=5), 20.3)):
+    system = build_system(name, q=10)
+    for w, center in ((Window(L=4, k_min=-4, k_max=3), 7.9),
+                      (Window(L=6, k_min=-3, k_max=5), 20.3)):
         for seed in (1, 2):
             grid = DyadicGrid.random(w, seed)
             for tilt in (0, 1):
@@ -106,8 +106,8 @@ def test_localized_coefficients_match_one_cube_reference(name, monkeypatch):
 
 
 def test_decay_audit_needs_seminorm():
-    w = Window(d=1, L=2, k_min=-2, k_max=1)
-    system = build_system("haar", q=9, strict=False)
+    w = Window(L=2, k_min=-2, k_max=1)
+    system = build_system("haar", q=9)
     with pytest.raises(ValueError, match="'identity'"):
         decay_audit(make_operator("identity"), system, zero_grid(w), s=1,
                     eps=0.5, theta=1.0, i_max=3, j_max=3)
@@ -116,8 +116,8 @@ def test_decay_audit_needs_seminorm():
 def test_decay_audit_refuses_oversized_span_block(monkeypatch):
     # a span bounds the cubes, so their counts are checked once they are
     # localized, before any pair array is built
-    w = Window(d=1, L=4, k_min=-4, k_max=4)
-    system = build_system("db2", q=9, strict=False)
+    w = Window(L=4, k_min=-4, k_max=4)
+    system = build_system("db2", q=9)
 
     def no_pairs(*args):
         raise AssertionError("pairs were classified")
@@ -139,21 +139,21 @@ def test_ground_truth_identity_matches_plain_product():
 
 
 def test_class_bound_arithmetic():
-    # far: czs 2^{-(i+j)d/2} 2^{i theta (d+s)} 2^{-i s}
-    assert math.isclose(class_bound("far", 2, 1, 1, 2, 0.5, 0.5, 1.0, 3.0),
+    # far: czs 2^{-(i+j)/2} 2^{i theta (1+s)} 2^{-i s}
+    assert math.isclose(class_bound("far", 2, 1, 2, 0.5, 0.5, 1.0, 3.0),
                         2.0 ** -1.5 * 2.0 ** (2 * 0.5 * 3) * 2.0 ** -4)
-    # contained/between: (czs + |T|) 2^{-gap d/2} 2^{-gap(s-eps)}
-    assert math.isclose(class_bound("contained", 4, 1, 1, 2, 0.5, 0.5,
-                                    1.0, 3.0),
+    # contained/between: (czs + |T|) 2^{-gap/2} 2^{-gap(s-eps)}
+    assert math.isclose(class_bound("contained", 4, 1, 2, 0.5, 0.5, 1.0,
+                                    3.0),
                         4.0 * 2.0 ** -1.5 * 2.0 ** -4.5)
-    assert class_bound("equal", 2, 2, 1, 2, 0.5, 0.5, 1.0, 3.0) == 3.0
+    assert class_bound("equal", 2, 2, 2, 0.5, 0.5, 1.0, 3.0) == 3.0
 
 
 @pytest.fixture(scope="module")
 def audit_small():
-    w = Window(d=1, L=3, k_min=-3, k_max=3)
+    w = Window(L=3, k_min=-3, k_max=3)
     grid = zero_grid(w)
-    system = build_system("haar", q=9, strict=False)
+    system = build_system("haar", q=9)
     op = make_operator("hilbert")
     rows, info = decay_audit(op, system, grid, s=1, eps=0.5, theta=1.0,
                              i_max=5, j_max=5, q_loc=9)
@@ -189,9 +189,9 @@ def test_decay_audit_badness_filter_matches_pair_loop():
     # the counters and rows of an audit with r against a per-pair loop
     # through the one-pair classification and per-cube goodness, in the
     # same pair order
-    w = Window(d=1, L=3, k_min=-3, k_max=3)
+    w = Window(L=3, k_min=-3, k_max=3)
     grid = DyadicGrid.random(w, 4)
-    system = build_system("db2", q=9, strict=False)
+    system = build_system("db2", q=9)
     op = make_operator("hilbert")
     r, theta, i_max, j_max = 3, 1.0, 4, 2
     rows, info = decay_audit(op, system, grid, s=1, eps=0.5, theta=theta,
@@ -233,9 +233,9 @@ def test_decay_audit_badness_filter_matches_pair_loop():
 
 
 def test_expansion_identity_small_defect():
-    w = Window(d=1, L=12, k_min=-12, k_max=6)
+    w = Window(L=12, k_min=-12, k_max=6)
     grid = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     op = make_operator("identity")
     f = TestFunction(center=2047.9, halfwidth=0.8)
     g = TestFunction(center=2048.2, halfwidth=0.7)
@@ -245,7 +245,7 @@ def test_expansion_identity_small_defect():
 
 
 def test_pi_good_by_scale_vacuous_and_certified():
-    w = Window(d=1, L=3, k_min=-2, k_max=8)
+    w = Window(L=3, k_min=-2, k_max=8)
     pg = _pi_good_by_scale(w, r=5, theta=1.0)
     # coarse generations have no admissible ancestor: vacuously good
     for k in range(w.k_min, w.k_min + 5):
@@ -255,20 +255,20 @@ def test_pi_good_by_scale_vacuous_and_certified():
 
 
 def test_randomized_expansion_rejects_hopeless_bound():
-    w = Window(d=1, L=3, k_min=-2, k_max=6)
-    system = build_system("haar", q=9, strict=False)
+    w = Window(L=3, k_min=-2, k_max=6)
+    system = build_system("haar", q=9)
     op = make_operator("identity")
     f = TestFunction(center=3.9, halfwidth=0.8)
     g = TestFunction(center=4.2, halfwidth=0.7)
-    assert union_bound(1, 1, 0.5) > 1.0
+    assert union_bound(1, 0.5) > 1.0
     with pytest.raises(ScaleRangeError):
         randomized_expansion(op, system, w, f, g, r=1, theta=0.5,
                              n_omega=2, seed=0)
 
 
 def test_randomized_expansion_identity_recovers_product():
-    w = Window(d=1, L=8, k_min=-8, k_max=6)
-    system = build_system("haar", q=10, strict=False)
+    w = Window(L=8, k_min=-8, k_max=6)
+    system = build_system("haar", q=10)
     op = make_operator("identity")
     f = TestFunction(center=127.9, halfwidth=0.8)
     g = TestFunction(center=128.2, halfwidth=0.7)
@@ -280,8 +280,8 @@ def test_randomized_expansion_identity_recovers_product():
 
 
 def test_convergence_needs_enough_points():
-    w = Window(d=1, L=4, k_min=-4, k_max=4)
-    system = build_system("haar", q=10, strict=False)
+    w = Window(L=4, k_min=-4, k_max=4)
+    system = build_system("haar", q=10)
     op = make_operator("hilbert")
     f = TestFunction(center=7.9, halfwidth=0.8, tilt=1)
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
@@ -291,8 +291,8 @@ def test_convergence_needs_enough_points():
 
 
 def test_convergence_small_window_slope():
-    w = Window(d=1, L=6, k_min=-6, k_max=5)
-    system = build_system("haar", q=11, strict=False)
+    w = Window(L=6, k_min=-6, k_max=5)
+    system = build_system("haar", q=11)
     op = make_operator("hilbert")
     f = TestFunction(center=31.9, halfwidth=0.8, tilt=1)
     g = TestFunction(center=32.2, halfwidth=0.7, tilt=1)
@@ -310,10 +310,10 @@ def test_pair_levels_reach_but_never_pass_the_depth(m):
     # convergence refuses N_max > k_max - k_min: no classified pair of the
     # window has a level max(i, j) above it, and on the unshifted grid
     # some pair has exactly that level
-    w = Window(d=1, L=3, k_min=-3, k_max=3)
+    w = Window(L=3, k_min=-3, k_max=3)
     for seed in (None, 0, 1, 2):
         grid = zero_grid(w) if seed is None else DyadicGrid.random(w, seed)
-        k, l = localized_cubes(grid, build_system("haar", q=9, strict=False),
+        k, l = localized_cubes(grid, build_system("haar", q=9),
                                (0.0, 8.0))
         I, J = np.nonzero(k[:, None] >= k[None, :])
         _, _, _, i, j, truncated = classify_batch(grid, k[I], l[I], k[J],
@@ -330,8 +330,8 @@ def test_sample_pairs_matches_pair_loop(name, r):
     # the weighting and classification of one grid sample against the
     # per-pair loop it replaced, value for value; goodness excludes pairs
     # and some joins leave the window
-    w = Window(d=1, L=4, k_min=-4, k_max=3)
-    system = build_system(name, q=9, strict=False)
+    w = Window(L=4, k_min=-4, k_max=3)
+    system = build_system(name, q=9)
     op = make_operator("hilbert")
     f = TestFunction(center=7.9, halfwidth=0.8, tilt=1)
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
@@ -391,9 +391,9 @@ def _loop_overlap_pairs(grid, system, cubes_f, cubes_g):
 @pytest.mark.parametrize("name, seed", [("haar", 0), ("db3", 1), ("db2", 2)])
 def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
                                                           name, seed):
-    w = Window(d=1, L=6, k_min=-6, k_max=4)
+    w = Window(L=6, k_min=-6, k_max=4)
     grid = DyadicGrid.random(w, seed)
-    system = build_system(name, q=9, strict=False)
+    system = build_system(name, q=9)
     f = TestFunction(center=31.9, halfwidth=0.8)
     g = TestFunction(center=32.6, halfwidth=0.7)
     calls = []
@@ -431,9 +431,9 @@ def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
 def test_decay_audit_matches_cube_list_loop(name, r, span):
     # the rows and info, exactly, of the audit over int64 pair arrays
     # against the loop over a Cube list with a dict of cells it replaced
-    w = Window(d=1, L=4, k_min=-4, k_max=2)
+    w = Window(L=4, k_min=-4, k_max=2)
     grid = DyadicGrid.random(w, 2)
-    system = build_system(name, q=9, strict=False)
+    system = build_system(name, q=9)
     op = make_operator("hilbert")
     args = (op, system, grid, 1, 0.5, 1.0, 5, 5)
     rows, info = decay_audit(*args, q_loc=8, r=r, span=span)
@@ -446,8 +446,8 @@ def test_decay_audit_matches_cube_list_loop(name, r, span):
 
 def test_decay_audit_empty_span():
     # a span that meets no window cube gives no rows and no pairings
-    w = Window(d=1, L=3, k_min=-3, k_max=3)
-    system = build_system("haar", q=9, strict=False)
+    w = Window(L=3, k_min=-3, k_max=3)
+    system = build_system("haar", q=9)
     rows, info = decay_audit(make_operator("hilbert"), system, zero_grid(w),
                              s=1, eps=0.5, theta=1.0, i_max=3, j_max=3,
                              span=(20.0, 21.0))
@@ -467,9 +467,9 @@ def test_run_paths_build_no_cube(monkeypatch):
 
     monkeypatch.setattr(Cube, "__init__", counting_init)
     hilbert, identity = make_operator("hilbert"), make_operator("identity")
-    haar = build_system("haar", q=9, strict=False)
-    db2 = build_system("db2", q=9, strict=False)
-    w = Window(d=1, L=6, k_min=-6, k_max=5)
+    haar = build_system("haar", q=9)
+    db2 = build_system("db2", q=9)
+    w = Window(L=6, k_min=-6, k_max=5)
     f = TestFunction(center=31.9, halfwidth=0.8, tilt=1)
     g = TestFunction(center=32.2, halfwidth=0.7, tilt=1)
     randomized_expansion(hilbert, db2, w, f, g, r=4, theta=1.0, n_omega=2,
@@ -479,7 +479,7 @@ def test_run_paths_build_no_cube(monkeypatch):
     grid = DyadicGrid.random(w, 3)
     for op in (hilbert, identity):
         expansion_identity(op, db2, grid, f, g, q_loc=7)
-    small = DyadicGrid.random(Window(d=1, L=3, k_min=-3, k_max=3), 3)
+    small = DyadicGrid.random(Window(L=3, k_min=-3, k_max=3), 3)
     decay_audit(hilbert, db2, small, s=1, eps=0.5, theta=1.0, i_max=4,
                 j_max=4, q_loc=8, r=3)
     decay_audit(hilbert, db2, grid, s=1, eps=0.5, theta=1.0, i_max=4,
@@ -492,12 +492,12 @@ def test_run_paths_build_no_cube(monkeypatch):
 def _experiments():
     """Each experiment of the module on a small window, as a callable."""
     hilbert = make_operator("hilbert")
-    haar = build_system("haar", q=9, strict=False)
-    db2 = build_system("db2", q=9, strict=False)
-    w = Window(d=1, L=6, k_min=-6, k_max=5)
+    haar = build_system("haar", q=9)
+    db2 = build_system("db2", q=9)
+    w = Window(L=6, k_min=-6, k_max=5)
     f = TestFunction(center=31.9, halfwidth=0.8, tilt=1)
     g = TestFunction(center=32.2, halfwidth=0.7, tilt=1)
-    small = Window(d=1, L=3, k_min=-3, k_max=3)
+    small = Window(L=3, k_min=-3, k_max=3)
     return {
         "decay_audit": lambda: decay_audit(
             hilbert, db2, DyadicGrid.random(small, 3), s=1, eps=0.5,
@@ -572,10 +572,10 @@ def _held_memory(monkeypatch, n_omega: int) -> dict:
         held["reduced"] = tracemalloc.get_traced_memory()[0] - start
         return truth(*args, **kwargs)
 
-    w = Window(d=1, L=8, k_min=-8, k_max=5)
+    w = Window(L=8, k_min=-8, k_max=5)
     f = TestFunction(center=127.3, halfwidth=0.8)
     g = TestFunction(center=128.9, halfwidth=0.7)
-    system = build_system("haar", q=11, strict=False)
+    system = build_system("haar", q=11)
     with monkeypatch.context() as m:
         m.setattr(PairingTable, "build", at_build)
         m.setattr(harness, "ground_truth", at_truth)

@@ -20,9 +20,9 @@ from dyadshift.operators import TestFunction as Bump
 from dyadshift.wavelets import WaveletSystem, build_system
 from references import (cube_arrays, cube_box, cube_pair_keys, cube_pairs,
                         cubes_at_scale, cubes_touching, disjoint_pairs,
-                        lone_pairings, pair_correlation, pair_quadrature,
-                        pairing_counts, sample_wavelet, support_interval,
-                        wavelet_nodes)
+                        haar_pair_exact, lone_pairings, pair_correlation,
+                        pair_quadrature, pairing_counts, sample_wavelet,
+                        support_interval, wavelet_nodes)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -126,23 +126,6 @@ def test_test_function_support_and_smoothness():
     assert f(np.array([2.0]))[0] == 1.0
 
 
-def _haar_box_pair(a, b, c, d):
-    """Exact int_{[c,d]} int_{[a,b]} 1/(pi(x-y)) dy dx."""
-    def L(u):
-        return 0.0 if u == 0.0 else u * math.log(abs(u))
-    return (L(d - a) - L(c - a) - L(d - b) + L(c - b)) / math.pi
-
-
-def haar_pair_exact(I_lo, I_len, J_lo, J_len):
-    """<psi_J, H psi_I> for unit-normalized Haar wavelets, closed form."""
-    si, sj = 1.0 / math.sqrt(I_len), 1.0 / math.sqrt(J_len)
-    tot = 0.0
-    for (a, b, wi) in ((I_lo, I_lo + I_len / 2, si), (I_lo + I_len / 2, I_lo + I_len, -si)):
-        for (c, d, wj) in ((J_lo, J_lo + J_len / 2, sj), (J_lo + J_len / 2, J_lo + J_len, -sj)):
-            tot += wi * wj * _haar_box_pair(a, b, c, d)
-    return tot
-
-
 class Setting(NamedTuple):
     """What a pairing table is built from, beside the keys of the pairs."""
 
@@ -163,9 +146,9 @@ class Setting(NamedTuple):
 
 @pytest.fixture(scope="module")
 def haar_setup():
-    w = Window(d=1, L=3, k_min=-3, k_max=6)
+    w = Window(L=3, k_min=-3, k_max=6)
     grid = zero_grid(w)
-    system = build_system("haar", q=12, strict=False)
+    system = build_system("haar", q=12)
     return grid, system, Setting(make_operator("hilbert"), grid, system, 12)
 
 
@@ -201,7 +184,7 @@ def test_pairing_translation_memo_consistency(haar_setup):
 @pytest.fixture(scope="module")
 def db3_setup():
     """A db3 system on a zero grid, with three pairs of separated cubes."""
-    grid = zero_grid(Window(d=1, L=3, k_min=-2, k_max=6))
+    grid = zero_grid(Window(L=3, k_min=-2, k_max=6))
     pairs = [(Cube(3, (8,)), Cube(3, (40,))),
              (Cube(3, (8,)), Cube(1, (10,))),
              (Cube(2, (4,)), Cube(2, (26,)))]
@@ -254,8 +237,8 @@ def test_pair_correlation_matches_dense_quadrature(db3_setup):
 
     H = make_operator("hilbert")
     # criterion 4's grid, 20 pairs of each scale gap 0..4, in both orders
-    grid = DyadicGrid.random(Window(d=1, L=2, k_min=0, k_max=4), 3)
-    system = build_system("haar", q=12, strict=False)
+    grid = DyadicGrid.random(Window(L=2, k_min=0, k_max=4), 3)
+    system = build_system("haar", q=12)
     sample = _per_gap_sample(disjoint_pairs(grid, system), 20, 0)
     assert len(sample) == 100
     check(H, grid, system, [p for I, J in sample for p in ((I, J), (J, I))],
@@ -270,8 +253,8 @@ def test_engine_beyond_criterion_4_gaps_against_closed_form():
     # closed form is the reference: the q_loc = 10 oracle's own midpoint
     # error reaches 3x the tolerance at gap 7, on near-adjacent supports,
     # while it stays well within it at criterion 4's gaps
-    grid = DyadicGrid.random(Window(d=1, L=2, k_min=-2, k_max=6), 3)
-    system = build_system("haar", q=12, strict=False)
+    grid = DyadicGrid.random(Window(L=2, k_min=-2, k_max=6), 3)
+    system = build_system("haar", q=12)
     H = make_operator("hilbert")
     pairs = disjoint_pairs(grid, system)
     assert len(pairs) == 244_514
@@ -392,9 +375,9 @@ def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
         return mesh, out
 
     monkeypatch.setattr(operators, "_periodic_apply", both)
-    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 5)
-    system = build_system(name, q=11, strict=False)
+    system = build_system(name, q=11)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     Setting(make_operator(op), grid, system, 8).pairings(pairs)
     assert set(checked) == {False, True}
@@ -614,9 +597,9 @@ def test_run_table_of_one_grid_matches_lone_engine(monkeypatch, tmp_path):
 
 
 def test_table_lookup_rejects_missing_keys():
-    w = Window(d=1, L=3, k_min=-3, k_max=4)
+    w = Window(L=3, k_min=-3, k_max=4)
     grid = DyadicGrid.random(w, 2)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     H = make_operator("hilbert")
     I, J, K = Cube(2, (5,)), Cube(2, (9,)), Cube(0, (1,))
     keys = operators.pairing_keys(grid, *cube_arrays([I, I]),
@@ -650,9 +633,9 @@ def test_table_keys_injective_on_deepest_window(seed):
     # between generation -51 cubes and generation 8 cubes near both of
     # their ends span about 2^60 fine sides, so (coarse k, transpose,
     # fine k, offset / fine side) fits no 64-bit layout of biased bit fields
-    w = Window(d=1, L=52, k_min=-52, k_max=8)
+    w = Window(L=52, k_min=-52, k_max=8)
     grid = zero_grid(w) if seed is None else DyadicGrid.random(w, seed)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     ident = make_operator("identity")
     side = w.len_units(8)
     coarse = list(cubes_at_scale(grid, -51))
@@ -686,9 +669,9 @@ def _localized_pairs(grid, system, k_lo, k_hi, span):
 @pytest.mark.parametrize("name", ["haar", "db3"])
 def test_pairings_match_scalar_identity_branch(name):
     # many pairs repeat a key at another absolute position
-    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 7)
-    system = build_system(name, q=11, strict=False)
+    system = build_system(name, q=11)
     engine = Setting(make_operator("identity"), grid, system, 9)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     assert len(pairs) > 1000
@@ -703,9 +686,9 @@ def test_pairings_of_no_pairs(haar_setup):
 
 
 def test_pairing_chunks_do_not_change_values(monkeypatch):
-    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 3)
-    system = build_system("db2", q=11, strict=False)
+    system = build_system("db2", q=11)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     for op in ("hilbert", "identity"):
         whole = Setting(make_operator(op), grid, system, 9).pairings(pairs)
@@ -717,9 +700,9 @@ def test_pairing_chunks_do_not_change_values(monkeypatch):
 
 
 def test_pairing_counts(monkeypatch, tmp_path):
-    w = Window(d=1, L=3, k_min=-3, k_max=4)
+    w = Window(L=3, k_min=-3, k_max=4)
     grid = DyadicGrid.random(w, 1)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     H = make_operator("hilbert")
     I, J, K = Cube(2, (5,)), Cube(2, (9,)), Cube(0, (1,))
     # (I, J) and (J, I) share the field of a generation-2 cube under T^t
@@ -742,7 +725,7 @@ _SYSTEMS = {}
 
 def _system(name):
     if name not in _SYSTEMS:
-        _SYSTEMS[name] = build_system(name, q=10, strict=False)
+        _SYSTEMS[name] = build_system(name, q=10)
     return _SYSTEMS[name]
 
 
@@ -753,7 +736,7 @@ def _system(name):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pairings_match_scalar_reference(k_min, depth, extra_L, name, op,
                                          seed):
-    w = Window(d=1, L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
+    w = Window(L=-k_min + extra_L, k_min=k_min, k_max=k_min + depth)
     rng = np.random.default_rng(seed)
     grid = DyadicGrid.random(w, rng.integers(2 ** 32))
     cubes = [c for k in range(w.k_min, w.k_max + 1)
@@ -777,9 +760,9 @@ def test_oversized_field_is_refused(monkeypatch):
         raise AssertionError("an oversized mesh was sized")
 
     monkeypatch.setattr(operators, "next_fast_len", no_sizing)
-    grid = DyadicGrid(Window(1, 52, -52, 8))
+    grid = DyadicGrid(Window(52, -52, 8))
     engine = Setting(make_operator("hilbert"), grid,
-                     build_system("haar", q=10, strict=False), 6)
+                     build_system("haar", q=10), 6)
     with pytest.raises(ScaleRangeError, match="FIELD_MAX_POINTS") as info:
         engine.pairings([(Cube(8, (0,)), Cube(8, (2 ** 59 - 1,)))])
     assert "\n" not in str(info.value)
@@ -828,9 +811,9 @@ def test_field_pool_does_not_change_values(monkeypatch, tmp_path, name, op):
 
 
 def test_failing_field_fails_the_build_cleanly(monkeypatch):
-    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 5)
-    system = build_system("db2", q=11, strict=False)
+    system = build_system("db2", q=11)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     keys = cube_pair_keys(grid, pairs)
     real_apply = operators._periodic_apply
@@ -855,9 +838,9 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
 
 def test_fields_start_largest_first(monkeypatch):
     # with one worker the fields are built in the order map submits them
-    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 5)
-    system = build_system("db2", q=11, strict=False)
+    system = build_system("db2", q=11)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     keys = cube_pair_keys(grid, pairs)
     real_apply = operators._periodic_apply
@@ -879,9 +862,9 @@ def test_fields_start_largest_first(monkeypatch):
 def _pool_table_args():
     """(op, system, window, keys) of the db2 Hilbert table of the field-pool
     tests above: more than three fields of several sizes, at q_loc = 8."""
-    w = Window(d=1, L=4, k_min=-2, k_max=5)
+    w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 5)
-    system = build_system("db2", q=11, strict=False)
+    system = build_system("db2", q=11)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     keys = cube_pair_keys(grid, pairs)
     return make_operator("hilbert"), system, w, keys
@@ -947,7 +930,7 @@ def test_failing_field_starts_no_other(monkeypatch):
 def test_transposed_field_is_the_negated_field(name, op):
     # both kernels are odd, T^t = -T: flipping transpose on one mesh keeps
     # the mesh and negates every field value, bit for bit
-    system = build_system(name, q=11, strict=False)
+    system = build_system(name, q=11)
     op = make_operator(op)
     for k in (-3, 0, 2):
         side = 2.0 ** (-k)
@@ -966,9 +949,9 @@ def test_transposed_field_is_the_negated_field(name, op):
 
 @pytest.mark.parametrize("op", ["hilbert", "identity"])
 def test_table_of_no_keys(op):
-    w = Window(d=1, L=3, k_min=-3, k_max=4)
+    w = Window(L=3, k_min=-3, k_max=4)
     table = operators.PairingTable.build(
-        make_operator(op), build_system("haar", q=10, strict=False), w,
+        make_operator(op), build_system("haar", q=10), w,
         np.empty((0, 4), dtype=np.int64), q_loc=8)
     assert table.keys.shape == (0, 4) and table.values.shape == (0,)
     assert table.counts == {"keys": 0, "fields": 0}

@@ -34,7 +34,7 @@ def _classify(grid, pairs, theta, m):
 
 @pytest.fixture(scope="module")
 def grid36():
-    return zero_grid(Window(d=1, L=3, k_min=-3, k_max=6))
+    return zero_grid(Window(L=3, k_min=-3, k_max=6))
 
 
 def test_classify_frozen_examples(grid36):
@@ -65,7 +65,7 @@ def test_classify_rejects_wrong_order(grid36):
 def test_partition_completeness_depth5():
     # every ordered pair with len(I) <= len(J) lands in exactly one class;
     # counts frozen for one seed as a regression anchor
-    w = Window(d=1, L=5, k_min=-5, k_max=0)
+    w = Window(L=5, k_min=-5, k_max=0)
     g = DyadicGrid.random(w, 0)
     kind = _classify(g, _window_pairs(g), 1.0, 3)[0]
     counts = dict(zip(CLASSES, np.bincount(kind).tolist()))
@@ -77,7 +77,7 @@ def test_partition_completeness_depth5():
 def test_equal_near_ancestor_stays_comparable():
     # for equal/near pairs the containing ancestor is only boundedly larger
     # than I; the window-verified constant here is len(K) <= 16 len(I)
-    w = Window(d=1, L=5, k_min=-5, k_max=0)
+    w = Window(L=5, k_min=-5, k_max=0)
     g = DyadicGrid.random(w, 0)
     kind, _, _, i, _, truncated = _classify(g, _window_pairs(g), 1.0, 3)
     close = ~truncated & np.isin(kind, [CLASSES.index("equal"),
@@ -115,7 +115,7 @@ def _window_pairs(grid):
 def _grids(draw):
     k_min = draw(st.integers(-5, 0))
     depth = draw(st.integers(2, 7))
-    w = Window(d=1, L=draw(st.integers(-k_min, -k_min + 2)), k_min=k_min,
+    w = Window(L=draw(st.integers(-k_min, -k_min + 2)), k_min=k_min,
                k_max=k_min + depth)
     omega = draw(st.lists(st.integers(0, 1), min_size=depth,
                           max_size=depth))
@@ -147,7 +147,7 @@ def test_equal_pair_neighbour_at_the_position_limit():
     # the window spans 2^62 units and its one coarsest cube is as wide, so
     # the right neighbour's far corner would be 2^63 units: it is out of
     # the window, and so is the left one
-    w = Window(d=1, L=40, k_min=-40, k_max=21)
+    w = Window(L=40, k_min=-40, k_max=21)
     grid = zero_grid(w)
     kind, K_k, K_l, i, j, truncated = _classify(
         grid, [(Cube(-40, (0,)), Cube(-40, (0,))),
@@ -160,7 +160,7 @@ def test_equal_pair_neighbour_at_the_position_limit():
 def test_classify_batch_matches_scalar_on_audit_pair_set():
     # the full pair set of decay-audit with db3 (m = 5), L = 4,
     # k = -4..2, theta = eps/(d+s) = 0.25, grid seed 0
-    w = Window(d=1, L=4, k_min=-4, k_max=2)
+    w = Window(L=4, k_min=-4, k_max=2)
     grid = DyadicGrid.random(w, 0)
     pairs = _window_pairs(grid)
     assert len(pairs) == 10_413
@@ -173,14 +173,14 @@ def test_classify_batch_matches_scalar_on_audit_pair_set():
 
 
 def test_shift_coefficient_zero_and_finding():
-    assert shift_coefficient(0.0, 2, 1, 1, 2, 0.5, 1.0, 1.0) == 0.0
+    assert shift_coefficient(0.0, 2, 1, 2, 0.5, 1.0, 1.0) == 0.0
     with pytest.raises(NormalizationFinding):
-        shift_coefficient(5.0, 2, 1, 1, 2, 0.5, 1.0, 1e-9)
+        shift_coefficient(5.0, 2, 1, 2, 0.5, 1.0, 1e-9)
 
 
 def test_coefficient_scale():
-    assert coefficient_scale(2, 1, 1) == 2.0 ** -1.5
-    assert coefficient_scale(0, 0, 2) == 1.0
+    assert coefficient_scale(2, 1) == 2.0 ** -1.5
+    assert coefficient_scale(0, 0) == 1.0
 
 
 def _classified_window(grid, system, q_loc):
@@ -202,8 +202,8 @@ def _classified_window(grid, system, q_loc):
 @pytest.fixture(scope="module")
 def classified_haar():
     """All classifiable Hilbert pairs on a small window, with pairings."""
-    grid = zero_grid(Window(d=1, L=3, k_min=-3, k_max=2))
-    system = build_system("haar", q=10, strict=False)
+    grid = zero_grid(Window(L=3, k_min=-3, k_max=2))
+    system = build_system("haar", q=10)
     return (grid, system) + _classified_window(grid, system, 8)
 
 
@@ -214,7 +214,7 @@ def _types(classes):
 
 def test_calibrated_assembly_good_and_bounded(classified_haar):
     grid, system, pairs, classes, _, pairings, bound_const = classified_haar
-    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const)
     assert c_emp >= 1.0
     for i, j in _types(classes):
         S = assemble_shift(grid, system, i, j, pairs, classes, pairings, 2,
@@ -231,9 +231,9 @@ def test_assembly_matches_reference_loop(classified_haar):
     grid, system, pairs, classes, kept, pairings, bound_const = \
         classified_haar
     classified = classified_pairs(kept, classes)
-    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const)
     assert c_emp == calibrate_loop(classified, pairings, 2, 0.5,
-                                   bound_const, 1)
+                                   bound_const)
     rng = np.random.default_rng(5)
     mask = rng.random(len(kept)) < 0.8
     codes = [CLASSES.index(c) for c in ("near", "far", "between")]
@@ -254,7 +254,7 @@ def test_assembly_matches_reference_loop(classified_haar):
             assert (S.good, S.excluded_badness, S.excluded_window) == (
                 good, excluded, 0)
             worst = max((abs(a) for b in blocks.values() for *_, a in b),
-                        default=0.0) / coefficient_scale(i, j, 1)
+                        default=0.0) / coefficient_scale(i, j)
             assert math.isclose(S.max_normalized_coefficient(), worst,
                                 rel_tol=1e-12)
             shifts += S.coefficient_count > 0
@@ -292,7 +292,7 @@ def test_assemble_names_first_offending_pair(classified_haar):
     # order
     grid, system, pairs, classes, kept, pairings, bound_const = \
         classified_haar
-    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const)
     i, j = max(_types(classes), key=lambda t: assemble_shift(
         grid, system, *t, pairs, classes, pairings, 2, 0.5, bound_const,
         c_emp).max_normalized_coefficient())
@@ -300,7 +300,7 @@ def test_assemble_names_first_offending_pair(classified_haar):
                                  classified_pairs(kept, classes), pairings, 2,
                                  0.5, bound_const, 0.5 * c_emp,
                                  range(len(CLASSES)))
-    cap = coefficient_scale(i, j, 1) * (1.0 + 1e-12)
+    cap = coefficient_scale(i, j) * (1.0 + 1e-12)
     over = [(I, J) for b in blocks.values() for I, J, a in b if abs(a) > cap]
     assert len(over) > 1
     I, J = min(over, key=kept.index)
@@ -345,7 +345,7 @@ def test_transpose_keeps_every_other_field(classified_haar):
 
 
 def test_descendants_counts():
-    w = Window(d=1, L=3, k_min=0, k_max=6)
+    w = Window(L=3, k_min=0, k_max=6)
     g = zero_grid(w)
     K_k, K_l = cube_arrays([Cube(0, (3,))])
     n, l = descendants(g, K_k, K_l, 2)
@@ -399,7 +399,7 @@ def test_calibration_covers_clipped_blocks():
     # on a translated grid over [0, 4): blocks reaching past either end of
     # the window and one wholly outside it keep only their in-window
     # children
-    w = Window(d=1, L=2, k_min=-2, k_max=3)
+    w = Window(L=2, k_min=-2, k_max=3)
     grid = DyadicGrid(w, np.array([1, 0, 1, 1, 0]))
     Ks = [Cube(-2, (-1,)), Cube(-1, (1,)), Cube(-1, (2,)), Cube(0, (-1,))]
     assert not any(in_window(grid, K) for K in Ks)
@@ -418,9 +418,9 @@ def _profile_sign(grid, system, S, x):
 
 
 def test_averaging_zero_inputs():
-    w = Window(d=1, L=3, k_min=0, k_max=6)
+    w = Window(L=3, k_min=0, k_max=6)
     g = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     S = calibration_shift(g, 2, 2, [0], [1])
     mesh = Mesh1D.cover(0.0, 8.0, 8)
     out = apply_shift(g, system, S, np.zeros(mesh.n_pts), mesh)
@@ -457,9 +457,9 @@ def test_averaging_pointwise_bound_uniform_across_blocks():
     # saturating coefficients; worst-case f = sign of the analysis profile;
     # the mean-value bound constant must be uniform across >= 50 blocks,
     # and agree with the per-entry loop
-    w = Window(d=1, L=3, k_min=0, k_max=7)
+    w = Window(L=3, k_min=0, k_max=7)
     g = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     consts, ref = _averaging_constants(g, system, Mesh1D.cover(0.0, 8.0, 9))
     assert len(consts) >= 50
     assert max(consts) <= 2.0 * min(consts)
@@ -468,9 +468,9 @@ def test_averaging_pointwise_bound_uniform_across_blocks():
 
 
 def test_shift_norm_zero_operator():
-    w = Window(d=1, L=3, k_min=0, k_max=6)
+    w = Window(L=3, k_min=0, k_max=6)
     g = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     mesh = Mesh1D.cover(0.0, 8.0, 8)
     assert shift_norm_estimate(g, system, ShiftOperator(1, 1), mesh) == 0.0
 
@@ -478,9 +478,9 @@ def test_shift_norm_zero_operator():
 def test_shift_norm_diagonal_vs_dense_svd():
     # a_IJK = delta_IJ sqrt(|I||J|)/|K| on one block is cap times an
     # orthogonal projection: norm cap, cross-checked by dense SVD
-    w = Window(d=1, L=3, k_min=0, k_max=7)
+    w = Window(L=3, k_min=0, k_max=7)
     g = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     S = calibration_shift(g, 3, 3, [0], [2], pattern="diagonal")
     mesh = Mesh1D.cover(0.0, 8.0, 8)
     est = shift_norm_estimate(g, system, S, mesh)
@@ -506,9 +506,9 @@ def _calibration_norms(grid, system, mesh, Ks):
 def test_shift_norm_flat_across_types():
     # saturating shifts of every type (i,j) in [1,6]^2 on a common block:
     # the norm estimates stay within a factor 2 of each other
-    w = Window(d=1, L=3, k_min=0, k_max=7)
+    w = Window(L=3, k_min=0, k_max=7)
     g = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     norms = _calibration_norms(g, system, Mesh1D.cover(0.0, 8.0, 8),
                                ([0, 0], [2, 5]))
     assert max(norms) <= 2.0 * min(norms)
@@ -517,9 +517,9 @@ def test_shift_norm_flat_across_types():
 def test_calibration_norms_match_reference_loop():
     # criterion 7's 36 calibration shifts: the estimates from distinct-cube
     # samples against the power iteration over one sampled row per entry
-    w = Window(d=1, L=3, k_min=0, k_max=7)
+    w = Window(L=3, k_min=0, k_max=7)
     g = zero_grid(w)
-    system = build_system("haar", q=10, strict=False)
+    system = build_system("haar", q=10)
     mesh = Mesh1D.cover(0.0, 8.0, 8)
     Ks = [Cube(0, (2,)), Cube(0, (5,))]
     norms = _calibration_norms(g, system, mesh, cube_arrays(Ks))
@@ -543,7 +543,7 @@ def _assert_adjoint(grid, system, S, mesh):
 
 def test_transpose_is_adjoint(classified_haar):
     grid, system, pairs, classes, _, pairings, bound_const = classified_haar
-    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const)
     i, j = [t for t in _types(classes) if t[0] != t[1]][0]
     S = assemble_shift(grid, system, i, j, pairs, classes, pairings, 2, 0.5,
                        bound_const, c_emp)
@@ -554,12 +554,12 @@ def test_transpose_is_adjoint(classified_haar):
 def test_transpose_is_adjoint_db2_random_grid():
     # db2 (m = 3) on a translated grid: the wavelets overlap their
     # neighbours and sit off the unshifted lattice
-    grid = DyadicGrid.random(Window(d=1, L=3, k_min=-3, k_max=2), 4)
-    system = build_system("db2", q=10, strict=False)
+    grid = DyadicGrid.random(Window(L=3, k_min=-3, k_max=2), 4)
+    system = build_system("db2", q=10)
     assert system.m == 3 and grid.omega.any()
     pairs, classes, _, pairings, bound_const = _classified_window(
         grid, system, 8)
-    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const, 1)
+    c_emp = calibrate_c_emp(classes, pairings, 2, 0.5, bound_const)
     mesh = Mesh1D.cover(0.0, 8.0, 9)
     checked = 0
     for i, j in _types(classes):
@@ -575,7 +575,7 @@ def test_transpose_is_adjoint_db2_random_grid():
 
 def test_bounded_overlap_of_dilates():
     # for fixed K and depth j, sum_J 1_{3J} <= 3 pointwise in d=1
-    w = Window(d=1, L=3, k_min=0, k_max=7)
+    w = Window(L=3, k_min=0, k_max=7)
     g = zero_grid(w)
     for depth in (1, 2, 3):
         _, l = descendants(g, [0], [3], depth)

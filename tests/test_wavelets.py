@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dyadshift.wavelets import (SmoothnessError, WaveletSystem, _two_scale,
-                                build_system, count_vanishing_moments,
-                                gram_defect, scaling_table)
+from dyadshift.wavelets import (FD_STABLE_RATIO, _two_scale, build_system,
+                                count_vanishing_moments, gram_defect,
+                                scaling_table)
 from dyadshift.filters import builtin_filter_names, get_filter
 from references import cascade
 
 
 @pytest.fixture(scope="module")
 def haar():
-    return build_system("haar", q=10, strict=False)
+    return build_system("haar", q=10)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ _TRIPLES = {"haar": (1, 0, 0), "db2": (3, 0, 1), "db3": (5, 1, 2),
 def test_builtin_triples_do_not_depend_on_q(q):
     assert sorted(_TRIPLES) == builtin_filter_names()
     for name, triple in _TRIPLES.items():
-        sysw = build_system(name, q=q, s_target=2, strict=False)
+        sysw = build_system(name, q=q, s_target=2)
         assert (sysw.m, sysw.u, sysw.v) == triple, name
 
 
@@ -78,13 +78,14 @@ def test_db8_triple():
 
 
 def test_db4_fails_second_order_probe():
-    with pytest.raises(SmoothnessError):
-        build_system("db4", q=10, s_target=2)
+    # a filter short of s_target is built, and its probe reports u < s_target
+    sysw = build_system("db4", q=10, s_target=2)
+    assert sysw.u < 2 and sysw.fd_ratios[2] > FD_STABLE_RATIO
 
 
-def test_haar_rejected_at_order_one_strict():
-    with pytest.raises(SmoothnessError):
-        build_system("haar", q=10, s_target=1)
+def test_haar_fails_first_order_probe():
+    sysw = build_system("haar", q=10, s_target=1)
+    assert sysw.u < 1 and sysw.fd_ratios[1] > FD_STABLE_RATIO
 
 
 def test_haar_first_moment_oracle(haar):
@@ -138,6 +139,6 @@ def test_quad_nodes_land_on_mesh(db3):
 def test_filter_file_path_builds_same_system(tmp_path, haar):
     path = tmp_path / "haar.flt"
     path.write_text("".join(f"{c:.17g}\n" for c in get_filter("haar")))
-    loaded = build_system(str(path), q=10, strict=False)
+    loaded = build_system(str(path), q=10)
     assert (loaded.m, loaded.u, loaded.v) == (haar.m, haar.u, haar.v)
     assert np.array_equal(loaded.psi, haar.psi)
