@@ -50,13 +50,12 @@ pairs = CubePairs(I_k=np.array([0, 2, 1]), I_l=np.array([1, 4, 3]),
 # a pairing depends on its key row alone (coarse generation, transpose,
 # fine generation, lattice offset), so one table evaluates each distinct
 # row once and the engine reads the pairs' values from it
-table = PairingTable.build(op, system, window,
-                           pairing_keys(grid, pairs.I_k, pairs.I_l,
-                                        pairs.J_k, pairs.J_l), q_loc=10)
+table = PairingTable.build(op, system, window, pairing_keys(grid, pairs),
+                           q_loc=10)
 values = PairingEngine(grid, table).pairings(pairs)
 for (I, J), got in zip(pairs, values):
-    ref = haar_pair_exact(I.l[0] * I.sidelength, I.sidelength,
-                          J.l[0] * J.sidelength, J.sidelength)
+    side_i, side_j = 2.0 ** -I.k, 2.0 ** -J.k
+    ref = haar_pair_exact(I.l[0] * side_i, side_i, J.l[0] * side_j, side_j)
     print(f"<psi_J, H psi_I>  I={I} J={J}: {got:+.8f} (exact {ref:+.8f})")
 
 # audit: the observed maxima against the per-class bounds; ratios well

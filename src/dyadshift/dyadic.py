@@ -43,10 +43,6 @@ class Cube:
     k: int
     l: tuple
 
-    @property
-    def sidelength(self) -> float:
-        return 2.0 ** (-self.k)
-
 
 @dataclass(frozen=True)
 class Window:

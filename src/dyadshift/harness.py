@@ -59,6 +59,26 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
                                             hi_u + half * w.len_units(k)))
 
 
+def _func_generation(func) -> int:
+    """The least generation whose mesh resolves func's support."""
+    a, b = func.support
+    return max(0, math.ceil(-math.log2(b - a)) + 1)
+
+
+def _check_resolution(window: Window, funcs, q_loc: int) -> None:
+    """Raise ScaleRangeError unless float64 separates the quadrature nodes
+    localized_coefficients places for each func: its support has width,
+    and one ulp at the support's far end is below the finest node spacing,
+    2^-(q_loc + max(k_max, _func_generation(func)))."""
+    for func in funcs:
+        a, b = func.support
+        if not a < b or math.ulp(max(abs(a), abs(b))) >= 0.5 ** (
+                q_loc + max(window.k_max, _func_generation(func))):
+            raise ScaleRangeError(
+                "float64 cannot separate the quadrature nodes on the "
+                f"support [{a}, {b}] of a test function; lower L")
+
+
 def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
                            k: np.ndarray, l: np.ndarray, func,
                            q_loc: int) -> np.ndarray:
@@ -79,7 +99,7 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
     lo, hi = support_intervals(grid, system, k, l)
     a_f, b_f = func.support
     a, b = np.maximum(lo, a_f), np.minimum(hi, b_f)
-    k_func = max(0, math.ceil(-math.log2(b_f - a_f)) + 1)
+    k_func = _func_generation(func)
     out = np.zeros(k.size)
     live = a < b
     for gen in np.unique(k[live]).tolist():
@@ -105,13 +125,8 @@ def ground_truth(op: KernelOp, f, g, res: int) -> float:
     h = 0.5 ** res
     n = int(math.ceil((hi - lo) / h))
     x = lo + (np.arange(n) + 0.5) * h
-    tf = apply_multiplier(op, f(x), h, lo, pad_factor=8, corrections=True)
+    tf = apply_multiplier(op, f(x), h, lo)
     return float(np.sum(g(x) * tf) * h)
-
-
-def _pair_keys(grid: DyadicGrid, pairs: CubePairs) -> np.ndarray:
-    """The pairing key rows (see pairing_keys) of the pairs."""
-    return pairing_keys(grid, pairs.I_k, pairs.I_l, pairs.J_k, pairs.J_l)
 
 
 def _pairings(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
@@ -120,7 +135,7 @@ def _pairings(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     keys, and the pairing counts: the pairs, and the table's distinct keys
     and fields."""
     table = PairingTable.build(op, system, grid.window,
-                               _pair_keys(grid, pairs), q_loc)
+                               pairing_keys(grid, pairs), q_loc)
     values = PairingEngine(grid, table).pairings(pairs)
     return values, {"pairs": len(pairs), **table.counts}
 
@@ -235,7 +250,7 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         cube_k, cube_l = localized_cubes(grid, system, span)
         _check_audit_blocks(Counter(cube_k.tolist()).items())
     czs = op.czs_seminorm(s)
-    op_norm = op.l2_norm
+    op_norm = 1.0  # sup |m| of every operator's symbol
     info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
     # the kept I, J, kind, i and j of each fine generation, after an empty
     # row that keeps the concatenation defined when no cube enters
@@ -432,12 +447,13 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     (a CubePairs) that live for one grid at a time, and so do its
     OmegaSample's per-pair arrays: each is reduced right after its lookup.
     """
+    _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
     for seed in seeds:
         d = _draw(system, window, f, g, r, theta, q_loc, seed)
         draws.append(d)
-        pending.append(distinct_keys(_pair_keys(d.grid,
-                                               d.pairs(*d.pair_index()))))
+        pending.append(distinct_keys(pairing_keys(d.grid,
+                                                  d.pairs(*d.pair_index()))))
         if (len(draws) == len(seeds)
                 or sum(map(len, pending)) > len(merged)):
             merged = distinct_keys(np.concatenate([merged, *pending]))

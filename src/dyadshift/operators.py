@@ -27,13 +27,12 @@ class KernelOp:
     frequency; the transpose T^t has symbol m(-xi).  czs_seminorm: the
     Calderon-Zygmund constant of order s.  tail_order: exponent c such that
     the kernel k(u) ~ a / u^c for large u; tail_order == 1 activates the
-    moment-based periodization corrections in apply_multiplier.  An
+    moment-based periodization corrections in _periodic_apply.  An
     operator is singular when it has a seminorm; the identity has none.
     """
 
     name: str
     multiplier: callable
-    l2_norm: float
     czs_seminorm: callable = None
     tail_order: int = 0
 
@@ -71,13 +70,13 @@ def _smoothed_czs(s: int) -> float:
 def make_operator(name: str) -> KernelOp:
     if name == "hilbert":
         return KernelOp(name="hilbert", multiplier=_hilbert_multiplier,
-                        l2_norm=1.0, czs_seminorm=_hilbert_czs, tail_order=1)
+                        czs_seminorm=_hilbert_czs, tail_order=1)
     if name == "smoothed_hilbert":
         return KernelOp(name="smoothed_hilbert", multiplier=_smoothed_multiplier,
-                        l2_norm=1.0, czs_seminorm=_smoothed_czs, tail_order=3)
+                        czs_seminorm=_smoothed_czs, tail_order=3)
     if name == "identity":
-        return KernelOp(name="identity", multiplier=lambda xi: np.ones_like(xi),
-                        l2_norm=1.0)
+        return KernelOp(name="identity",
+                        multiplier=lambda xi: np.ones_like(xi))
     raise ValueError(f"unknown operator {name!r}")
 
 
@@ -178,22 +177,14 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     return mesh_x, out
 
 
-def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float, x0: float,
-                     pad_factor: int = 8, corrections: bool = True,
-                     transpose: bool = False) -> np.ndarray:
-    """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h.
-
-    The signal is zero-padded to pad_factor times its length before the FFT;
-    corrections adds back the periodization error of tail_order == 1
-    kernels.
-    """
+def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float,
+                     x0: float) -> np.ndarray:
+    """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h,
+    zero-padded to 8 times their length, as a field (see _field_values)."""
     n = samples.size
-    buf = np.zeros(next_fast_len(pad_factor * n))
-    buf[:n] = samples
-    mu = None
-    if corrections and op.tail_order == 1:
-        mu = _moments(samples, x0 + (np.arange(n) + 0.5) * h, h)
-    return _periodic_apply(op, buf, h, x0, mu, transpose, n)[1]
+    mesh = _FieldMesh(False, x0 + (np.arange(n) + 0.5) * h, samples, h,
+                      next_fast_len(8 * n), 0, x0, n)
+    return _field_values(op, mesh)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +253,8 @@ def _row_chunks(start: int, stop: int, n_nodes: int):
     return (slice(a, min(a + step, stop)) for a in range(start, stop, step))
 
 
-def pairing_keys(grid: DyadicGrid, k_i: np.ndarray, l_i: np.ndarray,
-                 k_j: np.ndarray, l_j: np.ndarray) -> np.ndarray:
-    """Rows (coarse k, transpose, fine k, delta) of the pairs (I, J) given
-    as int64 arrays of generations and indices.
+def pairing_keys(grid: DyadicGrid, pairs: CubePairs) -> np.ndarray:
+    """Rows (coarse k, transpose, fine k, delta) of the pairs (I, J).
 
     The finer cube is I on ties; transpose is 1 when it is, since T^t then
     acts on the coarser psi_J.  delta is the lattice offset of the fine
@@ -273,8 +262,9 @@ def pairing_keys(grid: DyadicGrid, k_i: np.ndarray, l_i: np.ndarray,
     kernels make <psi_J, T psi_I> a function of the row alone, whatever
     the grid.
     """
-    lo_i, _ = grid.boxes(k_i, l_i)
-    lo_j, _ = grid.boxes(k_j, l_j)
+    k_i, k_j = pairs.I_k, pairs.J_k
+    lo_i, _ = grid.boxes(k_i, pairs.I_l)
+    lo_j, _ = grid.boxes(k_j, pairs.J_l)
     i_fine = k_i >= k_j
     return np.stack([np.where(i_fine, k_j, k_i), i_fine,
                      np.where(i_fine, k_i, k_j),
@@ -324,10 +314,10 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FieldMesh:
-    """Where the field of one scale-k wavelet is built: the periodized mesh
-    x0 + (n+1/2) h, n < size, with the wavelet's samples vw at the nodes xw
-    (relative to its cube's left endpoint) from mesh point n_left on, and
-    the first stop points as the interior the lookups read."""
+    """Where a field is built: the periodized mesh x0 + (n+1/2) h, n < size,
+    with the samples vw at the nodes xw (a wavelet's relative to its cube's
+    left endpoint) from mesh point n_left on, and the first stop points as
+    the interior that is read."""
 
     transpose: bool
     xw: np.ndarray
@@ -365,7 +355,7 @@ def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
 
 
 def _field_values(op: KernelOp, mesh: _FieldMesh):
-    """(u, values) of T psi (or T^t psi) over the interior of the mesh.
+    """(u, values) of T (or T^t) of the mesh's samples over its interior.
     Calls only numpy and private helpers, so field workers may run it."""
     buf = np.zeros(mesh.size)
     buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
@@ -473,27 +463,26 @@ class PairingTable:
             # the workers drain one size-sorted deque from opposite ends:
             # the first takes the largest field left, any other the
             # smallest, so the pool's peak is the largest field beside a
-            # small one, not the two largest.  A failing task empties the
-            # deque, so no worker starts another field; its error leaves
-            # the with block once the running fields have ended
+            # small one, not the two largest; its pop, popleft and clear
+            # are thread-safe.  A failing task empties the deque, so no
+            # worker starts another field; its error leaves the with block
+            # once the running fields have ended
             tasks.sort(key=lambda task: -task[0].size)
             # imported here: importing the package should not load the pool
-            import threading
             from collections import deque
             from concurrent.futures import ThreadPoolExecutor
-            queue, lock = deque(tasks), threading.Lock()
+            queue = deque(tasks)
 
             def drain(take):
                 while True:
-                    with lock:
-                        if not queue:
-                            return
+                    try:
                         mesh, row_blocks = take()
+                    except IndexError:
+                        return
                     try:
                         _field_task(op, mesh, row_blocks, values, du)
                     except BaseException:
-                        with lock:
-                            queue.clear()
+                        queue.clear()
                         raise
 
             workers = min(FIELD_WORKERS, len(tasks))
@@ -533,5 +522,4 @@ class PairingEngine:
     def pairings(self, pairs: CubePairs) -> np.ndarray:
         """<psi_J, T psi_I> of the pairs; a pair whose key the table lacks
         raises KeyError."""
-        return self.table.lookup(pairing_keys(self.grid, pairs.I_k, pairs.I_l,
-                                              pairs.J_k, pairs.J_l))
+        return self.table.lookup(pairing_keys(self.grid, pairs))

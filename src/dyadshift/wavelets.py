@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import (QMF_TOL, get_filter, highpass_from_lowpass,
-                      validate_filter)
+from .filters import QMF_TOL, get_filter, highpass_from_lowpass
 
 # largest scaling-function mesh, in points: each float64 table of a
 # two-scale pass then takes at most 256 MiB
@@ -199,16 +198,12 @@ def count_vanishing_moments(system: WaveletSystem, cap: int) -> int:
 
 
 def build_system(filter_spec, q: int, s_target: int = 1) -> WaveletSystem:
-    """Construct a wavelet system from a filter name, array, or file path.
+    """Construct a wavelet system from a filter name or file path.
 
     u and v are probed against s_target and reported; a filter short of
     s_target is built all the same.
     """
-    if isinstance(filter_spec, str):
-        h = get_filter(filter_spec)
-    else:
-        h = np.asarray(filter_spec, dtype=float)
-        validate_filter(h)
+    h = get_filter(filter_spec)
     g = highpass_from_lowpass(h)
     m = h.size - 1  # support diameter of the mother functions
     # Tabulate at spacing 2^-(q+1) so that midpoint nodes of the 2^-q

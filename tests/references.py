@@ -87,8 +87,7 @@ def cube_pairs(pairs) -> CubePairs:
 
 def cube_pair_keys(grid, pairs) -> np.ndarray:
     """pairing_keys of the pairs (a CubePairs or (Cube, Cube) tuples)."""
-    p = cube_pairs(pairs)
-    return pairing_keys(grid, p.I_k, p.I_l, p.J_k, p.J_l)
+    return pairing_keys(grid, cube_pairs(pairs))
 
 
 def lone_pairings(op, grid, system, pairs, q_loc: int = 10,
@@ -536,7 +535,7 @@ def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
     else:
         cubes = localized_cube_list(grid, system, span)
     czs = op.czs_seminorm(s)
-    op_norm = op.l2_norm
+    op_norm = 1.0
     info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}
     cube_k, cube_l = cube_arrays(cubes)
     selected = []   # ((I, J), (kind, i, j))

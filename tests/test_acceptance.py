@@ -146,7 +146,7 @@ def classified_hilbert():
     pairings = lone_pairings(op, grid, system,
                              [(I, J) for I, J, k in zip(fine, coarse, keep)
                               if k], q_loc=8)
-    bound_const = op.czs_seminorm(2) + op.l2_norm
+    bound_const = op.czs_seminorm(2) + 1.0
     return (grid, system, tuple(a[keep] for a in pairs),
             tuple(c[keep] for c in classes), pairings, bound_const)
 

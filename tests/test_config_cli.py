@@ -449,3 +449,24 @@ def test_cli_window_too_deep_for_exact_goodness_exit_4(tmp_path, capsys,
         capsys, [command, "--config", cfg, "--outdir", str(tmp_path)])
     assert code == 4
     assert err == "error: exact enumeration too large for this window"
+
+
+@pytest.mark.parametrize("L", [50, 55])
+@pytest.mark.parametrize("command", ["represent", "convergence"])
+def test_cli_window_past_float64_resolution_exit_4(tmp_path, capsys,
+                                                   monkeypatch, command, L):
+    # the test functions sit at 2^L / 2: at L = 55 their supports have no
+    # width in float64, and at L = 50 one ulp there (2^-3) exceeds the
+    # quadrature node spacing 2^-(q_loc + 1) = 2^-7; the run is refused
+    # before it draws a grid
+    def no_draw(*args):
+        raise AssertionError("a grid was drawn")
+
+    monkeypatch.setattr(harness, "_draw", no_draw)
+    cfg = ('{"kernel": "hilbert", "L": %d, "k_min": -%d, "k_max": 0, '
+           '"r": 70}' % (L, L))
+    code, err = _exit_and_stderr(
+        capsys, [command, "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: float64 cannot separate the quadrature "
+                          "nodes") and "\n" not in err

@@ -23,11 +23,6 @@ def _is_bad(grid, cube, r, theta):
     return bool(is_bad_batch(grid, *cube_arrays([cube]), r, theta)[0])
 
 
-def test_cube_sidelength():
-    assert Cube(3, (0,)).sidelength == 0.125
-    assert Cube(-2, (1,)).sidelength == 4.0
-
-
 def test_window_rejects_too_coarse():
     with pytest.raises(ScaleRangeError):
         Window(L=2, k_min=-3, k_max=4)

@@ -130,6 +130,22 @@ def test_decay_audit_refuses_oversized_span_block(monkeypatch):
                     i_max=3, j_max=3, span=(7.0, 9.0))
 
 
+def test_ground_truth_does_not_depend_on_placement():
+    # the README pair placed at 2^L / 2, as the CLI places it, for the
+    # windows L = 0..10: <g, H f> is translation invariant.  The tail
+    # correction of _periodic_apply is evaluated in absolute coordinates,
+    # so the value drifts beyond these windows (6e-12 at L = 12, 1.4e-4 at
+    # L = 20; a CHANGES.md FOUND); L = 10 differs by 2e-13
+    op = make_operator("hilbert")
+    values = []
+    for L in range(11):
+        centre = 2.0 ** L / 2.0
+        f = TestFunction(center=centre - 0.7, halfwidth=0.8)
+        g = TestFunction(center=centre + 0.9, halfwidth=0.7)
+        values.append(ground_truth(op, f, g, res=12))
+    assert max(abs(v - values[0]) for v in values) <= 1e-12 * abs(values[0])
+
+
 def test_ground_truth_identity_matches_plain_product():
     f = TestFunction(center=3.9, halfwidth=0.8)
     g = TestFunction(center=4.2, halfwidth=0.7)
