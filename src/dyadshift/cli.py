@@ -15,30 +15,21 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, manifest_json, parse_config
-from .dyadic import DyadicGrid, ScaleRangeError, Window, pi_bad_estimate
+from .dyadic import DyadicGrid, ScaleRangeError, pi_bad_estimate
 from .filters import FilterError
 from .harness import (NoiseFloorError, audit_rows_csv, convergence_experiment,
                       decay_audit, randomized_expansion)
 from .operators import TestFunction, make_operator
-from .shifts import NormalizationFinding, PowerIterationError
 from .wavelets import CascadeError, build_system, gram_defect
 
 EXIT_CONFIG = 2
 EXIT_FINDING = 3
 EXIT_RESOURCE = 4
 
-# exit code of each library failure; the most specific class listed wins
-_EXIT_CODES = {
-    ConfigError: EXIT_CONFIG,
-    NormalizationFinding: EXIT_FINDING,
-    CascadeError: EXIT_RESOURCE,
-    FilterError: EXIT_RESOURCE,
-    MemoryError: EXIT_RESOURCE,
-    NoiseFloorError: EXIT_RESOURCE,
-    OSError: EXIT_RESOURCE,
-    PowerIterationError: EXIT_RESOURCE,
-    ScaleRangeError: EXIT_RESOURCE,
-}
+# the failures a command can raise besides ConfigError; numerical
+# findings are not raised but returned as EXIT_FINDING by the command
+_RESOURCE_ERRORS = (CascadeError, FilterError, MemoryError, NoiseFloorError,
+                    OSError, ScaleRangeError)
 
 
 def _outdir(cfg: RunConfig) -> str:
@@ -59,8 +50,7 @@ def _default_pair(cfg: RunConfig) -> tuple[TestFunction, TestFunction]:
 
 
 def cmd_grid_stats(cfg: RunConfig) -> int:
-    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
-    report = pi_bad_estimate(window, r=cfg.r, theta=cfg.theta,
+    report = pi_bad_estimate(cfg.window, r=cfg.r, theta=cfg.theta,
                              samples=cfg.mc_samples, seed=cfg.seed)
     out = _outdir(cfg)
     _write(os.path.join(out, "goodness.csv"), report.to_csv())
@@ -97,8 +87,7 @@ def cmd_wavelet_check(cfg: RunConfig) -> int:
 
 
 def cmd_decay_audit(cfg: RunConfig) -> int:
-    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
-    grid = DyadicGrid.random(window, cfg.seed)
+    grid = DyadicGrid.random(cfg.window, cfg.seed)
     op = make_operator(cfg.kernel)
     if op.czs_seminorm is None:
         raise ConfigError("decay-audit needs a singular kernel: "
@@ -121,11 +110,10 @@ def cmd_decay_audit(cfg: RunConfig) -> int:
 
 
 def cmd_represent(cfg: RunConfig) -> int:
-    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
     op = make_operator(cfg.kernel)
     f, g = _default_pair(cfg)
-    res = randomized_expansion(op, system, window, f, g, r=cfg.r,
+    res = randomized_expansion(op, system, cfg.window, f, g, r=cfg.r,
                                theta=cfg.theta, n_omega=cfg.n_omega,
                                seed=cfg.seed, q_loc=min(cfg.q, 10))
     out = _outdir(cfg)
@@ -138,7 +126,6 @@ def cmd_represent(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    window = Window(L=cfg.L, k_min=cfg.k_min, k_max=cfg.k_max)
     system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
     op = make_operator(cfg.kernel)
     # mean-zero bumps: a nonzero mean leaves coarse-pair mass whose joins
@@ -146,7 +133,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     centre = 2.0 ** cfg.L / 2.0
     f = TestFunction(center=centre - 0.2, halfwidth=0.8, tilt=1)
     g = TestFunction(center=centre + 0.1, halfwidth=0.7, tilt=1)
-    curve = convergence_experiment(op, system, window, f, g, s=cfg.s,
+    curve = convergence_experiment(op, system, cfg.window, f, g, s=cfg.s,
                                    eps=cfg.eps, N_max=cfg.N_max,
                                    n_omega=cfg.n_omega, seed=cfg.seed,
                                    r=cfg.r, theta=cfg.theta,
@@ -192,12 +179,9 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "outdir": args.outdir or os.environ.get("DYADSHIFT_OUTDIR")})
         return _COMMANDS[args.command](cfg)
-    except tuple(_EXIT_CODES) as exc:
-        code = next(_EXIT_CODES[c] for c in type(exc).__mro__
-                    if c in _EXIT_CODES)
-        label = "finding" if code == EXIT_FINDING else "error"
-        print(f"{label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return code
+    except (ConfigError, *_RESOURCE_ERRORS) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RESOURCE
 
 
 if __name__ == "__main__":

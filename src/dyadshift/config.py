@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .dyadic import union_bound
+from .dyadic import ScaleRangeError, Window, union_bound
 from .filters import FilterError
+from .operators import make_operator
 
 
 class ConfigError(ValueError):
@@ -85,13 +86,15 @@ class RunConfig:
                 f"= {least_q}")
         if not self.kernel:
             raise ConfigError("invalid config: missing kernel")
-        if self.kernel not in ("hilbert", "smoothed_hilbert", "identity"):
-            raise ConfigError(f"invalid config: unknown kernel {self.kernel!r}")
-        if self.k_min > self.k_max:
-            raise ConfigError("invalid config: k_min must be <= k_max")
-        if self.L < -self.k_min:
-            raise ConfigError("invalid config: need L >= -k_min so the "
-                              "coarsest cubes fit in the window")
+        try:
+            make_operator(self.kernel)
+        except ValueError as exc:
+            raise ConfigError(
+                f"invalid config: unknown kernel {self.kernel!r}") from exc
+        try:
+            self.window  # Window refuses k_min > k_max and L < -k_min
+        except ScaleRangeError as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
         if self.L + self.k_max + 1 > 62:
             raise ConfigError("invalid config: need L + k_max + 1 <= 62 so "
                               "positions fit 64-bit integer units")
@@ -101,6 +104,12 @@ class RunConfig:
                 raise ConfigError(f"invalid config: {name} must be >= {least}")
         self._check_filter()
         return self
+
+    @property
+    def window(self) -> Window:
+        """The run's window; Window decides whether L, k_min and k_max
+        form one."""
+        return Window(L=self.L, k_min=self.k_min, k_max=self.k_max)
 
     def _check_types(self) -> None:
         """Each key holds its declared type, or null where that is allowed;
@@ -190,11 +199,4 @@ def manifest_json(cfg: RunConfig, extra: dict | None = None) -> str:
     }
     if extra:
         payload["results"] = extra
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      default=_json_fallback) + "\n"
-
-
-def _json_fallback(obj):
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    return str(obj)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

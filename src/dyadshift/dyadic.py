@@ -54,11 +54,10 @@ class Window:
 
     def __post_init__(self):
         if self.k_max < self.k_min:
-            raise ScaleRangeError("k_max < k_min")
+            raise ScaleRangeError("k_min must be <= k_max")
         if -self.k_min > self.L:
-            raise ScaleRangeError(
-                "coarsest cubes do not fit in the window (need L >= -k_min)"
-            )
+            raise ScaleRangeError("need L >= -k_min so the coarsest cubes "
+                                  "fit in the window")
 
     @property
     def unit_exp(self) -> int:

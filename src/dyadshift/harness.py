@@ -348,15 +348,6 @@ def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
 
 
 @dataclass
-class OmegaSample:
-    """Per-sample pair data for the randomized experiments."""
-
-    weighted: np.ndarray        # goodness-filtered, pi-divided X values
-    levels: np.ndarray          # max(i,j) per pair; -1 when unclassifiable
-    excluded_window: int
-
-
-@dataclass
 class _Draw:
     """One grid before its pairings: the localized cubes of f and g as
     int64 (k, l) arrays and their coefficients, and for an omega sample
@@ -381,9 +372,11 @@ class _Draw:
         return CubePairs(k_f[I], l_f[I], k_g[J], l_g[J])
 
     def weigh(self, values, pi_good: dict, theta: float, m: int,
-              classify: bool) -> OmegaSample:
-        """The goodness-filtered, pi-divided terms of the pairs with the
-        given pairings and, with classify, each pair's level."""
+              classify: bool) -> tuple[np.ndarray, np.ndarray, int]:
+        """(weighted, levels, excluded): the goodness-filtered, pi-divided
+        terms of the pairs with the given pairings and, with classify,
+        each pair's level max(i, j), -1 where it has none, and the number
+        of pairs whose join leaves the window."""
         I, J = self.pair_index()
         (k_f, l_f), (k_g, l_g) = self.kl_f, self.kl_g
         # the smaller cube of a pair is I on ties
@@ -406,8 +399,7 @@ class _Draw:
                 np.where(i_smaller, l_g[J], l_f[I]), theta, m)
             levels[kept[~truncated]] = np.maximum(i, j)[~truncated]
             excluded = int(truncated.sum())
-        return OmegaSample(weighted=weighted, levels=levels,
-                           excluded_window=excluded)
+        return weighted, levels, excluded
 
 
 def _localize(grid, system, f, g, q_loc) -> _Draw:
@@ -433,8 +425,9 @@ def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
 def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
                   classify: bool, pi_good: dict, reduce,
                   ) -> tuple[list, dict]:
-    """reduce(OmegaSample) of each seed tuple, and the run's pairing counts:
-    the table's distinct keys and fields, and the pairs.
+    """reduce(weighted, levels, excluded) of each seed tuple (see
+    _Draw.weigh), and the run's pairing counts: the table's distinct keys
+    and fields, and the pairs.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -445,7 +438,7 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     run, and each grid's engine reads its values from it.  The pairs of a
     grid, every localized cube of f with every one of g, are int64 arrays
     (a CubePairs) that live for one grid at a time, and so do its
-    OmegaSample's per-pair arrays: each is reduced right after its lookup.
+    per-pair terms: they are reduced right after its lookup.
     """
     _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
@@ -464,8 +457,8 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
         pairs = d.pairs(*d.pair_index())
         values = PairingEngine(d.grid, table).pairings(pairs)
         n_pairs += len(pairs)
-        reduced.append(reduce(d.weigh(values, pi_good, theta, system.m,
-                                      classify)))
+        reduced.append(reduce(*d.weigh(values, pi_good, theta, system.m,
+                                       classify)))
     return reduced, {**table.counts, "pairs": n_pairs}
 
 
@@ -484,7 +477,7 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
     sums, counts = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=False,
-        pi_good=pi_good, reduce=lambda smp: float(smp.weighted.sum()))
+        pi_good=pi_good, reduce=lambda weighted, *_: float(weighted.sum()))
     sums = np.array(sums)
     estimate = float(sums.mean())
     stderr = float(sums.std(ddof=1) / math.sqrt(n_omega)) if n_omega > 1 else 0.0
@@ -546,12 +539,11 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
         r = window.k_max - window.k_min + 1  # vacuous: nothing classifiable
     pi_good = _pi_good_by_scale(window, r, theta)
 
-    def partial_sums(smp: OmegaSample) -> tuple[list, int]:
+    def partial_sums(weighted, levels, excluded) -> tuple[list, int]:
         """The sample's sums over max(i, j) <= N, N = 0..N_max, and its
         window-excluded pairs."""
-        return ([float(smp.weighted[(smp.levels >= 0)
-                                    & (smp.levels <= N)].sum())
-                 for N in range(N_max + 1)], smp.excluded_window)
+        return ([float(weighted[(levels >= 0) & (levels <= N)].sum())
+                 for N in range(N_max + 1)], excluded)
 
     reduced, counts = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,

@@ -26,8 +26,9 @@ class KernelOp:
     multiplier: symbol m(xi) so that (Tf)^(xi) = m(xi) f^(xi), radian
     frequency; the transpose T^t has symbol m(-xi).  czs_seminorm: the
     Calderon-Zygmund constant of order s.  tail_order: exponent c such that
-    the kernel k(u) ~ a / u^c for large u; tail_order == 1 activates the
-    moment-based periodization corrections in _periodic_apply.  An
+    the kernel k(u) ~ a / u^c for large u; a field of a tail_order == 1
+    kernel gets the moment-based periodization correction of
+    _periodic_apply, and no other field does.  An
     operator is singular when it has a seminorm; the identity has none.
     """
 
@@ -126,11 +127,11 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     real FFT carries the whole product (irfft keeps the real part of the
     zero-frequency and Nyquist bins).
 
-    For tail_order == 1 kernels the difference between the line kernel and
-    the period-P conjugate kernel,
+    Given mu, the first four moments of the signal, the difference between
+    the 1/(pi u) line kernel and the period-P conjugate kernel,
         1/(pi u) - cot(pi u / P)/P = pi u/(3 P^2) + pi^3 u^3/(45 P^4) + ...,
-    is added back through mu, the first four moments of the signal; mu=None
-    leaves the periodic result uncorrected.
+    is added back: the correction of a tail_order == 1 kernel, whose
+    callers alone pass mu.  mu=None leaves the periodic result uncorrected.
     """
     N = buf.size
     # in place where the order of operations allows, and each temporary
@@ -150,7 +151,7 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     mesh_x += 0.5
     mesh_x *= h
     mesh_x += x0
-    if mu is not None and op.tail_order == 1:
+    if mu is not None:
         P = N * h
         c1 = math.pi / (3.0 * P * P)
         c3 = math.pi ** 3 / (45.0 * P ** 4)
@@ -359,8 +360,8 @@ def _field_values(op: KernelOp, mesh: _FieldMesh):
     Calls only numpy and private helpers, so field workers may run it."""
     buf = np.zeros(mesh.size)
     buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
-    return _periodic_apply(op, buf, mesh.h, mesh.x0,
-                           _moments(mesh.vw, mesh.xw, mesh.h), mesh.transpose,
+    mu = _moments(mesh.vw, mesh.xw, mesh.h) if op.tail_order == 1 else None
+    return _periodic_apply(op, buf, mesh.h, mesh.x0, mu, mesh.transpose,
                            mesh.stop)
 
 

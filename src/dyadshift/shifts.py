@@ -42,8 +42,6 @@ def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     """
     fine_k = np.asarray(fine_k, dtype=np.int64)
     coarse_k = np.asarray(coarse_k, dtype=np.int64)
-    if np.any(fine_k < coarse_k):
-        raise ValueError("classification expects len(I) <= len(J)")
     lo_i, hi_i = grid.boxes(fine_k, fine_l)
     lo_j, hi_j = grid.boxes(coarse_k, coarse_l)
     side_i = hi_i - lo_i
@@ -77,7 +75,8 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     Returns (kind, K_k, K_l, i, j, truncated): kind indexes CLASSES (see
     _kind_codes) and the rest is ancestor_join_batch's output.  An equal
     pair joins with its right neighbour when that lies in the window and
-    with its left neighbour otherwise.
+    with its left neighbour otherwise.  ancestor_join_batch raises
+    ValueError when some fine cube is the coarser of its pair.
     """
     kind = _kind_codes(grid, fine_k, fine_l, coarse_k, coarse_l, theta, m)
     coarse_l = np.asarray(coarse_l, dtype=np.int64)

@@ -8,8 +8,9 @@ from dyadshift.cli import main
 from dyadshift.config import (ConfigError, RunConfig, default_r,
                               manifest_json, parse_config)
 from dyadshift.dyadic import DyadicGrid, ScaleRangeError
+from dyadshift.filters import FilterError
 from dyadshift.harness import NoiseFloorError
-from dyadshift.shifts import NormalizationFinding, PowerIterationError
+from dyadshift.wavelets import CascadeError
 
 
 def test_defaults_resolve():
@@ -140,6 +141,21 @@ def test_cli_bad_types_and_ranges_exit_2(tmp_path, capsys, cfg):
     assert err.startswith("error: invalid config") and "\n" not in err
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"kernel": "hilbert", "k_min": 3, "k_max": 2},
+     "k_min must be <= k_max"),
+    ({"kernel": "hilbert", "L": 1, "k_min": -3},
+     "need L >= -k_min so the coarsest cubes fit in the window"),
+    ({"kernel": "nope"}, "unknown kernel 'nope'"),
+])
+def test_cli_bad_window_or_kernel_exits_2(tmp_path, capsys, cfg, message):
+    code, err = _exit_and_stderr(
+        capsys, ["represent", "--config", json.dumps(cfg),
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert err == f"error: invalid config: {message}"
+
+
 @pytest.mark.parametrize("q, k", [(-1, -7), (-3, -9), (0, -7)])
 def test_cli_q_below_six_exits_2(tmp_path, capsys, q, k):
     # a window with negative k_max used to accept q <= 0, and the wavelet
@@ -256,11 +272,13 @@ def test_haar_keeps_the_position_limit():
 
 
 @pytest.mark.parametrize("exc, code", [
-    (PowerIterationError("no convergence"), 4),
     (MemoryError(), 4),
     (NoiseFloorError("curve dominated by noise"), 4),
     (ScaleRangeError("outside the window"), 4),
-    (NormalizationFinding("normalization violated"), 3),
+    (CascadeError("cascade did not converge"), 4),
+    (FilterError("not a QMF"), 4),
+    (OSError("disk full"), 4),
+    (ConfigError("invalid config: raised by a command"), 2),
 ])
 def test_cli_maps_library_failures_to_exit_codes(tmp_path, capsys,
                                                   monkeypatch, exc, code):
@@ -271,7 +289,7 @@ def test_cli_maps_library_failures_to_exit_codes(tmp_path, capsys,
         capsys, ["grid-stats", "--config", '{"kernel": "hilbert"}',
                  "--outdir", str(tmp_path)])
     assert got == code
-    assert err.split(": ", 1)[0] in ("error", "finding") and "\n" not in err
+    assert err == f"error: {str(exc) or type(exc).__name__}"
 
 
 _TINY = {

@@ -353,9 +353,9 @@ def test_sample_pairs_matches_pair_loop(name, r):
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
     theta, q_loc, seed = 1.0, 7, (5, 1)
     pi_good = _pi_good_by_scale(w, r, theta)
-    (smp,), counts = _sample_pairs(op, system, w, f, g, r, theta, q_loc,
-                                   [seed], classify=True, pi_good=pi_good,
-                                   reduce=lambda smp: smp)
+    ((got_weighted, got_levels, got_excluded),), counts = _sample_pairs(
+        op, system, w, f, g, r, theta, q_loc, [seed], classify=True,
+        pi_good=pi_good, reduce=lambda *terms: terms)
     grid = DyadicGrid.random(w, seed)
     cubes_f = localized_cube_list(grid, system, f.support)
     cubes_g = localized_cube_list(grid, system, g.support)
@@ -380,9 +380,9 @@ def test_sample_pairs_matches_pair_loop(name, r):
             excluded += 1
             continue
         levels[idx] = max(i, j)
-    assert np.array_equal(smp.weighted, weighted)
-    assert np.array_equal(smp.levels, levels)
-    assert smp.excluded_window == excluded > 0
+    assert np.array_equal(got_weighted, weighted)
+    assert np.array_equal(got_levels, levels)
+    assert got_excluded == excluded > 0
     assert 0 < np.count_nonzero(weighted) < len(pairs)
     # one grid: the run's table holds exactly the keys of its pairs
     assert counts == pairing_counts(op, cube_pair_keys(grid, pairs))
