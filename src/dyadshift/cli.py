@@ -14,6 +14,10 @@ import argparse
 import os
 import sys
 
+# no module uses scipy; it stays imported because the benchmark's child
+# process (bench/child.py) reports sys.modules["scipy"].__version__
+import scipy  # noqa: F401
+
 from .config import ConfigError, RunConfig, manifest_json, parse_config
 from .dyadic import DyadicGrid, ScaleRangeError, pi_bad_estimate
 from .filters import FilterError
@@ -49,6 +53,22 @@ def _default_pair(cfg: RunConfig) -> tuple[TestFunction, TestFunction]:
             TestFunction(center=centre + 0.9, halfwidth=0.7))
 
 
+def _system(cfg: RunConfig):
+    """The config's wavelet system.  A table over the cascade budget at the
+    least q the config accepts asks for a lower k_max, not a lower q, which
+    the config would refuse."""
+    try:
+        return build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
+    except CascadeError as exc:
+        advice = "; lower q"
+        if cfg.q != cfg.least_q or not str(exc).endswith(advice):
+            raise
+        raise CascadeError(
+            f"{str(exc).removesuffix(advice)}; lower k_max (q = {cfg.q} is "
+            f"already the least q the config accepts, max(k_max, 0) + 6)"
+        ) from exc
+
+
 def cmd_grid_stats(cfg: RunConfig) -> int:
     report = pi_bad_estimate(cfg.window, r=cfg.r, theta=cfg.theta,
                              samples=cfg.mc_samples, seed=cfg.seed)
@@ -69,7 +89,7 @@ def cmd_grid_stats(cfg: RunConfig) -> int:
 
 
 def cmd_wavelet_check(cfg: RunConfig) -> int:
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
+    system = _system(cfg)
     entries = [(k, l, "psi") for k in range(3) for l in range(2 ** k)]
     defect = gram_defect(system, entries, res=min(cfg.q, 16), span=(-8.0, 9.0))
     results = {
@@ -92,7 +112,7 @@ def cmd_decay_audit(cfg: RunConfig) -> int:
     if op.czs_seminorm is None:
         raise ConfigError("decay-audit needs a singular kernel: "
                           f"{cfg.kernel!r} has no Calderon-Zygmund bound")
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
+    system = _system(cfg)
     rows, info = decay_audit(op, system, grid, s=cfg.s, eps=cfg.eps,
                              theta=cfg.theta, i_max=cfg.N_max,
                              j_max=cfg.N_max, q_loc=min(cfg.q, 10))
@@ -110,7 +130,7 @@ def cmd_decay_audit(cfg: RunConfig) -> int:
 
 
 def cmd_represent(cfg: RunConfig) -> int:
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
+    system = _system(cfg)
     op = make_operator(cfg.kernel)
     f, g = _default_pair(cfg)
     res = randomized_expansion(op, system, cfg.window, f, g, r=cfg.r,
@@ -126,7 +146,7 @@ def cmd_represent(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    system = build_system(cfg.filter, q=cfg.q, s_target=cfg.s)
+    system = _system(cfg)
     op = make_operator(cfg.kernel)
     # mean-zero bumps: a nonzero mean leaves coarse-pair mass whose joins
     # fall outside the window, a plateau no truncation level can remove

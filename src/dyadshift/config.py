@@ -76,14 +76,12 @@ class RunConfig:
             self.r = default_r(self.theta)
         if self.r < 1:
             raise ConfigError("invalid config: r must be >= 1")
-        # 6 is the q the probe system of _check_filter is built at
-        least_q = max(self.k_max, 0) + 6
         if self.q is None:
-            self.q = least_q
-        if self.q < least_q:
+            self.q = self.least_q
+        if self.q < self.least_q:
             raise ConfigError(
                 f"invalid config: q={self.q} must be >= max(k_max, 0) + 6 "
-                f"= {least_q}")
+                f"= {self.least_q}")
         if not self.kernel:
             raise ConfigError("invalid config: missing kernel")
         try:
@@ -104,6 +102,12 @@ class RunConfig:
                 raise ConfigError(f"invalid config: {name} must be >= {least}")
         self._check_filter()
         return self
+
+    @property
+    def least_q(self) -> int:
+        """The least q the config accepts, and its default; 6 is the q the
+        probe system of _check_filter is built at."""
+        return max(self.k_max, 0) + 6
 
     @property
     def window(self) -> Window:

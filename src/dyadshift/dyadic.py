@@ -23,6 +23,11 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports these on first use: numpy.ma on np.unique's first call,
+# numpy.random on np.random's first access.  Importing them with the
+# package keeps that cost out of a command's first experiment
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 
 class ScaleRangeError(ValueError):

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
+from numpy.fft import irfft, rfft, rfftfreq
 
 from .dyadic import CubePairs, DyadicGrid, ScaleRangeError
 from .wavelets import WaveletSystem
@@ -115,6 +117,29 @@ def _moments(samples: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     return np.array([np.sum(samples * x ** a) * h for a in range(4)])
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c 7^d 11^e >= n (1 for n <= 1).  pocketfft, in
+    numpy as in scipy, has a fast pass for each of these radices, and these
+    are the sizes scipy.fft.next_fast_len gives for complex transforms.
+    For each odd 11-smooth part below the best size so far, the least power
+    of two that lifts it to n completes a candidate."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
                     mu: np.ndarray | None, transpose: bool, stop: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,14 +161,14 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
     N = buf.size
     # in place where the order of operations allows, and each temporary
     # dropped as soon as it is spent: two fields may be built at once
-    X = np.fft.rfft(buf)
-    xi = np.fft.rfftfreq(N, d=h)
+    X = rfft(buf)
+    xi = rfftfreq(N, d=h)
     xi *= 2.0 * math.pi
     if transpose:
         np.negative(xi, out=xi)
     X *= op.multiplier(xi)
     del xi
-    out = np.fft.irfft(X, n=N)
+    out = irfft(X, n=N)
     del X
     # a copy, not a view: the padding is freed while the field is read
     out = out[:stop].copy()
@@ -184,7 +209,7 @@ def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float,
     zero-padded to 8 times their length, as a field (see _field_values)."""
     n = samples.size
     mesh = _FieldMesh(False, x0 + (np.arange(n) + 0.5) * h, samples, h,
-                      next_fast_len(8 * n), 0, x0, n)
+                      _next_fast_len(8 * n), 0, x0, n)
     return _field_values(op, mesh)[1]
 
 
@@ -346,7 +371,7 @@ def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
         raise ScaleRangeError(
             f"pairing field of generation {k} needs {points:.3g} mesh "
             f"points, more than FIELD_MAX_POINTS = {FIELD_MAX_POINTS}")
-    N = next_fast_len(int(math.ceil(points)))
+    N = _next_fast_len(int(math.ceil(points)))
     # keep the wavelet samples on-mesh: buffer start a whole number of
     # steps left of the first sample, at or left of core_lo
     n_left = int(math.ceil((xw[0] - core_lo) / h))
@@ -469,9 +494,6 @@ class PairingTable:
             # worker starts another field; its error leaves the with block
             # once the running fields have ended
             tasks.sort(key=lambda task: -task[0].size)
-            # imported here: importing the package should not load the pool
-            from collections import deque
-            from concurrent.futures import ThreadPoolExecutor
             queue = deque(tasks)
 
             def drain(take):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,8 @@ from dyadshift.dyadic import DyadicGrid, ScaleRangeError
 from dyadshift.filters import FilterError
 from dyadshift.harness import NoiseFloorError
 from dyadshift.wavelets import CascadeError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_defaults_resolve():
@@ -206,6 +212,21 @@ def test_cli_cascade_over_memory_budget_exits_4(tmp_path, capsys):
                      "--outdir", str(tmp_path)])
         assert code == 4
         assert err.startswith("error: cascade") and "\n" not in err
+
+
+def test_cli_cascade_over_budget_at_least_q_asks_for_lower_k_max(
+        tmp_path, capsys):
+    # haar at k_max = 18 defaults q to its least, 24, and the table at
+    # q + 1 passes the budget: a lower q would be refused with exit 2
+    cfg = json.dumps({"kernel": "hilbert", "filter": "haar", "L": 2,
+                      "k_min": -2, "k_max": 18})
+    code, err = _exit_and_stderr(
+        capsys, ["wavelet-check", "--config", cfg, "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err == (
+        "error: cascade mesh of 1 * 2^25 + 1 points (filter length 2) "
+        "exceeds the budget of 33554432; lower k_max (q = 24 is already "
+        "the least q the config accepts, max(k_max, 0) + 6)")
 
 
 def test_cli_repeated_eigenvalue_filter_exits_4(tmp_path, capsys):
@@ -488,3 +509,46 @@ def test_cli_window_past_float64_resolution_exit_4(tmp_path, capsys,
     assert code == 4
     assert err.startswith("error: float64 cannot separate the quadrature "
                           "nodes") and "\n" not in err
+
+
+def test_commands_load_no_module_after_import(tmp_path):
+    # in a fresh process: importing the CLI leaves scipy.fft out, and no
+    # command loads a module during its run.  numpy and the standard library
+    # import some modules on first use (numpy.ma, numpy.random, numpy.fft,
+    # the thread pool); the package imports them up front instead
+    configs = {
+        "grid-stats": {"kernel": "hilbert", "L": 3, "k_min": -2,
+                       "k_max": 6, "r": 5, "theta": 1.0,
+                       "mc_samples": 2000},
+        "wavelet-check": {"kernel": "hilbert", "filter": "db3"},
+        "decay-audit": {"filter": "db3", "kernel": "hilbert", "L": 4,
+                        "k_min": -4, "k_max": 2, "s": 1},
+        "represent": {"filter": "haar", "kernel": "hilbert", "L": 8,
+                      "k_min": -8, "k_max": 5, "r": 4, "theta": 1.0,
+                      "n_omega": 2},
+        "convergence": {"filter": "haar", "kernel": "hilbert", "L": 6,
+                        "k_min": -6, "k_max": 5, "s": 1, "N_max": 6,
+                        "n_omega": 2},
+    }
+    script = """
+import contextlib, io, json, sys
+import dyadshift.cli
+loaded = {"import": [m for m in sys.modules if m.startswith("scipy.fft")]}
+for command, cfg in json.loads(sys.argv[2]).items():
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dyadshift.cli.main([command, "--config", json.dumps(cfg),
+                                   "--seed", "0", "--outdir", sys.argv[1]])
+    assert code == 0, (command, code)
+    loaded[command] = sorted(set(sys.modules) - before)
+print(json.dumps(loaded))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                           json.dumps(configs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [],
+                                       **{c: [] for c in configs}}

@@ -100,7 +100,7 @@ def _power_norm(op, n: int = 4096, h: float = 1.0 / 256, iters: int = 30,
     mesh padded to 4 times the signal: the discrete l2 -> l2 norm of T on
     a sample mesh."""
     def apply(samples, transpose):
-        buf = np.zeros(operators.next_fast_len(4 * n))
+        buf = np.zeros(operators._next_fast_len(4 * n))
         buf[:n] = samples
         return operators._periodic_apply(op, buf, h, 0.0, None, transpose,
                                          n)[1]
@@ -353,7 +353,7 @@ def test_apply_multiplier_matches_complex_fft(name, n):
     mu = operators._moments(samples, x, h) if op.tail_order == 1 else None
     for pad_factor in (3, 8):
         for transpose in (False, True):
-            buf = np.zeros(operators.next_fast_len(pad_factor * n))
+            buf = np.zeros(operators._next_fast_len(pad_factor * n))
             buf[:n] = samples
             _, ref = _complex_periodic_apply(op, buf, h, x0, mu, transpose)
             _, got = operators._periodic_apply(op, buf, h, x0, mu, transpose,
@@ -765,7 +765,7 @@ def test_oversized_field_is_refused(monkeypatch):
     def no_sizing(n):
         raise AssertionError("an oversized mesh was sized")
 
-    monkeypatch.setattr(operators, "next_fast_len", no_sizing)
+    monkeypatch.setattr(operators, "_next_fast_len", no_sizing)
     grid = DyadicGrid(Window(52, -52, 8))
     engine = Setting(make_operator("hilbert"), grid,
                      build_system("haar", q=10), 6)
@@ -963,3 +963,15 @@ def test_table_of_no_keys(op):
     assert table.counts == {"keys": 0, "fields": 0}
     got = table.lookup(np.empty((0, 4), dtype=np.int64))
     assert got.shape == (0,) and got.dtype == float
+
+
+def test_next_fast_len_matches_scipy():
+    # the same FFT sizes as scipy's complex next_fast_len, so every mesh
+    # keeps its size: each n up to 20,000, and seeded sizes up to 2^26,
+    # FIELD_MAX_POINTS
+    from scipy.fft import next_fast_len
+    rng = np.random.default_rng(2026)
+    sizes = list(range(1, 20_001)) + rng.integers(
+        20_001, operators.FIELD_MAX_POINTS + 1, 2_000).tolist()
+    for n in sizes:
+        assert operators._next_fast_len(n) == next_fast_len(n), n
