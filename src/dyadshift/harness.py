@@ -316,7 +316,8 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     only overlapping-support pairs are evaluated; for singular operators all
     localized pairs enter.  The terms are summed one by one in pair order.
     """
-    loc = _localize(grid, system, f, g, q_loc)
+    loc = _localize(grid, system, f, g)
+    loc.coefficients(system, f, g, q_loc)
     I, J = loc.pair_index()
     if not op.singular:
         lo_f, hi_f = support_intervals(grid, system, *loc.kl_f)
@@ -350,20 +351,28 @@ def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
 @dataclass
 class _Draw:
     """One grid before its pairings: the localized cubes of f and g as
-    int64 (k, l) arrays and their coefficients, and for an omega sample
-    their goodness."""
+    int64 (k, l) arrays, once filled their coefficients, and for an omega
+    sample their goodness."""
 
     grid: DyadicGrid
     kl_f: tuple
     kl_g: tuple
-    cf: np.ndarray
-    cg: np.ndarray
+    cf: np.ndarray | None = None
+    cg: np.ndarray | None = None
     good_f: np.ndarray | None = None
     good_g: np.ndarray | None = None
 
+    def coefficients(self, system, f, g, q_loc) -> None:
+        """Fill cf and cg: one localized_coefficients call per function,
+        so no cube takes a quadrature of its own."""
+        self.cf = localized_coefficients(self.grid, system, *self.kl_f, f,
+                                         q_loc)
+        self.cg = localized_coefficients(self.grid, system, *self.kl_g, g,
+                                         q_loc)
+
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (I, J) as indices into the two cube arrays, I-major."""
-        nf, ng = self.cf.size, self.cg.size
+        nf, ng = self.kl_f[0].size, self.kl_g[0].size
         return np.repeat(np.arange(nf), ng), np.tile(np.arange(ng), nf)
 
     def pairs(self, I: np.ndarray, J: np.ndarray) -> CubePairs:
@@ -402,32 +411,29 @@ class _Draw:
         return weighted, levels, excluded
 
 
-def _localize(grid, system, f, g, q_loc) -> _Draw:
-    """The localized cubes of f and g on the grid, as int64 (k, l) arrays,
-    with their coefficients: one localized_coefficients call per function,
-    so no cube takes a quadrature of its own."""
-    kl_f = localized_cubes(grid, system, f.support)
-    kl_g = localized_cubes(grid, system, g.support)
-    return _Draw(grid, kl_f, kl_g,
-                 localized_coefficients(grid, system, *kl_f, f, q_loc),
-                 localized_coefficients(grid, system, *kl_g, g, q_loc))
+def _localize(grid, system, f, g) -> _Draw:
+    """The localized cubes of f and g on the grid, as int64 (k, l)
+    arrays, without their coefficients."""
+    return _Draw(grid, localized_cubes(grid, system, f.support),
+                 localized_cubes(grid, system, g.support))
 
 
-def _draw(system, window, f, g, r, theta, q_loc, seed_tuple) -> _Draw:
+def _draw(system, window, f, g, r, theta, seed_tuple) -> _Draw:
     """A random grid's localization and the goodness of its cubes."""
-    d = _localize(DyadicGrid.random(window, seed_tuple), system, f, g, q_loc)
+    d = _localize(DyadicGrid.random(window, seed_tuple), system, f, g)
     good = ~is_bad_batch(d.grid, np.concatenate([d.kl_f[0], d.kl_g[0]]),
                          np.concatenate([d.kl_f[1], d.kl_g[1]]), r, theta)
-    d.good_f, d.good_g = good[:d.cf.size], good[d.cf.size:]
+    nf = d.kl_f[0].size
+    d.good_f, d.good_g = good[:nf], good[nf:]
     return d
 
 
 def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
                   classify: bool, pi_good: dict, reduce,
-                  ) -> tuple[list, dict]:
+                  ) -> tuple[list, dict, float]:
     """reduce(weighted, levels, excluded) of each seed tuple (see
-    _Draw.weigh), and the run's pairing counts: the table's distinct keys
-    and fields, and the pairs.
+    _Draw.weigh), the run's pairing counts (the table's distinct keys and
+    fields, and the pairs) and the ground truth <g, T f>.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -435,15 +441,18 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     held keys stay within a small multiple of the run's distinct rows,
     however many grids there are.  One PairingTable then evaluates those
     rows, with one field per (coarse generation, transpose) for the whole
-    run, and each grid's engine reads its values from it.  The pairs of a
-    grid, every localized cube of f with every one of g, are int64 arrays
-    (a CubePairs) that live for one grid at a time, and so do its
-    per-pair terms: they are reduced right after its lookup.
+    run, and each grid's engine reads its values from it.  While the
+    table's helper threads build fields, the calling thread computes each
+    grid's coefficients and then the ground truth, neither of which
+    depends on the table.  The pairs of a grid, every localized cube of f
+    with every one of g, are int64 arrays (a CubePairs) that live for one
+    grid at a time, and so do its per-pair terms: they are reduced right
+    after its lookup.
     """
     _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
     for seed in seeds:
-        d = _draw(system, window, f, g, r, theta, q_loc, seed)
+        d = _draw(system, window, f, g, r, theta, seed)
         draws.append(d)
         pending.append(distinct_keys(pairing_keys(d.grid,
                                                   d.pairs(*d.pair_index()))))
@@ -451,7 +460,16 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
                 or sum(map(len, pending)) > len(merged)):
             merged = distinct_keys(np.concatenate([merged, *pending]))
             pending = []
-    table = PairingTable.build(op, system, window, merged, q_loc)
+    truth = None
+
+    def meanwhile():
+        nonlocal truth
+        for d in draws:
+            d.coefficients(system, f, g, q_loc)
+        truth = ground_truth(op, f, g, res=q_loc + 2)
+
+    table = PairingTable.build(op, system, window, merged, q_loc,
+                               meanwhile=meanwhile)
     reduced, n_pairs = [], 0
     for d in draws:
         pairs = d.pairs(*d.pair_index())
@@ -459,7 +477,7 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
         n_pairs += len(pairs)
         reduced.append(reduce(*d.weigh(values, pi_good, theta, system.m,
                                        classify)))
-    return reduced, {**table.counts, "pairs": n_pairs}
+    return reduced, {**table.counts, "pairs": n_pairs}, truth
 
 
 def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
@@ -474,14 +492,13 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
             "pi_good too small: the union bound cannot certify positivity "
             f"at r={r}, theta={theta}")
     pi_good = _pi_good_by_scale(window, r, theta)
-    sums, counts = _sample_pairs(
+    sums, counts, truth = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=False,
         pi_good=pi_good, reduce=lambda weighted, *_: float(weighted.sum()))
     sums = np.array(sums)
     estimate = float(sums.mean())
     stderr = float(sums.std(ddof=1) / math.sqrt(n_omega)) if n_omega > 1 else 0.0
-    truth = ground_truth(op, f, g, res=q_loc + 2)
     return {"estimate": estimate, "stderr": stderr, "truth": truth,
             "n_omega": n_omega, "pi_good": pi_good,
             "per_sample": sums.tolist(), "pairings": counts}
@@ -545,13 +562,12 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
         return ([float(weighted[(levels >= 0) & (levels <= N)].sum())
                  for N in range(N_max + 1)], excluded)
 
-    reduced, counts = _sample_pairs(
+    reduced, counts, truth = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=True,
         pi_good=pi_good, reduce=partial_sums)
     partials = np.array([sums for sums, _ in reduced])
     excluded = sum(n for _, n in reduced)
-    truth = ground_truth(op, f, g, res=q_loc + 2)
     curve = ConvergenceCurve(n_omega=n_omega, pi_good=pi_good, truth=truth,
                              excluded_window=excluded, pairings=counts)
     means = partials.mean(axis=0)

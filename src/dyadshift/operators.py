@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,11 +253,13 @@ FIELD_MAX_POINTS = 1 << 26
 # in row chunks (_row_chunks), which bounds the temporaries at a few times
 # 8 MB per field worker
 PAIRING_MAX_NODES = 1 << 20
-# threads that build the fields of one table.  Each holds one field with
-# its FFT temporaries and interpolation blocks, so the cap is set by peak
-# memory, not by speed; the first worker builds the largest fields and the
-# others the smallest, so the peak is the largest field beside a small one.
-# It is not configurable and never reaches a manifest
+# threads that build the fields of one table: the calling thread and
+# FIELD_WORKERS - 1 helpers.  Each holds one field with its FFT temporaries
+# and interpolation blocks, so the cap is set by peak memory, not by speed;
+# the helpers build the largest fields and the calling thread the smallest,
+# so the peak is the largest field beside a small one (or beside the
+# caller's own work, see PairingTable.build).  It is not configurable and
+# never reaches a manifest
 FIELD_WORKERS = min(2, len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
@@ -431,13 +433,17 @@ class PairingTable:
 
     build does everything that reads the wavelet system on the calling
     thread, refusing a mesh over FIELD_MAX_POINTS before any is allocated.
-    Up to FIELD_WORKERS threads then build the fields from the two ends of
-    one list sorted by mesh size, the first worker taking the largest mesh
-    left and any other the smallest, each task filling its field's rows of
-    values; workers call only numpy and private helpers of this module, so
-    a tracer that wraps the public functions sees one thread.  Every row is
-    computed by the same operations whichever thread runs it, so the
-    values are those of a serial build, bit for bit.
+    It then starts FIELD_WORKERS - 1 helper threads, which build fields
+    from one list sorted by mesh size, each taking the largest mesh left.
+    The calling thread meanwhile does its caller's independent work (the
+    meanwhile callable: a run's coefficients and ground truth), then
+    builds fields from the small end of the list, then joins the helpers;
+    with one worker it starts no thread and builds every field, largest
+    first, after the callable.  Each field task fills its field's rows of
+    values.  Helpers call only numpy and private helpers of this module,
+    so a tracer that wraps the public functions sees one thread.  Every
+    row is computed by the same operations whichever thread runs it, so
+    the values are those of a serial build, bit for bit.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
@@ -448,10 +454,12 @@ class PairingTable:
 
     @classmethod
     def build(cls, op: KernelOp, system: WaveletSystem, window,
-              keys: np.ndarray, q_loc: int = 10,
-              pad_factor: int = 8) -> "PairingTable":
+              keys: np.ndarray, q_loc: int = 10, pad_factor: int = 8,
+              meanwhile=None) -> "PairingTable":
         """The table of the distinct rows of keys for op, on the system's
-        wavelets; the window sets the integer unit of the offsets."""
+        wavelets; the window sets the integer unit of the offsets.  The
+        calling thread runs meanwhile(), if given, exactly once while the
+        helpers build fields."""
         # the distinct rows pack as all rows do: same generations, same
         # offsets
         packing = _KeyPacking.of(keys)
@@ -485,33 +493,49 @@ class PairingTable:
                 _fill_rows(values, du, row_blocks,
                            lambda u: 2.0 ** (kc / 2.0)
                            * system.mother(u * 2.0 ** kc))
-        if tasks:
-            # the workers drain one size-sorted deque from opposite ends:
-            # the first takes the largest field left, any other the
-            # smallest, so the pool's peak is the largest field beside a
-            # small one, not the two largest; its pop, popleft and clear
-            # are thread-safe.  A failing task empties the deque, so no
-            # worker starts another field; its error leaves the with block
-            # once the running fields have ended
-            tasks.sort(key=lambda task: -task[0].size)
-            queue = deque(tasks)
+        # the threads drain one size-sorted deque from opposite ends: each
+        # helper takes the largest field left and the calling thread, once
+        # meanwhile has returned, the smallest, so the peak is the largest
+        # field beside a small one, not the two largest; pop, popleft and
+        # clear are thread-safe.  A failing field or meanwhile empties the
+        # deque, so no thread starts another field; the error is raised
+        # once the running fields have ended
+        tasks.sort(key=lambda task: -task[0].size)
+        queue = deque(tasks)
+        failed = []  # the error of a failing helper
 
-            def drain(take):
-                while True:
-                    try:
-                        mesh, row_blocks = take()
-                    except IndexError:
-                        return
-                    try:
-                        _field_task(op, mesh, row_blocks, values, du)
-                    except BaseException:
-                        queue.clear()
-                        raise
+        def drain(take):
+            while True:
+                try:
+                    mesh, row_blocks = take()
+                except IndexError:
+                    return
+                _field_task(op, mesh, row_blocks, values, du)
 
-            workers = min(FIELD_WORKERS, len(tasks))
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(drain,
-                              [queue.popleft] + [queue.pop] * (workers - 1)))
+        def helper():
+            try:
+                drain(queue.popleft)
+            except BaseException as exc:
+                queue.clear()
+                failed.append(exc)
+
+        helpers = []
+        try:
+            for _ in range(min(FIELD_WORKERS - 1, len(tasks))):
+                thread = threading.Thread(target=helper)
+                thread.start()
+                helpers.append(thread)
+            if meanwhile is not None:
+                meanwhile()
+            drain(queue.pop if helpers else queue.popleft)
+        except BaseException:
+            queue.clear()
+            raise
+        finally:
+            for thread in helpers:
+                thread.join()
+        if failed:
+            raise failed[0]
         return cls(keys, values, {"keys": len(keys), "fields": len(tasks)},
                    packing, packed)
 

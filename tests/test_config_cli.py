@@ -515,7 +515,7 @@ def test_commands_load_no_module_after_import(tmp_path):
     # in a fresh process: importing the CLI leaves scipy.fft out, and no
     # command loads a module during its run.  numpy and the standard library
     # import some modules on first use (numpy.ma, numpy.random, numpy.fft,
-    # the thread pool); the package imports them up front instead
+    # threading); the package imports them up front instead
     configs = {
         "grid-stats": {"kernel": "hilbert", "L": 3, "k_min": -2,
                        "k_max": 6, "r": 5, "theta": 1.0,

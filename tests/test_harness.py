@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -353,7 +356,7 @@ def test_sample_pairs_matches_pair_loop(name, r):
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
     theta, q_loc, seed = 1.0, 7, (5, 1)
     pi_good = _pi_good_by_scale(w, r, theta)
-    ((got_weighted, got_levels, got_excluded),), counts = _sample_pairs(
+    ((got_weighted, got_levels, got_excluded),), counts, _ = _sample_pairs(
         op, system, w, f, g, r, theta, q_loc, [seed], classify=True,
         pi_good=pi_good, reduce=lambda *terms: terms)
     grid = DyadicGrid.random(w, seed)
@@ -540,9 +543,9 @@ def test_experiments_build_one_table(monkeypatch, experiment):
     builds, calls = [], []
     build, pairings = PairingTable.build, PairingEngine.pairings
 
-    def count_build(op, system, window, keys, q_loc):
+    def count_build(op, system, window, keys, q_loc, **kwargs):
         builds.append((op, system, window, q_loc))
-        return build(op, system, window, keys, q_loc)
+        return build(op, system, window, keys, q_loc, **kwargs)
 
     def capture(self, pairs):
         values = pairings(self, pairs)
@@ -573,20 +576,21 @@ def test_experiments_build_one_table(monkeypatch, experiment):
 def _held_memory(monkeypatch, n_omega: int) -> dict:
     """The memory a README-window represent run over n_omega grids holds,
     by tracemalloc, when its table build starts ("build") and once every
-    grid's pairings are reduced ("reduced", at the ground truth), and the
-    bytes of the table's distinct key rows ("keys")."""
+    grid's pairings are reduced ("reduced", as _sample_pairs returns), and
+    the bytes of the table's distinct key rows ("keys")."""
     held = {}
-    build, truth = PairingTable.build, harness.ground_truth
+    build, sample = PairingTable.build, harness._sample_pairs
 
-    def at_build(*args):
+    def at_build(*args, **kwargs):
         held["build"] = tracemalloc.get_traced_memory()[0] - start
-        table = build(*args)
+        table = build(*args, **kwargs)
         held["keys"] = table.keys.nbytes
         return table
 
-    def at_truth(*args, **kwargs):
+    def at_return(*args, **kwargs):
+        result = sample(*args, **kwargs)
         held["reduced"] = tracemalloc.get_traced_memory()[0] - start
-        return truth(*args, **kwargs)
+        return result
 
     w = Window(L=8, k_min=-8, k_max=5)
     f = TestFunction(center=127.3, halfwidth=0.8)
@@ -594,7 +598,7 @@ def _held_memory(monkeypatch, n_omega: int) -> dict:
     system = build_system("haar", q=11)
     with monkeypatch.context() as m:
         m.setattr(PairingTable, "build", at_build)
-        m.setattr(harness, "ground_truth", at_truth)
+        m.setattr(harness, "_sample_pairs", at_return)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -617,3 +621,113 @@ def test_randomized_run_memory_does_not_grow_with_n_omega(monkeypatch):
     grown = (many["build"] - many["keys"]) - (few["build"] - few["keys"])
     assert grown < 12 * 20_000, (few, many)
     assert many["reduced"] <= few["reduced"] + 20_000, (few, many)
+
+
+def _overlap_case(name: str, op: str):
+    """(op, system, window, f, g) of the overlap tests below."""
+    return (make_operator(op), build_system(name, q=9),
+            Window(L=6, k_min=-6, k_max=5),
+            TestFunction(center=31.9, halfwidth=0.8, tilt=1),
+            TestFunction(center=32.2, halfwidth=0.7, tilt=1))
+
+
+@pytest.mark.parametrize("name, op", [("haar", "hilbert"),
+                                      ("db2", "smoothed_hilbert"),
+                                      ("haar", "identity")])
+def test_overlapped_runs_match_serial_ones(monkeypatch, name, op):
+    # the calling thread computes the coefficients and the ground truth
+    # while helpers build the run table's fields.  With one worker nothing
+    # overlaps; with two, and with four switching threads often, where a
+    # lost write would show, the results are the same, bit for bit: the
+    # randomized expansion's, and the convergence run's partial sums,
+    # truth and counts, and its curve where it has one (db2's sums stay
+    # within the noise floor)
+    op, system, w, f, g = _overlap_case(name, op)
+    sample = harness._sample_pairs
+
+    def run():
+        sampled = []
+
+        def capture(*args, **kwargs):
+            sampled.append(sample(*args, **kwargs))
+            return sampled[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_sample_pairs", capture)
+            rand = randomized_expansion(op, system, w, f, g, r=4,
+                                        theta=1.0, n_omega=3, seed=1,
+                                        q_loc=7)
+            try:
+                points = convergence_experiment(
+                    op, system, w, f, g, s=2, eps=0.5, N_max=7, n_omega=2,
+                    seed=7, q_loc=8).points
+            except NoiseFloorError:
+                points = None
+        return (rand["estimate"], rand["per_sample"], rand["truth"],
+                rand["pairings"], sampled[1], points)
+
+    interval = sys.getswitchinterval()
+    runs = []
+    for workers, switch in ((1, interval), (2, 1e-5), (4, 1e-5)):
+        monkeypatch.setattr(operators, "FIELD_WORKERS", workers)
+        sys.setswitchinterval(switch)
+        try:
+            runs.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+    assert (runs[0][3]["fields"] > 3) == op.singular
+    assert (runs[0][-1] is None) == (name == "db2")
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda op, system, w, f, g: randomized_expansion(
+        op, system, w, f, g, r=4, theta=1.0, n_omega=2, seed=1, q_loc=7),
+    lambda op, system, w, f, g: convergence_experiment(
+        op, system, w, f, g, s=2, eps=0.5, N_max=7, n_omega=2, seed=7,
+        q_loc=8),
+], ids=["randomized_expansion", "convergence_experiment"])
+def test_coefficient_failure_during_build_fails_cleanly(monkeypatch,
+                                                        experiment):
+    # the third coefficient call, on the calling thread, fails while a
+    # helper builds its first field.  The deque is emptied, the helper's
+    # field ends, no field starts after the failure, and the error leaves
+    # the experiment with no thread left.  The helper's first field waits
+    # for the deque to be emptied, so the order does not depend on timing
+    in_field, failing, cleared = (threading.Event(), threading.Event(),
+                                  threading.Event())
+    started, calls = [], []  # fields: started after the failure?
+    coefficients, task = harness.localized_coefficients, operators._field_task
+
+    class WatchedDeque(deque):
+        def clear(self):
+            super().clear()
+            cleared.set()
+
+    def field(*args):
+        started.append(failing.is_set())
+        if len(started) == 1:
+            in_field.set()
+            cleared.wait(20)
+        return task(*args)
+
+    def fail_third(*args):
+        calls.append(threading.get_ident())
+        if len(calls) == 3:
+            in_field.wait(20)
+            failing.set()
+            raise MemoryError("coefficients too large")
+        return coefficients(*args)
+
+    monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
+    monkeypatch.setattr(operators, "deque", WatchedDeque)
+    monkeypatch.setattr(operators, "_field_task", field)
+    monkeypatch.setattr(harness, "localized_coefficients", fail_third)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="coefficients too large"):
+        experiment(*_overlap_case("haar", "hilbert"))
+    assert threading.active_count() == threads
+    assert calls == [threading.get_ident()] * 3
+    assert started == [False]
+    assert cleared.is_set()

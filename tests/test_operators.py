@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -494,9 +495,9 @@ def _captured_pairings(monkeypatch, tmp_path, argv):
         calls.append((self, pairs, values))
         return values
 
-    def capture_build(op, system, window, keys, q_loc):
+    def capture_build(op, system, window, keys, q_loc, **kwargs):
         builds.append((op, system, q_loc))
-        return build(op, system, window, keys, q_loc)
+        return build(op, system, window, keys, q_loc, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(PairingEngine, "pairings", capture)
@@ -843,7 +844,7 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
 
 
 def test_fields_start_largest_first(monkeypatch):
-    # with one worker the fields are built in the order map submits them
+    # with one worker the calling thread builds every field, largest first
     w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 5)
     system = build_system("db2", q=11)
@@ -928,6 +929,51 @@ def test_failing_field_starts_no_other(monkeypatch):
         operators.PairingTable.build(*_pool_table_args(), q_loc=8)
     assert threading.active_count() == threads
     assert len(calls) == 1
+
+
+def test_failing_helper_field_surfaces_after_meanwhile(monkeypatch):
+    # a helper's first field fails while the calling thread waits in
+    # meanwhile until the deque is emptied: the field's error is raised
+    # once meanwhile returns, the calling thread builds no field, and no
+    # thread is left
+    cleared = threading.Event()
+    builders, waited = [], []
+
+    class WatchedDeque(deque):
+        def clear(self):
+            super().clear()
+            cleared.set()
+
+    def fail(*args):
+        builders.append(threading.get_ident())
+        raise MemoryError("field too large")
+
+    monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
+    monkeypatch.setattr(operators, "deque", WatchedDeque)
+    monkeypatch.setattr(operators, "_field_task", fail)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="field too large"):
+        operators.PairingTable.build(
+            *_pool_table_args(), q_loc=8,
+            meanwhile=lambda: waited.append(cleared.wait(20)))
+    assert waited == [True]
+    assert len(builders) == 1 and builders[0] != threading.get_ident()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("op, keys", [("hilbert", True), ("identity", True),
+                                      ("hilbert", False)])
+def test_meanwhile_runs_once(monkeypatch, workers, op, keys):
+    # with fields, with rows but no field, and with no row at all
+    _, system, w, all_keys = _pool_table_args()
+    ran = []
+    monkeypatch.setattr(operators, "FIELD_WORKERS", workers)
+    table = operators.PairingTable.build(
+        make_operator(op), system, w, all_keys if keys else all_keys[:0],
+        q_loc=8, meanwhile=lambda: ran.append(threading.get_ident()))
+    assert ran == [threading.get_ident()]
+    assert (table.counts["fields"] > 0) == (keys and op == "hilbert")
 
 
 @pytest.mark.parametrize("name, op", [("haar", "hilbert"),
