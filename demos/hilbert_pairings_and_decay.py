@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from dyadshift.dyadic import CubePairs, DyadicGrid, Window
-from dyadshift.harness import audit_rows_csv, decay_audit
+from dyadshift.harness import decay_audit
 from dyadshift.operators import (PairingEngine, PairingTable, make_operator,
                                  pairing_keys)
 from dyadshift.wavelets import build_system
@@ -65,4 +65,8 @@ rows, info = decay_audit(op, system, grid, s=1, eps=0.5, theta=1.0,
                          i_max=4, j_max=4, q_loc=10)
 print(f"\naudit over {info['pairs_seen']} pairs "
       f"({info['window_truncated']} truncated):")
-print(audit_rows_csv(rows))
+print("class      i  j  pairs  max|pairing|      bound  ratio  psi_ratio")
+for r in rows:
+    psi = "" if r.psi_ratio is None else f"  {r.psi_ratio:9.3f}"
+    print(f"{r.kind:<9} {r.i:2d} {r.j:2d} {r.pair_count:6d}  "
+          f"{r.max_pairing:12.3e}  {r.bound:9.3e}  {r.ratio:5.3f}{psi}")

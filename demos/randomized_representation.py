@@ -37,4 +37,5 @@ g = TestFunction(center=512.2, halfwidth=0.7, tilt=1)
 curve = convergence_experiment(op, system, window, f, g, s=1, eps=0.5,
                                N_max=7, n_omega=4, seed=7, q_loc=8)
 print(f"truncation slope {curve.slope:.2f} over N in {curve.fit_range}")
-print(curve.csv())
+for N, e, se in curve.points:
+    print(f"  N = {N}: e_N = {e:.3e} +- {se:.1e}")

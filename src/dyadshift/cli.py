@@ -1,11 +1,14 @@
 """Command line front end.
 
 Subcommands: grid-stats, wavelet-check, decay-audit, represent, convergence.
-Each takes a config (file path or inline JSON) plus a few overriding flags,
-writes its reports and a JSON manifest under the output directory, and exits
-with 0 on success, 2 on configuration errors, 3 on numerical findings (a
-bound from the underlying estimates is violated), and 4 on convergence or
-resource failures.
+Each takes a config (file path or inline JSON) plus a few overriding flags
+and returns (results, tables, message, finding): the manifest's results,
+its CSV reports as {file name: rows, the header first}, its one line and
+whether that line reports a finding.  main writes the reports and a JSON
+manifest under the output directory, prints the line and exits with 0 on
+success, 2 on configuration errors, 3 on numerical findings (a bound from
+the underlying estimates is violated), and 4 on convergence or resource
+failures.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 # no module uses scipy; it stays imported because the benchmark's child
 # process (bench/child.py) reports sys.modules["scipy"].__version__
@@ -21,8 +25,8 @@ import scipy  # noqa: F401
 from .config import ConfigError, RunConfig, manifest_json, parse_config
 from .dyadic import DyadicGrid, ScaleRangeError, pi_bad_estimate
 from .filters import FilterError
-from .harness import (NoiseFloorError, audit_rows_csv, convergence_experiment,
-                      decay_audit, randomized_expansion)
+from .harness import (NoiseFloorError, convergence_experiment, decay_audit,
+                      randomized_expansion)
 from .operators import TestFunction, make_operator
 from .wavelets import CascadeError, build_system, gram_defect
 
@@ -31,19 +35,9 @@ EXIT_FINDING = 3
 EXIT_RESOURCE = 4
 
 # the failures a command can raise besides ConfigError; numerical
-# findings are not raised but returned as EXIT_FINDING by the command
+# findings are not raised but returned by the command
 _RESOURCE_ERRORS = (CascadeError, FilterError, MemoryError, NoiseFloorError,
                     OSError, ScaleRangeError)
-
-
-def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.outdir, exist_ok=True)
-    return cfg.outdir
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def _default_pair(cfg: RunConfig) -> tuple[TestFunction, TestFunction]:
@@ -69,26 +63,26 @@ def _system(cfg: RunConfig):
         ) from exc
 
 
-def cmd_grid_stats(cfg: RunConfig) -> int:
+def cmd_grid_stats(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     report = pi_bad_estimate(cfg.window, r=cfg.r, theta=cfg.theta,
                              samples=cfg.mc_samples, seed=cfg.seed)
-    out = _outdir(cfg)
-    _write(os.path.join(out, "goodness.csv"), report.to_csv())
     results = {
         "pi_bad_hat": report.pi_bad_hat,
         "stderr": report.stderr,
         "bound": report.bound,
     }
-    _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
-    if report.pi_bad_hat > report.bound + 3.0 * report.stderr:
-        print(f"finding: pi_bad_hat {report.pi_bad_hat:.5f} exceeds the "
-              f"union bound {report.bound:.5f}", file=sys.stderr)
-        return EXIT_FINDING
-    print(f"pi_bad_hat {report.pi_bad_hat:.5f} <= bound {report.bound:.5f}")
-    return 0
+    # one row; the d column is the dimension, 1
+    table = [("samples", "pi_bad_hat", "stderr", "bound", "r", "theta", "d"),
+             (cfg.mc_samples, report.pi_bad_hat, report.stderr, report.bound,
+              cfg.r, cfg.theta, 1)]
+    finding = report.pi_bad_hat > report.bound + 3.0 * report.stderr
+    message = (f"pi_bad_hat {report.pi_bad_hat:.5f} exceeds the union bound "
+               f"{report.bound:.5f}" if finding else
+               f"pi_bad_hat {report.pi_bad_hat:.5f} <= bound {report.bound:.5f}")
+    return results, {"goodness.csv": table}, message, finding
 
 
-def cmd_wavelet_check(cfg: RunConfig) -> int:
+def cmd_wavelet_check(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     system = _system(cfg)
     entries = [(k, l, "psi") for k in range(3) for l in range(2 ** k)]
     defect = gram_defect(system, entries, res=min(cfg.q, 16), span=(-8.0, 9.0))
@@ -99,14 +93,11 @@ def cmd_wavelet_check(cfg: RunConfig) -> int:
         "gram_defect": defect,
         "moments": {a: system.moment(a) for a in range(system.v + 2)},
     }
-    out = _outdir(cfg)
-    _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
-    print(f"filter {cfg.filter}: m={system.m} u={system.u} v={system.v} "
-          f"gram defect {defect:.3g}")
-    return 0
+    return results, {}, (f"filter {cfg.filter}: m={system.m} u={system.u} "
+                         f"v={system.v} gram defect {defect:.3g}"), False
 
 
-def cmd_decay_audit(cfg: RunConfig) -> int:
+def cmd_decay_audit(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     grid = DyadicGrid.random(cfg.window, cfg.seed)
     op = make_operator(cfg.kernel)
     if op.czs_seminorm is None:
@@ -116,36 +107,31 @@ def cmd_decay_audit(cfg: RunConfig) -> int:
     rows, info = decay_audit(op, system, grid, s=cfg.s, eps=cfg.eps,
                              theta=cfg.theta, i_max=cfg.N_max,
                              j_max=cfg.N_max, q_loc=min(cfg.q, 10))
-    out = _outdir(cfg)
-    _write(os.path.join(out, "audit.csv"), audit_rows_csv(rows))
-    _write(os.path.join(out, "manifest.json"), manifest_json(cfg, info))
+    # the columns are the fields of DecayAuditRow, kind written as class
+    table = [("class", "i", "j", "pair_count", "max_pairing", "bound",
+              "ratio", "psi_bound", "psi_ratio"), *map(astuple, rows)]
     bad = [r for r in rows if r.kind in ("equal", "near") and r.ratio > 1.0]
-    if bad:
-        print(f"finding: {len(bad)} equal/near cells exceed the operator "
-              f"norm bound", file=sys.stderr)
-        return EXIT_FINDING
-    print(f"audit: {len(rows)} cells, max ratio "
-          f"{max((r.ratio for r in rows), default=0.0):.3g}")
-    return 0
+    message = (f"{len(bad)} equal/near cells exceed the operator norm bound"
+               if bad else f"audit: {len(rows)} cells, max ratio "
+               f"{max((r.ratio for r in rows), default=0.0):.3g}")
+    return info, {"audit.csv": table}, message, bool(bad)
 
 
-def cmd_represent(cfg: RunConfig) -> int:
+def cmd_represent(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     system = _system(cfg)
     op = make_operator(cfg.kernel)
     f, g = _default_pair(cfg)
     res = randomized_expansion(op, system, cfg.window, f, g, r=cfg.r,
                                theta=cfg.theta, n_omega=cfg.n_omega,
                                seed=cfg.seed, q_loc=min(cfg.q, 10))
-    out = _outdir(cfg)
     results = {k: res[k] for k in ("estimate", "stderr", "truth", "n_omega",
                                    "pi_good", "pairings")}
-    _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
-    print(f"estimate {res['estimate']:.6f} +- {res['stderr']:.2g} "
-          f"(reference {res['truth']:.6f})")
-    return 0
+    return results, {}, (f"estimate {res['estimate']:.6f} +- "
+                         f"{res['stderr']:.2g} (reference "
+                         f"{res['truth']:.6f})"), False
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     system = _system(cfg)
     op = make_operator(cfg.kernel)
     # mean-zero bumps: a nonzero mean leaves coarse-pair mass whose joins
@@ -158,15 +144,12 @@ def cmd_convergence(cfg: RunConfig) -> int:
                                    n_omega=cfg.n_omega, seed=cfg.seed,
                                    r=cfg.r, theta=cfg.theta,
                                    q_loc=min(cfg.q, 10))
-    out = _outdir(cfg)
-    _write(os.path.join(out, "curve.csv"), curve.csv())
     results = {"slope": curve.slope, "fit_range": list(curve.fit_range),
                "truth": curve.truth, "pi_good": curve.pi_good,
                "excluded_window": curve.excluded_window,
                "pairings": curve.pairings}
-    _write(os.path.join(out, "manifest.json"), manifest_json(cfg, results))
-    print(f"slope {curve.slope:.3f} over N in {curve.fit_range}")
-    return 0
+    return results, {"curve.csv": [("N", "e_N", "stderr"), *curve.points]}, (
+        f"slope {curve.slope:.3f} over N in {curve.fit_range}"), False
 
 
 _COMMANDS = {
@@ -189,19 +172,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _field(value) -> str:
+    """A CSV field: a float to 10 significant digits, None empty."""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return "" if value is None else str(value)
+
+
 def main(argv=None) -> int:
-    """Run one command; the output directory is --outdir, else
-    $DYADSHIFT_OUTDIR, else the config's outdir, and the manifest records
-    the one used."""
+    """Run one command and write its reports and manifest; the output
+    directory is --outdir, else $DYADSHIFT_OUTDIR, else the config's
+    outdir, and the manifest records the one used."""
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, {
             "seed": args.seed,
             "outdir": args.outdir or os.environ.get("DYADSHIFT_OUTDIR")})
-        return _COMMANDS[args.command](cfg)
+        results, tables, message, finding = _COMMANDS[args.command](cfg)
+        files = {name: "".join(",".join(map(_field, row)) + "\n"
+                               for row in rows)
+                 for name, rows in tables.items()}
+        files["manifest.json"] = manifest_json(cfg, results)
+        os.makedirs(cfg.outdir, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(cfg.outdir, name), "w") as fh:
+                fh.write(text)
     except (ConfigError, *_RESOURCE_ERRORS) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RESOURCE
+    if finding:
+        print(f"finding: {message}", file=sys.stderr)
+        return EXIT_FINDING
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

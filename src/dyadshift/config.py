@@ -152,9 +152,6 @@ class RunConfig:
                 f"unsatisfiable (u,v): insufficient moments "
                 f"(filter {self.filter!r} has v={probe.v} < s-1={self.s - 1})")
 
-    def manifest_dict(self) -> dict:
-        return asdict(self)
-
 
 def default_r(theta: float) -> int:
     """Smallest r with (8 / theta) 2^(-r theta) <= 1/2."""
@@ -195,12 +192,10 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
     return cfg.resolved()
 
 
-def manifest_json(cfg: RunConfig, extra: dict | None = None) -> str:
-    """Deterministic manifest text: config echo plus derived quantities."""
-    payload = {"config": cfg.manifest_dict()}
-    payload["derived"] = {
-        "union_bound": union_bound(cfg.r, cfg.theta),
-    }
-    if extra:
-        payload["results"] = extra
+def manifest_json(cfg: RunConfig, results: dict) -> str:
+    """Deterministic manifest text: config echo, derived quantities and a
+    command's results."""
+    payload = {"config": asdict(cfg),
+               "derived": {"union_bound": union_bound(cfg.r, cfg.theta)},
+               "results": results}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

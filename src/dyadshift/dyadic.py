@@ -19,7 +19,6 @@ exactly independent (they are driven by disjoint bits of omega).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,20 +277,9 @@ def union_bound(r: int, theta: float) -> float:
 
 @dataclass
 class GoodnessReport:
-    samples: int
     pi_bad_hat: float
     stderr: float
     bound: float
-    r: int
-    theta: float
-
-    def to_csv(self) -> str:
-        """One header line and one row; the d column is the dimension, 1."""
-        buf = io.StringIO()
-        buf.write("samples,pi_bad_hat,stderr,bound,r,theta,d\n")
-        buf.write(f"{self.samples},{self.pi_bad_hat:.10g},{self.stderr:.10g},"
-                  f"{self.bound:.10g},{self.r},{self.theta:.10g},1\n")
-        return buf.getvalue()
 
 
 def _badness_batch(window: Window, k_ref: int, r: int, theta: float,
@@ -352,8 +340,7 @@ def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
     _, _, bad = _sample_badness(window, r, theta, samples, seed, k_ref)
     p = int(bad.sum()) / samples
     se = float(np.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples))
-    return GoodnessReport(samples=samples, pi_bad_hat=p, stderr=se,
-                          bound=union_bound(r, theta), r=r, theta=theta)
+    return GoodnessReport(pi_bad_hat=p, stderr=se, bound=union_bound(r, theta))
 
 
 def pi_bad_exact(window: Window, k_ref: int, r: int, theta: float) -> float:

@@ -140,15 +140,6 @@ def _pairings(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     return values, {"pairs": len(pairs), **table.counts}
 
 
-def plain_inner_product(f, g, res: int = 14) -> float:
-    lo = min(f.support[0], g.support[0])
-    hi = max(f.support[1], g.support[1])
-    h = 0.5 ** res
-    n = int(math.ceil((hi - lo) / h))
-    x = lo + (np.arange(n) + 0.5) * h
-    return float(np.sum(f(x) * g(x)) * h)
-
-
 # ---------------------------------------------------------------------------
 # decay audit
 
@@ -292,17 +283,6 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     return rows, info
 
 
-def audit_rows_csv(rows) -> str:
-    lines = ["class,i,j,pair_count,max_pairing,bound,ratio,psi_bound,psi_ratio"]
-    for r in rows:
-        pb = "" if r.psi_bound is None else f"{r.psi_bound:.10g}"
-        pr = "" if r.psi_ratio is None else f"{r.psi_ratio:.10g}"
-        lines.append(f"{r.kind},{r.i},{r.j},{r.pair_count},"
-                     f"{r.max_pairing:.10g},{r.bound:.10g},{r.ratio:.10g},"
-                     f"{pb},{pr}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # expansion identity and randomized expansion
 
@@ -326,8 +306,7 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                    < np.minimum(hi_f[I], hi_g[J]))
         I, J = I[overlap], J[overlap]
     if truth is None:
-        truth = (ground_truth(op, f, g, res=q_loc + 2) if op.singular
-                 else plain_inner_product(f, g))
+        truth = ground_truth(op, f, g, res=q_loc + 2)
     values, _ = _pairings(op, system, grid, loc.pairs(I, J), q_loc)
     terms = loc.cf[I] * values * loc.cg[J]
     total = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
@@ -429,11 +408,11 @@ def _draw(system, window, f, g, r, theta, seed_tuple) -> _Draw:
 
 
 def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
-                  classify: bool, pi_good: dict, reduce,
-                  ) -> tuple[list, dict, float]:
+                  classify: bool, reduce) -> tuple[list, dict, float, dict]:
     """reduce(weighted, levels, excluded) of each seed tuple (see
     _Draw.weigh), the run's pairing counts (the table's distinct keys and
-    fields, and the pairs) and the ground truth <g, T f>.
+    fields, and the pairs), the ground truth <g, T f> and the goodness
+    probabilities of _pi_good_by_scale, which divide the terms.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -449,6 +428,7 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     grid at a time, and so do its per-pair terms: they are reduced right
     after its lookup.
     """
+    pi_good = _pi_good_by_scale(window, r, theta)
     _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
     for seed in seeds:
@@ -477,7 +457,16 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
         n_pairs += len(pairs)
         reduced.append(reduce(*d.weigh(values, pi_good, theta, system.m,
                                        classify)))
-    return reduced, {**table.counts, "pairs": n_pairs}, truth
+    return reduced, {**table.counts, "pairs": n_pairs}, truth, pi_good
+
+
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of the per-grid samples (axis 0) and its standard error,
+    0 for one grid."""
+    n = samples.shape[0]
+    if n == 1:
+        return samples.mean(axis=0), np.zeros(samples.shape[1:])
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
@@ -491,14 +480,12 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
         raise ScaleRangeError(
             "pi_good too small: the union bound cannot certify positivity "
             f"at r={r}, theta={theta}")
-    pi_good = _pi_good_by_scale(window, r, theta)
-    sums, counts, truth = _sample_pairs(
+    sums, counts, truth, pi_good = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=False,
-        pi_good=pi_good, reduce=lambda weighted, *_: float(weighted.sum()))
+        reduce=lambda weighted, *_: float(weighted.sum()))
     sums = np.array(sums)
-    estimate = float(sums.mean())
-    stderr = float(sums.std(ddof=1) / math.sqrt(n_omega)) if n_omega > 1 else 0.0
+    estimate, stderr = map(float, _mean_stderr(sums))
     return {"estimate": estimate, "stderr": stderr, "truth": truth,
             "n_omega": n_omega, "pi_good": pi_good,
             "per_sample": sums.tolist(), "pairings": counts}
@@ -514,12 +501,6 @@ class ConvergenceCurve:
     fit_range: tuple = ()
     excluded_window: int = 0
     pairings: dict = field(default_factory=dict)  # the run's pairing counts
-
-    def csv(self) -> str:
-        lines = ["N,e_N,stderr"]
-        for N, e, se in self.points:
-            lines.append(f"{N},{e:.10g},{se:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 class NoiseFloorError(RuntimeError):
@@ -554,7 +535,6 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
         theta = eps / (1 + s)
     if r is None:
         r = window.k_max - window.k_min + 1  # vacuous: nothing classifiable
-    pi_good = _pi_good_by_scale(window, r, theta)
 
     def partial_sums(weighted, levels, excluded) -> tuple[list, int]:
         """The sample's sums over max(i, j) <= N, N = 0..N_max, and its
@@ -562,19 +542,15 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
         return ([float(weighted[(levels >= 0) & (levels <= N)].sum())
                  for N in range(N_max + 1)], excluded)
 
-    reduced, counts, truth = _sample_pairs(
+    reduced, counts, truth, pi_good = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc,
         [(seed, w_idx) for w_idx in range(n_omega)], classify=True,
-        pi_good=pi_good, reduce=partial_sums)
+        reduce=partial_sums)
     partials = np.array([sums for sums, _ in reduced])
     excluded = sum(n for _, n in reduced)
     curve = ConvergenceCurve(n_omega=n_omega, pi_good=pi_good, truth=truth,
                              excluded_window=excluded, pairings=counts)
-    means = partials.mean(axis=0)
-    if n_omega > 1:
-        ses = partials.std(axis=0, ddof=1) / math.sqrt(n_omega)
-    else:
-        ses = np.zeros(N_max + 1)
+    means, ses = _mean_stderr(partials)
     for N in range(1, N_max + 1):
         curve.points.append((N, abs(truth - means[N]), float(ses[N])))
     floor = curve.points[-1][1]

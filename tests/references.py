@@ -16,9 +16,12 @@ compare it with:
 - the per-entry loops over Cube lists that assembled, applied and measured
   shifts before shifts were held as int64 arrays, and the Cube-list cube
   enumeration and decay audit that preceded the int64 pair arrays;
-- the cascade iteration the exact scaling tables are checked against.
+- the cascade iteration the exact scaling tables are checked against;
+- the per-report CSV writers the library's modules held before the
+  command line became the one writer (goodness, audit and curve CSV).
 Where the batching keeps the arithmetic the tests compare bit for bit."""
 
+import io
 import math
 
 import numpy as np
@@ -578,3 +581,37 @@ def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
             row.psi_ratio = mx / pb
         rows.append(row)
     return rows, info
+
+
+# ---------------------------------------------------------------------------
+# per-report CSV writers
+
+
+def goodness_csv(report, samples: int, r: int, theta: float) -> str:
+    """grid-stats' goodness.csv of a GoodnessReport: one header line and
+    one row; the d column is the dimension, 1."""
+    buf = io.StringIO()
+    buf.write("samples,pi_bad_hat,stderr,bound,r,theta,d\n")
+    buf.write(f"{samples},{report.pi_bad_hat:.10g},{report.stderr:.10g},"
+              f"{report.bound:.10g},{r},{theta:.10g},1\n")
+    return buf.getvalue()
+
+
+def audit_rows_csv(rows) -> str:
+    """decay-audit's audit.csv of DecayAuditRows."""
+    lines = ["class,i,j,pair_count,max_pairing,bound,ratio,psi_bound,psi_ratio"]
+    for r in rows:
+        pb = "" if r.psi_bound is None else f"{r.psi_bound:.10g}"
+        pr = "" if r.psi_ratio is None else f"{r.psi_ratio:.10g}"
+        lines.append(f"{r.kind},{r.i},{r.j},{r.pair_count},"
+                     f"{r.max_pairing:.10g},{r.bound:.10g},{r.ratio:.10g},"
+                     f"{pb},{pr}")
+    return "\n".join(lines) + "\n"
+
+
+def curve_csv(curve) -> str:
+    """convergence's curve.csv of a ConvergenceCurve."""
+    lines = ["N,e_N,stderr"]
+    for N, e, se in curve.points:
+        lines.append(f"{N},{e:.10g},{se:.10g}")
+    return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from dyadshift.dyadic import DyadicGrid, ScaleRangeError
 from dyadshift.filters import FilterError
 from dyadshift.harness import NoiseFloorError
 from dyadshift.wavelets import CascadeError
+from references import audit_rows_csv, curve_csv, goodness_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,6 +116,76 @@ def test_cli_decay_audit_small(tmp_path, monkeypatch):
     lines = (tmp_path / "audit.csv").read_text().splitlines()
     assert lines[0].startswith("class,i,j,")
     assert len(lines) > 1
+
+
+_GRID = '"kernel": "hilbert", "L": 3, "k_min": -2, "k_max": 10, '
+_README_AUDIT = ('{"filter": "db3", "kernel": "hilbert", "L": 4, '
+                 '"k_min": -4, "k_max": 4, "s": 1}')
+_README_CONVERGENCE = ('{"filter": "haar", "kernel": "hilbert", "L": 6, '
+                       '"k_min": -6, "k_max": 5, "s": 1, "N_max": 6, '
+                       '"n_omega": 4}')
+
+
+@pytest.mark.parametrize("command, cfg, experiment, report", [
+    ("grid-stats", '{%s"r": 1, "theta": 0.2, "mc_samples": 20000}' % _GRID,
+     "pi_bad_estimate", "goodness.csv"),
+    # an integer theta is written by str, a float one as .10g: both "1"
+    ("grid-stats", '{%s"r": 5, "theta": 1, "mc_samples": 20000}' % _GRID,
+     "pi_bad_estimate", "goodness.csv"),
+    ("decay-audit", _README_AUDIT, "decay_audit", "audit.csv"),
+    ("convergence", _README_CONVERGENCE, "convergence_experiment",
+     "curve.csv"),
+], ids=["grid-stats-float-theta", "grid-stats-int-theta", "decay-audit",
+        "convergence"])
+def test_cli_reports_match_reference_writers(tmp_path, monkeypatch, command,
+                                             cfg, experiment, report):
+    # each CSV main writes, byte for byte against the writer its library
+    # module held before, on the numbers the command's experiment returned
+    returned = []
+    inner = getattr(cli, experiment)
+
+    def capture(*args, **kwargs):
+        returned.append(inner(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, experiment, capture)
+    assert main([command, "--config", cfg, "--seed", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    (got,), resolved = returned, parse_config(cfg)
+    if command == "grid-stats":
+        want = goodness_csv(got, resolved.mc_samples, resolved.r,
+                            resolved.theta)
+    elif command == "decay-audit":
+        rows, _ = got
+        # rows with empty psi_bound and psi_ratio fields and rows with both
+        assert {row.psi_bound is None for row in rows} == {True, False}
+        assert all((row.psi_bound is None) == (row.psi_ratio is None)
+                   for row in rows)
+        want = audit_rows_csv(rows)
+    else:
+        want = curve_csv(got)
+    assert (tmp_path / report).read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("command, cfg, module, name, value, report", [
+    ("grid-stats", '{%s"r": 5, "theta": 1.0, "mc_samples": 20000}' % _GRID,
+     dyadic, "union_bound", 0.0, "goodness.csv"),
+    ("decay-audit", '{"filter": "db3", "kernel": "hilbert", "L": 4, '
+     '"k_min": -4, "k_max": 2, "s": 1}', harness, "class_bound", 1e-9,
+     "audit.csv"),
+])
+def test_cli_finding_exits_3(tmp_path, capsys, monkeypatch, command, cfg,
+                             module, name, value, report):
+    # a bound the data break is a finding: one stderr line, exit 3, and the
+    # reports and manifest are written as on success
+    monkeypatch.setattr(module, name, lambda *args: value)
+    code = main([command, "--config", cfg, "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("finding: ") and err.count("\n") == 1 \
+        and err.endswith("\n")
+    assert (tmp_path / report).is_file()
+    assert (tmp_path / "manifest.json").is_file()
 
 
 def test_cli_seed_override(tmp_path, monkeypatch):

@@ -10,12 +10,11 @@ import pytest
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               is_bad_batch, union_bound)
 from dyadshift import harness, operators
-from dyadshift.harness import (NoiseFloorError, audit_rows_csv, class_bound,
+from dyadshift.harness import (NoiseFloorError, class_bound,
                                convergence_experiment, decay_audit,
                                expansion_identity, ground_truth,
                                localized_coefficients, localized_cubes,
-                               plain_inner_product, psi_refinement,
-                               randomized_expansion,
+                               psi_refinement, randomized_expansion,
                                _pi_good_by_scale, _sample_pairs)
 from dyadshift.operators import (PairingEngine, PairingTable, TestFunction,
                                  make_operator, support_intervals)
@@ -153,8 +152,12 @@ def test_ground_truth_identity_matches_plain_product():
     f = TestFunction(center=3.9, halfwidth=0.8)
     g = TestFunction(center=4.2, halfwidth=0.7)
     op = make_operator("identity")
+    # the midpoint sum of f g over the supports' hull, at mesh 2^-14
+    lo, hi = min(f.support[0], g.support[0]), max(f.support[1], g.support[1])
+    h = 0.5 ** 14
+    x = lo + (np.arange(math.ceil((hi - lo) / h)) + 0.5) * h
     assert abs(ground_truth(op, f, g, res=11)
-               - plain_inner_product(f, g)) < 1e-6
+               - float(np.sum(f(x) * g(x)) * h)) < 1e-6
 
 
 def test_class_bound_arithmetic():
@@ -193,15 +196,6 @@ def test_decay_audit_row_accounting(audit_small):
             assert r.psi_bound is not None
         else:
             assert r.psi_bound is None
-
-
-def test_decay_audit_csv_schema(audit_small):
-    rows, _ = audit_small
-    text = audit_rows_csv(rows)
-    header = text.splitlines()[0]
-    assert header == ("class,i,j,pair_count,max_pairing,bound,ratio,"
-                      "psi_bound,psi_ratio")
-    assert len(text.splitlines()) == len(rows) + 1
 
 
 def test_decay_audit_badness_filter_matches_pair_loop():
@@ -321,7 +315,6 @@ def test_convergence_small_window_slope():
     es = [e for _, e, _ in curve.points]
     assert curve.slope < -0.5
     assert es[0] > es[-1]
-    assert "N,e_N,stderr" in curve.csv()
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -355,10 +348,10 @@ def test_sample_pairs_matches_pair_loop(name, r):
     f = TestFunction(center=7.9, halfwidth=0.8, tilt=1)
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
     theta, q_loc, seed = 1.0, 7, (5, 1)
-    pi_good = _pi_good_by_scale(w, r, theta)
-    ((got_weighted, got_levels, got_excluded),), counts, _ = _sample_pairs(
-        op, system, w, f, g, r, theta, q_loc, [seed], classify=True,
-        pi_good=pi_good, reduce=lambda *terms: terms)
+    ((got_weighted, got_levels, got_excluded),), counts, _, pi_good = \
+        _sample_pairs(op, system, w, f, g, r, theta, q_loc, [seed],
+                      classify=True, reduce=lambda *terms: terms)
+    assert pi_good == _pi_good_by_scale(w, r, theta)
     grid = DyadicGrid.random(w, seed)
     cubes_f = localized_cube_list(grid, system, f.support)
     cubes_g = localized_cube_list(grid, system, g.support)
