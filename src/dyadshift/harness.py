@@ -21,7 +21,7 @@ from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
 from .operators import (KernelOp, PairingEngine, PairingTable, _row_chunks,
                         apply_multiplier, distinct_keys, pairing_keys,
                         sample_wavelets, support_intervals)
-from .shifts import CLASSES, classify_batch
+from .shifts import _audit_cells, classify_batch
 from .wavelets import WaveletSystem
 
 
@@ -30,19 +30,6 @@ def psi_refinement(t: float, s: int) -> float:
     if t <= 0.0 or t > 1.0:
         raise ValueError("Psi is defined on (0, 1]")
     return t ** s * (math.log(1.0 / t) + 1.0)
-
-
-def _touching_cubes(grid: DyadicGrid, bounds) -> tuple[np.ndarray,
-                                                       np.ndarray]:
-    """int64 arrays (k, l) of the grid cubes of each generation k whose
-    closed shifted interval meets the integer-unit interval bounds(k),
-    clipped to the window: coarse to fine, by index within a generation."""
-    w = grid.window
-    gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
-    ranges = [grid.touching_range(k, *bounds(k)) for k in gens.tolist()]
-    return (np.repeat(gens, [max(b - a, 0) for a, b in ranges]),
-            np.concatenate([np.arange(a, b, dtype=np.int64)
-                            for a, b in ranges]))
 
 
 def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
@@ -55,8 +42,13 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
     lo_u = math.floor(span[0] * unit)
     hi_u = math.ceil(span[1] * unit)
     half = (system.m - 1) // 2
-    return _touching_cubes(grid, lambda k: (lo_u - half * w.len_units(k),
-                                            hi_u + half * w.len_units(k)))
+    gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
+    ranges = [grid.touching_range(k, lo_u - half * w.len_units(k),
+                                  hi_u + half * w.len_units(k))
+              for k in gens.tolist()]
+    return (np.repeat(gens, [max(b - a, 0) for a, b in ranges]),
+            np.concatenate([np.arange(a, b, dtype=np.int64)
+                            for a, b in ranges]))
 
 
 def _func_generation(func) -> int:
@@ -193,22 +185,6 @@ def _check_audit_blocks(sizes) -> None:
                 f"{AUDIT_MAX_PAIRS}; narrow the window")
 
 
-def _audit_cells(kind: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 values: np.ndarray) -> list[tuple]:
-    """(class name, i, j, pair count, max |pairing|) of each distinct
-    (kind, i, j) of the pairs, sorted by (class name, i, j).  A max is
-    exact in any order, so the pairs' order does not matter."""
-    name_rank = np.array([sorted(CLASSES).index(c) for c in CLASSES])
-    order = np.lexsort((j, i, name_rank[kind]))
-    cells = np.stack([kind, i, j])[:, order]
-    # a cell starts where (kind, i, j) changes; codes and levels are >= 0
-    starts = np.flatnonzero(np.diff(cells, axis=1, prepend=-1).any(axis=0))
-    counts = np.diff(starts, append=kind.size)
-    maxima = np.maximum.reduceat(np.abs(values[order]), starts)
-    return [(CLASSES[c], ii, jj, n, mx) for (c, ii, jj), n, mx in zip(
-        cells[:, starts].T.tolist(), counts.tolist(), maxima.tolist())]
-
-
 def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                 s: int, eps: float, theta: float, i_max: int, j_max: int,
                 q_loc: int = 10, r: int | None = None,
@@ -235,8 +211,8 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         # the window holds at most 2^(L+k) cubes of generation k
         _check_audit_blocks((k, 1 << (w.L + k))
                             for k in range(w.k_min, w.k_max + 1))
-        cube_k, cube_l = _touching_cubes(grid,
-                                         lambda k: (0, w.extent_units))
+        # every window cube meets the window
+        cube_k, cube_l = localized_cubes(grid, system, (0.0, 2.0 ** w.L))
     else:
         cube_k, cube_l = localized_cubes(grid, system, span)
         _check_audit_blocks(Counter(cube_k.tolist()).items())
@@ -495,7 +471,6 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
 class ConvergenceCurve:
     points: list = field(default_factory=list)   # (N, e_N, stderr_N)
     slope: float = math.nan
-    n_omega: int = 0
     pi_good: dict = field(default_factory=dict)
     truth: float = 0.0
     fit_range: tuple = ()
@@ -548,7 +523,7 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
         reduce=partial_sums)
     partials = np.array([sums for sums, _ in reduced])
     excluded = sum(n for _, n in reduced)
-    curve = ConvergenceCurve(n_omega=n_omega, pi_good=pi_good, truth=truth,
+    curve = ConvergenceCurve(pi_good=pi_good, truth=truth,
                              excluded_window=excluded, pairings=counts)
     means, ses = _mean_stderr(partials)
     for N in range(1, N_max + 1):

@@ -112,11 +112,6 @@ class TestFunction:
         return self.center - self.halfwidth, self.center + self.halfwidth
 
 
-def _moments(samples: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """First four moments Int x^a f of midpoint samples f at nodes x."""
-    return np.array([np.sum(samples * x ** a) * h for a in range(4)])
-
-
 def _next_fast_len(n: int) -> int:
     """The least 2^a 3^b 5^c 7^d 11^e >= n (1 for n <= 1).  pocketfft, in
     numpy as in scipy, has a fast pass for each of these radices, and these
@@ -140,43 +135,47 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
-                    mu: np.ndarray | None, transpose: bool, stop: int,
+def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(mesh, values) of T (or T^t) applied to the zero-padded buffer on the
-    periodic mesh x0 + (n+1/2)h, for the first `stop` mesh points: the
-    interior a caller reads, not the padding.
+    """(u, values) of T (or T^t, with mesh.transpose) applied to the mesh's
+    samples, zero-padded to mesh.size points on the periodic mesh
+    x0 + (n+1/2)h, over the first mesh.stop points: the interior a caller
+    reads, not the padding.  Calls only numpy, so field workers may run it.
 
     The contract is a real kernel: its symbol is Hermitian,
     m(-xi) = conj(m(xi)), so T maps the real buffer to a real signal and a
     real FFT carries the whole product (irfft keeps the real part of the
     zero-frequency and Nyquist bins).
 
-    Given mu, the first four moments of the signal, the difference between
-    the 1/(pi u) line kernel and the period-P conjugate kernel,
+    For a tail_order == 1 kernel, the difference between the 1/(pi u) line
+    kernel and the period-P conjugate kernel,
         1/(pi u) - cot(pi u / P)/P = pi u/(3 P^2) + pi^3 u^3/(45 P^4) + ...,
-    is added back: the correction of a tail_order == 1 kernel, whose
-    callers alone pass mu.  mu=None leaves the periodic result uncorrected.
+    is added back from mu, the first four moments Int x^a f of the
+    samples; no other field takes moments.
     """
-    N = buf.size
+    N, h = mesh.size, mesh.h
     # in place where the order of operations allows, and each temporary
     # dropped as soon as it is spent: two fields may be built at once
+    buf = np.zeros(N)
+    buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
     X = rfft(buf)
+    del buf
     xi = rfftfreq(N, d=h)
     xi *= 2.0 * math.pi
-    if transpose:
+    if mesh.transpose:
         np.negative(xi, out=xi)
     X *= op.multiplier(xi)
     del xi
     out = irfft(X, n=N)
     del X
     # a copy, not a view: the padding is freed while the field is read
-    out = out[:stop].copy()
+    out = out[:mesh.stop].copy()
     mesh_x = np.arange(out.size, dtype=float)
     mesh_x += 0.5
     mesh_x *= h
-    mesh_x += x0
-    if mu is not None:
+    mesh_x += mesh.x0
+    if op.tail_order == 1:
+        mu = [np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)]
         P = N * h
         c1 = math.pi / (3.0 * P * P)
         c3 = math.pi ** 3 / (45.0 * P ** 4)
@@ -196,7 +195,7 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
         cub *= c3
         lin += cub
         del cub
-        if transpose:
+        if mesh.transpose:
             out -= lin
         else:
             out += lin
@@ -206,11 +205,11 @@ def _periodic_apply(op: KernelOp, buf: np.ndarray, h: float, x0: float,
 def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float,
                      x0: float) -> np.ndarray:
     """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h,
-    zero-padded to 8 times their length, as a field (see _field_values)."""
+    zero-padded to 8 times their length, as a field (see _periodic_apply)."""
     n = samples.size
     mesh = _FieldMesh(False, x0 + (np.arange(n) + 0.5) * h, samples, h,
                       _next_fast_len(8 * n), 0, x0, n)
-    return _field_values(op, mesh)[1]
+    return _periodic_apply(op, mesh)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +239,14 @@ def support_intervals(grid: DyadicGrid, system: WaveletSystem,
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps
 # the interpolation error a couple of orders below the quadrature error
 FIELD_OVERSAMPLE_EXP = 2
-# most mesh points of one field.  A field of N points holds about 40 N
-# bytes at its peak (the padded buffer, its spectrum, the multiplier, the
-# periodic result, the mesh and the tail correction), so the bound allows
-# about 2.5 GiB per field and 5 GiB with two fields in flight.  That is
-# about 47 times the largest field of the tests and README configs (1.4 M
-# points, at q_loc = 12); a hull on a deep window can ask for more than
-# 2^63 points, which no FFT length holds.
+# most mesh points of one field.  A field of N points peaks at 24.4-28.0 N
+# bytes, measured with tracemalloc on hilbert and smoothed_hilbert fields
+# (the spectrum, the frequencies and the multiplier's temporaries: the
+# padded buffer is freed by then; pocketfft's own scratch is not traced),
+# so the bound allows about 1.75 GiB per field and 3.5 GiB with two fields
+# in flight.  That is about 47 times the largest field of the tests and
+# README configs (1.4 M points, at q_loc = 12); a hull on a deep window
+# can ask for more than 2^63 points, which no FFT length holds.
 FIELD_MAX_POINTS = 1 << 26
 # most nodes one block of rows evaluates at once, a lookup block handed to
 # np.interp or a block of harness.localized_coefficients; larger blocks go
@@ -382,16 +382,6 @@ def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
     return _FieldMesh(transpose, xw, vw, h, N, n_left, x0, stop)
 
 
-def _field_values(op: KernelOp, mesh: _FieldMesh):
-    """(u, values) of T (or T^t) of the mesh's samples over its interior.
-    Calls only numpy and private helpers, so field workers may run it."""
-    buf = np.zeros(mesh.size)
-    buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
-    mu = _moments(mesh.vw, mesh.xw, mesh.h) if op.tail_order == 1 else None
-    return _periodic_apply(op, buf, mesh.h, mesh.x0, mu, mesh.transpose,
-                           mesh.stop)
-
-
 def _fill_rows(values: np.ndarray, du: np.ndarray, row_blocks, image):
     """Write into values the pairing of each block of rows, given with
     the fine nodes (relative nodes, wavelet values, spacing) it reads;
@@ -407,7 +397,7 @@ def _fill_rows(values: np.ndarray, du: np.ndarray, row_blocks, image):
 def _field_task(op: KernelOp, mesh: _FieldMesh, row_blocks,
                 values: np.ndarray, du: np.ndarray) -> None:
     """Build one field and fill its rows; the field dies with the task."""
-    mesh_u, fld = _field_values(op, mesh)
+    mesh_u, fld = _periodic_apply(op, mesh)
     _fill_rows(values, du, row_blocks, lambda u: np.interp(u, mesh_u, fld))
 
 

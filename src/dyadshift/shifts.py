@@ -25,6 +25,22 @@ CLASSES = ("far", "between", "contained", "equal", "near")
 FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
 
 
+def _audit_cells(kind: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 values: np.ndarray) -> list[tuple]:
+    """(class name, i, j, pair count, max |pairing|) of each distinct
+    (kind, i, j) of the pairs, sorted by (class name, i, j).  A max is
+    exact in any order, so the pairs' order does not matter."""
+    name_rank = np.array([sorted(CLASSES).index(c) for c in CLASSES])
+    order = np.lexsort((j, i, name_rank[kind]))
+    cells = np.stack([kind, i, j])[:, order]
+    # a cell starts where (kind, i, j) changes; codes and levels are >= 0
+    starts = np.flatnonzero(np.diff(cells, axis=1, prepend=-1).any(axis=0))
+    counts = np.diff(starts, append=kind.size)
+    maxima = np.maximum.reduceat(np.abs(values[order]), starts)
+    return [(CLASSES[c], ii, jj, n, mx) for (c, ii, jj), n, mx in zip(
+        cells[:, starts].T.tolist(), counts.tolist(), maxima.tolist())]
+
+
 class NormalizationFinding(RuntimeError):
     """A normalized coefficient exceeded the admissible-shift bound."""
 
@@ -255,18 +271,18 @@ def calibrate_c_emp(classes, pairings, s: int, eps: float,
     (operator, system, s, eps) never raise a normalization finding on the
     calibration data.
     """
-    _, _, _, i, j, truncated = classes
-    size = np.abs(np.asarray(pairings, dtype=float))
-    worst = 0.0
-    # one type at a time, so that the cap and decay are the Python floats
-    # shift_coefficient divides by
-    for ti, tj in np.unique(np.stack([i, j], axis=1)[~truncated],
-                            axis=0).tolist():
+    kind, _, _, i, j, truncated = classes
+    kept = ~truncated
+    worst = 1.0
+    # the largest |pairing| of each cell; its cap and decay are the Python
+    # floats shift_coefficient divides by
+    for _, ti, tj, _, top in _audit_cells(
+            kind[kept], i[kept], j[kept],
+            np.asarray(pairings, dtype=float)[kept]):
         decay = 2.0 ** (-max(ti, tj) * (s - 2.0 * eps))
         cap = coefficient_scale(ti, tj)
-        top = float(size[~truncated & (i == ti) & (j == tj)].max())
         worst = max(worst, top / (bound_const * decay * cap))
-    return max(1.0, worst)
+    return worst
 
 
 def calibration_shift(grid: DyadicGrid, i: int, j: int, K_k, K_l,

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from collections import deque
 from typing import NamedTuple
 
@@ -59,11 +60,11 @@ def test_hilbert_isometry_on_padded_domain():
     h = 1.0 / 512
     x = -2.0 + (np.arange(2048) + 0.5) * h
     samples = x * f(x)  # mean zero: the symbol vanishes only at xi = 0
-    # evaluating over the whole padded mesh keeps the full l2 mass
-    buf = np.zeros(8 * 2048)
-    buf[:2048] = samples
-    _, out = operators._periodic_apply(H, buf, h, -2.0, None, False,
-                                       stop=buf.size)
+    # evaluating over the whole padded mesh keeps the full l2 mass, of the
+    # periodic transform: no tail correction
+    mesh = operators._FieldMesh(False, x, samples, h, 8 * 2048, 0, -2.0,
+                                8 * 2048)
+    _, out = operators._periodic_apply(_uncorrected(H), mesh)
     ratio = np.sum(out ** 2) / np.sum(samples ** 2)
     assert abs(ratio - 1.0) < 1e-3
 
@@ -95,16 +96,24 @@ def test_smoothed_hilbert_symbol_and_czs():
     assert S.czs_seminorm(2) < make_operator("hilbert").czs_seminorm(2) * 1.3
 
 
+def _uncorrected(op):
+    """The operator without its tail correction: _periodic_apply gives the
+    periodic transform of its samples."""
+    return dataclasses.replace(op, tail_order=0)
+
+
 def _power_norm(op, n: int = 4096, h: float = 1.0 / 256, iters: int = 30,
                 seed: int = 0) -> float:
     """Power iteration of T^t T through _periodic_apply, uncorrected on a
     mesh padded to 4 times the signal: the discrete l2 -> l2 norm of T on
     a sample mesh."""
+    nodes = (np.arange(n) + 0.5) * h
+    size = operators._next_fast_len(4 * n)
+
     def apply(samples, transpose):
-        buf = np.zeros(operators._next_fast_len(4 * n))
-        buf[:n] = samples
-        return operators._periodic_apply(op, buf, h, 0.0, None, transpose,
-                                         n)[1]
+        mesh = operators._FieldMesh(transpose, nodes, samples, h, size, 0,
+                                    0.0, n)
+        return operators._periodic_apply(_uncorrected(op), mesh)[1]
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -316,18 +325,21 @@ def test_symbols_are_hermitian(name):
                               np.conj(np.asarray(symbol(xi))))
 
 
-def _complex_periodic_apply(op, buf, h, x0, mu, transpose):
+def _complex_periodic_apply(op, mesh):
     """Reference: the complex fft/ifft body _periodic_apply had before it
-    took a real FFT over the interior only."""
-    N = buf.size
+    took a real FFT over the interior only, on the whole padded mesh."""
+    N, h, transpose = mesh.size, mesh.h, mesh.transpose
+    buf = np.zeros(N)
+    buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
     xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
     m = np.asarray(op.multiplier(-xi) if transpose else op.multiplier(xi),
                    dtype=complex)
     if N % 2 == 0:
         m[N // 2] = m[N // 2].real  # keep the Nyquist bin hermitian
     out = np.fft.ifft(np.fft.fft(buf) * m).real
-    mesh_x = x0 + (np.arange(N) + 0.5) * h
-    if mu is not None and op.tail_order == 1:
+    mesh_x = mesh.x0 + (np.arange(N) + 0.5) * h
+    if op.tail_order == 1:
+        mu = np.array([np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)])
         P = N * h
         sgn = -1.0 if transpose else 1.0
         z = mesh_x
@@ -351,14 +363,13 @@ def test_apply_multiplier_matches_complex_fft(name, n):
     h, x0 = 1.0 / 128, -3.0
     x = x0 + (np.arange(n) + 0.5) * h
     samples = x * Bump(center=0.6, halfwidth=2.0)(x)
-    mu = operators._moments(samples, x, h) if op.tail_order == 1 else None
     for pad_factor in (3, 8):
         for transpose in (False, True):
-            buf = np.zeros(operators._next_fast_len(pad_factor * n))
-            buf[:n] = samples
-            _, ref = _complex_periodic_apply(op, buf, h, x0, mu, transpose)
-            _, got = operators._periodic_apply(op, buf, h, x0, mu, transpose,
-                                               n)
+            mesh = operators._FieldMesh(
+                transpose, x, samples, h,
+                operators._next_fast_len(pad_factor * n), 0, x0, n)
+            _, ref = _complex_periodic_apply(op, mesh)
+            _, got = operators._periodic_apply(op, mesh)
             _assert_close_to(got, ref[:n])
             if pad_factor == 8 and not transpose:
                 # apply_multiplier is this case, bit for bit
@@ -375,14 +386,15 @@ def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
     real_apply = operators._periodic_apply
     checked = []
 
-    def both(op, buf, h, x0, mu, transpose, stop=None):
-        mesh, out = real_apply(op, buf, h, x0, mu, transpose, stop)
-        ref_mesh, ref = _complex_periodic_apply(op, buf, h, x0, mu, transpose)
-        assert stop is not None and mesh.size == stop < buf.size
-        assert np.array_equal(mesh, ref_mesh[:stop])
+    def both(op, mesh):
+        stop = mesh.stop
+        u, out = real_apply(op, mesh)
+        ref_u, ref = _complex_periodic_apply(op, mesh)
+        assert u.size == stop < mesh.size
+        assert np.array_equal(u, ref_u[:stop])
         _assert_close_to(out, ref[:stop])
-        checked.append(transpose)
-        return mesh, out
+        checked.append(mesh.transpose)
+        return u, out
 
     monkeypatch.setattr(operators, "_periodic_apply", both)
     w = Window(L=4, k_min=-2, k_max=5)
@@ -457,9 +469,10 @@ def _scalar_pairings(engine: Setting, pairs,
             buckets.setdefault((I.k, False), []).append((idx, I, J))
     nodes: dict = {}
     for (kc, transpose), members in buckets.items():
-        mesh_u, fld = operators._field_values(engine.op, operators._field_mesh(
-            system, q_loc, engine.pad_factor, kc, hulls[(kc, transpose)],
-            transpose))
+        mesh_u, fld = operators._periodic_apply(
+            engine.op, operators._field_mesh(
+                system, q_loc, engine.pad_factor, kc, hulls[(kc, transpose)],
+                transpose))
         memo = {}
         for idx, coarse, fine in members:
             delta = int(cube_box(grid, fine)[0][0]
@@ -826,13 +839,13 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
     real_apply = operators._periodic_apply
     applied, lock = [], threading.Lock()
 
-    def fail_one(op, buf, h, x0, mu, transpose, stop):
+    def fail_one(op, mesh):
         with lock:  # the first transposed field fails, whichever worker
-            fail = transpose and True not in applied
+            fail = mesh.transpose and True not in applied
             applied.append(fail)
         if fail:
             raise MemoryError("field too large")
-        return real_apply(op, buf, h, x0, mu, transpose, stop)
+        return real_apply(op, mesh)
 
     monkeypatch.setattr(operators, "_periodic_apply", fail_one)
     threads = threading.active_count()
@@ -853,9 +866,9 @@ def test_fields_start_largest_first(monkeypatch):
     real_apply = operators._periodic_apply
     sizes = []
 
-    def record(op, buf, h, x0, mu, transpose, stop):
-        sizes.append(buf.size)
-        return real_apply(op, buf, h, x0, mu, transpose, stop)
+    def record(op, mesh):
+        sizes.append(mesh.size)
+        return real_apply(op, mesh)
 
     monkeypatch.setattr(operators, "FIELD_WORKERS", 1)
     monkeypatch.setattr(operators, "_periodic_apply", record)
@@ -886,14 +899,14 @@ def test_field_pool_works_from_both_ends(monkeypatch):
     built, lock = [], threading.Lock()
     both_started = threading.Barrier(2, timeout=20)
 
-    def record(op, buf, h, x0, mu, transpose, stop):
+    def record(op, mesh):
         me = threading.get_ident()
         with lock:
             first = all(thread != me for thread, *_ in built)
-            built.append((me, buf.size, h, transpose))
+            built.append((me, mesh.size, mesh.h, mesh.transpose))
         if first:
             both_started.wait()
-        return real_apply(op, buf, h, x0, mu, transpose, stop)
+        return real_apply(op, mesh)
 
     monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
     monkeypatch.setattr(operators, "_periodic_apply", record)
@@ -918,8 +931,8 @@ def test_failing_field_starts_no_other(monkeypatch):
     # one worker, whose first field fails: it starts no other field
     calls = []
 
-    def fail(op, buf, h, x0, mu, transpose, stop):
-        calls.append(buf.size)
+    def fail(op, mesh):
+        calls.append(mesh.size)
         raise MemoryError("field too large")
 
     monkeypatch.setattr(operators, "FIELD_WORKERS", 1)
@@ -993,10 +1006,30 @@ def test_transposed_field_is_the_negated_field(name, op):
                                       getattr(twin, f.name))
                        for f in dataclasses.fields(mesh)
                        if f.name != "transpose")
-            u0, f0 = operators._field_values(op, mesh)
-            u1, f1 = operators._field_values(op, twin)
+            u0, f0 = operators._periodic_apply(op, mesh)
+            u1, f1 = operators._periodic_apply(op, twin)
             assert np.array_equal(u1, u0)
             assert np.array_equal(f1, -f0)
+
+
+@pytest.mark.parametrize("name", ["haar", "db3"])
+@pytest.mark.parametrize("op", ["hilbert", "smoothed_hilbert"])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_field_peak_memory(name, op, transpose):
+    # the padded buffer is freed once its spectrum exists: a field of N
+    # mesh points peaks below 30 N traced bytes (pocketfft's scratch is
+    # not traced); the warm-up call keeps one-time allocations out
+    op = make_operator(op)
+    mesh = operators._field_mesh(build_system(name, q=11), 10, 8, 0,
+                                 (-2.0, 3.0), transpose)
+    operators._periodic_apply(op, mesh)
+    tracemalloc.start()
+    try:
+        operators._periodic_apply(op, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * mesh.size
 
 
 @pytest.mark.parametrize("op", ["hilbert", "identity"])
