@@ -96,6 +96,9 @@ class RunConfig:
         if self.L + self.k_max + 1 > 62:
             raise ConfigError("invalid config: need L + k_max + 1 <= 62 so "
                               "positions fit 64-bit integer units")
+        if self.L > 1023:
+            raise ConfigError("invalid config: need L <= 1023 so the "
+                              "window length 2^L is a float64")
         for name, least in (("seed", 0), ("N_max", 0), ("n_omega", 1),
                             ("mc_samples", 1)):
             if getattr(self, name) < least:

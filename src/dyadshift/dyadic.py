@@ -184,51 +184,11 @@ class CubePairs:
             yield Cube(ik, (il,)), Cube(jk, (jl,))
 
 
-def ancestor_join_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
-                        m: int) -> tuple[np.ndarray, ...]:
-    """Smallest grid cube K containing both concentric m-dilates of each
-    pair (fine, coarse), with len(fine) <= len(coarse), of cubes given as
-    int64 arrays, vectorized over the pairs.
-
-    Returns int64 arrays (K_k, K_l, i, j), with i = fine_k - K_k and
-    j = coarse_k - K_k, and the boolean mask truncated,
-    set where no window generation contains both dilates (K_k = k_min - 1)
-    or the containing cube leaves the window (K_k its generation).  K_l, i
-    and j carry no meaning on truncated pairs.
-    """
-    fine_k = np.asarray(fine_k, dtype=np.int64)
-    coarse_k = np.asarray(coarse_k, dtype=np.int64)
-    if np.any(fine_k < coarse_k):
-        raise ValueError("first cube must be the finer one")
-    w = grid.window
-    lo_f, hi_f = grid.boxes(fine_k, fine_l)
-    lo_c, hi_c = grid.boxes(coarse_k, coarse_l)
-    grow_f = (m - 1) * (hi_f - lo_f) // 2
-    grow_c = (m - 1) * (hi_c - lo_c) // 2
-    lo = np.minimum(lo_f - grow_f, lo_c - grow_c)
-    hi = np.maximum(hi_f + grow_f, hi_c + grow_c)
-    # the first candidate generation: the coarse cube's own for m = 1, its
-    # parent's otherwise (an m-dilate never fits in the cube itself)
-    start = coarse_k - (1 if m > 1 else 0)
-    n = fine_k.size
-    K_k = np.full(n, w.k_min - 1, dtype=np.int64)
-    K_l = np.zeros(n, dtype=np.int64)
-    outside = np.zeros(n, dtype=bool)
-    open_ = np.ones(n, dtype=bool)
-    top = int(start.max()) if n else w.k_min - 1
-    for k in range(top, w.k_min - 1, -1):
-        side = w.len_units(k)
-        shift = int(grid.shift_units(k)[0])
-        cand = (lo_f - shift) // side  # the generation-k ancestor's index
-        c_lo = cand * side + shift
-        hit = open_ & (start >= k) & (c_lo <= lo) & (hi <= c_lo + side)
-        K_k[hit] = k
-        K_l[hit] = cand[hit]
-        outside[hit] = ((c_lo < 0) | (c_lo + side > w.extent_units))[hit]
-        open_ &= ~hit
-        if not open_.any():
-            break
-    return K_k, K_l, fine_k - K_k, coarse_k - K_k, open_ | outside
+def dilate(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the concentric m-dilates (m odd) of the cubes with
+    integer-unit corners lo and hi (int64 arrays)."""
+    grow = (m - 1) * (hi - lo) // 2
+    return lo - grow, hi + grow
 
 
 def _bad_offsets(window: Window, k: int, r: int, theta: float,

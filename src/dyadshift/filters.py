@@ -52,14 +52,12 @@ def highpass_from_lowpass(h: np.ndarray) -> np.ndarray:
 
 
 def _daubechies(n_moments: int) -> np.ndarray:
-    """Minimal-phase orthonormal filter with `n_moments` vanishing moments.
+    """Minimal-phase orthonormal filter of `n_moments` >= 2 vanishing moments.
 
     Spectral factorization of the halfband polynomial; the small degrees used
     here (<= 10) keep the root finding accurate to ~1e-14.
     """
     N = n_moments
-    if N == 1:
-        return np.array([1.0, 1.0]) / math.sqrt(2.0)
     # P(y) = sum_k C(N-1+k, k) y^k, the Bezout solution of the halfband identity.
     p = [math.comb(N - 1 + k, k) for k in range(N)]
     # Roots in y, then back to z via y = (2 - z - 1/z)/4  <=>  z^2 - (2-4y) z + 1 = 0.

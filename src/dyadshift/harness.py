@@ -383,12 +383,25 @@ def _draw(system, window, f, g, r, theta, seed_tuple) -> _Draw:
     return d
 
 
-def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
+# most bytes the grids of one randomized run may hold.  A grid's draw
+# holds about 4.2 kB plus 26 bytes per localized cube (its grid, cubes,
+# coefficients, goodness and up to 62 reduced sums, measured with
+# tracemalloc on draws of 4 to 6,170 cubes), so the bound allows about
+# 250,000 grids of the smallest window.  The largest run of the tests,
+# demos, README and bench configs holds under 1 MB (criterion 10, 100
+# grids); n_omega = 2^40 would need petabytes.
+DRAWS_MAX_BYTES = 1 << 30
+
+
+def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
                   classify: bool, reduce) -> tuple[list, dict, float, dict]:
-    """reduce(weighted, levels, excluded) of each seed tuple (see
-    _Draw.weigh), the run's pairing counts (the table's distinct keys and
-    fields, and the pairs), the ground truth <g, T f> and the goodness
-    probabilities of _pi_good_by_scale, which divide the terms.
+    """reduce(weighted, levels, excluded) of the grid of each seed tuple
+    (seed, w) of w in indices (see _Draw.weigh), the run's pairing counts
+    (the table's distinct keys and fields, and the pairs), the ground
+    truth <g, T f> and the goodness probabilities of _pi_good_by_scale,
+    which divide the terms.  Before a second grid is drawn, a run whose
+    grids would hold more than DRAWS_MAX_BYTES, at the first one's size,
+    raises ScaleRangeError.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -407,12 +420,18 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seeds,
     pi_good = _pi_good_by_scale(window, r, theta)
     _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
-    for seed in seeds:
-        d = _draw(system, window, f, g, r, theta, seed)
+    for w_idx in indices:
+        d = _draw(system, window, f, g, r, theta, (seed, w_idx))
+        cubes = d.kl_f[0].size + d.kl_g[0].size
+        if not draws and len(indices) * (4_200 + 26 * cubes) > DRAWS_MAX_BYTES:
+            raise ScaleRangeError(
+                f"{len(indices)} grids of about {cubes} localized cubes "
+                f"would hold more than DRAWS_MAX_BYTES = {DRAWS_MAX_BYTES} "
+                "bytes; lower n_omega")
         draws.append(d)
         pending.append(distinct_keys(pairing_keys(d.grid,
                                                   d.pairs(*d.pair_index()))))
-        if (len(draws) == len(seeds)
+        if (len(draws) == len(indices)
                 or sum(map(len, pending)) > len(merged)):
             merged = distinct_keys(np.concatenate([merged, *pending]))
             pending = []
@@ -457,9 +476,8 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
             "pi_good too small: the union bound cannot certify positivity "
             f"at r={r}, theta={theta}")
     sums, counts, truth, pi_good = _sample_pairs(
-        op, system, window, f, g, r, theta, q_loc,
-        [(seed, w_idx) for w_idx in range(n_omega)], classify=False,
-        reduce=lambda weighted, *_: float(weighted.sum()))
+        op, system, window, f, g, r, theta, q_loc, seed, range(n_omega),
+        classify=False, reduce=lambda weighted, *_: float(weighted.sum()))
     sums = np.array(sums)
     estimate, stderr = map(float, _mean_stderr(sums))
     return {"estimate": estimate, "stderr": stderr, "truth": truth,
@@ -518,9 +536,8 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
                  for N in range(N_max + 1)], excluded)
 
     reduced, counts, truth, pi_good = _sample_pairs(
-        op, system, window, f, g, r, theta, q_loc,
-        [(seed, w_idx) for w_idx in range(n_omega)], classify=True,
-        reduce=partial_sums)
+        op, system, window, f, g, r, theta, q_loc, seed, range(n_omega),
+        classify=True, reduce=partial_sums)
     partials = np.array([sums for sums, _ in reduced])
     excluded = sum(n for _, n in reduced)
     curve = ConvergenceCurve(pi_good=pi_good, truth=truth,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
 
-from .dyadic import CubePairs, DyadicGrid, ScaleRangeError
+from .dyadic import CubePairs, DyadicGrid, ScaleRangeError, dilate
 from .wavelets import WaveletSystem
 
 
@@ -230,10 +230,9 @@ def support_intervals(grid: DyadicGrid, system: WaveletSystem,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of the m-dilates of many one-dimensional cubes, given as
     int64 arrays of generations and indices, in absolute coordinates."""
-    lo, hi = grid.boxes(k, l)
-    grow = (system.m - 1) * (hi - lo) // 2
+    lo, hi = dilate(*grid.boxes(k, l), system.m)
     unit = 2.0 ** (-grid.window.unit_exp)
-    return (lo - grow).astype(float) * unit, (hi + grow).astype(float) * unit
+    return lo.astype(float) * unit, hi.astype(float) * unit
 
 
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps

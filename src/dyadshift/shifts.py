@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import DyadicGrid, ancestor_join_batch
+from .dyadic import DyadicGrid, dilate
 from .operators import sample_wavelets
 
 CLASSES = ("far", "between", "contained", "equal", "near")
@@ -45,23 +45,59 @@ class NormalizationFinding(RuntimeError):
     """A normalized coefficient exceeded the admissible-shift bound."""
 
 
-def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
-                theta: float, m: int) -> np.ndarray:
-    """Class codes (indices into CLASSES) of the pairs (I, J) = (fine,
-    coarse), len(I) <= len(J), of cubes given as int64 arrays:
+def _join(grid: DyadicGrid, lo: np.ndarray, hi: np.ndarray,
+          start: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(K_k, K_l, truncated): the smallest grid cubes K, of generation at
+    most start, holding the integer-unit intervals [lo, hi], and where no
+    window generation holds one (K_k = k_min - 1) or K leaves the window
+    (K_k its generation).  Only the generation-k cube holding lo can hold
+    [lo, hi], so each generation tests that cube alone."""
+    w = grid.window
+    K_k = np.full(lo.size, w.k_min - 1, dtype=np.int64)
+    K_l = np.zeros(lo.size, dtype=np.int64)
+    outside = np.zeros(lo.size, dtype=bool)
+    open_ = np.ones(lo.size, dtype=bool)
+    top = int(start.max()) if lo.size else w.k_min - 1
+    for k in range(top, w.k_min - 1, -1):
+        side = w.len_units(k)
+        shift = int(grid.shift_units(k)[0])
+        cand = (lo - shift) // side
+        c_lo = cand * side + shift
+        hit = open_ & (start >= k) & (hi <= c_lo + side)
+        K_k[hit] = k
+        K_l[hit] = cand[hit]
+        outside[hit] = ((c_lo < 0) | (c_lo + side > w.extent_units))[hit]
+        open_ &= ~hit
+        if not open_.any():
+            break
+    return K_k, K_l, open_ | outside
+
+
+def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
+                   theta: float, m: int) -> tuple[np.ndarray, ...]:
+    """(kind, K_k, K_l, i, j, truncated) of the pairs (I, J) = (fine,
+    coarse), len(I) <= len(J), of cubes given as int64 arrays, from one
+    grid.boxes call per side.  kind indexes CLASSES:
 
     far:       dist(I,J) > len(J) (len(I)/len(J))^theta and dist(mI,mJ) > D/2
     between:   first condition holds, second fails
     contained: I strictly inside J
     equal:     I = J
     near:      disjoint but within the theta-threshold
+
+    K is the smallest grid cube containing both concentric m-dilates, i =
+    fine_k - K_k and j = coarse_k - K_k; an equal pair joins with its right
+    neighbour when that lies in the window, else with its left one.  K_l,
+    i and j carry no meaning where truncated (see _join).  Raises
+    ValueError when some fine cube is the coarser of its pair.
     """
     fine_k = np.asarray(fine_k, dtype=np.int64)
     coarse_k = np.asarray(coarse_k, dtype=np.int64)
+    if np.any(fine_k < coarse_k):
+        raise ValueError("first cube must be the finer one")
     lo_i, hi_i = grid.boxes(fine_k, fine_l)
     lo_j, hi_j = grid.boxes(coarse_k, coarse_l)
-    side_i = hi_i - lo_i
-    side_j = hi_j - lo_j
+    side_i, side_j = hi_i - lo_i, hi_j - lo_j
     dist = np.maximum(np.maximum(lo_j - hi_i, lo_i - hi_j), 0)
     # threshold len(J) (len(I)/len(J))^theta, with the factor computed in
     # Python floats per generation gap; an integer distance is at most a
@@ -70,40 +106,27 @@ def _kind_codes(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                            for n in range(grid.window.n_shift_bits + 1)])
     thresh = gap_factor[fine_k - coarse_k] * side_j
     near = dist <= np.floor(thresh).astype(np.int64)
-    grow_i = (m - 1) * side_i // 2
-    grow_j = (m - 1) * side_j // 2
-    dil_dist = np.maximum(np.maximum((lo_j - grow_j) - (hi_i + grow_i),
-                                     (lo_i - grow_i) - (hi_j + grow_j)), 0)
+    dlo_i, dhi_i = dilate(lo_i, hi_i, m)
+    dlo_j, dhi_j = dilate(lo_j, hi_j, m)
+    dil_dist = np.maximum(np.maximum(dlo_j - dhi_i, dlo_i - dhi_j), 0)
     # far: the dilates are more than half of D(I,J) = len I + dist + len J
     # apart
     far = 2 * dil_dist > side_i + dist + side_j
     equal = (fine_k == coarse_k) & (np.asarray(fine_l) == np.asarray(coarse_l))
     contained = (lo_j <= lo_i) & (hi_i <= hi_j)
-    return np.select([equal, contained, near, far],
+    kind = np.select([equal, contained, near, far],
                      [EQUAL, CONTAINED, NEAR, FAR], BETWEEN)
-
-
-def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
-                   theta: float, m: int) -> tuple[np.ndarray, ...]:
-    """Class and containing cube of the pairs (I, J) = (fine, coarse) of
-    cubes given as int64 arrays, vectorized over the pairs.
-
-    Returns (kind, K_k, K_l, i, j, truncated): kind indexes CLASSES (see
-    _kind_codes) and the rest is ancestor_join_batch's output.  An equal
-    pair joins with its right neighbour when that lies in the window and
-    with its left neighbour otherwise.  ancestor_join_batch raises
-    ValueError when some fine cube is the coarser of its pair.
-    """
-    kind = _kind_codes(grid, fine_k, fine_l, coarse_k, coarse_l, theta, m)
-    coarse_l = np.asarray(coarse_l, dtype=np.int64)
-    # the right neighbour spans [hi, hi + side]; its far corner is not
-    # formed, since it can pass 2^63 units when the window reaches 2^62
-    lo, hi = grid.boxes(coarse_k, coarse_l)
-    right_in = (hi >= 0) & (hi <= grid.window.extent_units - (hi - lo))
-    partner_l = np.where(kind == EQUAL, np.where(right_in, coarse_l + 1,
-                                                 coarse_l - 1), coarse_l)
-    return (kind,) + ancestor_join_batch(grid, fine_k, fine_l, coarse_k,
-                                         partner_l, m)
+    # an equal pair's partner is J moved one side; the right neighbour
+    # spans [hi, hi + side], and hi + side is not formed where it leaves
+    # the window, since it can pass 2^63 units when the window reaches 2^62
+    right_in = (hi_j >= 0) & (hi_j <= grid.window.extent_units - side_j)
+    move = np.where(equal, np.where(right_in, side_j, -side_j), 0)
+    # the first candidate generation: the coarse cube's own for m = 1, its
+    # parent's otherwise (an m-dilate never fits in the cube itself)
+    K_k, K_l, truncated = _join(
+        grid, np.minimum(dlo_i, dlo_j + move), np.maximum(dhi_i, dhi_j + move),
+        coarse_k - (1 if m > 1 else 0))
+    return kind, K_k, K_l, fine_k - K_k, coarse_k - K_k, truncated
 
 
 def coefficient_scale(i: int, j: int) -> float:
@@ -220,9 +243,8 @@ def assemble_shift(grid: DyadicGrid, system, i: int, j: int, pairs, classes,
     k_lo, k_hi = grid.boxes(K_k[sel], K_l[sel])
     inside = np.ones(sel.size, dtype=bool)
     for k, l in ((I_k[sel], I_l[sel]), (J_k[sel], J_l[sel])):
-        lo, hi = grid.boxes(k, l)
-        grow = (system.m - 1) * (hi - lo) // 2
-        inside &= (k_lo <= lo - grow) & (hi + grow <= k_hi)
+        lo, hi = dilate(*grid.boxes(k, l), system.m)
+        inside &= (k_lo <= lo) & (hi <= k_hi)
     return ShiftOperator(
         i, j, K_k[sel], K_l[sel], I_l[sel], J_l[sel], a,
         good=bool(np.all(inside | (a == 0.0))),

@@ -44,6 +44,11 @@ RUNS = [
                     "r": 1, "theta": 0.2}),
     ("decay-audit", {"filter": "db2", "kernel": "smoothed_hilbert", "L": 4,
                      "k_min": -4, "k_max": 3, "s": 1}),
+    # a convergence run that classifies with a real dilate (m = 5), at
+    # criterion 11's window: seeds 0 and 2 write a curve, seed 1 exits 4
+    ("convergence", {"filter": "db3", "kernel": "hilbert", "L": 12,
+                     "k_min": -12, "k_max": 6, "s": 2, "N_max": 8,
+                     "n_omega": 4}),
 ]
 SEEDS = (0, 1, 2)
 OUTDIR = "out"

@@ -306,8 +306,11 @@ def _ancestor(grid, cube, k):
 
 
 def scalar_ancestor_join(grid, fine, coarse, m):
-    """The join loop over per-cube geometry, the reference for
-    ancestor_join_batch: (K, i, j), or WindowTruncationError."""
+    """The join loop over per-cube geometry, the reference for the
+    containing cube of classify_batch: (K, i, j), or
+    WindowTruncationError.  Its candidate is the fine cube's ancestor;
+    classify_batch takes the ancestor of the hull's left end, the same
+    cube wherever it holds the hull."""
     if fine.k < coarse.k:
         raise ValueError("first cube must be the finer one")
     w = grid.window

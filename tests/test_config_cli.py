@@ -623,3 +623,76 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": [],
                                        **{c: [] for c in configs}}
+
+
+_LONG_WINDOW = '{"kernel": "hilbert", "L": %d, "k_min": %d, "k_max": %d}'
+
+
+@pytest.mark.parametrize("window", [(1024, -1024, -1001),
+                                    (1500, -1500, -1496)])
+@pytest.mark.parametrize("command", ["grid-stats", "decay-audit",
+                                     "represent", "convergence"])
+def test_cli_window_longer_than_float64_exit_2(tmp_path, capsys, command,
+                                               window):
+    # 2.0 ** L overflows past L = 1023, where these runs used to end in
+    # an OverflowError traceback; grid-stats, which never forms 2^L, is
+    # refused with the rest
+    code, err = _exit_and_stderr(
+        capsys, [command, "--config", _LONG_WINDOW % window,
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert err == ("error: invalid config: need L <= 1023 so the window "
+                   "length 2^L is a float64")
+
+
+@pytest.mark.parametrize("command", ["represent", "convergence"])
+def test_cli_longest_window_ends_without_traceback(tmp_path, capsys,
+                                                   command):
+    # at L = 1023 the test functions sit at 2^1022, where float64 cannot
+    # separate the quadrature nodes
+    code, err = _exit_and_stderr(
+        capsys, [command, "--config", _LONG_WINDOW % (1023, -1023, -1000),
+                 "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: float64 cannot separate") and "\n" not in err
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("represent", '"r": 4, "theta": 1.0'),
+    ("convergence", '"s": 1, "N_max": 3'),
+])
+def test_cli_refuses_draws_past_budget_exit_4(tmp_path, command, keys):
+    # 2^40 grids: the first grid's size refuses the run before a second is
+    # drawn.  The child runs under a 2 GiB address-space cap, so a run that
+    # allocated per grid would end in MemoryError rather than exhaust the
+    # machine
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    script = """
+import sys
+from dyadshift import harness
+from dyadshift.cli import main
+draw, drawn = harness._draw, []
+def once(*args):
+    drawn.append(args)
+    assert len(drawn) == 1, "a second grid was drawn"
+    return draw(*args)
+harness._draw = once
+sys.exit(main(sys.argv[1:]))
+"""
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 3, "k_min": -3, '
+           '"k_max": 2, "n_omega": %d, %s}' % (2 ** 40, keys))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, command, "--config",
+                           cfg, "--outdir", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
+    assert proc.returncode == 4, proc.stderr
+    err = proc.stderr.strip()
+    assert err.startswith(f"error: {2 ** 40} grids of about ")
+    assert "DRAWS_MAX_BYTES" in err and "\n" not in err

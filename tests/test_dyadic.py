@@ -8,9 +8,8 @@ from scipy.stats import chi2
 from dyadshift.config import default_r
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               _badness_batch, _skeleton_gap,
-                              ancestor_join_batch, independence_table,
-                              is_bad_batch, union_bound, pi_bad_estimate,
-                              pi_bad_exact)
+                              independence_table, is_bad_batch, union_bound,
+                              pi_bad_estimate, pi_bad_exact)
 from dyadshift.shifts import classify_batch
 from references import cube_arrays, cube_pairs, cubes_at_scale, cubes_touching
 
@@ -74,8 +73,8 @@ def test_nestedness_and_disjointness():
 
 
 def _join(grid, fine, coarse, m):
-    K_k, K_l, i, j, truncated = ancestor_join_batch(
-        grid, *cube_arrays([fine]), *cube_arrays([coarse]), m)
+    K_k, K_l, i, j, truncated = classify_batch(
+        grid, *cube_arrays([fine]), *cube_arrays([coarse]), 1.0, m)[1:]
     return int(K_k[0]), int(K_l[0]), int(i[0]), int(j[0]), bool(truncated[0])
 
 

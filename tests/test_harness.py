@@ -349,8 +349,9 @@ def test_sample_pairs_matches_pair_loop(name, r):
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
     theta, q_loc, seed = 1.0, 7, (5, 1)
     ((got_weighted, got_levels, got_excluded),), counts, _, pi_good = \
-        _sample_pairs(op, system, w, f, g, r, theta, q_loc, [seed],
-                      classify=True, reduce=lambda *terms: terms)
+        _sample_pairs(op, system, w, f, g, r, theta, q_loc, seed[0],
+                      range(seed[1], seed[1] + 1), classify=True,
+                      reduce=lambda *terms: terms)
     assert pi_good == _pi_good_by_scale(w, r, theta)
     grid = DyadicGrid.random(w, seed)
     cubes_f = localized_cube_list(grid, system, f.support)
