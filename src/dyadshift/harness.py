@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
-                     is_bad_batch, union_bound, pi_bad_exact)
+                     dilate, is_bad_batch, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, PairingTable, _row_chunks,
                         apply_multiplier, distinct_keys, pairing_keys,
                         sample_wavelets, support_intervals)
@@ -41,11 +41,11 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
     unit = 2.0 ** w.unit_exp
     lo_u = math.floor(span[0] * unit)
     hi_u = math.ceil(span[1] * unit)
-    half = (system.m - 1) // 2
     gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
-    ranges = [grid.touching_range(k, lo_u - half * w.len_units(k),
-                                  hi_u + half * w.len_units(k))
-              for k in gens.tolist()]
+    # how far each generation's m-dilate reaches past its cube
+    reach = -dilate(0, np.left_shift(1, w.unit_exp - gens), system.m)[0]
+    ranges = [grid.touching_range(k, lo_u - grow, hi_u + grow)
+              for k, grow in zip(gens.tolist(), reach.tolist())]
     return (np.repeat(gens, [max(b - a, 0) for a, b in ranges]),
             np.concatenate([np.arange(a, b, dtype=np.int64)
                             for a, b in ranges]))
@@ -399,9 +399,10 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
     (seed, w) of w in indices (see _Draw.weigh), the run's pairing counts
     (the table's distinct keys and fields, and the pairs), the ground
     truth <g, T f> and the goodness probabilities of _pi_good_by_scale,
-    which divide the terms.  Before a second grid is drawn, a run whose
-    grids would hold more than DRAWS_MAX_BYTES, at the first one's size,
-    raises ScaleRangeError.
+    which divide the terms.  A run with a generation whose pi_good is 0,
+    none of whose cubes can be good, raises ScaleRangeError before any
+    grid is drawn; before a second grid is drawn, a run whose grids would
+    hold more than DRAWS_MAX_BYTES, at the first one's size, raises it too.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -418,6 +419,11 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
     after its lookup.
     """
     pi_good = _pi_good_by_scale(window, r, theta)
+    hopeless = [k for k, p in pi_good.items() if p == 0.0]
+    if hopeless:
+        raise ScaleRangeError(
+            f"no cube of generation {hopeless[0]} is good at r={r}, "
+            f"theta={theta} (pi_good = 0); raise r or theta")
     _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
     for w_idx in indices:
@@ -471,10 +477,6 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
     goodness probabilities divide each retained pair)."""
     if n_omega < 1:
         raise ValueError("n_omega must be >= 1")
-    if 1.0 - union_bound(r, theta) <= 0.0:
-        raise ScaleRangeError(
-            "pi_good too small: the union bound cannot certify positivity "
-            f"at r={r}, theta={theta}")
     sums, counts, truth, pi_good = _sample_pairs(
         op, system, window, f, g, r, theta, q_loc, seed, range(n_omega),
         classify=False, reduce=lambda weighted, *_: float(weighted.sum()))

@@ -9,10 +9,9 @@ a 1/u tail; the identity calibration samples the coarser wavelet directly.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field
+from threading import Thread
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
@@ -140,7 +139,8 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     """(u, values) of T (or T^t, with mesh.transpose) applied to the mesh's
     samples, zero-padded to mesh.size points on the periodic mesh
     x0 + (n+1/2)h, over the first mesh.stop points: the interior a caller
-    reads, not the padding.  Calls only numpy, so field workers may run it.
+    reads, not the padding.  Calls only numpy, so the field helper may run
+    it.
 
     The contract is a real kernel: its symbol is Hermitian,
     m(-xi) = conj(m(xi)), so T maps the real buffer to a real signal and a
@@ -250,18 +250,8 @@ FIELD_MAX_POINTS = 1 << 26
 # most nodes one block of rows evaluates at once, a lookup block handed to
 # np.interp or a block of harness.localized_coefficients; larger blocks go
 # in row chunks (_row_chunks), which bounds the temporaries at a few times
-# 8 MB per field worker
+# 8 MB per field thread
 PAIRING_MAX_NODES = 1 << 20
-# threads that build the fields of one table: the calling thread and
-# FIELD_WORKERS - 1 helpers.  Each holds one field with its FFT temporaries
-# and interpolation blocks, so the cap is set by peak memory, not by speed;
-# the helpers build the largest fields and the calling thread the smallest,
-# so the peak is the largest field beside a small one (or beside the
-# caller's own work, see PairingTable.build).  It is not configurable and
-# never reaches a manifest
-FIELD_WORKERS = min(2, len(os.sched_getaffinity(0))
-                    if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
 
 
 def _runs(ids: np.ndarray):
@@ -422,17 +412,18 @@ class PairingTable:
 
     build does everything that reads the wavelet system on the calling
     thread, refusing a mesh over FIELD_MAX_POINTS before any is allocated.
-    It then starts FIELD_WORKERS - 1 helper threads, which build fields
-    from one list sorted by mesh size, each taking the largest mesh left.
-    The calling thread meanwhile does its caller's independent work (the
-    meanwhile callable: a run's coefficients and ground truth), then
-    builds fields from the small end of the list, then joins the helpers;
-    with one worker it starts no thread and builds every field, largest
-    first, after the callable.  Each field task fills its field's rows of
-    values.  Helpers call only numpy and private helpers of this module,
-    so a tracer that wraps the public functions sees one thread.  Every
-    row is computed by the same operations whichever thread runs it, so
-    the values are those of a serial build, bit for bit.
+    A table with a field then starts one helper thread, which builds
+    fields from one list sorted by mesh size, taking the largest mesh
+    left.  The calling thread meanwhile does its caller's independent work
+    (the meanwhile callable: a run's coefficients and ground truth), then
+    builds fields from the small end of the list, then joins the helper.
+    Each thread holds one field with its temporaries, so the peak is the
+    largest field beside a small one, or beside the caller's work.  Each
+    field task fills its field's rows of values.  The helper calls only
+    numpy and private helpers of this module, so a tracer that wraps the
+    public functions sees one thread.  Every row is computed by the same
+    operations whichever thread runs it, so the values are those of a
+    serial build, bit for bit.
     """
 
     keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
@@ -457,9 +448,7 @@ class PairingTable:
         blocks = packed // packing.offsets.size
         values = np.empty(len(keys))
         unit = 2.0 ** (-window.unit_exp)
-        half = (system.m + 1) / 2.0
         fine_k, du = keys[:, 2], keys[:, 3] * unit
-        side_f = np.ldexp(1.0, -fine_k)
         nodes: dict = {}  # fine generation -> (nodes, values, spacing)
         tasks = []  # (field mesh, row blocks) of each singular field
         # runs of (coarse k, transpose), then of fine k within each
@@ -474,15 +463,19 @@ class PairingTable:
                 row_blocks += [(rows, nodes[k]) for rows in
                                _row_chunks(a + c, a + d, nodes[k][0].size)]
             if op.singular:
-                hull = (float(np.min(du[a:b] - (half - 1.0) * side_f[a:b])),
-                        float(np.max(du[a:b] + half * side_f[a:b])))
+                # the hull of the rows' fine m-dilates, in integer units
+                # from the coarse cube's corner
+                delta = keys[a:b, 3]
+                lo, hi = dilate(delta, delta + np.left_shift(
+                    1, window.unit_exp - fine_k[a:b]), system.m)
+                hull = (float(lo.min()) * unit, float(hi.max()) * unit)
                 tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull,
                                           bool(keys[a, 1])), row_blocks))
             else:
                 _fill_rows(values, du, row_blocks,
                            lambda u: 2.0 ** (kc / 2.0)
                            * system.mother(u * 2.0 ** kc))
-        # the threads drain one size-sorted deque from opposite ends: each
+        # the threads drain one size-sorted deque from opposite ends: the
         # helper takes the largest field left and the calling thread, once
         # meanwhile has returned, the smallest, so the peak is the largest
         # field beside a small one, not the two largest; pop, popleft and
@@ -510,13 +503,13 @@ class PairingTable:
 
         helpers = []
         try:
-            for _ in range(min(FIELD_WORKERS - 1, len(tasks))):
-                thread = threading.Thread(target=helper)
+            if tasks:
+                thread = Thread(target=helper)
                 thread.start()
                 helpers.append(thread)
             if meanwhile is not None:
                 meanwhile()
-            drain(queue.pop if helpers else queue.popleft)
+            drain(queue.pop)
         except BaseException:
             queue.clear()
             raise

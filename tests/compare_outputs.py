@@ -49,6 +49,11 @@ RUNS = [
     ("convergence", {"filter": "db3", "kernel": "hilbert", "L": 12,
                      "k_min": -12, "k_max": 6, "s": 2, "N_max": 8,
                      "n_omega": 4}),
+    # a convergence run with a finite r, which divides by pi_good < 1:
+    # seeds 0 and 1 write a curve, seed 2 exits 4
+    ("convergence", {"filter": "haar", "kernel": "hilbert", "L": 6,
+                     "k_min": -6, "k_max": 5, "s": 1, "N_max": 6,
+                     "n_omega": 8, "r": 6, "theta": 1}),
 ]
 SEEDS = (0, 1, 2)
 OUTDIR = "out"

@@ -15,3 +15,19 @@ def no_thread_left():
     left = [t for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"threads left alive: {left}")
+
+
+class InlineThread:
+    """A stand-in for threading.Thread whose start() runs the target on the
+    calling thread.  Swapped in for operators.Thread, it makes
+    PairingTable.build serial: its one helper builds every field, largest
+    first, before meanwhile runs, and no thread starts."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def start(self):
+        self._target()
+
+    def join(self):
+        pass

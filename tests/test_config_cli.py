@@ -696,3 +696,68 @@ sys.exit(main(sys.argv[1:]))
     err = proc.stderr.strip()
     assert err.startswith(f"error: {2 ** 40} grids of about ")
     assert "DRAWS_MAX_BYTES" in err and "\n" not in err
+
+
+_GOODNESS_WINDOW = ('{"filter": "haar", "kernel": "hilbert", "L": 6, '
+                    '"k_min": -6, %s}')
+
+
+@pytest.mark.parametrize("keys, pi_good", [
+    ('"k_max": 3, "r": 10, "theta": 0.1', {1.0}),
+    ('"k_max": 3, "r": 3, "theta": 1', {1.0, 0.5}),
+], ids=["r=10-theta=0.1", "r=3-theta=1"])
+def test_cli_represent_runs_where_every_generation_has_good_cubes(
+        tmp_path, keys, pi_good):
+    # the union bound is at least 1 at both, yet no generation lacks good
+    # cubes: r = 10 is past the window's depth, and at r = 3, theta = 1 the
+    # exact pi_good is 0.5 at every generation with a coarser one r up
+    assert main(["represent", "--config", _GOODNESS_WINDOW % keys,
+                 "--seed", "0", "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["derived"]["union_bound"] >= 1.0
+    assert set(manifest["results"]["pi_good"].values()) == pi_good
+
+
+def test_cli_convergence_without_good_cubes_exit_4(tmp_path, capsys,
+                                                   monkeypatch):
+    # at r = 2, theta = 1 no cube of generation -4 or finer is good: the
+    # run is refused from the exact goodness table, before it draws a grid
+    def no_draw(*args):
+        raise AssertionError("a grid was drawn")
+
+    monkeypatch.setattr(harness, "_draw", no_draw)
+    keys = '"k_max": 5, "s": 1, "N_max": 6, "n_omega": 4, "r": 2, "theta": 1'
+    code, err = _exit_and_stderr(
+        capsys, ["convergence", "--config", _GOODNESS_WINDOW % keys,
+                 "--outdir", str(tmp_path)])
+    assert code == 4
+    assert err == ("error: no cube of generation -4 is good at r=2, "
+                   "theta=1 (pi_good = 0); raise r or theta")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_cli_one_cpu_writes_the_same_bytes(tmp_path):
+    # the bench represent run on one CPU, where the field helper shares it
+    # with the calling thread, and with the default affinity: the same
+    # output, exit code and manifest, byte for byte
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 8, "k_min": -8, '
+           '"k_max": 5, "r": 4, "theta": 1.0, "n_omega": 2}')
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("DYADSHIFT_OUTDIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})),
+                      ("all", None)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyadshift.cli", "represent", "--config",
+             cfg, "--seed", "0", "--outdir", "out"], cwd=cwd, env=env,
+            capture_output=True, timeout=120, preexec_fn=pin)
+        runs.append((proc.stdout, proc.stderr, proc.returncode,
+                     (cwd / "out" / "manifest.json").read_bytes()))
+    assert runs[0][2] == 0, runs[0][1]
+    assert runs[0] == runs[1]

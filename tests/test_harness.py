@@ -20,6 +20,7 @@ from dyadshift.operators import (PairingEngine, PairingTable, TestFunction,
                                  make_operator, support_intervals)
 from dyadshift.shifts import classify_batch
 from dyadshift.wavelets import build_system
+from conftest import InlineThread
 from references import (WindowTruncationError, cube_arrays, cube_pair_keys,
                         cubes_at_scale, decay_audit_loop, dilate_box,
                         localized_coefficient, localized_cube_list,
@@ -337,7 +338,7 @@ def test_pair_levels_reach_but_never_pass_the_depth(m):
             assert levels.max() == w.k_max - w.k_min
 
 
-@pytest.mark.parametrize("name, r", [("haar", 3), ("db2", 2)])
+@pytest.mark.parametrize("name, r", [("haar", 3), ("db2", 4)])
 def test_sample_pairs_matches_pair_loop(name, r):
     # the weighting and classification of one grid sample against the
     # per-pair loop it replaced, value for value; goodness excludes pairs
@@ -630,12 +631,12 @@ def _overlap_case(name: str, op: str):
                                       ("haar", "identity")])
 def test_overlapped_runs_match_serial_ones(monkeypatch, name, op):
     # the calling thread computes the coefficients and the ground truth
-    # while helpers build the run table's fields.  With one worker nothing
-    # overlaps; with two, and with four switching threads often, where a
-    # lost write would show, the results are the same, bit for bit: the
-    # randomized expansion's, and the convergence run's partial sums,
-    # truth and counts, and its curve where it has one (db2's sums stay
-    # within the noise floor)
+    # while the helper builds the run table's fields.  With the helper
+    # inline nothing overlaps; with the real helper, and with it switching
+    # threads often, where a lost write would show, the results are the
+    # same, bit for bit: the randomized expansion's, and the convergence
+    # run's partial sums, truth and counts, and its curve where it has one
+    # (db2's sums stay within the noise floor)
     op, system, w, f, g = _overlap_case(name, op)
     sample = harness._sample_pairs
 
@@ -662,13 +663,16 @@ def test_overlapped_runs_match_serial_ones(monkeypatch, name, op):
 
     interval = sys.getswitchinterval()
     runs = []
-    for workers, switch in ((1, interval), (2, 1e-5), (4, 1e-5)):
-        monkeypatch.setattr(operators, "FIELD_WORKERS", workers)
-        sys.setswitchinterval(switch)
-        try:
-            runs.append(run())
-        finally:
-            sys.setswitchinterval(interval)
+    for inline, switch in ((True, interval), (False, interval),
+                           (False, 1e-5)):
+        with monkeypatch.context() as m:
+            if inline:
+                m.setattr(operators, "Thread", InlineThread)
+            sys.setswitchinterval(switch)
+            try:
+                runs.append(run())
+            finally:
+                sys.setswitchinterval(interval)
     assert (runs[0][3]["fields"] > 3) == op.singular
     assert (runs[0][-1] is None) == (name == "db2")
     assert runs[1] == runs[0]
@@ -714,7 +718,6 @@ def test_coefficient_failure_during_build_fails_cleanly(monkeypatch,
             raise MemoryError("coefficients too large")
         return coefficients(*args)
 
-    monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
     monkeypatch.setattr(operators, "deque", WatchedDeque)
     monkeypatch.setattr(operators, "_field_task", field)
     monkeypatch.setattr(harness, "localized_coefficients", fail_third)

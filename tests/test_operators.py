@@ -20,6 +20,7 @@ from dyadshift.operators import (PairingEngine, apply_multiplier,
                                  make_operator)
 from dyadshift.operators import TestFunction as Bump
 from dyadshift.wavelets import WaveletSystem, build_system
+from conftest import InlineThread
 from references import (cube_arrays, cube_box, cube_pair_keys, cube_pairs,
                         cubes_at_scale, cubes_touching, disjoint_pairs,
                         haar_pair_exact, lone_pairings, pair_correlation,
@@ -811,20 +812,22 @@ def _run_table_build(monkeypatch, tmp_path, cfg):
                                       ("db2", "smoothed_hilbert")])
 def test_field_pool_does_not_change_values(monkeypatch, tmp_path, name, op):
     # the benchmark's represent config; its run table is built with the
-    # default pool, with one worker, and with more workers than cores
-    # switching threads often, where a lost row write would show
+    # pool, serially (the helper inline), and with the helper switching
+    # threads often, where a lost row write would show
     cfg = {"filter": name, "kernel": op, "L": 8, "k_min": -8, "k_max": 5,
            "r": 4, "theta": 1.0, "n_omega": 2}
     args, kwargs, pooled = _run_table_build(monkeypatch, tmp_path, cfg)
     assert pooled.counts["fields"] > 10
     interval = sys.getswitchinterval()
-    for workers, switch in ((1, interval), (4, 1e-5)):
-        monkeypatch.setattr(operators, "FIELD_WORKERS", workers)
-        sys.setswitchinterval(switch)
-        try:
-            other = operators.PairingTable.build(*args, **kwargs)
-        finally:
-            sys.setswitchinterval(interval)
+    for inline, switch in ((True, interval), (False, 1e-5)):
+        with monkeypatch.context() as m:
+            if inline:
+                m.setattr(operators, "Thread", InlineThread)
+            sys.setswitchinterval(switch)
+            try:
+                other = operators.PairingTable.build(*args, **kwargs)
+            finally:
+                sys.setswitchinterval(interval)
         assert np.array_equal(other.keys, pooled.keys)
         assert np.array_equal(other.values, pooled.values)
         assert other.counts == pooled.counts
@@ -857,7 +860,7 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
 
 
 def test_fields_start_largest_first(monkeypatch):
-    # with one worker the calling thread builds every field, largest first
+    # with the helper inline, it builds every field, largest first
     w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 5)
     system = build_system("db2", q=11)
@@ -870,7 +873,7 @@ def test_fields_start_largest_first(monkeypatch):
         sizes.append(mesh.size)
         return real_apply(op, mesh)
 
-    monkeypatch.setattr(operators, "FIELD_WORKERS", 1)
+    monkeypatch.setattr(operators, "Thread", InlineThread)
     monkeypatch.setattr(operators, "_periodic_apply", record)
     table = operators.PairingTable.build(make_operator("hilbert"), system, w,
                                          keys, q_loc=8)
@@ -891,8 +894,8 @@ def _pool_table_args():
 
 
 def test_field_pool_works_from_both_ends(monkeypatch):
-    # two workers: the one that starts with the largest field goes on with
-    # the largest left, the other starts with the smallest and goes on
+    # the helper starts with the largest field and goes on with the
+    # largest left, the calling thread starts with the smallest and goes on
     # with the smallest left.  Each waits at its first field until the
     # other has taken one, so both take part however the threads run
     real_apply = operators._periodic_apply
@@ -908,7 +911,6 @@ def test_field_pool_works_from_both_ends(monkeypatch):
             both_started.wait()
         return real_apply(op, mesh)
 
-    monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
     monkeypatch.setattr(operators, "_periodic_apply", record)
     table = operators.PairingTable.build(*_pool_table_args(), q_loc=8)
     # every field once: the spacing h tells the coarse generations apart
@@ -928,14 +930,15 @@ def test_field_pool_works_from_both_ends(monkeypatch):
 
 
 def test_failing_field_starts_no_other(monkeypatch):
-    # one worker, whose first field fails: it starts no other field
+    # serially (the helper inline), a first field that fails starts no
+    # other field
     calls = []
 
     def fail(op, mesh):
         calls.append(mesh.size)
         raise MemoryError("field too large")
 
-    monkeypatch.setattr(operators, "FIELD_WORKERS", 1)
+    monkeypatch.setattr(operators, "Thread", InlineThread)
     monkeypatch.setattr(operators, "_periodic_apply", fail)
     threads = threading.active_count()
     with pytest.raises(MemoryError, match="field too large"):
@@ -961,7 +964,6 @@ def test_failing_helper_field_surfaces_after_meanwhile(monkeypatch):
         builders.append(threading.get_ident())
         raise MemoryError("field too large")
 
-    monkeypatch.setattr(operators, "FIELD_WORKERS", 2)
     monkeypatch.setattr(operators, "deque", WatchedDeque)
     monkeypatch.setattr(operators, "_field_task", fail)
     threads = threading.active_count()
@@ -974,19 +976,28 @@ def test_failing_helper_field_surfaces_after_meanwhile(monkeypatch):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("op, keys", [("hilbert", True), ("identity", True),
                                       ("hilbert", False)])
-def test_meanwhile_runs_once(monkeypatch, workers, op, keys):
-    # with fields, with rows but no field, and with no row at all
+def test_meanwhile_runs_once(monkeypatch, threads, op, keys):
+    # with fields, with rows but no field, and with no row at all, on one
+    # thread (the helper inline) and on two; a table with a field makes one
+    # helper, any other none
     _, system, w, all_keys = _pool_table_args()
-    ran = []
-    monkeypatch.setattr(operators, "FIELD_WORKERS", workers)
+    ran, made = [], []
+
+    class Counted(InlineThread if threads == 1 else threading.Thread):
+        def __init__(self, target):
+            made.append(target)
+            super().__init__(target=target)
+
+    monkeypatch.setattr(operators, "Thread", Counted)
     table = operators.PairingTable.build(
         make_operator(op), system, w, all_keys if keys else all_keys[:0],
         q_loc=8, meanwhile=lambda: ran.append(threading.get_ident()))
     assert ran == [threading.get_ident()]
     assert (table.counts["fields"] > 0) == (keys and op == "hilbert")
+    assert len(made) == (table.counts["fields"] > 0)
 
 
 @pytest.mark.parametrize("name, op", [("haar", "hilbert"),
