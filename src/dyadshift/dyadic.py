@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# numpy imports these on first use: numpy.ma on np.unique's first call,
-# numpy.random on np.random's first access.  Importing them with the
-# package keeps that cost out of a command's first experiment
-import numpy.ma  # noqa: F401
+# numpy imports numpy.random on np.random's first access; importing it with
+# the package keeps that cost out of the first DyadicGrid.random draw of a
+# command's experiment.  numpy.ma is never loaded (see distinct)
 import numpy.random  # noqa: F401
 
 
@@ -184,6 +183,18 @@ class CubePairs:
             yield Cube(ik, (il,)), Cube(jk, (jl,))
 
 
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, as np.unique(a) gives
+    them: a sorted copy, keeping each value that differs from the one
+    before it.  np.unique asked for no index or count calls
+    np.ma.is_masked, which imports numpy.ma."""
+    s = np.sort(a)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def dilate(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of the concentric m-dilates (m odd) of the cubes with
     integer-unit corners lo and hi (int64 arrays)."""
@@ -224,7 +235,7 @@ def is_bad_batch(grid: DyadicGrid, k: np.ndarray, l: np.ndarray, r: int,
     lo, _ = grid.boxes(k, l)
     t = lo - grid.shift_units(w.k_min)[0]
     bad = np.zeros(k.size, dtype=bool)
-    for gen in np.unique(k[k - r >= w.k_min]).tolist():
+    for gen in distinct(k[k - r >= w.k_min]).tolist():
         sel = k == gen
         bad[sel] = _bad_offsets(w, gen, r, theta, t[sel])
     return bad

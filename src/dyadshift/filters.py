@@ -8,6 +8,7 @@ exact decimal coefficient per line.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -104,17 +105,31 @@ def _closed_form_db3() -> np.ndarray:
     return num / (16.0 * math.sqrt(2.0))
 
 
-_BANK: dict[str, np.ndarray] = {}
+# each built-in filter's builder; a run uses one filter, so each is built
+# (db4-db8 by root finding) and validated on its first request
+_BUILDERS = {
+    "haar": lambda: np.array([1.0, 1.0]) / math.sqrt(2.0),
+    "db2": _sqrt3_db2,
+    "db3": _closed_form_db3,
+    **{f"db{n}": functools.partial(_daubechies, n) for n in (4, 5, 6, 7, 8)},
+}
+
+
+@functools.cache
+def _builtin(name: str) -> np.ndarray:
+    h = _BUILDERS[name]()
+    validate_filter(h)
+    return h
 
 
 def builtin_filter_names() -> list[str]:
-    return sorted(_BANK)
+    return sorted(_BUILDERS)
 
 
 def get_filter(name: str) -> np.ndarray:
     """A built-in filter by name, else the filter in the file at that path."""
-    if name in _BANK:
-        return _BANK[name].copy()
+    if name in _BUILDERS:
+        return _builtin(name).copy()
     if os.path.isfile(name):
         return load_filter_file(name)
     raise FilterError(f"unknown filter {name!r}; known: {builtin_filter_names()}")
@@ -135,15 +150,3 @@ def load_filter_file(path) -> np.ndarray:
     validate_filter(h)
     return h
 
-
-def _init_bank() -> None:
-    _BANK["haar"] = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    _BANK["db2"] = _sqrt3_db2()
-    _BANK["db3"] = _closed_form_db3()
-    for n in (4, 5, 6, 7, 8):
-        _BANK[f"db{n}"] = _daubechies(n)
-    for name, h in _BANK.items():
-        validate_filter(h)
-
-
-_init_bank()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
-                     dilate, is_bad_batch, pi_bad_exact)
+                     dilate, distinct, is_bad_batch, pi_bad_exact)
 from .operators import (KernelOp, PairingEngine, PairingTable, _row_chunks,
                         apply_multiplier, distinct_keys, pairing_keys,
                         sample_wavelets, support_intervals)
@@ -94,12 +94,12 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
     k_func = _func_generation(func)
     out = np.zeros(k.size)
     live = a < b
-    for gen in np.unique(k[live]).tolist():
+    for gen in distinct(k[live]).tolist():
         h = 0.5 ** (q_loc + max(gen, k_func))
         cubes = np.flatnonzero(live & (k == gen))
         x0 = np.floor(a[cubes] / h) * h
         n_nodes = np.ceil((b[cubes] - x0) / h).astype(np.int64)
-        for n in np.unique(n_nodes).tolist():
+        for n in distinct(n_nodes).tolist():
             same = np.flatnonzero(n_nodes == n)
             rel = (np.arange(n) + 0.5) * h  # the nodes, from x0
             for chunk in _row_chunks(0, same.size, n):
@@ -225,7 +225,7 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     # Pairs (I, J) with I.k >= J.k, classified one fine generation at a
     # time; the cubes come coarse to fine, so the pairs keep the I-major
     # order of the cube arrays.  The smaller cube of each pair is I.
-    for k in np.unique(cube_k):
+    for k in distinct(cube_k):
         fine = np.flatnonzero(cube_k == k)
         coarse = np.flatnonzero(cube_k <= k)
         I = np.repeat(fine, coarse.size)

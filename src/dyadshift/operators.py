@@ -16,7 +16,8 @@ from threading import Thread
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
 
-from .dyadic import CubePairs, DyadicGrid, ScaleRangeError, dilate
+from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, dilate,
+                     distinct)
 from .wavelets import WaveletSystem
 
 
@@ -312,7 +313,7 @@ class _KeyPacking:
             return cls(0, 1, np.empty(0, dtype=np.int64))
         gens = keys[:, [0, 2]]
         k0 = int(gens.min())
-        return cls(k0, int(gens.max()) - k0 + 1, np.unique(keys[:, 3]))
+        return cls(k0, int(gens.max()) - k0 + 1, distinct(keys[:, 3]))
 
     def pack(self, keys: np.ndarray) -> np.ndarray:
         """The packed rows; a row whose offset or generations lie outside

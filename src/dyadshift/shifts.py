@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import DyadicGrid, dilate
+from .dyadic import DyadicGrid, dilate, distinct
 from .operators import sample_wavelets
 
 CLASSES = ("far", "between", "contained", "equal", "near")
@@ -368,7 +368,7 @@ def _shift_samples(grid: DyadicGrid, system, S: ShiftOperator,
         cubes, inverse = np.unique(np.stack([k, l], axis=1), axis=0,
                                    return_inverse=True)
         rows = np.empty((len(cubes), x.size))
-        for gen in np.unique(cubes[:, 0]).tolist():
+        for gen in distinct(cubes[:, 0]).tolist():
             sel = cubes[:, 0] == gen
             rows[sel] = sample_wavelets(grid, system, gen, cubes[sel, 1],
                                         x[None, :])

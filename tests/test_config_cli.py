@@ -583,10 +583,13 @@ def test_cli_window_past_float64_resolution_exit_4(tmp_path, capsys,
 
 
 def test_commands_load_no_module_after_import(tmp_path):
-    # in a fresh process: importing the CLI leaves scipy.fft out, and no
-    # command loads a module during its run.  numpy and the standard library
-    # import some modules on first use (numpy.ma, numpy.random, numpy.fft,
-    # threading); the package imports them up front instead
+    # in a fresh process: scipy.fft and numpy.ma stay unloaded after
+    # importing the CLI and after each command, and no command loads a
+    # module during its run, nor does building every built-in filter (a run
+    # builds its filter on first request).  numpy and the standard library
+    # import some modules on first use (numpy.random, numpy.fft,
+    # threading); the package imports them up front instead.  No command
+    # uses numpy.ma, which a plain np.unique call would load
     configs = {
         "grid-stats": {"kernel": "hilbert", "L": 3, "k_min": -2,
                        "k_max": 6, "r": 5, "theta": 1.0,
@@ -604,14 +607,22 @@ def test_commands_load_no_module_after_import(tmp_path):
     script = """
 import contextlib, io, json, sys
 import dyadshift.cli
-loaded = {"import": [m for m in sys.modules if m.startswith("scipy.fft")]}
+from dyadshift.filters import builtin_filter_names, get_filter
+def kept_out():
+    return [m for m in sys.modules
+            if m == "numpy.ma" or m.startswith(("scipy.fft", "numpy.ma."))]
+loaded = {"import": kept_out()}
 for command, cfg in json.loads(sys.argv[2]).items():
     before = set(sys.modules)
     with contextlib.redirect_stdout(io.StringIO()):
         code = dyadshift.cli.main([command, "--config", json.dumps(cfg),
                                    "--seed", "0", "--outdir", sys.argv[1]])
     assert code == 0, (command, code)
-    loaded[command] = sorted(set(sys.modules) - before)
+    loaded[command] = sorted(set(sys.modules) - before) + kept_out()
+before = set(sys.modules)
+for name in builtin_filter_names():
+    get_filter(name)
+loaded["filters"] = sorted(set(sys.modules) - before) + kept_out()
 print(json.dumps(loaded))
 """
     env = dict(os.environ)
@@ -621,7 +632,7 @@ print(json.dumps(loaded))
                            json.dumps(configs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [],
+    assert json.loads(proc.stdout) == {"import": [], "filters": [],
                                        **{c: [] for c in configs}}
 
 

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from dyadshift.config import default_r
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
-                              _badness_batch, _skeleton_gap,
+                              _badness_batch, _skeleton_gap, distinct,
                               independence_table, is_bad_batch, union_bound,
                               pi_bad_estimate, pi_bad_exact)
 from dyadshift.shifts import classify_batch
@@ -279,6 +279,29 @@ def test_is_bad_batch_matches_scalar_reference(k_min, depth, extra_L, r,
     bad = is_bad_batch(grid, *cube_arrays(picked), r, theta)
     assert bad.tolist() == [_scalar_is_bad(grid, c, r, theta)
                             for c in picked]
+
+
+_NEAR = st.integers(-4, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_NEAR, _NEAR.map(lambda d: 2 ** 62 + d),
+                          _NEAR.map(lambda d: -2 ** 62 + d)), max_size=40))
+@example([])
+@example([7])
+@example([-3, -3, -3, -3])
+@example([2 ** 62, -2 ** 62, 0, 2 ** 62 - 1, -1, 2 ** 62, -2 ** 62 + 1])
+def test_distinct_matches_np_unique(values):
+    # np.unique's sorted values and dtype, on a contiguous array and on a
+    # column of a 2-D array (as _KeyPacking.of passes), with the input left
+    # as it was
+    a = np.array(values, dtype=np.int64)
+    for arr in (a, np.stack([-a, a], axis=1)[:, 1]):
+        kept = arr.copy()
+        got, want = distinct(arr), np.unique(arr)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(arr, kept)
 
 
 def test_badness_batch_matches_exact_enumeration():
