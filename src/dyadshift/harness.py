@@ -162,12 +162,16 @@ def class_bound(kind: str, i: int, j: int, s: int, eps: float,
 
 
 # most (I, J) pairs decay_audit classifies in one block, the pairs of one
-# fine generation.  A block peaks at about 213 bytes per pair (its index
-# arrays, their int64 gathers and the classification temporaries, measured
-# with tracemalloc), so the bound allows about 0.9 GB per block.  That is
-# about 24 times the largest block of the tests, README configs and bench
-# (171,180 pairs, criterion 8's span audit with db8); the bench represent
-# window (haar, L=8, k=-8..5) would need 134 M pairs.
+# fine generation, and most pairs one grid of represent or convergence
+# holds.  A block peaks at about 213 bytes per pair (its index arrays,
+# their int64 gathers and the classification temporaries, measured with
+# tracemalloc), and a grid at about 113 (243 when convergence classifies
+# its pairs), so the bound allows about 0.9 GB per block and 1 GB per
+# grid.  That is about 24 times the largest block of the tests, README
+# configs and bench (171,180 pairs, criterion 8's span audit with db8),
+# and 53 times the largest grid (77,964 pairs, criterion 11's db3
+# window); the bench represent window (haar, L=8, k=-8..5) would need
+# 134 M pairs in one audit block.
 AUDIT_MAX_PAIRS = 1 << 22
 
 
@@ -402,7 +406,9 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
     which divide the terms.  A run with a generation whose pi_good is 0,
     none of whose cubes can be good, raises ScaleRangeError before any
     grid is drawn; before a second grid is drawn, a run whose grids would
-    hold more than DRAWS_MAX_BYTES, at the first one's size, raises it too.
+    hold more than DRAWS_MAX_BYTES, at the first one's size, raises it too,
+    and so does a grid with more than AUDIT_MAX_PAIRS pairs, before any of
+    its pair arrays exists.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -434,6 +440,12 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
                 f"{len(indices)} grids of about {cubes} localized cubes "
                 f"would hold more than DRAWS_MAX_BYTES = {DRAWS_MAX_BYTES} "
                 "bytes; lower n_omega")
+        n_pairs = d.kl_f[0].size * d.kl_g[0].size
+        if n_pairs > AUDIT_MAX_PAIRS:
+            raise ScaleRangeError(
+                f"a grid of {d.kl_f[0].size} localized cubes of f and "
+                f"{d.kl_g[0].size} of g would hold {n_pairs} pairs, more "
+                f"than AUDIT_MAX_PAIRS = {AUDIT_MAX_PAIRS}; narrow the window")
         draws.append(d)
         pending.append(distinct_keys(pairing_keys(d.grid,
                                                   d.pairs(*d.pair_index()))))

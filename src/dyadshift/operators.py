@@ -4,6 +4,10 @@ engine that evaluates wavelet-pair matrix entries <psi_J, T psi_I>.
 Every operator is evaluated through its symbol: an FFT multiplier on a
 zero-padded mesh, with analytic periodization corrections for kernels with
 a 1/u tail; the identity calibration samples the coarser wavelet directly.
+A singular kernel is real and odd, so its symbol is odd and imaginary,
+-i sgn(xi) r(|xi|) with a real radial factor r: a field scales the
+spectrum by r, multiplies it in place by -i and zeroes its zero-frequency
+bin, with no frequency array unless r is not 1.
 """
 
 from __future__ import annotations
@@ -25,17 +29,20 @@ from .wavelets import WaveletSystem
 class KernelOp:
     """Convolution operator Tf(x) = pv Int k(x-y) f(y) dy on the line.
 
-    multiplier: symbol m(xi) so that (Tf)^(xi) = m(xi) f^(xi), radian
-    frequency; the transpose T^t has symbol m(-xi).  czs_seminorm: the
-    Calderon-Zygmund constant of order s.  tail_order: exponent c such that
-    the kernel k(u) ~ a / u^c for large u; a field of a tail_order == 1
-    kernel gets the moment-based periodization correction of
-    _periodic_apply, and no other field does.  An
-    operator is singular when it has a seminorm; the identity has none.
+    A singular operator has a real odd kernel, and its symbol, in radian
+    frequency, is stored in one form: m(xi) = -i sgn(xi) r(|xi|), with
+    radial the real factor r (None for r = 1, the Hilbert transform); the
+    transpose T^t has symbol m(-xi) = -m(xi).  multiplier(xi) derives the
+    full symbol from it, so that (Tf)^(xi) = m(xi) f^(xi); the identity's
+    symbol is 1.  czs_seminorm: the Calderon-Zygmund constant of order s.
+    tail_order: exponent c such that the kernel k(u) ~ a / u^c for large u;
+    a field of a tail_order == 1 kernel gets the moment-based periodization
+    correction of _periodic_apply, and no other field does.  An operator
+    is singular when it has a seminorm; the identity has none.
     """
 
     name: str
-    multiplier: callable
+    radial: callable = None
     czs_seminorm: callable = None
     tail_order: int = 0
 
@@ -43,9 +50,14 @@ class KernelOp:
     def singular(self) -> bool:
         return self.czs_seminorm is not None
 
-
-def _hilbert_multiplier(xi):
-    return -1j * np.sign(xi)
+    def multiplier(self, xi):
+        """The symbol m(xi) at the radian frequencies xi."""
+        if not self.singular:
+            return np.ones_like(xi)
+        m = -1j * np.sign(xi)
+        if self.radial is not None:
+            m = m * self.radial(np.abs(xi))
+        return m
 
 
 def _hilbert_czs(s: int) -> float:
@@ -53,8 +65,8 @@ def _hilbert_czs(s: int) -> float:
     return math.factorial(s) / math.pi
 
 
-def _smoothed_multiplier(xi):
-    return -1j * np.sign(xi) * (1.0 - np.exp(-np.abs(xi)))
+def _smoothed_radial(a):
+    return 1.0 - np.exp(-a)
 
 
 def _smoothed_czs(s: int) -> float:
@@ -72,14 +84,13 @@ def _smoothed_czs(s: int) -> float:
 
 def make_operator(name: str) -> KernelOp:
     if name == "hilbert":
-        return KernelOp(name="hilbert", multiplier=_hilbert_multiplier,
-                        czs_seminorm=_hilbert_czs, tail_order=1)
+        return KernelOp(name="hilbert", czs_seminorm=_hilbert_czs,
+                        tail_order=1)
     if name == "smoothed_hilbert":
-        return KernelOp(name="smoothed_hilbert", multiplier=_smoothed_multiplier,
+        return KernelOp(name="smoothed_hilbert", radial=_smoothed_radial,
                         czs_seminorm=_smoothed_czs, tail_order=3)
     if name == "identity":
-        return KernelOp(name="identity",
-                        multiplier=lambda xi: np.ones_like(xi))
+        return KernelOp(name="identity")
     raise ValueError(f"unknown operator {name!r}")
 
 
@@ -144,9 +155,14 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     it.
 
     The contract is a real kernel: its symbol is Hermitian,
-    m(-xi) = conj(m(xi)), so T maps the real buffer to a real signal and a
+    m(-xi) = conj(m(xi)), so T maps the real samples to a real signal and a
     real FFT carries the whole product (irfft keeps the real part of the
-    zero-frequency and Nyquist bins).
+    zero-frequency and Nyquist bins).  A singular kernel is also odd, its
+    symbol -i sgn(xi) r(|xi|) (see KernelOp): the spectrum, at the
+    nonnegative frequencies only, is scaled by r when the kernel has a
+    radial factor, turned by -i (+i for the transpose) and its
+    zero-frequency bin zeroed, all in place; the identity's spectrum is
+    left as it is.  rfft zero-pads the samples to N points itself.
 
     For a tail_order == 1 kernel, the difference between the 1/(pi u) line
     kernel and the period-P conjugate kernel,
@@ -157,16 +173,18 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     N, h = mesh.size, mesh.h
     # in place where the order of operations allows, and each temporary
     # dropped as soon as it is spent: two fields may be built at once
-    buf = np.zeros(N)
-    buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
-    X = rfft(buf)
+    buf = np.zeros(mesh.n_left + mesh.vw.size)
+    buf[mesh.n_left:] = mesh.vw
+    X = rfft(buf, n=N)
     del buf
-    xi = rfftfreq(N, d=h)
-    xi *= 2.0 * math.pi
-    if mesh.transpose:
-        np.negative(xi, out=xi)
-    X *= op.multiplier(xi)
-    del xi
+    if op.singular:
+        if op.radial is not None:
+            xi = rfftfreq(N, d=h)
+            xi *= 2.0 * math.pi
+            X *= op.radial(xi)
+            del xi
+        X *= 1j if mesh.transpose else -1j
+        X[0] = 0.0  # sgn(0) = 0
     out = irfft(X, n=N)
     del X
     # a copy, not a view: the padding is freed while the field is read
@@ -239,14 +257,17 @@ def support_intervals(grid: DyadicGrid, system: WaveletSystem,
 # the field mesh is 2^2 times finer than the quadrature nodes, which keeps
 # the interpolation error a couple of orders below the quadrature error
 FIELD_OVERSAMPLE_EXP = 2
-# most mesh points of one field.  A field of N points peaks at 24.4-28.0 N
-# bytes, measured with tracemalloc on hilbert and smoothed_hilbert fields
-# (the spectrum, the frequencies and the multiplier's temporaries: the
-# padded buffer is freed by then; pocketfft's own scratch is not traced),
-# so the bound allows about 1.75 GiB per field and 3.5 GiB with two fields
-# in flight.  That is about 47 times the largest field of the tests and
-# README configs (1.4 M points, at q_loc = 12); a hull on a deep window
-# can ask for more than 2^63 points, which no FFT length holds.
+# most mesh points of one field.  A field of N points peaks at 16.0 N
+# traced bytes for hilbert and 20.0 N for smoothed_hilbert, measured with
+# tracemalloc (the spectrum beside the inverse's output, or beside the
+# frequencies and the radial factor's temporaries).  pocketfft's own
+# scratch is not traced: each transform holds about 16 N more (even
+# rfft(b, out=X) raises ru_maxrss by 2 x 8 N bytes), so a field peaks at
+# about 32 N resident bytes, and the bound allows about 2 GiB per field
+# and 4 GiB with two fields in flight.  That is about 47 times the largest
+# field of the tests and README configs (1.4 M points, at q_loc = 12); a
+# hull on a deep window can ask for more than 2^63 points, which no FFT
+# length holds.
 FIELD_MAX_POINTS = 1 << 26
 # most nodes one block of rows evaluates at once, a lookup block handed to
 # np.interp or a block of harness.localized_coefficients; larger blocks go

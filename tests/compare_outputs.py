@@ -49,6 +49,12 @@ RUNS = [
     ("convergence", {"filter": "db3", "kernel": "hilbert", "L": 12,
                      "k_min": -12, "k_max": 6, "s": 2, "N_max": 8,
                      "n_omega": 4}),
+    # smoothed_hilbert's radial factor on a run that classifies its pairs,
+    # at criterion 11's window, where seeds 0, 1 and 2 write a curve (at
+    # the README convergence window each exits 4 at the noise floor)
+    ("convergence", {"filter": "db2", "kernel": "smoothed_hilbert", "L": 12,
+                     "k_min": -12, "k_max": 6, "s": 2, "N_max": 8,
+                     "n_omega": 4}),
     # a convergence run with a finite r, which divides by pi_good < 1:
     # seeds 0 and 1 write a curve, seed 2 exits 4
     ("convergence", {"filter": "haar", "kernel": "hilbert", "L": 6,

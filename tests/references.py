@@ -17,6 +17,8 @@ compare it with:
   shifts before shifts were held as int64 arrays, and the Cube-list cube
   enumeration and decay audit that preceded the int64 pair arrays;
 - the cascade iteration the exact scaling tables are checked against;
+- the field route with a padded buffer and the full complex symbol
+  (padded_periodic_apply), which the lean field kernel replaced;
 - the per-report CSV writers the library's modules held before the
   command line became the one writer (goodness, audit and curve CSV).
 Where the batching keeps the arithmetic the tests compare bit for bit."""
@@ -25,6 +27,7 @@ import io
 import math
 
 import numpy as np
+from numpy.fft import irfft, rfft, rfftfreq
 
 from dyadshift.dyadic import Cube, CubePairs, is_bad_batch
 from dyadshift.harness import DecayAuditRow, class_bound, psi_refinement
@@ -111,6 +114,57 @@ def pairing_counts(op, keys) -> dict:
     rows = {tuple(row) for row in keys.tolist()}
     fields = {row[:2] for row in rows} if op.singular else set()
     return {"pairs": len(keys), "keys": len(rows), "fields": len(fields)}
+
+
+# ---------------------------------------------------------------------------
+# the padded field route
+
+
+def padded_periodic_apply(op, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """operators._periodic_apply as it was before rfft padded the samples
+    itself and the odd symbol turned the spectrum in place: the samples in
+    a zero buffer of the full mesh size, the rfft frequencies and the
+    complex symbol op.multiplier(xi), or m(-xi) for the transpose, with
+    the same tail correction."""
+    N, h = mesh.size, mesh.h
+    buf = np.zeros(N)
+    buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
+    X = rfft(buf)
+    del buf
+    xi = rfftfreq(N, d=h)
+    xi *= 2.0 * math.pi
+    if mesh.transpose:
+        np.negative(xi, out=xi)
+    X *= op.multiplier(xi)
+    del xi
+    out = irfft(X, n=N)
+    del X
+    out = out[:mesh.stop].copy()
+    mesh_x = np.arange(out.size, dtype=float)
+    mesh_x += 0.5
+    mesh_x *= h
+    mesh_x += mesh.x0
+    if op.tail_order == 1:
+        mu = [np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)]
+        P = N * h
+        c1 = math.pi / (3.0 * P * P)
+        c3 = math.pi ** 3 / (45.0 * P ** 4)
+        lin = mu[0] * mesh_x
+        cub = lin - 3 * mu[1]
+        lin -= mu[1]
+        lin *= c1
+        cub *= mesh_x
+        cub += 3 * mu[2]
+        cub *= mesh_x
+        cub -= mu[3]
+        cub *= c3
+        lin += cub
+        del cub
+        if mesh.transpose:
+            out -= lin
+        else:
+            out += lin
+    return mesh_x, out
 
 
 # ---------------------------------------------------------------------------

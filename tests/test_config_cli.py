@@ -709,6 +709,46 @@ sys.exit(main(sys.argv[1:]))
     assert "DRAWS_MAX_BYTES" in err and "\n" not in err
 
 
+@pytest.mark.parametrize("command, keys, cubes", [
+    ("represent", '"n_omega": 1', (13264, 11622)),
+    ("convergence", '"n_omega": 1, "s": 1, "N_max": 6', (13268, 11632)),
+])
+def test_cli_grid_with_too_many_pairs_exit_4(tmp_path, command, keys, cubes):
+    # a db8 grid on a deep window pairs ~154 M cube pairs: refused, in a
+    # child process under a 2 GiB address-space cap, before any of the
+    # grid's pair arrays exists
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    script = """
+import sys
+from dyadshift import harness
+from dyadshift.cli import main
+def no_pairs(self):
+    raise AssertionError("pair arrays were built")
+harness._Draw.pair_index = no_pairs
+sys.exit(main(sys.argv[1:]))
+"""
+    cfg = ('{"filter": "db8", "kernel": "smoothed_hilbert", "L": 2, '
+           '"k_min": -2, "k_max": 12, "r": 4, "theta": 1, %s}' % keys)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, command, "--config",
+                           cfg, "--outdir", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
+    assert proc.returncode == 4, proc.stderr
+    err = proc.stderr.strip()
+    nf, ng = cubes
+    assert err.startswith(f"error: a grid of {nf} localized cubes of f and "
+                          f"{ng} of g would hold {nf * ng} pairs")
+    assert "AUDIT_MAX_PAIRS" in err and "\n" not in err
+    assert not os.listdir(tmp_path)
+
+
 _GOODNESS_WINDOW = ('{"filter": "haar", "kernel": "hilbert", "L": 6, '
                     '"k_min": -6, %s}')
 

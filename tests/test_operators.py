@@ -23,9 +23,9 @@ from dyadshift.wavelets import WaveletSystem, build_system
 from conftest import InlineThread
 from references import (cube_arrays, cube_box, cube_pair_keys, cube_pairs,
                         cubes_at_scale, cubes_touching, disjoint_pairs,
-                        haar_pair_exact, lone_pairings, pair_correlation,
-                        pair_quadrature, pairing_counts, sample_wavelet,
-                        support_interval, wavelet_nodes)
+                        haar_pair_exact, lone_pairings, padded_periodic_apply,
+                        pair_correlation, pair_quadrature, pairing_counts,
+                        sample_wavelet, support_interval, wavelet_nodes)
 
 
 def zero_grid(w: Window) -> DyadicGrid:
@@ -357,6 +357,11 @@ def _assert_close_to(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 @pytest.mark.parametrize("name", ["hilbert", "smoothed_hilbert", "identity"])
 @pytest.mark.parametrize("n", [1000, 1001])
 def test_apply_multiplier_matches_complex_fft(name, n):
@@ -370,8 +375,11 @@ def test_apply_multiplier_matches_complex_fft(name, n):
                 transpose, x, samples, h,
                 operators._next_fast_len(pad_factor * n), 0, x0, n)
             _, ref = _complex_periodic_apply(op, mesh)
-            _, got = operators._periodic_apply(op, mesh)
+            u, got = operators._periodic_apply(op, mesh)
             _assert_close_to(got, ref[:n])
+            # the padded route with the complex symbol, bit for bit
+            for a, b in zip((u, got), padded_periodic_apply(op, mesh)):
+                _assert_same_bits(a, b)
             if pad_factor == 8 and not transpose:
                 # apply_multiplier is this case, bit for bit
                 assert np.array_equal(
@@ -1025,11 +1033,30 @@ def test_transposed_field_is_the_negated_field(name, op):
 
 @pytest.mark.parametrize("name", ["haar", "db3"])
 @pytest.mark.parametrize("op", ["hilbert", "smoothed_hilbert"])
+def test_field_matches_padded_route_bitwise(name, op):
+    # rfft pads the samples itself and the odd symbol turns the spectrum
+    # in place: the same bits as the padded buffer with the complex symbol
+    system = build_system(name, q=11)
+    op = make_operator(op)
+    for k in (-3, 0, 2):
+        side = 2.0 ** (-k)
+        for hull in ((-2.0 * side, 3.0 * side), (0.5 * side, 9.0 * side)):
+            for transpose in (False, True):
+                mesh = operators._field_mesh(system, 8, 8, k, hull,
+                                             transpose)
+                got = operators._periodic_apply(op, mesh)
+                for a, b in zip(got, padded_periodic_apply(op, mesh)):
+                    _assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("name", ["haar", "db3"])
+@pytest.mark.parametrize("op", ["hilbert", "smoothed_hilbert"])
 @pytest.mark.parametrize("transpose", [False, True])
 def test_field_peak_memory(name, op, transpose):
-    # the padded buffer is freed once its spectrum exists: a field of N
-    # mesh points peaks below 30 N traced bytes (pocketfft's scratch is
-    # not traced); the warm-up call keeps one-time allocations out
+    # no padded buffer, and no frequency array but smoothed_hilbert's: a
+    # field of N mesh points peaks below 22 N traced bytes (pocketfft's
+    # scratch is not traced); the warm-up call keeps one-time allocations
+    # out
     op = make_operator(op)
     mesh = operators._field_mesh(build_system(name, q=11), 10, 8, 0,
                                  (-2.0, 3.0), transpose)
@@ -1040,7 +1067,7 @@ def test_field_peak_memory(name, op, transpose):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 * mesh.size
+    assert peak < 22 * mesh.size
 
 
 @pytest.mark.parametrize("op", ["hilbert", "identity"])
