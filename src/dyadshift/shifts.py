@@ -7,19 +7,16 @@ the threshold len(J) * (len(I)/len(J))^theta, which is exactly representable
 whenever theta = 1).  Cubes are int64 arrays of generations and indices
 throughout: classify_batch classifies arrays of pairs, assemble_shift takes
 them with classify_batch's output, a ShiftOperator holds its entries as
-arrays, and apply_shift and shift_norm_estimate sample each distinct cube
-of a shift once.
+arrays, and shift_norm reads a shift's norm from its coefficients alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import DyadicGrid, dilate, distinct
-from .operators import sample_wavelets
+from .dyadic import DyadicGrid, dilate
 
 CLASSES = ("far", "between", "contained", "equal", "near")
 FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
@@ -134,6 +131,12 @@ def coefficient_scale(i: int, j: int) -> float:
     return 2.0 ** (-(i + j) / 2.0)
 
 
+def _decay(i: int, j: int, s: int, eps: float) -> float:
+    """2^{-max(i,j)(s - 2 eps)}, the decay a type-(i, j) pairing is
+    normalized by."""
+    return 2.0 ** (-max(i, j) * (s - 2.0 * eps))
+
+
 def shift_coefficient(pairing, i: int, j: int, s: int, eps: float,
                       bound_const: float, c_emp: float, names=None):
     """a_IJK = pairing / (c_emp (|K|_CZs + |T|) 2^{-max(i,j)(s - 2 eps)}),
@@ -144,7 +147,7 @@ def shift_coefficient(pairing, i: int, j: int, s: int, eps: float,
     names(n) for entry n when names is given; that is a reportable
     finding, not a value to clip.
     """
-    decay = 2.0 ** (-max(i, j) * (s - 2.0 * eps))
+    decay = _decay(i, j, s, eps)
     a = np.asarray(pairing, dtype=float) / (c_emp * bound_const * decay)
     cap = coefficient_scale(i, j)
     over = np.flatnonzero(np.abs(a) > cap * (1.0 + 1e-12))
@@ -301,7 +304,7 @@ def calibrate_c_emp(classes, pairings, s: int, eps: float,
     for _, ti, tj, _, top in _audit_cells(
             kind[kept], i[kept], j[kept],
             np.asarray(pairings, dtype=float)[kept]):
-        decay = 2.0 ** (-max(ti, tj) * (s - 2.0 * eps))
+        decay = _decay(ti, tj, s, eps)
         cap = coefficient_scale(ti, tj)
         worst = max(worst, top / (bound_const * decay * cap))
     return worst
@@ -336,91 +339,26 @@ def calibration_shift(grid: DyadicGrid, i: int, j: int, K_k, K_l,
                          class_filter=("calibration",))
 
 
-@dataclass
-class Mesh1D:
-    """Midpoint sample mesh x0 + (n + 1/2) h, n = 0..n_pts-1."""
+def shift_norm(S: ShiftOperator) -> float:
+    """||S||, the largest 2-norm of the blocks A_K of S.
 
-    x0: float
-    h: float
-    n_pts: int
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.x0 + (np.arange(self.n_pts) + 0.5) * self.h
-
-    @classmethod
-    def cover(cls, lo: float, hi: float, res: int) -> "Mesh1D":
-        h = 0.5 ** res
-        x0 = math.floor(lo / h) * h
-        n = int(math.ceil((hi - x0) / h))
-        return cls(x0=x0, h=h, n_pts=n)
-
-
-def _shift_samples(grid: DyadicGrid, system, S: ShiftOperator,
-                   x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(U, A, V) with S f = V^T A U f h for samples f at the points x, h
-    apart: the rows of U and V are the wavelets of the distinct I and the
-    distinct J cubes of S at x, each sampled once through one
-    sample_wavelets call per generation, and A (distinct J by distinct I)
-    holds the coefficients, summed over the blocks an (I, J) recurs in."""
-    sides = []
-    for k, l in ((S.K_k + S.i, S.I_l), (S.K_k + S.j, S.J_l)):
-        cubes, inverse = np.unique(np.stack([k, l], axis=1), axis=0,
-                                   return_inverse=True)
-        rows = np.empty((len(cubes), x.size))
-        for gen in distinct(cubes[:, 0]).tolist():
-            sel = cubes[:, 0] == gen
-            rows[sel] = sample_wavelets(grid, system, gen, cubes[sel, 1],
-                                        x[None, :])
-        sides.append((rows, inverse.reshape(-1)))
-    (U, to_i), (V, to_j) = sides
-    A = np.zeros((len(V), len(U)))
-    np.add.at(A, (to_j, to_i), S.a)
-    return U, A, V
-
-
-def apply_shift(grid: DyadicGrid, system, S: ShiftOperator, f: np.ndarray,
-                mesh: Mesh1D) -> np.ndarray:
-    """S f on the mesh, for samples f at its centers; on a shift of one
-    block this is the averaging operator A_K."""
-    U, A, V = _shift_samples(grid, system, S, mesh.centers)
-    return V.T @ (A @ (U @ f * mesh.h))
-
-
-class PowerIterationError(RuntimeError):
-    pass
-
-
-def shift_norm_estimate(grid: DyadicGrid, system, S: ShiftOperator,
-                        mesh: Mesh1D, tol: float = 1e-4, max_iter: int = 500,
-                        seed: int = 0) -> float:
-    """L2 operator norm of S on the mesh by power iteration on S^t S.
-
-    The wavelet samples are taken once (see _shift_samples), so each
-    iteration is a few small matrix-vector products.
+    The psi_I are orthonormal, each I lies in one block, its i-th
+    ancestor, and each J in its j-th, so S is the direct sum of its blocks
+    in wavelet coordinates.  A block's I (and its J) are one run of
+    indices, so an entry sits in its block's dense matrix at its indices
+    less the block's smallest; an (I, J) that recurs in a block sums.
     """
     if not S.a.size:
         return 0.0
-    U, A, V = _shift_samples(grid, system, S, mesh.centers)
-
-    def apply(fv):
-        return V.T @ (A @ (U @ fv * mesh.h))
-
-    def apply_t(fv):
-        return U.T @ (A.T @ (V @ fv * mesh.h))
-
-    rng = np.random.default_rng(seed)
-    fv = rng.standard_normal(mesh.n_pts)
-    fv /= np.linalg.norm(fv)
-    prev = 0.0
-    for _ in range(max_iter):
-        gv = apply_t(apply(fv))
-        nrm = float(np.linalg.norm(gv))
-        if nrm == 0.0:
-            return 0.0
-        est = math.sqrt(nrm)
-        fv = gv / nrm
-        if prev > 0.0 and abs(est - prev) <= tol * prev:
-            return est
-        prev = est
-    raise PowerIterationError("power iteration did not converge")
+    _, block = np.unique(np.stack([S.K_k, S.K_l], axis=1), axis=0,
+                         return_inverse=True)
+    block = block.reshape(-1)
+    n = int(block.max()) + 1
+    at = []
+    for l in (S.J_l, S.I_l):
+        first = np.full(n, np.iinfo(np.int64).max)
+        np.minimum.at(first, block, l)
+        at.append(l - first[block])
+    A = np.zeros((n, *(int(p.max()) + 1 for p in at)))
+    np.add.at(A, (block, *at), S.a)
+    return float(np.linalg.norm(A, ord=2, axis=(1, 2)).max())

@@ -14,7 +14,8 @@ compare it with:
   wavelet's samples and coefficient, the per-pair classification and join,
   with the WindowTruncationError they raise);
 - the per-entry loops over Cube lists that assembled, applied and measured
-  shifts before shifts were held as int64 arrays, and the Cube-list cube
+  shifts before shifts were held as int64 arrays, the applying and
+  measuring ones now a shift's only mesh routes, and the Cube-list cube
   enumeration and decay audit that preceded the int64 pair arrays;
 - the cascade iteration the exact scaling tables are checked against;
 - the field route with a padded buffer and the full complex symbol
@@ -25,16 +26,17 @@ Where the batching keeps the arithmetic the tests compare bit for bit."""
 
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
 
-from dyadshift.dyadic import Cube, CubePairs, is_bad_batch
+from dyadshift.dyadic import (Cube, CubePairs, DyadicGrid, Window,
+                              is_bad_batch)
 from dyadshift.harness import DecayAuditRow, class_bound, psi_refinement
 from dyadshift.operators import (PairingEngine, PairingTable, pairing_keys,
                                  sample_wavelets, support_intervals)
-from dyadshift.shifts import (CLASSES, PowerIterationError, classify_batch,
-                              coefficient_scale)
+from dyadshift.shifts import CLASSES, classify_batch, coefficient_scale
 from dyadshift.wavelets import _two_scale
 
 
@@ -57,6 +59,30 @@ def cascade(h, q: int, tol: float = 1e-10, max_iter: int = 80):
         if res < tol:
             return v, it, res
     raise RuntimeError(f"cascade: change {res:.3g} after {max_iter} passes")
+
+
+def zero_grid(w: Window) -> DyadicGrid:
+    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+
+
+@dataclass
+class Mesh1D:
+    """Midpoint sample mesh x0 + (n + 1/2) h, n = 0..n_pts-1."""
+
+    x0: float
+    h: float
+    n_pts: int
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.x0 + (np.arange(self.n_pts) + 0.5) * self.h
+
+    @classmethod
+    def cover(cls, lo: float, hi: float, res: int) -> "Mesh1D":
+        h = 0.5 ** res
+        x0 = math.floor(lo / h) * h
+        n = int(math.ceil((hi - x0) / h))
+        return cls(x0=x0, h=h, n_pts=n)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +558,7 @@ def apply_averaging(grid, system, entries, f, mesh) -> np.ndarray:
 
 def shift_norm_loop(grid, system, blocks, mesh, tol: float = 1e-4,
                     max_iter: int = 500, seed: int = 0) -> float:
-    """shift_norm_estimate with one sampled row per entry."""
+    """A shift's L2 norm on the mesh, by power iteration over entry rows."""
     entries = [e for K in sorted(blocks, key=lambda c: (c.k, c.l))
                for e in blocks[K]]
     if not entries:
@@ -562,7 +588,7 @@ def shift_norm_loop(grid, system, blocks, mesh, tol: float = 1e-4,
         if prev > 0.0 and abs(est - prev) <= tol * prev:
             return est
         prev = est
-    raise PowerIterationError("power iteration did not converge")
+    raise RuntimeError("power iteration did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,18 @@ from dyadshift.harness import (convergence_experiment, decay_audit,
                                expansion_identity, randomized_expansion)
 from dyadshift.operators import (TestFunction as Bump, make_operator,
                                  sample_wavelets)
-from dyadshift.shifts import (CLASSES, Mesh1D, apply_shift, assemble_shift,
-                              calibrate_c_emp, calibration_shift,
-                              classify_batch, shift_norm_estimate)
+from dyadshift.shifts import (CLASSES, assemble_shift, calibrate_c_emp,
+                              calibration_shift, classify_batch, shift_norm)
 from dyadshift.wavelets import build_system, gram_defect
-from references import (cube_arrays, cubes_at_scale, disjoint_pairs,
-                        lone_pairings, pair_correlation)
+from references import (Mesh1D, apply_averaging, blocks_of, cube_arrays,
+                        cubes_at_scale, disjoint_pairs, lone_pairings,
+                        pair_correlation, zero_grid)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
     line = f"criterion {n:2d}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
 
 
 def test_criterion_1_badness_probability():
@@ -188,7 +184,7 @@ def test_criterion_7_averaging_and_shift_boundedness():
         S = calibration_shift(grid, 2, 2, K_k, K_l)
         prof = sample_wavelets(grid, system, K.k + 2, S.I_l, x[None, :])
         f = np.sign(prof.sum(axis=0))
-        out = apply_shift(grid, system, S, f, mesh)
+        out = apply_averaging(grid, system, blocks_of(S)[K], f, mesh)
         klo, khi = grid.boxes(K_k, K_l)
         unit = 2.0 ** -w.unit_exp
         inside = (x >= klo[0] * unit) & (x < khi[0] * unit)
@@ -196,11 +192,9 @@ def test_criterion_7_averaging_and_shift_boundedness():
                          / (khi[0] - klo[0]) / unit)
         consts.append(float(np.max(np.abs(out))) / mean_abs)
     avg_flat = max(consts) <= 2.0 * min(consts)
-    # norm estimates of saturating shifts across all types in [1,6]^2
-    mesh = Mesh1D.cover(0.0, 8.0, 8)
+    # norms of saturating shifts across all types in [1,6]^2
     Ks = cube_arrays([Cube(0, (2,)), Cube(0, (5,))])
-    norms = [shift_norm_estimate(grid, system,
-                                 calibration_shift(grid, i, j, *Ks), mesh)
+    norms = [shift_norm(calibration_shift(grid, i, j, *Ks))
              for i in range(1, 7) for j in range(1, 7)]
     norm_flat = max(norms) <= 2.0 * min(norms)
     _report(7, avg_flat and norm_flat,

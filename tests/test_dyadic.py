@@ -11,11 +11,8 @@ from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               independence_table, is_bad_batch, union_bound,
                               pi_bad_estimate, pi_bad_exact)
 from dyadshift.shifts import classify_batch
-from references import cube_arrays, cube_pairs, cubes_at_scale, cubes_touching
-
-
-def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+from references import (cube_arrays, cube_pairs, cubes_at_scale,
+                        cubes_touching, zero_grid)
 
 
 def _is_bad(grid, cube, r, theta):

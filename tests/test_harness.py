@@ -24,11 +24,8 @@ from conftest import InlineThread
 from references import (WindowTruncationError, cube_arrays, cube_pair_keys,
                         cubes_at_scale, decay_audit_loop, dilate_box,
                         localized_coefficient, localized_cube_list,
-                        lone_pairings, pairing_counts, scalar_classify_pair)
-
-
-def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+                        lone_pairings, pairing_counts, scalar_classify_pair,
+                        zero_grid)
 
 
 def _goodness(grid, cubes, r, theta):

@@ -25,11 +25,8 @@ from references import (cube_arrays, cube_box, cube_pair_keys, cube_pairs,
                         cubes_at_scale, cubes_touching, disjoint_pairs,
                         haar_pair_exact, lone_pairings, padded_periodic_apply,
                         pair_correlation, pair_quadrature, pairing_counts,
-                        sample_wavelet, support_interval, wavelet_nodes)
-
-
-def zero_grid(w: Window) -> DyadicGrid:
-    return DyadicGrid(w, omega=np.zeros(w.n_shift_bits, dtype=int))
+                        sample_wavelet, support_interval, wavelet_nodes,
+                        zero_grid)
 
 
 def hat(x):
