@@ -100,7 +100,7 @@ def cmd_wavelet_check(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
 def cmd_decay_audit(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     grid = DyadicGrid.random(cfg.window, cfg.seed)
     op = make_operator(cfg.kernel)
-    if op.czs_seminorm is None:
+    if not op.singular:
         raise ConfigError("decay-audit needs a singular kernel: "
                           f"{cfg.kernel!r} has no Calderon-Zygmund bound")
     system = _system(cfg)

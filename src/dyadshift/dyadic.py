@@ -72,6 +72,15 @@ class Window:
             raise ScaleRangeError(f"generation {k} outside [{self.k_min}, {self.k_max}]")
         return 1 << (self.unit_exp - k)
 
+    def sides(self, k: np.ndarray) -> np.ndarray:
+        """The int64 sidelengths, in integer units, of the generations k
+        (an int64 array): len_units of each."""
+        k = np.asarray(k, dtype=np.int64)
+        if k.size and (k.min() < self.k_min or k.max() > self.k_max):
+            raise ScaleRangeError(
+                f"generations outside [{self.k_min}, {self.k_max}]")
+        return np.left_shift(np.int64(1), self.unit_exp - k)
+
     @property
     def extent_units(self) -> int:
         return 1 << (self.unit_exp + self.L)
@@ -98,8 +107,7 @@ class DyadicGrid:
             raise ValueError(f"omega must be a 0/1 vector of length {n}")
         self.omega = omega
         # weight of bit jr (generation j = k_min+1+jr) in integer units
-        j = window.k_min + 1 + np.arange(n)
-        weighted = (1 << (window.unit_exp - j)).astype(np.int64) * omega
+        weighted = window.sides(window.k_min + 1 + np.arange(n)) * omega
         # shift of generation k in entry k - k_min: the sum of the weighted
         # bits of every finer generation, zero for k_max
         shifts = np.zeros(n + 1, dtype=np.int64)
@@ -126,14 +134,10 @@ class DyadicGrid:
               ) -> tuple[np.ndarray, np.ndarray]:
         """Shifted cubes as (lo, hi) integer-unit corners: int64 arrays
         for generations k and indices l (int64 arrays)."""
-        w = self.window
         k = np.asarray(k, dtype=np.int64)
-        if k.size and (k.min() < w.k_min or k.max() > w.k_max):
-            raise ScaleRangeError(
-                f"generations outside [{w.k_min}, {w.k_max}]")
-        side = np.left_shift(np.int64(1), w.unit_exp - k)
+        side = self.window.sides(k)
         lo = (np.asarray(l, dtype=np.int64) * side
-              + self._shifts[k - w.k_min])
+              + self._shifts[k - self.window.k_min])
         return lo, lo + side
 
     def touching_range(self, k: int, lo_units: int,
@@ -210,7 +214,8 @@ def _bad_offsets(window: Window, k: int, r: int, theta: float,
     A cube is bad when some coarser generation k_c >= k_min, at least r
     steps up, brings its skeleton within theta-relative reach of the cube.
     Every translation bit of a generation <= k_c is a multiple of that
-    generation's sidelength, so one offset serves every k_c.
+    generation's sidelength, so one offset serves every k_c.  When
+    k - r < k_min no k_c is admissible and every cube comes out good.
     """
     side = window.len_units(k)
     bad = np.zeros(t.size, dtype=bool)
@@ -225,17 +230,14 @@ def is_bad_batch(grid: DyadicGrid, k: np.ndarray, l: np.ndarray, r: int,
                  theta: float) -> np.ndarray:
     """Badness of many cubes of the grid (see _bad_offsets), given as int64
     arrays of generations and indices, with one _bad_offsets call per
-    generation.
-
-    Cubes with k - r < k_min come out not bad: they have no admissible
-    coarser generation.
+    generation (which finds no generation with k - r < k_min bad).
     """
     w = grid.window
     k = np.asarray(k, dtype=np.int64)
     lo, _ = grid.boxes(k, l)
     t = lo - grid.shift_units(w.k_min)[0]
     bad = np.zeros(k.size, dtype=bool)
-    for gen in distinct(k[k - r >= w.k_min]).tolist():
+    for gen in distinct(k).tolist():
         sel = k == gen
         bad[sel] = _bad_offsets(w, gen, r, theta, t[sel])
     return bad
@@ -264,8 +266,7 @@ def _badness_batch(window: Window, k_ref: int, r: int, theta: float,
     single weighted sum suffices.
     """
     n_rows = k_ref - window.k_min  # columns with k_min < j <= k_ref
-    j = window.k_min + 1 + np.arange(n_rows)
-    weights = (1 << (window.unit_exp - j)).astype(np.int64)
+    weights = window.sides(window.k_min + 1 + np.arange(n_rows))
     t = bits[:, :n_rows] @ weights + l_ref * window.len_units(k_ref)
     return _bad_offsets(window, k_ref, r, theta, t)
 
@@ -283,17 +284,16 @@ def _sample_badness(window: Window, r: int, theta: float, samples: int, seed,
                     k_ref: int | None) -> tuple[int, np.ndarray, np.ndarray]:
     """(k_ref, bits, badness) of the centred reference cube over random
     translation bits; k_ref defaults to mid-window, at least r generations
-    below k_min.  More than MC_MAX_BITS bits raise ScaleRangeError before
-    any is drawn."""
+    below k_min.  A k_ref outside the window, and more than MC_MAX_BITS
+    bits, raise ScaleRangeError before any bit is drawn."""
     w = window
     if k_ref is None:
         k_ref = max((w.k_min + w.k_max) // 2, w.k_min + r)
-    if k_ref - r < w.k_min:
-        raise ScaleRangeError("window has no generation r steps above k_ref")
     if k_ref > w.k_max:
         raise ScaleRangeError(
             f"reference generation {k_ref} lies beyond k_max={w.k_max}; "
             f"badness with r={r} needs k_max - k_min >= r")
+    w.len_units(k_ref)  # refuses a k_ref below k_min
     if samples * w.n_shift_bits > MC_MAX_BITS:
         raise ScaleRangeError(
             f"{samples} Monte Carlo samples of {w.n_shift_bits} translation "
@@ -317,10 +317,13 @@ def pi_bad_estimate(window: Window, r: int, theta: float, samples: int,
 def pi_bad_exact(window: Window, k_ref: int, r: int, theta: float) -> float:
     """Exact badness probability by enumerating all translation bits that can
     influence badness (generations k_min < j <= k_ref).  Cost 2^(k_ref-k_min).
+    0.0, however deep the window, for a k_ref with no admissible ancestor;
+    a k_ref outside the window, or over 24 bits, raises ScaleRangeError.
     """
     w = window
+    w.len_units(k_ref)  # refuses a k_ref outside the window
     if k_ref - r < w.k_min:
-        raise ScaleRangeError("window has no generation r steps above k_ref")
+        return 0.0  # _bad_offsets finds no k_c
     n_rows = k_ref - w.k_min
     if n_rows > 24:
         raise ScaleRangeError("exact enumeration too large for this window")
@@ -342,8 +345,7 @@ def independence_table(window: Window, r: int, theta: float, samples: int,
     k_ref, bits, bad = _sample_badness(w, r, theta, samples, seed, k_ref)
     if w.k_max - k_ref < int(np.log2(position_bins)):
         raise ScaleRangeError("not enough fine generations for the position bins")
-    j = k_ref + 1 + np.arange(w.k_max - k_ref)
-    weights = (1 << (w.unit_exp - j)).astype(np.int64)
+    weights = w.sides(k_ref + 1 + np.arange(w.k_max - k_ref))
     pos = bits[:, k_ref - w.k_min:] @ weights
     bins = (pos * position_bins) // w.len_units(k_ref)
     table = np.zeros((2, position_bins), dtype=np.int64)

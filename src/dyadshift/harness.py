@@ -43,7 +43,7 @@ def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
     hi_u = math.ceil(span[1] * unit)
     gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
     # how far each generation's m-dilate reaches past its cube
-    reach = -dilate(0, np.left_shift(1, w.unit_exp - gens), system.m)[0]
+    reach = -dilate(0, w.sides(gens), system.m)[0]
     ranges = [grid.touching_range(k, lo_u - grow, hi_u + grow)
               for k, grow in zip(gens.tolist(), reach.tolist())]
     return (np.repeat(gens, [max(b - a, 0) for a, b in ranges]),
@@ -207,7 +207,7 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     Returns (rows, info) where info holds excluded-pair counters and,
     under "pairings", the pairing counts of _pairings.
     """
-    if op.czs_seminorm is None:
+    if not op.singular:
         raise ValueError(f"operator {op.name!r} has no Calderon-Zygmund "
                          "seminorm for the decay bounds")
     w = grid.window
@@ -295,16 +295,14 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
 
 
 def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
-    """The exact goodness probability of each generation, in ascending k.
-    The deepest generation, the costliest to enumerate, goes first, so a
-    window too deep for pi_bad_exact is refused before any enumeration."""
-    out = {}
-    for k in range(window.k_max, window.k_min - 1, -1):
-        if k - r < window.k_min:
-            out[k] = 1.0  # no admissible coarser generation: vacuously good
-        else:
-            out[k] = 1.0 - pi_bad_exact(window, k, r, theta)
-    return {k: out[k] for k in range(window.k_min, window.k_max + 1)}
+    """The exact goodness probability of each generation, in ascending k:
+    1.0 for a generation with no admissible ancestor, as pi_bad_exact
+    gives 0.0 there.  The deepest generation, the costliest to enumerate,
+    goes first, so a window too deep for pi_bad_exact is refused before
+    any enumeration."""
+    out = {k: 1.0 - pi_bad_exact(window, k, r, theta)
+           for k in range(window.k_max, window.k_min - 1, -1)}
+    return dict(reversed(out.items()))
 
 
 @dataclass

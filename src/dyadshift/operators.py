@@ -488,8 +488,8 @@ class PairingTable:
                 # the hull of the rows' fine m-dilates, in integer units
                 # from the coarse cube's corner
                 delta = keys[a:b, 3]
-                lo, hi = dilate(delta, delta + np.left_shift(
-                    1, window.unit_exp - fine_k[a:b]), system.m)
+                lo, hi = dilate(delta, delta + window.sides(fine_k[a:b]),
+                                system.m)
                 hull = (float(lo.min()) * unit, float(hi.max()) * unit)
                 tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull,
                                           bool(keys[a, 1])), row_blocks))

@@ -89,7 +89,6 @@ class WaveletSystem:
     """
 
     h: np.ndarray
-    g: np.ndarray
     q: int
     m: int
     u: int
@@ -143,12 +142,11 @@ class WaveletSystem:
         t, hq = self.quad_nodes(res)
         return t, 2.0 ** (k / 2.0) * self.mother(t, "psi"), hq * 2.0 ** (-k)
 
-    def moment(self, alpha: int, kind: str = "psi") -> float:
-        """Midpoint quadrature of the alpha-th mother moment, whose nodes
-        are the odd points of the table mesh."""
+    def moment(self, alpha: int) -> float:
+        """Midpoint quadrature of the alpha-th moment of the mother
+        wavelet, whose nodes are the odd points of the table mesh."""
         t, hq = self.quad_nodes()
-        table = self.psi if kind == "psi" else self.phi
-        return float(np.sum(t ** alpha * table[1::2]) * hq)
+        return float(np.sum(t ** alpha * self.psi[1::2]) * hq)
 
 
 def _fd_ratio(table: np.ndarray, step: float, order: int) -> float:
@@ -204,14 +202,13 @@ def build_system(filter_spec, q: int, s_target: int = 1) -> WaveletSystem:
     s_target is built all the same.
     """
     h = get_filter(filter_spec)
-    g = highpass_from_lowpass(h)
     m = h.size - 1  # support diameter of the mother functions
     # Tabulate at spacing 2^-(q+1) so that midpoint nodes of the 2^-q
     # quadrature are themselves mesh points.
     phi, res = scaling_table(h, q + 1)
-    psi = _two_scale(g, phi, 1 << (q + 1))  # sqrt(2) sum_n g_n phi(2x - n)
+    psi = _two_scale(highpass_from_lowpass(h), phi, 1 << (q + 1))
     lo = (1 - m) / 2.0  # natural support [0, m] recentered into the m-dilate
-    sys = WaveletSystem(h=h, g=g, q=q, m=m, u=0, v=0, lo=lo, phi=phi,
+    sys = WaveletSystem(h=h, q=q, m=m, u=0, v=0, lo=lo, phi=phi,
                         psi=psi, cascade_residual=res)
     sys.u, sys.fd_ratios = probe_differentiability(psi, sys.mesh_step,
                                                    max(s_target, 1))

@@ -24,6 +24,22 @@ def test_window_rejects_too_coarse():
         Window(L=2, k_min=-3, k_max=4)
 
 
+@pytest.mark.parametrize("w", [Window(L=1, k_min=0, k_max=3),
+                               Window(L=3, k_min=-2, k_max=8),
+                               Window(L=40, k_min=-40, k_max=21)])
+def test_window_sides_match_len_units(w):
+    # the last window has L + k_max + 1 = 62: its coarsest side is 2^62
+    gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
+    sides = w.sides(gens)
+    assert sides.dtype == np.int64
+    assert sides.tolist() == [w.len_units(k) for k in gens.tolist()]
+    assert w.sides(gens[::-1]).tolist() == sides.tolist()[::-1]
+    assert w.sides(np.empty(0, dtype=np.int64)).size == 0
+    for k in (w.k_min - 1, w.k_max + 1):
+        with pytest.raises(ScaleRangeError, match="generations outside"):
+            w.sides(np.array([w.k_min, k]))
+
+
 def test_shifted_corner_quarter():
     # only the generation-2 bit set: shift of a generation-1 cube is 2^-2
     w = Window(L=1, k_min=0, k_max=3)
@@ -325,6 +341,44 @@ def test_reference_generation_beyond_window_raises():
         pi_bad_estimate(w, r=24, theta=0.25, samples=10, seed=0)
     with pytest.raises(ScaleRangeError, match="k_max"):
         independence_table(w, r=24, theta=0.25, samples=10, seed=0)
+
+
+def test_no_admissible_ancestor_is_good():
+    # k - r < k_min: no generation of the window lies r steps above, so
+    # every cube is good, at any theta
+    w, r = Window(L=3, k_min=-2, k_max=8), 5
+    for k in range(w.k_min, w.k_min + r):
+        assert pi_bad_exact(w, k, r, theta=0.1) == 0.0
+    assert pi_bad_exact(w, w.k_min + r, r, theta=0.1) > 0.0
+    # too deep to enumerate, had the cube an admissible ancestor
+    assert pi_bad_exact(Window(L=40, k_min=-40, k_max=0), -10, r=31,
+                        theta=0.1) == 0.0
+    grid = DyadicGrid.random(w, seed=3)
+    cubes = [c for k in range(w.k_min, w.k_max + 1)
+             for c in cubes_at_scale(grid, k)]
+    k, l = cube_arrays(cubes)
+    bad = is_bad_batch(grid, k, l, r, theta=0.1)
+    assert not bad[k - r < w.k_min].any()
+    assert bad[k - r >= w.k_min].any()
+    for k_ref in (w.k_min, w.k_min + r - 1):
+        rep = pi_bad_estimate(w, r, theta=0.1, samples=200, seed=0,
+                              k_ref=k_ref)
+        assert rep.pi_bad_hat == 0.0
+        table = independence_table(w, r, theta=0.1, samples=200, seed=0,
+                                   k_ref=k_ref)
+        assert table[0].sum() == 0 and table.sum() == 200
+
+
+def test_reference_generation_below_window_raises():
+    w = Window(L=3, k_min=-2, k_max=8)
+    with pytest.raises(ScaleRangeError):
+        pi_bad_exact(w, w.k_min - 1, r=1, theta=1.0)
+    with pytest.raises(ScaleRangeError):
+        pi_bad_estimate(w, r=1, theta=1.0, samples=10, seed=0,
+                        k_ref=w.k_min - 1)
+    with pytest.raises(ScaleRangeError):
+        independence_table(w, r=1, theta=1.0, samples=10, seed=0,
+                           k_ref=w.k_min - 1)
 
 
 def test_monte_carlo_bit_bound_refuses_before_drawing(monkeypatch):

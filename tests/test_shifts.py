@@ -412,7 +412,7 @@ def test_shift_norm_zero_operator():
 
 def test_shift_norm_diagonal_vs_dense_svd():
     # a_IJK = delta_IJ sqrt(|I||J|)/|K| on one block is cap times an
-    # orthogonal projection: norm cap, cross-checked by dense SVD
+    # orthogonal projection: norm cap, cross-checked on the mesh
     w = Window(L=3, k_min=0, k_max=7)
     g = zero_grid(w)
     system = build_system("haar", q=10)
@@ -426,8 +426,11 @@ def test_shift_norm_diagonal_vs_dense_svd():
 
     U = np.stack([wv(l) for l in S.I_l.tolist()])
     V = np.stack([wv(l) for l in S.J_l.tolist()])
-    M = V.T @ (S.a[:, None] * U) * mesh.h
-    dense = float(np.linalg.svd(M, compute_uv=False)[0])
+    # the mesh matrix V^T (a U h) has rank 8: with V^T = Q_1 R_1 and
+    # (a U h)^T = Q_2 R_2, its singular values are those of R_1 R_2^T
+    r_v = np.linalg.qr(V.T, mode="r")
+    r_u = np.linalg.qr((S.a[:, None] * U * mesh.h).T, mode="r")
+    dense = float(np.linalg.svd(r_v @ r_u.T, compute_uv=False)[0])
     assert abs(est - dense) < 1e-3
     assert abs(est - 0.125) < 1e-12
     # each entry listed twice: the recurring (I, J) sum, as in S f
