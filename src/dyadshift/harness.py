@@ -18,9 +18,10 @@ import numpy as np
 
 from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
                      dilate, distinct, is_bad_batch, pi_bad_exact)
-from .operators import (KernelOp, PairingEngine, PairingTable, _row_chunks,
-                        apply_multiplier, distinct_keys, pairing_keys,
-                        sample_wavelets, support_intervals)
+from .operators import (KernelOp, PairingEngine, PairingTable, _FieldMesh,
+                        _next_fast_len, _periodic_apply, _row_chunks,
+                        distinct_keys, pairing_keys, sample_wavelets,
+                        support_intervals)
 from .shifts import _audit_cells, classify_batch
 from .wavelets import WaveletSystem
 
@@ -111,13 +112,15 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
 
 
 def ground_truth(op: KernelOp, f, g, res: int) -> float:
-    """<g, T f> by the multiplier path on a fine mesh, frozen per run."""
+    """<g, T f> on a fine mesh, frozen per run: T f is the field of f's
+    samples, zero-padded to about 8 times their length."""
     lo = min(f.support[0], g.support[0]) - 0.5
     hi = max(f.support[1], g.support[1]) + 0.5
     h = 0.5 ** res
     n = int(math.ceil((hi - lo) / h))
     x = lo + (np.arange(n) + 0.5) * h
-    tf = apply_multiplier(op, f(x), h, lo)
+    mesh = _FieldMesh(x, f(x), h, _next_fast_len(8 * n), 0, lo, n)
+    tf = _periodic_apply(op, mesh)[1]
     return float(np.sum(g(x) * tf) * h)
 
 
@@ -275,7 +278,9 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     For the identity calibration the cross terms vanish with the supports, so
     only overlapping-support pairs are evaluated; for singular operators all
     localized pairs enter.  The terms are summed one by one in pair order.
+    Refused first where float64 merges the nodes (_check_resolution).
     """
+    _check_resolution(grid.window, (f, g), q_loc)
     loc = _localize(grid, system, f, g)
     loc.coefficients(system, f, g, q_loc)
     I, J = loc.pair_index()
@@ -414,10 +419,11 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
     held keys stay within a small multiple of the run's distinct rows,
     however many grids there are.  One PairingTable then evaluates those
     rows, with one field per (coarse generation, transpose) for the whole
-    run, and each grid's engine reads its values from it.  While the
-    table's helper threads build fields, the calling thread computes each
-    grid's coefficients and then the ground truth, neither of which
-    depends on the table.  The pairs of a grid, every localized cube of f
+    run, each of them T's (the table negates the transposed rows), and
+    each grid's engine reads its values from it.  While the table's helper
+    threads build fields, the calling thread computes each grid's
+    coefficients and then the ground truth, neither of which depends on
+    the table.  The pairs of a grid, every localized cube of f
     with every one of g, are int64 arrays (a CubePairs) that live for one
     grid at a time, and so do its per-pair terms: they are reduced right
     after its lookup.

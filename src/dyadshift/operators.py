@@ -31,20 +31,17 @@ class KernelOp:
 
     A singular operator has a real odd kernel, and its symbol, in radian
     frequency, is stored in one form: m(xi) = -i sgn(xi) r(|xi|), with
-    radial the real factor r (None for r = 1, the Hilbert transform); the
-    transpose T^t has symbol m(-xi) = -m(xi).  multiplier(xi) derives the
-    full symbol from it, so that (Tf)^(xi) = m(xi) f^(xi); the identity's
+    radial the real factor r (None for r = 1, the Hilbert transform, whose
+    kernel 1/(pi u) is the one with a 1/u tail); the transpose T^t has
+    symbol m(-xi) = -m(xi), so T^t = -T.  multiplier(xi) derives the full
+    symbol from it, so that (Tf)^(xi) = m(xi) f^(xi); the identity's
     symbol is 1.  czs_seminorm: the Calderon-Zygmund constant of order s.
-    tail_order: exponent c such that the kernel k(u) ~ a / u^c for large u;
-    a field of a tail_order == 1 kernel gets the moment-based periodization
-    correction of _periodic_apply, and no other field does.  An operator
-    is singular when it has a seminorm; the identity has none.
+    An operator is singular when it has a seminorm; the identity has none.
     """
 
     name: str
     radial: callable = None
     czs_seminorm: callable = None
-    tail_order: int = 0
 
     @property
     def singular(self) -> bool:
@@ -84,11 +81,10 @@ def _smoothed_czs(s: int) -> float:
 
 def make_operator(name: str) -> KernelOp:
     if name == "hilbert":
-        return KernelOp(name="hilbert", czs_seminorm=_hilbert_czs,
-                        tail_order=1)
+        return KernelOp(name="hilbert", czs_seminorm=_hilbert_czs)
     if name == "smoothed_hilbert":
         return KernelOp(name="smoothed_hilbert", radial=_smoothed_radial,
-                        czs_seminorm=_smoothed_czs, tail_order=3)
+                        czs_seminorm=_smoothed_czs)
     if name == "identity":
         return KernelOp(name="identity")
     raise ValueError(f"unknown operator {name!r}")
@@ -148,11 +144,11 @@ def _next_fast_len(n: int) -> int:
 
 def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, values) of T (or T^t, with mesh.transpose) applied to the mesh's
-    samples, zero-padded to mesh.size points on the periodic mesh
-    x0 + (n+1/2)h, over the first mesh.stop points: the interior a caller
-    reads, not the padding.  Calls only numpy, so the field helper may run
-    it.
+    """(u, values) of T applied to the mesh's samples, zero-padded to
+    mesh.size points on the periodic mesh x0 + (n+1/2)h, over the first
+    mesh.stop points: the interior a caller reads, not the padding (the
+    caller negates it for T^t = -T).  Calls only numpy, so the field helper
+    may run it.
 
     The contract is a real kernel: its symbol is Hermitian,
     m(-xi) = conj(m(xi)), so T maps the real samples to a real signal and a
@@ -160,12 +156,13 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     zero-frequency and Nyquist bins).  A singular kernel is also odd, its
     symbol -i sgn(xi) r(|xi|) (see KernelOp): the spectrum, at the
     nonnegative frequencies only, is scaled by r when the kernel has a
-    radial factor, turned by -i (+i for the transpose) and its
-    zero-frequency bin zeroed, all in place; the identity's spectrum is
-    left as it is.  rfft zero-pads the samples to N points itself.
+    radial factor, turned by -i and its zero-frequency bin zeroed, all in
+    place; the identity's spectrum is left as it is.  rfft zero-pads the
+    samples to N points itself.
 
-    For a tail_order == 1 kernel, the difference between the 1/(pi u) line
-    kernel and the period-P conjugate kernel,
+    For the Hilbert symbol (singular, no radial factor), whose kernel
+    1/(pi u) is the only one with a 1/u tail, the difference between the
+    line kernel and the period-P conjugate kernel,
         1/(pi u) - cot(pi u / P)/P = pi u/(3 P^2) + pi^3 u^3/(45 P^4) + ...,
     is added back from mu, the first four moments Int x^a f of the
     samples; no other field takes moments.
@@ -183,7 +180,7 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
             xi *= 2.0 * math.pi
             X *= op.radial(xi)
             del xi
-        X *= 1j if mesh.transpose else -1j
+        X *= -1j
         X[0] = 0.0  # sgn(0) = 0
     out = irfft(X, n=N)
     del X
@@ -193,16 +190,15 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     mesh_x += 0.5
     mesh_x *= h
     mesh_x += mesh.x0
-    if op.tail_order == 1:
+    if op.singular and op.radial is None:
         mu = [np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)]
         P = N * h
         c1 = math.pi / (3.0 * P * P)
         c3 = math.pi ** 3 / (45.0 * P ** 4)
-        # out += sgn * (c1 * (mu[0] * z - mu[1])
-        #               + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z
-        #                       - mu[3]))
-        # with sgn = -1 for T^t, step by step in place: the cubic in Horner
-        # form, since z ** 3 would cost a pow() per point
+        # out += c1 * (mu[0] * z - mu[1])
+        #        + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z - mu[3])
+        # step by step in place: the cubic in Horner form, since z ** 3
+        # would cost a pow() per point
         lin = mu[0] * mesh_x
         cub = lin - 3 * mu[1]
         lin -= mu[1]
@@ -214,21 +210,8 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
         cub *= c3
         lin += cub
         del cub
-        if mesh.transpose:
-            out -= lin
-        else:
-            out += lin
+        out += lin
     return mesh_x, out
-
-
-def apply_multiplier(op: KernelOp, samples: np.ndarray, h: float,
-                     x0: float) -> np.ndarray:
-    """Apply the operator to midpoint samples on the mesh x0 + (n+1/2)h,
-    zero-padded to 8 times their length, as a field (see _periodic_apply)."""
-    n = samples.size
-    mesh = _FieldMesh(False, x0 + (np.arange(n) + 0.5) * h, samples, h,
-                      _next_fast_len(8 * n), 0, x0, n)
-    return _periodic_apply(op, mesh)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +339,8 @@ class _FieldMesh:
     """Where a field is built: the periodized mesh x0 + (n+1/2) h, n < size,
     with the samples vw at the nodes xw (a wavelet's relative to its cube's
     left endpoint) from mesh point n_left on, and the first stop points as
-    the interior that is read."""
+    the interior that is read; a field on it is T's (see PairingTable)."""
 
-    transpose: bool
     xw: np.ndarray
     vw: np.ndarray
     h: float
@@ -369,7 +351,7 @@ class _FieldMesh:
 
 
 def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
-                hull: tuple[float, float], transpose: bool) -> _FieldMesh:
+                hull: tuple[float, float]) -> _FieldMesh:
     """The mesh of the scale-k field whose interior covers both the
     wavelet's support and the hull; raises ScaleRangeError, before
     sizing it, for a mesh of more than FIELD_MAX_POINTS points."""
@@ -390,7 +372,7 @@ def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
     n_left = int(math.ceil((xw[0] - core_lo) / h))
     x0 = xw[0] - (n_left + 0.5) * h
     stop = min(N, int(math.ceil((core_hi - x0) / h)) + 1)
-    return _FieldMesh(transpose, xw, vw, h, N, n_left, x0, stop)
+    return _FieldMesh(xw, vw, h, N, n_left, x0, stop)
 
 
 def _fill_rows(values: np.ndarray, du: np.ndarray, row_blocks, image):
@@ -419,15 +401,20 @@ class PairingTable:
 
     For each row the quadrature runs over the finer wavelet's midpoint
     nodes, in coordinates relative to the coarser cube.  A singular
-    operator (or its transpose) is applied to the coarser wavelet on a
-    local oversampled mesh at that wavelet's scale, and the field is
-    linearly interpolated there; for the identity the coarser wavelet is
-    sampled itself.  One field serves each (coarse k, transpose), over the
-    hull of the fine supports of all its rows, and one interpolation each
-    block of rows that share a field and a fine generation.  A field's
-    values depend on its hull through the periodization residual, so the
-    table's values depend on its set of rows: each experiment builds one
-    table from the keys of all its pairs, over all its grids.
+    operator is applied to the coarser wavelet on a local oversampled mesh
+    at that wavelet's scale, and the field is linearly interpolated there;
+    for the identity the coarser wavelet is sampled itself.  One field
+    serves each (coarse k, transpose), over the hull of the fine supports
+    of all its rows, and one interpolation each block of rows that share a
+    field and a fine generation.  Every field is T's: the kernel is odd,
+    T^t = -T, so once the fields are built the rows with transpose 1 are
+    negated.  Negation passes exactly through the FFTs, the interpolation
+    and the quadrature sum, so these are the bits a T^t field on the same
+    mesh gives, but for the sign of an exact zero (a sum that cancels is
+    +0.0 in either orientation).  A field's values depend on its hull
+    through the periodization residual, so the table's values depend on
+    its set of rows: each experiment builds one table from the keys of all
+    its pairs, over all its grids.
 
     Rows are sorted, deduplicated and looked up as one int64 each (see
     _KeyPacking), packed once per table.
@@ -473,7 +460,8 @@ class PairingTable:
         fine_k, du = keys[:, 2], keys[:, 3] * unit
         nodes: dict = {}  # fine generation -> (nodes, values, spacing)
         tasks = []  # (field mesh, row blocks) of each singular field
-        # runs of (coarse k, transpose), then of fine k within each
+        # runs of (coarse k, transpose), then of fine k within each; each
+        # run's hull sets its field's mesh, and its field is T's
         for a, b in _runs(blocks // packing.nk):
             kc = int(keys[a, 0])
             row_blocks = []
@@ -491,8 +479,8 @@ class PairingTable:
                 lo, hi = dilate(delta, delta + window.sides(fine_k[a:b]),
                                 system.m)
                 hull = (float(lo.min()) * unit, float(hi.max()) * unit)
-                tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull,
-                                          bool(keys[a, 1])), row_blocks))
+                tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull),
+                              row_blocks))
             else:
                 _fill_rows(values, du, row_blocks,
                            lambda u: 2.0 ** (kc / 2.0)
@@ -540,6 +528,8 @@ class PairingTable:
                 thread.join()
         if failed:
             raise failed[0]
+        if op.singular:  # T^t = -T
+            np.negative(values, out=values, where=keys[:, 1] == 1)
         return cls(keys, values, {"keys": len(keys), "fields": len(tasks)},
                    packing, packed)
 

@@ -19,7 +19,9 @@ compare it with:
   enumeration and decay audit that preceded the int64 pair arrays;
 - the cascade iteration the exact scaling tables are checked against;
 - the field route with a padded buffer and the full complex symbol
-  (padded_periodic_apply), which the lean field kernel replaced;
+  (padded_periodic_apply), which the lean field kernel replaced, with the
+  transpose's own symbol m(-xi), which the library no longer evaluates
+  (its pairing table negates T's rows);
 - the per-report CSV writers the library's modules held before the
   command line became the one writer (goodness, audit and curve CSV).
 Where the batching keeps the arithmetic the tests compare bit for bit."""
@@ -146,12 +148,15 @@ def pairing_counts(op, keys) -> dict:
 # the padded field route
 
 
-def padded_periodic_apply(op, mesh) -> tuple[np.ndarray, np.ndarray]:
+def padded_periodic_apply(op, mesh, transpose: bool = False,
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """operators._periodic_apply as it was before rfft padded the samples
-    itself and the odd symbol turned the spectrum in place: the samples in
-    a zero buffer of the full mesh size, the rfft frequencies and the
-    complex symbol op.multiplier(xi), or m(-xi) for the transpose, with
-    the same tail correction."""
+    itself, the odd symbol turned the spectrum in place and the pairing
+    table negated the transposed rows: the samples in a zero buffer of the
+    full mesh size, the rfft frequencies and the complex symbol
+    op.multiplier(xi), or m(-xi) for the transpose T^t, with the same tail
+    correction of the Hilbert symbol (singular, no radial factor),
+    subtracted for T^t."""
     N, h = mesh.size, mesh.h
     buf = np.zeros(N)
     buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
@@ -159,7 +164,7 @@ def padded_periodic_apply(op, mesh) -> tuple[np.ndarray, np.ndarray]:
     del buf
     xi = rfftfreq(N, d=h)
     xi *= 2.0 * math.pi
-    if mesh.transpose:
+    if transpose:
         np.negative(xi, out=xi)
     X *= op.multiplier(xi)
     del xi
@@ -170,7 +175,7 @@ def padded_periodic_apply(op, mesh) -> tuple[np.ndarray, np.ndarray]:
     mesh_x += 0.5
     mesh_x *= h
     mesh_x += mesh.x0
-    if op.tail_order == 1:
+    if op.singular and op.radial is None:
         mu = [np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)]
         P = N * h
         c1 = math.pi / (3.0 * P * P)
@@ -186,7 +191,7 @@ def padded_periodic_apply(op, mesh) -> tuple[np.ndarray, np.ndarray]:
         cub *= c3
         lin += cub
         del cub
-        if mesh.transpose:
+        if transpose:
             out -= lin
         else:
             out += lin

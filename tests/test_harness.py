@@ -255,6 +255,26 @@ def test_expansion_identity_small_defect():
     assert res["pair_count"] > 0
 
 
+def test_expansion_identity_refuses_merged_nodes(monkeypatch):
+    # the README pair centred at 2^45: one ulp there is 2^-7, coarser than
+    # the finest node spacing 2^-(10 + 2), so float64 would merge the
+    # quadrature nodes; refused as _sample_pairs refuses it, before any
+    # coefficient is computed
+    w = Window(L=46, k_min=-2, k_max=2)
+    system = build_system("haar", q=10)
+    centre = 2.0 ** 45
+    f = TestFunction(center=centre - 0.7, halfwidth=0.8)
+    g = TestFunction(center=centre + 0.9, halfwidth=0.7)
+
+    def no_coefficients(*args):
+        raise AssertionError("a coefficient was computed")
+
+    monkeypatch.setattr(harness, "localized_coefficients", no_coefficients)
+    with pytest.raises(ScaleRangeError, match="cannot separate"):
+        expansion_identity(make_operator("hilbert"), system, zero_grid(w),
+                           f, g, q_loc=10)
+
+
 def test_pi_good_by_scale_vacuous_and_certified():
     w = Window(L=3, k_min=-2, k_max=8)
     pg = _pi_good_by_scale(w, r=5, theta=1.0)

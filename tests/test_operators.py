@@ -16,8 +16,7 @@ from dyadshift.cli import main
 from dyadshift.dyadic import (Cube, CubePairs, DyadicGrid, ScaleRangeError,
                               Window)
 from dyadshift.harness import localized_coefficients
-from dyadshift.operators import (PairingEngine, apply_multiplier,
-                                 make_operator)
+from dyadshift.operators import PairingEngine, make_operator
 from dyadshift.operators import TestFunction as Bump
 from dyadshift.wavelets import WaveletSystem, build_system
 from conftest import InlineThread
@@ -43,11 +42,20 @@ def hilbert_of_hat(x):
     return (xlogx(x + 1.0) + xlogx(x - 1.0) - 2.0 * xlogx(x)) / math.pi
 
 
+def _field_of(op, samples, h, x0):
+    """The field of midpoint samples on the mesh x0 + (n+1/2)h, zero-padded
+    to about 8 times their length, as harness.ground_truth builds it."""
+    n = samples.size
+    mesh = operators._FieldMesh(x0 + (np.arange(n) + 0.5) * h, samples, h,
+                                operators._next_fast_len(8 * n), 0, x0, n)
+    return operators._periodic_apply(op, mesh)[1]
+
+
 def test_hilbert_hat_closed_form():
     H = make_operator("hilbert")
     h = 0.5 ** 12
     x = -4.0 + (np.arange(int(8.0 / h)) + 0.5) * h
-    got = apply_multiplier(H, hat(x), h, -4.0)
+    got = _field_of(H, hat(x), h, -4.0)
     err = np.max(np.abs(got - hilbert_of_hat(x)))
     assert err < 1e-4
 
@@ -60,8 +68,7 @@ def test_hilbert_isometry_on_padded_domain():
     samples = x * f(x)  # mean zero: the symbol vanishes only at xi = 0
     # evaluating over the whole padded mesh keeps the full l2 mass, of the
     # periodic transform: no tail correction
-    mesh = operators._FieldMesh(False, x, samples, h, 8 * 2048, 0, -2.0,
-                                8 * 2048)
+    mesh = operators._FieldMesh(x, samples, h, 8 * 2048, 0, -2.0, 8 * 2048)
     _, out = operators._periodic_apply(_uncorrected(H), mesh)
     ratio = np.sum(out ** 2) / np.sum(samples ** 2)
     assert abs(ratio - 1.0) < 1e-3
@@ -72,7 +79,7 @@ def test_hilbert_antisymmetry():
     f = Bump(center=0.3, halfwidth=0.9)
     h = 0.5 ** 12
     x = -2.0 + (np.arange(int(4.0 / h)) + 0.5) * h
-    tf = apply_multiplier(H, f(x), h, -2.0)
+    tf = _field_of(H, f(x), h, -2.0)
     assert abs(np.sum(f(x) * tf) * h) < 1e-8
 
 
@@ -96,22 +103,28 @@ def test_smoothed_hilbert_symbol_and_czs():
 
 def _uncorrected(op):
     """The operator without its tail correction: _periodic_apply gives the
-    periodic transform of its samples."""
-    return dataclasses.replace(op, tail_order=0)
+    periodic transform of its samples.  Only the Hilbert symbol has one;
+    a radial factor of 1.0 skips it and leaves the spectrum's bits as they
+    are."""
+    if op.radial is not None:
+        return op
+    return dataclasses.replace(op, radial=np.ones_like)
 
 
 def _power_norm(op, n: int = 4096, h: float = 1.0 / 256, iters: int = 30,
                 seed: int = 0) -> float:
-    """Power iteration of T^t T through _periodic_apply, uncorrected on a
-    mesh padded to 4 times the signal: the discrete l2 -> l2 norm of T on
-    a sample mesh."""
+    """Power iteration of T^t T, uncorrected on a mesh padded to 4 times the
+    signal, T through _periodic_apply and T^t through the reference's own
+    symbol m(-xi): the discrete l2 -> l2 norm of T on a sample mesh."""
     nodes = (np.arange(n) + 0.5) * h
     size = operators._next_fast_len(4 * n)
+    op = _uncorrected(op)
 
     def apply(samples, transpose):
-        mesh = operators._FieldMesh(transpose, nodes, samples, h, size, 0,
-                                    0.0, n)
-        return operators._periodic_apply(_uncorrected(op), mesh)[1]
+        mesh = operators._FieldMesh(nodes, samples, h, size, 0, 0.0, n)
+        if transpose:
+            return padded_periodic_apply(op, mesh, transpose=True)[1]
+        return operators._periodic_apply(op, mesh)[1]
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -323,10 +336,11 @@ def test_symbols_are_hermitian(name):
                               np.conj(np.asarray(symbol(xi))))
 
 
-def _complex_periodic_apply(op, mesh):
+def _complex_periodic_apply(op, mesh, transpose=False):
     """Reference: the complex fft/ifft body _periodic_apply had before it
-    took a real FFT over the interior only, on the whole padded mesh."""
-    N, h, transpose = mesh.size, mesh.h, mesh.transpose
+    took a real FFT over the interior only, on the whole padded mesh, with
+    the transpose's own symbol m(-xi) and its tail subtracted."""
+    N, h = mesh.size, mesh.h
     buf = np.zeros(N)
     buf[mesh.n_left:mesh.n_left + mesh.vw.size] = mesh.vw
     xi = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
@@ -336,7 +350,7 @@ def _complex_periodic_apply(op, mesh):
         m[N // 2] = m[N // 2].real  # keep the Nyquist bin hermitian
     out = np.fft.ifft(np.fft.fft(buf) * m).real
     mesh_x = mesh.x0 + (np.arange(N) + 0.5) * h
-    if op.tail_order == 1:
+    if op.singular and op.radial is None:
         mu = np.array([np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)])
         P = N * h
         sgn = -1.0 if transpose else 1.0
@@ -362,33 +376,34 @@ def _assert_same_bits(got, ref):
 @pytest.mark.parametrize("name", ["hilbert", "smoothed_hilbert", "identity"])
 @pytest.mark.parametrize("n", [1000, 1001])
 def test_apply_multiplier_matches_complex_fft(name, n):
+    # T's field, negated for the T^t of an odd kernel (the identity is its
+    # own transpose), against the complex formula with the transpose's own
+    # symbol m(-xi) on the whole padded mesh, and against the padded route
+    # with the complex symbol bit for bit
     op = make_operator(name)
     h, x0 = 1.0 / 128, -3.0
     x = x0 + (np.arange(n) + 0.5) * h
     samples = x * Bump(center=0.6, halfwidth=2.0)(x)
     for pad_factor in (3, 8):
+        mesh = operators._FieldMesh(
+            x, samples, h, operators._next_fast_len(pad_factor * n), 0, x0, n)
+        u, field = operators._periodic_apply(op, mesh)
         for transpose in (False, True):
-            mesh = operators._FieldMesh(
-                transpose, x, samples, h,
-                operators._next_fast_len(pad_factor * n), 0, x0, n)
-            _, ref = _complex_periodic_apply(op, mesh)
-            u, got = operators._periodic_apply(op, mesh)
+            got = -field if transpose and op.singular else field
+            _, ref = _complex_periodic_apply(op, mesh, transpose)
             _assert_close_to(got, ref[:n])
-            # the padded route with the complex symbol, bit for bit
-            for a, b in zip((u, got), padded_periodic_apply(op, mesh)):
+            for a, b in zip((u, got),
+                            padded_periodic_apply(op, mesh, transpose)):
                 _assert_same_bits(a, b)
-            if pad_factor == 8 and not transpose:
-                # apply_multiplier is this case, bit for bit
-                assert np.array_equal(
-                    apply_multiplier(op, samples, h, x0), got)
 
 
 @pytest.mark.parametrize("name, op", [("haar", "hilbert"),
                                       ("db3", "hilbert"),
                                       ("db2", "smoothed_hilbert")])
 def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
-    # every field a pairings call builds, against the complex formula on
-    # the whole padded mesh: the interior agrees, bit for bit on the mesh
+    # every field a pairings call builds, T's for both orientations of
+    # the pairs, against the complex formula on the whole padded mesh: the
+    # interior agrees, bit for bit on the mesh
     real_apply = operators._periodic_apply
     checked = []
 
@@ -399,7 +414,7 @@ def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
         assert u.size == stop < mesh.size
         assert np.array_equal(u, ref_u[:stop])
         _assert_close_to(out, ref[:stop])
-        checked.append(mesh.transpose)
+        checked.append(mesh)
         return u, out
 
     monkeypatch.setattr(operators, "_periodic_apply", both)
@@ -407,8 +422,11 @@ def test_pairing_fields_match_complex_fft(monkeypatch, name, op):
     grid = DyadicGrid.random(w, 5)
     system = build_system(name, q=11)
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
-    Setting(make_operator(op), grid, system, 8).pairings(pairs)
-    assert set(checked) == {False, True}
+    op = make_operator(op)
+    Setting(op, grid, system, 8).pairings(pairs)
+    keys = cube_pair_keys(grid, pairs)
+    assert set(keys[:, 1].tolist()) == {0, 1}
+    assert len(checked) == pairing_counts(op, keys)["fields"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +464,9 @@ def _scalar_hulls(engine: Setting, pairs) -> dict:
 def _scalar_pairings(engine: Setting, pairs,
                      hulls: dict | None = None) -> np.ndarray:
     """Reference: the per-pair loop with dict memos that PairingEngine
-    .pairings used before it worked on integer offset arrays.  hulls maps
-    (coarse k, transpose) to the hull its field covers, by default the
+    .pairings used before it worked on integer offset arrays, each field
+    from the padded route, T^t's with the transpose's own symbol.  hulls
+    maps (coarse k, transpose) to the hull its field covers, by default the
     hull of the given pairs (_scalar_hulls)."""
     out = np.empty(len(pairs))
     grid, system, q_loc = engine.grid, engine.system, engine.q_loc
@@ -475,10 +494,12 @@ def _scalar_pairings(engine: Setting, pairs,
             buckets.setdefault((I.k, False), []).append((idx, I, J))
     nodes: dict = {}
     for (kc, transpose), members in buckets.items():
-        mesh_u, fld = operators._periodic_apply(
+        # the reference field of T^t has its own symbol m(-xi), which the
+        # library no longer evaluates
+        mesh_u, fld = padded_periodic_apply(
             engine.op, operators._field_mesh(
-                system, q_loc, engine.pad_factor, kc, hulls[(kc, transpose)],
-                transpose))
+                system, q_loc, engine.pad_factor, kc, hulls[(kc, transpose)]),
+            transpose)
         memo = {}
         for idx, coarse, fine in members:
             delta = int(cube_box(grid, fine)[0][0]
@@ -848,8 +869,8 @@ def test_failing_field_fails_the_build_cleanly(monkeypatch):
     applied, lock = [], threading.Lock()
 
     def fail_one(op, mesh):
-        with lock:  # the first transposed field fails, whichever worker
-            fail = mesh.transpose and True not in applied
+        with lock:  # the first field to start fails, whichever worker
+            fail = not applied
             applied.append(fail)
         if fail:
             raise MemoryError("field too large")
@@ -911,19 +932,19 @@ def test_field_pool_works_from_both_ends(monkeypatch):
         me = threading.get_ident()
         with lock:
             first = all(thread != me for thread, *_ in built)
-            built.append((me, mesh.size, mesh.h, mesh.transpose))
+            built.append((me, mesh.size, mesh))
         if first:
             both_started.wait()
         return real_apply(op, mesh)
 
     monkeypatch.setattr(operators, "_periodic_apply", record)
     table = operators.PairingTable.build(*_pool_table_args(), q_loc=8)
-    # every field once: the spacing h tells the coarse generations apart
-    fields = {(h, transpose) for _, _, h, transpose in built}
+    # every field once: each field task has a mesh of its own
+    fields = {id(mesh) for _, _, mesh in built}
     assert len(built) == len(fields) == table.counts["fields"] > 3
-    sizes = [size for _, size, _, _ in built]
+    sizes = [size for _, size, _ in built]
     by_thread = {}
-    for thread, size, _, _ in built:
+    for thread, size, _ in built:
         by_thread.setdefault(thread, []).append(size)
     assert len(by_thread) == 2
     for mine in by_thread.values():
@@ -1009,23 +1030,23 @@ def test_meanwhile_runs_once(monkeypatch, threads, op, keys):
                                       ("db2", "hilbert"),
                                       ("db3", "smoothed_hilbert")])
 def test_transposed_field_is_the_negated_field(name, op):
-    # both kernels are odd, T^t = -T: flipping transpose on one mesh keeps
-    # the mesh and negates every field value, bit for bit
+    # both kernels are odd, T^t = -T: the table builds T's field for each
+    # transposed run of keys too and negates the run's rows, which gives
+    # the rows of the reference T^t field (its own symbol m(-xi), the tail
+    # subtracted) on the run's mesh, bit for bit but for the sign of an
+    # exact zero: a quadrature sum that cancels, as haar's do on symmetric
+    # pairs, is +0.0 in either orientation, so the negated row reads -0.0
+    w = Window(L=4, k_min=-2, k_max=5)
+    grid = DyadicGrid.random(w, 5)
     system = build_system(name, q=11)
-    op = make_operator(op)
-    for k in (-3, 0, 2):
-        side = 2.0 ** (-k)
-        for hull in ((-2.0 * side, 3.0 * side), (0.5 * side, 9.0 * side)):
-            mesh = operators._field_mesh(system, 8, 8, k, hull, False)
-            twin = operators._field_mesh(system, 8, 8, k, hull, True)
-            assert all(np.array_equal(getattr(mesh, f.name),
-                                      getattr(twin, f.name))
-                       for f in dataclasses.fields(mesh)
-                       if f.name != "transpose")
-            u0, f0 = operators._periodic_apply(op, mesh)
-            u1, f1 = operators._periodic_apply(op, twin)
-            assert np.array_equal(u1, u0)
-            assert np.array_equal(f1, -f0)
+    setting = Setting(make_operator(op), grid, system, 8)
+    pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
+    transposed = [(I, J) for I, J in pairs if I.k >= J.k]
+    assert 1000 < len(transposed) < len(pairs)
+    got = setting.pairings(pairs)[np.array([I.k >= J.k for I, J in pairs])]
+    ref = _scalar_pairings(setting, transposed)
+    assert np.array_equal(got, ref)
+    _assert_same_bits(got[ref != 0.0], ref[ref != 0.0])
 
 
 @pytest.mark.parametrize("name", ["haar", "db3"])
@@ -1038,12 +1059,10 @@ def test_field_matches_padded_route_bitwise(name, op):
     for k in (-3, 0, 2):
         side = 2.0 ** (-k)
         for hull in ((-2.0 * side, 3.0 * side), (0.5 * side, 9.0 * side)):
-            for transpose in (False, True):
-                mesh = operators._field_mesh(system, 8, 8, k, hull,
-                                             transpose)
-                got = operators._periodic_apply(op, mesh)
-                for a, b in zip(got, padded_periodic_apply(op, mesh)):
-                    _assert_same_bits(a, b)
+            mesh = operators._field_mesh(system, 8, 8, k, hull)
+            got = operators._periodic_apply(op, mesh)
+            for a, b in zip(got, padded_periodic_apply(op, mesh)):
+                _assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("name", ["haar", "db3"])
@@ -1053,14 +1072,17 @@ def test_field_peak_memory(name, op, transpose):
     # no padded buffer, and no frequency array but smoothed_hilbert's: a
     # field of N mesh points peaks below 22 N traced bytes (pocketfft's
     # scratch is not traced); the warm-up call keeps one-time allocations
-    # out
+    # out.  T^t's field is T's negated (T^t = -T), in place, so the
+    # transpose adds no buffer
     op = make_operator(op)
     mesh = operators._field_mesh(build_system(name, q=11), 10, 8, 0,
-                                 (-2.0, 3.0), transpose)
+                                 (-2.0, 3.0))
     operators._periodic_apply(op, mesh)
     tracemalloc.start()
     try:
-        operators._periodic_apply(op, mesh)
+        _, out = operators._periodic_apply(op, mesh)
+        if transpose:
+            np.negative(out, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
