@@ -143,9 +143,8 @@ class RunConfig:
         # the widest m-dilate of a window cube reaches (m-1)/2 coarsest
         # sidelengths past the window, and the geometry forms (m-1) times
         # that sidelength in int64: keep both within 2^62 units
-        extent = 1 << (self.L + self.k_max + 1)
-        side = 1 << (self.k_max + 1 - self.k_min)
-        if extent + (probe.m - 1) * side > 1 << 62:
+        w = self.window
+        if w.extent_units + (probe.m - 1) * w.len_units(w.k_min) > 1 << 62:
             raise ConfigError(
                 f"invalid config: filter {self.filter!r} (m={probe.m}) needs "
                 f"2^(L+k_max+1) + (m-1) 2^(k_max+1-k_min) <= 2^62 so its "

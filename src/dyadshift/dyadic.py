@@ -40,7 +40,7 @@ class Cube:
     shift_units stays a length-1 array: bench/tracer.py reads them from
     outside the library.  The library never builds a Cube: it holds cubes
     and pairs as int64 arrays of generations and indices (see
-    DyadicGrid.touching_range and CubePairs).  Cubes are for whoever
+    DyadicGrid.touching, ragged and CubePairs).  Cubes are for whoever
     iterates a CubePairs."""
 
     k: int
@@ -140,22 +140,37 @@ class DyadicGrid:
               + self._shifts[k - self.window.k_min])
         return lo, lo + side
 
-    def touching_range(self, k: int, lo_units: int,
-                       hi_units: int) -> tuple[int, int]:
-        """(start, stop): the indices l, start <= l < stop, of the
-        generation-k cubes of the grid whose closed shifted interval meets
-        [lo_units, hi_units] (integer units), clipped to the window; stop
-        may lie below start when none does."""
-        w = self.window
-        side = w.len_units(k)
-        shift = int(self.shift_units(k)[0])
+    def index_range(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first, stop): the indices l, first <= l < stop, of the
+        generation-k cubes of the grid that lie in the window, for the
+        generations k (an int64 array).  The one statement of which cubes
+        a window holds: corner >= 0 and far corner <= extent."""
+        k = np.asarray(k, dtype=np.int64)
+        side = self.window.sides(k)
+        shift = self._shifts[k - self.window.k_min]
+        return -(shift // side), (self.window.extent_units - shift) // side
+
+    def touching(self, k, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(start, count): the indices l, start <= l < start + count, of
+        the window cubes of generation k whose shifted interval overlaps
+        [lo, hi], for int64 arrays of generations and integer-unit bounds;
+        count is 0 where none does."""
+        k = np.asarray(k, dtype=np.int64)
+        side = self.window.sides(k)
+        shift = self._shifts[k - self.window.k_min]
+        first, stop = self.index_range(k)
         # overlap: l*side + shift + side > lo  and  l*side + shift < hi
-        l_lo = (lo_units - shift - side) // side + 1
-        l_hi = -((shift - hi_units) // side) - 1  # inclusive
-        # window: corner >= 0 and far corner <= extent
-        l_lo = max(l_lo, -(shift // side))
-        l_hi = min(l_hi, (w.extent_units - shift - side) // side)
-        return l_lo, l_hi + 1
+        start = np.maximum((lo - shift) // side, first)
+        stop = np.minimum(-((shift - hi) // side), stop)
+        return start, np.maximum(stop - start, 0)
+
+
+def ragged(start, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(n, l) over consecutive runs of counts[n] items, run n counting up
+    from start[n]: the run of each item and its value.  The one
+    enumerator of index ranges, such as those of DyadicGrid.touching."""
+    n = np.repeat(np.arange(counts.size), counts)
+    return n, start[n] + np.arange(n.size) - (np.cumsum(counts) - counts)[n]
 
 
 def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:

@@ -11,13 +11,12 @@ window's worth.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, Window,
-                     dilate, distinct, is_bad_batch, pi_bad_exact)
+                     dilate, distinct, is_bad_batch, pi_bad_exact, ragged)
 from .operators import (KernelOp, PairingEngine, PairingTable, _FieldMesh,
                         _next_fast_len, _periodic_apply, _row_chunks,
                         distinct_keys, pairing_keys, sample_wavelets,
@@ -33,23 +32,31 @@ def psi_refinement(t: float, s: int) -> float:
     return t ** s * (math.log(1.0 / t) + 1.0)
 
 
+def _localized_ranges(grid: DyadicGrid, system: WaveletSystem,
+                      span: tuple[float, float]) -> tuple[np.ndarray, ...]:
+    """(k, start, count): each window generation and the range
+    (DyadicGrid.touching) of its cubes whose m-dilate overlaps the span."""
+    w = grid.window
+    unit = 2.0 ** w.unit_exp
+    # the config keeps every window position, dilates included, within
+    # 2^62 units of 0, so cutting the span there keeps the cubes it meets
+    # and every bound below within int64
+    lo_u, hi_u = (min(max(u, -(1 << 62)), 1 << 62) for u in (
+        math.floor(span[0] * unit), math.ceil(span[1] * unit)))
+    gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
+    # how far each generation's m-dilate reaches past its cube
+    reach = -dilate(0, w.sides(gens), system.m)[0]
+    return (gens, *grid.touching(gens, lo_u - reach, hi_u + reach))
+
+
 def localized_cubes(grid: DyadicGrid, system: WaveletSystem,
                     span: tuple[float, float]) -> tuple[np.ndarray,
                                                         np.ndarray]:
     """Window cubes whose m-dilate overlaps the span, all generations, as
     int64 arrays (k, l): coarse to fine, by index within a generation."""
-    w = grid.window
-    unit = 2.0 ** w.unit_exp
-    lo_u = math.floor(span[0] * unit)
-    hi_u = math.ceil(span[1] * unit)
-    gens = np.arange(w.k_min, w.k_max + 1, dtype=np.int64)
-    # how far each generation's m-dilate reaches past its cube
-    reach = -dilate(0, w.sides(gens), system.m)[0]
-    ranges = [grid.touching_range(k, lo_u - grow, hi_u + grow)
-              for k, grow in zip(gens.tolist(), reach.tolist())]
-    return (np.repeat(gens, [max(b - a, 0) for a, b in ranges]),
-            np.concatenate([np.arange(a, b, dtype=np.int64)
-                            for a, b in ranges]))
+    gens, start, count = _localized_ranges(grid, system, span)
+    n, l = ragged(start, count)
+    return gens[n], l
 
 
 def _func_generation(func) -> int:
@@ -178,20 +185,6 @@ def class_bound(kind: str, i: int, j: int, s: int, eps: float,
 AUDIT_MAX_PAIRS = 1 << 22
 
 
-def _check_audit_blocks(sizes) -> None:
-    """Raise ScaleRangeError when a fine-generation block of decay_audit
-    would hold more than AUDIT_MAX_PAIRS pairs; sizes are the cube counts
-    of the generations, coarse to fine."""
-    total = 0
-    for k, n in sizes:
-        total += n
-        if n * total > AUDIT_MAX_PAIRS:
-            raise ScaleRangeError(
-                f"decay audit of generation {k} would classify {n * total} "
-                f"pairs at once, more than AUDIT_MAX_PAIRS = "
-                f"{AUDIT_MAX_PAIRS}; narrow the window")
-
-
 def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                 s: int, eps: float, theta: float, i_max: int, j_max: int,
                 q_loc: int = 10, r: int | None = None,
@@ -204,9 +197,9 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     coarse to have an admissible ancestor r generations up count as good,
     as in is_bad_batch).  With a span, only cubes whose m-dilate meets it
     enter, which keeps wide-filter audits tractable.  A fine generation
-    with more than AUDIT_MAX_PAIRS pairs raises ScaleRangeError before any
-    pair array is allocated, and without a span before any cube is
-    enumerated.
+    with more than AUDIT_MAX_PAIRS pairs raises ScaleRangeError from the
+    exact cube counts, before any cube is enumerated.  The command line
+    passes no r: its audit filters no pair by goodness.
     Returns (rows, info) where info holds excluded-pair counters and,
     under "pairings", the pairing counts of _pairings.
     """
@@ -214,15 +207,19 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         raise ValueError(f"operator {op.name!r} has no Calderon-Zygmund "
                          "seminorm for the decay bounds")
     w = grid.window
-    if span is None:
-        # the window holds at most 2^(L+k) cubes of generation k
-        _check_audit_blocks((k, 1 << (w.L + k))
-                            for k in range(w.k_min, w.k_max + 1))
-        # every window cube meets the window
-        cube_k, cube_l = localized_cubes(grid, system, (0.0, 2.0 ** w.L))
-    else:
-        cube_k, cube_l = localized_cubes(grid, system, span)
-        _check_audit_blocks(Counter(cube_k.tolist()).items())
+    # every window cube meets the window
+    gens, start, count = _localized_ranges(
+        grid, system, (0.0, 2.0 ** w.L) if span is None else span)
+    total = 0  # the cubes up to each fine generation, a Python int
+    for k, n in zip(gens.tolist(), count.tolist()):
+        total += n
+        if n * total > AUDIT_MAX_PAIRS:
+            raise ScaleRangeError(
+                f"decay audit of generation {k} would classify {n * total} "
+                f"pairs at once, more than AUDIT_MAX_PAIRS = "
+                f"{AUDIT_MAX_PAIRS}; narrow the window")
+    rows, cube_l = ragged(start, count)
+    cube_k = gens[rows]
     czs = op.czs_seminorm(s)
     op_norm = 1.0  # sup |m| of every operator's symbol
     info = {"window_truncated": 0, "badness_excluded": 0, "pairs_seen": 0}

@@ -33,9 +33,9 @@ class KernelOp:
     frequency, is stored in one form: m(xi) = -i sgn(xi) r(|xi|), with
     radial the real factor r (None for r = 1, the Hilbert transform, whose
     kernel 1/(pi u) is the one with a 1/u tail); the transpose T^t has
-    symbol m(-xi) = -m(xi), so T^t = -T.  multiplier(xi) derives the full
-    symbol from it, so that (Tf)^(xi) = m(xi) f^(xi); the identity's
-    symbol is 1.  czs_seminorm: the Calderon-Zygmund constant of order s.
+    symbol m(-xi) = -m(xi), so T^t = -T; (Tf)^(xi) = m(xi) f^(xi).  The
+    identity's symbol is 1.  czs_seminorm: the Calderon-Zygmund constant
+    of order s.
     An operator is singular when it has a seminorm; the identity has none.
     """
 
@@ -46,15 +46,6 @@ class KernelOp:
     @property
     def singular(self) -> bool:
         return self.czs_seminorm is not None
-
-    def multiplier(self, xi):
-        """The symbol m(xi) at the radian frequencies xi."""
-        if not self.singular:
-            return np.ones_like(xi)
-        m = -1j * np.sign(xi)
-        if self.radial is not None:
-            m = m * self.radial(np.abs(xi))
-        return m
 
 
 def _hilbert_czs(s: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import DyadicGrid, dilate
+from .dyadic import DyadicGrid, dilate, ragged
 
 CLASSES = ("far", "between", "contained", "equal", "near")
 FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
@@ -46,7 +46,7 @@ def _join(grid: DyadicGrid, lo: np.ndarray, hi: np.ndarray,
           start: np.ndarray) -> tuple[np.ndarray, ...]:
     """(K_k, K_l, truncated): the smallest grid cubes K, of generation at
     most start, holding the integer-unit intervals [lo, hi], and where no
-    window generation holds one (K_k = k_min - 1) or K leaves the window
+    window generation holds one (K_k = k_min - 1) or K is no window cube
     (K_k its generation).  Only the generation-k cube holding lo can hold
     [lo, hi], so each generation tests that cube alone."""
     w = grid.window
@@ -63,7 +63,8 @@ def _join(grid: DyadicGrid, lo: np.ndarray, hi: np.ndarray,
         hit = open_ & (start >= k) & (hi <= c_lo + side)
         K_k[hit] = k
         K_l[hit] = cand[hit]
-        outside[hit] = ((c_lo < 0) | (c_lo + side > w.extent_units))[hit]
+        first, stop = grid.index_range(np.array([k]))
+        outside[hit] = ((cand < first) | (cand >= stop))[hit]
         open_ &= ~hit
         if not open_.any():
             break
@@ -84,8 +85,9 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
 
     K is the smallest grid cube containing both concentric m-dilates, i =
     fine_k - K_k and j = coarse_k - K_k; an equal pair joins with its right
-    neighbour when that lies in the window, else with its left one.  K_l,
-    i and j carry no meaning where truncated (see _join).  Raises
+    neighbour when its index lies in the window's index range
+    (DyadicGrid.index_range), else with its left one.  K_l, i and j carry
+    no meaning where truncated (see _join).  Raises
     ValueError when some fine cube is the coarser of its pair.
     """
     fine_k = np.asarray(fine_k, dtype=np.int64)
@@ -113,10 +115,10 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     contained = (lo_j <= lo_i) & (hi_i <= hi_j)
     kind = np.select([equal, contained, near, far],
                      [EQUAL, CONTAINED, NEAR, FAR], BETWEEN)
-    # an equal pair's partner is J moved one side; the right neighbour
-    # spans [hi, hi + side], and hi + side is not formed where it leaves
-    # the window, since it can pass 2^63 units when the window reaches 2^62
-    right_in = (hi_j >= 0) & (hi_j <= grid.window.extent_units - side_j)
+    # an equal pair's partner is J moved one side, right where the right
+    # neighbour, index coarse_l + 1, lies in the window
+    first, stop = grid.index_range(coarse_k)
+    right_in = (first - 1 <= coarse_l) & (coarse_l < stop - 1)
     move = np.where(equal, np.where(right_in, side_j, -side_j), 0)
     # the first candidate generation: the coarse cube's own for m = 1, its
     # parent's otherwise (an m-dilate never fits in the cube itself)
@@ -256,33 +258,17 @@ def assemble_shift(grid: DyadicGrid, system, i: int, j: int, pairs, classes,
         excluded_window=int(np.count_nonzero(truncated)), c_emp=c_emp)
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, p) over consecutive runs of counts[n] items: the run of each
-    item and its position in the run."""
-    n = np.repeat(np.arange(counts.size), counts)
-    return n, np.arange(n.size) - (np.cumsum(counts) - counts)[n]
-
-
 def descendants(grid: DyadicGrid, K_k, K_l, depth: int,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """In-window cubes `depth` generations below the cubes K, given as
     int64 arrays, and contained in them: (n, l) int64 arrays, where n
     indexes the containing K, in order of n and then of l.
 
-    The grid is nested, so they are the 2^depth children of K from its
-    corner on, clipped to the window.
+    The grid is nested, so they are the window cubes of that generation
+    that overlap K: DyadicGrid.touching of K's box, enumerated by ragged.
     """
     K_k = np.asarray(K_k, dtype=np.int64)
-    lo, _ = grid.boxes(K_k, K_l)
-    # the corner and side of the cube of index 0 of each child generation
-    shift, side = grid.boxes(K_k + depth, np.zeros_like(K_k))
-    side -= shift
-    first = (lo - shift) // side
-    last = np.minimum(first + (1 << depth) - 1,
-                      (grid.window.extent_units - shift - side) // side)
-    first = np.maximum(first, -(shift // side))
-    n, p = _ragged(np.maximum(last - first + 1, 0))
-    return n, first[n] + p
+    return ragged(*grid.touching(K_k + depth, *grid.boxes(K_k, K_l)))
 
 
 def calibrate_c_emp(classes, pairings, s: int, eps: float,
@@ -330,10 +316,11 @@ def calibration_shift(grid: DyadicGrid, i: int, j: int, K_k, K_l,
         # each I once per J of its block, alongside the block's run of J
         n_j, J_l = descendants(grid, K_k, K_l, j)
         per_block = np.bincount(n_j, minlength=K_k.size)
-        rows, p = _ragged(per_block[n_i])
+        rows, at = ragged((np.cumsum(per_block) - per_block)[n_i],
+                          per_block[n_i])
         n = n_i[rows]
         I_l = I_l[rows]
-        J_l = J_l[(np.cumsum(per_block) - per_block)[n] + p]
+        J_l = J_l[at]
     a = np.full(n.size, coefficient_scale(i, j))
     return ShiftOperator(i, j, K_k[n], K_l[n], I_l, J_l, a,
                          class_filter=("calibration",))

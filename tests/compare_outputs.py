@@ -60,6 +60,13 @@ RUNS = [
     ("convergence", {"filter": "haar", "kernel": "hilbert", "L": 6,
                      "k_min": -6, "k_max": 5, "s": 1, "N_max": 6,
                      "n_omega": 8, "r": 6, "theta": 1}),
+    # whole-window audits of windows a few cubes wide, where each
+    # generation's last equal pair joins with its left neighbour and most
+    # joins leave the window
+    ("decay-audit", {"filter": "db3", "kernel": "hilbert", "L": 0,
+                     "k_min": 0, "k_max": 4, "s": 1}),
+    ("decay-audit", {"filter": "db2", "kernel": "smoothed_hilbert", "L": 1,
+                     "k_min": -1, "k_max": 5, "s": 1}),
 ]
 SEEDS = (0, 1, 2)
 OUTDIR = "out"

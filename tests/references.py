@@ -19,9 +19,9 @@ compare it with:
   enumeration and decay audit that preceded the int64 pair arrays;
 - the cascade iteration the exact scaling tables are checked against;
 - the field route with a padded buffer and the full complex symbol
-  (padded_periodic_apply), which the lean field kernel replaced, with the
-  transpose's own symbol m(-xi), which the library no longer evaluates
-  (its pairing table negates T's rows);
+  (padded_periodic_apply, multiplier), which the lean field kernel
+  replaced, with the transpose's own symbol m(-xi), which the library no
+  longer evaluates (its pairing table negates T's rows);
 - the per-report CSV writers the library's modules held before the
   command line became the one writer (goodness, audit and curve CSV).
 Where the batching keeps the arithmetic the tests compare bit for bit."""
@@ -92,9 +92,20 @@ class Mesh1D:
 
 
 def cubes_touching(grid, k: int, lo_units: int, hi_units: int):
-    """The Cubes of grid.touching_range, in index order (a generator)."""
-    for l in range(*grid.touching_range(k, lo_units, hi_units)):
-        yield Cube(k, (l,))
+    """The window Cubes of generation k whose shifted interval overlaps
+    [lo_units, hi_units], in index order (a generator), which
+    DyadicGrid.touching gives as ranges: a walk in Python ints, each cube
+    kept by its corners."""
+    w = grid.window
+    side = w.len_units(k)
+    shift = int(grid.shift_units(k)[0])
+    # from a cube left of both lo_units and 0, while cubes start before
+    # hi_units and inside the window
+    l = (max(lo_units, 0) - shift) // side - 1
+    while (lo := l * side + shift) < min(hi_units, w.extent_units):
+        if lo >= 0 and lo + side <= w.extent_units and lo + side > lo_units:
+            yield Cube(k, (l,))
+        l += 1
 
 
 def cubes_at_scale(grid, k: int):
@@ -148,13 +159,25 @@ def pairing_counts(op, keys) -> dict:
 # the padded field route
 
 
+def multiplier(op, xi):
+    """The full complex symbol m(xi) of op at the radian frequencies xi,
+    from its stored form (see operators.KernelOp): 1 for the identity,
+    -i sgn(xi) r(|xi|) for a singular operator."""
+    if not op.singular:
+        return np.ones_like(xi)
+    m = -1j * np.sign(xi)
+    if op.radial is not None:
+        m = m * op.radial(np.abs(xi))
+    return m
+
+
 def padded_periodic_apply(op, mesh, transpose: bool = False,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """operators._periodic_apply as it was before rfft padded the samples
     itself, the odd symbol turned the spectrum in place and the pairing
     table negated the transposed rows: the samples in a zero buffer of the
     full mesh size, the rfft frequencies and the complex symbol
-    op.multiplier(xi), or m(-xi) for the transpose T^t, with the same tail
+    multiplier(op, xi), or m(-xi) for the transpose T^t, with the same tail
     correction of the Hilbert symbol (singular, no radial factor),
     subtracted for T^t."""
     N, h = mesh.size, mesh.h
@@ -166,7 +189,7 @@ def padded_periodic_apply(op, mesh, transpose: bool = False,
     xi *= 2.0 * math.pi
     if transpose:
         np.negative(xi, out=xi)
-    X *= op.multiplier(xi)
+    X *= multiplier(op, xi)
     del xi
     out = irfft(X, n=N)
     del X

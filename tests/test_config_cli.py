@@ -11,7 +11,7 @@ from dyadshift import cli, dyadic, harness
 from dyadshift.cli import main
 from dyadshift.config import (ConfigError, RunConfig, default_r,
                               manifest_json, parse_config)
-from dyadshift.dyadic import DyadicGrid, ScaleRangeError
+from dyadshift.dyadic import ScaleRangeError
 from dyadshift.filters import FilterError
 from dyadshift.harness import NoiseFloorError
 from dyadshift.wavelets import CascadeError
@@ -527,16 +527,31 @@ def test_cli_convergence_levels_beyond_depth_exit_4(tmp_path, capsys,
 ])
 def test_cli_oversized_decay_audit_exit_4(tmp_path, capsys, monkeypatch,
                                           window):
-    # refused from the window alone: no cube is enumerated
-    def no_cubes(self, *args):
+    # refused from the cube counts alone: no cube is enumerated
+    def no_cubes(*args):
         raise AssertionError("cubes were enumerated")
 
-    monkeypatch.setattr(DyadicGrid, "touching_range", no_cubes)
+    monkeypatch.setattr(harness, "ragged", no_cubes)
     cfg = '{"kernel": "hilbert", "s": 1, %s}' % window
     code, err = _exit_and_stderr(
         capsys, ["decay-audit", "--config", cfg, "--outdir", str(tmp_path)])
     assert code == 4
     assert "AUDIT_MAX_PAIRS" in err and "\n" not in err
+
+
+def test_cli_decay_audit_refusal_states_exact_pairs(tmp_path, capsys):
+    # the bench represent window on grid 0: generation 3 holds 2047 window
+    # cubes (its shift pushes one out) and the coarser ones 2036, so its
+    # block pairs 2047 * 4083 cubes, short of the 2048 * 4095 whole
+    # generations would give
+    cfg = ('{"filter": "haar", "kernel": "hilbert", "L": 8, "k_min": -8, '
+           '"k_max": 5, "s": 1}')
+    code, err = _exit_and_stderr(
+        capsys, ["decay-audit", "--config", cfg, "--seed", "0", "--outdir",
+                 str(tmp_path)])
+    assert code == 4
+    assert err.startswith("error: decay audit of generation 3 would "
+                          "classify 8357901 pairs at once")
 
 
 @pytest.mark.parametrize("command, keys", [

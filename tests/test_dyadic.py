@@ -201,29 +201,65 @@ def test_cubes_touching_exact_range():
     got = list(cubes_touching(grid, 1, 8, 24))
     # units are 2^-5; [8,24] units = [0.25, 0.75] touches [0,0.5) and [0.5,1)
     assert got == [Cube(1, (0,)), Cube(1, (1,))]
-    assert grid.touching_range(1, 8, 24) == (0, 2)
+    start, count = grid.touching(np.array([1]), np.array([8]), np.array([24]))
+    assert (start.tolist(), count.tolist()) == ([0], [2])
+    # generation 1 holds the 2^(L+1) cubes 0..7 of the unshifted window
+    first, stop = grid.index_range(np.array([0, 1, 4]))
+    assert (first.tolist(), stop.tolist()) == ([0, 0, 0], [4, 8, 64])
 
 
 def test_touching_range_matches_cube_geometry():
-    # every generation and clip of a shifted grid: the range holds exactly
-    # the in-window cubes whose closed box meets [lo, hi], and is empty
-    # (stop <= start) when none does
-    w = Window(L=2, k_min=-2, k_max=3)
-    grid = DyadicGrid.random(w, 7)
+    # every generation of shifted grids at once, the last window 2^62
+    # units wide: index_range holds exactly the cubes whose corners lie in
+    # the window, and touching exactly those of them whose box overlaps
+    # [lo, hi] (count 0 when none does), as the scalar walk finds them,
+    # for bounds in, across and wholly outside the window
     rng = np.random.default_rng(0)
-    for k in range(w.k_min, w.k_max + 1):
-        side = w.len_units(k)
-        for _ in range(40):
-            lo = int(rng.integers(-2 * side, w.extent_units + side))
-            hi = lo + int(rng.integers(0, 3 * side))
-            start, stop = grid.touching_range(k, lo, hi)
-            l = np.arange(-8 * (1 << (w.L + k)), 8 * (1 << (w.L + k)) + 8)
-            b_lo, b_hi = grid.boxes(np.full(l.size, k), l)
-            meets = ((b_hi > lo) & (b_lo < hi) & (b_lo >= 0)
-                     & (b_hi <= w.extent_units))
-            assert l[meets].tolist() == list(range(start, stop))
-            assert [c.l[0] for c in cubes_touching(grid, k, lo, hi)] \
-                == list(range(start, stop))
+    for w in (Window(L=2, k_min=-2, k_max=3),
+              Window(L=40, k_min=-40, k_max=21)):
+        grid = DyadicGrid.random(w, 7)
+        E = w.extent_units
+        gens = np.arange(w.k_min, w.k_max + 1)
+        first, stop = grid.index_range(gens)
+        assert first.dtype == stop.dtype == np.int64
+        for k, a, b in zip(gens.tolist(), first.tolist(), stop.tolist()):
+            side, shift = w.len_units(k), int(grid.shift_units(k)[0])
+
+            def inside(l):
+                return 0 <= l * side + shift <= E - side
+            # an empty range where the shift pushes the one cube out
+            assert a == b or inside(a) and inside(b - 1)
+            assert not inside(a - 1) and not inside(b)
+        # the whole window, 2^61 cubes of generation 21 in the wide one
+        start, count = grid.touching(gens, np.full(gens.size, -E),
+                                     np.full(gens.size, 2 * E))
+        assert np.array_equal(start, first)
+        assert np.array_equal(count, stop - first)
+        sides = [w.len_units(k) for k in gens.tolist()]
+        for trial in range(40):
+            lo = [int(rng.uniform(-2, E / s + 1) * s) for s in sides]
+            hi = [a + int(rng.uniform(0, 3) * s) for a, s in zip(lo, sides)]
+            if trial % 4 == 0:  # wholly left or right of the window
+                lo = [-4 * s if trial % 8 else E + s for s in sides]
+                hi = [a + 3 * s for a, s in zip(lo, sides)]
+            # within int64, as localized_cubes cuts its bounds
+            lo, hi = ([min(max(x, -(1 << 62)), 1 << 62) for x in bounds]
+                      for bounds in (lo, hi))
+            start, count = grid.touching(gens, np.array(lo), np.array(hi))
+            assert start.dtype == count.dtype == np.int64
+            for k, a, b, s, n in zip(gens.tolist(), lo, hi, start.tolist(),
+                                     count.tolist()):
+                assert [c.l[0] for c in cubes_touching(grid, k, a, b)] \
+                    == list(range(s, s + n))
+                if trial % 4 == 0:
+                    assert n == 0
+                if w.L == 2:  # and against every index near the window
+                    l = np.arange(-8 * (1 << (w.L + k)),
+                                  8 * (1 << (w.L + k)) + 8)
+                    b_lo, b_hi = grid.boxes(np.full(l.size, k), l)
+                    meets = ((b_hi > a) & (b_lo < b) & (b_lo >= 0)
+                             & (b_hi <= E))
+                    assert l[meets].tolist() == list(range(s, s + n))
 
 
 def test_cube_pairs_sequence():

@@ -58,6 +58,28 @@ def test_localized_cubes_haar_exact():
     assert l[k == 1].tolist() == [4, 5]
 
 
+@pytest.mark.parametrize("name", ["haar", "db2", "db4"])
+def test_localized_cubes_beyond_the_window(name):
+    # a span past int64 units gives the whole window, and spans wholly
+    # left or right of it, near or far, keep exactly the cubes whose
+    # m-dilate reaches them, as the scalar reference finds them
+    w = Window(L=4, k_min=-4, k_max=2)
+    system = build_system(name, q=6)
+    for seed in (0, 3):
+        grid = DyadicGrid.random(w, seed)
+        whole = cube_arrays(c for k in range(w.k_min, w.k_max + 1)
+                            for c in cubes_at_scale(grid, k))
+        for span in ((-1e30, 1e30), (0.0, 16.0)):
+            got = localized_cubes(grid, system, span)
+            assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+        for span in ((-1e30, -1e29), (-40.0, -20.0), (-9.0, -0.5),
+                     (-2.0, -1.0), (17.0, 19.0), (30.0, 60.0),
+                     (1e29, 1e30)):
+            got = localized_cubes(grid, system, span)
+            ref = cube_arrays(localized_cube_list(grid, system, span))
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 def test_localized_coefficient_mesh_stable():
     w = Window(L=3, k_min=0, k_max=5)
     g = zero_grid(w)
