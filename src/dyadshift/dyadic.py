@@ -140,28 +140,25 @@ class DyadicGrid:
               + self._shifts[k - self.window.k_min])
         return lo, lo + side
 
-    def index_range(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(first, stop): the indices l, first <= l < stop, of the
-        generation-k cubes of the grid that lie in the window, for the
-        generations k (an int64 array).  The one statement of which cubes
-        a window holds: corner >= 0 and far corner <= extent."""
+    def locate(self, k, x) -> np.ndarray:
+        """The index of the generation-k cube of the grid holding the
+        integer-unit point x, for int64 arrays (or ints) k and x."""
         k = np.asarray(k, dtype=np.int64)
-        side = self.window.sides(k)
-        shift = self._shifts[k - self.window.k_min]
-        return -(shift // side), (self.window.extent_units - shift) // side
+        return ((x - self._shifts[k - self.window.k_min])
+                // self.window.sides(k))
+
+    def cube_counts(self, k) -> np.ndarray:
+        """How many cubes of each generation k the window holds: the
+        indices 0 <= l < count (a shift is below its side)."""
+        return self.locate(k, self.window.extent_units)
 
     def touching(self, k, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """(start, count): the indices l, start <= l < start + count, of
         the window cubes of generation k whose shifted interval overlaps
         [lo, hi], for int64 arrays of generations and integer-unit bounds;
         count is 0 where none does."""
-        k = np.asarray(k, dtype=np.int64)
-        side = self.window.sides(k)
-        shift = self._shifts[k - self.window.k_min]
-        first, stop = self.index_range(k)
-        # overlap: l*side + shift + side > lo  and  l*side + shift < hi
-        start = np.maximum((lo - shift) // side, first)
-        stop = np.minimum(-((shift - hi) // side), stop)
+        start = np.maximum(self.locate(k, lo), 0)
+        stop = np.minimum(self.locate(k, hi - 1) + 1, self.cube_counts(k))
         return start, np.maximum(stop - start, 0)
 
 
@@ -221,23 +218,34 @@ def dilate(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo - grow, hi + grow
 
 
+def theta_reach(gap, side_c, theta: float) -> np.ndarray:
+    """floor(side_c (2^-gap)^theta), int64: the reach len(I)^theta
+    len(J)^(1-theta) of a cube I gap generations below a cube J of side
+    side_c units.  The factor is taken in Python floats."""
+    gap = np.asarray(gap, dtype=np.int64)
+    factor = np.array([(2.0 ** -n) ** theta
+                       for n in range(int(gap.max(initial=0)) + 1)])
+    return np.floor(factor[gap] * side_c).astype(np.int64)
+
+
 def _bad_offsets(window: Window, k: int, r: int, theta: float,
                 t: np.ndarray) -> np.ndarray:
     """Badness of generation-k cubes whose corners sit t integer units
     (an int64 array) from the generation-k_min skeleton.
 
     A cube is bad when some coarser generation k_c >= k_min, at least r
-    steps up, brings its skeleton within theta-relative reach of the cube.
+    steps up, brings its skeleton within theta_reach of the cube.
     Every translation bit of a generation <= k_c is a multiple of that
     generation's sidelength, so one offset serves every k_c.  When
     k - r < k_min no k_c is admissible and every cube comes out good.
     """
     side = window.len_units(k)
     bad = np.zeros(t.size, dtype=bool)
-    for k_c in range(window.k_min, k - r + 1):
-        side_c = window.len_units(k_c)
-        thresh = (2.0 ** (k_c - k)) ** theta * side_c
-        bad |= _skeleton_gap(t, side, side_c) <= thresh
+    gap = np.arange(k - window.k_min, r - 1, -1)  # k_c = k - gap
+    sides_c = side << gap
+    for side_c, reach in zip(sides_c.tolist(),
+                             theta_reach(gap, sides_c, theta).tolist()):
+        bad |= _skeleton_gap(t, side, side_c) <= reach
     return bad
 
 

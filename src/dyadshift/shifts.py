@@ -3,8 +3,8 @@ and assembled wavelet shifts S^{ij} with their averaging blocks A_K.
 
 Classification predicates are evaluated in exact integer-unit arithmetic so
 class membership never depends on floating-point rounding (the only float is
-the threshold len(J) * (len(I)/len(J))^theta, which is exactly representable
-whenever theta = 1).  Cubes are int64 arrays of generations and indices
+the factor (len(I)/len(J))^theta, which dyadic.theta_reach floors into an
+integer reach).  Cubes are int64 arrays of generations and indices
 throughout: classify_batch classifies arrays of pairs, assemble_shift takes
 them with classify_batch's output, a ShiftOperator holds its entries as
 arrays, and shift_norm reads a shift's norm from its coefficients alone.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dyadic import DyadicGrid, dilate, ragged
+from .dyadic import DyadicGrid, dilate, ragged, theta_reach
 
 CLASSES = ("far", "between", "contained", "equal", "near")
 FAR, BETWEEN, CONTAINED, EQUAL, NEAR = range(len(CLASSES))
@@ -47,24 +47,22 @@ def _join(grid: DyadicGrid, lo: np.ndarray, hi: np.ndarray,
     """(K_k, K_l, truncated): the smallest grid cubes K, of generation at
     most start, holding the integer-unit intervals [lo, hi], and where no
     window generation holds one (K_k = k_min - 1) or K is no window cube
-    (K_k its generation).  Only the generation-k cube holding lo can hold
-    [lo, hi], so each generation tests that cube alone."""
+    (K_k its generation; its index is not in 0 <= l < count).  Each
+    generation tests whether one cube holds both lo and hi - 1
+    (DyadicGrid.locate)."""
     w = grid.window
     K_k = np.full(lo.size, w.k_min - 1, dtype=np.int64)
     K_l = np.zeros(lo.size, dtype=np.int64)
     outside = np.zeros(lo.size, dtype=bool)
     open_ = np.ones(lo.size, dtype=bool)
     top = int(start.max()) if lo.size else w.k_min - 1
+    counts = grid.cube_counts(np.arange(w.k_min, top + 1)).tolist()
     for k in range(top, w.k_min - 1, -1):
-        side = w.len_units(k)
-        shift = int(grid.shift_units(k)[0])
-        cand = (lo - shift) // side
-        c_lo = cand * side + shift
-        hit = open_ & (start >= k) & (hi <= c_lo + side)
+        cand = grid.locate(k, lo)
+        hit = open_ & (start >= k) & (grid.locate(k, hi - 1) == cand)
         K_k[hit] = k
-        K_l[hit] = cand[hit]
-        first, stop = grid.index_range(np.array([k]))
-        outside[hit] = ((cand < first) | (cand >= stop))[hit]
+        K_l[hit] = c = cand[hit]
+        outside[hit] = (c < 0) | (c >= counts[k - w.k_min])
         open_ &= ~hit
         if not open_.any():
             break
@@ -81,12 +79,12 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     between:   first condition holds, second fails
     contained: I strictly inside J
     equal:     I = J
-    near:      disjoint but within the theta-threshold
+    near:      disjoint, dist(I,J) <= theta_reach
 
     K is the smallest grid cube containing both concentric m-dilates, i =
     fine_k - K_k and j = coarse_k - K_k; an equal pair joins with its right
-    neighbour when its index lies in the window's index range
-    (DyadicGrid.index_range), else with its left one.  K_l, i and j carry
+    neighbour when that lies in the window (index below
+    DyadicGrid.cube_counts), else with its left one.  K_l, i and j carry
     no meaning where truncated (see _join).  Raises
     ValueError when some fine cube is the coarser of its pair.
     """
@@ -98,13 +96,7 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
     lo_j, hi_j = grid.boxes(coarse_k, coarse_l)
     side_i, side_j = hi_i - lo_i, hi_j - lo_j
     dist = np.maximum(np.maximum(lo_j - hi_i, lo_i - hi_j), 0)
-    # threshold len(J) (len(I)/len(J))^theta, with the factor computed in
-    # Python floats per generation gap; an integer distance is at most a
-    # float exactly when it is at most the float's floor
-    gap_factor = np.array([(2.0 ** -n) ** theta
-                           for n in range(grid.window.n_shift_bits + 1)])
-    thresh = gap_factor[fine_k - coarse_k] * side_j
-    near = dist <= np.floor(thresh).astype(np.int64)
+    near = dist <= theta_reach(fine_k - coarse_k, side_j, theta)
     dlo_i, dhi_i = dilate(lo_i, hi_i, m)
     dlo_j, dhi_j = dilate(lo_j, hi_j, m)
     dil_dist = np.maximum(np.maximum(dlo_j - dhi_i, dlo_i - dhi_j), 0)
@@ -117,8 +109,8 @@ def classify_batch(grid: DyadicGrid, fine_k, fine_l, coarse_k, coarse_l,
                      [EQUAL, CONTAINED, NEAR, FAR], BETWEEN)
     # an equal pair's partner is J moved one side, right where the right
     # neighbour, index coarse_l + 1, lies in the window
-    first, stop = grid.index_range(coarse_k)
-    right_in = (first - 1 <= coarse_l) & (coarse_l < stop - 1)
+    right = np.asarray(coarse_l) + 1
+    right_in = (0 <= right) & (right < grid.cube_counts(coarse_k))
     move = np.where(equal, np.where(right_in, side_j, -side_j), 0)
     # the first candidate generation: the coarse cube's own for m = 1, its
     # parent's otherwise (an m-dilate never fits in the cube itself)

@@ -60,6 +60,12 @@ RUNS = [
     ("convergence", {"filter": "haar", "kernel": "hilbert", "L": 6,
                      "k_min": -6, "k_max": 5, "s": 1, "N_max": 6,
                      "n_omega": 8, "r": 6, "theta": 1}),
+    # a fractional theta with a finite r at the bench window, so the
+    # badness kernel and the exact goodness table meet theta < 1 with
+    # admissible ancestors: pi_good runs from 0.25 at generation -4 down
+    # to 0.035
+    ("represent", {"filter": "db2", "kernel": "hilbert", **BENCH_WINDOW,
+                   "theta": 0.4}),
     # whole-window audits of windows a few cubes wide, where each
     # generation's last equal pair joins with its left neighbour and most
     # joins leave the window

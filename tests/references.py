@@ -442,6 +442,13 @@ def scalar_ancestor_join(grid, fine, coarse, m):
     )
 
 
+def theta_threshold(gap: int, side_j: int, theta: float) -> float:
+    """The float len(J) (len(I)/len(J))^theta for a cube I gap generations
+    below a cube J of side side_j units, as the scalar predicates compare
+    integer distances with it."""
+    return (2.0 ** -gap) ** theta * side_j
+
+
 def scalar_classify_kind(grid, I, J, theta, m):
     """The per-pair class predicates, the reference for the batched
     classifier."""
@@ -456,8 +463,7 @@ def scalar_classify_kind(grid, I, J, theta, m):
         return "contained"
     dist = _box_dist(lo_i, hi_i, lo_j, hi_j)
     side_j = w.len_units(J.k)
-    thresh = (2.0 ** (J.k - I.k)) ** theta * side_j
-    if dist <= thresh:
+    if dist <= theta_threshold(I.k - J.k, side_j, theta):
         return "near"
     dlo_i, dhi_i = dilate_box(grid, I, m)
     dlo_j, dhi_j = dilate_box(grid, J, m)

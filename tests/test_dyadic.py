@@ -9,10 +9,10 @@ from dyadshift.config import default_r
 from dyadshift.dyadic import (Cube, DyadicGrid, ScaleRangeError, Window,
                               _badness_batch, _skeleton_gap, distinct,
                               independence_table, is_bad_batch, union_bound,
-                              pi_bad_estimate, pi_bad_exact)
+                              pi_bad_estimate, pi_bad_exact, theta_reach)
 from dyadshift.shifts import classify_batch
 from references import (cube_arrays, cube_pairs, cubes_at_scale,
-                        cubes_touching, zero_grid)
+                        cubes_touching, theta_threshold, zero_grid)
 
 
 def _is_bad(grid, cube, r, theta):
@@ -204,14 +204,14 @@ def test_cubes_touching_exact_range():
     start, count = grid.touching(np.array([1]), np.array([8]), np.array([24]))
     assert (start.tolist(), count.tolist()) == ([0], [2])
     # generation 1 holds the 2^(L+1) cubes 0..7 of the unshifted window
-    first, stop = grid.index_range(np.array([0, 1, 4]))
-    assert (first.tolist(), stop.tolist()) == ([0, 0, 0], [4, 8, 64])
+    assert grid.cube_counts(np.array([0, 1, 4])).tolist() == [4, 8, 64]
 
 
 def test_touching_range_matches_cube_geometry():
     # every generation of shifted grids at once, the last window 2^62
-    # units wide: index_range holds exactly the cubes whose corners lie in
-    # the window, and touching exactly those of them whose box overlaps
+    # units wide: the indices 0 <= l < cube_counts are exactly the cubes
+    # whose corners lie in the window, and touching exactly those of them
+    # whose box overlaps
     # [lo, hi] (count 0 when none does), as the scalar walk finds them,
     # for bounds in, across and wholly outside the window
     rng = np.random.default_rng(0)
@@ -220,21 +220,22 @@ def test_touching_range_matches_cube_geometry():
         grid = DyadicGrid.random(w, 7)
         E = w.extent_units
         gens = np.arange(w.k_min, w.k_max + 1)
-        first, stop = grid.index_range(gens)
-        assert first.dtype == stop.dtype == np.int64
-        for k, a, b in zip(gens.tolist(), first.tolist(), stop.tolist()):
+        counts = grid.cube_counts(gens)
+        assert counts.dtype == np.int64
+        for k, n in zip(gens.tolist(), counts.tolist()):
             side, shift = w.len_units(k), int(grid.shift_units(k)[0])
 
             def inside(l):
                 return 0 <= l * side + shift <= E - side
-            # an empty range where the shift pushes the one cube out
-            assert a == b or inside(a) and inside(b - 1)
-            assert not inside(a - 1) and not inside(b)
+            # cube 0 is the first and n - 1 the last; no cube where the
+            # shift pushes the one cube out
+            assert n == 0 or inside(0) and inside(n - 1)
+            assert not inside(-1) and not inside(n)
         # the whole window, 2^61 cubes of generation 21 in the wide one
         start, count = grid.touching(gens, np.full(gens.size, -E),
                                      np.full(gens.size, 2 * E))
-        assert np.array_equal(start, first)
-        assert np.array_equal(count, stop - first)
+        assert not start.any()
+        assert np.array_equal(count, counts)
         sides = [w.len_units(k) for k in gens.tolist()]
         for trial in range(40):
             lo = [int(rng.uniform(-2, E / s + 1) * s) for s in sides]
@@ -262,6 +263,49 @@ def test_touching_range_matches_cube_geometry():
                     assert l[meets].tolist() == list(range(s, s + n))
 
 
+def test_locate_inverts_boxes():
+    # random points inside, left of and right of both windows, cut to
+    # +-2^62 as localized_cubes cuts its bounds: the located cube's box
+    # holds the point, whether or not the window holds the cube
+    rng = np.random.default_rng(3)
+    for w in (Window(L=2, k_min=-2, k_max=3),
+              Window(L=40, k_min=-40, k_max=21)):
+        grid = DyadicGrid.random(w, 5)
+        E = w.extent_units
+        x = [int(rng.uniform(a, b) * E) for a, b in
+             ((0, 1), (-3, 0), (1, 4)) for _ in range(200)]
+        x += [0, E - 1, E, -1, -(1 << 62), 1 << 62]
+        x = np.array([min(max(v, -(1 << 62)), 1 << 62) for v in x])
+        for k in range(w.k_min, w.k_max + 1):
+            gens = np.full(x.size, k)
+            lo, hi = grid.boxes(gens, grid.locate(gens, x))
+            assert ((lo <= x) & (x < hi)).all()
+
+
+@pytest.mark.parametrize("theta", [1.0, 1 / 2, 1 / 4, 1 / 6, 0.05])
+def test_theta_reach_matches_float_threshold(theta):
+    # distances reach - 1, reach and reach + 1 for gaps 0..61, on coarse
+    # sides 2^(gap+1) .. 2^62: d <= reach exactly where d is at most the
+    # float threshold of scalar_classify_kind (Python compares an int and a
+    # float exactly), and where the float comparison of int64 distances
+    # agrees (below 2^53); theta = 1 gives exact ties
+    gap, e = np.array([(g, e) for g in range(62) for e in range(g + 1, 63)]).T
+    side = np.left_shift(np.int64(1), e)
+    reach = theta_reach(gap, side, theta)
+    assert reach.dtype == np.int64
+    if theta == 1.0:
+        assert np.array_equal(reach, side >> gap)
+    thresh = [theta_threshold(g, s, theta)
+              for g, s in zip(gap.tolist(), side.tolist())]
+    for delta in (-1, 0, 1):
+        d = reach + delta
+        assert ((d <= reach).tolist()
+                == [a <= t for a, t in zip(d.tolist(), thresh)])
+        low = d < 1 << 53
+        assert np.array_equal((d <= reach)[low],
+                              (d <= np.array(thresh))[low])
+
+
 def test_cube_pairs_sequence():
     pairs = [(Cube(2, (5,)), Cube(0, (1,))), (Cube(1, (3,)), Cube(1, (3,))),
              (Cube(-1, (0,)), Cube(3, (-7,)))]
@@ -284,8 +328,8 @@ def _scalar_is_bad(grid, cube, r, theta):
     admissible ancestor r generations up are not bad."""
     w = grid.window
     for k_c in range(w.k_min, cube.k - r + 1):
-        thresh = (2.0 ** (k_c - cube.k)) ** theta * w.len_units(k_c)
-        if boundary_dist(grid, cube, k_c) <= thresh:
+        if (boundary_dist(grid, cube, k_c)
+                <= theta_threshold(cube.k - k_c, w.len_units(k_c), theta)):
             return True
     return False
 
