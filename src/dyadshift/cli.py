@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple
 
 # no module uses scipy; it stays imported because the benchmark's child
 # process (bench/child.py) reports sys.modules["scipy"].__version__
@@ -109,7 +108,7 @@ def cmd_decay_audit(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
                              j_max=cfg.N_max, q_loc=min(cfg.q, 10))
     # the columns are the fields of DecayAuditRow, kind written as class
     table = [("class", "i", "j", "pair_count", "max_pairing", "bound",
-              "ratio", "psi_bound", "psi_ratio"), *map(astuple, rows)]
+              "ratio", "psi_bound", "psi_ratio"), *rows]
     bad = [r for r in rows if r.kind in ("equal", "near") and r.ratio > 1.0]
     message = (f"{len(bad)} equal/near cells exceed the operator norm bound"
                if bad else f"audit: {len(rows)} cells, max ratio "

@@ -24,7 +24,7 @@ A config is a flat JSON object.  Recognized keys and defaults:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .dyadic import ScaleRangeError, Window, union_bound
 from .filters import FilterError
@@ -40,8 +40,11 @@ _TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
           "str": (str, "a string")}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
+    """A run's configuration, one field per key (see the module
+    docstring); resolved() gives the validated copy with the defaults
+    that depend on other keys filled."""
+
     d: int = 1
     s: int = 1
     eps: float = 0.5
@@ -60,51 +63,53 @@ class RunConfig:
     outdir: str = "runs"
 
     def resolved(self) -> "RunConfig":
-        """Fill defaults and validate; returns self for chaining."""
-        self._check_types()
-        if self.d != 1:
+        """The config with its defaults filled, validated: a copy, with
+        theta, r and q set where they are null."""
+        cfg = self
+        cfg._check_types()
+        if cfg.d != 1:
             raise ConfigError("invalid config: only d = 1 is supported")
-        if self.s < 1:
+        if cfg.s < 1:
             raise ConfigError("invalid config: s must be an integer >= 1")
-        if not self.eps > 0.0:
+        if not cfg.eps > 0.0:
             raise ConfigError("invalid config: eps must be > 0")
-        if self.theta is None:
-            self.theta = self.eps / (1 + self.s)
-        if not 0.0 < self.theta <= 1.0:
+        if cfg.theta is None:
+            cfg = cfg._replace(theta=cfg.eps / (1 + cfg.s))
+        if not 0.0 < cfg.theta <= 1.0:
             raise ConfigError("invalid config: theta must lie in (0, 1]")
-        if self.r is None:
-            self.r = default_r(self.theta)
-        if self.r < 1:
+        if cfg.r is None:
+            cfg = cfg._replace(r=default_r(cfg.theta))
+        if cfg.r < 1:
             raise ConfigError("invalid config: r must be >= 1")
-        if self.q is None:
-            self.q = self.least_q
-        if self.q < self.least_q:
+        if cfg.q is None:
+            cfg = cfg._replace(q=cfg.least_q)
+        if cfg.q < cfg.least_q:
             raise ConfigError(
-                f"invalid config: q={self.q} must be >= max(k_max, 0) + 6 "
-                f"= {self.least_q}")
-        if not self.kernel:
+                f"invalid config: q={cfg.q} must be >= max(k_max, 0) + 6 "
+                f"= {cfg.least_q}")
+        if not cfg.kernel:
             raise ConfigError("invalid config: missing kernel")
         try:
-            make_operator(self.kernel)
+            make_operator(cfg.kernel)
         except ValueError as exc:
             raise ConfigError(
-                f"invalid config: unknown kernel {self.kernel!r}") from exc
+                f"invalid config: unknown kernel {cfg.kernel!r}") from exc
         try:
-            self.window  # Window refuses k_min > k_max and L < -k_min
+            cfg.window  # Window refuses k_min > k_max and L < -k_min
         except ScaleRangeError as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-        if self.L + self.k_max + 1 > 62:
+        if cfg.L + cfg.k_max + 1 > 62:
             raise ConfigError("invalid config: need L + k_max + 1 <= 62 so "
                               "positions fit 64-bit integer units")
-        if self.L > 1023:
+        if cfg.L > 1023:
             raise ConfigError("invalid config: need L <= 1023 so the "
                               "window length 2^L is a float64")
         for name, least in (("seed", 0), ("N_max", 0), ("n_omega", 1),
                             ("mc_samples", 1)):
-            if getattr(self, name) < least:
+            if getattr(cfg, name) < least:
                 raise ConfigError(f"invalid config: {name} must be >= {least}")
-        self._check_filter()
-        return self
+        cfg._check_filter()
+        return cfg
 
     @property
     def least_q(self) -> int:
@@ -120,17 +125,20 @@ class RunConfig:
 
     def _check_types(self) -> None:
         """Each key holds its declared type, or null where that is allowed;
-        numbers (never bools) must be finite with magnitude <= 2^53."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = f.type.removesuffix(" | None")
-            if value is None and kind != f.type:
+        numbers (never bools) must be finite with magnitude <= 2^53.  The
+        declared types are the annotations' text (ForwardRefs, under
+        postponed evaluation)."""
+        for (name, declared), value in zip(self.__annotations__.items(),
+                                           self):
+            declared = declared.__forward_arg__
+            kind = declared.removesuffix(" | None")
+            if value is None and kind != declared:
                 continue
             types, what = _TYPES[kind]
             if (isinstance(value, bool) or not isinstance(value, types)
                     or kind != "str" and not abs(value) <= 2 ** 53):
                 raise ConfigError(
-                    f"invalid config: {f.name} must be {what}"
+                    f"invalid config: {name} must be {what}"
                     + ("" if kind == "str" else " of magnitude <= 2^53")
                     + f", got {value!r:.40}")
 
@@ -165,7 +173,7 @@ def default_r(theta: float) -> int:
     return r
 
 
-_KEYS = set(RunConfig.__dataclass_fields__)
+_KEYS = set(RunConfig._fields)
 
 
 def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
@@ -197,7 +205,7 @@ def parse_config(source: str, overrides: dict | None = None) -> RunConfig:
 def manifest_json(cfg: RunConfig, results: dict) -> str:
     """Deterministic manifest text: config echo, derived quantities and a
     command's results."""
-    payload = {"config": asdict(cfg),
+    payload = {"config": cfg._asdict(),
                "derived": {"union_bound": union_bound(cfg.r, cfg.theta)},
                "results": results}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -19,7 +19,8 @@ exactly independent (they are driven by disjoint bits of omega).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 # numpy imports numpy.random on np.random's first access; importing it with
@@ -32,8 +33,7 @@ class ScaleRangeError(ValueError):
     """An operation needed generations outside the window's scale range."""
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """Dyadic cube of generation k with integer index l = (l_0,).
 
     The unshifted cube is [l_0 2^-k, (l_0+1) 2^-k).  l stays a 1-tuple, as
@@ -47,20 +47,19 @@ class Cube:
     l: tuple
 
 
-@dataclass(frozen=True)
-class Window:
-    """Spatial interval [0, 2^L) with generations k_min..k_max."""
+class Window(namedtuple("Window", "L k_min k_max")):
+    """Spatial interval [0, 2^L) with generations k_min..k_max.  The
+    constructor refuses k_min > k_max and L < -k_min."""
 
-    L: int
-    k_min: int
-    k_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k_max < self.k_min:
+    def __new__(cls, L: int, k_min: int, k_max: int):
+        if k_max < k_min:
             raise ScaleRangeError("k_min must be <= k_max")
-        if -self.k_min > self.L:
+        if -k_min > L:
             raise ScaleRangeError("need L >= -k_min so the coarsest cubes "
                                   "fit in the window")
+        return super().__new__(cls, L, k_min, k_max)
 
     @property
     def unit_exp(self) -> int:
@@ -142,8 +141,15 @@ class DyadicGrid:
 
     def locate(self, k, x) -> np.ndarray:
         """The index of the generation-k cube of the grid holding the
-        integer-unit point x, for int64 arrays (or ints) k and x."""
+        integer-unit point x, for int64 arrays (or ints) k and x.  Points
+        that int64 cannot hold (a uint64, float or object array, or an int
+        of 2^63 or more) raise ValueError: numpy would divide them in
+        float64."""
         k = np.asarray(k, dtype=np.int64)
+        x = np.asarray(x)
+        if not np.can_cast(x, np.int64):
+            raise ValueError(
+                f"integer-unit points must be int64, not {x.dtype}")
         return ((x - self._shifts[k - self.window.k_min])
                 // self.window.sides(k))
 
@@ -177,7 +183,6 @@ def _skeleton_gap(t: np.ndarray, side: int, side_c: int) -> np.ndarray:
     return np.minimum(off, side_c - off - side)
 
 
-@dataclass(frozen=True, eq=False)
 class CubePairs:
     """Cube pairs (I, J) held as four int64 arrays: the generations and
     indices of the I cubes and of the J cubes, one item per pair.
@@ -185,10 +190,11 @@ class CubePairs:
     The library reads the arrays.  Iterating yields (Cube, Cube) tuples,
     built on demand, as bench/tracer.py reads the pairs."""
 
-    I_k: np.ndarray
-    I_l: np.ndarray
-    J_k: np.ndarray
-    J_l: np.ndarray
+    __slots__ = ("I_k", "I_l", "J_k", "J_l")
+
+    def __init__(self, I_k: np.ndarray, I_l: np.ndarray, J_k: np.ndarray,
+                 J_l: np.ndarray):
+        self.I_k, self.I_l, self.J_k, self.J_l = I_k, I_l, J_k, J_l
 
     def __len__(self) -> int:
         return self.I_k.size
@@ -271,8 +277,7 @@ def union_bound(r: int, theta: float) -> float:
     return (8.0 / theta) * 2.0 ** (-r * theta)
 
 
-@dataclass
-class GoodnessReport:
+class GoodnessReport(NamedTuple):
     pi_bad_hat: float
     stderr: float
     bound: float

@@ -11,7 +11,7 @@ window's worth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +146,7 @@ def _pairings(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
 # decay audit
 
 
-@dataclass
-class DecayAuditRow:
+class DecayAuditRow(NamedTuple):
     kind: str
     i: int
     j: int
@@ -251,15 +250,14 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     rows = []
     for kind, i, j, count, mx in _audit_cells(kind, i, j, values):
         bound = class_bound(kind, i, j, s, eps, theta, czs, op_norm)
-        row = DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
-                            max_pairing=mx, bound=bound, ratio=mx / bound)
+        psi_bound = psi_ratio = None
         if kind in ("between", "contained") and i > j:
             t = 2.0 ** (-(i - j))
-            pb = (czs + op_norm) * 2.0 ** (-(i - j) / 2.0) \
+            psi_bound = (czs + op_norm) * 2.0 ** (-(i - j) / 2.0) \
                 * psi_refinement(t, s)
-            row.psi_bound = pb
-            row.psi_ratio = mx / pb
-        rows.append(row)
+            psi_ratio = mx / psi_bound
+        rows.append(DecayAuditRow(kind, i, j, count, mx, bound, mx / bound,
+                                  psi_bound, psi_ratio))
     return rows, info
 
 
@@ -307,19 +305,16 @@ def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
     return dict(reversed(out.items()))
 
 
-@dataclass
 class _Draw:
     """One grid before its pairings: the localized cubes of f and g as
     int64 (k, l) arrays, once filled their coefficients, and for an omega
     sample their goodness."""
 
-    grid: DyadicGrid
-    kl_f: tuple
-    kl_g: tuple
-    cf: np.ndarray | None = None
-    cg: np.ndarray | None = None
-    good_f: np.ndarray | None = None
-    good_g: np.ndarray | None = None
+    __slots__ = ("grid", "kl_f", "kl_g", "cf", "cg", "good_f", "good_g")
+
+    def __init__(self, grid: DyadicGrid, kl_f: tuple, kl_g: tuple):
+        self.grid, self.kl_f, self.kl_g = grid, kl_f, kl_g
+        self.cf = self.cg = self.good_f = self.good_g = None
 
     def coefficients(self, system, f, g, q_loc) -> None:
         """Fill cf and cg: one localized_coefficients call per function,
@@ -500,15 +495,14 @@ def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
             "per_sample": sums.tolist(), "pairings": counts}
 
 
-@dataclass
-class ConvergenceCurve:
-    points: list = field(default_factory=list)   # (N, e_N, stderr_N)
-    slope: float = math.nan
-    pi_good: dict = field(default_factory=dict)
-    truth: float = 0.0
-    fit_range: tuple = ()
-    excluded_window: int = 0
-    pairings: dict = field(default_factory=dict)  # the run's pairing counts
+class ConvergenceCurve(NamedTuple):
+    points: list     # (N, e_N, stderr_N)
+    slope: float
+    pi_good: dict
+    truth: float
+    fit_range: tuple
+    excluded_window: int
+    pairings: dict   # the run's pairing counts
 
 
 class NoiseFloorError(RuntimeError):
@@ -554,13 +548,10 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
         op, system, window, f, g, r, theta, q_loc, seed, range(n_omega),
         classify=True, reduce=partial_sums)
     partials = np.array([sums for sums, _ in reduced])
-    excluded = sum(n for _, n in reduced)
-    curve = ConvergenceCurve(pi_good=pi_good, truth=truth,
-                             excluded_window=excluded, pairings=counts)
     means, ses = _mean_stderr(partials)
-    for N in range(1, N_max + 1):
-        curve.points.append((N, abs(truth - means[N]), float(ses[N])))
-    floor = curve.points[-1][1]
+    points = [(N, abs(truth - means[N]), float(ses[N]))
+              for N in range(1, N_max + 1)]
+    floor = points[-1][1]
     # The noise floor of the curve is the Monte Carlo uncertainty of the
     # untruncated sum: below it, e_N reflects sampling noise rather than
     # truncation.  The per-N spread of the truncation error itself is not
@@ -574,7 +565,7 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
     # end, points within 3 floor standard errors of zero or within a factor
     # 2 of the terminal error measure the floor, not the decay.
     half_mass = 0.5 * abs(truth)
-    fit = [(N, e) for N, e, se in curve.points
+    fit = [(N, e) for N, e, se in points
            if e <= half_mass and e > max(3.0 * floor_se, 2.0 * floor)
            and e > 0.0]
     if len(fit) < 3:
@@ -583,6 +574,7 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
             "floor; increase n_omega or reduce N_max")
     xs = np.array([n for n, _ in fit], dtype=float)
     ys = np.log2([e for _, e in fit])
-    curve.slope = float(np.polyfit(xs, ys, 1)[0])
-    curve.fit_range = (int(xs[0]), int(xs[-1]))
-    return curve
+    return ConvergenceCurve(
+        points=points, slope=float(np.polyfit(xs, ys, 1)[0]),
+        pi_good=pi_good, truth=truth, fit_range=(int(xs[0]), int(xs[-1])),
+        excluded_window=sum(n for _, n in reduced), pairings=counts)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from threading import Thread
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
@@ -25,8 +25,7 @@ from .dyadic import (CubePairs, DyadicGrid, ScaleRangeError, dilate,
 from .wavelets import WaveletSystem
 
 
-@dataclass
-class KernelOp:
+class KernelOp(NamedTuple):
     """Convolution operator Tf(x) = pv Int k(x-y) f(y) dy on the line.
 
     A singular operator has a real odd kernel, and its symbol, in radian
@@ -81,8 +80,7 @@ def make_operator(name: str) -> KernelOp:
     raise ValueError(f"unknown operator {name!r}")
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """Compactly supported bump t^tilt (1 - t^2)^4 on |t| < 1,
     t = (x-c)/w.
 
@@ -178,30 +176,38 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     # a copy, not a view: the padding is freed while the field is read
     out = out[:mesh.stop].copy()
     mesh_x = np.arange(out.size, dtype=float)
-    mesh_x += 0.5
-    mesh_x *= h
-    mesh_x += mesh.x0
-    if op.singular and op.radial is None:
+    tail = op.singular and op.radial is None
+    if tail:
         mu = [np.sum(mesh.vw * mesh.xw ** a) * h for a in range(4)]
         P = N * h
         c1 = math.pi / (3.0 * P * P)
         c3 = math.pi ** 3 / (45.0 * P ** 4)
-        # out += c1 * (mu[0] * z - mu[1])
-        #        + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z - mu[3])
-        # step by step in place: the cubic in Horner form, since z ** 3
-        # would cost a pow() per point
-        lin = mu[0] * mesh_x
-        cub = lin - 3 * mu[1]
-        lin -= mu[1]
-        lin *= c1
-        cub *= mesh_x
-        cub += 3 * mu[2]
-        cub *= mesh_x
-        cub -= mu[3]
-        cub *= c3
-        lin += cub
-        del cub
-        out += lin
+    # the mesh and the tail correction in place, block by block: each
+    # block's temporaries stay in cache, and the field and its mesh are
+    # the only arrays of the interior's size
+    block = 1 << 13
+    for a in range(0, out.size, block):
+        z = mesh_x[a:a + block]
+        z += 0.5
+        z *= h
+        z += mesh.x0
+        if tail:
+            # out += c1 * (mu[0] * z - mu[1])
+            #        + c3 * (((mu[0] * z - 3 * mu[1]) * z + 3 * mu[2]) * z
+            #                - mu[3])
+            # step by step in place: the cubic in Horner form, since
+            # z ** 3 would cost a pow() per point
+            lin = mu[0] * z
+            cub = lin - 3 * mu[1]
+            lin -= mu[1]
+            lin *= c1
+            cub *= z
+            cub += 3 * mu[2]
+            cub *= z
+            cub -= mu[3]
+            cub *= c3
+            lin += cub
+            out[a:a + block] += lin
     return mesh_x, out
 
 
@@ -232,9 +238,11 @@ def support_intervals(grid: DyadicGrid, system: WaveletSystem,
 # the interpolation error a couple of orders below the quadrature error
 FIELD_OVERSAMPLE_EXP = 2
 # most mesh points of one field.  A field of N points peaks at 16.0 N
-# traced bytes for hilbert and 20.0 N for smoothed_hilbert, measured with
-# tracemalloc (the spectrum beside the inverse's output, or beside the
-# frequencies and the radial factor's temporaries).  pocketfft's own
+# traced bytes for hilbert and 20.0 N for smoothed_hilbert, whatever its
+# hull, measured with tracemalloc: the spectrum beside the inverse's
+# output, or beside the frequencies and the radial factor's temporaries.
+# The interior copy (at most 8 N bytes) and then its mesh stay within
+# that, since the tail correction works in blocks.  pocketfft's own
 # scratch is not traced: each transform holds about 16 N more (even
 # rfft(b, out=X) raises ru_maxrss by 2 x 8 N bytes), so a field peaks at
 # about 32 N resident bytes, and the bound allows about 2 GiB per field
@@ -284,8 +292,7 @@ def pairing_keys(grid: DyadicGrid, pairs: CubePairs) -> np.ndarray:
                      np.where(i_fine, lo_i - lo_j, lo_j - lo_i)], axis=1)
 
 
-@dataclass(frozen=True)
-class _KeyPacking:
+class _KeyPacking(NamedTuple):
     """One int64 per key row (see pairing_keys), ordered as the rows are
     by np.unique(axis=0): block * R + rank.
 
@@ -325,8 +332,7 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-@dataclass(frozen=True)
-class _FieldMesh:
+class _FieldMesh(NamedTuple):
     """Where a field is built: the periodized mesh x0 + (n+1/2) h, n < size,
     with the samples vw at the nodes xw (a wavelet's relative to its cube's
     left endpoint) from mesh point n_left on, and the first stop points as
@@ -385,7 +391,6 @@ def _field_task(op: KernelOp, mesh: _FieldMesh, row_blocks,
     _fill_rows(values, du, row_blocks, lambda u: np.interp(u, mesh_u, fld))
 
 
-@dataclass(eq=False)
 class PairingTable:
     """Pairings of every distinct row of a key array (see pairing_keys);
     PairingTable.build evaluates them.
@@ -426,11 +431,15 @@ class PairingTable:
     serial build, bit for bit.
     """
 
-    keys: np.ndarray    # the distinct rows, in np.unique(axis=0) order
-    values: np.ndarray  # the pairing of each row
-    counts: dict        # distinct keys evaluated and fields built
-    _packing: _KeyPacking = field(repr=False)
-    _packed: np.ndarray = field(repr=False)  # the packed keys, sorted
+    __slots__ = ("keys", "values", "counts", "_packing", "_packed")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray, counts: dict,
+                 packing: _KeyPacking, packed: np.ndarray):
+        self.keys = keys        # the distinct rows, in np.unique(axis=0) order
+        self.values = values    # the pairing of each row
+        self.counts = counts    # distinct keys evaluated and fields built
+        self._packing = packing
+        self._packed = packed   # the packed keys, sorted
 
     @classmethod
     def build(cls, op: KernelOp, system: WaveletSystem, window,

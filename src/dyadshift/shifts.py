@@ -12,7 +12,7 @@ arrays, and shift_norm reads a shift's norm from its coefficients alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,8 @@ def _join(grid: DyadicGrid, lo: np.ndarray, hi: np.ndarray,
     most start, holding the integer-unit intervals [lo, hi], and where no
     window generation holds one (K_k = k_min - 1) or K is no window cube
     (K_k its generation; its index is not in 0 <= l < count).  Each
-    generation tests whether one cube holds both lo and hi - 1
-    (DyadicGrid.locate)."""
+    generation tests whether one cube holds both lo and hi - 1, with one
+    DyadicGrid.locate call for both."""
     w = grid.window
     K_k = np.full(lo.size, w.k_min - 1, dtype=np.int64)
     K_l = np.zeros(lo.size, dtype=np.int64)
@@ -57,9 +57,10 @@ def _join(grid: DyadicGrid, lo: np.ndarray, hi: np.ndarray,
     open_ = np.ones(lo.size, dtype=bool)
     top = int(start.max()) if lo.size else w.k_min - 1
     counts = grid.cube_counts(np.arange(w.k_min, top + 1)).tolist()
+    ends = np.stack([lo, hi - 1])
     for k in range(top, w.k_min - 1, -1):
-        cand = grid.locate(k, lo)
-        hit = open_ & (start >= k) & (grid.locate(k, hi - 1) == cand)
+        cand, last = grid.locate(k, ends)
+        hit = open_ & (start >= k) & (last == cand)
         K_k[hit] = k
         K_l[hit] = c = cand[hit]
         outside[hit] = (c < 0) | (c >= counts[k - w.k_min])
@@ -153,27 +154,31 @@ def shift_coefficient(pairing, i: int, j: int, s: int, eps: float,
     return a
 
 
-def _no_entries() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
+# the entries of a zero shift, shared by every ShiftOperator built without
+# entries, so read-only
+_NO_ENTRIES = np.empty(0, dtype=np.int64)
+_NO_ENTRIES.setflags(write=False)
+_NO_COEFFICIENTS = np.empty(0)
+_NO_COEFFICIENTS.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftOperator:
+class ShiftOperator(NamedTuple):
     """S^{ij} f = sum_K A_K f with A_K f = sum a_IJK <f, psi_I> psi_J.
 
     Entry n pairs I = (K_k[n] + i, I_l[n]) with J = (K_k[n] + j, J_l[n])
     in the block K = (K_k[n], K_l[n]), with coefficient a[n]: the
     generations and indices are int64 arrays and a a float array, one item
-    per entry.  ShiftOperator(i, j) is the zero shift.
+    per entry.  ShiftOperator(i, j) is the zero shift, whose empty arrays
+    are read-only.
     """
 
     i: int
     j: int
-    K_k: np.ndarray = field(default_factory=_no_entries)
-    K_l: np.ndarray = field(default_factory=_no_entries)
-    I_l: np.ndarray = field(default_factory=_no_entries)
-    J_l: np.ndarray = field(default_factory=_no_entries)
-    a: np.ndarray = field(default_factory=lambda: np.empty(0))
+    K_k: np.ndarray = _NO_ENTRIES
+    K_l: np.ndarray = _NO_ENTRIES
+    I_l: np.ndarray = _NO_ENTRIES
+    J_l: np.ndarray = _NO_ENTRIES
+    a: np.ndarray = _NO_COEFFICIENTS
     good: bool = True
     class_filter: tuple = CLASSES
     excluded_badness: int = 0
@@ -190,7 +195,7 @@ class ShiftOperator:
 
     def transpose(self) -> "ShiftOperator":
         """The dual shift: type (j,i) with every block transposed."""
-        return replace(self, i=self.j, j=self.i, I_l=self.J_l, J_l=self.I_l)
+        return self._replace(i=self.j, j=self.i, I_l=self.J_l, J_l=self.I_l)
 
     def manifest(self, seed=None) -> dict:
         return {

@@ -16,7 +16,7 @@ exactly on mesh points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ def scaling_table(h: np.ndarray, q: int) -> tuple[np.ndarray, float]:
     return v, float(np.max(np.abs(_two_scale(h, v, 1 << q) - v)))
 
 
-@dataclass
-class WaveletSystem:
+class WaveletSystem(NamedTuple):
     """Mother scaling function and wavelet on a fixed fine mesh.
 
     Samples live on the mesh lo + n*2^-(q+1) where lo = (1-m)/2, so that the
@@ -97,7 +96,7 @@ class WaveletSystem:
     phi: np.ndarray
     psi: np.ndarray
     cascade_residual: float
-    fd_ratios: dict = field(default_factory=dict)
+    fd_ratios: dict
 
     @property
     def mesh_step(self) -> float:
@@ -208,12 +207,13 @@ def build_system(filter_spec, q: int, s_target: int = 1) -> WaveletSystem:
     phi, res = scaling_table(h, q + 1)
     psi = _two_scale(highpass_from_lowpass(h), phi, 1 << (q + 1))
     lo = (1 - m) / 2.0  # natural support [0, m] recentered into the m-dilate
-    sys = WaveletSystem(h=h, q=q, m=m, u=0, v=0, lo=lo, phi=phi,
-                        psi=psi, cascade_residual=res)
-    sys.u, sys.fd_ratios = probe_differentiability(psi, sys.mesh_step,
-                                                   max(s_target, 1))
-    sys.v = count_vanishing_moments(sys, cap=max(2 * s_target, s_target + 2, 8))
-    return sys
+    # the probes read the tables, not u or v
+    sys = WaveletSystem(h=h, q=q, m=m, u=0, v=0, lo=lo, phi=phi, psi=psi,
+                        cascade_residual=res, fd_ratios={})
+    u, fd_ratios = probe_differentiability(psi, sys.mesh_step,
+                                           max(s_target, 1))
+    return sys._replace(u=u, fd_ratios=fd_ratios, v=count_vanishing_moments(
+        sys, cap=max(2 * s_target, s_target + 2, 8)))
 
 
 def gram_defect(system: WaveletSystem, entries, res: int,

@@ -688,15 +688,15 @@ def decay_audit_loop(op, system, grid, s, eps, theta, i_max, j_max,
     rows = []
     for (kind, i, j), (count, mx) in sorted(cells.items()):
         bound = class_bound(kind, i, j, s, eps, theta, czs, op_norm)
-        row = DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
-                            max_pairing=mx, bound=bound, ratio=mx / bound)
+        psi = {}
         if kind in ("between", "contained") and i > j:
             t = 2.0 ** (-(i - j))
             pb = (czs + op_norm) * 2.0 ** (-(i - j) / 2.0) \
                 * psi_refinement(t, s)
-            row.psi_bound = pb
-            row.psi_ratio = mx / pb
-        rows.append(row)
+            psi = {"psi_bound": pb, "psi_ratio": mx / pb}
+        rows.append(DecayAuditRow(kind=kind, i=i, j=j, pair_count=count,
+                                  max_pairing=mx, bound=bound,
+                                  ratio=mx / bound, **psi))
     return rows, info
 
 

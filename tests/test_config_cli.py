@@ -462,7 +462,7 @@ _PLAUSIBLE = {"theta": st.floats(0.05, 1.0), "r": st.integers(1, 8),
               "filter": st.sampled_from(["haar", "db3"])}
 
 
-_KEYS = st.sampled_from(sorted(RunConfig.__dataclass_fields__) + ["bogus"])
+_KEYS = st.sampled_from(sorted(RunConfig._fields) + ["bogus"])
 _BASE = st.fixed_dictionaries({"kernel": st.just("hilbert")},
                               optional=_PLAUSIBLE)
 
@@ -598,8 +598,10 @@ def test_cli_window_past_float64_resolution_exit_4(tmp_path, capsys,
 
 
 def test_commands_load_no_module_after_import(tmp_path):
-    # in a fresh process: scipy.fft and numpy.ma stay unloaded after
-    # importing the CLI and after each command, and no command loads a
+    # in a fresh process: scipy.fft, numpy.ma and dataclasses stay
+    # unloaded after importing the CLI and after each command (no record
+    # of the package is a dataclass, whose generated methods the import
+    # would compile), and no command loads a
     # module during its run, nor does building every built-in filter (a run
     # builds its filter on first request).  numpy and the standard library
     # import some modules on first use (numpy.random, numpy.fft,
@@ -625,7 +627,8 @@ import dyadshift.cli
 from dyadshift.filters import builtin_filter_names, get_filter
 def kept_out():
     return [m for m in sys.modules
-            if m == "numpy.ma" or m.startswith(("scipy.fft", "numpy.ma."))]
+            if m in ("numpy.ma", "dataclasses")
+            or m.startswith(("scipy.fft", "numpy.ma."))]
 loaded = {"import": kept_out()}
 for command, cfg in json.loads(sys.argv[2]).items():
     before = set(sys.modules)

@@ -231,11 +231,23 @@ def test_touching_range_matches_cube_geometry():
             # shift pushes the one cube out
             assert n == 0 or inside(0) and inside(n - 1)
             assert not inside(-1) and not inside(n)
-        # the whole window, 2^61 cubes of generation 21 in the wide one
+        # the whole window, 2^61 cubes of generation 21 in the wide one,
+        # from bounds past both ends, the right one 2^63 - 1 in the wide
+        # one
         start, count = grid.touching(gens, np.full(gens.size, -E),
-                                     np.full(gens.size, 2 * E))
+                                     np.full(gens.size, 2 * E - 1))
+        assert count.dtype == np.int64
         assert not start.any()
         assert np.array_equal(count, counts)
+        if 2 * E >= 1 << 63:
+            # a bound int64 cannot hold, here 2E = 2^63, is refused, as an
+            # int and as the uint64 array numpy makes of it: numpy would
+            # locate it in float64
+            with pytest.raises(ValueError, match="int64"):
+                grid.touching(gens, np.full(gens.size, -E),
+                              np.full(gens.size, 2 * E))
+            with pytest.raises(ValueError, match="int64"):
+                grid.locate(w.k_max, 2 * E)
         sides = [w.len_units(k) for k in gens.tolist()]
         for trial in range(40):
             lo = [int(rng.uniform(-2, E / s + 1) * s) for s in sides]

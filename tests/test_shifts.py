@@ -407,7 +407,12 @@ def test_calibration_covers_clipped_blocks():
 
 
 def test_shift_norm_zero_operator():
-    assert shift_norm(ShiftOperator(1, 1)) == 0.0
+    zero = ShiftOperator(1, 1)
+    assert shift_norm(zero) == 0.0
+    # every zero shift shares its empty default arrays, so none may write
+    # them
+    assert not any(a.flags.writeable
+                   for a in (zero.K_k, zero.K_l, zero.I_l, zero.J_l, zero.a))
 
 
 def test_shift_norm_diagonal_vs_dense_svd():
