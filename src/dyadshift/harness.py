@@ -270,21 +270,15 @@ def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                        ) -> dict:
     """Defect of the double wavelet expansion of <g, T f> over the window.
 
-    For the identity calibration the cross terms vanish with the supports, so
-    only overlapping-support pairs are evaluated; for singular operators all
-    localized pairs enter.  The terms are summed one by one in pair order.
-    Refused first where float64 merges the nodes (_check_resolution).
+    Every pair of localized cubes enters, the identity's too, whose table
+    gives the exact 0.0 of each pair of distinct cubes.  The terms are
+    summed one by one in pair order.  Refused first where float64 merges
+    the nodes (_check_resolution).
     """
     _check_resolution(grid.window, (f, g), q_loc)
     loc = _localize(grid, system, f, g)
     loc.coefficients(system, f, g, q_loc)
     I, J = loc.pair_index()
-    if not op.singular:
-        lo_f, hi_f = support_intervals(grid, system, *loc.kl_f)
-        lo_g, hi_g = support_intervals(grid, system, *loc.kl_g)
-        overlap = (np.maximum(lo_f[I], lo_g[J])
-                   < np.minimum(hi_f[I], hi_g[J]))
-        I, J = I[overlap], J[overlap]
     if truth is None:
         truth = ground_truth(op, f, g, res=q_loc + 2)
     values, _ = _pairings(op, system, grid, loc.pairs(I, J), q_loc)

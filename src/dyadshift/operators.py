@@ -1,9 +1,10 @@
 """Convolution-type singular integral operators on the line and the pairing
 engine that evaluates wavelet-pair matrix entries <psi_J, T psi_I>.
 
-Every operator is evaluated through its symbol: an FFT multiplier on a
-zero-padded mesh, with analytic periodization corrections for kernels with
-a 1/u tail; the identity calibration samples the coarser wavelet directly.
+Every singular operator is evaluated through its symbol: an FFT multiplier
+on a zero-padded mesh, with analytic periodization corrections for kernels
+with a 1/u tail.  The identity's pairings are exact: the wavelets of every
+grid are orthonormal, so its table is the Kronecker delta.
 A singular kernel is real and odd, so its symbol is odd and imaginary,
 -i sgn(xi) r(|xi|) with a real radial factor r: a field scales the
 spectrum by r, multiplies it in place by -i and zeroes its zero-frequency
@@ -136,8 +137,9 @@ def _periodic_apply(op: KernelOp, mesh: _FieldMesh,
     """(u, values) of T applied to the mesh's samples, zero-padded to
     mesh.size points on the periodic mesh x0 + (n+1/2)h, over the first
     mesh.stop points: the interior a caller reads, not the padding (the
-    caller negates it for T^t = -T).  Calls only numpy, so the field helper
-    may run it.
+    pairing table negates it for T^t = -T).  Calls only numpy, so the field
+    helper may run it.  Only ground_truth builds an identity field: the
+    pairing table reads the identity's pairings exactly.
 
     The contract is a real kernel: its symbol is Hermitian,
     m(-xi) = conj(m(xi)), so T maps the real samples to a real signal and a
@@ -219,7 +221,7 @@ def sample_wavelets(grid: DyadicGrid, system: WaveletSystem, k: int,
                     l: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The wavelets of the generation-k cubes with int64 indices l, each at
     its row of the absolute points x: 2^(k/2) psi(2^k x - l - shift/len)."""
-    offset = l + grid.shift_units(k)[0] / grid.window.len_units(k)
+    offset = grid.boxes(k, l)[0] * 2.0 ** (k - grid.window.unit_exp)
     t = x * 2.0 ** k - offset[:, None]
     return 2.0 ** (k / 2.0) * system.mother(t, "psi")
 
@@ -372,42 +374,41 @@ def _field_mesh(system: WaveletSystem, q_loc: int, pad_factor: int, k: int,
     return _FieldMesh(xw, vw, h, N, n_left, x0, stop)
 
 
-def _fill_rows(values: np.ndarray, du: np.ndarray, row_blocks, image):
-    """Write into values the pairing of each block of rows, given with
-    the fine nodes (relative nodes, wavelet values, spacing) it reads;
-    image(u) is T psi (or the coarser psi itself) at the offset nodes u."""
+def _field_task(op: KernelOp, mesh: _FieldMesh, row_blocks,
+                values: np.ndarray, du: np.ndarray) -> None:
+    """Build one field and write into values the pairing of each block of
+    rows, given with the fine nodes (relative nodes, wavelet values,
+    spacing) it reads at the offsets du; the field dies with the task."""
+    mesh_u, fld = _periodic_apply(op, mesh)
     for rows, (uf, vf, hf) in row_blocks:
         u = uf[None, :] + du[rows, None]
-        vals = image(u)
+        vals = np.interp(u, mesh_u, fld)
         del u  # at most two node blocks alive at a time
         vals *= vf
         values[rows] = np.sum(vals, axis=1) * hf
-
-
-def _field_task(op: KernelOp, mesh: _FieldMesh, row_blocks,
-                values: np.ndarray, du: np.ndarray) -> None:
-    """Build one field and fill its rows; the field dies with the task."""
-    mesh_u, fld = _periodic_apply(op, mesh)
-    _fill_rows(values, du, row_blocks, lambda u: np.interp(u, mesh_u, fld))
 
 
 class PairingTable:
     """Pairings of every distinct row of a key array (see pairing_keys);
     PairingTable.build evaluates them.
 
-    For each row the quadrature runs over the finer wavelet's midpoint
-    nodes, in coordinates relative to the coarser cube.  A singular
-    operator is applied to the coarser wavelet on a local oversampled mesh
-    at that wavelet's scale, and the field is linearly interpolated there;
-    for the identity the coarser wavelet is sampled itself.  One field
-    serves each (coarse k, transpose), over the hull of the fine supports
-    of all its rows, and one interpolation each block of rows that share a
-    field and a fine generation.  Every field is T's: the kernel is odd,
-    T^t = -T, so once the fields are built the rows with transpose 1 are
-    negated.  Negation passes exactly through the FFTs, the interpolation
-    and the quadrature sum, so these are the bits a T^t field on the same
-    mesh gives, but for the sign of an exact zero (a sum that cancels is
-    +0.0 in either orientation).  A field's values depend on its hull
+    The identity's table is exact: the wavelets are orthonormal, and each
+    generation's shift differs from the next finer one's by a whole finer
+    side, so the shifted spaces stay nested and <psi_J, psi_I> is 1 for
+    I = J (coarse k = fine k, delta 0) and 0 for every other row.
+
+    For a singular operator each row's quadrature runs over the finer
+    wavelet's midpoint nodes, in coordinates relative to the coarser cube.
+    The operator is applied to the coarser wavelet on a local oversampled
+    mesh at that wavelet's scale, and the field is linearly interpolated
+    there.  One field serves each (coarse k, transpose), over the hull of
+    the fine supports of all its rows, and one interpolation each block of
+    rows that share a field and a fine generation.  Every field is T's:
+    the kernel is odd, T^t = -T, so once the fields are built the rows
+    with transpose 1 are negated.  Negation passes exactly through the
+    FFTs, the interpolation and the quadrature sum, so these are the bits
+    a T^t field on the same mesh gives, but for the sign of an exact zero
+    (a sum that cancels is +0.0 in either orientation).  A field's values depend on its hull
     through the periodization residual, so the table's values depend on
     its set of rows: each experiment builds one table from the keys of all
     its pairs, over all its grids.
@@ -448,18 +449,25 @@ class PairingTable:
         """The table of the distinct rows of keys for op, on the system's
         wavelets; the window sets the integer unit of the offsets.  The
         calling thread runs meanwhile(), if given, exactly once while the
-        helpers build fields."""
+        helper builds fields."""
         # the distinct rows pack as all rows do: same generations, same
         # offsets
         packing = _KeyPacking.of(keys)
         packed, first = np.unique(packing.pack(keys), return_index=True)
         keys = keys[first]
+        if not op.singular:  # the identity: orthonormal wavelets
+            if meanwhile is not None:
+                meanwhile()
+            values = ((keys[:, 0] == keys[:, 2])
+                      & (keys[:, 3] == 0)).astype(float)
+            return cls(keys, values, {"keys": len(keys), "fields": 0},
+                       packing, packed)
         blocks = packed // packing.offsets.size
         values = np.empty(len(keys))
         unit = 2.0 ** (-window.unit_exp)
         fine_k, du = keys[:, 2], keys[:, 3] * unit
         nodes: dict = {}  # fine generation -> (nodes, values, spacing)
-        tasks = []  # (field mesh, row blocks) of each singular field
+        tasks = []  # (field mesh, row blocks) of each field
         # runs of (coarse k, transpose), then of fine k within each; each
         # run's hull sets its field's mesh, and its field is T's
         for a, b in _runs(blocks // packing.nk):
@@ -472,19 +480,14 @@ class PairingTable:
                     nodes[k] = (t * 2.0 ** (-k), vf, hf)
                 row_blocks += [(rows, nodes[k]) for rows in
                                _row_chunks(a + c, a + d, nodes[k][0].size)]
-            if op.singular:
-                # the hull of the rows' fine m-dilates, in integer units
-                # from the coarse cube's corner
-                delta = keys[a:b, 3]
-                lo, hi = dilate(delta, delta + window.sides(fine_k[a:b]),
-                                system.m)
-                hull = (float(lo.min()) * unit, float(hi.max()) * unit)
-                tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull),
-                              row_blocks))
-            else:
-                _fill_rows(values, du, row_blocks,
-                           lambda u: 2.0 ** (kc / 2.0)
-                           * system.mother(u * 2.0 ** kc))
+            # the hull of the rows' fine m-dilates, in integer units from
+            # the coarse cube's corner
+            delta = keys[a:b, 3]
+            lo, hi = dilate(delta, delta + window.sides(fine_k[a:b]),
+                            system.m)
+            hull = (float(lo.min()) * unit, float(hi.max()) * unit)
+            tasks.append((_field_mesh(system, q_loc, pad_factor, kc, hull),
+                          row_blocks))
         # the threads drain one size-sorted deque from opposite ends: the
         # helper takes the largest field left and the calling thread, once
         # meanwhile has returned, the smallest, so the peak is the largest
@@ -511,12 +514,11 @@ class PairingTable:
                 queue.clear()
                 failed.append(exc)
 
-        helpers = []
+        thread = None  # the one helper, once a field needs it
+        if tasks:
+            thread = Thread(target=helper)
+            thread.start()
         try:
-            if tasks:
-                thread = Thread(target=helper)
-                thread.start()
-                helpers.append(thread)
             if meanwhile is not None:
                 meanwhile()
             drain(queue.pop)
@@ -524,12 +526,11 @@ class PairingTable:
             queue.clear()
             raise
         finally:
-            for thread in helpers:
+            if thread is not None:
                 thread.join()
         if failed:
             raise failed[0]
-        if op.singular:  # T^t = -T
-            np.negative(values, out=values, where=keys[:, 1] == 1)
+        np.negative(values, out=values, where=keys[:, 1] == 1)  # T^t = -T
         return cls(keys, values, {"keys": len(keys), "fields": len(tasks)},
                    packing, packed)
 

@@ -40,6 +40,7 @@ RUNS = [
     ("represent", {"filter": "db2", "kernel": "smoothed_hilbert",
                    **BENCH_WINDOW}),
     ("represent", {"filter": "haar", "kernel": "identity", **BENCH_WINDOW}),
+    ("represent", {"filter": "db2", "kernel": "identity", **BENCH_WINDOW}),
     ("grid-stats", {"kernel": "hilbert", "L": 3, "k_min": -2, "k_max": 10,
                     "r": 1, "theta": 0.2}),
     ("decay-audit", {"filter": "db2", "kernel": "smoothed_hilbert", "L": 4,

@@ -22,6 +22,8 @@ compare it with:
   (padded_periodic_apply, multiplier), which the lean field kernel
   replaced, with the transpose's own symbol m(-xi), which the library no
   longer evaluates (its pairing table negates T's rows);
+- the sampled quadrature of the identity's pairings (sampled_identity),
+  which the exact Kronecker delta of the orthonormal wavelets replaced;
 - the per-report CSV writers the library's modules held before the
   command line became the one writer (goodness, audit and curve CSV).
 Where the batching keeps the arithmetic the tests compare bit for bit."""
@@ -219,6 +221,30 @@ def padded_periodic_apply(op, mesh, transpose: bool = False,
         else:
             out += lin
     return mesh_x, out
+
+
+# ---------------------------------------------------------------------------
+# the sampled identity route
+
+
+def sampled_identity(system, window, keys, q_loc: int) -> np.ndarray:
+    """<psi_J, psi_I> of each key row (see pairing_keys) by the sampled
+    quadrature the identity's table used before it read the Kronecker
+    delta: the coarser wavelet sampled at the finer wavelet's midpoint
+    nodes, at spacing 2^-q_loc of the finer side, in coordinates relative
+    to the coarser cube's corner."""
+    unit = 2.0 ** (-window.unit_exp)
+    out = np.empty(len(keys))
+    nodes: dict = {}  # fine generation -> (nodes, values, spacing)
+    for row, (kc, _, kf, delta) in enumerate(keys.tolist()):
+        if kf not in nodes:
+            t, vf, hf = system.scaled_nodes(q_loc, kf)
+            nodes[kf] = (t * 2.0 ** (-kf), vf, hf)
+        uf, vf, hf = nodes[kf]
+        vc = 2.0 ** (kc / 2.0) * system.mother((uf + delta * unit)
+                                               * 2.0 ** kc)
+        out[row] = np.sum(vc * vf) * hf
+    return out
 
 
 # ---------------------------------------------------------------------------

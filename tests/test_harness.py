@@ -22,7 +22,7 @@ from dyadshift.shifts import classify_batch
 from dyadshift.wavelets import build_system
 from conftest import InlineThread
 from references import (WindowTruncationError, cube_arrays, cube_pair_keys,
-                        cubes_at_scale, decay_audit_loop, dilate_box,
+                        cubes_at_scale, decay_audit_loop,
                         localized_coefficient, localized_cube_list,
                         lone_pairings, pairing_counts, scalar_classify_pair,
                         zero_grid)
@@ -425,25 +425,10 @@ def test_sample_pairs_matches_pair_loop(name, r):
     assert counts == pairing_counts(op, cube_pair_keys(grid, pairs))
 
 
-def _loop_overlap_pairs(grid, system, cubes_f, cubes_g):
-    """Reference: the per-pair support test expansion_identity made
-    before it compared all dilates at once, on the one-cube dilate_box."""
-    unit = 2.0 ** (-grid.window.unit_exp)
-
-    def support(cube):
-        lo, hi = dilate_box(grid, cube, system.m)
-        return float(lo[0]) * unit, float(hi[0]) * unit
-
-    def overlaps(a, b):
-        lo_a, hi_a = support(a)
-        lo_b, hi_b = support(b)
-        return max(lo_a, lo_b) < min(hi_a, hi_b)
-    return [(I, J) for I in cubes_f for J in cubes_g if overlaps(I, J)]
-
-
 @pytest.mark.parametrize("name, seed", [("haar", 0), ("db3", 1), ("db2", 2)])
-def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
-                                                          name, seed):
+def test_expansion_identity_pairs_match_pair_loop(monkeypatch, name, seed):
+    # every pair of localized cubes enters, the identity's too: its table
+    # gives the exact 0.0 of each pair of distinct cubes
     w = Window(L=6, k_min=-6, k_max=4)
     grid = DyadicGrid.random(w, seed)
     system = build_system(name, q=9)
@@ -462,19 +447,20 @@ def test_expansion_identity_overlap_pairs_match_pair_loop(monkeypatch,
                              q_loc=7)
     cubes_f = localized_cube_list(grid, system, f.support)
     cubes_g = localized_cube_list(grid, system, g.support)
-    ref = _loop_overlap_pairs(grid, system, cubes_f, cubes_g)
+    ref = [(I, J) for I in cubes_f for J in cubes_g]
     assert [pairs for pairs, _ in calls] == [ref]
-    assert res["pair_count"] == len(ref)
-    assert 0 < len(ref) < len(cubes_f) * len(cubes_g)
+    assert res["pair_count"] == len(cubes_f) * len(cubes_g)
+    delta = [float(I == J) for I, J in ref]
+    assert np.array_equal(calls[0][1], delta)
     # the sum, bit for bit, as the per-pair loop over the sorted pairs
     # with Cube-keyed coefficients made it
     cf = {c: localized_coefficient(grid, system, c, f, 7) for c in cubes_f}
     cg = {c: localized_coefficient(grid, system, c, g, 7) for c in cubes_g}
     total = 0.0
-    for (I, J), v in sorted(zip(ref, calls[0][1]),
+    for (I, J), v in sorted(zip(ref, delta),
                             key=lambda t: (t[0][0].k, t[0][0].l,
                                            t[0][1].k, t[0][1].l)):
-        total += cf[I] * float(v) * cg[J]
+        total += cf[I] * v * cg[J]
     assert res["sum"] == total
 
 

@@ -21,10 +21,10 @@ from dyadshift.wavelets import WaveletSystem, build_system
 from conftest import InlineThread
 from references import (cube_arrays, cube_box, cube_pair_keys, cube_pairs,
                         cubes_at_scale, cubes_touching, disjoint_pairs,
-                        haar_pair_exact, lone_pairings, multiplier,
-                        padded_periodic_apply, pair_correlation,
-                        pair_quadrature, pairing_counts, sample_wavelet,
-                        support_interval, wavelet_nodes, zero_grid)
+                        haar_pair_exact, localized_cube_list, lone_pairings,
+                        multiplier, padded_periodic_apply, pair_correlation,
+                        pair_quadrature, pairing_counts, sampled_identity,
+                        support_interval, zero_grid)
 
 
 def hat(x):
@@ -467,23 +467,13 @@ def _scalar_pairings(engine: Setting, pairs,
     .pairings used before it worked on integer offset arrays, each field
     from the padded route, T^t's with the transpose's own symbol.  hulls
     maps (coarse k, transpose) to the hull its field covers, by default the
-    hull of the given pairs (_scalar_hulls)."""
+    hull of the given pairs (_scalar_hulls).  The identity's pairings are
+    those of orthonormal wavelets: 1.0 for I = J, else 0.0."""
+    if not engine.op.singular:
+        return np.array([float(I == J) for I, J in pairs])
     out = np.empty(len(pairs))
     grid, system, q_loc = engine.grid, engine.system, engine.q_loc
     unit = 2.0 ** (-grid.window.unit_exp)
-    if not engine.op.singular:
-        memo: dict = {}
-        for idx, (I, J) in enumerate(pairs):
-            fine, coarse = (I, J) if I.k >= J.k else (J, I)
-            delta = int(cube_box(grid, fine)[0][0]
-                        - cube_box(grid, coarse)[0][0])
-            key = (fine.k, coarse.k, delta)
-            if key not in memo:
-                x, vf, h = wavelet_nodes(grid, system, fine, q_loc)
-                vc = sample_wavelet(grid, system, coarse, x)
-                memo[key] = float(np.sum(vf * vc) * h)
-            out[idx] = memo[key]
-        return out
     if hulls is None:
         hulls = _scalar_hulls(engine, pairs)
     buckets: dict = {}
@@ -611,8 +601,8 @@ def test_pairings_match_scalar_on_represent_grids(monkeypatch, tmp_path):
 
 def test_identity_pairings_match_scalar_on_represent_grids(monkeypatch,
                                                           tmp_path):
-    # the identity calibration takes the same route: both grids read one
-    # run table, which builds no field
+    # the identity calibration: both grids read one run table, which
+    # builds no field, and each pair reads the Kronecker delta of its cubes
     cfg = ('{"filter": "db2", "kernel": "identity", "L": 6, "k_min": -6, '
            '"k_max": 4, "r": 4, "theta": 1.0, "n_omega": 2}')
     calls = _captured_pairings(
@@ -622,6 +612,7 @@ def test_identity_pairings_match_scalar_on_represent_grids(monkeypatch,
     for _, pairs, values, setting in calls:
         assert len(pairs) > 1000
         assert np.array_equal(values, _scalar_pairings(setting, pairs))
+        assert 0 < np.count_nonzero(values) < len(pairs)
     keys = {key for _, pairs, _, setting in calls
             for key in _scalar_keys(setting, pairs)}
     results = json.loads((tmp_path / "manifest.json").read_text())["results"]
@@ -713,9 +704,11 @@ def _localized_pairs(grid, system, k_lo, k_hi, span):
     return [(I, J) for I in cubes for J in cubes]
 
 
-@pytest.mark.parametrize("name", ["haar", "db3"])
+@pytest.mark.parametrize("name", ["haar", "db2", "db3", "db8"])
 def test_pairings_match_scalar_identity_branch(name):
-    # many pairs repeat a key at another absolute position
+    # the identity's table is the Kronecker delta of the cubes, exactly, in
+    # both orientations on a shifted grid; many pairs repeat a key at
+    # another absolute position
     w = Window(L=4, k_min=-2, k_max=5)
     grid = DyadicGrid.random(w, 7)
     system = build_system(name, q=11)
@@ -723,6 +716,28 @@ def test_pairings_match_scalar_identity_branch(name):
     pairs = _localized_pairs(grid, system, -1, 3, (6 * 64, 10 * 64))
     assert len(pairs) > 1000
     _assert_matches_scalar(engine, pairs)
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db3"])
+def test_sampled_identity_converges_to_delta(name):
+    # the sampled quadrature the identity's table replaced tends to the
+    # Kronecker delta as its nodes refine (Haar's is exact but for
+    # rounding): the delta is the limit it approximated, not a new value
+    w = Window(L=6, k_min=-6, k_max=4)
+    grid = DyadicGrid.random(w, (0, 1))
+    system = build_system(name, q=14)
+    cubes = localized_cube_list(grid, system, (31.9, 32.3))
+    keys = np.unique(cube_pair_keys(grid, [(I, J) for I in cubes
+                                           for J in cubes]), axis=0)
+    delta = ((keys[:, 0] == keys[:, 2]) & (keys[:, 3] == 0)).astype(float)
+    assert len(keys) > 300 and 0 < np.count_nonzero(delta) < len(keys)
+    dev = [np.abs(sampled_identity(system, w, keys, q_loc) - delta).max()
+           for q_loc in (8, 10, 12)]
+    if name == "haar":
+        assert max(dev) < 1e-15
+    else:
+        assert dev[0] > 4 * dev[1] > 16 * dev[2]
+        assert dev[2] < {"db2": 2e-6, "db3": 1e-8}[name]
 
 
 def test_pairings_of_no_pairs(haar_setup):
@@ -1024,6 +1039,33 @@ def test_meanwhile_runs_once(monkeypatch, threads, op, keys):
     assert ran == [threading.get_ident()]
     assert (table.counts["fields"] > 0) == (keys and op == "hilbert")
     assert len(made) == (table.counts["fields"] > 0)
+
+
+def test_identity_table_evaluates_no_wavelet(monkeypatch):
+    # an identity table reads its rows alone: no wavelet is sampled, no
+    # thread starts, and meanwhile runs once
+    _, system, w, keys = _pool_table_args()
+    ran, made = [], []
+
+    def no_wavelet(*args, **kwargs):
+        raise AssertionError("a wavelet was evaluated")
+
+    class Counted(threading.Thread):
+        def __init__(self, target):
+            made.append(target)
+            super().__init__(target=target)
+
+    monkeypatch.setattr(WaveletSystem, "mother", no_wavelet)
+    monkeypatch.setattr(WaveletSystem, "scaled_nodes", no_wavelet)
+    monkeypatch.setattr(operators, "Thread", Counted)
+    table = operators.PairingTable.build(
+        make_operator("identity"), system, w, keys, q_loc=8,
+        meanwhile=lambda: ran.append(threading.get_ident()))
+    assert ran == [threading.get_ident()]
+    assert made == []
+    assert table.counts == {"keys": len(table.keys), "fields": 0}
+    delta = (table.keys[:, 0] == table.keys[:, 2]) & (table.keys[:, 3] == 0)
+    assert np.array_equal(table.values, delta.astype(float))
 
 
 @pytest.mark.parametrize("name, op", [("haar", "hilbert"),
