@@ -105,7 +105,7 @@ def cmd_decay_audit(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     system = _system(cfg)
     rows, info = decay_audit(op, system, grid, s=cfg.s, eps=cfg.eps,
                              theta=cfg.theta, i_max=cfg.N_max,
-                             j_max=cfg.N_max, q_loc=min(cfg.q, 10))
+                             j_max=cfg.N_max, q_loc=cfg.q_loc)
     # the columns are the fields of DecayAuditRow, kind written as class
     table = [("class", "i", "j", "pair_count", "max_pairing", "bound",
               "ratio", "psi_bound", "psi_ratio"), *rows]
@@ -122,7 +122,7 @@ def cmd_represent(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
     f, g = _default_pair(cfg)
     res = randomized_expansion(op, system, cfg.window, f, g, r=cfg.r,
                                theta=cfg.theta, n_omega=cfg.n_omega,
-                               seed=cfg.seed, q_loc=min(cfg.q, 10))
+                               seed=cfg.seed, q_loc=cfg.q_loc)
     results = {k: res[k] for k in ("estimate", "stderr", "truth", "n_omega",
                                    "pi_good", "pairings")}
     return results, {}, (f"estimate {res['estimate']:.6f} +- "
@@ -142,7 +142,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, dict, str, bool]:
                                    eps=cfg.eps, N_max=cfg.N_max,
                                    n_omega=cfg.n_omega, seed=cfg.seed,
                                    r=cfg.r, theta=cfg.theta,
-                                   q_loc=min(cfg.q, 10))
+                                   q_loc=cfg.q_loc)
     results = {"slope": curve.slope, "fit_range": list(curve.fit_range),
                "truth": curve.truth, "pi_good": curve.pi_good,
                "excluded_window": curve.excluded_window,

@@ -118,6 +118,11 @@ class RunConfig(NamedTuple):
         return max(self.k_max, 0) + 6
 
     @property
+    def q_loc(self) -> int:
+        """The runs' quadrature resolution exponent, derived (not a key)."""
+        return min(self.q, 10)
+
+    @property
     def window(self) -> Window:
         """The run's window; Window decides whether L, k_min and k_max
         form one."""

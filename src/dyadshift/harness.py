@@ -120,26 +120,18 @@ def localized_coefficients(grid: DyadicGrid, system: WaveletSystem,
 
 def ground_truth(op: KernelOp, f, g, res: int) -> float:
     """<g, T f> on a fine mesh, frozen per run: T f is the field of f's
-    samples, zero-padded to about 8 times their length."""
+    samples at the absolute nodes lo + rel, zero-padded to about 8 times
+    their length, on a mesh relative to lo, so that the Hilbert tail
+    correction does not drift with where the pair sits."""
     lo = min(f.support[0], g.support[0]) - 0.5
     hi = max(f.support[1], g.support[1]) + 0.5
     h = 0.5 ** res
     n = int(math.ceil((hi - lo) / h))
-    x = lo + (np.arange(n) + 0.5) * h
-    mesh = _FieldMesh(x, f(x), h, _next_fast_len(8 * n), 0, lo, n)
+    rel = (np.arange(n) + 0.5) * h
+    x = lo + rel
+    mesh = _FieldMesh(rel, f(x), h, _next_fast_len(8 * n), 0, 0.0, n)
     tf = _periodic_apply(op, mesh)[1]
     return float(np.sum(g(x) * tf) * h)
-
-
-def _pairings(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
-              pairs: CubePairs, q_loc: int) -> tuple[np.ndarray, dict]:
-    """The pairings of one grid's pairs, from one table built over their
-    keys, and the pairing counts: the pairs, and the table's distinct keys
-    and fields."""
-    table = PairingTable.build(op, system, grid.window,
-                               pairing_keys(grid, pairs), q_loc)
-    values = PairingEngine(grid, table).pairings(pairs)
-    return values, {"pairs": len(pairs), **table.counts}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +178,7 @@ AUDIT_MAX_PAIRS = 1 << 22
 
 def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
                 s: int, eps: float, theta: float, i_max: int, j_max: int,
-                q_loc: int = 10, r: int | None = None,
+                q_loc: int, r: int | None = None,
                 span: tuple[float, float] | None = None,
                 ) -> tuple[list[DecayAuditRow], dict]:
     """Tabulate max |<psi_J, T psi_I>| against the per-class bound for every
@@ -200,7 +192,8 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
     exact cube counts, before any cube is enumerated.  The command line
     passes no r: its audit filters no pair by goodness.
     Returns (rows, info) where info holds excluded-pair counters and,
-    under "pairings", the pairing counts of _pairings.
+    under "pairings", the pairing counts: the pairs, and the distinct keys
+    and fields of the one table built over their keys.
     """
     if not op.singular:
         raise ValueError(f"operator {op.name!r} has no Calderon-Zygmund "
@@ -246,7 +239,10 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
         selected.append([x[keep] for x in (I, J, kind, i, j)])
     I, J, kind, i, j = map(np.concatenate, zip(*selected))
     pairs = CubePairs(cube_k[I], cube_l[I], cube_k[J], cube_l[J])
-    values, info["pairings"] = _pairings(op, system, grid, pairs, q_loc)
+    table = PairingTable.build(op, system, w, pairing_keys(grid, pairs),
+                               q_loc)
+    values = PairingEngine(grid, table).pairings(pairs)
+    info["pairings"] = {"pairs": len(pairs), **table.counts}
     rows = []
     for kind, i, j, count, mx in _audit_cells(kind, i, j, values):
         bound = class_bound(kind, i, j, s, eps, theta, czs, op_norm)
@@ -266,26 +262,25 @@ def decay_audit(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
 
 
 def expansion_identity(op: KernelOp, system: WaveletSystem, grid: DyadicGrid,
-                       f, g, q_loc: int = 10, truth: float | None = None,
-                       ) -> dict:
-    """Defect of the double wavelet expansion of <g, T f> over the window.
-
-    Every pair of localized cubes enters, the identity's too, whose table
-    gives the exact 0.0 of each pair of distinct cubes.  The terms are
-    summed one by one in pair order.  Refused first where float64 merges
-    the nodes (_check_resolution).
-    """
-    _check_resolution(grid.window, (f, g), q_loc)
-    loc = _localize(grid, system, f, g)
-    loc.coefficients(system, f, g, q_loc)
-    I, J = loc.pair_index()
-    if truth is None:
-        truth = ground_truth(op, f, g, res=q_loc + 2)
-    values, _ = _pairings(op, system, grid, loc.pairs(I, J), q_loc)
-    terms = loc.cf[I] * values * loc.cg[J]
-    total = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+                       f, g, q_loc: int) -> dict:
+    """Defect of the double wavelet expansion of <g, T f> over the window:
+    _sample_pairs on the one grid at the window's _vacuous_r, where every
+    cube is good and each term divides by a pi_good of exactly 1.0.  Every
+    pair of localized cubes enters (the identity's table gives the exact
+    0.0 of each pair of distinct cubes), its terms summed one by one in
+    pair order; refused where _sample_pairs refuses a run."""
+    (total,), counts, truth, _ = _sample_pairs(
+        op, system, grid.window, f, g, _vacuous_r(grid.window), 1.0, q_loc,
+        lambda _: grid, 1, classify=False,
+        reduce=lambda weighted, *_: float(
+            np.cumsum(np.concatenate(([0.0], weighted)))[-1]))
     return {"defect": abs(truth - total), "sum": total, "truth": truth,
-            "pair_count": len(values)}
+            "pair_count": counts["pairs"]}
+
+
+def _vacuous_r(window: Window) -> int:
+    """One past the window's depth: no cube has an admissible ancestor."""
+    return window.k_max - window.k_min + 1
 
 
 def _pi_good_by_scale(window: Window, r: int, theta: float) -> dict:
@@ -359,17 +354,12 @@ class _Draw:
         return weighted, levels, excluded
 
 
-def _localize(grid, system, f, g) -> _Draw:
-    """The localized cubes of f and g on the grid, as int64 (k, l)
-    arrays, without their coefficients."""
-    return _Draw(grid, localized_cubes(grid, system, f.support),
-                 localized_cubes(grid, system, g.support))
-
-
-def _draw(system, window, f, g, r, theta, seed_tuple) -> _Draw:
-    """A random grid's localization and the goodness of its cubes."""
-    d = _localize(DyadicGrid.random(window, seed_tuple), system, f, g)
-    good = ~is_bad_batch(d.grid, np.concatenate([d.kl_f[0], d.kl_g[0]]),
+def _draw(system, grid, f, g, r, theta) -> _Draw:
+    """The localized cubes of f and g on the grid, without their
+    coefficients, and their goodness."""
+    d = _Draw(grid, localized_cubes(grid, system, f.support),
+              localized_cubes(grid, system, g.support))
+    good = ~is_bad_batch(grid, np.concatenate([d.kl_f[0], d.kl_g[0]]),
                          np.concatenate([d.kl_f[1], d.kl_g[1]]), r, theta)
     nf = d.kl_f[0].size
     d.good_f, d.good_g = good[:nf], good[nf:]
@@ -386,18 +376,20 @@ def _draw(system, window, f, g, r, theta, seed_tuple) -> _Draw:
 DRAWS_MAX_BYTES = 1 << 30
 
 
-def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
-                  classify: bool, reduce) -> tuple[list, dict, float, dict]:
-    """reduce(weighted, levels, excluded) of the grid of each seed tuple
-    (seed, w) of w in indices (see _Draw.weigh), the run's pairing counts
+def _sample_pairs(op, system, window, f, g, r, theta, q_loc, grid_of,
+                  n_grids: int, classify: bool,
+                  reduce) -> tuple[list, dict, float, dict]:
+    """reduce(weighted, levels, excluded) of each grid grid_of(w) of the
+    window, w < n_grids (see _Draw.weigh), the run's pairing counts
     (the table's distinct keys and fields, and the pairs), the ground
     truth <g, T f> and the goodness probabilities of _pi_good_by_scale,
     which divide the terms.  A run with a generation whose pi_good is 0,
     none of whose cubes can be good, raises ScaleRangeError before any
-    grid is drawn; before a second grid is drawn, a run whose grids would
-    hold more than DRAWS_MAX_BYTES, at the first one's size, raises it too,
-    and so does a grid with more than AUDIT_MAX_PAIRS pairs, before any of
-    its pair arrays exists.
+    grid is drawn; before a second grid is drawn (grid_of makes each one
+    as it is drawn), a run whose grids would hold more than
+    DRAWS_MAX_BYTES, at the first one's size, raises it too, and so does a
+    grid with more than AUDIT_MAX_PAIRS pairs, before any of its pair
+    arrays exists.
 
     Every grid is drawn first, and the distinct pairing keys of each are
     merged into the run's distinct rows as it is drawn, whenever the
@@ -409,10 +401,10 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
     each grid's engine reads its values from it.  While the table's helper
     threads build fields, the calling thread computes each grid's
     coefficients and then the ground truth, neither of which depends on
-    the table.  The pairs of a grid, every localized cube of f
-    with every one of g, are int64 arrays (a CubePairs) that live for one
-    grid at a time, and so do its per-pair terms: they are reduced right
-    after its lookup.
+    the table.  The pairs of a grid, every localized cube of f with every
+    one of g, are int64 arrays (a CubePairs) that live for one grid at a
+    time, and so do its per-pair terms: they are reduced right after its
+    lookup.
     """
     pi_good = _pi_good_by_scale(window, r, theta)
     hopeless = [k for k, p in pi_good.items() if p == 0.0]
@@ -422,12 +414,12 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
             f"theta={theta} (pi_good = 0); raise r or theta")
     _check_resolution(window, (f, g), q_loc)
     draws, merged, pending = [], np.empty((0, 4), np.int64), []
-    for w_idx in indices:
-        d = _draw(system, window, f, g, r, theta, (seed, w_idx))
+    for w_idx in range(n_grids):
+        d = _draw(system, grid_of(w_idx), f, g, r, theta)
         cubes = d.kl_f[0].size + d.kl_g[0].size
-        if not draws and len(indices) * (4_200 + 26 * cubes) > DRAWS_MAX_BYTES:
+        if not draws and n_grids * (4_200 + 26 * cubes) > DRAWS_MAX_BYTES:
             raise ScaleRangeError(
-                f"{len(indices)} grids of about {cubes} localized cubes "
+                f"{n_grids} grids of about {cubes} localized cubes "
                 f"would hold more than DRAWS_MAX_BYTES = {DRAWS_MAX_BYTES} "
                 "bytes; lower n_omega")
         n_pairs = d.kl_f[0].size * d.kl_g[0].size
@@ -439,7 +431,7 @@ def _sample_pairs(op, system, window, f, g, r, theta, q_loc, seed, indices,
         draws.append(d)
         pending.append(distinct_keys(pairing_keys(d.grid,
                                                   d.pairs(*d.pair_index()))))
-        if (len(draws) == len(indices)
+        if (len(draws) == n_grids
                 or sum(map(len, pending)) > len(merged)):
             merged = distinct_keys(np.concatenate([merged, *pending]))
             pending = []
@@ -474,13 +466,14 @@ def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def randomized_expansion(op: KernelOp, system: WaveletSystem, window: Window,
                          f, g, r: int, theta: float, n_omega: int, seed: int,
-                         q_loc: int = 9) -> dict:
+                         q_loc: int) -> dict:
     """Monte Carlo good-cube expansion of <g, T f> (per-generation exact
     goodness probabilities divide each retained pair)."""
     if n_omega < 1:
         raise ValueError("n_omega must be >= 1")
     sums, counts, truth, pi_good = _sample_pairs(
-        op, system, window, f, g, r, theta, q_loc, seed, range(n_omega),
+        op, system, window, f, g, r, theta, q_loc,
+        lambda w: DyadicGrid.random(window, (seed, w)), n_omega,
         classify=False, reduce=lambda weighted, *_: float(weighted.sum()))
     sums = np.array(sums)
     estimate, stderr = map(float, _mean_stderr(sums))
@@ -505,13 +498,13 @@ class NoiseFloorError(RuntimeError):
 
 def convergence_experiment(op: KernelOp, system: WaveletSystem,
                            window: Window, f, g, s: int, eps: float,
-                           N_max: int, n_omega: int, seed: int,
+                           N_max: int, n_omega: int, seed: int, q_loc: int,
                            r: int | None = None, theta: float | None = None,
-                           q_loc: int = 9) -> ConvergenceCurve:
+                           ) -> ConvergenceCurve:
     """Truncation error of the shift representation against max(i,j) <= N.
 
-    The default r is large enough that goodness is vacuous on the window
-    (zero Monte Carlo variance); pass a finite r for the filtered regime.
+    The default r, _vacuous_r, makes goodness vacuous on the window (zero
+    Monte Carlo variance); pass a finite r for the filtered regime.
     N_max must lie between 3 and the window's depth k_max - k_min; outside
     that range the run raises before it draws a grid.
     """
@@ -530,7 +523,7 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
     if theta is None:
         theta = eps / (1 + s)
     if r is None:
-        r = window.k_max - window.k_min + 1  # vacuous: nothing classifiable
+        r = _vacuous_r(window)
 
     def partial_sums(weighted, levels, excluded) -> tuple[list, int]:
         """The sample's sums over max(i, j) <= N, N = 0..N_max, and its
@@ -539,7 +532,8 @@ def convergence_experiment(op: KernelOp, system: WaveletSystem,
                  for N in range(N_max + 1)], excluded)
 
     reduced, counts, truth, pi_good = _sample_pairs(
-        op, system, window, f, g, r, theta, q_loc, seed, range(n_omega),
+        op, system, window, f, g, r, theta, q_loc,
+        lambda w: DyadicGrid.random(window, (seed, w)), n_omega,
         classify=True, reduce=partial_sums)
     partials = np.array([sums for sums, _ in reduced])
     means, ses = _mean_stderr(partials)

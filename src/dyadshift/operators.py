@@ -337,8 +337,8 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
 class _FieldMesh(NamedTuple):
     """Where a field is built: the periodized mesh x0 + (n+1/2) h, n < size,
     with the samples vw at the nodes xw (a wavelet's relative to its cube's
-    left endpoint) from mesh point n_left on, and the first stop points as
-    the interior that is read; a field on it is T's (see PairingTable)."""
+    corner, the truth's to its mesh's left end) from mesh point n_left on,
+    and the first stop points as the interior read; a field is T's."""
 
     xw: np.ndarray
     vw: np.ndarray
@@ -444,7 +444,7 @@ class PairingTable:
 
     @classmethod
     def build(cls, op: KernelOp, system: WaveletSystem, window,
-              keys: np.ndarray, q_loc: int = 10, pad_factor: int = 8,
+              keys: np.ndarray, q_loc: int, pad_factor: int = 8,
               meanwhile=None) -> "PairingTable":
         """The table of the distinct rows of keys for op, on the system's
         wavelets; the window sets the integer unit of the offsets.  The

@@ -74,6 +74,12 @@ RUNS = [
                      "k_min": 0, "k_max": 4, "s": 1}),
     ("decay-audit", {"filter": "db2", "kernel": "smoothed_hilbert", "L": 1,
                      "k_min": -1, "k_max": 5, "s": 1}),
+    # a deep window: the test functions sit at 2^29, where the Hilbert
+    # truth holds only while its tail correction is taken relative to its
+    # mesh (in absolute coordinates it reads 5805 instead of 0.0769)
+    ("represent", {"filter": "haar", "kernel": "hilbert", "L": 30,
+                   "k_min": -4, "k_max": 5, "r": 4, "theta": 1.0,
+                   "n_omega": 2}),
 ]
 SEEDS = (0, 1, 2)
 OUTDIR = "out"

@@ -282,8 +282,7 @@ def test_criterion_10_randomized_representation():
     defect = 0.0
     for w_idx in range(8):
         grid = DyadicGrid.random(w, (0, w_idx))
-        out = expansion_identity(op, system, grid, f, g, q_loc=10,
-                                 truth=res["truth"])
+        out = expansion_identity(op, system, grid, f, g, q_loc=10)
         defect = max(defect, out["defect"])
     elapsed = time.perf_counter() - t0
     err = abs(res["estimate"] - res["truth"])

@@ -132,7 +132,7 @@ def test_decay_audit_needs_seminorm():
     system = build_system("haar", q=9)
     with pytest.raises(ValueError, match="'identity'"):
         decay_audit(make_operator("identity"), system, zero_grid(w), s=1,
-                    eps=0.5, theta=1.0, i_max=3, j_max=3)
+                    eps=0.5, theta=1.0, i_max=3, j_max=3, q_loc=10)
 
 
 def test_decay_audit_refuses_oversized_span_block(monkeypatch):
@@ -149,23 +149,33 @@ def test_decay_audit_refuses_oversized_span_block(monkeypatch):
     with pytest.raises(ScaleRangeError, match="AUDIT_MAX_PAIRS"):
         decay_audit(make_operator("hilbert"), system,
                     DyadicGrid.random(w, 0), s=1, eps=0.5, theta=1.0,
-                    i_max=3, j_max=3, span=(7.0, 9.0))
+                    i_max=3, j_max=3, q_loc=10, span=(7.0, 9.0))
+
+
+def _placed_truth(L: int) -> float:
+    """<g, H f> of the README pair placed at 2^L / 2, as the CLI places
+    it, at res 12."""
+    centre = 2.0 ** L / 2.0
+    f = TestFunction(center=centre - 0.7, halfwidth=0.8)
+    g = TestFunction(center=centre + 0.9, halfwidth=0.7)
+    return ground_truth(make_operator("hilbert"), f, g, res=12)
 
 
 def test_ground_truth_does_not_depend_on_placement():
-    # the README pair placed at 2^L / 2, as the CLI places it, for the
-    # windows L = 0..10: <g, H f> is translation invariant.  The tail
-    # correction of _periodic_apply is evaluated in absolute coordinates,
-    # so the value drifts beyond these windows (6e-12 at L = 12, 1.4e-4 at
-    # L = 20; a CHANGES.md FOUND); L = 10 differs by 2e-13
-    op = make_operator("hilbert")
-    values = []
-    for L in range(11):
-        centre = 2.0 ** L / 2.0
-        f = TestFunction(center=centre - 0.7, halfwidth=0.8)
-        g = TestFunction(center=centre + 0.9, halfwidth=0.7)
-        values.append(ground_truth(op, f, g, res=12))
+    # the windows L = 0..10: <g, H f> is translation invariant; L = 10
+    # differs by 2.3e-14
+    values = [_placed_truth(L) for L in range(11)]
     assert max(abs(v - values[0]) for v in values) <= 1e-12 * abs(values[0])
+
+
+def test_ground_truth_does_not_drift_on_deep_windows():
+    # the tail correction's moments and positions grow with the mesh's
+    # coordinates, so the field's mesh must be relative to its left end:
+    # what is left at L = 30 (2.5e-8) comes from evaluating f and g at x
+    # near 2^29
+    base = _placed_truth(0)
+    for L, tol in ((12, 1e-10), (16, 1e-10), (20, 1e-10), (30, 1e-7)):
+        assert abs(_placed_truth(L) - base) <= tol * abs(base), L
 
 
 def test_ground_truth_identity_matches_plain_product():
@@ -297,6 +307,25 @@ def test_expansion_identity_refuses_merged_nodes(monkeypatch):
                            f, g, q_loc=10)
 
 
+def test_expansion_identity_refuses_too_many_pairs(monkeypatch):
+    # a grid with more than AUDIT_MAX_PAIRS pairs is refused as represent
+    # refuses it, from the cube counts, before any coefficient or pair
+    # array exists
+    w = Window(L=6, k_min=-6, k_max=4)
+    system = build_system("haar", q=9)
+    f = TestFunction(center=31.9, halfwidth=0.8)
+    g = TestFunction(center=32.6, halfwidth=0.7)
+
+    def no_coefficients(*args):
+        raise AssertionError("a coefficient was computed")
+
+    monkeypatch.setattr(harness, "AUDIT_MAX_PAIRS", 100)
+    monkeypatch.setattr(harness, "localized_coefficients", no_coefficients)
+    with pytest.raises(ScaleRangeError, match="narrow the window"):
+        expansion_identity(make_operator("hilbert"), system,
+                           DyadicGrid.random(w, 0), f, g, q_loc=7)
+
+
 def test_pi_good_by_scale_vacuous_and_certified():
     w = Window(L=3, k_min=-2, k_max=8)
     pg = _pi_good_by_scale(w, r=5, theta=1.0)
@@ -316,7 +345,7 @@ def test_randomized_expansion_rejects_hopeless_bound():
     assert union_bound(1, 0.5) > 1.0
     with pytest.raises(ScaleRangeError):
         randomized_expansion(op, system, w, f, g, r=1, theta=0.5,
-                             n_omega=2, seed=0)
+                             n_omega=2, seed=0, q_loc=9)
 
 
 def test_randomized_expansion_identity_recovers_product():
@@ -389,8 +418,8 @@ def test_sample_pairs_matches_pair_loop(name, r):
     g = TestFunction(center=8.2, halfwidth=0.7, tilt=1)
     theta, q_loc, seed = 1.0, 7, (5, 1)
     ((got_weighted, got_levels, got_excluded),), counts, _, pi_good = \
-        _sample_pairs(op, system, w, f, g, r, theta, q_loc, seed[0],
-                      range(seed[1], seed[1] + 1), classify=True,
+        _sample_pairs(op, system, w, f, g, r, theta, q_loc,
+                      lambda _: DyadicGrid.random(w, seed), 1, classify=True,
                       reduce=lambda *terms: terms)
     assert pi_good == _pi_good_by_scale(w, r, theta)
     grid = DyadicGrid.random(w, seed)
@@ -489,7 +518,7 @@ def test_decay_audit_empty_span():
     system = build_system("haar", q=9)
     rows, info = decay_audit(make_operator("hilbert"), system, zero_grid(w),
                              s=1, eps=0.5, theta=1.0, i_max=3, j_max=3,
-                             span=(20.0, 21.0))
+                             q_loc=10, span=(20.0, 21.0))
     assert rows == []
     assert info["pairs_seen"] == 0 and info["pairings"]["pairs"] == 0
 
